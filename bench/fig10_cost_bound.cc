@@ -6,7 +6,9 @@
 // Harnessed (DESIGN.md §10). Extra flags:
 //   --problems=1000,5000,10000,50000  --epsilons=1e-2,1e-3,1e-4
 //   --ablate (adds bound-only / prefilter-only cases)
-// With --threads=N > 1 the fig10_parallel bench adds CB serial-vs-parallel
+// The original, cb and ablation cases run on one thread, so their gated
+// iteration counts do not depend on how the shared bound races; with
+// --threads=N > 1 the fig10_parallel bench adds CB serial-vs-parallel
 // cases (shared atomic cost bound).
 
 #include "bench/bench_common.h"
@@ -62,7 +64,7 @@ BENCH(fig10_cost_bound) {
       BatchResult r;
       const Summary& orig_wall = ctx.Measure(orig, [&] {
         r = RunBatch(ctx, problems, eps, /*cost_bound=*/false,
-                     /*prefilter=*/false, ctx.threads());
+                     /*prefilter=*/false, /*threads=*/1);
       });
       orig.Metric("cost", r.cost);
       orig.Metric("iterations", static_cast<double>(r.total_iterations));
@@ -73,7 +75,7 @@ BENCH(fig10_cost_bound) {
                           .Param("epsilon", eps);
       const Summary& cb_wall = ctx.Measure(cb, [&] {
         r = RunBatch(ctx, problems, eps, /*cost_bound=*/true,
-                     /*prefilter=*/true, ctx.threads());
+                     /*prefilter=*/true, /*threads=*/1);
       });
       cb.Metric("cost", r.cost);
       cb.Metric("iterations", static_cast<double>(r.total_iterations));
@@ -108,7 +110,7 @@ BENCH(fig10_ablation) {
       BatchResult r;
       ctx.Measure(c, [&] {
         r = RunBatch(ctx, problems, eps, v.bound, v.prefilter,
-                     ctx.threads());
+                     /*threads=*/1);
       });
       c.Metric("cost", r.cost);
       c.Metric("iterations", static_cast<double>(r.total_iterations));

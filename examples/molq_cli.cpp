@@ -7,7 +7,7 @@
 //
 //   molq_cli solve --inputs=a.csv,b.csv[,c.csv...]
 //       [--algorithm=rrb|mbrb|ssc] [--epsilon=1e-3] [--topk=1]
-//       [--world=10000] [--svg=answer.svg] [--prune] [--threads=1]
+//       [--world=10000] [--svg=answer.svg] [--threads=1]
 //       [--json] [--trace=out.json]
 //       [--allow=x,y;x,y;x,y...] [--exclude=x,y;...] [--audit]
 //     Evaluates MOLQ over the given object sets (one CSV per type) and
@@ -214,7 +214,6 @@ int Solve(const Flags& flags) {
     return 2;
   }
   options.epsilon = flags.GetDouble("epsilon", 1e-3);
-  options.use_overlap_pruning = flags.GetBool("prune", false);
   options.exec.threads = static_cast<int>(flags.GetInt("threads", 1));
   if (flags.GetBool("audit", false)) options.exec.audit = true;
 
@@ -242,9 +241,6 @@ int Solve(const Flags& flags) {
     // request. Timing is excluded from stdout (it varies run to run) and
     // reported on stderr, so stdout stays byte-identical across runs and
     // trace modes.
-    if (options.use_overlap_pruning) {
-      std::fprintf(stderr, "solve: --prune is ignored with --json\n");
-    }
     ServeRequest request;
     request.algorithm = options.algorithm;
     request.epsilon = options.epsilon;
@@ -291,9 +287,12 @@ int Solve(const Flags& flags) {
     answer = r.location;
     std::fprintf(stderr,
                  "stages: vd=%.3fs overlap=%.3fs optimize=%.3fs "
-                 "(threads=%d)\n",
+                 "pruned_pairs=%llu (threads=%d)\n",
                  r.stats.vd_seconds, r.stats.overlap_seconds,
-                 r.stats.optimize_seconds, r.stats.threads);
+                 r.stats.optimize_seconds,
+                 static_cast<unsigned long long>(
+                     r.stats.overlap.pruned_pairs),
+                 r.stats.threads);
   }
   std::fprintf(stderr, "solved in %.3fs\n", sw.ElapsedSeconds());
 

@@ -229,21 +229,15 @@ MolqResult SolveMolq(const MolqQuery& query, const Rect& search_space,
   }
 
   // Stage 2: MOVD Overlapper — sequential ⊕ over the basic MOVDs (Eq. 27),
-  // optionally with combination pruning (§8 future work).
+  // skipping the pairs whose combination cannot hold the optimum (§8
+  // future work; the answer stays that of the unpruned overlay).
   sw.Reset();
   Movd movd;
   {
     TRACE_SPAN("movd_overlap");
-    if (options.use_overlap_pruning) {
-      PrunedOverlapStats pruned;
-      movd = OverlapAllPruned(query, basic, mode, search_space, &pruned,
-                              options.exec.cancel, threads);
-      result.stats.overlap = pruned.overlap;
-      result.stats.pruned_ovrs = pruned.pruned_ovrs;
-    } else {
-      movd = OverlapAll(basic, mode, &result.stats.overlap,
-                        options.exec.cancel, threads);
-    }
+    const CombinationBound bound(query, search_space, options.epsilon);
+    movd = OverlapAll(basic, mode, &result.stats.overlap,
+                      options.exec.cancel, threads, &bound);
   }
   // A token that fired during the sweep leaves `movd` truncated — discard
   // it and report cancellation instead of optimizing a partial overlay.

@@ -40,12 +40,6 @@ struct MolqOptions {
   /// Optimizer extension: collapse duplicate object combinations.
   bool dedup_combinations = false;
 
-  /// Overlap extension (the paper's §8 future work): drop OVRs whose
-  /// object combination provably cannot contain the optimum during each
-  /// overlap step (see pruned_overlap.h). Off by default to match the
-  /// paper's base algorithms.
-  bool use_overlap_pruning = false;
-
   /// Execution knobs shared with every other pipeline entry point:
   /// threads, audit, trace sink, cancel token, weighted-grid resolution
   /// (see util/exec_options.h). None of them changes the answer.
@@ -66,8 +60,7 @@ struct MolqStats {
   double optimize_seconds = 0.0;  ///< Optimizer stage (or all of SSC)
   size_t final_ovrs = 0;          ///< |MOVD(Ē)| fed into the Optimizer
   size_t memory_bytes = 0;        ///< Movd::MemoryBytes of the final MOVD
-  uint64_t pruned_ovrs = 0;       ///< OVRs cut by overlap pruning (if on)
-  OverlapStats overlap;
+  OverlapStats overlap;  ///< pruned_pairs: pairs cut by combination pruning
   OptimizerStats optimizer;
   SscStats ssc;  ///< populated only for MolqAlgorithm::kSsc
 };
@@ -131,7 +124,11 @@ bool OrdinaryDiagramSuffices(const MolqQuery& query, int32_t set);
 
 /// Evaluates MOLQ(Ē, ς^t, σ) over `search_space` (paper Eq. 4): the
 /// location minimising MWGD. Dispatches to SSC or to the MOVD pipeline
-/// (VD Generator -> MOVD Overlapper -> Optimizer).
+/// (VD Generator -> MOVD Overlapper -> Optimizer). The pipeline's overlap
+/// always prunes hopeless object combinations (the paper's §8 future work,
+/// see core/pruned_overlap.h): final_ovrs and the overlap counters describe
+/// the reduced overlay, while the answer is bit-identical to the unpruned
+/// stages BuildBasicMovd -> OverlapAll -> OptimizeMovd.
 MolqResult SolveMolq(const MolqQuery& query, const Rect& search_space,
                      const MolqOptions& options = {});
 

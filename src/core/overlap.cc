@@ -3,24 +3,13 @@
 #include <algorithm>
 #include <map>
 
+#include "core/pruned_overlap.h"
 #include "trace/trace.h"
 #include "util/check.h"
 #include "util/thread_pool.h"
 
 namespace movd {
 namespace {
-
-// Merges two sorted poi lists (duplicates collapsed). In the MOVD algebra
-// the poi set of an overlap is the union of the operands' poi sets
-// (Algorithm 3 line 7 / Algorithm 4 line 6).
-std::vector<PoiRef> MergePois(const std::vector<PoiRef>& a,
-                              const std::vector<PoiRef>& b) {
-  std::vector<PoiRef> out;
-  out.reserve(a.size() + b.size());
-  std::merge(a.begin(), a.end(), b.begin(), b.end(), std::back_inserter(out));
-  out.erase(std::unique(out.begin(), out.end()), out.end());
-  return out;
-}
 
 struct Event {
   double y;
@@ -125,8 +114,18 @@ bool SweepCandidatePairs(const Movd& a, const Movd& b,
 
 }  // namespace
 
+std::vector<PoiRef> MergePois(const std::vector<PoiRef>& a,
+                              const std::vector<PoiRef>& b) {
+  std::vector<PoiRef> out;
+  out.reserve(a.size() + b.size());
+  std::merge(a.begin(), a.end(), b.begin(), b.end(), std::back_inserter(out));
+  out.erase(std::unique(out.begin(), out.end()), out.end());
+  return out;
+}
+
 Movd Overlap(const Movd& a, const Movd& b, BoundaryMode mode,
-             OverlapStats* stats, const CancelToken* cancel, int threads) {
+             OverlapStats* stats, const CancelToken* cancel, int threads,
+             const CombinationBound* bound) {
   TraceSpan span("overlap_step");
   span.Counter("input_ovrs",
                static_cast<int64_t>(a.ovrs.size() + b.ovrs.size()));
@@ -145,10 +144,13 @@ Movd Overlap(const Movd& a, const Movd& b, BoundaryMode mode,
   // writes only its own slot, and the slots are concatenated in chunk
   // order below (DESIGN.md §6), so the output is the visiting order for
   // every thread count. The token is polled once per chunk; a chunk that
-  // sees it fired is skipped, leaving a truncated result.
+  // sees it fired is skipped, leaving a truncated result. A pair the bound
+  // prunes is skipped before its clip; the decision is a pure function of
+  // the pair, so the output stays the same for every thread count.
   struct Chunk {
     std::vector<Ovr> ovrs;
     size_t pieces = 0;  // region pieces over `ovrs`
+    size_t pruned = 0;  // pairs the bound skipped
     bool done = false;
   };
   std::vector<Chunk> chunks((pairs.size() + kPairChunk - 1) / kPairChunk);
@@ -162,6 +164,10 @@ Movd Overlap(const Movd& a, const Movd& b, BoundaryMode mode,
     for (size_t k = begin; k < end; ++k) {
       const Ovr& x = a.ovrs[pairs[k].a];
       const Ovr& y = b.ovrs[pairs[k].b];
+      if (bound != nullptr && bound->Prunes(x.pois, y.pois)) {
+        ++chunks[c].pruned;
+        continue;
+      }
       Ovr out;
       if (pairs[k].b_first ? IntersectOvrPair(y, x, mode, &out)
                            : IntersectOvrPair(x, y, mode, &out)) {
@@ -173,11 +179,14 @@ Movd Overlap(const Movd& a, const Movd& b, BoundaryMode mode,
   });
 
   uint64_t intersected = 0;
+  uint64_t pruned = 0;
   size_t total = 0;
   size_t pieces = 0;
   for (size_t c = 0; c < chunks.size(); ++c) {
     if (chunks[c].done) {
-      intersected += std::min(kPairChunk, pairs.size() - c * kPairChunk);
+      intersected += std::min(kPairChunk, pairs.size() - c * kPairChunk) -
+                     chunks[c].pruned;
+      pruned += chunks[c].pruned;
     }
     total += chunks[c].ovrs.size();
     pieces += chunks[c].pieces;
@@ -195,23 +204,27 @@ Movd Overlap(const Movd& a, const Movd& b, BoundaryMode mode,
     if (mode == BoundaryMode::kRealRegion) {
       stats->region_intersections += intersected;
     }
+    stats->pruned_pairs += pruned;
     stats->output_ovrs += total;
   }
+  span.Counter("pruned_pairs", static_cast<int64_t>(pruned));
   span.Counter("output_ovrs", static_cast<int64_t>(total));
   span.Counter("output_pieces", static_cast<int64_t>(pieces));
   return result;
 }
 
 Movd OverlapAll(const std::vector<Movd>& inputs, BoundaryMode mode,
-                OverlapStats* stats, const CancelToken* cancel, int threads) {
+                OverlapStats* stats, const CancelToken* cancel, int threads,
+                const CombinationBound* bound) {
   MOVD_CHECK_MSG(!inputs.empty(),
                  "sequential overlap needs at least one input MOVD");
   if (inputs.size() == 1) return inputs.front();
   // MOVD(∅) ⊕ X = X, so the first step reads inputs[0] in place.
-  Movd acc = Overlap(inputs[0], inputs[1], mode, stats, cancel, threads);
+  Movd acc =
+      Overlap(inputs[0], inputs[1], mode, stats, cancel, threads, bound);
   for (size_t i = 2; i < inputs.size(); ++i) {
     if (TokenExpired(cancel)) break;
-    acc = Overlap(acc, inputs[i], mode, stats, cancel, threads);
+    acc = Overlap(acc, inputs[i], mode, stats, cancel, threads, bound);
   }
   return acc;
 }

@@ -8,11 +8,14 @@
 
 namespace movd {
 
+class CombinationBound;
+
 /// Counters exposed by the overlap operation, matching the quantities the
 /// paper's Figs. 11-14 report.
 struct OverlapStats {
   uint64_t events = 0;               ///< start/end events processed
   uint64_t candidate_pairs = 0;      ///< x-range hits tested (Alg. 3 line 4)
+  uint64_t pruned_pairs = 0;         ///< pairs the CombinationBound skipped
   uint64_t region_intersections = 0; ///< real region ∩ computed (RRB only)
   uint64_t output_ovrs = 0;          ///< OVRs appended to the result
 };
@@ -37,17 +40,32 @@ struct OverlapStats {
 /// per pair chunk. A fired token yields a truncated or empty MOVD — callers
 /// that pass a token MUST re-check it afterwards and discard the result
 /// when it fired, as SolveMolq does.
+///
+/// `bound` (combination pruning, core/pruned_overlap.h): when set, the pair
+/// phase skips every pair whose merged combination the bound prunes,
+/// before clipping it, in both modes. Skipped pairs count in
+/// `pruned_pairs`, not in `region_intersections`, so an uncancelled RRB
+/// step has candidate_pairs == region_intersections + pruned_pairs. The
+/// output is the unpruned output with the pruned pairs' OVRs left out, in
+/// the same order.
 Movd Overlap(const Movd& a, const Movd& b, BoundaryMode mode,
              OverlapStats* stats = nullptr,
-             const CancelToken* cancel = nullptr, int threads = 1);
+             const CancelToken* cancel = nullptr, int threads = 1,
+             const CombinationBound* bound = nullptr);
 
 /// Sequential overlap Σ⊕ (paper Eq. 27): folds `inputs` left-to-right,
-/// starting from MOVD(∅), each step an Overlap on `threads` threads. Stats
-/// accumulate across all steps. `cancel` as in Overlap: a fired token
-/// yields a truncated or empty result the caller must discard.
+/// starting from MOVD(∅), each step an Overlap on `threads` threads with
+/// `bound`. Stats accumulate across all steps. `cancel` as in Overlap: a
+/// fired token yields a truncated or empty result the caller must discard.
 Movd OverlapAll(const std::vector<Movd>& inputs, BoundaryMode mode,
                 OverlapStats* stats = nullptr,
-                const CancelToken* cancel = nullptr, int threads = 1);
+                const CancelToken* cancel = nullptr, int threads = 1,
+                const CombinationBound* bound = nullptr);
+
+/// The poi list of an overlap: the union of two sorted poi lists with
+/// duplicates collapsed (Algorithm 3 line 7 / Algorithm 4 line 6).
+std::vector<PoiRef> MergePois(const std::vector<PoiRef>& a,
+                              const std::vector<PoiRef>& b);
 
 /// Reference implementation: the nested-loop O(n*m) overlap with the same
 /// semantics. Used by tests to validate the sweep.

@@ -1,9 +1,11 @@
 #include "core/pruned_overlap.h"
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 
 #include "core/weighted_distance.h"
-#include "trace/trace.h"
+#include "fermat/fermat_weber.h"
 #include "util/check.h"
 
 namespace movd {
@@ -12,16 +14,38 @@ double SeedUpperBound(const MolqQuery& query, const Rect& search_space,
                       int resolution) {
   MOVD_CHECK(resolution > 1);
   double best = std::numeric_limits<double>::infinity();
+  Point best_probe = search_space.Center();
   const double sx = search_space.Width() / (resolution - 1);
   const double sy = search_space.Height() / (resolution - 1);
   for (int gy = 0; gy < resolution; ++gy) {
     for (int gx = 0; gx < resolution; ++gx) {
       const Point q{search_space.min_x + gx * sx,
                     search_space.min_y + gy * sy};
-      best = std::min(best, MinWeightedGroupDistance(query, q));
+      const double cost = MinWeightedGroupDistance(query, q);
+      if (cost < best) {
+        best = cost;
+        best_probe = q;
+      }
     }
   }
-  return best;
+  // Refine once: the best probe's nearest group, solved where it is
+  // cheapest. The solution is clamped into the search space, so U stays
+  // the MWGD of a point the overlay covers.
+  const std::vector<int32_t> group = ArgMinGroup(query, best_probe);
+  std::vector<WeightedPoint> points;
+  points.reserve(group.size());
+  for (size_t s = 0; s < group.size(); ++s) {
+    const SpatialObject& obj = query.sets[s].objects[group[s]];
+    const FermatWeberTerm t = DecomposeWeightedDistance(
+        obj, query.type_function, query.ObjectFunction(s));
+    points.push_back({obj.location, t.fw_weight});
+  }
+  const Point solved = SolveFermatWeber(points).location;
+  const Point clamped{
+      std::clamp(solved.x, search_space.min_x, search_space.max_x),
+      std::clamp(solved.y, search_space.min_y, search_space.max_y)};
+  // A NaN cost (degenerate solve) loses to `best` here.
+  return std::min(best, MinWeightedGroupDistance(query, clamped));
 }
 
 double CombinationLowerBound(const MolqQuery& query,
@@ -54,39 +78,94 @@ double CombinationLowerBound(const MolqQuery& query,
   return offset + pair_bound;
 }
 
-Movd OverlapAllPruned(const MolqQuery& query, const std::vector<Movd>& inputs,
-                      BoundaryMode mode, const Rect& search_space,
-                      PrunedOverlapStats* stats, const CancelToken* cancel,
-                      int threads) {
-  MOVD_CHECK(!inputs.empty());
-  TraceSpan span("pruned_overlap");
-  const double upper_bound = SeedUpperBound(query, search_space);
-  if (stats != nullptr) stats->upper_bound = upper_bound;
-
-  Movd acc = inputs.front();
-  for (size_t i = 1; i < inputs.size(); ++i) {
-    if (TokenExpired(cancel)) break;
-    acc = Overlap(acc, inputs[i], mode,
-                  stats != nullptr ? &stats->overlap : nullptr, cancel,
-                  threads);
-    // A step the token cut short may be empty; the caller discards it.
-    if (TokenExpired(cancel)) break;
-    // Filter combinations whose lower bound already exceeds the seed: no
-    // location, and no extension by further types, can make them optimal.
-    std::vector<Ovr> kept;
-    kept.reserve(acc.ovrs.size());
-    for (Ovr& ovr : acc.ovrs) {
-      if (CombinationLowerBound(query, ovr.pois) > upper_bound) {
-        if (stats != nullptr) ++stats->pruned_ovrs;
-        span.Counter("pruned_ovrs", 1);
-        continue;
-      }
-      kept.push_back(std::move(ovr));
+CombinationBound::CombinationBound(const MolqQuery& query,
+                                   const Rect& search_space, double epsilon)
+    : threshold_(std::numeric_limits<double>::infinity()) {
+  bool non_negative = true;
+  set_begin_.reserve(query.sets.size());
+  for (size_t s = 0; s < query.sets.size(); ++s) {
+    set_begin_.push_back(terms_.size());
+    for (const SpatialObject& obj : query.sets[s].objects) {
+      const FermatWeberTerm t = DecomposeWeightedDistance(
+          obj, query.type_function, query.ObjectFunction(s));
+      terms_.push_back({obj.location, t.fw_weight, t.offset});
+      non_negative = non_negative && t.fw_weight >= 0.0 && t.offset >= 0.0;
     }
-    acc.ovrs = std::move(kept);
-    MOVD_CHECK(!acc.ovrs.empty());  // the seed location's OVR survives
   }
-  return acc;
+  // Prune nothing unless U is finite and every weighted distance is a
+  // non-negative multiple of a distance plus a non-negative offset (the
+  // premises of lb's validity and of its monotonicity under extension).
+  const double upper_bound = SeedUpperBound(query, search_space);
+  if (!std::isfinite(upper_bound) || !non_negative) return;
+  // τ = (1 + ε) · U · (1 + 2^-40). Why the reduced overlay gives the
+  // unpruned answer bit for bit:
+  //  - U = MWGD(q) at a point q of the search space, so the overlay holds
+  //    the OVR of q's nearest group G_q (up to rounding on cell borders),
+  //    and min_l cost(G_q, l) <= U.
+  //  - The optimizer reports a cost c(G) per combination at a real
+  //    location, with c(G) <= (1 + ε) · min_l cost(G, l) by its stopping
+  //    rule (offsets are non-negative). So the winner has
+  //    c_W <= c(G_q) <= (1 + ε) · U.
+  //  - A pruned G has c(G) >= min_l cost(G, l) >= lb(G) > τ. The factor
+  //    (1 + 2^-40) absorbs the few ulps of rounding in lb and in the
+  //    reported costs, so c(G) > c_W: no pruned combination could have
+  //    won, or tied the winner.
+  //  - Survivors keep their relative order (their pair lists are
+  //    subsequences of the unpruned ones), and the optimizer resolves the
+  //    winner by (cost, lowest index) with strict cost-bound cuts, so it
+  //    picks the same combination and location.
+  // The same slack keeps the winner's own combination, lb <= c_W < τ, and
+  // with it at least one OVR through every step.
+  threshold_ = (1.0 + std::max(epsilon, 0.0)) * upper_bound * (1.0 + 0x1p-40);
+}
+
+bool CombinationBound::Prunes(const std::vector<PoiRef>& x,
+                              const std::vector<PoiRef>& y) const {
+  if (threshold_ == std::numeric_limits<double>::infinity()) return false;
+  // Walks the merge of x and y exactly as MergePois builds it (std::merge
+  // takes x first on equal keys, then std::unique drops the copy from y).
+  // `visit(term, xi, yj)` sees each merged element once, with x[0, xi) and
+  // y[0, yj) holding every element merged before it.
+  const auto walk = [&](const auto& visit) {
+    size_t i = 0;
+    size_t j = 0;
+    while (i < x.size() || j < y.size()) {
+      const size_t xi = i;
+      const size_t yj = j;
+      const bool from_x =
+          j == y.size() || (i < x.size() && !(y[j] < x[i]));
+      const PoiRef& ref = from_x ? x[i++] : y[j++];
+      if (from_x && j < y.size() && y[j] == ref) ++j;
+      if (visit(TermOf(ref), xi, yj)) return true;
+    }
+    return false;
+  };
+  // lb sums the offsets in merged order first (the order fixes the sum's
+  // rounding) ...
+  double offset = 0.0;
+  walk([&](const Term& t, size_t, size_t) {
+    offset += t.b;
+    return false;
+  });
+  // ... then adds the largest pair term. Pairs of one element with every
+  // earlier one cover each unordered pair at least once; a repeat is
+  // harmless under max. Adding a non-negative pair term never lowers the
+  // sum, so the walk can stop at the first partial maximum that prunes.
+  double pair_bound = 0.0;
+  const auto pair_with = [&](const Term& t, const std::vector<PoiRef>& list,
+                             size_t count) {
+    for (size_t k = 0; k < count; ++k) {
+      const Term& prior = TermOf(list[k]);
+      pair_bound = std::max(pair_bound, std::min(prior.a, t.a) *
+                                            Distance(prior.location,
+                                                     t.location));
+    }
+  };
+  return walk([&](const Term& t, size_t xi, size_t yj) {
+    pair_with(t, x, xi);
+    pair_with(t, y, yj);
+    return offset + pair_bound > threshold_;
+  });
 }
 
 }  // namespace movd

@@ -1,46 +1,72 @@
 #ifndef MOVD_CORE_PRUNED_OVERLAP_H_
 #define MOVD_CORE_PRUNED_OVERLAP_H_
 
-#include "model/movd_model.h"
+#include <cstddef>
+#include <vector>
+
+#include "geom/point.h"
+#include "geom/rect.h"
 #include "model/object.h"
-#include "core/overlap.h"
-#include "util/cancel.h"
 
 namespace movd {
-
-/// Statistics from the pruning overlap.
-struct PrunedOverlapStats {
-  OverlapStats overlap;       ///< the underlying sweep's counters
-  uint64_t pruned_ovrs = 0;   ///< OVRs discarded by the cost bound
-  double upper_bound = 0.0;   ///< the seed upper bound used
-};
 
 /// The paper's second future-work direction (§8): "pruning the search
 /// space by filtering out the impossible POI combinations during the MOVD
 /// overlapping."
 ///
-/// A cheap global upper bound U on the query's optimal cost is seeded by
-/// probing MWGD on a coarse grid. During every overlap step, each produced
-/// OVR's object combination G is given a lower bound
+/// Every object combination G gets the lower bound
 ///
 ///   lb(G) = sum_i offset_i + max_{i<j} min(a_i, a_j) * d(p_i, p_j)
 ///
-/// (valid for any location by the triangle inequality on the decomposed
-/// weighted distances WD = a*d + b). OVRs with lb(G) > U are dropped
-/// immediately: every extension of G by further types only adds
-/// non-negative terms, so no descendant combination can beat U either.
-/// The surviving MOVD yields exactly the same optimum as the unpruned one.
-/// Each overlap step runs on `threads` threads, as in OverlapAll, and the
-/// result is bit-identical for every thread count. `cancel` as in
-/// OverlapAll: a fired token stops the step loop and yields a truncated
-/// result the caller must discard.
-Movd OverlapAllPruned(const MolqQuery& query, const std::vector<Movd>& inputs,
-                      BoundaryMode mode, const Rect& search_space,
-                      PrunedOverlapStats* stats = nullptr,
-                      const CancelToken* cancel = nullptr, int threads = 1);
+/// on its cost at any location (triangle inequality on the decomposed
+/// weighted distances WD = a*d + b). Extending G by further types only
+/// adds non-negative terms, so a combination with lb(G) above the
+/// threshold τ has no descendant that can win either. Overlap tests each
+/// candidate pair's merged combination before clipping it and skips the
+/// pair when lb > τ (see Overlap in core/overlap.h).
+///
+/// SolveMolq builds one bound per solve; SolveMolqTopK, serve's cached
+/// overlays and what-if keep unpruned overlays, because they need ranks
+/// beyond the first or weights other than the query's.
+class CombinationBound {
+ public:
+  /// Decomposes every object of `query` and seeds the threshold from
+  /// SeedUpperBound over `search_space`; `epsilon` is the Fermat–Weber
+  /// stopping-rule error bound the optimizer will use.
+  CombinationBound(const MolqQuery& query, const Rect& search_space,
+                   double epsilon);
 
-/// The seed upper bound used by OverlapAllPruned: the minimum MWGD over a
-/// `resolution` x `resolution` probe grid (always >= the true optimum).
+  /// τ: pairs whose merged combination has lb > τ are pruned (+inf when
+  /// nothing is).
+  double threshold() const { return threshold_; }
+
+  /// True when CombinationLowerBound(query, MergePois(x, y)) > threshold(),
+  /// bit for bit. Both lists must be sorted and unique. Allocation-free:
+  /// it merge-walks the two lists in MergePois order.
+  bool Prunes(const std::vector<PoiRef>& x,
+              const std::vector<PoiRef>& y) const;
+
+ private:
+  struct Term {
+    Point location;
+    double a;  // WD = a * d + b
+    double b;
+  };
+  const Term& TermOf(const PoiRef& ref) const {
+    return terms_[set_begin_[ref.set] + static_cast<size_t>(ref.object)];
+  }
+
+  std::vector<Term> terms_;        // every object, set-major
+  std::vector<size_t> set_begin_;  // first term of each set
+  double threshold_;
+};
+
+/// The seed upper bound U: one pass over a `resolution` x `resolution`
+/// probe grid keeps the minimum MWGD and its probe point, the Fermat–Weber
+/// problem of that probe's ArgMinGroup is solved once, and U is the
+/// smaller of the grid minimum and the MWGD at that solution (clamped into
+/// the search space). Always a real MWGD value in the search space, so
+/// never below the true optimum.
 double SeedUpperBound(const MolqQuery& query, const Rect& search_space,
                       int resolution = 8);
 

@@ -11,7 +11,8 @@ namespace movd {
 /// alternatives.
 ///
 /// Runs the MOVD pipeline (RRB or MBRB per `options.algorithm`; kSsc is
-/// rejected) and keeps the k best Fermat–Weber optima in
+/// rejected) on the unpruned overlay (ranks beyond the first need the
+/// combinations SolveMolq's pruning drops) and keeps the k best Fermat–Weber optima in
 /// MolqResult::ranked (location/cost/group mirror ranked[0]). The cost
 /// bound used for pruning is the k-th best cost so far, so correctness of
 /// all k results is preserved.
@@ -21,7 +22,7 @@ namespace movd {
 ///    combination, ascending by cost — ranked.size() < k, never an error.
 ///  - Cost ties (including all candidates tied) rank in lexicographic
 ///    group order, the repo-wide (set, object) tie rule; the result is
-///    identical for every thread count and pruning setting.
+///    identical for every thread count.
 ///
 /// MolqResult::status is kCancelled when options.exec.cancel fired
 /// mid-run, in which case `ranked` is empty (never a partial ranking).

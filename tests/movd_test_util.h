@@ -1,4 +1,5 @@
-// Bit-level MOVD comparison shared by the overlap determinism tests.
+// Bit-level MOVD comparison shared by the overlap determinism tests, and
+// the unpruned staged pipeline that SolveMolq's answers are checked against.
 
 #ifndef MOVD_TESTS_MOVD_TEST_UTIL_H_
 #define MOVD_TESTS_MOVD_TEST_UTIL_H_
@@ -8,6 +9,8 @@
 
 #include <gtest/gtest.h>
 
+#include "core/molq.h"
+#include "core/optimizer.h"
 #include "core/overlap.h"
 #include "model/movd_model.h"
 
@@ -66,8 +69,51 @@ inline void ExpectSameStats(const OverlapStats& want,
                             const OverlapStats& got) {
   EXPECT_EQ(got.events, want.events);
   EXPECT_EQ(got.candidate_pairs, want.candidate_pairs);
+  EXPECT_EQ(got.pruned_pairs, want.pruned_pairs);
   EXPECT_EQ(got.region_intersections, want.region_intersections);
   EXPECT_EQ(got.output_ovrs, want.output_ovrs);
+}
+
+// The basic MOVDs SolveMolq builds for `options`, one set at a time.
+inline std::vector<Movd> BuildAllBasic(const MolqQuery& query,
+                                       const Rect& space,
+                                       const MolqOptions& options) {
+  std::vector<Movd> basic;
+  for (size_t s = 0; s < query.sets.size(); ++s) {
+    basic.push_back(BuildBasicMovd(query, static_cast<int32_t>(s), space,
+                                   options.exec.weighted_grid_resolution, 1,
+                                   nullptr, options.exec.weighted_method));
+  }
+  return basic;
+}
+
+// The unpruned pipeline through its public stages: BuildBasicMovd ->
+// OverlapAll (no bound) -> OptimizeMovd, with SolveMolq's options.
+inline OptimizerResult SolveStagedUnpruned(const MolqQuery& query,
+                                           const Rect& space,
+                                           const MolqOptions& options) {
+  const BoundaryMode mode = options.algorithm == MolqAlgorithm::kMbrb
+                                ? BoundaryMode::kMbr
+                                : BoundaryMode::kRealRegion;
+  const Movd movd = OverlapAll(BuildAllBasic(query, space, options), mode,
+                               nullptr, nullptr, options.exec.threads);
+  OptimizerOptions opt;
+  opt.epsilon = options.epsilon;
+  opt.use_cost_bound = options.use_cost_bound;
+  opt.use_two_point_prefilter = options.use_two_point_prefilter;
+  opt.dedup_combinations = options.dedup_combinations;
+  opt.exec = options.exec;
+  return OptimizeMovd(query, movd, opt);
+}
+
+// SolveMolq's answer equals the unpruned reference bit for bit.
+inline void ExpectSameAnswer(const OptimizerResult& want,
+                             const MolqResult& got) {
+  EXPECT_EQ(got.status, StatusCode::kOk);
+  EXPECT_EQ(Bits(got.cost), Bits(want.cost));
+  EXPECT_EQ(Bits(got.location.x), Bits(want.location.x));
+  EXPECT_EQ(Bits(got.location.y), Bits(want.location.y));
+  EXPECT_EQ(got.group, want.group);
 }
 
 }  // namespace movd

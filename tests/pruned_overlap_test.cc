@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "core/grid_scan.h"
 #include "core/molq.h"
 #include "core/pruned_overlap.h"
@@ -29,6 +31,38 @@ MolqQuery RandomQuery(const std::vector<size_t>& sizes, uint64_t seed) {
     query.sets.push_back(std::move(set));
   }
   return query;
+}
+
+// Per-object weights route every set through the weighted diagram.
+MolqQuery WithObjectWeights(MolqQuery query, uint64_t seed) {
+  Rng rng(seed);
+  for (ObjectSet& set : query.sets) {
+    for (SpatialObject& obj : set.objects) {
+      obj.object_weight = rng.Uniform(0.5, 2.5);
+    }
+  }
+  return query;
+}
+
+// SolveMolq (always pruned) against the unpruned staged pipeline, RRB and
+// MBRB, at every thread count in `threads`.
+void ExpectPrunedSolveMatchesUnpruned(const MolqQuery& q,
+                                      const std::vector<int>& threads,
+                                      double epsilon) {
+  for (const MolqAlgorithm algo :
+       {MolqAlgorithm::kRrb, MolqAlgorithm::kMbrb}) {
+    for (const int t : threads) {
+      SCOPED_TRACE(::testing::Message()
+                   << (algo == MolqAlgorithm::kRrb ? "rrb" : "mbrb")
+                   << " threads=" << t);
+      MolqOptions opts;
+      opts.algorithm = algo;
+      opts.epsilon = epsilon;
+      opts.exec.threads = t;
+      ExpectSameAnswer(SolveStagedUnpruned(q, kBounds, opts),
+                       SolveMolq(q, kBounds, opts));
+    }
+  }
 }
 
 TEST(SeedUpperBoundTest, UpperBoundsTheOptimum) {
@@ -74,24 +108,97 @@ TEST(CombinationLowerBoundTest, MonotoneUnderExtension) {
   }
 }
 
+TEST(CombinationBoundTest, PairDecisionMatchesTheLowerBound) {
+  // Random sorted poi lists over 5 sets, overlapping ones included, under
+  // both type functions (the additive one gives non-zero offsets, whose
+  // summation order the pair test must reproduce).
+  size_t pruned = 0;
+  size_t kept = 0;
+  for (const WeightFunctionKind fn :
+       {WeightFunctionKind::kMultiplicative, WeightFunctionKind::kAdditive}) {
+    MolqQuery q = WithObjectWeights(RandomQuery({6, 6, 6, 6, 6}, 341), 342);
+    q.type_function = fn;
+    const CombinationBound bound(q, kBounds, 1e-3);
+    ASSERT_LT(bound.threshold(), std::numeric_limits<double>::infinity());
+    Rng rng(343);
+    const auto random_list = [&] {
+      std::vector<PoiRef> list;
+      for (int32_t s = 0; s < 5; ++s) {
+        if (rng.NextBelow(2) == 0) {
+          list.push_back({s, static_cast<int32_t>(rng.NextBelow(6))});
+        }
+      }
+      return list;
+    };
+    for (int trial = 0; trial < 2000; ++trial) {
+      const std::vector<PoiRef> x = random_list();
+      const std::vector<PoiRef> y =
+          trial % 4 == 0 ? MergePois(x, random_list()) : random_list();
+      const bool want =
+          CombinationLowerBound(q, MergePois(x, y)) > bound.threshold();
+      EXPECT_EQ(bound.Prunes(x, y), want) << "trial " << trial;
+      EXPECT_EQ(bound.Prunes(y, x), want) << "trial " << trial;
+      ++(want ? pruned : kept);
+    }
+  }
+  // Both outcomes occur, so the equality above is not vacuous.
+  EXPECT_GT(pruned, 100u);
+  EXPECT_GT(kept, 100u);
+}
+
+TEST(CombinationBoundTest, ThresholdCarriesEpsilonAndRoundingSlack) {
+  const MolqQuery q = RandomQuery({5, 5, 5}, 344);
+  const CombinationBound bound(q, kBounds, 1e-3);
+  EXPECT_EQ(Bits(bound.threshold()),
+            Bits((1.0 + 1e-3) * SeedUpperBound(q, kBounds) * (1.0 + 0x1p-40)));
+}
+
+TEST(CombinationBoundTest, NegativeWeightsDisablePruning) {
+  // lb and its monotonicity assume non-negative coefficients.
+  MolqQuery q = RandomQuery({5, 5, 5}, 349);
+  q.sets[1].objects[2].type_weight = -1.0;
+  EXPECT_EQ(CombinationBound(q, kBounds, 1e-3).threshold(),
+            std::numeric_limits<double>::infinity());
+}
+
+TEST(CombinationBoundTest, PrunedStepIsTheUnprunedStepMinusPrunedPairs) {
+  for (const MolqQuery& q : {RandomQuery({40, 30, 25}, 345),
+                             WithObjectWeights(RandomQuery({20, 15}, 346),
+                                               347)}) {
+    const std::vector<Movd> basic = BuildAllBasic(q, kBounds, MolqOptions{});
+    const CombinationBound bound(q, kBounds, 1e-3);
+    for (const BoundaryMode mode :
+         {BoundaryMode::kRealRegion, BoundaryMode::kMbr}) {
+      const Movd plain = Overlap(basic[0], basic[1], mode);
+      OverlapStats stats;
+      const Movd pruned =
+          Overlap(basic[0], basic[1], mode, &stats, nullptr, 1, &bound);
+      Movd expected;
+      for (const Ovr& ovr : plain.ovrs) {
+        if (CombinationLowerBound(q, ovr.pois) <= bound.threshold()) {
+          expected.ovrs.push_back(ovr);
+        }
+      }
+      EXPECT_GT(stats.pruned_pairs, 0u);
+      EXPECT_LT(expected.ovrs.size(), plain.ovrs.size());
+      EXPECT_TRUE(BitIdentical(expected, pruned));
+      if (mode == BoundaryMode::kRealRegion) {
+        EXPECT_EQ(stats.candidate_pairs,
+                  stats.region_intersections + stats.pruned_pairs);
+      } else {
+        EXPECT_EQ(stats.region_intersections, 0u);
+      }
+    }
+  }
+}
+
 class PrunedPipelineTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(PrunedPipelineTest, SameAnswerWithAndWithoutPruning) {
   const MolqQuery q = RandomQuery({5, 5, 4}, GetParam());
-  MolqOptions base;
-  base.algorithm = MolqAlgorithm::kRrb;
-  base.epsilon = 1e-6;
-  const auto plain = SolveMolq(q, kBounds, base);
-  MolqOptions pruned = base;
-  pruned.use_overlap_pruning = true;
-  const auto fast = SolveMolq(q, kBounds, pruned);
-  EXPECT_NEAR(plain.cost, fast.cost, 1e-6 * plain.cost + 1e-9);
-  EXPECT_LE(fast.stats.final_ovrs, plain.stats.final_ovrs);
-
-  MolqOptions mbrb = pruned;
-  mbrb.algorithm = MolqAlgorithm::kMbrb;
-  const auto fast_mbrb = SolveMolq(q, kBounds, mbrb);
-  EXPECT_NEAR(plain.cost, fast_mbrb.cost, 1e-6 * plain.cost + 1e-9);
+  ExpectPrunedSolveMatchesUnpruned(q, {1, 2, 4, 7}, 1e-6);
+  ExpectPrunedSolveMatchesUnpruned(WithObjectWeights(q, GetParam() + 100),
+                                   {1, 2, 4, 7}, 1e-3);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PrunedPipelineTest,
@@ -118,9 +225,89 @@ TEST(PrunedPipelineTest, ActuallyPrunesOnSpreadOutData) {
   }
   MolqOptions opts;
   opts.algorithm = MolqAlgorithm::kMbrb;
-  opts.use_overlap_pruning = true;
   const auto r = SolveMolq(q, kBounds, opts);
-  EXPECT_GT(r.stats.pruned_ovrs, 0u);
+  EXPECT_GT(r.stats.overlap.pruned_pairs, 0u);
+}
+
+TEST(PrunedPipelineTest, CandidatePairsSplitIntoClippedAndPruned) {
+  const MolqQuery q = RandomQuery({60, 50, 40, 30}, 348);
+  MolqOptions opts;
+  opts.exec.threads = 2;
+  const MolqResult r = SolveMolq(q, kBounds, opts);
+  const OverlapStats& s = r.stats.overlap;
+  EXPECT_GT(s.pruned_pairs, 0u);
+  EXPECT_EQ(s.candidate_pairs, s.region_intersections + s.pruned_pairs);
+  EXPECT_EQ(r.stats.final_ovrs, r.stats.optimizer.problems);
+}
+
+// Degenerate families: each must finish without an abort and match the
+// unpruned reference bit for bit in RRB and MBRB.
+MolqQuery QueryAt(const std::vector<std::vector<Point>>& sets) {
+  MolqQuery q;
+  for (size_t s = 0; s < sets.size(); ++s) {
+    ObjectSet set;
+    set.name = std::string("d") += std::to_string(s);
+    for (const Point& p : sets[s]) {
+      SpatialObject obj;
+      obj.location = p;
+      set.objects.push_back(obj);
+    }
+    q.sets.push_back(std::move(set));
+  }
+  return q;
+}
+
+TEST(PrunedDegenerateTest, OptimumExactlyOnAProbeNode) {
+  // One object of every set sits on the probe node (3, 2) of the 8x8 seed
+  // grid, so U = 0 and every combination with a positive bound is pruned.
+  const Point node{kBounds.min_x + 3 * (kBounds.Width() / 7),
+                   kBounds.min_y + 2 * (kBounds.Height() / 7)};
+  MolqQuery q = RandomQuery({6, 5, 4}, 351);
+  for (ObjectSet& set : q.sets) set.objects[1].location = node;
+  EXPECT_EQ(SeedUpperBound(q, kBounds), 0.0);
+  ExpectPrunedSolveMatchesUnpruned(q, {1, 2}, 1e-3);
+  ExpectPrunedSolveMatchesUnpruned(q, {1}, 0.0);
+}
+
+TEST(PrunedDegenerateTest, ObjectsOfEverySetCoincident) {
+  // Every set holds the same five locations, and a sixth set is one point
+  // repeated: many combinations tie at cost 0.
+  Rng rng(352);
+  std::vector<Point> shared;
+  for (int i = 0; i < 5; ++i) {
+    shared.push_back({rng.Uniform(5, 95), rng.Uniform(5, 95)});
+  }
+  ExpectPrunedSolveMatchesUnpruned(QueryAt({shared, shared, shared}), {1, 2},
+                                   1e-3);
+  const std::vector<Point> one(4, Point{40, 60});
+  ExpectPrunedSolveMatchesUnpruned(QueryAt({one, one, one}), {1, 2}, 1e-3);
+}
+
+TEST(PrunedDegenerateTest, CollinearSets) {
+  Rng rng(353);
+  std::vector<std::vector<Point>> diagonal(3);
+  std::vector<std::vector<Point>> horizontal(3);
+  for (size_t s = 0; s < 3; ++s) {
+    for (int i = 0; i < 6; ++i) {
+      const double t = rng.Uniform(5, 95);
+      diagonal[s].push_back({t, t});
+      horizontal[s].push_back({rng.Uniform(5, 95), 50});
+    }
+  }
+  ExpectPrunedSolveMatchesUnpruned(QueryAt(diagonal), {1, 2}, 1e-3);
+  ExpectPrunedSolveMatchesUnpruned(QueryAt(horizontal), {1, 2}, 1e-3);
+}
+
+TEST(PrunedDegenerateTest, EqualWeightTies) {
+  // Integer-grid sets symmetric under both mirror axes of the square:
+  // mirrored combinations tie exactly on cost.
+  const std::vector<Point> corners = {{20, 20}, {80, 20}, {20, 80}, {80, 80}};
+  const std::vector<Point> edges = {{50, 20}, {20, 50}, {80, 50}, {50, 80}};
+  const std::vector<Point> center = {{50, 50}, {30, 70}, {70, 30}};
+  ExpectPrunedSolveMatchesUnpruned(QueryAt({corners, edges, center}), {1, 2},
+                                   1e-3);
+  ExpectPrunedSolveMatchesUnpruned(QueryAt({corners, corners, edges}), {1, 2},
+                                   1e-3);
 }
 
 TEST(PrunedOverlapTest, FiredTokenStopsTheStepLoop) {
@@ -131,11 +318,11 @@ TEST(PrunedOverlapTest, FiredTokenStopsTheStepLoop) {
   }
   CancelToken token;
   token.Cancel();
-  PrunedOverlapStats stats;
-  OverlapAllPruned(q, basic, BoundaryMode::kRealRegion, kBounds, &stats,
-                   &token, 2);
-  EXPECT_EQ(stats.overlap.candidate_pairs, 0u);
-  EXPECT_EQ(stats.pruned_ovrs, 0u);
+  const CombinationBound bound(q, kBounds, 1e-3);
+  OverlapStats stats;
+  OverlapAll(basic, BoundaryMode::kRealRegion, &stats, &token, 2, &bound);
+  EXPECT_EQ(stats.candidate_pairs, 0u);
+  EXPECT_EQ(stats.pruned_pairs, 0u);
 }
 
 TEST(PrunedOverlapTest, PrunedSolveHonoursAFiredToken) {
@@ -143,7 +330,6 @@ TEST(PrunedOverlapTest, PrunedSolveHonoursAFiredToken) {
   CancelToken token;
   token.Cancel();
   MolqOptions opts;
-  opts.use_overlap_pruning = true;
   opts.exec.cancel = &token;
   const auto r = SolveMolq(q, kBounds, opts);
   EXPECT_EQ(r.status, StatusCode::kCancelled);
@@ -152,33 +338,27 @@ TEST(PrunedOverlapTest, PrunedSolveHonoursAFiredToken) {
 
 // Named OverlapParallel* so the TSan job's *Parallel* filter runs it.
 TEST(OverlapParallelPrunedTest, BitIdenticalForEveryThreadCount) {
-  MolqQuery weighted = RandomQuery({40, 30, 25}, 317);
-  Rng rng(318);
-  for (ObjectSet& set : weighted.sets) {
-    for (SpatialObject& obj : set.objects) {
-      obj.object_weight = rng.Uniform(0.5, 2.5);
-    }
-  }
   for (const MolqQuery& q :
-       {RandomQuery({60, 50, 40}, 319), weighted}) {
+       {RandomQuery({60, 50, 40}, 319),
+        WithObjectWeights(RandomQuery({40, 30, 25}, 317), 318)}) {
     std::vector<Movd> basic;
     for (size_t s = 0; s < q.sets.size(); ++s) {
       basic.push_back(BuildBasicMovd(q, static_cast<int32_t>(s), kBounds, 96));
     }
+    const CombinationBound bound(q, kBounds, 1e-3);
     for (const BoundaryMode mode :
          {BoundaryMode::kRealRegion, BoundaryMode::kMbr}) {
-      PrunedOverlapStats serial_stats;
+      OverlapStats serial_stats;
       const Movd serial =
-          OverlapAllPruned(q, basic, mode, kBounds, &serial_stats, nullptr, 1);
-      EXPECT_GT(serial_stats.overlap.candidate_pairs, 256u);
+          OverlapAll(basic, mode, &serial_stats, nullptr, 1, &bound);
+      EXPECT_GT(serial_stats.candidate_pairs, 256u);
+      EXPECT_GT(serial_stats.pruned_pairs, 0u);
       for (const int threads : {1, 2, 4, 7}) {
-        PrunedOverlapStats stats;
+        OverlapStats stats;
         const Movd out =
-            OverlapAllPruned(q, basic, mode, kBounds, &stats, nullptr, threads);
+            OverlapAll(basic, mode, &stats, nullptr, threads, &bound);
         EXPECT_TRUE(BitIdentical(serial, out)) << "threads=" << threads;
-        ExpectSameStats(serial_stats.overlap, stats.overlap);
-        EXPECT_EQ(stats.pruned_ovrs, serial_stats.pruned_ovrs);
-        EXPECT_EQ(Bits(stats.upper_bound), Bits(serial_stats.upper_bound));
+        ExpectSameStats(serial_stats, stats);
       }
     }
   }

@@ -4,6 +4,7 @@
 #include "core/ssc.h"
 #include "core/topk.h"
 #include "core/weighted_distance.h"
+#include "movd_test_util.h"
 #include "util/rng.h"
 
 namespace movd {
@@ -278,7 +279,7 @@ TEST(TopKTest, MbrbAgreesWithRrbOnTopCosts) {
 TEST(TopKTest, WeightedMethodReachesTheDiagramBuild) {
   // Per-object weights route every set through the weighted diagrams,
   // whose covers depend on the construction method. Top-k must build the
-  // same overlay as SolveMolq for the requested method.
+  // unpruned overlay of the requested method.
   MolqQuery q = RandomQuery({8, 7, 6}, 406);
   Rng rng(407);
   for (ObjectSet& set : q.sets) {
@@ -291,16 +292,24 @@ TEST(TopKTest, WeightedMethodReachesTheDiagramBuild) {
   adaptive.exec.weighted_grid_resolution = 64;
   MolqOptions dense = adaptive;
   dense.exec.weighted_method = WeightedMethod::kDenseGrid;
-  const MolqResult solve_dense = SolveMolq(q, kBounds, dense);
-  const MolqResult solve_adaptive = SolveMolq(q, kBounds, adaptive);
+  // Top-k keeps the unpruned overlay, so its counts are those of the staged
+  // unpruned OverlapAll over the basic MOVDs of the requested method.
+  const auto unpruned_overlay = [&](const MolqOptions& options) {
+    return OverlapAll(BuildAllBasic(q, kBounds, options),
+                      BoundaryMode::kRealRegion);
+  };
+  const Movd overlay_dense = unpruned_overlay(dense);
+  const Movd overlay_adaptive = unpruned_overlay(adaptive);
   // The instance must tell the two methods apart.
-  ASSERT_NE(solve_dense.stats.memory_bytes,
-            solve_adaptive.stats.memory_bytes);
+  ASSERT_NE(overlay_dense.MemoryBytes(BoundaryMode::kRealRegion),
+            overlay_adaptive.MemoryBytes(BoundaryMode::kRealRegion));
+  const MolqResult solve_dense = SolveMolq(q, kBounds, dense);
   for (const int threads : {1, 4}) {
     dense.exec.threads = threads;
     const MolqResult topk_dense = SolveMolqTopK(q, kBounds, 3, dense);
-    EXPECT_EQ(topk_dense.stats.final_ovrs, solve_dense.stats.final_ovrs);
-    EXPECT_EQ(topk_dense.stats.memory_bytes, solve_dense.stats.memory_bytes);
+    EXPECT_EQ(topk_dense.stats.final_ovrs, overlay_dense.ovrs.size());
+    EXPECT_EQ(topk_dense.stats.memory_bytes,
+              overlay_dense.MemoryBytes(BoundaryMode::kRealRegion));
     ASSERT_FALSE(topk_dense.ranked.empty());
     EXPECT_EQ(topk_dense.ranked[0].group, solve_dense.group);
   }

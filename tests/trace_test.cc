@@ -8,6 +8,7 @@
 
 #include "core/molq.h"
 #include "core/overlap.h"
+#include "core/pruned_overlap.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
@@ -304,7 +305,10 @@ TEST(TraceTest, WeightedCoverCountersMatchTheBuiltRegions) {
   for (int32_t s = 0; s < 2; ++s) {
     basic.push_back(BuildBasicMovd(query, s, world, 64));
   }
-  const Movd overlay = OverlapAll(basic, BoundaryMode::kRealRegion);
+  // SolveMolq's overlap prunes with the solve's combination bound.
+  const CombinationBound bound(query, world, plain.epsilon);
+  const Movd overlay = OverlapAll(basic, BoundaryMode::kRealRegion, nullptr,
+                                  nullptr, 1, &bound);
   const std::vector<TraceSpanRecord> records = trace.Collect();
   EXPECT_EQ(CounterSum(records, "weighted_grid", "cover_pieces"),
             static_cast<int64_t>(PieceCount(basic[0]) + PieceCount(basic[1])));
