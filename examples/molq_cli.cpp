@@ -161,13 +161,13 @@ void PrintAnswerJson(const MolqQuery& query, const Point& location,
 // run. Timing goes to stderr. Shared by every query-algebra subcommand
 // and by solve --json / --allow / --exclude.
 int ServeAndPrint(const MolqQuery& query, const Rect& world,
-                  ServeRequest request, const char* cmd, bool full_object,
+                  EngineRequest request, const char* cmd, bool full_object,
                   Point* answer_out) {
   QueryEngine engine;
   engine.RegisterDataset("cli", query, world);
   request.id = "cli";
   request.dataset = "cli";
-  const ServeResponse resp = engine.Solve(request);
+  const ServeResponse resp = engine.Handle(request);
   if (resp.status != ServeStatus::kOk) {
     std::fprintf(stderr, "%s: %s %s\n", cmd, ServeStatusName(resp.status),
                  resp.error.c_str());
@@ -241,19 +241,18 @@ int Solve(const Flags& flags) {
     // request. Timing is excluded from stdout (it varies run to run) and
     // reported on stderr, so stdout stays byte-identical across runs and
     // trace modes.
-    ServeRequest request;
-    request.algorithm = options.algorithm;
+    EngineRequest request;
     request.epsilon = options.epsilon;
     request.exec = options.exec;
     if (constrained) {
-      request.kind = ServeQueryKind::kConstrained;
+      ConstrainSpec spec;
       if (k > 1) {
         std::fprintf(stderr,
                      "solve: --topk is ignored with --allow/--exclude "
                      "(constrained MOLQ returns the single optimum)\n");
       }
       if (!allow.empty()) {
-        if (const Status s = ParsePolygonSpec(allow, &request.constraint.boundary);
+        if (const Status s = ParsePolygonSpec(allow, &spec.constraint.boundary);
             !s.ok()) {
           std::fprintf(stderr, "solve: --allow: %s\n", s.message().c_str());
           return 2;
@@ -261,16 +260,17 @@ int Solve(const Flags& flags) {
       }
       // '+' separates multiple exclusion polygons ("x,y;x,y;x,y+x,y;...")
       // since the flag parser keeps only the last --exclude occurrence.
-      for (const std::string& spec : SplitList(exclude, '+')) {
+      for (const std::string& ring : SplitList(exclude, '+')) {
         Polygon poly;
-        if (const Status s = ParsePolygonSpec(spec, &poly); !s.ok()) {
+        if (const Status s = ParsePolygonSpec(ring, &poly); !s.ok()) {
           std::fprintf(stderr, "solve: --exclude: %s\n", s.message().c_str());
           return 2;
         }
-        request.constraint.exclusions.push_back(std::move(poly));
+        spec.constraint.exclusions.push_back(std::move(poly));
       }
+      request.op = std::move(spec);
     } else {
-      request.topk = k;
+      request.op = SolveSpec{options.algorithm, k};
     }
     const int rc = ServeAndPrint(query, world, std::move(request), "solve",
                                  json, &answer);
@@ -336,13 +336,13 @@ int RunShape(const Flags& flags, ServeQueryKind kind, const char* cmd) {
     return rc;
   }
 
-  ServeRequest request;
-  request.kind = kind;
+  EngineRequest request;
+  MolqAlgorithm algorithm = MolqAlgorithm::kRrb;
   const std::string algo = flags.GetString("algorithm", "rrb");
   if (algo == "rrb") {
-    request.algorithm = MolqAlgorithm::kRrb;
+    algorithm = MolqAlgorithm::kRrb;
   } else if (algo == "mbrb") {
-    request.algorithm = MolqAlgorithm::kMbrb;
+    algorithm = MolqAlgorithm::kMbrb;
   } else {
     std::fprintf(stderr, "%s: --algorithm must be rrb or mbrb (got %s)\n",
                  cmd, algo.c_str());
@@ -358,19 +358,24 @@ int RunShape(const Flags& flags, ServeQueryKind kind, const char* cmd) {
       std::fprintf(stderr, "%s: --topk and --min_dist are required\n", cmd);
       return 2;
     }
-    request.topk = static_cast<size_t>(flags.GetInt("topk", 1));
-    request.min_distance = flags.GetDouble("min_dist", 0.0);
+    request.op = DiverseSpec{algorithm,
+                             static_cast<size_t>(flags.GetInt("topk", 1)),
+                             flags.GetDouble("min_dist", 0.0)};
   } else if (kind == ServeQueryKind::kWhatIf) {
     const std::string sweep = flags.GetString("sweep", "");
     if (sweep.empty()) {
       std::fprintf(stderr, "%s: --sweep=s,s|s,s|... is required\n", cmd);
       return 2;
     }
-    if (const Status s = ParseSweepSpec(sweep, &request.sweep); !s.ok()) {
+    WhatIfSpec spec{algorithm, static_cast<size_t>(flags.GetInt("topk", 1)),
+                    {}};
+    if (const Status s = ParseSweepSpec(sweep, &spec.sweep); !s.ok()) {
       std::fprintf(stderr, "%s: --sweep: %s\n", cmd, s.message().c_str());
       return 2;
     }
-    request.topk = static_cast<size_t>(flags.GetInt("topk", 1));
+    request.op = std::move(spec);
+  } else {
+    request.op = SkylineSpec{algorithm};
   }
   flags.WarnUnused(stderr);
   Stopwatch sw;

@@ -37,19 +37,12 @@ StatusCode EnumerateCandidates(const MolqQuery& query, const Movd& movd,
   TraceSpan span("query_candidates");
 
   // Distinct combinations in first-seen OVR order; the scan order of a
-  // given MOVD is deterministic, so so is the slot assignment below. The
-  // anchor filter applies per distinct combination (anchored at its
-  // first-seen OVR), after dedup, so a filtered enumeration solves an
-  // exact subset of the unfiltered combination list.
+  // given MOVD is deterministic, so so is the slot assignment below.
   std::set<std::vector<PoiRef>> seen;
   std::vector<const std::vector<PoiRef>*> groups;
   for (const Ovr& ovr : movd.ovrs) {
     MOVD_CHECK(!ovr.pois.empty());
     if (!seen.insert(ovr.pois).second) continue;
-    if (options.anchor_filter != nullptr &&
-        !options.anchor_filter(ovr.mbr.Center())) {
-      continue;
-    }
     groups.push_back(&ovr.pois);
   }
 

@@ -1,7 +1,6 @@
 #ifndef MOVD_QUERY_CANDIDATES_H_
 #define MOVD_QUERY_CANDIDATES_H_
 
-#include <functional>
 #include <vector>
 
 #include "model/movd_model.h"
@@ -16,13 +15,6 @@ struct CandidateOptions {
   /// Relative error bound of each Fermat–Weber solve.
   double epsilon = 1e-3;
   ExecOptions exec;
-  /// When set, only combinations whose anchor point passes are solved.
-  /// A combination's anchor is the MBR center of its first-seen OVR in
-  /// the canonical scan order, so each distinct combination has exactly
-  /// one anchor however many OVRs repeat it — the property the sharded
-  /// skyline scatter (DESIGN.md §15) uses to give every combination to
-  /// exactly one shard. The dedup scan itself is never filtered.
-  std::function<bool(const Point&)> anchor_filter;
 };
 
 /// The criteria vector of `group` at `location`: per member, WD through

@@ -55,22 +55,6 @@ class ArtifactCache {
     size_t bytes = 0;           ///< resident artifact bytes
     size_t capacity = 0;        ///< configured budget
     size_t entries = 0;         ///< resident artifact count
-
-    /// Field-wise sum (capacity included: shard budgets partition the
-    /// server budget, so the merged view reports the whole budget).
-    /// Commutative/associative — per-shard stats merge into one fleet
-    /// view in any grouping.
-    void MergeFrom(const Stats& other) {
-      hits += other.hits;
-      misses += other.misses;
-      evictions += other.evictions;
-      inserts += other.inserts;
-      oversize += other.oversize;
-      wait_timeouts += other.wait_timeouts;
-      bytes += other.bytes;
-      capacity += other.capacity;
-      entries += other.entries;
-    }
   };
 
   /// Builds an artifact on a miss. Returns null when the build was

@@ -12,9 +12,9 @@ namespace movd {
 
 /// Typed client for the movd_serve line protocol: the request side of the
 /// typed engine API (serve/engine_api.h) over a Unix-domain socket. A
-/// caller builds an EngineRequest exactly as an in-process Engine caller
-/// would, Call() puts it on the wire (FormatRequestLine) and parses the
-/// response line back into a structured ClientResponse, so tools like
+/// caller builds an EngineRequest exactly as an in-process QueryEngine
+/// caller would, Call() puts it on the wire (FormatRequestLine) and parses
+/// the response line back into a structured ClientResponse, so tools like
 /// movd_loadgen and the CI serve-smoke driver never hand-roll protocol
 /// strings. One ServeClient is one connection; it is not thread-safe (the
 /// protocol is strictly one response per request per connection) — use one

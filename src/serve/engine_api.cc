@@ -30,51 +30,28 @@ bool IsMutation(const EngineRequest& request) {
   return std::holds_alternative<SiteMutation>(request.op);
 }
 
-ServeRequest FlattenRequest(const EngineRequest& request) {
-  ServeRequest flat;
-  flat.id = request.id;
-  flat.dataset = request.dataset;
-  flat.layers = request.layers;
-  flat.epsilon = request.epsilon;
-  flat.exec = request.exec;
-  flat.deadline_ms = request.deadline_ms;
-  flat.use_cache = request.use_cache;
-  flat.cost_units = request.cost_units;
-  struct Visitor {
-    ServeRequest* flat;
-    void operator()(const SolveSpec& op) const {
-      flat->kind = ServeQueryKind::kMolq;
-      flat->algorithm = op.algorithm;
-      flat->topk = op.topk;
-    }
-    void operator()(const SkylineSpec& op) const {
-      flat->kind = ServeQueryKind::kSkyline;
-      flat->algorithm = op.algorithm;
-    }
-    void operator()(const DiverseSpec& op) const {
-      flat->kind = ServeQueryKind::kDiverse;
-      flat->algorithm = op.algorithm;
-      flat->topk = op.topk;
-      flat->min_distance = op.min_distance;
-    }
-    void operator()(const ConstrainSpec& op) const {
-      flat->kind = ServeQueryKind::kConstrained;
-      flat->algorithm = MolqAlgorithm::kRrb;  // CONSTRAIN is RRB-only
-      flat->constraint = op.constraint;
-    }
-    void operator()(const WhatIfSpec& op) const {
-      flat->kind = ServeQueryKind::kWhatIf;
-      flat->algorithm = op.algorithm;
-      flat->topk = op.topk;
-      flat->sweep = op.sweep;
-    }
-    void operator()(const SiteMutation& op) const {
-      flat->mutate = true;
-      flat->mutation = op;
-    }
-  };
-  std::visit(Visitor{&flat}, request.op);
-  return flat;
+MolqAlgorithm RequestAlgorithm(const EngineRequest& request) {
+  return std::visit(
+      [](const auto& op) {
+        if constexpr (requires { op.algorithm; }) {
+          return op.algorithm;
+        } else {
+          return MolqAlgorithm::kRrb;
+        }
+      },
+      request.op);
+}
+
+size_t RequestTopK(const EngineRequest& request) {
+  return std::visit(
+      [](const auto& op) -> size_t {
+        if constexpr (requires { op.topk; }) {
+          return op.topk;
+        } else {
+          return 1;
+        }
+      },
+      request.op);
 }
 
 }  // namespace movd

@@ -2,9 +2,6 @@
 #define MOVD_SERVE_ENGINE_API_H_
 
 #include <cstdint>
-#include <cstdio>
-#include <functional>
-#include <future>
 #include <memory>
 #include <string>
 #include <variant>
@@ -20,15 +17,12 @@
 namespace movd {
 
 /// The typed serving API (DESIGN.md §15). Every front end — the line
-/// protocol, the sharded router, the typed client library, molq_cli —
-/// speaks `EngineRequest`/`EngineResponse` against the abstract `Engine`
-/// interface below, so parsing, admission control, sharding, and metrics
-/// all hang off one `Engine::Handle` surface. The per-verb payloads are a
-/// std::variant over small spec structs wrapping the query-algebra model
-/// vocabulary (model/query_model.h) and the mutation model
-/// (model/update_model.h); the flat `ServeRequest` remains as the
-/// engine-internal execution form, built at exactly one choke point
-/// (FlattenRequest).
+/// protocol, the typed client library, molq_cli — builds one
+/// `EngineRequest` and QueryEngine::Handle executes it as is: parsing,
+/// admission control, deadlines and metrics all read the same envelope and
+/// the same per-verb payload. The payloads are a std::variant over small
+/// spec structs wrapping the query-algebra model vocabulary
+/// (model/query_model.h) and the mutation model (model/update_model.h).
 
 /// Which query shape a request evaluates (DESIGN.md §13). All shapes run
 /// against the same cached MOVD artifacts; only the per-request evaluation
@@ -63,61 +57,6 @@ struct MutationStats {
   size_t patched_artifacts = 0;  ///< cached artifacts patched in place
   size_t dropped_artifacts = 0;  ///< cached artifacts invalidated instead
   bool full_rebuild = false;     ///< incremental path unavailable/stalled
-};
-
-/// The engine-internal flat execution form of one request. Front ends do
-/// not build this directly: they build an EngineRequest (below) and the
-/// engine flattens it through FlattenRequest — the single translation
-/// choke point. It stays public because the engine's own tests and the
-/// sharded router exercise the execution layer directly.
-struct ServeRequest {
-  std::string id = "-";         ///< client-chosen id, echoed in the response
-  std::string dataset;          ///< registered dataset name
-  std::vector<int32_t> layers;  ///< dataset layer indices; empty = all
-  MolqAlgorithm algorithm = MolqAlgorithm::kRrb;
-  double epsilon = 1e-3;
-  size_t topk = 1;
-  /// Per-request execution knobs (the same ExecOptions the core pipeline
-  /// takes). exec.threads is per-request pipeline parallelism — the answer
-  /// is bit-identical for every value. exec.trace (when non-null) traces
-  /// this request. exec.cancel and exec.weighted_grid_resolution are
-  /// overwritten by the engine (deadline token / engine-wide resolution).
-  ExecOptions exec;
-  /// Deadline budget in milliseconds, measured from the moment the engine
-  /// picks the request up (Solve entry / queue dequeue). <= 0 means none.
-  /// A fired deadline yields kDeadlineExceeded with no answer — never a
-  /// partial one.
-  double deadline_ms = 0.0;
-  /// When false the request bypasses the artifact cache entirely (cold
-  /// rebuild; used by the load generator to measure the cold path through
-  /// the same engine).
-  bool use_cache = true;
-  /// Query shape; the fields below it apply only to the shapes noted.
-  ServeQueryKind kind = ServeQueryKind::kMolq;
-  /// kDiverse: minimum pairwise distance between selected sites (>= 0).
-  double min_distance = 0.0;
-  /// kConstrained: the feasible-set polygons (ValidateConstraint'd before
-  /// evaluation; an invalid constraint is an error response, not a crash).
-  QueryConstraint constraint;
-  /// kWhatIf: one scale vector per sweep entry, each with exactly one
-  /// entry per SELECTED layer (in ascending layer order). The engine pads
-  /// them to full-dataset vectors with the identity adjustment.
-  std::vector<std::vector<double>> sweep;
-  /// Mutation requests (INSERT/DELETE): when `mutate` is set the request
-  /// takes the engine's mutation path (apply `mutation`, publish a new
-  /// snapshot version) instead of the solver; the query fields above are
-  /// ignored.
-  bool mutate = false;
-  SiteMutation mutation;
-  /// Admission-control cost class, set by the protocol parser from the
-  /// verb registry (queries 1, mutations heavier). Clamped to >= 1.
-  int cost_units = 1;
-  /// kSkyline, internal (never parsed from the wire): when set, only
-  /// candidate combinations whose anchor point passes are solved. The
-  /// sharded router's scatter path uses this to split one skyline's
-  /// Fermat–Weber work across shards; the merged result is bit-identical
-  /// to an unfiltered evaluation (DESIGN.md §15).
-  std::function<bool(const Point&)> candidate_filter;
 };
 
 /// One ranked answer: the location, its cost, and the winning object
@@ -161,7 +100,7 @@ using EngineResponse = ServeResponse;
 ///
 /// One small spec struct per verb, each carrying only the fields its verb
 /// accepts (the registry's allowed_args mask and these structs stay in
-/// lockstep — a field absent here cannot be parsed, set, or routed).
+/// lockstep — a field absent here cannot be parsed or set).
 
 /// SOLVE: top-k optimal locations.
 struct SolveSpec {
@@ -182,7 +121,7 @@ struct DiverseSpec {
 };
 
 /// CONSTRAIN: optimum inside a polygon, minus exclusions (RRB only, so no
-/// algorithm field — the flattener pins kRrb).
+/// algorithm field — RequestAlgorithm reports kRrb).
 struct ConstrainSpec {
   QueryConstraint constraint;
 };
@@ -202,23 +141,31 @@ using EngineOp = std::variant<SolveSpec, SkylineSpec, DiverseSpec,
                               ConstrainSpec, WhatIfSpec, SiteMutation>;
 
 /// One typed request: the envelope every verb shares plus the per-verb
-/// payload. This is what front ends build and Engine::Handle takes.
+/// payload. This is what front ends build and QueryEngine::Handle takes.
+/// Mutations read only id, dataset, cost_units and the op.
 struct EngineRequest {
   std::string id = "-";         ///< client-chosen id, echoed in the response
   std::string dataset;          ///< registered dataset name
   std::vector<int32_t> layers;  ///< dataset layer indices; empty = all
   double epsilon = 1e-3;
-  /// Per-request execution knobs; see ServeRequest::exec.
+  /// Per-request execution knobs (the same ExecOptions the core pipeline
+  /// takes). exec.threads is per-request pipeline parallelism — the answer
+  /// is bit-identical for every value. exec.trace (when non-null) traces
+  /// this request. exec.cancel and exec.weighted_grid_resolution are
+  /// overwritten by the engine (deadline token / engine-wide resolution).
   ExecOptions exec;
-  double deadline_ms = 0.0;  ///< solve budget; <= 0 means none
-  bool use_cache = true;     ///< false = bypass the artifact cache
-  /// Admission-control cost class (set from the verb registry row).
+  /// Deadline budget in milliseconds, measured from the moment the engine
+  /// picks the request up (Handle entry / queue dequeue). <= 0 means none.
+  /// A fired deadline yields kDeadlineExceeded with no answer — never a
+  /// partial one.
+  double deadline_ms = 0.0;
+  /// When false the request bypasses the artifact cache entirely (cold
+  /// rebuild; used by the load generator to measure the cold path through
+  /// the same engine).
+  bool use_cache = true;
+  /// Admission-control cost class, set by the protocol parser from the
+  /// verb registry (queries 1, mutations heavier). Clamped to >= 1.
   int cost_units = 1;
-  /// Optional routing hint (wire arg "rect="): the spatial region this
-  /// request is about. The sharded router sends the request to the shard
-  /// owning the rect's center; answers are identical with or without it —
-  /// routing only decides which shard's cache warms. Empty = no hint.
-  Rect routing_rect;
   /// The per-verb payload.
   EngineOp op;
 };
@@ -230,56 +177,14 @@ ServeQueryKind EngineRequestKind(const EngineRequest& request);
 /// Whether the request is an INSERT/DELETE mutation.
 bool IsMutation(const EngineRequest& request);
 
-/// Flattens a typed request into the engine-internal execution form — the
-/// single translation choke point between the typed API and the solver
-/// (every Engine implementation and the protocol-compat shim route through
-/// here, so the two forms cannot drift apart).
-ServeRequest FlattenRequest(const EngineRequest& request);
+/// The algorithm the request's shape runs: its spec's `algorithm`, or
+/// kRrb for the shapes without one (CONSTRAIN is RRB-only; mutations run
+/// no solver).
+MolqAlgorithm RequestAlgorithm(const EngineRequest& request);
 
-/// Outcome of a warm-start cache load.
-struct WarmLoadResult {
-  size_t loaded = 0;  ///< artifacts inserted into the cache
-  size_t failed = 0;  ///< artifacts skipped (corrupt/truncated/missing)
-  Status status;      ///< non-OK when the manifest itself was bad
-};
-
-/// The abstract serving engine: one resident QueryEngine or a sharded
-/// fleet of them (serve/shard.h) — callers cannot tell the difference,
-/// and the determinism contract does not let them: answers are
-/// bit-identical for any shard count.
-///
-/// Thread-safety: RegisterDataset must finish before serving starts;
-/// Handle/HandleAsync are then safe from any number of threads.
-class Engine {
- public:
-  virtual ~Engine() = default;
-
-  /// Registers (or replaces) a dataset: the object sets, their weight
-  /// functions, and the search space queries run over.
-  virtual void RegisterDataset(const std::string& name, MolqQuery query,
-                               const Rect& world) = 0;
-
-  /// The dataset's current snapshot; null when unknown. The pointer stays
-  /// valid (and immutable) for as long as the caller holds it.
-  virtual std::shared_ptr<const DatasetSnapshot> dataset_snapshot(
-      const std::string& name) const = 0;
-
-  /// Serves one typed request synchronously on the calling thread.
-  virtual EngineResponse Handle(const EngineRequest& request) = 0;
-
-  /// Enqueues one typed request onto the engine's worker pool(s); the
-  /// returned future resolves when it has been served. Admission control
-  /// applies here (a request may resolve immediately to kOverloaded).
-  virtual std::future<EngineResponse> HandleAsync(EngineRequest request) = 0;
-
-  /// Serving metrics as the STATS JSON body / a human-readable table.
-  virtual std::string MetricsJson() const = 0;
-  virtual void DumpMetrics(std::FILE* out) const = 0;
-
-  /// Warm-start persistence (see QueryEngine::SaveCache/LoadCache).
-  virtual Status SaveCache(const std::string& dir) const = 0;
-  virtual WarmLoadResult LoadCache(const std::string& dir) = 0;
-};
+/// The number of answers the request asks for: its spec's `topk`, or 1
+/// for the shapes without k.
+size_t RequestTopK(const EngineRequest& request);
 
 }  // namespace movd
 

@@ -37,25 +37,6 @@ void ServeMetrics::RecordMutation() {
   mutations_.fetch_add(1, std::memory_order_relaxed);
 }
 
-void ServeMetrics::MergeFrom(const ServeMetrics& other) {
-  const auto add = [](std::atomic<uint64_t>& into,
-                      const std::atomic<uint64_t>& from) {
-    into.fetch_add(from.load(std::memory_order_relaxed),
-                   std::memory_order_relaxed);
-  };
-  add(requests_, other.requests_);
-  add(ok_, other.ok_);
-  add(deadline_exceeded_, other.deadline_exceeded_);
-  add(invalid_, other.invalid_);
-  add(internal_errors_, other.internal_errors_);
-  add(shed_, other.shed_);
-  add(mutations_, other.mutations_);
-  add(overlay_hits_, other.overlay_hits_);
-  latency_.MergeFrom(other.latency_);
-  overlay_latency_.MergeFrom(other.overlay_latency_);
-  optimize_latency_.MergeFrom(other.optimize_latency_);
-}
-
 void ServeMetrics::RecordPhases(double overlay_seconds,
                                 double optimize_seconds) {
   overlay_latency_.Record(overlay_seconds);

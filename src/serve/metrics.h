@@ -60,14 +60,6 @@ class ServeMetrics {
   /// is also counted through RecordRequest, like any other request).
   void RecordMutation();
 
-  /// Folds another instance's counters and histograms into this one
-  /// (counters sum, histogram buckets add). Commutative and associative,
-  /// so per-shard metrics merge into one dataset-level STATS view in any
-  /// grouping (DESIGN.md §15). Safe against concurrent recording on
-  /// either side; like every dump here, the merged view is per-counter
-  /// exact, not a cross-counter snapshot.
-  void MergeFrom(const ServeMetrics& other);
-
   uint64_t requests() const { return requests_.load(); }
   uint64_t ok() const { return ok_.load(); }
   uint64_t deadline_exceeded() const { return deadline_exceeded_.load(); }

@@ -84,7 +84,6 @@ constexpr ArgSpec kArgSpecs[] = {
     {kArgLayer, "layer", "layer=<i>"},
     {kArgX, "x", "x=<f>"},
     {kArgY, "y", "y=<f>"},
-    {kArgRect, "rect", "rect=x0,y0;x1,y1"},
 };
 
 const ArgSpec* FindArg(const std::string& key) {
@@ -118,12 +117,67 @@ std::string JoinHints(uint32_t mask, const char* sep) {
   return out;
 }
 
-/// Parses one key=value pair for the verb `d` into the flat accumulator
-/// `request` (the routing rect parses separately into the envelope). The
-/// registry's allowed_args mask has already admitted the key; this is the
-/// per-key typed parse and value validation.
+/// The op's `algorithm` / `topk` field; null when its verb has none.
+MolqAlgorithm* AlgorithmField(EngineOp* op) {
+  return std::visit(
+      [](auto& spec) -> MolqAlgorithm* {
+        if constexpr (requires { spec.algorithm; }) {
+          return &spec.algorithm;
+        } else {
+          return nullptr;
+        }
+      },
+      *op);
+}
+
+size_t* TopKField(EngineOp* op) {
+  return std::visit(
+      [](auto& spec) -> size_t* {
+        if constexpr (requires { spec.topk; }) {
+          return &spec.topk;
+        } else {
+          return nullptr;
+        }
+      },
+      *op);
+}
+
+/// The empty payload of a registry row's verb, for ParseVerbArg to fill.
+EngineOp InitialOp(const VerbDescriptor& d) {
+  if ((d.caps & kCapMutation) != 0) {
+    SiteMutation mutation;
+    mutation.kind = d.mutation;
+    return mutation;
+  }
+  switch (d.kind) {
+    case ServeQueryKind::kMolq:
+      return SolveSpec{};
+    case ServeQueryKind::kSkyline:
+      return SkylineSpec{};
+    case ServeQueryKind::kDiverse:
+      return DiverseSpec{};
+    case ServeQueryKind::kConstrained:
+      return ConstrainSpec{};
+    case ServeQueryKind::kWhatIf:
+      return WhatIfSpec{};
+  }
+  MOVD_CHECK_MSG(false, "verb registry row with an unknown query kind");
+  return SolveSpec{};
+}
+
+/// Parses one key=value pair for the verb `d` into `request`: envelope
+/// keys into the envelope, payload keys into the op InitialOp(d) made.
+/// The registry's allowed_args mask has already admitted the key; this is
+/// the per-key typed parse and value validation. A payload key whose field
+/// the op lacks means the registry row and its spec struct disagree.
 Status ParseVerbArg(const VerbDescriptor& d, const ArgSpec& arg,
-                    const std::string& value, ServeRequest* request) {
+                    const std::string& value, EngineRequest* request) {
+  const auto mismatch = [&] {
+    return Status::Internal(std::string("verb ") + d.name +
+                            " has no field for '" + arg.key + "'");
+  };
+  EngineOp* op = &request->op;
+  auto* mutation = std::get_if<SiteMutation>(op);
   int64_t i = 0;
   double f = 0.0;
   switch (arg.bit) {
@@ -147,29 +201,35 @@ Status ParseVerbArg(const VerbDescriptor& d, const ArgSpec& arg,
       }
       return Status::Ok();
     }
-    case kArgAlgo:
+    case kArgAlgo: {
+      MolqAlgorithm* algorithm = AlgorithmField(op);
+      if (algorithm == nullptr) return mismatch();
       if (value == "ssc") {
         if ((d.caps & kCapRequiresOverlay) != 0) {
           return Status::InvalidArgument(
               std::string("algo=ssc serves plain SOLVE only; ") + d.name +
               " needs a MOVD artifact (rrb|mbrb)");
         }
-        request->algorithm = MolqAlgorithm::kSsc;
+        *algorithm = MolqAlgorithm::kSsc;
       } else if (value == "rrb") {
-        request->algorithm = MolqAlgorithm::kRrb;
+        *algorithm = MolqAlgorithm::kRrb;
       } else if (value == "mbrb") {
-        request->algorithm = MolqAlgorithm::kMbrb;
+        *algorithm = MolqAlgorithm::kMbrb;
       } else {
         return Status::InvalidArgument("unknown algo '" + value +
                                        "' (want ssc|rrb|mbrb)");
       }
       return Status::Ok();
-    case kArgK:
+    }
+    case kArgK: {
+      size_t* topk = TopKField(op);
+      if (topk == nullptr) return mismatch();
       if (!ParseI64(value, &i) || i < 1) {
         return Status::InvalidArgument("bad k '" + value + "'");
       }
-      request->topk = static_cast<size_t>(i);
+      *topk = static_cast<size_t>(i);
       return Status::Ok();
+    }
     case kArgEpsilon:
       if (!ParseF64(value, &f) || !(f > 0.0)) {
         return Status::InvalidArgument("bad epsilon '" + value + "'");
@@ -198,47 +258,55 @@ Status ParseVerbArg(const VerbDescriptor& d, const ArgSpec& arg,
                                        "' (want 0|1)");
       }
       return Status::Ok();
-    case kArgMinDist:
+    case kArgMinDist: {
+      auto* diverse = std::get_if<DiverseSpec>(op);
+      if (diverse == nullptr) return mismatch();
       if (!ParseF64(value, &f) || f < 0.0) {
         return Status::InvalidArgument("bad min_dist '" + value + "'");
       }
-      request->min_distance = f;
-      return Status::Ok();
-    case kArgBoundary: {
-      Polygon poly;
-      const Status parsed = ParsePolygonSpec(value, &poly);
-      if (!parsed.ok()) return parsed;
-      if (!request->constraint.boundary.Empty()) {
-        return Status::InvalidArgument("boundary given twice");
-      }
-      request->constraint.boundary = std::move(poly);
+      diverse->min_distance = f;
       return Status::Ok();
     }
+    case kArgBoundary:
     case kArgExclude: {
+      auto* constrain = std::get_if<ConstrainSpec>(op);
+      if (constrain == nullptr) return mismatch();
       Polygon poly;
       const Status parsed = ParsePolygonSpec(value, &poly);
       if (!parsed.ok()) return parsed;
-      request->constraint.exclusions.push_back(std::move(poly));
+      QueryConstraint& constraint = constrain->constraint;
+      if (arg.bit == kArgExclude) {
+        constraint.exclusions.push_back(std::move(poly));
+      } else if (!constraint.boundary.Empty()) {
+        return Status::InvalidArgument("boundary given twice");
+      } else {
+        constraint.boundary = std::move(poly);
+      }
       return Status::Ok();
     }
-    case kArgSweep:
-      return ParseSweepSpec(value, &request->sweep);
+    case kArgSweep: {
+      auto* what_if = std::get_if<WhatIfSpec>(op);
+      if (what_if == nullptr) return mismatch();
+      return ParseSweepSpec(value, &what_if->sweep);
+    }
     case kArgLayer:
+      if (mutation == nullptr) return mismatch();
       if (!ParseI64(value, &i) || i < 0) {
         return Status::InvalidArgument("bad layer '" + value + "'");
       }
-      request->mutation.layer = static_cast<int32_t>(i);
+      mutation->layer = static_cast<int32_t>(i);
       return Status::Ok();
     case kArgX:
     case kArgY:
+      if (mutation == nullptr) return mismatch();
       if (!ParseF64(value, &f) || !std::isfinite(f)) {
         return Status::InvalidArgument(std::string("bad ") + arg.key + " '" +
                                        value + "'");
       }
       if (arg.bit == kArgX) {
-        request->mutation.location.x = f;
+        mutation->location.x = f;
       } else {
-        request->mutation.location.y = f;
+        mutation->location.y = f;
       }
       return Status::Ok();
   }
@@ -280,7 +348,7 @@ const std::vector<VerbDescriptor>& VerbRegistry() {
       new std::vector<VerbDescriptor>{
           {"SOLVE", 1, ServeVerb::kSolve, ServeQueryKind::kMolq,
            MutationKind::kInsert, 0,
-           kCommonQuery | kArgAlgo | kArgK | kArgRect, kArgDataset, 0, 1,
+           kCommonQuery | kArgAlgo | kArgK, kArgDataset, 0, 1,
            "top-k optimal locations"},
           {"SKYLINE", 1, ServeVerb::kSolve, ServeQueryKind::kSkyline,
            MutationKind::kInsert, kCapRequiresOverlay,
@@ -288,12 +356,12 @@ const std::vector<VerbDescriptor>& VerbRegistry() {
            "Pareto-optimal candidate sites"},
           {"DIVERSE", 1, ServeVerb::kSolve, ServeQueryKind::kDiverse,
            MutationKind::kInsert, kCapRequiresOverlay,
-           kCommonQuery | kArgAlgo | kArgK | kArgMinDist | kArgRect,
+           kCommonQuery | kArgAlgo | kArgK | kArgMinDist,
            kArgDataset | kArgK | kArgMinDist, 0, 1,
            "top-k with a minimum pairwise distance"},
           {"CONSTRAIN", 1, ServeVerb::kSolve, ServeQueryKind::kConstrained,
            MutationKind::kInsert, kCapRequiresOverlay,
-           kCommonQuery | kArgBoundary | kArgExclude | kArgRect, kArgDataset,
+           kCommonQuery | kArgBoundary | kArgExclude, kArgDataset,
            kArgBoundary | kArgExclude, 1,
            "optimum inside a polygon, minus exclusions (RRB only)"},
           {"WHATIF", 1, ServeVerb::kSolve, ServeQueryKind::kWhatIf,
@@ -376,33 +444,6 @@ std::string HelpJson() {
   return out;
 }
 
-namespace {
-
-/// Builds the typed per-verb payload from the registry row and the flat
-/// parse accumulator — the inverse of FlattenRequest, used only here so
-/// wire verbs and EngineOp alternatives stay paired in one place.
-EngineOp BuildOp(const VerbDescriptor& d, const ServeRequest& flat) {
-  if ((d.caps & kCapMutation) != 0) {
-    return flat.mutation;
-  }
-  switch (d.kind) {
-    case ServeQueryKind::kMolq:
-      return SolveSpec{flat.algorithm, flat.topk};
-    case ServeQueryKind::kSkyline:
-      return SkylineSpec{flat.algorithm};
-    case ServeQueryKind::kDiverse:
-      return DiverseSpec{flat.algorithm, flat.topk, flat.min_distance};
-    case ServeQueryKind::kConstrained:
-      return ConstrainSpec{flat.constraint};
-    case ServeQueryKind::kWhatIf:
-      return WhatIfSpec{flat.algorithm, flat.topk, flat.sweep};
-  }
-  MOVD_CHECK_MSG(false, "verb registry row with an unknown query kind");
-  return SolveSpec{};
-}
-
-}  // namespace
-
 Status ParseRequest(const std::string& line, ServeVerb* verb,
                     EngineRequest* request) {
   const std::vector<std::string> words = SplitWords(line);
@@ -424,16 +465,9 @@ Status ParseRequest(const std::string& line, ServeVerb* verb,
     return Status::Ok();
   }
   *verb = d->verb;
-  // Per-key parsing accumulates into the flat form (whose fields the
-  // ArgSpec table addresses); the typed request is assembled below once
-  // the row's requirements have all been checked.
-  ServeRequest flat;
-  flat.kind = d->kind;
-  if ((d->caps & kCapMutation) != 0) {
-    flat.mutate = true;
-    flat.mutation.kind = d->mutation;
-  }
-  Rect routing_rect;
+  EngineRequest parsed;
+  parsed.cost_units = d->cost_units;
+  parsed.op = InitialOp(*d);
   uint32_t seen = 0;
   for (size_t i = 1; i < words.size(); ++i) {
     const size_t eq = words[i].find('=');
@@ -452,9 +486,7 @@ Status ParseRequest(const std::string& line, ServeVerb* verb,
       return Status::InvalidArgument(key + " applies to " +
                                      VerbsAllowing(arg->bit) + " only");
     }
-    const Status status =
-        arg->bit == kArgRect ? ParseRectSpec(value, &routing_rect)
-                             : ParseVerbArg(*d, *arg, value, &flat);
+    const Status status = ParseVerbArg(*d, *arg, value, &parsed);
     if (!status.ok()) return status;
     seen |= arg->bit;
   }
@@ -467,56 +499,7 @@ Status ParseRequest(const std::string& line, ServeVerb* verb,
     return Status::InvalidArgument(name + " requires " +
                                    JoinHints(d->required_any, " and/or "));
   }
-  *request = EngineRequest();
-  request->id = flat.id;
-  request->dataset = flat.dataset;
-  request->layers = flat.layers;
-  request->epsilon = flat.epsilon;
-  request->exec = flat.exec;
-  request->deadline_ms = flat.deadline_ms;
-  request->use_cache = flat.use_cache;
-  request->cost_units = d->cost_units;
-  request->routing_rect = routing_rect;
-  request->op = BuildOp(*d, flat);
-  return Status::Ok();
-}
-
-Status ParseRequestLine(const std::string& line, ServeVerb* verb,
-                        ServeRequest* request) {
-  EngineRequest typed;
-  const Status status = ParseRequest(line, verb, &typed);
-  if (!status.ok()) return status;
-  if (*verb == ServeVerb::kSolve) *request = FlattenRequest(typed);
-  return Status::Ok();
-}
-
-Status ParseRectSpec(const std::string& spec, Rect* out) {
-  const size_t semi = spec.find(';');
-  double x0 = 0.0;
-  double y0 = 0.0;
-  double x1 = 0.0;
-  double y1 = 0.0;
-  if (semi == std::string::npos || spec.find(';', semi + 1) != std::string::npos) {
-    return Status::InvalidArgument("bad rect '" + spec +
-                                   "' (want x0,y0;x1,y1)");
-  }
-  const std::string lo = spec.substr(0, semi);
-  const std::string hi = spec.substr(semi + 1);
-  const size_t lc = lo.find(',');
-  const size_t hc = hi.find(',');
-  if (lc == std::string::npos || hc == std::string::npos ||
-      !ParseF64(lo.substr(0, lc), &x0) || !ParseF64(lo.substr(lc + 1), &y0) ||
-      !ParseF64(hi.substr(0, hc), &x1) || !ParseF64(hi.substr(hc + 1), &y1) ||
-      !std::isfinite(x0) || !std::isfinite(y0) || !std::isfinite(x1) ||
-      !std::isfinite(y1)) {
-    return Status::InvalidArgument("bad rect '" + spec +
-                                   "' (want x0,y0;x1,y1)");
-  }
-  if (x0 > x1 || y0 > y1) {
-    return Status::InvalidArgument("bad rect '" + spec +
-                                   "' (min corner exceeds max corner)");
-  }
-  *out = Rect(x0, y0, x1, y1);
+  *request = std::move(parsed);
   return Status::Ok();
 }
 
@@ -554,87 +537,81 @@ const char* AlgoSpecName(MolqAlgorithm algorithm) {
 }  // namespace
 
 std::string FormatRequestLine(const EngineRequest& request) {
+  // The payload's own fields: a spec struct carries exactly the keys its
+  // verb row allows, so emitting every field it has is registry-gated by
+  // construction.
+  std::string args;
   const char* name = std::visit(
-      [](const auto& op) -> const char* {
+      [&args](const auto& op) -> const char* {
         using T = std::decay_t<decltype(op)>;
+        if constexpr (requires { op.algorithm; }) {
+          args += std::string(" algo=") + AlgoSpecName(op.algorithm);
+        }
+        if constexpr (requires { op.topk; }) {
+          args += " k=" + std::to_string(op.topk);
+        }
         if constexpr (std::is_same_v<T, SolveSpec>) return "SOLVE";
         if constexpr (std::is_same_v<T, SkylineSpec>) return "SKYLINE";
-        if constexpr (std::is_same_v<T, DiverseSpec>) return "DIVERSE";
-        if constexpr (std::is_same_v<T, ConstrainSpec>) return "CONSTRAIN";
-        if constexpr (std::is_same_v<T, WhatIfSpec>) return "WHATIF";
+        if constexpr (std::is_same_v<T, DiverseSpec>) {
+          args += " min_dist=" + F64Spec(op.min_distance);
+          return "DIVERSE";
+        }
+        if constexpr (std::is_same_v<T, ConstrainSpec>) {
+          if (!op.constraint.boundary.Empty()) {
+            args += " boundary=" + PolygonSpecString(op.constraint.boundary);
+          }
+          for (const Polygon& poly : op.constraint.exclusions) {
+            args += " exclude=" + PolygonSpecString(poly);
+          }
+          return "CONSTRAIN";
+        }
+        if constexpr (std::is_same_v<T, WhatIfSpec>) {
+          std::string spec;
+          for (const std::vector<double>& vec : op.sweep) {
+            if (!spec.empty()) spec += "|";
+            std::string v;
+            for (const double scale : vec) {
+              if (!v.empty()) v += ",";
+              v += F64Spec(scale);
+            }
+            spec += v;
+          }
+          args += " sweep=" + spec;
+          return "WHATIF";
+        }
         if constexpr (std::is_same_v<T, SiteMutation>) {
+          args += " layer=" + std::to_string(op.layer) +
+                  " x=" + F64Spec(op.location.x) +
+                  " y=" + F64Spec(op.location.y);
           return op.kind == MutationKind::kDelete ? "DELETE" : "INSERT";
         }
       },
       request.op);
   const VerbDescriptor* d = FindVerb(name);
   MOVD_CHECK_MSG(d != nullptr, "every EngineOp alternative has a verb row");
-  // The flat form gives uniform access to the per-verb payload fields;
-  // emission below is gated by the registry row, so a field the verb does
-  // not take is never emitted even though the flat form carries it.
-  const ServeRequest flat = FlattenRequest(request);
+  // Envelope keys are gated by the row: mutations take none of them.
   std::string line = d->name;
-  line += " id=" + flat.id + " dataset=" + flat.dataset;
-  if ((d->allowed_args & kArgLayers) != 0 && !flat.layers.empty()) {
+  line += " id=" + request.id + " dataset=" + request.dataset;
+  if ((d->allowed_args & kArgLayers) != 0 && !request.layers.empty()) {
     std::string list;
-    for (const int32_t layer : flat.layers) {
+    for (const int32_t layer : request.layers) {
       if (!list.empty()) list += ",";
       list += std::to_string(layer);
     }
     line += " layers=" + list;
   }
-  if ((d->allowed_args & kArgAlgo) != 0) {
-    line += std::string(" algo=") + AlgoSpecName(flat.algorithm);
-  }
-  if ((d->allowed_args & kArgK) != 0) {
-    line += " k=" + std::to_string(flat.topk);
-  }
-  if ((d->allowed_args & kArgMinDist) != 0) {
-    line += " min_dist=" + F64Spec(flat.min_distance);
-  }
-  if ((d->allowed_args & kArgBoundary) != 0 &&
-      !flat.constraint.boundary.Empty()) {
-    line += " boundary=" + PolygonSpecString(flat.constraint.boundary);
-  }
-  if ((d->allowed_args & kArgExclude) != 0) {
-    for (const Polygon& poly : flat.constraint.exclusions) {
-      line += " exclude=" + PolygonSpecString(poly);
-    }
-  }
-  if ((d->allowed_args & kArgSweep) != 0) {
-    std::string spec;
-    for (const std::vector<double>& vec : flat.sweep) {
-      if (!spec.empty()) spec += "|";
-      std::string v;
-      for (const double s : vec) {
-        if (!v.empty()) v += ",";
-        v += F64Spec(s);
-      }
-      spec += v;
-    }
-    line += " sweep=" + spec;
-  }
-  if ((d->allowed_args & kArgLayer) != 0) {
-    line += " layer=" + std::to_string(flat.mutation.layer);
-    line += " x=" + F64Spec(flat.mutation.location.x);
-    line += " y=" + F64Spec(flat.mutation.location.y);
-  }
+  line += args;
   if ((d->allowed_args & kArgEpsilon) != 0) {
-    line += " epsilon=" + F64Spec(flat.epsilon);
+    line += " epsilon=" + F64Spec(request.epsilon);
   }
   if ((d->allowed_args & kArgThreads) != 0) {
-    line += " threads=" + std::to_string(flat.exec.threads);
+    line += " threads=" + std::to_string(request.exec.threads);
   }
   if ((d->allowed_args & kArgCache) != 0) {
-    line += std::string(" cache=") + (flat.use_cache ? "1" : "0");
+    line += std::string(" cache=") + (request.use_cache ? "1" : "0");
   }
-  if ((d->allowed_args & kArgDeadlineMs) != 0 && flat.deadline_ms > 0.0) {
-    line += " deadline_ms=" + F64Spec(flat.deadline_ms);
-  }
-  if ((d->allowed_args & kArgRect) != 0 && !request.routing_rect.Empty()) {
-    const Rect& r = request.routing_rect;
-    line += " rect=" + F64Spec(r.min_x) + "," + F64Spec(r.min_y) + ";" +
-            F64Spec(r.max_x) + "," + F64Spec(r.max_y);
+  if ((d->allowed_args & kArgDeadlineMs) != 0 && request.deadline_ms > 0.0) {
+    line += " deadline_ms=" + F64Spec(request.deadline_ms);
   }
   return line;
 }

@@ -15,12 +15,11 @@ namespace movd {
 ///
 ///   SOLVE id=<tok> dataset=<name> [layers=0,2] [algo=ssc|rrb|mbrb]
 ///         [k=1] [epsilon=1e-3] [deadline_ms=0] [threads=1] [cache=0|1]
-///         [rect=x0,y0;x1,y1]                              (protocol v3)
 ///   SKYLINE   id= dataset= [layers=] [algo=rrb|mbrb] [epsilon=] ...
 ///   DIVERSE   id= dataset= k=<n> min_dist=<d> [layers=] [algo=rrb|mbrb]
-///             [rect=] ...
+///             ...
 ///   CONSTRAIN id= dataset= [boundary=<poly>] [exclude=<poly>]...
-///             [layers=] [epsilon=] [rect=] ...    (RRB only; at least one
+///             [layers=] [epsilon=] ...            (RRB only; at least one
 ///             of boundary=/exclude= required; exclude= may repeat)
 ///   WHATIF    id= dataset= sweep=<v>|<v>|... [k=1] [layers=] ...
 ///   INSERT    id= dataset= layer=<i> x=<f> y=<f>        (protocol v2)
@@ -32,19 +31,15 @@ namespace movd {
 ///   SHUTDOWN         -> stops the whole server
 ///
 /// <poly> is "x,y;x,y;x,y..." (>= 3 CCW vertices); <v> is one
-/// comma-separated scale factor per selected layer. rect= is an optional
-/// locality hint on the shard-routable verbs (SOLVE/DIVERSE/CONSTRAIN): a
-/// sharded server routes the request to the shard region owning the
-/// rect's center (DESIGN.md §15). It never changes the answer — answers
-/// are bit-identical for any shard count — only which shard's cache and
-/// worker pool serve it. The query-shape verbs
+/// comma-separated scale factor per selected layer. The query-shape verbs
 /// share SOLVE's common keys (minus algo restrictions above and k, which
-/// SKYLINE/CONSTRAIN reject) and all parse to ServeVerb::kSolve with
-/// ServeRequest::kind set — the serving loop treats every shape alike.
-/// INSERT/DELETE also parse to ServeVerb::kSolve with
-/// ServeRequest::mutate set: a mutation rides the same dispatch (and the
-/// same admission control) as a query, it just takes the engine's
-/// mutation path instead of the solver.
+/// SKYLINE/CONSTRAIN reject) and all parse to ServeVerb::kSolve with the
+/// shape's spec in EngineRequest::op — the serving loop treats every shape
+/// alike. INSERT/DELETE also parse to ServeVerb::kSolve, with a
+/// SiteMutation op: a mutation rides the same dispatch (and the same
+/// admission control) as a query, it just takes the engine's mutation
+/// path instead of the solver. A key outside every verb's vocabulary
+/// (such as v3's rect=) is an INVALID_REQUEST "unknown argument" error.
 ///
 /// Every verb is one row of VerbRegistry() below; parsing, argument
 /// validation, error messages, HELP output, and movd_loadgen's --mix
@@ -80,8 +75,9 @@ enum class ServeVerb {
 /// Version of the line protocol this build speaks. v1: the query verbs.
 /// v2: INSERT/DELETE mutations, HELP, the "version" response field, and
 /// UNSUPPORTED_VERB for unknown verbs. v3: the rect= routing hint on
-/// SOLVE/DIVERSE/CONSTRAIN.
-inline constexpr int kServeProtocolVersion = 3;
+/// SOLVE/DIVERSE/CONSTRAIN. v4: rect= removed again (one serving engine
+/// has nothing to route).
+inline constexpr int kServeProtocolVersion = 4;
 
 /// Argument keys a verb may take, as bits (VerbDescriptor::allowed_args /
 /// required_args / required_any are masks of these).
@@ -102,13 +98,12 @@ enum ServeArg : uint32_t {
   kArgLayer = 1u << 13,
   kArgX = 1u << 14,
   kArgY = 1u << 15,
-  kArgRect = 1u << 16,
 };
 
 /// Capability flags of a verb.
 enum ServeVerbCaps : uint32_t {
   /// Mutates a dataset and publishes a new snapshot version (INSERT,
-  /// DELETE). Parsed into ServeRequest::mutate/mutation.
+  /// DELETE). Parsed into a SiteMutation op.
   kCapMutation = 1u << 0,
   /// Needs a MOVD overlay artifact, so algo=ssc is rejected (every
   /// query-algebra shape; plain SOLVE can fall back to the SSC scan).
@@ -157,16 +152,6 @@ std::string HelpJson();
 /// misspelled option must not silently fall back to a default).
 Status ParseRequest(const std::string& line, ServeVerb* verb,
                     EngineRequest* request);
-
-/// Compat shim over ParseRequest for callers that want the flat execution
-/// form directly: identical parse, then FlattenRequest. The routing hint
-/// (rect=) is accepted and dropped — it only exists in the typed form.
-Status ParseRequestLine(const std::string& line, ServeVerb* verb,
-                        ServeRequest* request);
-
-/// Parses a "x0,y0;x1,y1" rect spec (two finite corners, min <= max per
-/// axis) into `out` — the wire form of EngineRequest::routing_rect.
-Status ParseRectSpec(const std::string& spec, Rect* out);
 
 /// Formats a typed request as one wire line (no trailing newline) — the
 /// inverse of ParseRequest, and what the typed client library

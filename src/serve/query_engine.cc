@@ -10,6 +10,7 @@
 #include <fstream>
 #include <set>
 #include <utility>
+#include <variant>
 
 #include "audit/audit_query.h"
 #include "audit/audit_update.h"
@@ -171,7 +172,8 @@ ServeResponse AuditFailure(const std::string& id, const char* shape,
 QueryEngine::QueryEngine(const QueryEngineOptions& options)
     : options_(options),
       cache_(options.cache_bytes),
-      pool_(ResolveThreads(options.workers)) {}
+      pool_(ResolveThreads(options.workers)),
+      queue_now_ms_([this] { return epoch_.ElapsedMillis(); }) {}
 
 QueryEngine::~QueryEngine() { pool_.Wait(); }
 
@@ -216,21 +218,13 @@ QueryEngine::Dataset* QueryEngine::FindDataset(const std::string& name) const {
 }
 
 EngineResponse QueryEngine::Handle(const EngineRequest& request) {
-  return Solve(FlattenRequest(request));
-}
-
-std::future<EngineResponse> QueryEngine::HandleAsync(EngineRequest request) {
-  return SubmitAsync(FlattenRequest(request));
-}
-
-ServeResponse QueryEngine::Solve(const ServeRequest& request) {
   Stopwatch watch;
   ServeResponse resp;
-  if (request.mutate) {
-    resp = MutateInternal(request);
+  if (const auto* mut = std::get_if<SiteMutation>(&request.op)) {
+    resp = MutateInternal(request, *mut);
   } else {
     // The deadline budget starts now — on the thread actually serving the
-    // request (SubmitAsync workers call Solve on dequeue).
+    // request (HandleAsync workers call Handle on dequeue).
     const CancelToken token =
         request.deadline_ms > 0.0
             ? CancelToken::After(std::chrono::duration_cast<
@@ -254,7 +248,7 @@ ServeResponse QueryEngine::Solve(const ServeRequest& request) {
   return resp;
 }
 
-std::future<ServeResponse> QueryEngine::SubmitAsync(ServeRequest request) {
+std::future<EngineResponse> QueryEngine::HandleAsync(EngineRequest request) {
   const int64_t cost = request.cost_units < 1 ? 1 : request.cost_units;
   // Early shedding, on the submitting thread: reject before the request
   // ever occupies queue space when the queue is already past its cost
@@ -291,9 +285,10 @@ std::future<ServeResponse> QueryEngine::SubmitAsync(ServeRequest request) {
   }
   queued_cost_.fetch_add(cost, std::memory_order_relaxed);
   auto task = std::make_shared<std::packaged_task<ServeResponse()>>(
-      [this, request = std::move(request), cost, queue_watch = Stopwatch()] {
+      [this, request = std::move(request), cost,
+       submitted_ms = queue_now_ms_()] {
         queued_cost_.fetch_sub(cost, std::memory_order_relaxed);
-        const double waited_ms = queue_watch.ElapsedMillis();
+        const double waited_ms = queue_now_ms_() - submitted_ms;
         // Late shedding, at dequeue: the prediction above is heuristic, so
         // a request whose ACTUAL wait blew the budget is still rejected —
         // serving an answer the client stopped waiting for helps nobody.
@@ -310,7 +305,7 @@ std::future<ServeResponse> QueryEngine::SubmitAsync(ServeRequest request) {
           metrics_.RecordRequest(resp.status, waited_ms * 1e-3, false);
           return resp;
         }
-        ServeResponse resp = Solve(request);
+        ServeResponse resp = Handle(request);
         // Fold this request's per-cost-unit service time into the EWMA the
         // early-shed predictor reads (relaxed: a heuristic, not a ledger).
         const auto cur = static_cast<uint64_t>(resp.seconds * 1e9 /
@@ -325,12 +320,12 @@ std::future<ServeResponse> QueryEngine::SubmitAsync(ServeRequest request) {
   return future;
 }
 
-ServeResponse QueryEngine::MutateInternal(const ServeRequest& request) {
+ServeResponse QueryEngine::MutateInternal(const EngineRequest& request,
+                                          const SiteMutation& mut) {
   Dataset* node = FindDataset(request.dataset);
   if (node == nullptr) {
     return NotFound(request.id, "unknown dataset '" + request.dataset + "'");
   }
-  const SiteMutation& mut = request.mutation;
   if (!std::isfinite(mut.location.x) || !std::isfinite(mut.location.y)) {
     return Invalid(request.id, "mutation location must be finite");
   }
@@ -596,7 +591,7 @@ void QueryEngine::PatchArtifacts(
   }
 }
 
-ServeResponse QueryEngine::SolveInternal(const ServeRequest& request,
+ServeResponse QueryEngine::SolveInternal(const EngineRequest& request,
                                          const CancelToken& token) {
   Dataset* node = FindDataset(request.dataset);
   if (node == nullptr) {
@@ -610,7 +605,10 @@ ServeResponse QueryEngine::SolveInternal(const ServeRequest& request,
     snap = node->snap;
   }
   const DatasetSnapshot& ds = *snap;
-  if (request.topk == 0) return Invalid(request.id, "k must be >= 1");
+  const ServeQueryKind kind = EngineRequestKind(request);
+  const MolqAlgorithm algorithm = RequestAlgorithm(request);
+  const size_t topk = RequestTopK(request);
+  if (topk == 0) return Invalid(request.id, "k must be >= 1");
   if (!(request.epsilon > 0.0)) {
     return Invalid(request.id, "epsilon must be > 0");
   }
@@ -638,7 +636,7 @@ ServeResponse QueryEngine::SolveInternal(const ServeRequest& request,
   resp.version = ds.version;
 
   MolqOptions molq;
-  molq.algorithm = request.algorithm;
+  molq.algorithm = algorithm;
   molq.epsilon = request.epsilon;
   molq.exec = request.exec;
   // The engine owns resolution (cache-key component) and cancellation
@@ -652,22 +650,18 @@ ServeResponse QueryEngine::SolveInternal(const ServeRequest& request,
   TraceContextScope trace_scope(molq.exec.trace);
   TRACE_SPAN("serve_request");
 
-  // Engine-level shape restrictions (the protocol parser enforces the same
-  // rules, but the engine is also called directly by molq_cli and tests).
-  if (request.kind != ServeQueryKind::kMolq &&
-      request.algorithm == MolqAlgorithm::kSsc) {
+  // Engine-level shape restriction (the protocol parser enforces the same
+  // rule, but the engine is also called directly by molq_cli and tests).
+  // CONSTRAIN needs no check: ConstrainSpec has no algorithm, so it is
+  // always RRB.
+  if (kind != ServeQueryKind::kMolq && algorithm == MolqAlgorithm::kSsc) {
     return Invalid(request.id,
                    "query-algebra shapes need a MOVD artifact (rrb|mbrb), "
                    "not ssc");
   }
-  if (request.kind == ServeQueryKind::kConstrained &&
-      request.algorithm == MolqAlgorithm::kMbrb) {
-    return Invalid(request.id,
-                   "CONSTRAIN is RRB-only (the clipper needs real regions)");
-  }
 
-  if (request.algorithm == MolqAlgorithm::kSsc) {
-    if (request.topk != 1) {
+  if (algorithm == MolqAlgorithm::kSsc) {
+    if (topk != 1) {
       return Invalid(request.id, "SSC serves k=1 only; use rrb/mbrb");
     }
     // SSC enumerates raw combinations — no diagram artifacts to cache, so
@@ -698,13 +692,14 @@ ServeResponse QueryEngine::SolveInternal(const ServeRequest& request,
   }
 
   // Shape-specific request validation, before any artifact work.
-  if (request.kind == ServeQueryKind::kConstrained) {
-    const Status valid = ValidateConstraint(request.constraint);
+  const auto* constrain = std::get_if<ConstrainSpec>(&request.op);
+  if (constrain != nullptr) {
+    const Status valid = ValidateConstraint(constrain->constraint);
     if (!valid.ok()) return Invalid(request.id, valid.message());
   }
   std::vector<WhatIfVector> vectors;
-  if (request.kind == ServeQueryKind::kWhatIf) {
-    if (request.sweep.empty()) {
+  if (const auto* what_if = std::get_if<WhatIfSpec>(&request.op)) {
+    if (what_if->sweep.empty()) {
       return Invalid(request.id, "what-if needs at least one sweep vector");
     }
     // Pad each per-layer sweep vector to a full-dataset WhatIfVector with
@@ -713,8 +708,8 @@ ServeResponse QueryEngine::SolveInternal(const ServeRequest& request,
     const double identity =
         ds.query.type_function == WeightFunctionKind::kMultiplicative ? 1.0
                                                                       : 0.0;
-    vectors.reserve(request.sweep.size());
-    for (const std::vector<double>& scales : request.sweep) {
+    vectors.reserve(what_if->sweep.size());
+    for (const std::vector<double>& scales : what_if->sweep) {
       if (scales.size() != layers.size()) {
         return Invalid(request.id,
                        "sweep vector has " + std::to_string(scales.size()) +
@@ -732,7 +727,7 @@ ServeResponse QueryEngine::SolveInternal(const ServeRequest& request,
     }
   }
 
-  const BoundaryMode mode = request.algorithm == MolqAlgorithm::kMbrb
+  const BoundaryMode mode = algorithm == MolqAlgorithm::kMbrb
                                 ? BoundaryMode::kMbr
                                 : BoundaryMode::kRealRegion;
   bool overlay_hit = false;
@@ -740,9 +735,10 @@ ServeResponse QueryEngine::SolveInternal(const ServeRequest& request,
   std::shared_ptr<const Movd> overlay;
   {
     TRACE_SPAN("serve_overlay");
-    overlay = request.kind == ServeQueryKind::kConstrained
-                  ? GetClippedOverlay(ds, request.dataset, layers, request,
-                                      token, &overlay_hit)
+    overlay = constrain != nullptr
+                  ? GetClippedOverlay(ds, request.dataset, layers,
+                                      constrain->constraint, request, token,
+                                      &overlay_hit)
                   : GetOverlay(ds, request.dataset, layers, mode, request,
                                token, &overlay_hit);
   }
@@ -756,8 +752,7 @@ ServeResponse QueryEngine::SolveInternal(const ServeRequest& request,
   // A clipped overlay may legitimately be empty — the constraint excluded
   // every candidate region — and answers as "infeasible" below. Every
   // other shape requires a non-empty artifact.
-  if (overlay->ovrs.empty() &&
-      request.kind != ServeQueryKind::kConstrained) {
+  if (overlay->ovrs.empty() && constrain == nullptr) {
     resp.status = ServeStatus::kInternalError;
     resp.error = "overlay produced an empty MOVD";
     return resp;
@@ -766,17 +761,13 @@ ServeResponse QueryEngine::SolveInternal(const ServeRequest& request,
   CandidateOptions candidate_options;
   candidate_options.epsilon = request.epsilon;
   candidate_options.exec = molq.exec;
-  // The sharded router's skyline scatter restricts each shard to the
-  // combinations it owns; unset (the normal case) solves them all.
-  candidate_options.anchor_filter = request.candidate_filter;
 
   phase_watch = Stopwatch();
   {
     TRACE_SPAN("serve_optimize");
-    switch (request.kind) {
+    switch (kind) {
       case ServeQueryKind::kMolq: {
-        const MolqResult top =
-            TopKFromMovd(ds.query, *overlay, request.topk, molq);
+        const MolqResult top = TopKFromMovd(ds.query, *overlay, topk, molq);
         if (top.status == StatusCode::kCancelled) {
           resp.status = ServeStatus::kDeadlineExceeded;
           resp.error = "deadline exceeded during optimization";
@@ -811,17 +802,18 @@ ServeResponse QueryEngine::SolveInternal(const ServeRequest& request,
         break;
       }
       case ServeQueryKind::kDiverse: {
-        const DiverseTopKResult r =
-            DiverseTopKFromMovd(ds.query, *overlay, request.topk,
-                                request.min_distance, candidate_options);
+        const double min_distance =
+            std::get<DiverseSpec>(request.op).min_distance;
+        const DiverseTopKResult r = DiverseTopKFromMovd(
+            ds.query, *overlay, topk, min_distance, candidate_options);
         if (r.status == StatusCode::kCancelled) {
           resp.status = ServeStatus::kDeadlineExceeded;
           resp.error = "deadline exceeded during diversified top-k";
           return resp;
         }
         if (molq.exec.audit) {
-          const AuditReport report = AuditDiverseTopK(
-              ds.query, request.topk, request.min_distance, r);
+          const AuditReport report =
+              AuditDiverseTopK(ds.query, topk, min_distance, r);
           if (!report.ok()) {
             return AuditFailure(request.id, "diversified top-k", report);
           }
@@ -843,7 +835,7 @@ ServeResponse QueryEngine::SolveInternal(const ServeRequest& request,
         }
         if (molq.exec.audit) {
           const AuditReport report = AuditConstrainedMolq(
-              ds.query, request.constraint, ds.world, r);
+              ds.query, constrain->constraint, ds.world, r);
           if (!report.ok()) {
             return AuditFailure(request.id, "constrained MOLQ", report);
           }
@@ -856,7 +848,7 @@ ServeResponse QueryEngine::SolveInternal(const ServeRequest& request,
       case ServeQueryKind::kWhatIf: {
         WhatIfOptions what_if;
         what_if.epsilon = request.epsilon;
-        what_if.topk = request.topk;
+        what_if.topk = topk;
         what_if.exec = molq.exec;
         const WhatIfSweepResult r =
             WhatIfSweepFromMovd(ds.query, *overlay, vectors, what_if);
@@ -867,7 +859,7 @@ ServeResponse QueryEngine::SolveInternal(const ServeRequest& request,
         }
         if (molq.exec.audit) {
           const AuditReport report =
-              AuditWhatIfSweep(ds.query, vectors, request.topk, r);
+              AuditWhatIfSweep(ds.query, vectors, topk, r);
           if (!report.ok()) {
             return AuditFailure(request.id, "what-if sweep", report);
           }
@@ -893,7 +885,7 @@ ServeResponse QueryEngine::SolveInternal(const ServeRequest& request,
 std::shared_ptr<const Movd> QueryEngine::GetOverlay(
     const DatasetSnapshot& ds, const std::string& ds_name,
     const std::vector<int32_t>& layers, BoundaryMode mode,
-    const ServeRequest& request, const CancelToken& token,
+    const EngineRequest& request, const CancelToken& token,
     bool* overlay_hit) {
   *overlay_hit = false;
   // The weighted method changes the cover geometry (adaptive and dense
@@ -954,8 +946,9 @@ std::shared_ptr<const Movd> QueryEngine::GetOverlay(
 
 std::shared_ptr<const Movd> QueryEngine::GetClippedOverlay(
     const DatasetSnapshot& ds, const std::string& ds_name,
-    const std::vector<int32_t>& layers, const ServeRequest& request,
-    const CancelToken& token, bool* overlay_hit) {
+    const std::vector<int32_t>& layers, const QueryConstraint& constraint,
+    const EngineRequest& request, const CancelToken& token,
+    bool* overlay_hit) {
   *overlay_hit = false;
   const auto build = [&]() -> std::shared_ptr<const Movd> {
     // The unclipped RRB overlay goes through the ordinary artifact path,
@@ -966,7 +959,7 @@ std::shared_ptr<const Movd> QueryEngine::GetClippedOverlay(
         GetOverlay(ds, ds_name, layers, BoundaryMode::kRealRegion, request,
                    token, &base_hit);
     if (overlay == nullptr) return nullptr;
-    const Region feasible = BuildFeasibleRegion(request.constraint, ds.world);
+    const Region feasible = BuildFeasibleRegion(constraint, ds.world);
     if (token.Expired()) return nullptr;
     return std::make_shared<const Movd>(
         ClipMovdToFeasible(*overlay, feasible));
@@ -977,7 +970,7 @@ std::shared_ptr<const Movd> QueryEngine::GetClippedOverlay(
       LayersTag(layers) + "/rrb" +
       ArtifactKeySuffix(options_.exec.weighted_grid_resolution,
                         options_.exec.weighted_method, ds.weight_tag) +
-      "/c" + ConstraintHash(request.constraint);
+      "/c" + ConstraintHash(constraint);
   return cache_.GetOrBuild(key, build, overlay_hit, token.deadline());
 }
 
@@ -1005,7 +998,7 @@ Status QueryEngine::SaveCache(const std::string& dir) const {
   return Status::Ok();
 }
 
-QueryEngine::WarmLoadResult QueryEngine::LoadCache(const std::string& dir) {
+WarmLoadResult QueryEngine::LoadCache(const std::string& dir) {
   WarmLoadResult result;
   std::ifstream manifest(dir + "/manifest.txt");
   if (!manifest) {

@@ -3,10 +3,13 @@
 
 #include <atomic>
 #include <cstdint>
+#include <cstdio>
+#include <functional>
 #include <future>
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/molq.h"
@@ -20,6 +23,7 @@
 #include "util/exec_options.h"
 #include "util/mutex.h"
 #include "util/status.h"
+#include "util/stopwatch.h"
 #include "util/thread_annotations.h"
 #include "util/thread_pool.h"
 
@@ -29,10 +33,10 @@ struct QueryEngineOptions {
   /// Artifact-cache budget in bytes (ArtifactBytes accounting). 0 disables
   /// caching — every request rebuilds from scratch.
   size_t cache_bytes = 256ull << 20;
-  /// Worker threads draining the request queue (SubmitAsync). 0 = one per
+  /// Worker threads draining the request queue (HandleAsync). 0 = one per
   /// hardware thread. Workers only control cross-request concurrency;
-  /// per-request parallelism is ServeRequest::threads, and answers are
-  /// bit-identical regardless of either knob.
+  /// per-request parallelism is EngineRequest::exec.threads, and answers
+  /// are bit-identical regardless of either knob.
   int workers = 0;
   /// Engine-wide execution defaults. exec.weighted_grid_resolution is the
   /// grid resolution for weighted-diagram approximation (part of every
@@ -44,7 +48,7 @@ struct QueryEngineOptions {
   /// per-request knobs (threads/cancel) are ignored here.
   ExecOptions exec;
   /// Admission control (DESIGN.md §14): total cost units allowed in the
-  /// SubmitAsync queue before new requests are shed with kOverloaded.
+  /// HandleAsync queue before new requests are shed with kOverloaded.
   /// 0 disables queue-depth shedding.
   size_t admission_cost_limit = 0;
   /// Queue-delay budget in milliseconds: a request is shed with
@@ -52,6 +56,13 @@ struct QueryEngineOptions {
   /// EWMA) or actual (at dequeue) queue delay exceeds this. 0 disables
   /// delay shedding.
   double admission_delay_budget_ms = 0.0;
+};
+
+/// Outcome of a warm-start cache load.
+struct WarmLoadResult {
+  size_t loaded = 0;  ///< artifacts inserted into the cache
+  size_t failed = 0;  ///< artifacts skipped (corrupt/truncated/missing)
+  Status status;      ///< non-OK when the manifest itself was bad
 };
 
 /// A resident MOLQ serving engine (DESIGN.md §8): owns registered datasets
@@ -63,7 +74,7 @@ struct QueryEngineOptions {
 /// cache boundary: diagrams and overlays are cached and shared across
 /// requests, the Fermat–Weber optimization runs per request.
 ///
-/// Live updates (DESIGN.md §14): Solve routes mutation requests through
+/// Live updates (DESIGN.md §14): Handle routes mutation requests through
 /// the patcher (core/update.h). Each ordinary layer keeps a mirror whose
 /// batch Delaunay triangulation is patched in place, so only the Voronoi
 /// cells whose neighbour sets changed are re-clipped; a deletion whose
@@ -75,22 +86,16 @@ struct QueryEngineOptions {
 /// versions go cold and age out through the LRU byte accounting while
 /// in-flight queries pinned to them keep answering bit-identically.
 ///
-/// The typed front door is Engine::Handle/HandleAsync (serve/engine_api.h);
-/// Solve/SubmitAsync on the flat execution form stay public for the
-/// engine's own tests and the sharded router (serve/shard.h), which
-/// pre-flattens requests to set internal routing fields.
+/// Every front end — movd_serve, molq_cli, the tests — calls
+/// Handle/HandleAsync with a typed EngineRequest (serve/engine_api.h).
 ///
 /// Thread-safety: RegisterDataset must finish before serving starts;
-/// Solve/SubmitAsync (queries and mutations alike) are then safe from any
+/// Handle/HandleAsync (queries and mutations alike) are then safe from any
 /// number of threads. Mutations serialize per dataset.
-class QueryEngine : public Engine {
+class QueryEngine {
  public:
-  /// Compat alias: the struct moved to serve/engine_api.h so ShardedEngine
-  /// can speak it through the Engine interface.
-  using WarmLoadResult = ::movd::WarmLoadResult;
-
   explicit QueryEngine(const QueryEngineOptions& options = {});
-  ~QueryEngine() override;
+  ~QueryEngine();
 
   QueryEngine(const QueryEngine&) = delete;
   QueryEngine& operator=(const QueryEngine&) = delete;
@@ -100,48 +105,50 @@ class QueryEngine : public Engine {
   /// publishes a fresh snapshot whose version is newer than any prior one
   /// (never reusing a version, so stale cached artifacts cannot collide).
   void RegisterDataset(const std::string& name, MolqQuery query,
-                       const Rect& world) override MOVD_EXCLUDES(datasets_mu_);
+                       const Rect& world) MOVD_EXCLUDES(datasets_mu_);
 
   /// The dataset's current snapshot; null when unknown. The pointer stays
   /// valid (and immutable) for as long as the caller holds it, however
   /// many mutations publish newer versions meanwhile.
   std::shared_ptr<const DatasetSnapshot> dataset_snapshot(
-      const std::string& name) const override;
+      const std::string& name) const;
 
-  /// Serves one typed request synchronously: flatten through the single
-  /// choke point, then Solve.
-  EngineResponse Handle(const EngineRequest& request) override;
+  /// Serves one request synchronously on the calling thread: a query is
+  /// solved against its pinned snapshot, a mutation is applied and
+  /// published. The deadline clock starts now.
+  EngineResponse Handle(const EngineRequest& request);
 
-  /// Enqueues one typed request (FlattenRequest + SubmitAsync).
-  std::future<EngineResponse> HandleAsync(EngineRequest request) override;
-
-  /// Solves one flat request synchronously on the calling thread (mutation
-  /// requests apply + publish instead). The deadline clock starts now.
-  ServeResponse Solve(const ServeRequest& request);
-
-  /// Enqueues one flat request onto the engine's worker pool; the returned
-  /// future resolves when a worker has solved it. The deadline clock
+  /// Enqueues one request onto the engine's worker pool; the returned
+  /// future resolves when a worker has served it. The deadline clock
   /// starts when a worker dequeues the request, so queueing delay does not
   /// eat the solve budget (the line protocol reports total time anyway).
   /// Admission control applies here: a request may resolve immediately to
   /// kOverloaded when the queue's cost depth or predicted delay exceeds
   /// the configured budgets, and again at dequeue when its actual queue
   /// delay blew the budget.
-  std::future<ServeResponse> SubmitAsync(ServeRequest request);
+  std::future<EngineResponse> HandleAsync(EngineRequest request);
+
+  /// Test seam: replaces the clock the admission queue reads (milliseconds
+  /// on any monotonic timeline) to stamp a request at submit and measure
+  /// its queue delay at dequeue. The default is the engine's own
+  /// stopwatch; a test substitutes a scripted clock so delay shedding does
+  /// not depend on when the OS schedules a worker. Call before serving.
+  void SetQueueClockForTesting(std::function<double()> now_ms) {
+    queue_now_ms_ = std::move(now_ms);
+  }
 
   const ServeMetrics& metrics() const { return metrics_; }
   ArtifactCache::Stats cache_stats() const { return cache_.stats(); }
-  std::string MetricsJson() const override {
-    return metrics_.Json(cache_.stats());
-  }
-  void DumpMetrics(std::FILE* out) const override {
+  /// Serving metrics as the STATS JSON body / a human-readable table.
+  std::string MetricsJson() const { return metrics_.Json(cache_.stats()); }
+  void DumpMetrics(std::FILE* out) const {
     metrics_.DumpTable(out, cache_.stats());
   }
 
   /// Warm start: persists every resident artifact to `dir` (created if
   /// missing) as MOVD files plus a manifest mapping keys to files.
   /// kIoError (with the failing path in the message) on I/O failure.
-  Status SaveCache(const std::string& dir) const override;
+  Status SaveCache(const std::string& dir) const;
 
   /// Loads a SaveCache snapshot back into the cache. Corrupt or truncated
   /// artifact files are skipped and counted in `failed` — a damaged
@@ -149,7 +156,7 @@ class QueryEngine : public Engine {
   /// (every file is validated by the movd_file header/record checks).
   /// Keys carry dataset versions, so a snapshot saved after mutations only
   /// warms a server whose datasets reach the same versions again.
-  WarmLoadResult LoadCache(const std::string& dir) override;
+  WarmLoadResult LoadCache(const std::string& dir);
 
  private:
   struct Dataset {
@@ -165,14 +172,15 @@ class QueryEngine : public Engine {
 
   Dataset* FindDataset(const std::string& name) const
       MOVD_EXCLUDES(datasets_mu_);
-  ServeResponse SolveInternal(const ServeRequest& request,
+  ServeResponse SolveInternal(const EngineRequest& request,
                               const CancelToken& token);
   /// Applies one mutation: validates it against the current snapshot,
   /// patches the triangulation/cells incrementally (full rebuild when the
   /// layer is weighted or the incremental deletion stalls), patches or
   /// re-keys every cached artifact of the dataset, and publishes the new
   /// snapshot. Serialized per dataset by Dataset::mutate_mu.
-  ServeResponse MutateInternal(const ServeRequest& request);
+  ServeResponse MutateInternal(const EngineRequest& request,
+                               const SiteMutation& mut);
   /// The artifact-maintenance half of a mutation: produce the mutated
   /// layer's new basic (incrementally when possible), then walk the cache
   /// and patch/re-key/drop every entry of `ds_name` at `old_snap`'s
@@ -191,18 +199,19 @@ class QueryEngine : public Engine {
                                          const std::string& ds_name,
                                          const std::vector<int32_t>& layers,
                                          BoundaryMode mode,
-                                         const ServeRequest& request,
+                                         const EngineRequest& request,
                                          const CancelToken& token,
                                          bool* overlay_hit);
-  /// The RRB overlay clipped to the request's feasible set, cached under a
+  /// The RRB overlay clipped to `constraint`, cached under a
   /// constraint-hashed key ("cns/...") so repeats of the same constraint
   /// reuse the clip. The unclipped overlay is fetched through GetOverlay
   /// (hence itself cached); `overlay_hit` reports the clipped-artifact
   /// lookup. Null when the deadline fired.
   std::shared_ptr<const Movd> GetClippedOverlay(
       const DatasetSnapshot& ds, const std::string& ds_name,
-      const std::vector<int32_t>& layers, const ServeRequest& request,
-      const CancelToken& token, bool* overlay_hit);
+      const std::vector<int32_t>& layers, const QueryConstraint& constraint,
+      const EngineRequest& request, const CancelToken& token,
+      bool* overlay_hit);
 
   QueryEngineOptions options_;
   mutable Mutex datasets_mu_;
@@ -215,6 +224,10 @@ class QueryEngine : public Engine {
   ArtifactCache cache_;
   ServeMetrics metrics_;
   ThreadPool pool_;
+  /// The admission queue's clock (SetQueueClockForTesting); reads
+  /// `epoch_` unless a test substituted it.
+  Stopwatch epoch_;
+  std::function<double()> queue_now_ms_;
   /// Admission-control state: cost units currently queued (submitted, not
   /// yet dequeued) and a relaxed EWMA of per-cost-unit service time in
   /// nanoseconds. Both are heuristic inputs to shedding — racy reads are

@@ -27,7 +27,7 @@ enum class WeightedMethod {
 
 /// Execution knobs shared by every pipeline entry point — solver options
 /// (MolqOptions, OptimizerOptions, SscOptions, BatchOptions) and the
-/// serving layer (ServeRequest, QueryEngineOptions) embed one of these
+/// serving layer (EngineRequest, QueryEngineOptions) embed one of these
 /// instead of re-declaring the fields and copy-forwarding them across the
 /// core/serve boundary. None of the knobs changes the answer: (location,
 /// cost, group) is bit-identical for every thread count, with auditing on

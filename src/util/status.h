@@ -12,8 +12,8 @@ namespace movd {
 
 /// The one terminal-state vocabulary shared by every subsystem (solver
 /// entry points, storage, serving). Before this enum the repo had three
-/// ad-hoc conventions — bool + error out-param (SaveCache,
-/// ParseRequestLine), optional<T> sentinels (LoadMovd), and per-layer
+/// ad-hoc conventions — bool + error out-param (SaveCache, the protocol
+/// parser), optional<T> sentinels (LoadMovd), and per-layer
 /// enums (MolqStatus, ServeStatus); they are all expressed in this one
 /// code space now. `MolqStatus` and `ServeStatus` are aliases of this
 /// enum, and the historical enumerator spellings are kept as aliases so

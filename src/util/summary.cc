@@ -97,13 +97,6 @@ void LatencyHistogram::Record(double seconds) {
   buckets_[bucket].fetch_add(1, std::memory_order_relaxed);
 }
 
-void LatencyHistogram::MergeFrom(const LatencyHistogram& other) {
-  for (int i = 0; i < kBuckets; ++i) {
-    buckets_[i].fetch_add(other.buckets_[i].load(std::memory_order_relaxed),
-                          std::memory_order_relaxed);
-  }
-}
-
 uint64_t LatencyHistogram::Count() const {
   uint64_t total = 0;
   for (const auto& b : buckets_) total += b.load(std::memory_order_relaxed);

@@ -65,14 +65,6 @@ class LatencyHistogram {
   /// Records one observation. Thread-safe (relaxed atomic increment).
   void Record(double seconds);
 
-  /// Adds every bucket of `other` into this histogram. Commutative and
-  /// associative (bucket-wise integer addition), so merging per-shard
-  /// histograms into a fleet view gives the same result in any grouping —
-  /// the property the sharded STATS merge relies on. Thread-safe against
-  /// concurrent Record on either side, with the usual torn-across-buckets
-  /// caveat of any lock-free multi-counter read.
-  void MergeFrom(const LatencyHistogram& other);
-
   /// Total observations recorded.
   uint64_t Count() const;
 

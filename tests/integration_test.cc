@@ -13,9 +13,7 @@
 #include "data/csv.h"
 #include "data/generate.h"
 #include "movd_test_util.h"
-#include "storage/external_sort.h"
 #include "storage/movd_file.h"
-#include "storage/streaming_overlap.h"
 
 namespace movd {
 namespace {
@@ -88,34 +86,31 @@ TEST(IntegrationTest, FullPipelineAgreesAcrossAllPaths) {
 
 TEST(IntegrationTest, DiskPipelineMatchesInMemoryEndToEnd) {
   const MolqQuery query = LoadQueryViaCsv();
-  // Build basic MOVDs, push two of them through disk (sort + streaming
-  // overlap), then overlap the third in memory and optimize.
-  std::vector<Movd> basic;
-  for (int32_t s = 0; s < 3; ++s) {
-    basic.push_back(BuildBasicMovd(query, s, kWorld, 128));
+  MolqOptions opts;
+  opts.epsilon = 1e-6;
+  // Round-trip every basic MOVD through the MOVD file format, then overlap
+  // the loaded basics in memory and optimize: the answer must equal the
+  // in-memory pipeline's bit for bit.
+  const std::vector<Movd> basic = BuildAllBasic(query, kWorld, opts);
+  std::vector<Movd> loaded;
+  for (size_t s = 0; s < basic.size(); ++s) {
+    const std::string path = Tmp("it_basic" + std::to_string(s) + ".bin");
+    ASSERT_TRUE(SaveMovd(path, basic[s]).ok());
+    StatusOr<Movd> back = LoadMovd(path);
+    std::remove(path.c_str());
+    ASSERT_TRUE(back.has_value());
+    EXPECT_TRUE(BitIdentical(basic[s], *back)) << "set " << s;
+    loaded.push_back(std::move(*back));
   }
-  const std::string pa = Tmp("it_a.bin"), pb = Tmp("it_b.bin");
-  const std::string sa = Tmp("it_sa.bin"), sb = Tmp("it_sb.bin");
-  const std::string out = Tmp("it_out.bin");
-  ASSERT_TRUE(SaveMovd(pa, basic[0]).ok());
-  ASSERT_TRUE(SaveMovd(pb, basic[1]).ok());
-  ASSERT_TRUE(ExternalSortMovdFile(pa, sa, 8 << 10));
-  ASSERT_TRUE(ExternalSortMovdFile(pb, sb, 8 << 10));
-  ASSERT_TRUE(
-      StreamingOverlap(sa, sb, BoundaryMode::kRealRegion, out, nullptr));
-  const auto partial = LoadMovd(out);
-  ASSERT_TRUE(partial.has_value());
-  const Movd full = Overlap(*partial, basic[2], BoundaryMode::kRealRegion);
-
   OptimizerOptions oopts;
-  oopts.epsilon = 1e-6;
-  const OptimizerResult via_disk = OptimizeMovd(query, full, oopts);
-
-  MolqOptions mopts;
-  mopts.epsilon = 1e-6;
-  const MolqResult direct = SolveMolq(query, kWorld, mopts);
-  EXPECT_NEAR(via_disk.cost, direct.cost, 1e-5 * direct.cost + 1e-9);
-  for (const auto& p : {pa, pb, sa, sb, out}) std::remove(p.c_str());
+  oopts.epsilon = opts.epsilon;
+  oopts.use_cost_bound = opts.use_cost_bound;
+  oopts.use_two_point_prefilter = opts.use_two_point_prefilter;
+  oopts.dedup_combinations = opts.dedup_combinations;
+  oopts.exec = opts.exec;
+  const OptimizerResult via_disk = OptimizeMovd(
+      query, OverlapAll(loaded, BoundaryMode::kRealRegion), oopts);
+  ExpectSameAnswer(via_disk, SolveMolq(query, kWorld, opts));
 }
 
 }  // namespace

@@ -13,6 +13,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <variant>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -20,6 +21,8 @@
 #include "core/molq.h"
 #include "model/movd_model.h"
 #include "core/topk.h"
+#include "geom/polygon.h"
+#include "model/update_model.h"
 #include "serve/protocol.h"
 #include "serve/query_engine.h"
 #include "storage/movd_file.h"
@@ -272,8 +275,8 @@ TEST(ServeMetricsTest, StatusNames) {
 
 TEST(ServeProtocolTest, ParsesFullSolveLine) {
   ServeVerb verb;
-  ServeRequest request;
-  const Status parsed = ParseRequestLine(
+  EngineRequest request;
+  const Status parsed = ParseRequest(
       "SOLVE id=q7 dataset=city layers=2,0 algo=mbrb k=3 epsilon=0.01 "
       "deadline_ms=250 threads=4 cache=0",
       &verb, &request);
@@ -284,8 +287,9 @@ TEST(ServeProtocolTest, ParsesFullSolveLine) {
   ASSERT_EQ(request.layers.size(), 2u);
   EXPECT_EQ(request.layers[0], 2);
   EXPECT_EQ(request.layers[1], 0);
-  EXPECT_EQ(request.algorithm, MolqAlgorithm::kMbrb);
-  EXPECT_EQ(request.topk, 3u);
+  const SolveSpec& spec = std::get<SolveSpec>(request.op);
+  EXPECT_EQ(spec.algorithm, MolqAlgorithm::kMbrb);
+  EXPECT_EQ(spec.topk, 3u);
   EXPECT_DOUBLE_EQ(request.epsilon, 0.01);
   EXPECT_DOUBLE_EQ(request.deadline_ms, 250.0);
   EXPECT_EQ(request.exec.threads, 4);
@@ -294,14 +298,15 @@ TEST(ServeProtocolTest, ParsesFullSolveLine) {
 
 TEST(ServeProtocolTest, SolveDefaultsAndRequiredDataset) {
   ServeVerb verb;
-  ServeRequest request;
-  ASSERT_TRUE(ParseRequestLine("SOLVE dataset=d", &verb, &request).ok());
+  EngineRequest request;
+  ASSERT_TRUE(ParseRequest("SOLVE dataset=d", &verb, &request).ok());
   EXPECT_EQ(request.id, "-");
   EXPECT_TRUE(request.layers.empty());
-  EXPECT_EQ(request.algorithm, MolqAlgorithm::kRrb);
-  EXPECT_EQ(request.topk, 1u);
+  const SolveSpec& spec = std::get<SolveSpec>(request.op);
+  EXPECT_EQ(spec.algorithm, MolqAlgorithm::kRrb);
+  EXPECT_EQ(spec.topk, 1u);
   EXPECT_TRUE(request.use_cache);
-  const Status missing = ParseRequestLine("SOLVE id=x k=2", &verb, &request);
+  const Status missing = ParseRequest("SOLVE id=x k=2", &verb, &request);
   EXPECT_FALSE(missing.ok());
   EXPECT_EQ(missing.code(), StatusCode::kInvalidRequest);
   EXPECT_NE(missing.message().find("dataset"), std::string::npos);
@@ -309,38 +314,38 @@ TEST(ServeProtocolTest, SolveDefaultsAndRequiredDataset) {
 
 TEST(ServeProtocolTest, RejectsUnknownAndMalformedArguments) {
   ServeVerb verb;
-  ServeRequest request;
+  EngineRequest request;
   // A misspelled key must fail loudly, not fall back to a default.
   const Status misspelled =
-      ParseRequestLine("SOLVE dataset=d epsilonn=0.1", &verb, &request);
+      ParseRequest("SOLVE dataset=d epsilonn=0.1", &verb, &request);
   EXPECT_FALSE(misspelled.ok());
   EXPECT_NE(misspelled.message().find("epsilonn"), std::string::npos);
-  EXPECT_FALSE(ParseRequestLine("SOLVE dataset=d k=0", &verb, &request).ok());
+  EXPECT_FALSE(ParseRequest("SOLVE dataset=d k=0", &verb, &request).ok());
   EXPECT_FALSE(
-      ParseRequestLine("SOLVE dataset=d epsilon=0", &verb, &request).ok());
+      ParseRequest("SOLVE dataset=d epsilon=0", &verb, &request).ok());
   EXPECT_FALSE(
-      ParseRequestLine("SOLVE dataset=d layers=1,x", &verb, &request).ok());
+      ParseRequest("SOLVE dataset=d layers=1,x", &verb, &request).ok());
   EXPECT_FALSE(
-      ParseRequestLine("SOLVE dataset=d algo=fast", &verb, &request).ok());
+      ParseRequest("SOLVE dataset=d algo=fast", &verb, &request).ok());
   EXPECT_FALSE(
-      ParseRequestLine("SOLVE dataset=d cache=yes", &verb, &request).ok());
-  EXPECT_FALSE(ParseRequestLine("EXPLODE now", &verb, &request).ok());
-  EXPECT_FALSE(ParseRequestLine("", &verb, &request).ok());
-  EXPECT_FALSE(ParseRequestLine("PING extra", &verb, &request).ok());
+      ParseRequest("SOLVE dataset=d cache=yes", &verb, &request).ok());
+  EXPECT_FALSE(ParseRequest("EXPLODE now", &verb, &request).ok());
+  EXPECT_FALSE(ParseRequest("", &verb, &request).ok());
+  EXPECT_FALSE(ParseRequest("PING extra", &verb, &request).ok());
 }
 
 TEST(ServeProtocolTest, VerbsAreCaseInsensitive) {
   ServeVerb verb;
-  ServeRequest request;
-  ASSERT_TRUE(ParseRequestLine("ping", &verb, &request).ok());
+  EngineRequest request;
+  ASSERT_TRUE(ParseRequest("ping", &verb, &request).ok());
   EXPECT_EQ(verb, ServeVerb::kPing);
-  ASSERT_TRUE(ParseRequestLine("Stats", &verb, &request).ok());
+  ASSERT_TRUE(ParseRequest("Stats", &verb, &request).ok());
   EXPECT_EQ(verb, ServeVerb::kStats);
-  ASSERT_TRUE(ParseRequestLine("quit", &verb, &request).ok());
+  ASSERT_TRUE(ParseRequest("quit", &verb, &request).ok());
   EXPECT_EQ(verb, ServeVerb::kQuit);
-  ASSERT_TRUE(ParseRequestLine("shutdown", &verb, &request).ok());
+  ASSERT_TRUE(ParseRequest("shutdown", &verb, &request).ok());
   EXPECT_EQ(verb, ServeVerb::kShutdown);
-  ASSERT_TRUE(ParseRequestLine("solve dataset=d", &verb, &request).ok());
+  ASSERT_TRUE(ParseRequest("solve dataset=d", &verb, &request).ok());
   EXPECT_EQ(verb, ServeVerb::kSolve);
 }
 
@@ -371,6 +376,123 @@ TEST(ServeProtocolTest, FormatsOkAndErrLines) {
             "ERR q2 INVALID_REQUEST unknown dataset 'x'");
 }
 
+/// Parses `request`'s wire line back; the envelope must survive exactly.
+EngineRequest RoundTrip(const EngineRequest& request) {
+  ServeVerb verb = ServeVerb::kPing;
+  EngineRequest parsed;
+  const std::string line = FormatRequestLine(request);
+  const Status status = ParseRequest(line, &verb, &parsed);
+  EXPECT_TRUE(status.ok()) << line << ": " << status.ToString();
+  EXPECT_EQ(verb, ServeVerb::kSolve) << line;
+  EXPECT_EQ(parsed.id, request.id) << line;
+  EXPECT_EQ(parsed.dataset, request.dataset) << line;
+  EXPECT_EQ(parsed.op.index(), request.op.index()) << line;
+  if (!IsMutation(request)) {
+    EXPECT_EQ(parsed.layers, request.layers) << line;
+    EXPECT_EQ(parsed.epsilon, request.epsilon) << line;
+    EXPECT_EQ(parsed.exec.threads, request.exec.threads) << line;
+    EXPECT_EQ(parsed.use_cache, request.use_cache) << line;
+    EXPECT_EQ(parsed.deadline_ms, request.deadline_ms) << line;
+  }
+  return parsed;
+}
+
+void ExpectSamePolygon(const Polygon& a, const Polygon& b) {
+  ASSERT_EQ(a.vertices().size(), b.vertices().size());
+  for (size_t i = 0; i < a.vertices().size(); ++i) {
+    EXPECT_EQ(a.vertices()[i].x, b.vertices()[i].x);  // bit-exact
+    EXPECT_EQ(a.vertices()[i].y, b.vertices()[i].y);
+  }
+}
+
+TEST(ServeProtocolTest, FormatRequestLineRoundTripsEveryOp) {
+  EngineRequest request;
+  request.id = "rt";
+  request.dataset = "ds";
+  request.layers = {0, 2};
+  request.epsilon = 1.0 / 3.0;
+  request.exec.threads = 3;
+  request.use_cache = false;
+  request.deadline_ms = 250.5;
+
+  request.op = SolveSpec{MolqAlgorithm::kSsc, 1};
+  const SolveSpec solve = std::get<SolveSpec>(RoundTrip(request).op);
+  EXPECT_EQ(solve.algorithm, MolqAlgorithm::kSsc);
+  EXPECT_EQ(solve.topk, 1u);
+
+  request.op = SkylineSpec{MolqAlgorithm::kMbrb};
+  EXPECT_EQ(std::get<SkylineSpec>(RoundTrip(request).op).algorithm,
+            MolqAlgorithm::kMbrb);
+
+  request.op = DiverseSpec{MolqAlgorithm::kMbrb, 5, 12.5};
+  const DiverseSpec diverse = std::get<DiverseSpec>(RoundTrip(request).op);
+  EXPECT_EQ(diverse.algorithm, MolqAlgorithm::kMbrb);
+  EXPECT_EQ(diverse.topk, 5u);
+  EXPECT_EQ(diverse.min_distance, 12.5);
+
+  ConstrainSpec constrain;
+  constrain.constraint.boundary =
+      Polygon({{0.1, 0.2}, {90.0 / 7.0, 0.2}, {90.0 / 7.0, 80.3}, {0.1, 80.3}});
+  constrain.constraint.exclusions.push_back(
+      Polygon({{1.0 / 3.0, 1.0 / 3.0}, {2, 1.0 / 3.0}, {2, 2}}));
+  constrain.constraint.exclusions.push_back(
+      Polygon({{5, 5}, {6, 5}, {6, 6}, {5, 6}}));
+  request.op = constrain;
+  const ConstrainSpec constrain_back =
+      std::get<ConstrainSpec>(RoundTrip(request).op);
+  ExpectSamePolygon(constrain_back.constraint.boundary,
+                    constrain.constraint.boundary);
+  ASSERT_EQ(constrain_back.constraint.exclusions.size(), 2u);
+  for (size_t i = 0; i < 2; ++i) {
+    ExpectSamePolygon(constrain_back.constraint.exclusions[i],
+                      constrain.constraint.exclusions[i]);
+  }
+
+  request.op =
+      WhatIfSpec{MolqAlgorithm::kRrb, 3, {{1.0, 0.1}, {2.0 / 3.0, 1e-7}}};
+  const WhatIfSpec what_if = std::get<WhatIfSpec>(RoundTrip(request).op);
+  EXPECT_EQ(what_if.algorithm, MolqAlgorithm::kRrb);
+  EXPECT_EQ(what_if.topk, 3u);
+  EXPECT_EQ(what_if.sweep, std::get<WhatIfSpec>(request.op).sweep);
+
+  // Mutations carry no query envelope and round-trip their coordinates
+  // with full precision.
+  for (const MutationKind kind : {MutationKind::kInsert,
+                                  MutationKind::kDelete}) {
+    SiteMutation mutation;
+    mutation.kind = kind;
+    mutation.layer = 2;
+    mutation.location = Point{1.0 / 3.0, 2.0 / 7.0};
+    EngineRequest mutate;
+    mutate.id = "m";
+    mutate.dataset = "ds";
+    mutate.op = mutation;
+    const SiteMutation back = std::get<SiteMutation>(RoundTrip(mutate).op);
+    EXPECT_EQ(back.kind, kind);
+    EXPECT_EQ(back.layer, 2);
+    EXPECT_EQ(back.location.x, mutation.location.x);  // bit-exact
+    EXPECT_EQ(back.location.y, mutation.location.y);
+  }
+}
+
+TEST(ServeProtocolTest, RejectsRoutingRect) {
+  // Protocol v3's rect= hint is gone: it is an unknown argument on every
+  // verb that once took it.
+  for (const char* line :
+       {"SOLVE dataset=d rect=0,0;10,10",
+        "DIVERSE dataset=d k=2 min_dist=1 rect=0,0;10,10",
+        "CONSTRAIN dataset=d boundary=0,0;9,0;9,9 rect=0,0;10,10"}) {
+    ServeVerb verb;
+    EngineRequest request;
+    const Status status = ParseRequest(line, &verb, &request);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidRequest) << line;
+    EXPECT_NE(status.message().find("unknown"), std::string::npos)
+        << status.message();
+    EXPECT_NE(status.message().find("'rect'"), std::string::npos)
+        << status.message();
+  }
+}
+
 // ---------------------------------------------------------------------------
 // QueryEngine
 
@@ -380,10 +502,10 @@ TEST(ServeEngineTest, ServedAnswerIsBitIdenticalToColdPipeline) {
   QueryEngine engine;
   engine.RegisterDataset("city", query, world);
 
-  ServeRequest request;
+  EngineRequest request;
   request.dataset = "city";
   request.epsilon = 1e-4;
-  const ServeResponse cold = engine.Solve(request);
+  const ServeResponse cold = engine.Handle(request);
   ASSERT_EQ(cold.status, ServeStatus::kOk);
   EXPECT_FALSE(cold.cache_hit);
   ASSERT_EQ(cold.answers.size(), 1u);
@@ -398,7 +520,7 @@ TEST(ServeEngineTest, ServedAnswerIsBitIdenticalToColdPipeline) {
   EXPECT_EQ(cold.answers[0].cost, direct.cost);
 
   // Second request is served from cache and stays bit-identical.
-  const ServeResponse warm = engine.Solve(request);
+  const ServeResponse warm = engine.Handle(request);
   ASSERT_EQ(warm.status, ServeStatus::kOk);
   EXPECT_TRUE(warm.cache_hit);
   ExpectAnswersEqual(cold.answers, warm.answers);
@@ -410,14 +532,14 @@ TEST(ServeEngineTest, AnswersIdenticalAcrossThreadCountsAndCacheState) {
   const MolqQuery query = TestQuery({25, 25}, 7);
   QueryEngine engine;
   engine.RegisterDataset("d", query, kBounds);
-  ServeRequest request;
+  EngineRequest request;
   request.dataset = "d";
   std::vector<ServeAnswer> reference;
   for (const int threads : {1, 2, 4}) {
     for (const bool use_cache : {true, false}) {
       request.exec.threads = threads;
       request.use_cache = use_cache;
-      const ServeResponse resp = engine.Solve(request);
+      const ServeResponse resp = engine.Handle(request);
       ASSERT_EQ(resp.status, ServeStatus::kOk);
       if (reference.empty()) {
         reference = resp.answers;
@@ -432,10 +554,10 @@ TEST(ServeEngineTest, LayerSubsetMatchesDirectSubQuery) {
   const MolqQuery query = TestQuery({20, 20, 20}, 13);
   QueryEngine engine;
   engine.RegisterDataset("d", query, kBounds);
-  ServeRequest request;
+  EngineRequest request;
   request.dataset = "d";
   request.layers = {2, 0};  // order and duplicates are normalized
-  const ServeResponse resp = engine.Solve(request);
+  const ServeResponse resp = engine.Handle(request);
   ASSERT_EQ(resp.status, ServeStatus::kOk);
   ASSERT_EQ(resp.answers.size(), 1u);
 
@@ -457,18 +579,18 @@ TEST(ServeEngineTest, SscMatchesMovdAlgorithmsAndRemapsGroups) {
   const MolqQuery query = TestQuery({12, 12, 12}, 19);
   QueryEngine engine;
   engine.RegisterDataset("d", query, kBounds);
-  ServeRequest request;
+  EngineRequest request;
   request.dataset = "d";
   request.layers = {1, 2};
-  request.algorithm = MolqAlgorithm::kSsc;
-  const ServeResponse ssc = engine.Solve(request);
+  request.op = SolveSpec{MolqAlgorithm::kSsc, 1};
+  const ServeResponse ssc = engine.Handle(request);
   ASSERT_EQ(ssc.status, ServeStatus::kOk);
   ASSERT_EQ(ssc.answers.size(), 1u);
   for (const PoiRef& poi : ssc.answers[0].group) {
     EXPECT_TRUE(poi.set == 1 || poi.set == 2) << poi.set;
   }
-  request.algorithm = MolqAlgorithm::kRrb;
-  const ServeResponse rrb = engine.Solve(request);
+  request.op = SolveSpec{MolqAlgorithm::kRrb, 1};
+  const ServeResponse rrb = engine.Handle(request);
   ASSERT_EQ(rrb.status, ServeStatus::kOk);
   // SSC is exact; RRB is epsilon-approximate. Same combination, near cost.
   ASSERT_EQ(ssc.answers[0].group.size(), rrb.answers[0].group.size());
@@ -476,19 +598,18 @@ TEST(ServeEngineTest, SscMatchesMovdAlgorithmsAndRemapsGroups) {
               1e-2 * ssc.answers[0].cost + 1e-6);
 
   // SSC serves k=1 only.
-  request.algorithm = MolqAlgorithm::kSsc;
-  request.topk = 2;
-  EXPECT_EQ(engine.Solve(request).status, ServeStatus::kInvalidRequest);
+  request.op = SolveSpec{MolqAlgorithm::kSsc, 2};
+  EXPECT_EQ(engine.Handle(request).status, ServeStatus::kInvalidRequest);
 }
 
 TEST(ServeEngineTest, TopKMatchesDirectRanking) {
   const MolqQuery query = TestQuery({20, 20}, 23);
   QueryEngine engine;
   engine.RegisterDataset("d", query, kBounds);
-  ServeRequest request;
+  EngineRequest request;
   request.dataset = "d";
-  request.topk = 3;
-  const ServeResponse resp = engine.Solve(request);
+  request.op = SolveSpec{MolqAlgorithm::kRrb, 3};
+  const ServeResponse resp = engine.Handle(request);
   ASSERT_EQ(resp.status, ServeStatus::kOk);
   ASSERT_EQ(resp.answers.size(), 3u);
   EXPECT_LE(resp.answers[0].cost, resp.answers[1].cost);
@@ -508,25 +629,25 @@ TEST(ServeEngineTest, TopKMatchesDirectRanking) {
 TEST(ServeEngineTest, InvalidRequestsAreStructuredErrors) {
   QueryEngine engine;
   engine.RegisterDataset("d", TestQuery({5, 5}, 3), kBounds);
-  ServeRequest request;
+  EngineRequest request;
   request.dataset = "nope";
-  ServeResponse resp = engine.Solve(request);
+  ServeResponse resp = engine.Handle(request);
   EXPECT_EQ(resp.status, ServeStatus::kInvalidRequest);
   EXPECT_NE(resp.error.find("unknown dataset"), std::string::npos);
   EXPECT_TRUE(resp.answers.empty());
 
   request.dataset = "d";
   request.layers = {0, 5};
-  resp = engine.Solve(request);
+  resp = engine.Handle(request);
   EXPECT_EQ(resp.status, ServeStatus::kInvalidRequest);
   EXPECT_NE(resp.error.find("out of range"), std::string::npos);
 
   request.layers.clear();
-  request.topk = 0;
-  EXPECT_EQ(engine.Solve(request).status, ServeStatus::kInvalidRequest);
-  request.topk = 1;
+  request.op = SolveSpec{MolqAlgorithm::kRrb, 0};
+  EXPECT_EQ(engine.Handle(request).status, ServeStatus::kInvalidRequest);
+  request.op = SolveSpec{MolqAlgorithm::kRrb, 1};
   request.epsilon = 0.0;
-  EXPECT_EQ(engine.Solve(request).status, ServeStatus::kInvalidRequest);
+  EXPECT_EQ(engine.Handle(request).status, ServeStatus::kInvalidRequest);
   EXPECT_EQ(engine.metrics().invalid(), 4u);
   EXPECT_EQ(engine.metrics().ok(), 0u);
 }
@@ -536,11 +657,11 @@ TEST(ServeEngineTest, DeadlineExceededReturnsNoPartialAnswer) {
   const MolqQuery query = TestQuery({80, 80, 80}, 31);
   QueryEngine engine;
   engine.RegisterDataset("d", query, kBounds);
-  ServeRequest request;
+  EngineRequest request;
   request.dataset = "d";
   request.epsilon = 1e-4;
   request.deadline_ms = 0.001;
-  const ServeResponse timed_out = engine.Solve(request);
+  const ServeResponse timed_out = engine.Handle(request);
   EXPECT_EQ(timed_out.status, ServeStatus::kDeadlineExceeded);
   EXPECT_TRUE(timed_out.answers.empty());
   EXPECT_FALSE(timed_out.error.empty());
@@ -549,7 +670,7 @@ TEST(ServeEngineTest, DeadlineExceededReturnsNoPartialAnswer) {
   // The aborted build poisoned nothing: the same request without a
   // deadline matches the cold pipeline exactly.
   request.deadline_ms = 0.0;
-  const ServeResponse full = engine.Solve(request);
+  const ServeResponse full = engine.Handle(request);
   ASSERT_EQ(full.status, ServeStatus::kOk);
   MolqOptions opts;
   opts.algorithm = MolqAlgorithm::kRrb;
@@ -567,13 +688,13 @@ TEST(ServeEngineTest, ConcurrentBatchedRequestsStayDeterministic) {
   engine.RegisterDataset("d", query, kBounds);
 
   // Reference answers for three distinct request shapes, solved serially.
-  std::vector<ServeRequest> shapes(3);
+  std::vector<EngineRequest> shapes(3);
   for (auto& s : shapes) s.dataset = "d";
   shapes[1].layers = {0, 1};
-  shapes[2].algorithm = MolqAlgorithm::kMbrb;
+  shapes[2].op = SolveSpec{MolqAlgorithm::kMbrb, 1};
   std::vector<ServeResponse> reference;
   for (const auto& s : shapes) {
-    reference.push_back(engine.Solve(s));
+    reference.push_back(engine.Handle(s));
     ASSERT_EQ(reference.back().status, ServeStatus::kOk);
   }
 
@@ -582,9 +703,9 @@ TEST(ServeEngineTest, ConcurrentBatchedRequestsStayDeterministic) {
   constexpr int kRounds = 8;
   for (int round = 0; round < kRounds; ++round) {
     for (size_t s = 0; s < shapes.size(); ++s) {
-      ServeRequest request = shapes[s];
+      EngineRequest request = shapes[s];
       request.id = std::to_string(round) + ":" + std::to_string(s);
-      futures.push_back(engine.SubmitAsync(std::move(request)));
+      futures.push_back(engine.HandleAsync(std::move(request)));
     }
   }
   for (size_t i = 0; i < futures.size(); ++i) {
@@ -602,10 +723,10 @@ TEST(ServeEngineTest, CacheDisabledEngineStaysCorrect) {
   options.cache_bytes = 0;
   QueryEngine engine(options);
   engine.RegisterDataset("d", query, kBounds);
-  ServeRequest request;
+  EngineRequest request;
   request.dataset = "d";
-  const ServeResponse first = engine.Solve(request);
-  const ServeResponse second = engine.Solve(request);
+  const ServeResponse first = engine.Handle(request);
+  const ServeResponse second = engine.Handle(request);
   ASSERT_EQ(first.status, ServeStatus::kOk);
   ASSERT_EQ(second.status, ServeStatus::kOk);
   EXPECT_FALSE(first.cache_hit);
@@ -617,13 +738,13 @@ TEST(ServeEngineTest, CacheDisabledEngineStaysCorrect) {
 TEST(ServeEngineTest, WarmStartRoundTripServesIdenticalAnswersFromCache) {
   const MolqQuery query = TestQuery({20, 20}, 61);
   const std::string dir = TmpDir("warm");
-  ServeRequest request;
+  EngineRequest request;
   request.dataset = "d";
   ServeResponse cold;
   {
     QueryEngine engine;
     engine.RegisterDataset("d", query, kBounds);
-    cold = engine.Solve(request);
+    cold = engine.Handle(request);
     ASSERT_EQ(cold.status, ServeStatus::kOk);
     const Status saved = engine.SaveCache(dir);
     ASSERT_TRUE(saved.ok()) << saved.ToString();
@@ -634,7 +755,7 @@ TEST(ServeEngineTest, WarmStartRoundTripServesIdenticalAnswersFromCache) {
   EXPECT_TRUE(load.status.ok()) << load.status.ToString();
   EXPECT_GE(load.loaded, 3u);  // two basics + one overlay
   EXPECT_EQ(load.failed, 0u);
-  const ServeResponse warm = warm_engine.Solve(request);
+  const ServeResponse warm = warm_engine.Handle(request);
   ASSERT_EQ(warm.status, ServeStatus::kOk);
   // The very first request after a warm start hits the persisted overlay.
   EXPECT_TRUE(warm.cache_hit);
@@ -644,13 +765,13 @@ TEST(ServeEngineTest, WarmStartRoundTripServesIdenticalAnswersFromCache) {
 TEST(ServeEngineTest, WarmStartSkipsCorruptArtifacts) {
   const MolqQuery query = TestQuery({15, 15}, 67);
   const std::string dir = TmpDir("corrupt");
-  ServeRequest request;
+  EngineRequest request;
   request.dataset = "d";
   ServeResponse cold;
   {
     QueryEngine engine;
     engine.RegisterDataset("d", query, kBounds);
-    cold = engine.Solve(request);
+    cold = engine.Handle(request);
     ASSERT_EQ(cold.status, ServeStatus::kOk);
     const Status saved = engine.SaveCache(dir);
     ASSERT_TRUE(saved.ok()) << saved.ToString();
@@ -671,9 +792,27 @@ TEST(ServeEngineTest, WarmStartSkipsCorruptArtifacts) {
   EXPECT_EQ(load.failed, 1u);
   EXPECT_GE(load.loaded, 2u);
   // The engine still answers correctly, rebuilding what was damaged.
-  const ServeResponse resp = engine.Solve(request);
+  const ServeResponse resp = engine.Handle(request);
   ASSERT_EQ(resp.status, ServeStatus::kOk);
   ExpectAnswersEqual(cold.answers, resp.answers);
+}
+
+TEST(ServeEngineTest, UnknownDatasetStatusCodes) {
+  // Queries on an unknown dataset are invalid requests; a mutation of one
+  // has nothing to mutate.
+  QueryEngine engine;
+  EngineRequest solve;
+  solve.dataset = "missing";
+  EXPECT_EQ(engine.Handle(solve).status, ServeStatus::kInvalidRequest);
+  EngineRequest skyline = solve;
+  skyline.op = SkylineSpec{MolqAlgorithm::kRrb};
+  EXPECT_EQ(engine.Handle(skyline).status, ServeStatus::kInvalidRequest);
+  SiteMutation insert;
+  insert.layer = 0;
+  insert.location = Point{1, 1};
+  EngineRequest ins = solve;
+  ins.op = insert;
+  EXPECT_EQ(engine.Handle(ins).status, ServeStatus::kNotFound);
 }
 
 TEST(ServeEngineTest, LoadCacheReportsMissingDirectory) {
@@ -682,6 +821,123 @@ TEST(ServeEngineTest, LoadCacheReportsMissingDirectory) {
   EXPECT_FALSE(load.status.ok());
   EXPECT_EQ(load.status.code(), StatusCode::kIoError);
   EXPECT_EQ(load.loaded, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// The determinism sweep: one transcript per (threads, cache) setting
+
+/// The deterministic transcript entry for one response: status, snapshot
+/// version, and — for queries — the timing-free answer JSON resolved
+/// through the pinned snapshot. Mutation responses contribute their
+/// version and layer patch size, but not the patched/dropped artifact
+/// counts: those count what the cache held, which use_cache=0 leaves
+/// empty.
+std::string TranscriptEntry(const ServeResponse& resp) {
+  std::string entry = ServeStatusName(resp.status);
+  entry += "/v" + std::to_string(resp.version);
+  if (resp.status != ServeStatus::kOk) return entry;
+  if (resp.is_mutation) {
+    return entry + "/cells" + std::to_string(resp.mutation.recomputed_cells);
+  }
+  EXPECT_NE(resp.snapshot, nullptr);
+  return entry + "/" + ResponseJson(resp.snapshot->query, resp, false);
+}
+
+/// Runs the five query verbs plus an INSERT/DELETE interleaving through
+/// one engine, every query at `threads` and `use_cache`, and returns the
+/// transcript.
+std::vector<std::string> RunScript(QueryEngine* engine, int threads,
+                                   bool use_cache) {
+  std::vector<std::string> transcript;
+  const auto envelope = [&](const std::string& id) {
+    EngineRequest request;
+    request.id = id;
+    request.dataset = "ds";
+    request.exec.threads = threads;
+    request.use_cache = use_cache;
+    return request;
+  };
+  const auto run = [&](const EngineRequest& request) {
+    transcript.push_back(TranscriptEntry(engine->Handle(request)));
+  };
+
+  EngineRequest solve = envelope("solve");
+  solve.layers = {0, 1};
+  solve.op = SolveSpec{MolqAlgorithm::kRrb, 2};
+  run(solve);
+
+  EngineRequest skyline = envelope("skyline");
+  skyline.op = SkylineSpec{MolqAlgorithm::kRrb};
+  run(skyline);
+
+  EngineRequest diverse = envelope("diverse");
+  diverse.op = DiverseSpec{MolqAlgorithm::kRrb, 2, 8.0};
+  run(diverse);
+
+  EngineRequest constrain = envelope("constrain");
+  constrain.layers = {0, 2};
+  ConstrainSpec spec;
+  spec.constraint.boundary =
+      Polygon({{20, 20}, {80, 20}, {80, 80}, {20, 80}});
+  constrain.op = spec;
+  run(constrain);
+
+  EngineRequest whatif = envelope("whatif");
+  whatif.layers = {0, 1};
+  whatif.op = WhatIfSpec{MolqAlgorithm::kRrb, 2, {{1.0, 1.0}, {1.5, 0.5}}};
+  run(whatif);
+
+  // Mutations interleave: insert, re-query, delete, re-query. With the
+  // cache on, the re-queries read patched overlays; with it off, overlays
+  // rebuilt from the mutated snapshot. Both must give the same bytes.
+  SiteMutation insert;
+  insert.kind = MutationKind::kInsert;
+  insert.layer = 0;
+  insert.location = Point{33.25, 61.75};
+  EngineRequest ins = envelope("ins");
+  ins.op = insert;
+  run(ins);
+
+  run(solve);
+  run(skyline);
+
+  SiteMutation erase = insert;
+  erase.kind = MutationKind::kDelete;
+  EngineRequest del = envelope("del");
+  del.op = erase;
+  run(del);
+
+  run(skyline);
+  run(whatif);
+  return transcript;
+}
+
+TEST(ServeDeterminismTest, AnswersBitIdenticalAcrossThreadCounts) {
+  QueryEngineOptions options;
+  options.workers = 2;
+  options.exec.weighted_grid_resolution = 64;
+  for (uint64_t seed = 1; seed <= 24; ++seed) {
+    const MolqQuery query = TestQuery({10, 8, 7}, seed);
+    std::vector<std::string> baseline;
+    for (const bool use_cache : {true, false}) {
+      for (const int threads : {1, 2, 4, 7}) {
+        QueryEngine engine(options);
+        engine.RegisterDataset("ds", query, kBounds);
+        const std::vector<std::string> transcript =
+            RunScript(&engine, threads, use_cache);
+        if (baseline.empty()) {
+          baseline = transcript;
+          continue;
+        }
+        ASSERT_EQ(transcript.size(), baseline.size());
+        for (size_t i = 0; i < transcript.size(); ++i) {
+          EXPECT_EQ(transcript[i], baseline[i])
+              << "seed " << seed << ", threads " << threads << ", cache "
+              << use_cache << ", step " << i;
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

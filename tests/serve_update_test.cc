@@ -13,6 +13,7 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <variant>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -65,14 +66,15 @@ void ApplyToQuery(MolqQuery* query, const SiteMutation& mut) {
   FAIL() << "ApplyToQuery: deleting an absent object";
 }
 
-ServeRequest MutationRequest(const std::string& dataset, MutationKind kind,
-                             int32_t layer, Point location) {
-  ServeRequest req;
+EngineRequest MutationRequest(const std::string& dataset, MutationKind kind,
+                              int32_t layer, Point location) {
+  SiteMutation mutation;
+  mutation.kind = kind;
+  mutation.layer = layer;
+  mutation.location = location;
+  EngineRequest req;
   req.dataset = dataset;
-  req.mutate = true;
-  req.mutation.kind = kind;
-  req.mutation.layer = layer;
-  req.mutation.location = location;
+  req.op = mutation;
   req.cost_units = 4;
   return req;
 }
@@ -88,56 +90,57 @@ std::string AnswerBytes(const ServeResponse& resp) {
 
 TEST(ServeUpdateProtocolTest, ParsesInsertAndDeleteLines) {
   ServeVerb verb;
-  ServeRequest request;
-  ASSERT_TRUE(ParseRequestLine("INSERT id=m1 dataset=d layer=1 x=10.5 y=2.25",
+  EngineRequest request;
+  ASSERT_TRUE(ParseRequest("INSERT id=m1 dataset=d layer=1 x=10.5 y=2.25",
                                &verb, &request)
                   .ok());
   EXPECT_EQ(verb, ServeVerb::kSolve);
-  EXPECT_TRUE(request.mutate);
-  EXPECT_EQ(request.mutation.kind, MutationKind::kInsert);
-  EXPECT_EQ(request.mutation.layer, 1);
-  EXPECT_EQ(request.mutation.location.x, 10.5);
-  EXPECT_EQ(request.mutation.location.y, 2.25);
+  ASSERT_TRUE(IsMutation(request));
+  const SiteMutation& insert = std::get<SiteMutation>(request.op);
+  EXPECT_EQ(insert.kind, MutationKind::kInsert);
+  EXPECT_EQ(insert.layer, 1);
+  EXPECT_EQ(insert.location.x, 10.5);
+  EXPECT_EQ(insert.location.y, 2.25);
   EXPECT_EQ(request.cost_units, FindVerb("INSERT")->cost_units);
 
-  ASSERT_TRUE(ParseRequestLine("delete dataset=d layer=0 x=3 y=4", &verb,
+  ASSERT_TRUE(ParseRequest("delete dataset=d layer=0 x=3 y=4", &verb,
                                &request)
                   .ok());
-  EXPECT_TRUE(request.mutate);
-  EXPECT_EQ(request.mutation.kind, MutationKind::kDelete);
+  ASSERT_TRUE(IsMutation(request));
+  EXPECT_EQ(std::get<SiteMutation>(request.op).kind, MutationKind::kDelete);
 }
 
 TEST(ServeUpdateProtocolTest, RejectsMalformedMutationLines) {
   ServeVerb verb;
-  ServeRequest request;
+  EngineRequest request;
   // layer/x/y are all required.
   EXPECT_FALSE(
-      ParseRequestLine("INSERT dataset=d layer=0 x=1", &verb, &request).ok());
+      ParseRequest("INSERT dataset=d layer=0 x=1", &verb, &request).ok());
   EXPECT_FALSE(
-      ParseRequestLine("INSERT dataset=d x=1 y=2", &verb, &request).ok());
+      ParseRequest("INSERT dataset=d x=1 y=2", &verb, &request).ok());
   // Query vocabulary does not apply to mutations.
-  EXPECT_FALSE(ParseRequestLine("INSERT dataset=d layer=0 x=1 y=2 layers=0",
+  EXPECT_FALSE(ParseRequest("INSERT dataset=d layer=0 x=1 y=2 layers=0",
                                 &verb, &request)
                    .ok());
-  EXPECT_FALSE(ParseRequestLine("DELETE dataset=d layer=0 x=1 y=2 k=2", &verb,
+  EXPECT_FALSE(ParseRequest("DELETE dataset=d layer=0 x=1 y=2 k=2", &verb,
                                 &request)
                    .ok());
   // Layer indices are non-negative; coordinates must be finite.
-  EXPECT_FALSE(ParseRequestLine("DELETE dataset=d layer=-1 x=1 y=2", &verb,
+  EXPECT_FALSE(ParseRequest("DELETE dataset=d layer=-1 x=1 y=2", &verb,
                                 &request)
                    .ok());
-  EXPECT_FALSE(ParseRequestLine("INSERT dataset=d layer=0 x=nan y=2", &verb,
+  EXPECT_FALSE(ParseRequest("INSERT dataset=d layer=0 x=nan y=2", &verb,
                                 &request)
                    .ok());
   // Mutation vocabulary does not leak into queries either.
   EXPECT_FALSE(
-      ParseRequestLine("SOLVE dataset=d layer=0", &verb, &request).ok());
+      ParseRequest("SOLVE dataset=d layer=0", &verb, &request).ok());
 }
 
 TEST(ServeUpdateProtocolTest, UnknownVerbIsUnsupportedNotInvalid) {
   ServeVerb verb;
-  ServeRequest request;
-  const Status status = ParseRequestLine("FROBNICATE dataset=d", &verb,
+  EngineRequest request;
+  const Status status = ParseRequest("FROBNICATE dataset=d", &verb,
                                          &request);
   EXPECT_EQ(status.code(), StatusCode::kUnsupportedVerb);
   // The error names the protocol version and points at HELP.
@@ -162,9 +165,9 @@ TEST(ServeUpdateProtocolTest, RegistryDrivesParsingAndHelp) {
   EXPECT_GT(FindVerb("INSERT")->cost_units, FindVerb("SOLVE")->cost_units);
   // Control verbs take no arguments.
   ServeVerb verb;
-  ServeRequest request;
-  EXPECT_FALSE(ParseRequestLine("PING x=1", &verb, &request).ok());
-  ASSERT_TRUE(ParseRequestLine("HELP", &verb, &request).ok());
+  EngineRequest request;
+  EXPECT_FALSE(ParseRequest("PING x=1", &verb, &request).ok());
+  ASSERT_TRUE(ParseRequest("HELP", &verb, &request).ok());
   EXPECT_EQ(verb, ServeVerb::kHelp);
 }
 
@@ -176,14 +179,14 @@ TEST(ServeUpdateEngineTest, InsertPublishesVersionAndMatchesColdPipeline) {
   QueryEngine engine;
   engine.RegisterDataset("d", query, kBounds);
 
-  ServeRequest solve;
+  EngineRequest solve;
   solve.dataset = "d";
-  const ServeResponse before = engine.Solve(solve);
+  const ServeResponse before = engine.Handle(solve);
   ASSERT_EQ(before.status, ServeStatus::kOk) << before.error;
   EXPECT_EQ(before.version, 1u);
 
   const SiteMutation mut{MutationKind::kInsert, 1, {37.5, 61.25}};
-  const ServeResponse applied = engine.Solve(
+  const ServeResponse applied = engine.Handle(
       MutationRequest("d", mut.kind, mut.layer, mut.location));
   ASSERT_EQ(applied.status, ServeStatus::kOk) << applied.error;
   EXPECT_TRUE(applied.is_mutation);
@@ -192,7 +195,7 @@ TEST(ServeUpdateEngineTest, InsertPublishesVersionAndMatchesColdPipeline) {
   EXPECT_GT(applied.mutation.recomputed_cells, 0u);
   ApplyToQuery(&query, mut);
 
-  const ServeResponse after = engine.Solve(solve);
+  const ServeResponse after = engine.Handle(solve);
   ASSERT_EQ(after.status, ServeStatus::kOk) << after.error;
   EXPECT_EQ(after.version, 2u);
 
@@ -200,7 +203,7 @@ TEST(ServeUpdateEngineTest, InsertPublishesVersionAndMatchesColdPipeline) {
   // built directly on the mutated dataset.
   QueryEngine cold;
   cold.RegisterDataset("d", query, kBounds);
-  const ServeResponse rebuilt = cold.Solve(solve);
+  const ServeResponse rebuilt = cold.Handle(solve);
   ASSERT_EQ(rebuilt.status, ServeStatus::kOk) << rebuilt.error;
   EXPECT_EQ(AnswerBytes(after), AnswerBytes(rebuilt));
   EXPECT_EQ(engine.metrics().mutations(), 1u);
@@ -212,21 +215,21 @@ TEST(ServeUpdateEngineTest, DeleteMatchesColdPipelineAndPatchesOverlays) {
   engine.RegisterDataset("d", query, kBounds);
 
   // Warm the all-layer overlay so the mutation has artifacts to patch.
-  ServeRequest solve;
+  EngineRequest solve;
   solve.dataset = "d";
-  ASSERT_EQ(engine.Solve(solve).status, ServeStatus::kOk);
-  ASSERT_TRUE(engine.Solve(solve).cache_hit);
+  ASSERT_EQ(engine.Handle(solve).status, ServeStatus::kOk);
+  ASSERT_TRUE(engine.Handle(solve).cache_hit);
 
   const SiteMutation mut{MutationKind::kDelete, 0,
                          query.sets[0].objects[5].location};
-  const ServeResponse applied = engine.Solve(
+  const ServeResponse applied = engine.Handle(
       MutationRequest("d", mut.kind, mut.layer, mut.location));
   ASSERT_EQ(applied.status, ServeStatus::kOk) << applied.error;
   EXPECT_GT(applied.mutation.patched_artifacts, 0u);
   ApplyToQuery(&query, mut);
 
   // The patched overlay serves the new version straight from cache...
-  const ServeResponse after = engine.Solve(solve);
+  const ServeResponse after = engine.Handle(solve);
   ASSERT_EQ(after.status, ServeStatus::kOk) << after.error;
   EXPECT_EQ(after.version, 2u);
   EXPECT_TRUE(after.cache_hit);
@@ -234,7 +237,7 @@ TEST(ServeUpdateEngineTest, DeleteMatchesColdPipelineAndPatchesOverlays) {
   // ...with bytes identical to a cold rebuild of the mutated dataset.
   QueryEngine cold;
   cold.RegisterDataset("d", query, kBounds);
-  const ServeResponse rebuilt = cold.Solve(solve);
+  const ServeResponse rebuilt = cold.Handle(solve);
   ASSERT_EQ(rebuilt.status, ServeStatus::kOk) << rebuilt.error;
   EXPECT_EQ(AnswerBytes(after), AnswerBytes(rebuilt));
 }
@@ -248,9 +251,9 @@ TEST(ServeUpdateEngineTest, MutationScriptUnderAuditMatchesColdPipeline) {
   options.exec.audit = true;
   QueryEngine engine(options);
   engine.RegisterDataset("d", query, kBounds);
-  ServeRequest solve;
+  EngineRequest solve;
   solve.dataset = "d";
-  ASSERT_EQ(engine.Solve(solve).status, ServeStatus::kOk);
+  ASSERT_EQ(engine.Handle(solve).status, ServeStatus::kOk);
 
   Rng rng(404);
   for (int step = 0; step < 10; ++step) {
@@ -264,7 +267,7 @@ TEST(ServeUpdateEngineTest, MutationScriptUnderAuditMatchesColdPipeline) {
       mut.kind = MutationKind::kInsert;
       mut.location = {rng.Uniform(6, 94), rng.Uniform(6, 94)};
     }
-    const ServeResponse applied = engine.Solve(
+    const ServeResponse applied = engine.Handle(
         MutationRequest("d", mut.kind, mut.layer, mut.location));
     ASSERT_EQ(applied.status, ServeStatus::kOk)
         << "step " << step << ": " << applied.error;
@@ -272,11 +275,11 @@ TEST(ServeUpdateEngineTest, MutationScriptUnderAuditMatchesColdPipeline) {
     ASSERT_EQ(applied.version, static_cast<uint64_t>(step) + 2);
   }
 
-  const ServeResponse after = engine.Solve(solve);
+  const ServeResponse after = engine.Handle(solve);
   ASSERT_EQ(after.status, ServeStatus::kOk) << after.error;
   QueryEngine cold;
   cold.RegisterDataset("d", query, kBounds);
-  const ServeResponse rebuilt = cold.Solve(solve);
+  const ServeResponse rebuilt = cold.Handle(solve);
   ASSERT_EQ(rebuilt.status, ServeStatus::kOk) << rebuilt.error;
   EXPECT_EQ(AnswerBytes(after), AnswerBytes(rebuilt));
 }
@@ -288,31 +291,31 @@ TEST(ServeUpdateEngineTest, MutationErrorsAreStructured) {
 
   // Unknown dataset.
   EXPECT_EQ(engine
-                .Solve(MutationRequest("nope", MutationKind::kInsert, 0,
+                .Handle(MutationRequest("nope", MutationKind::kInsert, 0,
                                        {10, 10}))
                 .status,
             ServeStatus::kNotFound);
   // Layer out of range.
   EXPECT_EQ(engine
-                .Solve(MutationRequest("d", MutationKind::kInsert, 7,
+                .Handle(MutationRequest("d", MutationKind::kInsert, 7,
                                        {10, 10}))
                 .status,
             ServeStatus::kInvalidRequest);
   // Insert outside the world rectangle.
   EXPECT_EQ(engine
-                .Solve(MutationRequest("d", MutationKind::kInsert, 0,
+                .Handle(MutationRequest("d", MutationKind::kInsert, 0,
                                        {500, 10}))
                 .status,
             ServeStatus::kInvalidRequest);
   // Deleting an absent object.
   EXPECT_EQ(engine
-                .Solve(MutationRequest("d", MutationKind::kDelete, 0,
+                .Handle(MutationRequest("d", MutationKind::kDelete, 0,
                                        {1.5, 1.5}))
                 .status,
             ServeStatus::kNotFound);
   // Deleting a layer's last object would leave the dataset unservable.
   EXPECT_EQ(engine
-                .Solve(MutationRequest("d", MutationKind::kDelete, 1,
+                .Handle(MutationRequest("d", MutationKind::kDelete, 1,
                                        query.sets[1].objects[0].location))
                 .status,
             ServeStatus::kInvalidRequest);
@@ -332,7 +335,7 @@ TEST(ServeUpdateEngineTest, SnapshotsPinAndReRegistrationAdvancesVersions) {
   const size_t objects_before = pinned->query.sets[0].objects.size();
 
   ASSERT_EQ(engine
-                .Solve(MutationRequest("d", MutationKind::kInsert, 0,
+                .Handle(MutationRequest("d", MutationKind::kInsert, 0,
                                        {50.5, 50.5}))
                 .status,
             ServeStatus::kOk);
@@ -365,11 +368,11 @@ TEST(ServeUpdateStressTest, QueriesStayBitIdenticalPerVersionUnderMutation) {
   std::vector<std::thread> queriers;
   for (size_t t = 0; t < patterns.size(); ++t) {
     queriers.emplace_back([&, t]() {
-      ServeRequest req;
+      EngineRequest req;
       req.dataset = "d";
       req.layers = patterns[t];
       while (!done.load(std::memory_order_relaxed)) {
-        const ServeResponse resp = engine.Solve(req);
+        const ServeResponse resp = engine.Handle(req);
         if (resp.status != ServeStatus::kOk) {
           failures.fetch_add(1);
           continue;
@@ -404,7 +407,7 @@ TEST(ServeUpdateStressTest, QueriesStayBitIdenticalPerVersionUnderMutation) {
       mut.kind = MutationKind::kInsert;
       mut.location = {rng.Uniform(6, 94), rng.Uniform(6, 94)};
     }
-    const ServeResponse applied = engine.Solve(
+    const ServeResponse applied = engine.Handle(
         MutationRequest("d", mut.kind, mut.layer, mut.location));
     ASSERT_EQ(applied.status, ServeStatus::kOk)
         << "mutation " << i << ": " << applied.error;
@@ -423,11 +426,11 @@ TEST(ServeUpdateStressTest, QueriesStayBitIdenticalPerVersionUnderMutation) {
   QueryEngine cold;
   cold.RegisterDataset("d", query, kBounds);
   for (size_t t = 0; t < patterns.size(); ++t) {
-    ServeRequest req;
+    EngineRequest req;
     req.dataset = "d";
     req.layers = patterns[t];
-    const ServeResponse live = engine.Solve(req);
-    const ServeResponse rebuilt = cold.Solve(req);
+    const ServeResponse live = engine.Handle(req);
+    const ServeResponse rebuilt = cold.Handle(req);
     ASSERT_EQ(live.status, ServeStatus::kOk) << live.error;
     ASSERT_EQ(rebuilt.status, ServeStatus::kOk) << rebuilt.error;
     EXPECT_EQ(live.version, static_cast<uint64_t>(kMutations) + 1);
@@ -449,10 +452,10 @@ TEST(ServeUpdateAdmissionTest, QueueCostLimitShedsWithStructuredOverload) {
   // couple of cost units, so most of the burst must shed immediately.
   std::vector<std::future<ServeResponse>> futures;
   for (int i = 0; i < 32; ++i) {
-    ServeRequest req;
+    EngineRequest req;
     req.dataset = "d";
     req.use_cache = false;  // keep each solve genuinely expensive
-    futures.push_back(engine.SubmitAsync(std::move(req)));
+    futures.push_back(engine.HandleAsync(std::move(req)));
   }
   uint64_t ok = 0, shed = 0;
   for (std::future<ServeResponse>& f : futures) {
@@ -473,32 +476,40 @@ TEST(ServeUpdateAdmissionTest, QueueCostLimitShedsWithStructuredOverload) {
 TEST(ServeUpdateAdmissionTest, DelayBudgetShedsStaleQueueEntries) {
   QueryEngineOptions options;
   options.workers = 1;
-  // Generous enough that the front of the burst is admitted (dispatch
-  // latency is microseconds) but far below the time the single worker
-  // needs to drain the tail, which must therefore shed at dequeue.
   options.admission_delay_budget_ms = 20.0;
   QueryEngine engine(options);
   engine.RegisterDataset("d", OrdinaryQuery({60, 50}, 29), kBounds);
+  // A scripted queue clock: every read advances it by `step` ms. With one
+  // request in flight, the clock is read exactly twice per request (stamp
+  // at submit, then at dequeue), so the queue delay the worker sees is
+  // `step` however late the OS schedules it.
+  std::atomic<int64_t> now_ms{0};
+  std::atomic<int64_t> step_ms{0};
+  engine.SetQueueClockForTesting([&] {
+    return static_cast<double>(now_ms.fetch_add(step_ms.load()));
+  });
 
-  std::vector<std::future<ServeResponse>> futures;
-  for (int i = 0; i < 24; ++i) {
-    ServeRequest req;
+  uint64_t ok = 0, shed = 0;
+  for (int i = 0; i < 12; ++i) {
+    // Alternate a prompt dequeue (0 ms) with one past the budget (30 ms).
+    step_ms.store(i % 2 == 0 ? 0 : 30);
+    EngineRequest req;
     req.dataset = "d";
     req.use_cache = false;
-    futures.push_back(engine.SubmitAsync(std::move(req)));
-  }
-  uint64_t ok = 0, shed = 0;
-  for (std::future<ServeResponse>& f : futures) {
-    const ServeResponse resp = f.get();
-    if (resp.status == ServeStatus::kOk) {
+    const ServeResponse resp = engine.HandleAsync(std::move(req)).get();
+    if (i % 2 == 0) {
+      ASSERT_EQ(resp.status, ServeStatus::kOk) << resp.error;
       ++ok;
     } else {
       ASSERT_EQ(resp.status, ServeStatus::kOverloaded) << resp.error;
+      EXPECT_NE(resp.error.find("queue delay 30.0ms exceeded budget 20.0ms"),
+                std::string::npos)
+          << resp.error;
       ++shed;
     }
   }
-  EXPECT_GT(ok, 0u);
-  EXPECT_GT(shed, 0u);
+  EXPECT_EQ(ok, 6u);
+  EXPECT_EQ(shed, 6u);
   EXPECT_EQ(engine.metrics().shed(), shed);
 }
 

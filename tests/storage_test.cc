@@ -9,10 +9,8 @@
 
 #include "model/movd_model.h"
 #include "core/overlap.h"
-#include "storage/external_sort.h"
 #include "storage/io.h"
 #include "storage/movd_file.h"
-#include "storage/streaming_overlap.h"
 #include "util/rng.h"
 #include "voronoi/voronoi.h"
 
@@ -229,118 +227,6 @@ TEST(MovdFileTest, RejectsVersionMismatch) {
   EXPECT_FALSE(reader.Next().has_value());
   EXPECT_FALSE(LoadMovd(path).has_value());
   std::remove(path.c_str());
-}
-
-class ExternalSortTest : public ::testing::TestWithParam<size_t> {};
-
-TEST_P(ExternalSortTest, ProducesSweepOrderUnderBudget) {
-  const Movd movd = RandomBasicMovd(120, 0, 203);
-  const std::string in = Tmp("sortin.bin");
-  const std::string out = Tmp("sortout.bin");
-  ASSERT_TRUE(SaveMovd(in, movd));
-  ExternalSortStats stats;
-  ASSERT_TRUE(ExternalSortMovdFile(in, out, GetParam(), &stats));
-  EXPECT_EQ(stats.records, movd.ovrs.size());
-  const auto sorted = LoadMovd(out);
-  ASSERT_TRUE(sorted.has_value());
-  ASSERT_EQ(sorted->ovrs.size(), movd.ovrs.size());
-  for (size_t i = 1; i < sorted->ovrs.size(); ++i) {
-    EXPECT_GE(sorted->ovrs[i - 1].mbr.max_y, sorted->ovrs[i].mbr.max_y);
-  }
-  // Same multiset of OVRs.
-  EXPECT_EQ(Canonicalize(movd), Canonicalize(*sorted));
-  std::remove(in.c_str());
-  std::remove(out.c_str());
-}
-
-INSTANTIATE_TEST_SUITE_P(Budgets, ExternalSortTest,
-                         ::testing::Values(1 << 10,   // many runs
-                                           16 << 10,  // a few runs
-                                           1 << 30)); // single run
-
-TEST(ExternalSortTest, SpillsMultipleRunsUnderTinyBudget) {
-  const Movd movd = RandomBasicMovd(200, 0, 204);
-  const std::string in = Tmp("runs_in.bin");
-  const std::string out = Tmp("runs_out.bin");
-  ASSERT_TRUE(SaveMovd(in, movd));
-  ExternalSortStats stats;
-  ASSERT_TRUE(ExternalSortMovdFile(in, out, 2 << 10, &stats));
-  EXPECT_GT(stats.runs, 4u);
-  EXPECT_LE(stats.peak_bytes, (2u << 10) + 512u);  // budget + one record
-  std::remove(in.c_str());
-  std::remove(out.c_str());
-}
-
-class StreamingOverlapTest : public ::testing::TestWithParam<BoundaryMode> {};
-
-TEST_P(StreamingOverlapTest, MatchesInMemoryOverlap) {
-  const BoundaryMode mode = GetParam();
-  const Movd a = RandomBasicMovd(40, 0, 205);
-  const Movd b = RandomBasicMovd(55, 1, 206);
-  const Movd expected = Overlap(a, b, mode);
-
-  const std::string pa = Tmp("sa.bin"), pb = Tmp("sb.bin");
-  const std::string sa = Tmp("sa_sorted.bin"), sb = Tmp("sb_sorted.bin");
-  const std::string out = Tmp("stream_out.bin");
-  ASSERT_TRUE(SaveMovd(pa, a));
-  ASSERT_TRUE(SaveMovd(pb, b));
-  ASSERT_TRUE(ExternalSortMovdFile(pa, sa, 4 << 10));
-  ASSERT_TRUE(ExternalSortMovdFile(pb, sb, 4 << 10));
-
-  StreamingOverlapStats stats;
-  ASSERT_TRUE(StreamingOverlap(sa, sb, mode, out, &stats));
-  const auto got = LoadMovd(out);
-  ASSERT_TRUE(got.has_value());
-  EXPECT_EQ(Canonicalize(*got), Canonicalize(expected));
-  EXPECT_EQ(stats.output_ovrs, expected.ovrs.size());
-  // The sweep never holds everything at once (spatial data has bounded
-  // sweep width).
-  EXPECT_LT(stats.peak_active_ovrs, a.ovrs.size() + b.ovrs.size());
-  for (const auto& p : {pa, pb, sa, sb, out}) std::remove(p.c_str());
-}
-
-INSTANTIATE_TEST_SUITE_P(Modes, StreamingOverlapTest,
-                         ::testing::Values(BoundaryMode::kRealRegion,
-                                           BoundaryMode::kMbr));
-
-TEST(StreamingOverlapTest, RejectsUnsortedInput) {
-  Movd unsorted;
-  for (int i = 0; i < 3; ++i) {
-    Ovr ovr;
-    ovr.mbr = Rect(0, i * 10.0, 10, i * 10.0 + 5);  // ascending max_y
-    ovr.region = Region::FromRect(ovr.mbr);
-    ovr.pois = {{0, i}};
-    unsorted.ovrs.push_back(ovr);
-  }
-  const std::string pa = Tmp("uns_a.bin"), pb = Tmp("uns_b.bin");
-  const std::string out = Tmp("uns_out.bin");
-  ASSERT_TRUE(SaveMovd(pa, unsorted));
-  ASSERT_TRUE(SaveMovd(pb, unsorted));
-  EXPECT_FALSE(StreamingOverlap(pa, pb, BoundaryMode::kMbr, out, nullptr));
-  for (const auto& p : {pa, pb, out}) std::remove(p.c_str());
-}
-
-TEST(StreamingOverlapTest, PeakMemoryIsFractionOfInputOnTallData) {
-  // Many horizontal strips: at any sweep position only a couple are active.
-  Movd a, b;
-  for (int i = 0; i < 200; ++i) {
-    Ovr ovr;
-    ovr.mbr = Rect(0, 200.0 - i, 100, 200.0 - i + 0.9);
-    ovr.region = Region::FromRect(ovr.mbr);
-    ovr.pois = {{0, i}};
-    a.ovrs.push_back(ovr);
-    ovr.pois = {{1, i}};
-    b.ovrs.push_back(ovr);
-  }
-  const std::string pa = Tmp("tall_a.bin"), pb = Tmp("tall_b.bin");
-  const std::string out = Tmp("tall_out.bin");
-  ASSERT_TRUE(SaveMovd(pa, a));
-  ASSERT_TRUE(SaveMovd(pb, b));
-  StreamingOverlapStats stats;
-  ASSERT_TRUE(StreamingOverlap(pa, pb, BoundaryMode::kMbr, out, &stats));
-  EXPECT_LE(stats.peak_active_ovrs, 8u);
-  EXPECT_EQ(stats.output_ovrs, 200u);  // strips pair only with their twin
-  for (const auto& p : {pa, pb, out}) std::remove(p.c_str());
 }
 
 }  // namespace

@@ -22,7 +22,7 @@
 //
 // Requests ride the typed client library (serve/client.h): each loop
 // iteration builds an EngineRequest — the same typed form an in-process
-// Engine caller would build — and ServeClient::Call puts it on the wire
+// QueryEngine caller builds — and ServeClient::Call puts it on the wire
 // and parses the response back into a structured ClientResponse. No
 // protocol strings are assembled here; the wire format lives entirely in
 // serve/protocol.cc, on both sides of the socket.
@@ -44,11 +44,6 @@
 // vectors per layer pattern. All shapes are deterministic, so --check
 // applies to every query verb (mutations are excluded: their responses
 // are intentionally one-of-a-kind).
-//
-// Against a sharded server (movd_serve --shards=N) the final report adds
-// a per-shard table — one row per replica with its request and cache
-// counters, read from the "per_shard" array of the merged STATS body —
-// so cache-warmth skew across shard regions is visible at a glance.
 //
 // Exit status is non-zero on connection failures, protocol errors,
 // determinism mismatches, or (with --require_cache_hits) a cache that
@@ -424,32 +419,6 @@ uint64_t JsonCounter(const std::string& json, const std::string& name) {
   return std::strtoull(p, nullptr, 10);
 }
 
-/// The elements of the STATS body's "per_shard" array (present when the
-/// server runs sharded), split by brace depth. Empty when absent.
-std::vector<std::string> PerShardBodies(const std::string& json) {
-  std::vector<std::string> bodies;
-  const size_t key = json.find("\"per_shard\":");
-  if (key == std::string::npos) return bodies;
-  int depth = 0;
-  size_t begin = std::string::npos;
-  for (size_t pos = json.find('[', key) + 1; pos < json.size(); ++pos) {
-    const char c = json[pos];
-    if (c == '{') {
-      if (depth == 0) begin = pos;
-      ++depth;
-    } else if (c == '}') {
-      --depth;
-      if (depth == 0 && begin != std::string::npos) {
-        bodies.push_back(json.substr(begin, pos - begin + 1));
-        begin = std::string::npos;
-      }
-    } else if (c == ']' && depth == 0) {
-      break;
-    }
-  }
-  return bodies;
-}
-
 int Main(int argc, char** argv) {
   const Flags flags(argc, argv);
   LoadConfig cfg;
@@ -612,31 +581,7 @@ int Main(int argc, char** argv) {
   table.AddRow({"server mutations",
                 stats_ok ? std::to_string(server_mutations)
                          : "(unavailable)"});
-  const uint64_t server_shards =
-      stats_ok ? JsonCounter(stats_json, "shards") : 0;
-  if (server_shards > 1) {
-    table.AddRow({"server shards", std::to_string(server_shards)});
-  }
   table.Print(stdout);
-
-  // Sharded server: one row per replica, from the merged STATS body's
-  // per_shard array, so cache-warmth skew across shard regions shows up.
-  const std::vector<std::string> shard_bodies = PerShardBodies(stats_json);
-  if (!shard_bodies.empty()) {
-    Table shards({"shard", "requests", "ok", "mutations", "cache hits",
-                  "cache misses", "shed"});
-    for (size_t s = 0; s < shard_bodies.size(); ++s) {
-      const std::string& body = shard_bodies[s];
-      shards.AddRow({std::to_string(s),
-                     std::to_string(JsonCounter(body, "requests")),
-                     std::to_string(JsonCounter(body, "ok")),
-                     std::to_string(JsonCounter(body, "mutations")),
-                     std::to_string(JsonCounter(body, "cache_hits")),
-                     std::to_string(JsonCounter(body, "cache_misses")),
-                     std::to_string(JsonCounter(body, "shed"))});
-    }
-    shards.Print(stdout);
-  }
 
   if (mixed) {
     // Per-verb latency histogram: power-of-two millisecond buckets plus

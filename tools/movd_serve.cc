@@ -4,16 +4,14 @@
 //   movd_serve [--socket=/tmp/movd.sock]
 //       [--layers=3] [--count=400] [--world=10000] [--seed=1]
 //       [--inputs=a.csv,b.csv]
-//       [--cache_mb=256] [--workers=0] [--grid=128] [--shards=1]
+//       [--cache_mb=256] [--workers=0] [--grid=128]
 //       [--admit_cost_limit=0] [--admit_delay_ms=0]
 //       [--warm_dir=DIR] [--save_warm] [--trace=FILE]
 //
-// --shards=N serves every dataset from N spatially sharded engine replicas
-// (DESIGN.md §15): point-local verbs route to the shard owning their
-// region, SKYLINE/WHATIF scatter-gather, and mutations replicate to every
-// shard. Answers are bit-identical for any shard count; --cache_mb,
-// --workers and --admit_cost_limit are server totals divided across
-// shards. STATS returns the merged view plus a per-shard breakdown.
+// One QueryEngine serves every dataset: --workers requests run at once,
+// and each request's threads= argument parallelizes its own solve.
+// --warm_dir loads a SaveCache snapshot (manifest.txt plus MOVD files) at
+// start; --save_warm writes one there on exit.
 //
 // --trace=FILE traces every served request into one engine-wide trace and
 // writes it as Chrome trace_event JSON (chrome://tracing, Perfetto) on
@@ -46,7 +44,7 @@
 #include "data/csv.h"
 #include "data/generate.h"
 #include "serve/protocol.h"
-#include "serve/shard.h"
+#include "serve/query_engine.h"
 #include "trace/trace.h"
 #include "util/flags.h"
 
@@ -77,7 +75,7 @@ bool SendAll(int fd, const std::string& data) {
   return true;
 }
 
-void RegisterSynthetic(Engine* engine, int layers, size_t count,
+void RegisterSynthetic(QueryEngine* engine, int layers, size_t count,
                        double world_size, uint64_t seed) {
   const Rect world(0, 0, world_size, world_size);
   const auto& catalog = GeoNamesLikeCatalog();
@@ -99,7 +97,7 @@ void RegisterSynthetic(Engine* engine, int layers, size_t count,
   engine->RegisterDataset("synthetic", std::move(query), world);
 }
 
-bool RegisterCsv(Engine* engine, const std::string& csv_list) {
+bool RegisterCsv(QueryEngine* engine, const std::string& csv_list) {
   MolqQuery query;
   Rect world;
   size_t pos = 0;
@@ -131,7 +129,7 @@ bool RegisterCsv(Engine* engine, const std::string& csv_list) {
 
 /// Handles one protocol line; fills the response line (no trailing
 /// newline). Returns true when the whole server should shut down.
-bool ServeOneLine(Engine* engine, const std::string& line,
+bool ServeOneLine(QueryEngine* engine, const std::string& line,
                   std::string* out, bool* close_conn) {
   ServeVerb verb = ServeVerb::kPing;
   EngineRequest request;
@@ -162,9 +160,8 @@ bool ServeOneLine(Engine* engine, const std::string& line,
     case ServeVerb::kSolve:
       break;
   }
-  // HandleAsync + get: the connection thread blocks while the request is
-  // routed (or scattered) onto the engine's worker pools with everything
-  // else in flight.
+  // HandleAsync + get: the connection thread blocks while the request
+  // queues on the engine's worker pool with everything else in flight.
   const ServeResponse resp = engine->HandleAsync(std::move(request)).get();
   // Resolve answer group refs through the snapshot the response pinned —
   // never the engine's current one, which a concurrent mutation may have
@@ -174,7 +171,7 @@ bool ServeOneLine(Engine* engine, const std::string& line,
   return false;
 }
 
-int RunStdio(Engine* engine) {
+int RunStdio(QueryEngine* engine) {
   std::string line;
   while (!g_stop.load() && std::getline(std::cin, line)) {
     if (line.empty()) continue;
@@ -189,7 +186,7 @@ int RunStdio(Engine* engine) {
   return 0;
 }
 
-int RunSocket(Engine* engine, const std::string& path) {
+int RunSocket(QueryEngine* engine, const std::string& path) {
   const int listen_fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
   if (listen_fd < 0) {
     std::fprintf(stderr, "movd_serve: socket: %s\n", std::strerror(errno));
@@ -296,10 +293,7 @@ int Main(int argc, char** argv) {
   const std::string trace_path = flags.GetString("trace", "");
   Trace trace;
   if (!trace_path.empty()) options.exec.trace = &trace;
-  ShardedEngineOptions sharded;
-  sharded.shards = static_cast<int>(flags.GetInt("shards", 1));
-  sharded.engine = options;
-  ShardedEngine engine(sharded);
+  QueryEngine engine(options);
 
   const int layers = static_cast<int>(flags.GetInt("layers", 3));
   const size_t count = static_cast<size_t>(flags.GetInt("count", 400));

@@ -63,11 +63,3 @@ common=(--threads=2 --seed=42 --repetitions=7 --warmup=1)
 # on.
 "$build/bench/update_patch" "${common[@]}" --sizes=200,800 --updates=32 \
     --json="$out/BENCH_update.json"
-
-# Sharded-serving gates (DESIGN.md §15): single replica vs a 4-shard fleet
-# at equal total workers. The answer counts gate exactly (the sharding
-# contract makes them shard-count-invariant); the speedup_vs_s1 derived
-# ratios document the scatter-split win and local-throughput parity.
-"$build/bench/serve_shard" "${common[@]}" --sizes=24 --requests=240 \
-    --scatter_requests=8 --workers=8 --updates=8 \
-    --json="$out/BENCH_shard.json"
