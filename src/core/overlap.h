@@ -20,9 +20,9 @@ struct OverlapStats {
   uint64_t output_ovrs = 0;          ///< OVRs appended to the result
 };
 
-/// The overlap operation ⊕ (paper Eq. 22, Algorithms 2-4): plane-sweeps the
-/// two MOVDs top-to-bottom, pairing OVRs whose y-spans are simultaneously
-/// active and whose x-ranges overlap, then intersecting each pair with the
+/// The overlap operation ⊕ (paper Eq. 22, Algorithms 2-4): pairs the OVRs
+/// of the two MOVDs that a top-down plane sweep would find simultaneously
+/// active with overlapping x-ranges, then intersects each pair with the
 /// selected boundary handler:
 ///  - BoundaryMode::kRealRegion (RRB, Algorithm 3): real region
 ///    intersection; empty intersections are discarded.
@@ -30,24 +30,31 @@ struct OverlapStats {
 ///    x/y-range hit is emitted (false positives possible).
 /// Both operands must themselves carry the fields the mode needs.
 ///
-/// Runs in two phases: a serial sweep lists the candidate pairs in visiting
-/// order, then the handler runs over fixed chunks of 256 pairs on
-/// `threads` threads (0 = one per hardware thread) and the chunk outputs
-/// are concatenated in chunk order. The result and every OverlapStats
-/// counter are therefore bit-identical for every thread count.
+/// Runs as one parallel pass. Number the OVRs g (a's i is g = i, b's j is
+/// g = |a| + j); the *finders* are all OVRs in start order, by descending
+/// mbr.max_y, ties by ascending g. The partners of finder f are the OVRs p
+/// of the other operand that start before f, are still active when f
+/// starts (p.min_y <= f.max_y) and overlap f in x (closed ranges); a
+/// per-operand grid over the MBRs finds them. Output: for each finder in
+/// start order, its partners by (p.min_x, start order), each pair
+/// intersected as (f, p). That is the sweep's visiting order with the
+/// finder's region clipped first. Fixed chunks of 64 consecutive finders
+/// run on `threads` threads (0 = one per hardware thread) and the chunk
+/// outputs are concatenated in chunk order, so the result and every
+/// OverlapStats counter are bit-identical for every thread count; an
+/// uncancelled step counts events == 2 * (|a| + |b|).
 ///
-/// `cancel` (serving deadlines): polled once per 1024 sweep events and once
-/// per pair chunk. A fired token yields a truncated or empty MOVD — callers
-/// that pass a token MUST re-check it afterwards and discard the result
-/// when it fired, as SolveMolq does.
+/// `cancel` (serving deadlines): polled once per finder chunk and every
+/// 256 pairs within one. A fired token yields a truncated or empty MOVD —
+/// callers that pass a token MUST re-check it afterwards and discard the
+/// result when it fired, as SolveMolq does.
 ///
-/// `bound` (combination pruning, core/pruned_overlap.h): when set, the pair
-/// phase skips every pair whose merged combination the bound prunes,
-/// before clipping it, in both modes. Skipped pairs count in
-/// `pruned_pairs`, not in `region_intersections`, so an uncancelled RRB
-/// step has candidate_pairs == region_intersections + pruned_pairs. The
-/// output is the unpruned output with the pruned pairs' OVRs left out, in
-/// the same order.
+/// `bound` (combination pruning, core/pruned_overlap.h): when set, every
+/// pair whose merged combination the bound prunes is skipped before it is
+/// clipped, in both modes. Skipped pairs count in `pruned_pairs`, not in
+/// `region_intersections`, so an uncancelled RRB step has candidate_pairs
+/// == region_intersections + pruned_pairs. The output is the unpruned
+/// output with the pruned pairs' OVRs left out, in the same order.
 Movd Overlap(const Movd& a, const Movd& b, BoundaryMode mode,
              OverlapStats* stats = nullptr,
              const CancelToken* cancel = nullptr, int threads = 1,
@@ -68,13 +75,14 @@ std::vector<PoiRef> MergePois(const std::vector<PoiRef>& a,
                               const std::vector<PoiRef>& b);
 
 /// Reference implementation: the nested-loop O(n*m) overlap with the same
-/// semantics. Used by tests to validate the sweep.
+/// pairs, in a-major order with a's region clipped first. Tests sort its
+/// candidate set into Overlap's order to check Overlap bit for bit.
 Movd OverlapBruteForce(const Movd& a, const Movd& b, BoundaryMode mode);
 
-/// The per-pair boundary handler shared by the in-memory overlap, the brute
-/// force, and the disk-based streaming overlap: intersects one candidate
-/// pair under `mode` (Algorithm 3 line 5 vs Algorithm 4 line 5) and merges
-/// the poi lists. Returns false when the RRB intersection is empty.
+/// The per-pair boundary handler shared by Overlap and the brute force:
+/// intersects one candidate pair under `mode` (Algorithm 3 line 5 vs
+/// Algorithm 4 line 5) and merges the poi lists. Returns false when the RRB
+/// intersection is empty.
 bool IntersectOvrPair(const Ovr& x, const Ovr& y, BoundaryMode mode,
                       Ovr* out);
 

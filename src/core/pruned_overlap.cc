@@ -6,6 +6,7 @@
 
 #include "core/weighted_distance.h"
 #include "fermat/fermat_weber.h"
+#include "trace/trace.h"
 #include "util/check.h"
 
 namespace movd {
@@ -81,6 +82,9 @@ double CombinationLowerBound(const MolqQuery& query,
 CombinationBound::CombinationBound(const MolqQuery& query,
                                    const Rect& search_space, double epsilon)
     : threshold_(std::numeric_limits<double>::infinity()) {
+  // Its own span: inside SolveMolq it runs within "movd_overlap", before
+  // the first overlap step.
+  TRACE_SPAN("combination_bound");
   bool non_negative = true;
   set_begin_.reserve(query.sets.size());
   for (size_t s = 0; s < query.sets.size(); ++s) {

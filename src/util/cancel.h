@@ -10,10 +10,10 @@ namespace movd {
 ///
 /// A token fires either explicitly (Cancel()) or implicitly once its
 /// deadline passes. Pipeline loops poll Expired() at coarse checkpoints —
-/// once per SSC combination, per overlap event block and pair chunk, per
-/// Optimizer OVR — and unwind without producing an answer (never a partial
-/// one; see DESIGN.md section 8 for the serving deadline semantics built
-/// on top).
+/// once per SSC combination, per overlap finder chunk and every 256 pairs
+/// inside one, per Optimizer OVR — and unwind without producing an answer
+/// (never a partial one; see DESIGN.md section 8 for the serving deadline
+/// semantics built on top).
 ///
 /// Expired() latches: once it has returned true it keeps returning true,
 /// even if observed through a stale clock, so every stage of a pipeline

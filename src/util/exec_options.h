@@ -34,10 +34,11 @@ enum class WeightedMethod {
 /// or off, and with tracing on or off.
 struct ExecOptions {
   /// Degree of parallelism: per-set basic-MOVD builds, weighted-grid
-  /// dominance sampling, the overlap pair phase, and the Fermat–Weber
-  /// fan-outs (which share the §5.4 cost bound via an atomic CAS-min). 1 (default) keeps every stage
-  /// serial, so paper-reproduction numbers are unchanged unless opted in;
-  /// 0 means one thread per hardware thread.
+  /// dominance sampling, the overlap step's finder chunks, and the
+  /// Fermat–Weber fan-outs (which share the §5.4 cost bound via an atomic
+  /// CAS-min). 1 (default) keeps every stage serial, so paper-reproduction
+  /// numbers are unchanged unless opted in; 0 means one thread per
+  /// hardware thread.
   int threads = 1;
 
   /// Runs the structural invariant auditors (src/audit, DESIGN.md §7) as
@@ -60,10 +61,10 @@ struct ExecOptions {
 
   /// Cooperative cancellation (serving deadlines, DESIGN.md §8). When the
   /// token fires, the pipeline unwinds at its next checkpoint — between
-  /// stages, per SSC combination, per overlap event block and pair chunk, per Optimizer
-  /// OVR — and the entry point reports StatusCode::kCancelled with no
-  /// answer fields populated (never a partial answer). Null means run to
-  /// completion.
+  /// stages, per SSC combination, per overlap finder chunk and every 256
+  /// pairs inside one, per Optimizer OVR — and the entry point reports
+  /// StatusCode::kCancelled with no answer fields populated (never a
+  /// partial answer). Null means run to completion.
   const CancelToken* cancel = nullptr;
 
   /// Grid resolution used to approximate weighted Voronoi diagrams when a

@@ -1,11 +1,16 @@
 #include <algorithm>
+#include <cmath>
+#include <numeric>
+#include <tuple>
 
 #include <gtest/gtest.h>
 
 #include "model/movd_model.h"
 #include "core/molq.h"
 #include "core/overlap.h"
+#include "core/pruned_overlap.h"
 #include "movd_test_util.h"
+#include "trace/trace.h"
 #include "util/cancel.h"
 #include "util/rng.h"
 #include "voronoi/voronoi.h"
@@ -176,7 +181,7 @@ TEST(OverlapTest, TouchingMbrsPairInMbrMode) {
   EXPECT_TRUE(out_rrb.ovrs.empty());
 }
 
-// ---- Determinism of the chunked pair phase across thread counts ----------
+// ---- Determinism of the chunked overlap pass across thread counts --------
 //
 // Named OverlapParallel* so the TSan job's *Parallel* filter runs them.
 
@@ -234,7 +239,8 @@ std::pair<Movd, Movd> StripPairs(int count) {
   return {squares, strip};
 }
 
-MolqQuery WeightedQuery(size_t sets, size_t objects, uint64_t seed) {
+MolqQuery PointQuery(size_t sets, size_t objects, uint64_t seed,
+                     bool object_weights) {
   Rng rng(seed);
   MolqQuery query;
   for (size_t s = 0; s < sets; ++s) {
@@ -243,7 +249,9 @@ MolqQuery WeightedQuery(size_t sets, size_t objects, uint64_t seed) {
     for (size_t i = 0; i < objects; ++i) {
       SpatialObject obj;
       obj.location = {rng.Uniform(5, 95), rng.Uniform(5, 95)};
-      obj.object_weight = rng.Uniform(0.5, 2.5);  // forces weighted path
+      if (object_weights) {
+        obj.object_weight = rng.Uniform(0.5, 2.5);  // forces weighted path
+      }
       set.objects.push_back(obj);
     }
     query.sets.push_back(std::move(set));
@@ -251,14 +259,180 @@ MolqQuery WeightedQuery(size_t sets, size_t objects, uint64_t seed) {
   return query;
 }
 
-std::vector<Movd> WeightedBasicMovds(size_t sets, size_t objects,
-                                     uint64_t seed) {
-  const MolqQuery q = WeightedQuery(sets, objects, seed);
+MolqQuery WeightedQuery(size_t sets, size_t objects, uint64_t seed) {
+  return PointQuery(sets, objects, seed, true);
+}
+
+std::vector<Movd> BasicMovds(const MolqQuery& q) {
   std::vector<Movd> basic;
-  for (size_t s = 0; s < sets; ++s) {
+  for (size_t s = 0; s < q.sets.size(); ++s) {
     basic.push_back(BuildBasicMovd(q, static_cast<int32_t>(s), kBounds, 96));
   }
   return basic;
+}
+
+std::vector<Movd> WeightedBasicMovds(size_t sets, size_t objects,
+                                     uint64_t seed) {
+  return BasicMovds(WeightedQuery(sets, objects, seed));
+}
+
+// The documented order of Overlap, rebuilt from the brute force's
+// candidate set: every pair whose closed MBRs meet, keyed by (finder start
+// order, partner min_x, partner start order). An OVR's start order is
+// (max_y descending, g ascending) with g = i for a's OVR i and |a| + j for
+// b's OVR j, and a pair's finder is its later starter. Each pair is then
+// pruned by `bound` or clipped finder-first.
+struct OracleResult {
+  Movd movd;
+  OverlapStats stats;
+};
+
+OracleResult OracleOverlap(const Movd& a, const Movd& b, BoundaryMode mode,
+                           const CombinationBound* bound) {
+  const size_t na = a.ovrs.size();
+  const auto mbr = [&](size_t g) -> const Rect& {
+    return (g < na ? a.ovrs[g] : b.ovrs[g - na]).mbr;
+  };
+  std::vector<size_t> order(na + b.ovrs.size());
+  std::iota(order.begin(), order.end(), size_t{0});
+  std::sort(order.begin(), order.end(), [&](size_t x, size_t y) {
+    if (mbr(x).max_y != mbr(y).max_y) return mbr(x).max_y > mbr(y).max_y;
+    return x < y;
+  });
+  std::vector<size_t> rank(order.size());
+  for (size_t k = 0; k < order.size(); ++k) rank[order[k]] = k;
+
+  // (finder rank, partner min_x, partner rank, a index, b index). A tuple
+  // compares doubles with <, so -0.0 and +0.0 tie, as in a std::multimap.
+  using Key = std::tuple<size_t, double, size_t, size_t, size_t>;
+  std::vector<Key> pairs;
+  for (size_t i = 0; i < na; ++i) {
+    for (size_t j = 0; j < b.ovrs.size(); ++j) {
+      if (!a.ovrs[i].mbr.Intersects(b.ovrs[j].mbr)) continue;
+      const size_t gi = i, gj = na + j;
+      const bool a_finds = rank[gi] > rank[gj];
+      const size_t partner = a_finds ? gj : gi;
+      pairs.emplace_back(std::max(rank[gi], rank[gj]), mbr(partner).min_x,
+                         rank[partner], i, j);
+    }
+  }
+  std::sort(pairs.begin(), pairs.end());
+
+  OracleResult r;
+  r.stats.events = 2 * order.size();
+  r.stats.candidate_pairs = pairs.size();
+  for (const Key& key : pairs) {
+    const size_t i = std::get<3>(key);
+    const Ovr& x = a.ovrs[i];
+    const Ovr& y = b.ovrs[std::get<4>(key)];
+    if (bound != nullptr && bound->Prunes(x.pois, y.pois)) {
+      ++r.stats.pruned_pairs;
+      continue;
+    }
+    if (mode == BoundaryMode::kRealRegion) ++r.stats.region_intersections;
+    Ovr out;
+    const bool a_finds = std::get<0>(key) == rank[i];
+    if (a_finds ? IntersectOvrPair(x, y, mode, &out)
+                : IntersectOvrPair(y, x, mode, &out)) {
+      r.movd.ovrs.push_back(std::move(out));
+    }
+  }
+  r.stats.output_ovrs = r.movd.ovrs.size();
+  return r;
+}
+
+// Overlap at every thread count against the oracle, bit for bit, in each
+// of `modes`, with and without `bound`. Returns the oracle's stats with the
+// bound in the last mode.
+OverlapStats ExpectMatchesOracle(
+    const Movd& a, const Movd& b, const CombinationBound* bound,
+    const std::vector<BoundaryMode>& modes = {BoundaryMode::kRealRegion,
+                                              BoundaryMode::kMbr}) {
+  std::vector<const CombinationBound*> bounds = {nullptr};
+  if (bound != nullptr) bounds.push_back(bound);
+  OverlapStats bounded;
+  for (const BoundaryMode mode : modes) {
+    for (const CombinationBound* with : bounds) {
+      const OracleResult want = OracleOverlap(a, b, mode, with);
+      EXPECT_EQ(want.stats.events, 2 * (a.ovrs.size() + b.ovrs.size()));
+      if (with == bound) bounded = want.stats;
+      for (const int threads : kThreadCounts) {
+        SCOPED_TRACE(::testing::Message()
+                     << (mode == BoundaryMode::kMbr ? "mbrb" : "rrb")
+                     << " bound=" << (with != nullptr)
+                     << " threads=" << threads);
+        OverlapStats stats;
+        const Movd got = Overlap(a, b, mode, &stats, nullptr, threads, with);
+        EXPECT_TRUE(BitIdentical(want.movd, got));
+        ExpectSameStats(want.stats, stats);
+      }
+    }
+  }
+  // In MBRB every candidate is emitted, so the oracle's candidate set is
+  // exactly the brute force's.
+  EXPECT_EQ(OverlapBruteForce(a, b, BoundaryMode::kMbr).ovrs.size(),
+            OracleOverlap(a, b, BoundaryMode::kMbr, nullptr).movd.ovrs.size());
+  return bounded;
+}
+
+// Integer-grid rectangles in [-4, 4]^2 with many shared top edges and
+// left edges, edges touching along the sweep line, and zeros of both
+// signs.
+Movd TieHeavyRects(size_t count, int32_t set, uint64_t seed) {
+  Rng rng(seed);
+  const auto grid = [&](double lo, double hi) {
+    const double v = std::floor(rng.Uniform(lo, hi));
+    return v == 0.0 && rng.Uniform(0, 1) < 0.5 ? -0.0 : v;
+  };
+  Movd m;
+  for (size_t i = 0; i < count; ++i) {
+    const double x0 = grid(-4, 3), y0 = grid(-4, 3);
+    const double x1 = std::max(grid(-3, 5), x0 + 1);
+    const double y1 = std::max(grid(-3, 5), y0 + 1);
+    m.ovrs.push_back(RectOvr(Rect(x0, y0, x1, y1), set,
+                             static_cast<int32_t>(i)));
+  }
+  return m;
+}
+
+// A query whose object (s, i) sits at the centre of OVR i of rects[s], so
+// a CombinationBound over it judges the rectangles' poi pairs.
+MolqQuery QueryAtCentres(const std::vector<Movd>& rects) {
+  MolqQuery query;
+  for (size_t s = 0; s < rects.size(); ++s) {
+    ObjectSet set;
+    set.name = std::string("t") += std::to_string(s);
+    for (const Ovr& ovr : rects[s].ovrs) {
+      SpatialObject obj;
+      obj.location = ovr.mbr.Center();
+      set.objects.push_back(obj);
+    }
+    query.sets.push_back(std::move(set));
+  }
+  return query;
+}
+
+// Runs one traced Overlap step and checks that its partner index held at
+// most 4 ids per input OVR plus one per grid cell.
+void ExpectPartnerIndexBounded(const Movd& a, const Movd& b) {
+  Trace trace;
+  {
+    TraceContextScope scope(&trace);
+    Overlap(a, b, BoundaryMode::kMbr, nullptr, nullptr, 2);
+  }
+  int64_t inputs = -1, entries = -1, cells = -1;
+  for (const TraceSpanRecord& r : trace.Collect()) {
+    if (r.name != "overlap_step") continue;
+    for (const auto& [name, value] : r.counters) {
+      if (name == "input_ovrs") inputs = value;
+      if (name == "partner_index_entries") entries = value;
+      if (name == "partner_index_cells") cells = value;
+    }
+  }
+  EXPECT_EQ(inputs, static_cast<int64_t>(a.ovrs.size() + b.ovrs.size()));
+  ASSERT_GE(entries, 0);
+  ASSERT_GE(cells, 2);  // at least one cell per operand
+  EXPECT_LE(entries, 4 * inputs + cells);
 }
 
 TEST(OverlapParallelTest, ManyChunksOfOrdinaryDiagrams) {
@@ -310,8 +484,8 @@ TEST(OverlapParallelTest, ChunkEdgeAt256And257Pairs) {
 TEST(OverlapParallelTest, VisitingOrderAndOperandOrderAreKept) {
   // The strip's start event finds the odd squares' pairs, which are then
   // intersected strip-first; the output follows the sweep's visiting
-  // order: odd squares by min x, then even squares as they start. 600
-  // pairs span three chunks.
+  // order: odd squares by min x, then even squares as they start. The 601
+  // finders span ten chunks, and the strip alone has 300 partners.
   constexpr int kCount = 600;
   const auto [squares, strip] = StripPairs(kCount);
   std::vector<int> order;
@@ -359,6 +533,95 @@ TEST(OverlapParallelTest, OverlapAllOrdinaryAndWeighted) {
     ExpectOverlapAllThreadInvariant(weighted, mode);
     ExpectOverlapAllThreadInvariant({ordinary[0]}, mode);
   }
+}
+
+TEST(OverlapParallelTest, MatchesSweepOrderOracle) {
+  // Random ordinary and weighted diagrams, with the solve's bound.
+  for (const bool weighted : {false, true}) {
+    const MolqQuery q = PointQuery(2, weighted ? 30 : 250, 101, weighted);
+    const std::vector<Movd> basic = BasicMovds(q);
+    const CombinationBound bound(q, kBounds, 1e-3);
+    EXPECT_GT(ExpectMatchesOracle(basic[0], basic[1], &bound).pruned_pairs,
+              0u);
+    ExpectMatchesOracle(basic[1], basic[0], &bound);
+  }
+  // Tie-heavy integer-grid rectangles, against each other and themselves.
+  const std::vector<Movd> rects = {TieHeavyRects(200, 0, 102),
+                                   TieHeavyRects(150, 1, 103)};
+  const CombinationBound rect_bound(QueryAtCentres(rects),
+                                    Rect(-5, -5, 5, 5), 1e-3);
+  ExpectMatchesOracle(rects[0], rects[1], &rect_bound);
+  ExpectMatchesOracle(rects[1], rects[0], &rect_bound);
+  ExpectMatchesOracle(rects[0], rects[0], nullptr);
+  // The identity MOVD against 2K cells, in both operand orders.
+  const MolqQuery big = PointQuery(1, 2000, 104, false);
+  const Movd cells = BasicMovds(big)[0];
+  const CombinationBound big_bound(big, kBounds, 1e-3);
+  ExpectMatchesOracle(IdentityMovd(kBounds), cells, &big_bound);
+  ExpectMatchesOracle(cells, IdentityMovd(kBounds), &big_bound);
+}
+
+TEST(OverlapParallelTest, DegenerateExtentsStayBounded) {
+  // MBR-only OVRs (what MBRB reads): at these scales a region's
+  // orientation products overflow or underflow, so MBRB, which emits every
+  // candidate pair, is the mode that compares the pairs.
+  const auto mbr_ovr = [](const Rect& r, int32_t set, int32_t object) {
+    Ovr ovr;
+    ovr.mbr = r;
+    ovr.pois = {{set, object}};
+    return ovr;
+  };
+  // 100 squares of side `scale` on a 10x10 grid, `shift` sides from 0.
+  const auto squares = [&](double scale, int32_t set, double shift) {
+    Movd m;
+    for (int i = 0; i < 100; ++i) {
+      const double x = (i % 10 + shift) * scale, y = (i / 10 + shift) * scale;
+      m.ovrs.push_back(mbr_ovr(Rect(x, y, x + scale, y + scale), set, i));
+    }
+    return m;
+  };
+  // Huge, tiny, and mixed scales; 1.5e308 corners overflow the extent.
+  const Movd huge = squares(1e300, 0, 0.0);
+  const Movd tiny = squares(1e-300, 1, 0.5);
+  Movd mixed = squares(1e-300, 1, 0.25);
+  mixed.ovrs.push_back(
+      mbr_ovr(Rect(-1.5e308, -1.5e308, 1.5e308, 1.5e308), 1, 100));
+  mixed.ovrs.push_back(mbr_ovr(Rect(-1e300, 0, 1e300, 1e-300), 1, 101));
+  const std::vector<std::pair<const Movd*, const Movd*>> cases = {
+      {&huge, &mixed}, {&tiny, &mixed}, {&huge, &tiny}};
+  for (const auto& [a, b] : cases) {
+    ExpectMatchesOracle(*a, *b, nullptr, {BoundaryMode::kMbr});
+    ExpectMatchesOracle(*b, *a, nullptr, {BoundaryMode::kMbr});
+    ExpectPartnerIndexBounded(*a, *b);
+  }
+
+  // One OVR spanning the world against 5K cells.
+  Movd world;
+  world.ovrs.push_back(RectOvr(kBounds, 0, 0));
+  const Movd cells = RandomBasicMovd(5000, 1, 105);
+  ExpectMatchesOracle(world, cells, nullptr);
+  ExpectPartnerIndexBounded(world, cells);
+  ExpectPartnerIndexBounded(cells, world);
+
+  // 40 world-spanning OVRs among 1K cells: a grid shaped by the mean MBR
+  // holds too many ids and must be coarsened.
+  Movd skewed = RandomBasicMovd(1000, 0, 107);
+  for (int i = 0; i < 40; ++i) {
+    skewed.ovrs.push_back(RectOvr(kBounds, 0, 1000 + i));
+  }
+  const Movd small = RandomBasicMovd(30, 1, 108);
+  ExpectMatchesOracle(skewed, small, nullptr);
+  ExpectPartnerIndexBounded(skewed, small);
+
+  // 1K identical MBRs against an ordinary diagram.
+  Movd same;
+  for (int i = 0; i < 1000; ++i) {
+    same.ovrs.push_back(RectOvr(Rect(40, 40, 60, 60), 0, i));
+  }
+  const Movd few = RandomBasicMovd(40, 1, 106);
+  ExpectMatchesOracle(same, few, nullptr);
+  ExpectPartnerIndexBounded(same, few);
+  ExpectPartnerIndexBounded(few, same);
 }
 
 TEST(OverlapParallelTest, PreFiredTokenIntersectsNoPair) {

@@ -318,5 +318,30 @@ TEST(TraceTest, WeightedCoverCountersMatchTheBuiltRegions) {
   EXPECT_GT(PieceCount(overlay), overlay.ovrs.size());
 }
 
+TEST(TraceTest, OverlapStageNamesItsBoundAndItsStepSetUp) {
+  // Inside "movd_overlap", the combination bound's probe grid and
+  // refinement run under "combination_bound", and each overlap step's
+  // start order and partner indexes under "partner_index".
+  Trace trace;
+  MolqOptions options;
+  options.exec.threads = 2;
+  options.exec.trace = &trace;
+  ASSERT_EQ(SolveMolq(TracedQuery(), Rect(0, 0, 100, 100), options).status,
+            StatusCode::kOk);
+  const std::vector<TraceSpanRecord> records = trace.Collect();
+  const TraceSpanRecord* bound = FindByName(records, "combination_bound");
+  ASSERT_NE(bound, nullptr);
+  ASSERT_GE(bound->parent, 0);
+  EXPECT_EQ(records[bound->parent].name, "movd_overlap");
+  int steps = 0;
+  for (const TraceSpanRecord& r : records) {
+    if (r.name != "partner_index") continue;
+    ASSERT_GE(r.parent, 0);
+    EXPECT_EQ(records[r.parent].name, "overlap_step");
+    ++steps;
+  }
+  EXPECT_EQ(steps, 2);  // three sets, two steps
+}
+
 }  // namespace
 }  // namespace movd
