@@ -1,13 +1,12 @@
 // Extension experiment 2 (paper §8 future work: filtering impossible POI
 // combinations during MOVD overlapping): SolveMolq, whose overlap always
 // skips the candidate pairs that cannot hold the optimum, vs the unpruned
-// pipeline run through its public stages (BuildBasicMovd -> OverlapAll ->
-// OptimizeMovd), for RRB and MBRB at 3 and 4 object types. Both arms must
-// return the same answer bit for bit (checked on every run).
+// pipeline run through its public stages (BuildMolqOverlay without the
+// bound -> OptimizeMovd), for RRB and MBRB at 3 and 4 object types. Both
+// arms must return the same answer bit for bit (checked on every run).
 //
 // Harnessed (DESIGN.md §10). Extra flags: --sizes=16,32,64 --epsilon=1e-3.
 
-#include <algorithm>
 #include <bit>
 
 #include "bench/bench_common.h"
@@ -17,26 +16,12 @@
 namespace movd::bench {
 namespace {
 
-// The unpruned pipeline stage by stage, with SolveMolq's set fan-out,
-// thread split and optimizer options.
+// The unpruned pipeline stage by stage: SolveMolq's front half without
+// the combination bound, then the optimizer with SolveMolq's options.
 MolqResult SolveUnpruned(const MolqQuery& query, const MolqOptions& options) {
-  const BoundaryMode mode = options.algorithm == MolqAlgorithm::kRrb
-                                ? BoundaryMode::kRealRegion
-                                : BoundaryMode::kMbr;
-  const int threads = ResolveThreads(options.exec.threads);
-  std::vector<Movd> basic(query.sets.size());
-  const int inner_threads =
-      std::max(1, threads / static_cast<int>(basic.size()));
-  ParallelFor(threads, basic.size(), [&](size_t s) {
-    basic[s] = BuildBasicMovd(query, static_cast<int32_t>(s), kWorld,
-                              options.exec.weighted_grid_resolution,
-                              inner_threads, nullptr,
-                              options.exec.weighted_method);
-  });
   MolqResult result;
   const Movd movd =
-      OverlapAll(basic, mode, &result.stats.overlap, nullptr, threads);
-  result.stats.final_ovrs = movd.ovrs.size();
+      BuildMolqOverlay(query, kWorld, options, /*prune=*/false, &result);
   OptimizerOptions opt;
   opt.epsilon = options.epsilon;
   opt.use_cost_bound = options.use_cost_bound;

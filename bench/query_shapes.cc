@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "bench/bench_common.h"
-#include "core/overlap.h"
 #include "model/query_model.h"
 #include "query/constrained.h"
 #include "query/diversify.h"
@@ -27,15 +26,6 @@
 
 namespace movd::bench {
 namespace {
-
-Movd BuildOverlay(const MolqQuery& query, int threads) {
-  std::vector<Movd> basic(query.sets.size());
-  ParallelFor(threads, query.sets.size(), [&](size_t s) {
-    basic[s] = BuildBasicMovd(query, static_cast<int32_t>(s), kWorld,
-                              /*weighted_grid_resolution=*/128);
-  });
-  return OverlapAll(basic, BoundaryMode::kRealRegion);
-}
 
 /// A boundary box over the central quarter of the world plus one exclusion
 /// inside it: every seed keeps the constrained solve non-trivial (clipping
@@ -84,7 +74,13 @@ BENCH(query) {
       BenchCase& c = ctx.Case(std::string("overlay") + suffix)
                          .Param("shape", "overlay")
                          .Param("n", n);
-      ctx.Measure(c, [&] { movd = BuildOverlay(query, ctx.threads()); });
+      MolqOptions options;
+      options.exec.threads = ctx.threads();
+      ctx.Measure(c, [&] {
+        MolqResult stages;
+        movd = BuildMolqOverlay(query, kWorld, options, /*prune=*/false,
+                                &stages);
+      });
       c.Metric("ovrs", static_cast<double>(movd.ovrs.size()));
     }
 

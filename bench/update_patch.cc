@@ -13,7 +13,7 @@
 //   overlay_patch   keep the two-layer overlay current with PatchOverlay
 //                   after each mutation
 //   overlay_rebuild refold the overlay from the per-update basics with the
-//                   engine's identity fold (basics prematerialised)
+//                   engine's fold (basics prematerialised)
 //
 // The patched artifacts are byte-identical to the rebuilt ones (that is
 // the §14 contract, enforced by tests/update_test.cc); this harness gates
@@ -32,15 +32,13 @@
 namespace movd::bench {
 namespace {
 
-/// The engine's overlay fold: left-fold from the identity MOVD in
-/// ascending layer order, then canonicalise. PatchOverlay's output is
-/// byte-comparable against exactly this shape.
+/// The engine's overlay fold: OverlapAll in ascending layer order, then
+/// canonicalise. PatchOverlay's output is byte-comparable against exactly
+/// this shape.
 Movd FoldOverlay(const Movd& b0, const Movd& b1, BoundaryMode mode) {
-  Movd acc = IdentityMovd(kWorld);
-  acc = Overlap(acc, b0, mode);
-  acc = Overlap(acc, b1, mode);
-  CanonicalizeOvrOrder(&acc);
-  return acc;
+  Movd overlay = OverlapAll({b0, b1}, mode);
+  CanonicalizeOvrOrder(&overlay);
+  return overlay;
 }
 
 /// One scripted mutation plus the bookkeeping the patchers need: the
@@ -166,8 +164,8 @@ BENCH(update_patch) {
         OverlayPatchStats os;
         const bool ok =
             PatchOverlay(overlay, {0, 1}, /*mutated_layer=*/0, b0, nb0,
-                         basic_of, mode, kWorld, script[u].deleted_object,
-                         &next, &os);
+                         basic_of, mode, script[u].deleted_object, &next,
+                         &os);
         MOVD_CHECK(ok);
         retained += os.retained_ovrs;
         recomputed_ovrs += os.recomputed_ovrs;

@@ -1,6 +1,7 @@
 #include "core/molq.h"
 
 #include <algorithm>
+#include <optional>
 #include <unordered_map>
 
 #include "audit/audit.h"
@@ -146,51 +147,16 @@ Movd BuildBasicMovd(const MolqQuery& query, int32_t set,
   return movd;
 }
 
-MolqResult SolveMolq(const MolqQuery& query, const Rect& search_space,
-                     const MolqOptions& options) {
-  MOVD_CHECK_MSG(!query.sets.empty(),
-                 "a MOLQ needs at least one object set");
-  MOVD_CHECK_MSG(!search_space.Empty(),
-                 "the search space must be a non-empty rectangle");
-  MolqResult result;
-  result.trace = options.exec.trace;
-  // Install the run's trace as this thread's ambient trace: every span
-  // below (and in the builders/optimizer we call) attaches to it without
-  // threading a pointer through each signature.
-  TraceContextScope trace_scope(options.exec.trace);
-  TRACE_SPAN("solve_molq");
-  const int threads = ResolveThreads(options.exec.threads);
-  result.stats.threads = threads;
-
-  if (options.algorithm == MolqAlgorithm::kSsc) {
-    Stopwatch sw;
-    SscOptions ssc;
-    ssc.epsilon = options.epsilon;
-    ssc.use_upper_bound_prune = options.use_two_point_prefilter;
-    ssc.use_cost_bound = options.use_cost_bound;
-    ssc.exec = options.exec;
-    const SscResult r = SolveSsc(query, ssc);
-    if (r.cancelled) {
-      result.status = StatusCode::kCancelled;
-      result.stats.ssc = r.stats;
-      result.stats.optimize_seconds = sw.ElapsedSeconds();
-      return result;
-    }
-    result.location = r.location;
-    result.cost = r.cost;
-    result.group.reserve(r.group.size());
-    for (size_t s = 0; s < r.group.size(); ++s) {
-      result.group.push_back({static_cast<int32_t>(s), r.group[s]});
-    }
-    result.stats.ssc = r.stats;
-    result.stats.optimize_seconds = sw.ElapsedSeconds();
-    result.ranked.push_back({result.location, result.cost, result.group});
-    return result;
-  }
-
+Movd BuildMolqOverlay(const MolqQuery& query, const Rect& search_space,
+                      const MolqOptions& options, bool prune,
+                      MolqResult* result) {
+  MOVD_CHECK_MSG(options.algorithm != MolqAlgorithm::kSsc,
+                 "SSC builds no overlay");
   const BoundaryMode mode = options.algorithm == MolqAlgorithm::kRrb
                                 ? BoundaryMode::kRealRegion
                                 : BoundaryMode::kMbr;
+  const int threads = ResolveThreads(options.exec.threads);
+  result->stats.threads = threads;
 
   // Stage 1: VD Generator — one basic MOVD per object set (Property 7).
   // Each set's diagram builds independently; the grid sampler of weighted
@@ -218,47 +184,98 @@ MolqResult SolveMolq(const MolqQuery& query, const Rect& search_space,
           options.exec.weighted_method);
     });
   }
-  result.stats.vd_seconds = sw.ElapsedSeconds();
+  result->stats.vd_seconds = sw.ElapsedSeconds();
 
   // Stage-boundary cancellation checkpoint: the per-set diagram builds are
   // bounded and not individually interruptible, so the deadline is
   // enforced here before the (typically dominant) overlap stage starts.
   if (TokenExpired(options.exec.cancel)) {
-    result.status = StatusCode::kCancelled;
-    return result;
+    result->status = StatusCode::kCancelled;
+    return Movd();
   }
 
   // Stage 2: MOVD Overlapper — sequential ⊕ over the basic MOVDs (Eq. 27),
-  // skipping the pairs whose combination cannot hold the optimum (§8
-  // future work; the answer stays that of the unpruned overlay).
+  // optionally skipping the pairs whose combination cannot hold the
+  // optimum (§8 future work; the answer stays that of the unpruned
+  // overlay).
   sw.Reset();
   Movd movd;
   {
     TRACE_SPAN("movd_overlap");
-    const CombinationBound bound(query, search_space, options.epsilon);
-    movd = OverlapAll(basic, mode, &result.stats.overlap,
-                      options.exec.cancel, threads, &bound);
+    std::optional<CombinationBound> bound;
+    if (prune) bound.emplace(query, search_space, options.epsilon);
+    movd = OverlapAll(basic, mode, &result->stats.overlap,
+                      options.exec.cancel, threads,
+                      bound ? &*bound : nullptr);
   }
   // A token that fired during the sweep leaves `movd` truncated — discard
-  // it and report cancellation instead of optimizing a partial overlay.
+  // it and report cancellation instead of handing on a partial overlay.
   if (TokenExpired(options.exec.cancel)) {
-    result.status = StatusCode::kCancelled;
-    return result;
+    result->status = StatusCode::kCancelled;
+    return Movd();
   }
-  result.stats.overlap_seconds = sw.ElapsedSeconds();
-  result.stats.final_ovrs = movd.ovrs.size();
-  result.stats.memory_bytes = movd.MemoryBytes(mode);
+  result->stats.overlap_seconds = sw.ElapsedSeconds();
+  result->stats.final_ovrs = movd.ovrs.size();
+  result->stats.memory_bytes = movd.MemoryBytes(mode);
 
   if (options.exec.audit) {
     // Post-overlay seam, plus the per-set reports gathered in stage 1.
     TRACE_SPAN("audit_overlay");
-    for (AuditReport& sub : set_audits) result.audit.Merge(std::move(sub));
+    for (AuditReport& sub : set_audits) result->audit.Merge(std::move(sub));
     MergeStageAudit(AuditMovdOverlay(movd, basic, mode, search_space),
-                    "overlay", &result.audit);
+                    "overlay", &result->audit);
+  }
+  return movd;
+}
+
+MolqResult SolveMolq(const MolqQuery& query, const Rect& search_space,
+                     const MolqOptions& options) {
+  MOVD_CHECK_MSG(!query.sets.empty(),
+                 "a MOLQ needs at least one object set");
+  MOVD_CHECK_MSG(!search_space.Empty(),
+                 "the search space must be a non-empty rectangle");
+  MolqResult result;
+  result.trace = options.exec.trace;
+  // Install the run's trace as this thread's ambient trace: every span
+  // below (and in the builders/optimizer we call) attaches to it without
+  // threading a pointer through each signature.
+  TraceContextScope trace_scope(options.exec.trace);
+  TRACE_SPAN("solve_molq");
+  result.stats.threads = ResolveThreads(options.exec.threads);
+
+  if (options.algorithm == MolqAlgorithm::kSsc) {
+    Stopwatch sw;
+    SscOptions ssc;
+    ssc.epsilon = options.epsilon;
+    ssc.use_upper_bound_prune = options.use_two_point_prefilter;
+    ssc.use_cost_bound = options.use_cost_bound;
+    ssc.exec = options.exec;
+    const SscResult r = SolveSsc(query, ssc);
+    if (r.cancelled) {
+      result.status = StatusCode::kCancelled;
+      result.stats.ssc = r.stats;
+      result.stats.optimize_seconds = sw.ElapsedSeconds();
+      return result;
+    }
+    result.location = r.location;
+    result.cost = r.cost;
+    result.group.reserve(r.group.size());
+    for (size_t s = 0; s < r.group.size(); ++s) {
+      result.group.push_back({static_cast<int32_t>(s), r.group[s]});
+    }
+    result.stats.ssc = r.stats;
+    result.stats.optimize_seconds = sw.ElapsedSeconds();
+    result.ranked.push_back({result.location, result.cost, result.group});
+    return result;
   }
 
+  // Stages 1-2, with combination pruning.
+  const Movd movd = BuildMolqOverlay(query, search_space, options,
+                                     /*prune=*/true, &result);
+  if (result.status != StatusCode::kOk) return result;
+
   // Stage 3: Optimizer — best local optimum across OVRs (§5.4).
-  sw.Reset();
+  Stopwatch sw;
   OptimizerOptions opt;
   opt.epsilon = options.epsilon;
   opt.use_cost_bound = options.use_cost_bound;

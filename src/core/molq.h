@@ -122,13 +122,29 @@ Movd BuildBasicMovd(const MolqQuery& query, int32_t set,
 /// layer can be patched incrementally or needs a full weighted rebuild.
 bool OrdinaryDiagramSuffices(const MolqQuery& query, int32_t set);
 
+/// The MOVD pipeline's front half, the one place a query's overlay is
+/// built: the VD Generator (BuildBasicMovd per set, fanned out over
+/// options.exec.threads) and the MOVD Overlapper (OverlapAll over the
+/// basics in set order, Eq. 27), with a cancel check after each stage.
+/// `prune` adds SolveMolq's CombinationBound (core/pruned_overlap.h); leave
+/// it off where ranks beyond the first are needed. Fills result->stats
+/// (threads, stage seconds, overlap counters, final_ovrs, memory_bytes),
+/// result->audit (per-set and overlay seams when options.exec.audit) and
+/// result->status; on kCancelled the returned MOVD is empty. Spans attach
+/// to the caller's ambient trace. options.algorithm must not be kSsc.
+Movd BuildMolqOverlay(const MolqQuery& query, const Rect& search_space,
+                      const MolqOptions& options, bool prune,
+                      MolqResult* result);
+
 /// Evaluates MOLQ(Ē, ς^t, σ) over `search_space` (paper Eq. 4): the
 /// location minimising MWGD. Dispatches to SSC or to the MOVD pipeline
-/// (VD Generator -> MOVD Overlapper -> Optimizer). The pipeline's overlap
-/// always prunes hopeless object combinations (the paper's §8 future work,
-/// see core/pruned_overlap.h): final_ovrs and the overlap counters describe
+/// (BuildMolqOverlay -> Optimizer). The pipeline's overlap always prunes
+/// hopeless object combinations (the paper's §8 future work, see
+/// core/pruned_overlap.h): final_ovrs and the overlap counters describe
 /// the reduced overlay, while the answer is bit-identical to the unpruned
-/// stages BuildBasicMovd -> OverlapAll -> OptimizeMovd.
+/// stages BuildMolqOverlay(prune = false) -> OptimizeMovd. Exact cost ties
+/// go to the GroupBefore-least group (core/optimizer.h), so the answer is
+/// also the first rank of SolveMolqTopK and of a served SOLVE.
 MolqResult SolveMolq(const MolqQuery& query, const Rect& search_space,
                      const MolqOptions& options = {});
 

@@ -7,6 +7,7 @@
 
 #include "core/weighted_distance.h"
 #include "fermat/fermat_weber.h"
+#include "model/query_model.h"
 #include "trace/trace.h"
 #include "util/check.h"
 #include "util/thread_pool.h"
@@ -84,7 +85,7 @@ OptimizerResult OptimizeMovd(const MolqQuery& query, const Movd& movd,
   // The §5.4 global cost bound (total-cost space), shared by all workers
   // through CAS-min. Both the prefilter and the in-iteration prune compare
   // strictly, so an OVR whose optimum ties the bound always completes: the
-  // winner is then a pure (cost, index) decision, bit-identical for every
+  // winner is then a pure (cost, group) decision, bit-identical for every
   // thread count.
   std::atomic<double> bound{std::numeric_limits<double>::infinity()};
   std::vector<OvrOutcome> outcomes(n);
@@ -154,12 +155,16 @@ OptimizerResult OptimizeMovd(const MolqQuery& query, const Movd& movd,
     return result;
   }
 
-  // Deterministic reduction: minimum total cost, lowest OVR index on ties.
+  // Deterministic reduction: minimum total cost, the GroupBefore-least
+  // group on exact ties (the tie rule of top-k and every query shape), so
+  // neither OVR order nor pruned OVRs can change the winner.
   bool have_answer = false;
   for (size_t i = 0; i < n; ++i) {
     const OvrOutcome& o = outcomes[i];
     if (!o.solved) continue;
-    if (!have_answer || o.cost < result.cost) {
+    if (!have_answer || o.cost < result.cost ||
+        (o.cost == result.cost &&
+         GroupBefore(movd.ovrs[i].pois, result.group))) {
       have_answer = true;
       result.cost = o.cost;
       result.location = o.location;

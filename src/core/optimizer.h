@@ -28,8 +28,8 @@ struct OptimizerOptions {
   /// Shared execution knobs (util/exec_options.h). `exec.threads` fans the
   /// per-OVR Fermat–Weber solves out over workers sharing the §5.4 cost
   /// bound through an atomic CAS-min; the returned (location, cost, group)
-  /// is identical for every thread count — the winning OVR is resolved by
-  /// a (cost, index) reduction, never by arrival order — though
+  /// is identical for every thread count — the winner is resolved by a
+  /// (cost, group) reduction, never by arrival order — though
   /// iteration/prune counters may vary with timing. `exec.cancel` is
   /// polled once per OVR (on the claiming worker): when it fires,
   /// remaining OVRs are skipped and OptimizerResult::cancelled is set —
@@ -61,7 +61,10 @@ struct OptimizerResult {
 /// each OVR's object group (object weights folded into the distance, type
 /// weights into the point weights — see DecomposeWeightedDistance), and
 /// returns the best local optimum (the framework's Optimizer stage,
-/// Fig. 3). Requires a non-empty MOVD whose OVRs have non-empty poi lists.
+/// Fig. 3). Exact cost ties go to the GroupBefore-least group
+/// (model/query_model.h), the tie rule top-k and every query shape use, so
+/// the answer does not depend on the MOVD's OVR order. Requires a
+/// non-empty MOVD whose OVRs have non-empty poi lists.
 OptimizerResult OptimizeMovd(const MolqQuery& query, const Movd& movd,
                              const OptimizerOptions& options = {});
 

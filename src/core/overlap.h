@@ -61,8 +61,11 @@ Movd Overlap(const Movd& a, const Movd& b, BoundaryMode mode,
              const CombinationBound* bound = nullptr);
 
 /// Sequential overlap Σ⊕ (paper Eq. 27): folds `inputs` left-to-right,
-/// starting from MOVD(∅), each step an Overlap on `threads` threads with
-/// `bound`. Stats accumulate across all steps. `cancel` as in Overlap: a
+/// each step an Overlap on `threads` threads with `bound`. MOVD(∅) is the
+/// fold's unit (Property 12), not a step: the first step overlaps
+/// inputs[0] with inputs[1], and one input is returned as it is. Every
+/// overlay in the repo is this fold (BuildMolqOverlay, serve, the overlay
+/// patcher). Stats accumulate across all steps. `cancel` as in Overlap: a
 /// fired token yields a truncated or empty result the caller must discard.
 Movd OverlapAll(const std::vector<Movd>& inputs, BoundaryMode mode,
                 OverlapStats* stats = nullptr,

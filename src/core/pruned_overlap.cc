@@ -114,10 +114,10 @@ CombinationBound::CombinationBound(const MolqQuery& query,
   //    (1 + 2^-40) absorbs the few ulps of rounding in lb and in the
   //    reported costs, so c(G) > c_W: no pruned combination could have
   //    won, or tied the winner.
-  //  - Survivors keep their relative order (their pair lists are
-  //    subsequences of the unpruned ones), and the optimizer resolves the
-  //    winner by (cost, lowest index) with strict cost-bound cuts, so it
-  //    picks the same combination and location.
+  //  - The optimizer resolves the winner by (cost, group) with strict
+  //    cost-bound cuts, a function of the set of combinations alone, and
+  //    every combination that won or tied survives, so it picks the same
+  //    combination and location.
   // The same slack keeps the winner's own combination, lb <= c_W < τ, and
   // with it at least one OVR through every step.
   threshold_ = (1.0 + std::max(epsilon, 0.0)) * upper_bound * (1.0 + 0x1p-40);

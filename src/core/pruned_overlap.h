@@ -23,9 +23,12 @@ namespace movd {
 /// adds non-negative terms, so a combination with lb(G) above the
 /// threshold τ has no descendant that can win either. Overlap tests each
 /// candidate pair's merged combination before clipping it and skips the
-/// pair when lb > τ (see Overlap in core/overlap.h).
+/// pair when lb > τ (see Overlap in core/overlap.h). No pruned
+/// combination can win or tie the winner, and the optimizer breaks ties by
+/// (cost, group), so the pruned overlay's answer is the unpruned one.
 ///
-/// SolveMolq builds one bound per solve; SolveMolqTopK, serve's cached
+/// SolveMolq builds one bound per solve (BuildMolqOverlay with prune on);
+/// SolveMolqTopK, serve's cached
 /// overlays and what-if keep unpruned overlays, because they need ranks
 /// beyond the first or weights other than the query's.
 class CombinationBound {

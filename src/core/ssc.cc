@@ -79,8 +79,11 @@ SscResult SolveSsc(const MolqQuery& query, const SscOptions& options) {
       if (r.pruned) {
         ++result.stats.pruned_by_bound;
       } else {
+        // Exact ties go to the lexicographically least combination, the
+        // GroupBefore rule of the MOVD optimizer.
         const double total = r.cost + offset;
-        if (!have_answer || total < bound.load(std::memory_order_relaxed)) {
+        if (!have_answer || total < result.cost ||
+            (total == result.cost && combo < result.group)) {
           have_answer = true;
           bound.store(total, std::memory_order_relaxed);
           result.cost = total;

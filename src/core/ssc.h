@@ -48,6 +48,7 @@ struct SscResult {
   Point location;
   double cost = 0.0;
   /// Winning object combination: group[i] indexes query.sets[i].objects.
+  /// Exact cost ties go to the lexicographically least combination.
   std::vector<int32_t> group;
   SscStats stats;
 };

@@ -7,11 +7,11 @@
 #include <queue>
 #include <set>
 
-#include "core/pruned_overlap.h"
 #include "core/weighted_distance.h"
 #include "fermat/fermat_weber.h"
 #include "trace/trace.h"
 #include "util/check.h"
+#include "util/stopwatch.h"
 #include "util/thread_pool.h"
 
 namespace movd {
@@ -117,55 +117,21 @@ MolqResult TopKFromMovd(const MolqQuery& query, const Movd& movd, size_t k,
 MolqResult SolveMolqTopK(const MolqQuery& query, const Rect& search_space,
                          size_t k, const MolqOptions& options) {
   MOVD_CHECK(k > 0);
-  MOVD_CHECK(options.algorithm != MolqAlgorithm::kSsc);
-  MolqResult result;
-  result.trace = options.exec.trace;
+  MolqResult front;
+  front.trace = options.exec.trace;
   TraceContextScope trace_scope(options.exec.trace);
   TRACE_SPAN("solve_molq_topk");
-  const BoundaryMode mode = options.algorithm == MolqAlgorithm::kRrb
-                                ? BoundaryMode::kRealRegion
-                                : BoundaryMode::kMbr;
+  // Unpruned: ranks beyond the first need the combinations a
+  // CombinationBound would drop.
+  const Movd movd = BuildMolqOverlay(query, search_space, options,
+                                     /*prune=*/false, &front);
+  if (front.status != StatusCode::kOk) return front;
 
-  const int threads = ResolveThreads(options.exec.threads);
-  result.stats.threads = threads;
-  const size_t num_sets = query.sets.size();
-  const int inner_threads =
-      std::max(1, threads / static_cast<int>(num_sets));
-  std::vector<Movd> basic(num_sets);
-  std::vector<AuditReport> set_audits(options.exec.audit ? num_sets : 0);
-  {
-    TraceSpan vd_span("vd_generator");
-    const Trace::Context ctx = Trace::CaptureContext();
-    ParallelFor(threads, num_sets, [&](size_t i) {
-      TraceContextScope scope(ctx);
-      TRACE_SPAN("build_basic_movd");
-      basic[i] = BuildBasicMovd(
-          query, static_cast<int32_t>(i), search_space,
-          options.exec.weighted_grid_resolution, inner_threads,
-          options.exec.audit ? &set_audits[i] : nullptr,
-          options.exec.weighted_method);
-    });
-  }
-  for (AuditReport& sub : set_audits) result.audit.Merge(std::move(sub));
-  Movd movd;
-  {
-    TRACE_SPAN("movd_overlap");
-    movd = OverlapAll(basic, mode, &result.stats.overlap,
-                      options.exec.cancel, threads);
-  }
-  if (TokenExpired(options.exec.cancel)) {
-    result.status = StatusCode::kCancelled;
-    return result;
-  }
-  result.stats.final_ovrs = movd.ovrs.size();
-  result.stats.memory_bytes = movd.MemoryBytes(mode);
-
+  Stopwatch sw;
   MolqResult top = TopKFromMovd(query, movd, k, options);
-  top.stats.vd_seconds = result.stats.vd_seconds;
-  top.stats.overlap = result.stats.overlap;
-  top.stats.final_ovrs = result.stats.final_ovrs;
-  top.stats.memory_bytes = result.stats.memory_bytes;
-  top.audit = std::move(result.audit);
+  top.stats = front.stats;
+  top.stats.optimize_seconds = sw.ElapsedSeconds();
+  top.audit = std::move(front.audit);
   return top;
 }
 

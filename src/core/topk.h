@@ -10,9 +10,10 @@ namespace movd {
 /// planner rarely wants a single point; the runners-up are the natural
 /// alternatives.
 ///
-/// Runs the MOVD pipeline (RRB or MBRB per `options.algorithm`; kSsc is
-/// rejected) on the unpruned overlay (ranks beyond the first need the
-/// combinations SolveMolq's pruning drops) and keeps the k best Fermat–Weber optima in
+/// Builds the overlay with BuildMolqOverlay (RRB or MBRB per
+/// `options.algorithm`; kSsc is rejected), unpruned because ranks beyond
+/// the first need the combinations SolveMolq's pruning drops, so stats and
+/// audit seams are SolveMolq's. Keeps the k best Fermat–Weber optima in
 /// MolqResult::ranked (location/cost/group mirror ranked[0]). The cost
 /// bound used for pruning is the k-th best cost so far, so correctness of
 /// all k results is preserved.

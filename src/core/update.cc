@@ -4,6 +4,7 @@
 #include <cstring>
 #include <iterator>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "core/overlap.h"
@@ -124,8 +125,7 @@ bool PatchOverlay(const Movd& old_overlay, const std::vector<int32_t>& layers,
                   int32_t mutated_layer, const Movd& old_basic,
                   const Movd& new_basic,
                   const std::function<const Movd*(int32_t)>& basic_of,
-                  BoundaryMode mode, const Rect& world,
-                  int32_t deleted_object, Movd* out,
+                  BoundaryMode mode, int32_t deleted_object, Movd* out,
                   OverlayPatchStats* stats) {
   *stats = OverlayPatchStats();
   if (std::find(layers.begin(), layers.end(), mutated_layer) ==
@@ -189,20 +189,19 @@ bool PatchOverlay(const Movd& old_overlay, const std::vector<int32_t>& layers,
 
   // Re-fold the changed cells against the peer cells that can meet them.
   if (!changed.ovrs.empty()) {
-    Movd acc = IdentityMovd(world);
-    for (const int32_t layer : layers) {
-      if (layer == mutated_layer) {
-        acc = Overlap(acc, changed, mode);
+    std::vector<Movd> inputs(layers.size());
+    for (size_t i = 0; i < layers.size(); ++i) {
+      if (layers[i] == mutated_layer) {
+        inputs[i] = std::move(changed);
         continue;
       }
-      const Movd* basic = basic_of(layer);
+      const Movd* basic = basic_of(layers[i]);
       if (basic == nullptr) return false;
-      Movd peers;
       for (const Ovr& ovr : basic->ovrs) {
-        if (ovr.mbr.Intersects(dirty)) peers.ovrs.push_back(ovr);
+        if (ovr.mbr.Intersects(dirty)) inputs[i].ovrs.push_back(ovr);
       }
-      acc = Overlap(acc, peers, mode);
     }
+    Movd acc = OverlapAll(inputs, mode);
     stats->recomputed_ovrs = acc.ovrs.size();
     CanonicalizeOvrOrder(&acc);
     const auto middle = static_cast<std::ptrdiff_t>(out->ovrs.size());

@@ -84,10 +84,10 @@ struct OverlayPatchStats {
   size_t recomputed_ovrs = 0;  ///< OVRs the restricted re-fold produced
 };
 
-/// Patches `old_overlay`, the fold IdentityMovd(world) ⊕ basic(layers[0])
-/// ⊕ … in `mode` in canonical order (CanonicalizeOvrOrder), after one
-/// mutation of layer `mutated_layer` changed its basic MOVD from
-/// `old_basic` to `new_basic`.
+/// Patches `old_overlay`, the fold OverlapAll(basic(layers[0]), …) in
+/// `mode` in canonical order (CanonicalizeOvrOrder), after one mutation of
+/// layer `mutated_layer` changed its basic MOVD from `old_basic` to
+/// `new_basic`.
 /// `deleted_object` is the deleted object's index before the mutation, or
 /// -1 for an insert; later objects of the layer shift down by one.
 /// `basic_of(l)` returns the (unchanged) basic of every other layer, or
@@ -96,9 +96,9 @@ struct OverlayPatchStats {
 /// A new mutated-layer cell is unchanged when the old basic holds a cell
 /// of the same object (after renumbering) with bit-identical geometry.
 /// Combinations of unchanged cells are kept. Only the changed cells are
-/// re-folded, by the same left fold through Overlap, with each peer layer
-/// cut to the cells whose MBR meets the changed cells' bounding box; no
-/// combination with a changed cell can involve any other peer cell. Every
+/// re-folded, by the same OverlapAll, with each peer layer cut to the
+/// cells whose MBR meets the changed cells' bounding box; no combination
+/// with a changed cell can involve any other peer cell. Every
 /// combination's bits are a function of its cells alone (Overlap clips
 /// each pair in an order fixed by the pair's MBRs), so `*out` is
 /// bit-identical to the canonicalised full fold over the new basics.
@@ -110,8 +110,7 @@ bool PatchOverlay(const Movd& old_overlay, const std::vector<int32_t>& layers,
                   int32_t mutated_layer, const Movd& old_basic,
                   const Movd& new_basic,
                   const std::function<const Movd*(int32_t)>& basic_of,
-                  BoundaryMode mode, const Rect& world,
-                  int32_t deleted_object, Movd* out,
+                  BoundaryMode mode, int32_t deleted_object, Movd* out,
                   OverlayPatchStats* stats);
 
 }  // namespace movd

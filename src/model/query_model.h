@@ -57,14 +57,11 @@ bool CandidateOrderBefore(const SiteCandidate& a, const SiteCandidate& b);
 bool SkylineOrderBefore(const SiteCandidate& a, const SiteCandidate& b);
 
 /// Sorts `*candidates` by SkylineOrderBefore and removes every dominated
-/// candidate in place — the canonical sort-filter skyline pass, shared by
-/// the skyline evaluator (src/query/skyline.cc) and the sharded serving
-/// merge (src/serve/shard.cc). Because dominance is transitive, filtering
-/// a union of per-shard skylines yields exactly the skyline of the union
-/// of their inputs, and this one implementation fixes the scan order and
-/// tie handling, so sharded answers are bit-identical to unsharded ones.
-/// `dominance_tests` (optional) accumulates the pairwise Dominates()
-/// evaluations performed.
+/// candidate in place — the sort-filter skyline pass of the skyline
+/// evaluator (src/query/skyline.cc). Because dominance is transitive,
+/// filtering a union of skylines yields exactly the skyline of the union
+/// of their inputs. `dominance_tests` (optional) accumulates the pairwise
+/// Dominates() evaluations performed.
 void SkylineFilterInPlace(std::vector<SiteCandidate>* candidates,
                           uint64_t* dominance_tests);
 

@@ -32,8 +32,9 @@ struct SiteMutation {
 /// reproduce. The serve stack therefore canonicalises every overlay it
 /// caches — full builds and patches alike — so "patched" and "rebuilt
 /// from scratch" artifacts are comparable byte for byte. Downstream
-/// consumers are order-independent: every optimizer/query-shape tie rule
-/// is a strict total order over (value, poi group), never input position.
+/// consumers are order-independent: the optimizer, top-k and every query
+/// shape break ties by (value, poi group) under GroupBefore
+/// (model/query_model.h), never by input position.
 void CanonicalizeOvrOrder(Movd* movd);
 
 /// The canonical order's comparator: lexicographic over the poi vectors.

@@ -167,6 +167,20 @@ ServeResponse AuditFailure(const std::string& id, const char* shape,
   return resp;
 }
 
+/// The engine's one overlay fold, for fresh builds and the patch audit
+/// alike: OverlapAll over the layers' basics in ascending layer order on
+/// `threads` threads, then canonical OVR order (model/update_model.h), so
+/// a patched overlay and a rebuilt one are byte-comparable. Null when
+/// `cancel` fired (the overlap may then be truncated).
+std::shared_ptr<const Movd> FoldOverlay(const std::vector<Movd>& basics,
+                                        BoundaryMode mode, int threads,
+                                        const CancelToken* cancel) {
+  Movd overlay = OverlapAll(basics, mode, nullptr, cancel, threads);
+  if (TokenExpired(cancel)) return nullptr;
+  CanonicalizeOvrOrder(&overlay);
+  return std::make_shared<const Movd>(std::move(overlay));
+}
+
 }  // namespace
 
 QueryEngine::QueryEngine(const QueryEngineOptions& options)
@@ -540,8 +554,8 @@ void QueryEngine::PatchArtifacts(
       Movd patched;
       OverlayPatchStats overlay_stats;
       if (!PatchOverlay(*artifact, key_layers, layer, *old_basic, *new_basic,
-                        basic_of, mode, next_snap.world, deleted_object,
-                        &patched, &overlay_stats)) {
+                        basic_of, mode, deleted_object, &patched,
+                        &overlay_stats)) {
         ++stats->dropped_artifacts;
         continue;
       }
@@ -549,21 +563,16 @@ void QueryEngine::PatchArtifacts(
       if (options_.exec.audit) {
         // Audit gate: re-fold this overlay from the new basics and certify
         // the patch against it; on mismatch cache the rebuild instead.
-        Movd acc = IdentityMovd(next_snap.world);
-        bool have_all = true;
+        std::vector<Movd> basics;
         for (const int32_t l : key_layers) {
           const Movd* basic = l == layer ? new_basic.get() : basic_of(l);
-          if (basic == nullptr) {
-            have_all = false;
-            break;
-          }
-          acc = Overlap(acc, *basic, mode);
+          if (basic == nullptr) break;
+          basics.push_back(*basic);
         }
-        if (have_all) {
-          CanonicalizeOvrOrder(&acc);
-          if (!AuditPatchedMovd(*result, acc).ok()) {
-            result = std::make_shared<const Movd>(std::move(acc));
-          }
+        if (basics.size() == key_layers.size()) {
+          auto rebuilt = FoldOverlay(basics, mode, options_.exec.threads,
+                                     /*cancel=*/nullptr);
+          if (!AuditPatchedMovd(*result, *rebuilt).ok()) result = rebuilt;
         }
       }
       cache_.Insert(renamed(key, 4), result);
@@ -917,24 +926,20 @@ std::shared_ptr<const Movd> QueryEngine::GetOverlay(
     return cache_.GetOrBuild(key, build, nullptr, token.deadline());
   };
 
-  // The overlay fold mirrors SolveMolq's OverlapAll exactly (identity start,
-  // left-to-right), then canonicalises the OVR order (model/update_model.h)
-  // so a patched overlay and a rebuilt one are byte-comparable. Downstream
-  // optimizers are order-independent, so a served answer stays bit-identical
-  // to a cold SolveMolq over the same layer sub-query.
+  // SolveMolq's fold (OverlapAll over the basics in layer order) without
+  // its combination bound, in canonical OVR order. Every optimizer and
+  // query shape breaks ties by (value, group), never by OVR position, so a
+  // served answer is bit-identical to a cold SolveMolq over the same layer
+  // sub-query.
   const auto build_overlay = [&]() -> std::shared_ptr<const Movd> {
-    Movd acc = IdentityMovd(ds.world);
+    std::vector<Movd> basics;
     for (const int32_t layer : layers) {
       if (token.Expired()) return nullptr;
       const std::shared_ptr<const Movd> basic = get_basic(layer);
       if (basic == nullptr) return nullptr;  // wait on a peer build timed out
-      Movd next = Overlap(acc, *basic, mode, nullptr, &token);
-      // A fired token means `next` may be truncated — discard it.
-      if (token.Expired()) return nullptr;
-      acc = std::move(next);
+      basics.push_back(*basic);
     }
-    CanonicalizeOvrOrder(&acc);
-    return std::make_shared<const Movd>(std::move(acc));
+    return FoldOverlay(basics, mode, request.exec.threads, &token);
   };
 
   if (!request.use_cache) return build_overlay();

@@ -2,13 +2,19 @@
 // each other and with a brute-force grid scan of MWGD; the worked example
 // of the paper's Fig. 1 must reproduce; weighted variants stay consistent.
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <string>
 
 #include <gtest/gtest.h>
 
 #include "core/grid_scan.h"
 #include "core/molq.h"
+#include "core/topk.h"
 #include "core/weighted_distance.h"
+#include "model/query_model.h"
+#include "serve/query_engine.h"
 #include "util/rng.h"
 
 namespace movd {
@@ -415,6 +421,125 @@ TEST(MolqTest, StatsArePopulated) {
   EXPECT_EQ(rrb.stats.optimizer.problems, rrb.stats.final_ovrs);
   const auto ssc = Solve(q, MolqAlgorithm::kSsc);
   EXPECT_EQ(ssc.stats.ssc.combinations, 6u * 6u * 5u);
+}
+
+
+// Integer-grid sets symmetric about the world's centre, two objects per
+// type: every type count from 2 to 4 has several object groups whose
+// optimal costs tie exactly.
+MolqQuery SymmetricGridQuery(size_t types) {
+  const std::vector<std::vector<Point>> layers = {{{40, 50}, {60, 50}},
+                                                  {{50, 40}, {50, 60}},
+                                                  {{30, 30}, {70, 70}},
+                                                  {{30, 70}, {70, 30}}};
+  MolqQuery query;
+  for (size_t s = 0; s < types; ++s) {
+    ObjectSet set;
+    set.name = std::string("type") += std::to_string(s);
+    for (const Point& at : layers[s]) {
+      SpatialObject obj;
+      obj.location = at;
+      set.objects.push_back(obj);
+    }
+    query.sets.push_back(std::move(set));
+  }
+  return query;
+}
+
+void ExpectSameAnswer(const RankedLocation& want, const Point& location,
+                      double cost, const std::vector<PoiRef>& group,
+                      const std::string& path) {
+  EXPECT_EQ(std::bit_cast<uint64_t>(location.x),
+            std::bit_cast<uint64_t>(want.location.x))
+      << path;
+  EXPECT_EQ(std::bit_cast<uint64_t>(location.y),
+            std::bit_cast<uint64_t>(want.location.y))
+      << path;
+  EXPECT_EQ(std::bit_cast<uint64_t>(cost), std::bit_cast<uint64_t>(want.cost))
+      << path;
+  EXPECT_EQ(group, want.group) << path;
+}
+
+TEST(MolqTiedTest, EveryPathPicksTheLeastTiedGroup) {
+  // One tie rule everywhere: among groups whose costs tie exactly, SolveMolq
+  // (pruned, any thread count), SSC, SolveMolqTopK and a served SOLVE (fresh
+  // or on an overlay patched by INSERT and DELETE) all return the
+  // GroupBefore-least one, whatever order their overlays hold the OVRs in.
+  constexpr double kEpsilon = 1e-3;
+  constexpr Point kFar{5, 95};  // its groups cost more than the tie
+  for (size_t types = 2; types <= 4; ++types) {
+    const MolqQuery query = SymmetricGridQuery(types);
+    for (const MolqAlgorithm algo :
+         {MolqAlgorithm::kRrb, MolqAlgorithm::kMbrb}) {
+      const std::string tag = std::to_string(types) + " types, " +
+                              (algo == MolqAlgorithm::kRrb ? "rrb" : "mbrb");
+      MolqOptions options;
+      options.algorithm = algo;
+      options.epsilon = kEpsilon;
+
+      // The oracle: every group's answer, then the least tied group.
+      const MolqResult all =
+          SolveMolqTopK(query, kBounds, size_t{1} << types, options);
+      ASSERT_EQ(all.status, StatusCode::kOk) << tag;
+      std::vector<RankedLocation> tied;
+      for (const RankedLocation& r : all.ranked) {
+        if (r.cost == all.ranked.front().cost) tied.push_back(r);
+      }
+      ASSERT_GE(tied.size(), 2u) << tag << ": no exact tie to break";
+      const RankedLocation want = *std::min_element(
+          tied.begin(), tied.end(),
+          [](const RankedLocation& a, const RankedLocation& b) {
+            return GroupBefore(a.group, b.group);
+          });
+
+      for (const int threads : {1, 4}) {
+        MolqOptions solve = options;
+        solve.exec.threads = threads;
+        const MolqResult r = SolveMolq(query, kBounds, solve);
+        ASSERT_EQ(r.status, StatusCode::kOk) << tag;
+        ExpectSameAnswer(want, r.location, r.cost, r.group,
+                         tag + ", SolveMolq threads=" +
+                             std::to_string(threads));
+      }
+      MolqOptions ssc = options;
+      ssc.algorithm = MolqAlgorithm::kSsc;
+      const MolqResult scan = SolveMolq(query, kBounds, ssc);
+      ExpectSameAnswer(want, scan.location, scan.cost, scan.group,
+                       tag + ", SSC");
+      const MolqResult top = SolveMolqTopK(query, kBounds, 1, options);
+      ASSERT_EQ(top.status, StatusCode::kOk) << tag;
+      ExpectSameAnswer(want, top.location, top.cost, top.group,
+                       tag + ", SolveMolqTopK");
+
+      QueryEngine engine;
+      engine.RegisterDataset("d", query, kBounds);
+      EngineRequest request;
+      request.dataset = "d";
+      request.epsilon = kEpsilon;
+      request.op = SolveSpec{algo, 1};
+      const auto served = [&](const std::string& path, bool patched) {
+        const ServeResponse resp = engine.Handle(request);
+        ASSERT_EQ(resp.status, ServeStatus::kOk) << tag << ": " << resp.error;
+        EXPECT_EQ(resp.cache_hit, patched) << tag << ", " << path;
+        ASSERT_EQ(resp.answers.size(), 1u) << tag;
+        const ServeAnswer& a = resp.answers.front();
+        ExpectSameAnswer(want, a.location, a.cost, a.group, tag + ", " + path);
+      };
+      served("served SOLVE", /*patched=*/false);
+      for (const MutationKind kind :
+           {MutationKind::kInsert, MutationKind::kDelete}) {
+        EngineRequest mutation;
+        mutation.dataset = "d";
+        mutation.op = SiteMutation{kind, 0, kFar};
+        const ServeResponse applied = engine.Handle(mutation);
+        ASSERT_EQ(applied.status, ServeStatus::kOk) << tag << applied.error;
+        ASSERT_GT(applied.mutation.patched_artifacts, 0u) << tag;
+        served(kind == MutationKind::kInsert ? "served after INSERT"
+                                             : "served after DELETE",
+               /*patched=*/true);
+      }
+    }
+  }
 }
 
 }  // namespace

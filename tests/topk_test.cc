@@ -1,5 +1,8 @@
+#include <cstdint>
+
 #include <gtest/gtest.h>
 
+#include "audit/audit_overlay.h"
 #include "core/molq.h"
 #include "core/ssc.h"
 #include "core/topk.h"
@@ -312,6 +315,42 @@ TEST(TopKTest, WeightedMethodReachesTheDiagramBuild) {
               overlay_dense.MemoryBytes(BoundaryMode::kRealRegion));
     ASSERT_FALSE(topk_dense.ranked.empty());
     EXPECT_EQ(topk_dense.ranked[0].group, solve_dense.group);
+  }
+}
+
+
+TEST(TopKTest, TimesBothStagesAndRunsEveryAuditSeam) {
+  // SolveMolqTopK builds its overlay through SolveMolq's front half, so it
+  // reports both stage times and runs the per-set and post-overlay seams.
+  const MolqQuery q = RandomQuery({12, 10, 8}, 408);
+  for (const MolqAlgorithm algo :
+       {MolqAlgorithm::kRrb, MolqAlgorithm::kMbrb}) {
+    MolqOptions options;
+    options.algorithm = algo;
+    options.exec.audit = true;
+    const MolqResult r = SolveMolqTopK(q, kBounds, 3, options);
+    ASSERT_EQ(r.status, StatusCode::kOk);
+    EXPECT_GT(r.stats.vd_seconds, 0.0);
+    EXPECT_GT(r.stats.overlap_seconds, 0.0);
+    EXPECT_TRUE(r.audit.ok()) << r.audit.Summary();
+
+    // Every set's seams plus the overlay seam over the unpruned overlay.
+    const BoundaryMode mode = algo == MolqAlgorithm::kRrb
+                                  ? BoundaryMode::kRealRegion
+                                  : BoundaryMode::kMbr;
+    std::vector<Movd> basic;
+    uint64_t set_checks = 0;
+    for (size_t s = 0; s < q.sets.size(); ++s) {
+      AuditReport set_audit;
+      basic.push_back(BuildBasicMovd(q, static_cast<int32_t>(s), kBounds,
+                                     options.exec.weighted_grid_resolution,
+                                     1, &set_audit));
+      set_checks += set_audit.checks();
+    }
+    const AuditReport overlay_audit =
+        AuditMovdOverlay(OverlapAll(basic, mode), basic, mode, kBounds);
+    ASSERT_GT(overlay_audit.checks(), 0u);
+    EXPECT_EQ(r.audit.checks(), set_checks + overlay_audit.checks());
   }
 }
 

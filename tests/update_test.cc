@@ -68,16 +68,13 @@ void ApplyToQuery(MolqQuery* query, const SiteMutation& mut) {
   FAIL() << "ApplyToQuery: deleting an absent object";
 }
 
-/// The serve stack's overlay fold: identity start, ascending layers,
+/// The serve stack's overlay fold: OverlapAll in ascending layer order,
 /// canonical OVR order (so patched and rebuilt overlays are
 /// byte-comparable).
-Movd FoldOverlay(const std::vector<const Movd*>& basics, BoundaryMode mode) {
-  Movd acc = IdentityMovd(kWorld);
-  for (const Movd* basic : basics) {
-    acc = Overlap(acc, *basic, mode);
-  }
-  CanonicalizeOvrOrder(&acc);
-  return acc;
+Movd FoldOverlay(const std::vector<Movd>& basics, BoundaryMode mode) {
+  Movd overlay = OverlapAll(basics, mode);
+  CanonicalizeOvrOrder(&overlay);
+  return overlay;
 }
 
 // ---------------------------------------------------------------------------
@@ -218,8 +215,7 @@ TEST_P(PatchOverlayTest, InsertPatchMatchesFullRefold) {
     for (int32_t s = 0; s < 3; ++s) {
       basics.push_back(BuildBasicMovd(query, s, kWorld, 128));
     }
-    const Movd old_overlay =
-        FoldOverlay({&basics[0], &basics[1], &basics[2]}, mode);
+    const Movd old_overlay = FoldOverlay(basics, mode);
 
     Rng rng(seed);
     SiteMutation mut{MutationKind::kInsert,
@@ -232,9 +228,8 @@ TEST_P(PatchOverlayTest, InsertPatchMatchesFullRefold) {
     OverlayPatchStats stats;
     const auto basic_of = [&](int32_t layer) { return &basics[layer]; };
     ASSERT_TRUE(PatchOverlay(old_overlay, {0, 1, 2}, 1, basics[1], new_basic,
-                             basic_of, mode, kWorld, -1, &patched, &stats));
-    const Movd rebuilt =
-        FoldOverlay({&basics[0], &new_basic, &basics[2]}, mode);
+                             basic_of, mode, -1, &patched, &stats));
+    const Movd rebuilt = FoldOverlay({basics[0], new_basic, basics[2]}, mode);
     EXPECT_TRUE(MovdBitIdentical(patched, rebuilt))
         << "seed " << seed << ": "
         << AuditPatchedMovd(patched, rebuilt).Summary();
@@ -252,8 +247,7 @@ TEST_P(PatchOverlayTest, DeletePatchMatchesFullRefold) {
     for (int32_t s = 0; s < 3; ++s) {
       basics.push_back(BuildBasicMovd(query, s, kWorld, 128));
     }
-    const Movd old_overlay =
-        FoldOverlay({&basics[0], &basics[1], &basics[2]}, mode);
+    const Movd old_overlay = FoldOverlay(basics, mode);
 
     const int32_t victim = static_cast<int32_t>(seed % 8);
     SiteMutation mut{MutationKind::kDelete, 1,
@@ -266,10 +260,8 @@ TEST_P(PatchOverlayTest, DeletePatchMatchesFullRefold) {
     OverlayPatchStats stats;
     const auto basic_of = [&](int32_t layer) { return &basics[layer]; };
     ASSERT_TRUE(PatchOverlay(old_overlay, {0, 1, 2}, 1, basics[1], new_basic,
-                             basic_of, mode, kWorld, victim, &patched,
-                             &stats));
-    const Movd rebuilt =
-        FoldOverlay({&basics[0], &new_basic, &basics[2]}, mode);
+                             basic_of, mode, victim, &patched, &stats));
+    const Movd rebuilt = FoldOverlay({basics[0], new_basic, basics[2]}, mode);
     EXPECT_TRUE(MovdBitIdentical(patched, rebuilt))
         << "seed " << seed << ": "
         << AuditPatchedMovd(patched, rebuilt).Summary();
@@ -282,8 +274,7 @@ TEST(PatchOverlayNoParamTest, MissingPeerBasicRefusesToPatch) {
   for (int32_t s = 0; s < 2; ++s) {
     basics.push_back(BuildBasicMovd(query, s, kWorld, 128));
   }
-  const Movd old_overlay =
-      FoldOverlay({&basics[0], &basics[1]}, BoundaryMode::kRealRegion);
+  const Movd old_overlay = FoldOverlay(basics, BoundaryMode::kRealRegion);
   SiteMutation mut{MutationKind::kInsert, 1, {33.0, 44.0}};
   ApplyToQuery(&query, mut);
   const Movd new_basic = BuildBasicMovd(query, 1, kWorld, 128);
@@ -293,8 +284,8 @@ TEST(PatchOverlayNoParamTest, MissingPeerBasicRefusesToPatch) {
   // then drops the cached overlay) rather than guess.
   const auto no_basic = [](int32_t) -> const Movd* { return nullptr; };
   EXPECT_FALSE(PatchOverlay(old_overlay, {0, 1}, 1, basics[1], new_basic,
-                            no_basic, BoundaryMode::kRealRegion, kWorld, -1,
-                            &patched, &stats));
+                            no_basic, BoundaryMode::kRealRegion, -1, &patched,
+                            &stats));
 }
 
 // ---------------------------------------------------------------------------
@@ -306,8 +297,7 @@ TEST(AuditUpdateTest, CleanOnIdenticalArtifacts) {
   for (int32_t s = 0; s < 2; ++s) {
     basics.push_back(BuildBasicMovd(query, s, kWorld, 128));
   }
-  const Movd overlay =
-      FoldOverlay({&basics[0], &basics[1]}, BoundaryMode::kRealRegion);
+  const Movd overlay = FoldOverlay(basics, BoundaryMode::kRealRegion);
   const AuditReport report = AuditPatchedMovd(overlay, overlay);
   EXPECT_TRUE(report.ok()) << report.Summary();
   EXPECT_GT(report.checks(), 0u);
@@ -319,8 +309,7 @@ TEST(AuditUpdateTest, FlagsCountAndByteMismatches) {
   for (int32_t s = 0; s < 2; ++s) {
     basics.push_back(BuildBasicMovd(query, s, kWorld, 128));
   }
-  const Movd rebuilt =
-      FoldOverlay({&basics[0], &basics[1]}, BoundaryMode::kRealRegion);
+  const Movd rebuilt = FoldOverlay(basics, BoundaryMode::kRealRegion);
 
   Movd truncated = rebuilt;
   truncated.ovrs.pop_back();
