@@ -143,17 +143,6 @@ int Generate(const Flags& flags) {
   return 0;
 }
 
-// One answer as a JSON line, through the serializer shared with the
-// serving engine's wire responses (serve/protocol.h).
-void PrintAnswerJson(const MolqQuery& query, const Point& location,
-                     double cost, const std::vector<PoiRef>& group) {
-  ServeAnswer answer;
-  answer.location = location;
-  answer.cost = cost;
-  answer.group = group;
-  std::printf("%s\n", AnswerJson(query, answer).c_str());
-}
-
 // Routes a fully-built request through the serving engine and prints the
 // result: with full_object (or for a sweep, whose natural container is
 // the response object) the engine's ResponseJson without timing fields,
@@ -179,7 +168,7 @@ int ServeAndPrint(const MolqQuery& query, const Rect& world,
     std::printf("%s\n",
                 ResponseJson(resolved, resp, /*include_timing=*/false).c_str());
   } else {
-    for (const ServeAnswer& answer : resp.answers) {
+    for (const SiteCandidate& answer : resp.answers) {
       std::printf("%s\n", AnswerJson(resolved, answer).c_str());
     }
   }
@@ -277,13 +266,15 @@ int Solve(const Flags& flags) {
     if (rc != 0) return rc;
   } else if (k > 1 && options.algorithm != MolqAlgorithm::kSsc) {
     const MolqResult top = SolveMolqTopK(query, world, k, options);
-    for (const RankedLocation& r : top.ranked) {
-      PrintAnswerJson(query, r.location, r.cost, r.group);
+    // One JSON line per rank, through the serializer shared with the
+    // serving engine's wire responses (serve/protocol.h).
+    for (const SiteCandidate& r : top.ranked) {
+      std::printf("%s\n", AnswerJson(query, r).c_str());
     }
     if (!top.ranked.empty()) answer = top.ranked.front().location;
   } else {
     const MolqResult r = SolveMolq(query, world, options);
-    PrintAnswerJson(query, r.location, r.cost, r.group);
+    std::printf("%s\n", AnswerJson(query, r.ranked.front()).c_str());
     answer = r.location;
     std::fprintf(stderr,
                  "stages: vd=%.3fs overlap=%.3fs optimize=%.3fs "

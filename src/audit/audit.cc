@@ -34,6 +34,7 @@ const char* AuditKindName(AuditKind kind) {
     case AuditKind::kOverlayMbr: return "overlay-mbr";
     case AuditKind::kOverlayRegion: return "overlay-region";
     case AuditKind::kOverlaySource: return "overlay-source";
+    case AuditKind::kOverlayRepeatedGroup: return "overlay-repeated-group";
     case AuditKind::kPolygonVertexCount: return "polygon-vertex-count";
     case AuditKind::kPolygonNonFinite: return "polygon-non-finite";
     case AuditKind::kPolygonDuplicateVertex: return "polygon-duplicate-vertex";

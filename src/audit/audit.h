@@ -52,6 +52,7 @@ enum class AuditKind {
   kOverlayRegion,      ///< RRB region empty or with an invalid piece
   kOverlaySource,      ///< no source OVR matches, or the OVR leaks outside
                        ///< a source OVR it claims to descend from
+  kOverlayRepeatedGroup,  ///< two OVRs hold the same poi group
   // AuditPolygon / AuditConvexPolygon
   kPolygonVertexCount,      ///< non-empty ring with fewer than 3 vertices
   kPolygonNonFinite,        ///< NaN/inf coordinate

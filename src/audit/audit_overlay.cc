@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <map>
 
 #include "geom/point.h"
 
@@ -249,6 +250,24 @@ AuditReport AuditMovdOverlay(const Movd& result,
     }
   }
 
+  report.Merge(AuditUniqueGroups(result));
+  return report;
+}
+
+AuditReport AuditUniqueGroups(const Movd& movd) {
+  AuditReport report;
+  std::map<std::vector<PoiRef>, size_t> first_holder;
+  for (size_t i = 0; i < movd.ovrs.size(); ++i) {
+    report.NoteChecks(1);
+    const auto [it, fresh] = first_holder.emplace(movd.ovrs[i].pois, i);
+    if (!fresh) {
+      report.Add(AuditKind::kOverlayRepeatedGroup,
+                 AuditStrFormat("OVRs %zu and %zu hold the same group of %zu "
+                                "objects",
+                                it->second, i, movd.ovrs[i].pois.size()),
+                 {static_cast<int64_t>(it->second), static_cast<int64_t>(i)});
+    }
+  }
   return report;
 }
 

@@ -25,9 +25,15 @@ namespace movd {
 ///    rounding slack). An overlap region leaking outside any of the
 ///    dominance regions that generated it is exactly the class of bug the
 ///    paper's Property 4 forbids.
+/// And across OVRs: no two hold the same poi group (AuditUniqueGroups).
 AuditReport AuditMovdOverlay(const Movd& result,
                              const std::vector<Movd>& inputs,
                              BoundaryMode mode, const Rect& search_space);
+
+/// The overlay invariant of model/movd_model.h: no two OVRs of `movd` hold
+/// the same poi group. Reports kOverlayRepeatedGroup per repeat, with the
+/// two OVR indices as the witness.
+AuditReport AuditUniqueGroups(const Movd& movd);
 
 }  // namespace movd
 

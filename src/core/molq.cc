@@ -259,13 +259,10 @@ MolqResult SolveMolq(const MolqQuery& query, const Rect& search_space,
     }
     result.location = r.location;
     result.cost = r.cost;
-    result.group.reserve(r.group.size());
-    for (size_t s = 0; s < r.group.size(); ++s) {
-      result.group.push_back({static_cast<int32_t>(s), r.group[s]});
-    }
+    result.group = r.group;
     result.stats.ssc = r.stats;
     result.stats.optimize_seconds = sw.ElapsedSeconds();
-    result.ranked.push_back({result.location, result.cost, result.group});
+    result.ranked.push_back({result.location, result.cost, {}, result.group});
     return result;
   }
 
@@ -292,7 +289,7 @@ MolqResult SolveMolq(const MolqQuery& query, const Rect& search_space,
   result.location = r.location;
   result.cost = r.cost;
   result.group = r.group;
-  result.ranked.push_back({r.location, r.cost, r.group});
+  result.ranked.push_back({r.location, r.cost, {}, r.group});
   return result;
 }
 

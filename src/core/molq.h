@@ -8,6 +8,7 @@
 #include "audit/audit.h"
 #include "model/movd_model.h"
 #include "model/object.h"
+#include "model/query_model.h"
 #include "core/optimizer.h"
 #include "core/overlap.h"
 #include "core/ssc.h"
@@ -37,7 +38,7 @@ struct MolqOptions {
   /// Two-point-prefix filters (Algorithm 1 lines 4-5, Algorithm 5 8-12).
   bool use_two_point_prefilter = true;
 
-  /// Optimizer extension: collapse duplicate object combinations.
+  /// A no-op, as OptimizerOptions::dedup_combinations.
   bool dedup_combinations = false;
 
   /// Execution knobs shared with every other pipeline entry point:
@@ -65,13 +66,6 @@ struct MolqStats {
   SscStats ssc;  ///< populated only for MolqAlgorithm::kSsc
 };
 
-/// One ranked answer of a top-k MOLQ.
-struct RankedLocation {
-  Point location;
-  double cost = 0.0;
-  std::vector<PoiRef> group;  ///< the object combination it serves
-};
-
 /// Result of one MOLQ evaluation. Every entry point — SolveMolq,
 /// SolveMolqTopK, TopKFromMovd — returns this one shape, so stats, the
 /// audit report, and the trace handle always travel together instead of
@@ -86,8 +80,9 @@ struct MolqResult {
   std::vector<PoiRef> group;
   /// Top-k entry points: the k best answers ascending by cost (ranked[0]
   /// mirrors location/cost/group). SolveMolq leaves it with the single
-  /// best answer, so `ranked` is always the full answer list.
-  std::vector<RankedLocation> ranked;
+  /// best answer, so `ranked` is always the full answer list. `criteria`
+  /// is left empty: no MOLQ entry point computes it.
+  std::vector<SiteCandidate> ranked;
   MolqStats stats;
   /// Findings of the invariant auditors, seam-labelled ("set 0 cells:
   /// ..."). Empty (0 checks) when options.exec.audit was off.

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <limits>
-#include <unordered_set>
 
 #include "core/weighted_distance.h"
 #include "fermat/fermat_weber.h"
@@ -14,44 +13,6 @@
 
 namespace movd {
 namespace {
-
-struct PoiListHash {
-  size_t operator()(const std::vector<PoiRef>& pois) const {
-    size_t h = 1469598103934665603ULL;
-    for (const PoiRef& p : pois) {
-      h ^= (static_cast<size_t>(p.set) << 32) ^
-           static_cast<size_t>(static_cast<uint32_t>(p.object));
-      h *= 1099511628211ULL;
-    }
-    return h;
-  }
-};
-
-// Builds the Fermat–Weber problem of one OVR: demand points with the
-// type/object weights folded into Fermat–Weber form, plus the constant
-// offset of the decomposition (zero for all-multiplicative queries).
-void BuildProblem(const MolqQuery& query, const std::vector<PoiRef>& pois,
-                  std::vector<WeightedPoint>* points, double* offset) {
-  points->clear();
-  *offset = 0.0;
-  for (const PoiRef& ref : pois) {
-    const SpatialObject& obj = query.sets.at(ref.set).objects.at(ref.object);
-    const FermatWeberTerm term = DecomposeWeightedDistance(
-        obj, query.type_function, query.ObjectFunction(ref.set));
-    points->push_back({obj.location, term.fw_weight});
-    *offset += term.offset;
-  }
-}
-
-// Exact optimal cost of the first two demand points (see batch.cc); adding
-// the full problem's constant offset keeps it a valid lower bound of the
-// full problem's optimal total cost.
-double TwoPointPrefixCost(const std::vector<WeightedPoint>& points,
-                          double offset) {
-  if (points.size() < 2) return offset;
-  return offset + std::min(points[0].weight, points[1].weight) *
-                      Distance(points[0].location, points[1].location);
-}
 
 struct OvrOutcome {
   Point location;
@@ -67,20 +28,6 @@ OptimizerResult OptimizeMovd(const MolqQuery& query, const Movd& movd,
                  "the Optimizer needs a non-empty MOVD to scan");
   OptimizerResult result;
   const size_t n = movd.ovrs.size();
-
-  // Deduplication is a serial prefix pass so "first occurrence wins" stays
-  // well-defined regardless of scheduling.
-  std::vector<uint8_t> duplicate(n, 0);
-  if (options.dedup_combinations) {
-    std::unordered_set<std::vector<PoiRef>, PoiListHash> seen;
-    for (size_t i = 0; i < n; ++i) {
-      MOVD_CHECK(!movd.ovrs[i].pois.empty());
-      if (!seen.insert(movd.ovrs[i].pois).second) {
-        duplicate[i] = 1;
-        ++result.stats.deduped;
-      }
-    }
-  }
 
   // The §5.4 global cost bound (total-cost space), shared by all workers
   // through CAS-min. Both the prefilter and the in-iteration prune compare
@@ -102,7 +49,6 @@ OptimizerResult OptimizeMovd(const MolqQuery& query, const Movd& movd,
     if (TokenExpired(options.exec.cancel)) return;
     const Ovr& ovr = movd.ovrs[i];
     MOVD_CHECK(!ovr.pois.empty());
-    if (duplicate[i]) return;
     // Pool threads have no ambient trace; re-install the caller's so the
     // per-OVR spans parent under the Optimizer stage span.
     TraceContextScope trace_scope(trace_ctx);
@@ -110,11 +56,12 @@ OptimizerResult OptimizeMovd(const MolqQuery& query, const Movd& movd,
     problems.fetch_add(1, std::memory_order_relaxed);
 
     std::vector<WeightedPoint> points;
-    double offset = 0.0;
-    BuildProblem(query, ovr.pois, &points, &offset);
+    const double offset = BuildFermatWeberProblem(query, ovr.pois, &points);
 
+    // The prefix optimum plus the full problem's constant offset is a
+    // lower bound of the full problem's optimal total cost.
     if (options.use_two_point_prefilter && points.size() > 3 &&
-        TwoPointPrefixCost(points, offset) >
+        offset + TwoPointPrefixCost(points) >
             bound.load(std::memory_order_relaxed)) {
       skipped_prefilter.fetch_add(1, std::memory_order_relaxed);
       span.Counter("skipped_prefilter", 1);
@@ -123,6 +70,7 @@ OptimizerResult OptimizeMovd(const MolqQuery& query, const Movd& movd,
 
     FermatWeberOptions fw;
     fw.epsilon = options.epsilon;
+    fw.cancel = options.exec.cancel;
     if (options.use_cost_bound) {
       // The solver sees pure Fermat–Weber costs; it shifts its lower bound
       // by this problem's constant offset before comparing.

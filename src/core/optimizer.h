@@ -20,9 +20,9 @@ struct OptimizerOptions {
   /// Algorithm 5 lines 8-12: exact two-point-prefix filter.
   bool use_two_point_prefilter = true;
 
-  /// Collapse OVRs with identical poi combinations before optimizing
-  /// (an extension beyond the paper: MBRB false positives frequently
-  /// duplicate combinations). Off by default to match the paper.
+  /// A no-op: every overlay the library builds holds each combination in
+  /// one OVR (model/movd_model.h), so there is nothing to collapse. Kept
+  /// so drivers that still set it compile.
   bool dedup_combinations = false;
 
   /// Shared execution knobs (util/exec_options.h). `exec.threads` fans the
@@ -31,16 +31,17 @@ struct OptimizerOptions {
   /// is identical for every thread count — the winner is resolved by a
   /// (cost, group) reduction, never by arrival order — though
   /// iteration/prune counters may vary with timing. `exec.cancel` is
-  /// polled once per OVR (on the claiming worker): when it fires,
-  /// remaining OVRs are skipped and OptimizerResult::cancelled is set —
-  /// the partial best is NOT returned. `exec.trace` spans each OVR solve.
+  /// polled once per OVR (on the claiming worker) and every 256 Weiszfeld
+  /// iterations inside a solve: when it fires, remaining OVRs are skipped
+  /// and OptimizerResult::cancelled is set — the partial best is NOT
+  /// returned. `exec.trace` spans each OVR solve.
   ExecOptions exec;
 };
 
 /// Counters for the Optimizer stage.
 struct OptimizerStats {
   uint64_t problems = 0;            ///< OVRs examined
-  uint64_t deduped = 0;             ///< OVRs skipped as duplicates
+  uint64_t deduped = 0;             ///< always 0 (see dedup_combinations)
   uint64_t skipped_prefilter = 0;   ///< skipped by the two-point filter
   uint64_t pruned_by_bound = 0;     ///< iterations cut by the cost bound
   uint64_t total_iterations = 0;    ///< Weiszfeld iterations in total
@@ -64,7 +65,9 @@ struct OptimizerResult {
 /// Fig. 3). Exact cost ties go to the GroupBefore-least group
 /// (model/query_model.h), the tie rule top-k and every query shape use, so
 /// the answer does not depend on the MOVD's OVR order. Requires a
-/// non-empty MOVD whose OVRs have non-empty poi lists.
+/// non-empty MOVD whose OVRs have non-empty poi lists; like every optimizer
+/// stage it assumes the overlay invariant of model/movd_model.h (one OVR
+/// per poi combination), so each OVR is one Fermat–Weber problem.
 OptimizerResult OptimizeMovd(const MolqQuery& query, const Movd& movd,
                              const OptimizerOptions& options = {});
 

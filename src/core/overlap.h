@@ -28,7 +28,11 @@ struct OverlapStats {
 ///    intersection; empty intersections are discarded.
 ///  - BoundaryMode::kMbr (MBRB, Algorithm 4): MBR intersection only; every
 ///    x/y-range hit is emitted (false positives possible).
-/// Both operands must themselves carry the fields the mode needs.
+/// Both operands must themselves carry the fields the mode needs. Each
+/// operand pair yields at most one OVR, so when a and b cover disjoint
+/// object sets and each holds a group once, so does the output — the
+/// overlay invariant of model/movd_model.h. Operands sharing a set (A ⊕ A)
+/// can repeat groups.
 ///
 /// Runs as one parallel pass. Number the OVRs g (a's i is g = i, b's j is
 /// g = |a| + j); the *finders* are all OVRs in start order, by descending
@@ -67,6 +71,8 @@ Movd Overlap(const Movd& a, const Movd& b, BoundaryMode mode,
 /// overlay in the repo is this fold (BuildMolqOverlay, serve, the overlay
 /// patcher). Stats accumulate across all steps. `cancel` as in Overlap: a
 /// fired token yields a truncated or empty result the caller must discard.
+/// Inputs over distinct layers (every pipeline fold) give an overlay with
+/// one OVR per poi group.
 Movd OverlapAll(const std::vector<Movd>& inputs, BoundaryMode mode,
                 OverlapStats* stats = nullptr,
                 const CancelToken* cancel = nullptr, int threads = 1,

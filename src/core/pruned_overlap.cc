@@ -32,15 +32,13 @@ double SeedUpperBound(const MolqQuery& query, const Rect& search_space,
   // Refine once: the best probe's nearest group, solved where it is
   // cheapest. The solution is clamped into the search space, so U stays
   // the MWGD of a point the overlay covers.
-  const std::vector<int32_t> group = ArgMinGroup(query, best_probe);
-  std::vector<WeightedPoint> points;
-  points.reserve(group.size());
-  for (size_t s = 0; s < group.size(); ++s) {
-    const SpatialObject& obj = query.sets[s].objects[group[s]];
-    const FermatWeberTerm t = DecomposeWeightedDistance(
-        obj, query.type_function, query.ObjectFunction(s));
-    points.push_back({obj.location, t.fw_weight});
+  const std::vector<int32_t> nearest = ArgMinGroup(query, best_probe);
+  std::vector<PoiRef> group;
+  for (size_t s = 0; s < nearest.size(); ++s) {
+    group.push_back({static_cast<int32_t>(s), nearest[s]});
   }
+  std::vector<WeightedPoint> points;
+  BuildFermatWeberProblem(query, group, &points);
   const Point solved = SolveFermatWeber(points).location;
   const Point clamped{
       std::clamp(solved.x, search_space.min_x, search_space.max_x),
@@ -51,29 +49,17 @@ double SeedUpperBound(const MolqQuery& query, const Rect& search_space,
 
 double CombinationLowerBound(const MolqQuery& query,
                              const std::vector<PoiRef>& pois) {
-  // Decompose each member as WD_i(l) = a_i * d(l, p_i) + b_i.
-  struct Term {
-    Point location;
-    double a;
-  };
-  std::vector<Term> terms;
-  terms.reserve(pois.size());
-  double offset = 0.0;
-  for (const PoiRef& ref : pois) {
-    const SpatialObject& obj = query.sets.at(ref.set).objects.at(ref.object);
-    const FermatWeberTerm t = DecomposeWeightedDistance(
-        obj, query.type_function, query.ObjectFunction(ref.set));
-    terms.push_back({obj.location, t.fw_weight});
-    offset += t.offset;
-  }
+  // Each member's WD is a_i * d(l, p_i) + b_i: points carry (p_i, a_i).
+  std::vector<WeightedPoint> points;
+  const double offset = BuildFermatWeberProblem(query, pois, &points);
   // For any l: a_i d(l,p_i) + a_j d(l,p_j) >= min(a_i,a_j) * d(p_i,p_j).
   double pair_bound = 0.0;
-  for (size_t i = 0; i < terms.size(); ++i) {
-    for (size_t j = i + 1; j < terms.size(); ++j) {
+  for (size_t i = 0; i < points.size(); ++i) {
+    for (size_t j = i + 1; j < points.size(); ++j) {
       pair_bound = std::max(pair_bound,
-                            std::min(terms[i].a, terms[j].a) *
-                                Distance(terms[i].location,
-                                         terms[j].location));
+                            std::min(points[i].weight, points[j].weight) *
+                                Distance(points[i].location,
+                                         points[j].location));
     }
   }
   return offset + pair_bound;

@@ -26,8 +26,9 @@ SscResult SolveSsc(const MolqQuery& query, const SscOptions& options) {
   std::atomic<double> bound{std::numeric_limits<double>::infinity()};
   bool have_answer = false;
 
-  std::vector<int32_t> combo(n, 0);
-  std::vector<WeightedPoint> points(n);
+  std::vector<PoiRef> combo;
+  for (size_t i = 0; i < n; ++i) combo.push_back({static_cast<int32_t>(i), 0});
+  std::vector<WeightedPoint> points;
 
   // Odometer enumeration of P_1 x ... x P_n.
   bool done = false;
@@ -41,27 +42,18 @@ SscResult SolveSsc(const MolqQuery& query, const SscOptions& options) {
       return result;
     }
     ++result.stats.combinations;
-    double offset = 0.0;
-    for (size_t i = 0; i < n; ++i) {
-      const SpatialObject& obj = query.sets[i].objects[combo[i]];
-      const FermatWeberTerm term = DecomposeWeightedDistance(
-          obj, query.type_function, query.ObjectFunction(i));
-      points[i] = {obj.location, term.fw_weight};
-      offset += term.offset;
-    }
+    const double offset = BuildFermatWeberProblem(query, combo, &points);
 
     bool skip = false;
     if (options.use_upper_bound_prune && n > 2) {
       // Exact two-point optimum of <p_1^u, p_2^s> (Algorithm 1 line 4) plus
       // the combination's constant offsets: a lower bound on the full
-      // combination's optimal cost.
-      const double prefix =
-          offset + std::min(points[0].weight, points[1].weight) *
-                       Distance(points[0].location, points[1].location);
-      // Strictly greater, matching the Optimizer's prefilter: a prefix that
-      // exactly ties the bound cannot improve on it, but skipping on ties
-      // would make SSC and RRB/MBRB disagree about tie-cost optima.
-      if (prefix > bound.load(std::memory_order_relaxed)) {
+      // combination's optimal cost. Strictly greater, matching the
+      // Optimizer's prefilter: a prefix that exactly ties the bound cannot
+      // improve on it, but skipping on ties would make SSC and RRB/MBRB
+      // disagree about tie-cost optima.
+      if (offset + TwoPointPrefixCost(points) >
+          bound.load(std::memory_order_relaxed)) {
         ++result.stats.skipped_prefilter;
         skip = true;
       }
@@ -70,6 +62,7 @@ SscResult SolveSsc(const MolqQuery& query, const SscOptions& options) {
     if (!skip) {
       FermatWeberOptions fw;
       fw.epsilon = options.epsilon;
+      fw.cancel = options.exec.cancel;
       if (options.use_cost_bound) {
         fw.shared_cost_bound = &bound;
         fw.shared_bound_offset = offset;
@@ -96,13 +89,19 @@ SscResult SolveSsc(const MolqQuery& query, const SscOptions& options) {
     // Advance the odometer.
     size_t i = 0;
     while (i < n) {
-      if (++combo[i] < static_cast<int32_t>(query.sets[i].objects.size())) {
+      if (++combo[i].object <
+          static_cast<int32_t>(query.sets[i].objects.size())) {
         break;
       }
-      combo[i] = 0;
+      combo[i].object = 0;
       ++i;
     }
     done = i == n;
+  }
+  // The last solve may have stopped on the token without an answer.
+  if (TokenExpired(options.exec.cancel)) {
+    result.cancelled = true;
+    return result;
   }
   MOVD_CHECK(have_answer);
   span.Counter("combinations",

@@ -26,9 +26,10 @@ struct SscOptions {
   /// Shared execution knobs (util/exec_options.h). Only `exec.cancel` and
   /// `exec.trace` apply — the scan itself is serial (`exec.threads` is
   /// ignored; the per-problem solver is the unit of work). The cancel
-  /// token is polled once per combination: when it fires the scan stops
-  /// and SscResult::cancelled is set — the partially-scanned best answer
-  /// is NOT returned.
+  /// token is polled once per combination and every 256 Weiszfeld
+  /// iterations inside a solve: when it fires the scan stops and
+  /// SscResult::cancelled is set — the partially-scanned best answer is
+  /// NOT returned.
   ExecOptions exec;
 };
 
@@ -47,9 +48,9 @@ struct SscResult {
   bool cancelled = false;
   Point location;
   double cost = 0.0;
-  /// Winning object combination: group[i] indexes query.sets[i].objects.
-  /// Exact cost ties go to the lexicographically least combination.
-  std::vector<int32_t> group;
+  /// Winning object combination, one PoiRef per set in set order. Exact
+  /// cost ties go to the lexicographically least combination.
+  std::vector<PoiRef> group;
   SscStats stats;
 };
 

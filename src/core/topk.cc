@@ -3,12 +3,11 @@
 #include <algorithm>
 #include <atomic>
 #include <limits>
-#include <map>
 #include <queue>
-#include <set>
 
 #include "core/weighted_distance.h"
 #include "fermat/fermat_weber.h"
+#include "model/query_model.h"
 #include "trace/trace.h"
 #include "util/check.h"
 #include "util/stopwatch.h"
@@ -27,12 +26,15 @@ MolqResult TopKFromMovd(const MolqQuery& query, const Movd& movd, size_t k,
   TraceContextScope trace_scope(options.exec.trace);
   TraceSpan span("topk_optimize");
 
-  // Best cost per distinct combination; duplicates (MBRB false positives)
-  // collapse naturally. Groups the bound already pruned are remembered too:
-  // the bound only ever decreases, so a pruned group stays pruned, and a
-  // duplicate OVR must not re-run its Weiszfeld iteration.
-  std::map<std::vector<PoiRef>, RankedLocation> best_by_group;
-  std::set<std::vector<PoiRef>> pruned_groups;
+  // Every OVR holds its own combination (the overlay invariant), so each
+  // solved OVR is one candidate answer; groups are copied only for the k
+  // answers kept.
+  struct Solved {
+    double cost;
+    Point location;
+    size_t ovr;
+  };
+  std::vector<Solved> solved;
 
   // The k smallest costs seen so far, as a bounded max-heap: the root is
   // the running k-th best, which is the prune bound. O(log k) per
@@ -44,46 +46,29 @@ MolqResult TopKFromMovd(const MolqQuery& query, const Movd& movd, size_t k,
   // retained — dropping it would under-fill the result when fewer than k
   // other combinations exist.
   std::atomic<double> kth_bound{std::numeric_limits<double>::infinity()};
+  std::vector<WeightedPoint> points;
 
-  for (const Ovr& ovr : movd.ovrs) {
-    // Cancellation checkpoint (serving deadlines): once per OVR. A fired
-    // token discards the partial ranking — a truncated scan could rank
-    // wrong answers into the top k.
-    if (TokenExpired(options.exec.cancel)) {
-      result.status = StatusCode::kCancelled;
-      return result;
-    }
+  for (size_t i = 0; i < movd.ovrs.size(); ++i) {
+    // Cancellation checkpoint (serving deadlines): once per OVR, and every
+    // 256 Weiszfeld iterations inside its solve. A fired token discards
+    // the partial ranking — a truncated scan could rank wrong answers into
+    // the top k.
+    if (TokenExpired(options.exec.cancel)) break;
+    const Ovr& ovr = movd.ovrs[i];
     MOVD_CHECK(!ovr.pois.empty());
-    if (best_by_group.count(ovr.pois) || pruned_groups.count(ovr.pois)) {
-      continue;  // combination already solved (or already proven worse)
-    }
-    std::vector<WeightedPoint> points;
-    double offset = 0.0;
-    for (const PoiRef& ref : ovr.pois) {
-      const SpatialObject& obj = query.sets.at(ref.set).objects.at(ref.object);
-      const FermatWeberTerm term = DecomposeWeightedDistance(
-          obj, query.type_function, query.ObjectFunction(ref.set));
-      points.push_back({obj.location, term.fw_weight});
-      offset += term.offset;
-    }
+    const double offset = BuildFermatWeberProblem(query, ovr.pois, &points);
     FermatWeberOptions fw;
     fw.epsilon = options.epsilon;
+    fw.cancel = options.exec.cancel;
     if (options.use_cost_bound) {
       fw.shared_cost_bound = &kth_bound;
       fw.shared_bound_offset = offset;
     }
     const FermatWeberResult r = SolveFermatWeber(points, fw);
     span.Counter("weiszfeld_iters", r.iterations);
-    if (r.pruned) {  // provably worse than the current k-th best
-      pruned_groups.insert(ovr.pois);
-      continue;
-    }
-    RankedLocation ranked;
-    ranked.location = r.location;
-    ranked.cost = r.cost + offset;
-    ranked.group = ovr.pois;
-    const double cost = ranked.cost;
-    best_by_group.emplace(ovr.pois, std::move(ranked));
+    if (r.pruned) continue;  // provably worse than the current k-th best
+    const double cost = r.cost + offset;
+    solved.push_back({cost, r.location, i});
     if (best_k.size() < k) {
       best_k.push(cost);
     } else if (cost < best_k.top()) {
@@ -94,17 +79,28 @@ MolqResult TopKFromMovd(const MolqQuery& query, const Movd& movd, size_t k,
       kth_bound.store(best_k.top(), std::memory_order_relaxed);
     }
   }
+  if (TokenExpired(options.exec.cancel)) {
+    result.status = StatusCode::kCancelled;
+    return result;
+  }
 
-  result.ranked.reserve(best_by_group.size());
-  for (auto& [group, r] : best_by_group) result.ranked.push_back(std::move(r));
-  // stable_sort keeps the map's (set, object) group order among equal
-  // costs, so tied tails are deterministic: when every candidate ties, the
-  // ranking is exactly the lexicographic group order.
-  std::stable_sort(result.ranked.begin(), result.ranked.end(),
-                   [](const RankedLocation& a, const RankedLocation& b) {
-                     return a.cost < b.cost;
-                   });
-  if (result.ranked.size() > k) result.ranked.resize(k);
+  // Ascending cost, exact ties by GroupBefore (CandidateOrderBefore's
+  // rule): when every candidate ties, the ranking is exactly the
+  // lexicographic group order.
+  const size_t kept = std::min(k, solved.size());
+  std::partial_sort(solved.begin(), solved.begin() + kept, solved.end(),
+                    [&](const Solved& a, const Solved& b) {
+                      if (a.cost < b.cost) return true;
+                      if (b.cost < a.cost) return false;
+                      return GroupBefore(movd.ovrs[a.ovr].pois,
+                                         movd.ovrs[b.ovr].pois);
+                    });
+  result.ranked.reserve(kept);
+  for (size_t i = 0; i < kept; ++i) {
+    const Solved& best = solved[i];
+    result.ranked.push_back(
+        {best.location, best.cost, {}, movd.ovrs[best.ovr].pois});
+  }
   span.Counter("ranked", static_cast<int64_t>(result.ranked.size()));
   if (!result.ranked.empty()) {
     result.location = result.ranked.front().location;

@@ -8,7 +8,8 @@ namespace movd {
 /// Top-k extension of MOLQ (beyond the paper): the k best locally-optimal
 /// locations over *distinct* object combinations, ascending by cost. A
 /// planner rarely wants a single point; the runners-up are the natural
-/// alternatives.
+/// alternatives. Combinations are distinct because the overlay holds each
+/// one in a single OVR (model/movd_model.h), so one OVR is one answer.
 ///
 /// Builds the overlay with BuildMolqOverlay (RRB or MBRB per
 /// `options.algorithm`; kSsc is rejected), unpruned because ranks beyond
@@ -31,10 +32,14 @@ MolqResult SolveMolqTopK(const MolqQuery& query, const Rect& search_space,
                          size_t k, const MolqOptions& options = {});
 
 /// The Optimizer half of SolveMolqTopK, over an already-built MOVD: the k
-/// best locally-optimal locations over distinct object combinations. This
-/// is the entry point the serving engine (src/serve) uses to rank answers
-/// from a cached overlay artifact without rebuilding the pipeline; OVR poi
-/// refs must index into `query`. Cancellation semantics as above.
+/// best locally-optimal locations, one per OVR, ascending by (cost,
+/// GroupBefore). This is the entry point the serving engine (src/serve)
+/// and the what-if sweep use to rank answers from a cached overlay
+/// without rebuilding the pipeline. Requires the overlay invariant of
+/// model/movd_model.h (no two OVRs share a poi group; a repeated group
+/// would be ranked twice) and OVR poi refs that index into `query`. The
+/// answers' `criteria` stay empty. Cancellation semantics as above; the
+/// token is also polled every 256 Weiszfeld iterations.
 MolqResult TopKFromMovd(const MolqQuery& query, const Movd& movd, size_t k,
                         const MolqOptions& options = {});
 

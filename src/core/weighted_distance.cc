@@ -98,4 +98,19 @@ FermatWeberTerm DecomposeWeightedDistance(const SpatialObject& p,
   return term;
 }
 
+double BuildFermatWeberProblem(const MolqQuery& query,
+                               const std::vector<PoiRef>& group,
+                               std::vector<WeightedPoint>* points) {
+  points->clear();
+  double offset = 0.0;
+  for (const PoiRef& ref : group) {
+    const SpatialObject& obj = query.sets.at(ref.set).objects.at(ref.object);
+    const FermatWeberTerm term = DecomposeWeightedDistance(
+        obj, query.type_function, query.ObjectFunction(ref.set));
+    points->push_back({obj.location, term.fw_weight});
+    offset += term.offset;
+  }
+  return offset;
+}
+
 }  // namespace movd

@@ -3,6 +3,7 @@
 
 #include <vector>
 
+#include "fermat/fermat_weber.h"
 #include "model/object.h"
 #include "geom/point.h"
 
@@ -43,6 +44,17 @@ struct FermatWeberTerm {
 FermatWeberTerm DecomposeWeightedDistance(const SpatialObject& p,
                                           WeightFunctionKind type_fn,
                                           WeightFunctionKind object_fn);
+
+/// The Fermat–Weber problem of one object group, the one place a group
+/// becomes demand points (optimizer, top-k, SSC, the query shapes and the
+/// combination bounds all call it): replaces `*points` with one demand
+/// point per member, in group order, each weighted by its
+/// DecomposeWeightedDistance fw_weight, and returns the sum of the
+/// members' offsets in group order. WGD(q, group) = FermatWeberCost(
+/// *points, q) + the returned offset. Refs must index into `query`.
+double BuildFermatWeberProblem(const MolqQuery& query,
+                               const std::vector<PoiRef>& group,
+                               std::vector<WeightedPoint>* points);
 
 }  // namespace movd
 

@@ -10,17 +10,6 @@
 namespace movd {
 namespace {
 
-// Exact optimal cost of the two-point prefix subproblem: the optimum sits
-// at the heavier point, so the cost is min(w1, w2) * d. A valid lower bound
-// for the full problem's optimum because dropping demand points can only
-// lower the optimal cost.
-double TwoPointPrefixCost(const std::vector<WeightedPoint>& points) {
-  if (points.size() < 2) return 0.0;
-  const WeightedPoint& a = points[0];
-  const WeightedPoint& b = points[1];
-  return std::min(a.weight, b.weight) * Distance(a.location, b.location);
-}
-
 struct ProblemOutcome {
   Point location;
   double cost = 0.0;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "geom/predicates.h"
 #include "util/check.h"
@@ -150,6 +151,10 @@ FermatWeberResult Weiszfeld(const std::vector<WeightedPoint>& points,
   MOVD_CHECK(options.relaxation > 0.0 && options.relaxation <= 2.0);
   double cost = FermatWeberCost(points, q);
   for (int iter = 1; iter <= options.max_iterations; ++iter) {
+    if (iter % 256 == 0 && TokenExpired(options.cancel)) {
+      result.cancelled = true;
+      break;
+    }
     Point next = WeiszfeldStep(points, q);
     result.iterations = iter;
     double next_cost = FermatWeberCost(points, next);
@@ -175,12 +180,9 @@ FermatWeberResult Weiszfeld(const std::vector<WeightedPoint>& points,
     // bound cannot beat the global bound, further iterations are wasted.
     // The shared bound is compared strictly (ties survive) so concurrent
     // solvers stay deterministic; see FermatWeberOptions.
-    const bool bound_hit =
-        options.shared_cost_bound != nullptr
-            ? lb + options.shared_bound_offset >
-                  options.shared_cost_bound->load(std::memory_order_relaxed)
-            : lb >= options.cost_bound;
-    if (bound_hit) {
+    if (options.shared_cost_bound != nullptr &&
+        lb + options.shared_bound_offset >
+            options.shared_cost_bound->load(std::memory_order_relaxed)) {
       result.pruned = true;
       break;
     }
@@ -212,6 +214,12 @@ double FermatWeberCost(const std::vector<WeightedPoint>& points,
     cost += p.weight * Distance(q, p.location);
   }
   return cost;
+}
+
+double TwoPointPrefixCost(const std::vector<WeightedPoint>& points) {
+  if (points.size() < 2) return 0.0;
+  return std::min(points[0].weight, points[1].weight) *
+         Distance(points[0].location, points[1].location);
 }
 
 double FermatWeberLowerBound(const std::vector<WeightedPoint>& points,

@@ -3,11 +3,11 @@
 
 #include <atomic>
 #include <cstdint>
-#include <limits>
 #include <optional>
 #include <vector>
 
 #include "geom/point.h"
+#include "util/cancel.h"
 
 namespace movd {
 
@@ -34,6 +34,13 @@ double FermatWeberLowerBound(const std::vector<WeightedPoint>& points,
 /// median along the line, linear-time after sort); otherwise nullopt.
 std::optional<Point> SolveCollinear(const std::vector<WeightedPoint>& points);
 
+/// Exact optimal cost of the two-point prefix subproblem on points[0] and
+/// points[1] (0 with fewer than two points): the optimum sits at the
+/// heavier point, so the cost is min(w1, w2) * d. A lower bound on the
+/// full problem's optimum, because dropping demand points can only lower
+/// it — the prefilter of Algorithm 1 lines 4-5 and Algorithm 5 lines 8-12.
+double TwoPointPrefixCost(const std::vector<WeightedPoint>& points);
+
 /// Options for the iterative (Weiszfeld) solver.
 struct FermatWeberOptions {
   /// Relative error bound epsilon: stop when (cost - lb) / lb <= epsilon,
@@ -43,22 +50,23 @@ struct FermatWeberOptions {
   /// Hard iteration cap (safety net; the stopping rule fires first).
   int max_iterations = 100000;
 
-  /// Global cost bound (Algorithm 5): iteration aborts as soon as the
-  /// lower bound proves this problem cannot beat `cost_bound`.
-  double cost_bound = std::numeric_limits<double>::infinity();
-
-  /// Live shared cost bound for concurrent batch solving (§5.4 across
-  /// threads). When set, it supersedes `cost_bound`: every iteration
-  /// reloads the current global bound and prunes when
-  ///   lower_bound + shared_bound_offset > *shared_cost_bound
-  /// (strictly greater, unlike the `>=` of the scalar bound, so a problem
-  /// whose optimum exactly ties the bound still completes — ties are then
-  /// resolved deterministically by the caller's (cost, index) reduction,
-  /// independent of thread arrival order). `shared_bound_offset` is the
-  /// constant term of the caller's weighted-distance decomposition, which
-  /// the bound tracks but this solver does not see.
+  /// Global cost bound (Algorithm 5, §5.4 across threads): when set,
+  /// every iteration reloads the current bound and prunes when
+  ///   lower_bound + shared_bound_offset > *shared_cost_bound.
+  /// Strictly greater, so a problem whose optimum exactly ties the bound
+  /// still completes — ties are then resolved deterministically by the
+  /// caller's (cost, group) or (cost, index) reduction, independent of
+  /// thread arrival order. `shared_bound_offset` is the constant term of
+  /// the caller's weighted-distance decomposition, which the bound tracks
+  /// but this solver does not see.
   const std::atomic<double>* shared_cost_bound = nullptr;
   double shared_bound_offset = 0.0;
+
+  /// Serving deadlines: polled every 256 Weiszfeld iterations. A fired
+  /// token stops the solve with `cancelled` set; its location and cost are
+  /// then not an answer, and the caller must discard them (every caller
+  /// re-checks its token after its scan).
+  const CancelToken* cancel = nullptr;
 
   /// When true (default), problems of size 3 / collinear problems are
   /// routed to the exact solvers, as the paper prescribes (§5.4).
@@ -82,8 +90,10 @@ struct FermatWeberResult {
   /// True when the epsilon stopping rule was satisfied.
   bool converged = false;
   /// True when iteration stopped early because the lower bound crossed
-  /// options.cost_bound; `location`/`cost` hold the last iterate.
+  /// options.shared_cost_bound; `location`/`cost` hold the last iterate.
   bool pruned = false;
+  /// True when options.cancel fired mid-iteration: not an answer.
+  bool cancelled = false;
 };
 
 /// Exact solution of the three-point problem for any positive weights.

@@ -33,6 +33,17 @@ struct Ovr {
 /// A Minimum Overlapped Voronoi Diagram: an OVD with empty OVRs removed
 /// (paper Eq. 13). The identity element MOVD(∅) = {R} is represented by a
 /// single OVR covering the search space with no pois (Eq. 14).
+///
+/// Overlay invariant: one OVR per poi group, as the paper defines an OVR
+/// by its combination. A basic MOVD has one OVR per distinct site, and an
+/// Overlap step emits at most one OVR per operand pair; when the operands
+/// cover disjoint object sets, as every pipeline fold's layers do, the
+/// merged group identifies the pair. So OverlapAll (pruned or not),
+/// serve's fold, PatchOverlay and ClipMovdToFeasible (one OVR out per OVR
+/// in, at most) all keep it. Algebra overlays such as A ⊕ A share a set
+/// and may repeat groups; no pipeline path builds one. The optimizer
+/// stages treat each OVR as its own combination; AuditUniqueGroups
+/// (audit/audit_overlay.h) checks the invariant.
 struct Movd {
   std::vector<Ovr> ovrs;
 

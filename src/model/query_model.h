@@ -24,7 +24,9 @@ namespace movd {
 /// object combination (an OVR poi list), the aggregate cost WGD there, and
 /// the per-member criteria vector. `criteria[i]` is WD(location, group[i]);
 /// since a group holds exactly one object per selected set in ascending set
-/// order, entry i is the i-th selected set's criterion.
+/// order, entry i is the i-th selected set's criterion. The one answer
+/// shape of every entry point: MolqResult::ranked and served answers too,
+/// with `criteria` left empty where no criteria are computed.
 struct SiteCandidate {
   Point location;
   double cost = 0.0;             ///< WGD at `location` (= sum of criteria)
@@ -44,8 +46,8 @@ bool Dominates(const std::vector<double>& a, const std::vector<double>& b);
 bool GroupBefore(const std::vector<PoiRef>& a, const std::vector<PoiRef>& b);
 
 /// The ranking order of cost-ranked results (diversified top-k, what-if
-/// rankings): ascending cost, ties by GroupBefore. Matches TopKFromMovd's
-/// stable map-order tie rule, so k best under this order == top-k.
+/// rankings): ascending cost, ties by GroupBefore. TopKFromMovd ranks by
+/// the same rule, so k best under this order == top-k.
 bool CandidateOrderBefore(const SiteCandidate& a, const SiteCandidate& b);
 
 /// The skyline scan/output order: ascending left-to-right criteria sum,

@@ -1,8 +1,5 @@
 #include "query/candidates.h"
 
-#include <atomic>
-#include <set>
-
 #include "core/weighted_distance.h"
 #include "fermat/fermat_weber.h"
 #include "trace/trace.h"
@@ -36,42 +33,22 @@ StatusCode EnumerateCandidates(const MolqQuery& query, const Movd& movd,
   TraceContextScope trace_scope(options.exec.trace);
   TraceSpan span("query_candidates");
 
-  // Distinct combinations in first-seen OVR order; the scan order of a
-  // given MOVD is deterministic, so so is the slot assignment below.
-  std::set<std::vector<PoiRef>> seen;
-  std::vector<const std::vector<PoiRef>*> groups;
-  for (const Ovr& ovr : movd.ovrs) {
-    MOVD_CHECK(!ovr.pois.empty());
-    if (!seen.insert(ovr.pois).second) continue;
-    groups.push_back(&ovr.pois);
-  }
-
-  std::vector<SiteCandidate> candidates(groups.size());
-  std::atomic<bool> cancelled{false};
+  // One candidate per OVR: the overlay holds each combination once, and
+  // each worker writes only its own slot.
+  std::vector<SiteCandidate> candidates(movd.ovrs.size());
   const Trace::Context ctx = Trace::CaptureContext();
-  ParallelFor(ResolveThreads(options.exec.threads), groups.size(),
+  ParallelFor(ResolveThreads(options.exec.threads), movd.ovrs.size(),
               [&](size_t i) {
-                if (cancelled.load(std::memory_order_relaxed)) return;
-                if (TokenExpired(options.exec.cancel)) {
-                  cancelled.store(true, std::memory_order_relaxed);
-                  return;
-                }
+                if (TokenExpired(options.exec.cancel)) return;
                 TraceContextScope scope(ctx);
-                const std::vector<PoiRef>& group = *groups[i];
+                const std::vector<PoiRef>& group = movd.ovrs[i].pois;
+                MOVD_CHECK(!group.empty());
                 std::vector<WeightedPoint> points;
-                points.reserve(group.size());
-                double offset = 0.0;
-                for (const PoiRef& ref : group) {
-                  const SpatialObject& obj =
-                      query.sets.at(ref.set).objects.at(ref.object);
-                  const FermatWeberTerm term = DecomposeWeightedDistance(
-                      obj, query.type_function,
-                      query.ObjectFunction(ref.set));
-                  points.push_back({obj.location, term.fw_weight});
-                  offset += term.offset;
-                }
+                const double offset =
+                    BuildFermatWeberProblem(query, group, &points);
                 FermatWeberOptions fw;
                 fw.epsilon = options.epsilon;
+                fw.cancel = options.exec.cancel;
                 const FermatWeberResult r = SolveFermatWeber(points, fw);
                 SiteCandidate& c = candidates[i];
                 c.location = r.location;
@@ -79,9 +56,8 @@ StatusCode EnumerateCandidates(const MolqQuery& query, const Movd& movd,
                 c.group = group;
                 c.criteria = CandidateCriteria(query, group, r.location);
               });
-  if (cancelled.load(std::memory_order_relaxed)) {
-    return StatusCode::kCancelled;
-  }
+  // The token latches, so a solve it cut short is caught here.
+  if (TokenExpired(options.exec.cancel)) return StatusCode::kCancelled;
   span.Counter("candidates", static_cast<int64_t>(candidates.size()));
   *out = std::move(candidates);
   return StatusCode::kOk;

@@ -1,6 +1,5 @@
 #include "query/constrained.h"
 
-#include <atomic>
 #include <cstdint>
 #include <utility>
 
@@ -152,32 +151,20 @@ ConstrainedMolqResult ConstrainedFromClippedMovd(
     SiteCandidate candidate;
   };
   std::vector<Slot> slots(clipped.ovrs.size());
-  std::atomic<bool> cancelled{false};
   const Trace::Context ctx = Trace::CaptureContext();
   ParallelFor(
       ResolveThreads(options.exec.threads), clipped.ovrs.size(),
       [&](size_t i) {
-        if (cancelled.load(std::memory_order_relaxed)) return;
-        if (TokenExpired(options.exec.cancel)) {
-          cancelled.store(true, std::memory_order_relaxed);
-          return;
-        }
+        if (TokenExpired(options.exec.cancel)) return;
         TraceContextScope scope(ctx);
         const Ovr& ovr = clipped.ovrs[i];
         MOVD_CHECK(!ovr.pois.empty());
         std::vector<WeightedPoint> points;
-        points.reserve(ovr.pois.size());
-        double offset = 0.0;
-        for (const PoiRef& ref : ovr.pois) {
-          const SpatialObject& obj =
-              query.sets.at(ref.set).objects.at(ref.object);
-          const FermatWeberTerm term = DecomposeWeightedDistance(
-              obj, query.type_function, query.ObjectFunction(ref.set));
-          points.push_back({obj.location, term.fw_weight});
-          offset += term.offset;
-        }
+        const double offset =
+            BuildFermatWeberProblem(query, ovr.pois, &points);
         FermatWeberOptions fw;
         fw.epsilon = options.epsilon;
+        fw.cancel = options.exec.cancel;
         const FermatWeberResult free = SolveFermatWeber(points, fw);
         Slot& slot = slots[i];
         Point where = free.location;
@@ -210,7 +197,8 @@ ConstrainedMolqResult ConstrainedFromClippedMovd(
         slot.candidate.criteria = CandidateCriteria(query, ovr.pois, where);
         slot.solved = true;
       });
-  if (cancelled.load(std::memory_order_relaxed)) {
+  // The token latches, so a solve it cut short is caught here.
+  if (TokenExpired(options.exec.cancel)) {
     result.status = StatusCode::kCancelled;
     return result;
   }

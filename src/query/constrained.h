@@ -27,7 +27,8 @@ Region BuildFeasibleRegion(const QueryConstraint& constraint,
 /// Every OVR's region intersected with `feasible`; OVRs whose feasible part
 /// is empty (area below Region::kDefaultMinPieceArea) are dropped and MBRs
 /// are recomputed from the clipped regions. Requires an RRB MOVD (every OVR
-/// carries a non-empty real region).
+/// carries a non-empty real region). Emits at most one OVR per input OVR,
+/// so the clip keeps the overlay invariant of model/movd_model.h.
 Movd ClipMovdToFeasible(const Movd& movd, const Region& feasible);
 
 /// The constrained optimum over a clipped MOVD. Per OVR: solve the
@@ -38,7 +39,8 @@ Movd ClipMovdToFeasible(const Movd& movd, const Region& feasible);
 /// minimized by a fixed-iteration golden-section search (deterministic —
 /// no data-dependent stopping), with both endpoints evaluated as guards.
 /// Ties between OVRs break by GroupBefore; `feasible` is false when the
-/// clipped MOVD is empty.
+/// clipped MOVD is empty. options.exec.cancel is polled per OVR and every
+/// 256 Weiszfeld iterations; a fired token yields kCancelled.
 ConstrainedMolqResult ConstrainedFromClippedMovd(
     const MolqQuery& query, const Movd& clipped,
     const CandidateOptions& options = {});

@@ -18,8 +18,8 @@ namespace movd {
 /// members — O(n * |skyline|) dominance tests instead of the O(n^2)
 /// all-pairs scan of the brute-force reference. The output is in the same
 /// order, deterministic for every thread count. MBRB overlays are legal
-/// inputs: their false-positive duplicate combinations collapse during
-/// candidate enumeration.
+/// inputs: their false positives are extra combinations, each still held
+/// by one OVR, so each is one candidate.
 SkylineResult SkylineFromMovd(const MolqQuery& query, const Movd& movd,
                               const CandidateOptions& options = {});
 

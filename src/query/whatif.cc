@@ -1,7 +1,5 @@
 #include "query/whatif.h"
 
-#include <atomic>
-
 #include "core/topk.h"
 #include "query/candidates.h"
 #include "trace/trace.h"
@@ -27,15 +25,10 @@ WhatIfSweepResult WhatIfSweepFromMovd(const MolqQuery& base, const Movd& movd,
   }
 
   std::vector<std::vector<SiteCandidate>> per_vector(vectors.size());
-  std::atomic<bool> cancelled{false};
   const Trace::Context ctx = Trace::CaptureContext();
   ParallelFor(ResolveThreads(options.exec.threads), vectors.size(),
               [&](size_t i) {
-                if (cancelled.load(std::memory_order_relaxed)) return;
-                if (TokenExpired(options.exec.cancel)) {
-                  cancelled.store(true, std::memory_order_relaxed);
-                  return;
-                }
+                if (TokenExpired(options.exec.cancel)) return;
                 TraceContextScope scope(ctx);
                 const MolqQuery scaled = ApplyWhatIfVector(base, vectors[i]);
                 MolqOptions mo;
@@ -45,25 +38,16 @@ WhatIfSweepResult WhatIfSweepFromMovd(const MolqQuery& base, const Movd& movd,
                 // on the outer thread count.
                 mo.exec.threads = 1;
                 mo.exec.cancel = options.exec.cancel;
-                const MolqResult ranked =
+                MolqResult ranked =
                     TopKFromMovd(scaled, movd, options.topk, mo);
-                if (ranked.status != StatusCode::kOk) {
-                  cancelled.store(true, std::memory_order_relaxed);
-                  return;
+                if (ranked.status != StatusCode::kOk) return;
+                for (SiteCandidate& c : ranked.ranked) {
+                  c.criteria = CandidateCriteria(scaled, c.group, c.location);
                 }
-                std::vector<SiteCandidate>& out = per_vector[i];
-                out.reserve(ranked.ranked.size());
-                for (const RankedLocation& r : ranked.ranked) {
-                  SiteCandidate c;
-                  c.location = r.location;
-                  c.cost = r.cost;
-                  c.group = r.group;
-                  c.criteria =
-                      CandidateCriteria(scaled, r.group, r.location);
-                  out.push_back(std::move(c));
-                }
+                per_vector[i] = std::move(ranked.ranked);
               });
-  if (cancelled.load(std::memory_order_relaxed)) {
+  // The token latches, so a ranking it cut short is caught here.
+  if (TokenExpired(options.exec.cancel)) {
     result.status = StatusCode::kCancelled;
     return result;
   }

@@ -59,27 +59,20 @@ struct MutationStats {
   bool full_rebuild = false;     ///< incremental path unavailable/stalled
 };
 
-/// One ranked answer: the location, its cost, and the winning object
-/// combination (PoiRef::set is the DATASET layer index).
-struct ServeAnswer {
-  Point location;
-  double cost = 0.0;
-  std::vector<PoiRef> group;
-  /// Per-member criteria vector (skyline/diverse/constrained/what-if
-  /// answers); empty for plain MOLQ, and omitted from the JSON then, so
-  /// MOLQ response bytes are unchanged by the query-algebra shapes.
-  std::vector<double> criteria;
-};
-
 /// The engine's reply to one request.
 struct ServeResponse {
   ServeStatus status = ServeStatus::kOk;
   std::string id = "-";
-  std::string error;                 ///< human-readable detail on non-kOk
-  std::vector<ServeAnswer> answers;  ///< ascending by cost; empty on error
+  std::string error;  ///< human-readable detail on non-kOk
+  /// The answers in their shape's order (ascending by cost for SOLVE);
+  /// empty on error. PoiRef::set is the DATASET layer index. `criteria` is
+  /// filled by skyline/diverse/constrained/what-if and left empty for
+  /// plain MOLQ, where the JSON omits it, so MOLQ response bytes are
+  /// unchanged by the query-algebra shapes.
+  std::vector<SiteCandidate> answers;
   /// kWhatIf only: one ranking per sweep vector, in request order
   /// (`answers` stays empty — a sweep has no single answer list).
-  std::vector<std::vector<ServeAnswer>> sweep_answers;
+  std::vector<std::vector<SiteCandidate>> sweep_answers;
   bool cache_hit = false;  ///< overlay artifact came straight from cache
   double seconds = 0.0;    ///< service time (solve, excluding queue wait)
   /// The dataset snapshot this response was computed against (set on OK

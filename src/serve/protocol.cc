@@ -676,7 +676,7 @@ Status ParseSweepSpec(const std::string& spec,
   return Status::Ok();
 }
 
-std::string AnswerJson(const MolqQuery& query, const ServeAnswer& answer) {
+std::string AnswerJson(const MolqQuery& query, const SiteCandidate& answer) {
   char buf[128];
   std::snprintf(buf, sizeof(buf),
                 "{\"location\": [%.6f, %.6f], \"cost\": %.6f, \"group\": [",
@@ -685,8 +685,12 @@ std::string AnswerJson(const MolqQuery& query, const ServeAnswer& answer) {
   for (size_t i = 0; i < answer.group.size(); ++i) {
     const PoiRef& ref = answer.group[i];
     MOVD_CHECK_MSG(ref.set >= 0 &&
-                       static_cast<size_t>(ref.set) < query.sets.size(),
-                   "answer group references a set outside its query");
+                       static_cast<size_t>(ref.set) < query.sets.size() &&
+                       ref.object >= 0 &&
+                       static_cast<size_t>(ref.object) <
+                           query.sets[static_cast<size_t>(ref.set)]
+                               .objects.size(),
+                   "answer group references an object outside its query");
     const ObjectSet& set = query.sets[static_cast<size_t>(ref.set)];
     const SpatialObject& obj = set.objects[static_cast<size_t>(ref.object)];
     if (i > 0) out += ", ";

@@ -178,10 +178,11 @@ Status ParseSweepSpec(const std::string& spec,
 /// One answer as a JSON object — the serializer shared by the server's
 /// SOLVE responses and molq_cli --json, so both fronts emit byte-identical
 /// records: {"location": [x, y], "cost": c, "group": [{"set": <name>,
-/// "index": i, "at": [x, y]}, ...]}. `query` resolves group refs to set
-/// names and object locations; it must be the query the answer was
-/// computed against.
-std::string AnswerJson(const MolqQuery& query, const ServeAnswer& answer);
+/// "index": i, "at": [x, y]}, ...], "criteria": [...]}, with "criteria"
+/// only when non-empty. `query` resolves group refs to set names and
+/// object locations; it must be the query the answer was computed
+/// against.
+std::string AnswerJson(const MolqQuery& query, const SiteCandidate& answer);
 
 /// The body of an OK SOLVE response: {"answers": [...], "cache_hit": ...,
 /// "version": ..., "seconds": ...}. With include_timing=false the

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -12,6 +13,7 @@
 #include <utility>
 #include <variant>
 
+#include "audit/audit_overlay.h"
 #include "audit/audit_query.h"
 #include "audit/audit_update.h"
 #include "core/overlap.h"
@@ -106,7 +108,7 @@ bool ParseKeyLayers(const std::string& key, size_t pos,
       layers->push_back(cur);
       cur = 0;
       any = false;
-    } else if (c >= '0' && c <= '9') {
+    } else if (c >= '0' && c <= '9' && cur <= (INT32_MAX - 9) / 10) {
       cur = cur * 10 + (c - '0');
       any = true;
     } else {
@@ -117,6 +119,48 @@ bool ParseKeyLayers(const std::string& key, size_t pos,
   layers->push_back(cur);
   *rest_pos = end;
   return true;
+}
+
+/// Whether a warm-start artifact saved under `key` may serve dataset
+/// `name` at its current snapshot `ds` (see LoadCache): the key names this
+/// dataset at this version, its layers are ascending and in range, and
+/// every OVR holds exactly those layers in order, indexes objects inside
+/// the snapshot, carries a region unless the key is MBRB, and holds its
+/// group once.
+bool WarmArtifactFits(const std::string& key, const Movd& movd,
+                      const std::string& name, const DatasetSnapshot& ds) {
+  const size_t kind_end = key.find('/');
+  const std::string kind = key.substr(0, kind_end);
+  const std::string stem =
+      "/" + name + "/v" + std::to_string(ds.version) + "/L";
+  std::vector<int32_t> layers;
+  size_t rest_pos = 0;
+  if ((kind != "basic" && kind != "ovl" && kind != "cns") ||
+      key.compare(kind_end, stem.size(), stem) != 0 ||
+      !ParseKeyLayers(key, kind_end + stem.size(), &layers, &rest_pos)) {
+    return false;
+  }
+  const auto& sets = ds.query.sets;
+  for (size_t i = 0; i < layers.size(); ++i) {
+    if (static_cast<size_t>(layers[i]) >= sets.size() ||
+        (i > 0 && layers[i] <= layers[i - 1])) {
+      return false;
+    }
+  }
+  const bool mbrb = key.compare(rest_pos, 6, "/mbrb/") == 0;
+  for (const Ovr& ovr : movd.ovrs) {
+    if (ovr.pois.size() != layers.size() || (!mbrb && ovr.region.Empty())) {
+      return false;
+    }
+    for (size_t i = 0; i < layers.size(); ++i) {
+      const PoiRef& ref = ovr.pois[i];
+      if (ref.set != layers[i] || ref.object < 0 ||
+          static_cast<size_t>(ref.object) >= sets[ref.set].objects.size()) {
+        return false;
+      }
+    }
+  }
+  return AuditUniqueGroups(movd).ok();
 }
 
 /// FNV-1a over the constraint's vertex coordinates (double bit patterns,
@@ -146,15 +190,6 @@ std::string ConstraintHash(const QueryConstraint& constraint) {
   std::snprintf(buf, sizeof(buf), "%016llx",
                 static_cast<unsigned long long>(h));
   return buf;
-}
-
-ServeAnswer AnswerFromCandidate(const SiteCandidate& c) {
-  ServeAnswer answer;
-  answer.location = c.location;
-  answer.cost = c.cost;
-  answer.group = c.group;
-  answer.criteria = c.criteria;
-  return answer;
 }
 
 ServeResponse AuditFailure(const std::string& id, const char* shape,
@@ -682,21 +717,17 @@ ServeResponse QueryEngine::SolveInternal(const EngineRequest& request,
       sub.object_functions.push_back(
           ds.query.ObjectFunction(static_cast<size_t>(layer)));
     }
-    const MolqResult r = SolveMolq(sub, ds.world, molq);
+    MolqResult r = SolveMolq(sub, ds.world, molq);
     if (r.status == MolqStatus::kCancelled) {
       resp.status = ServeStatus::kDeadlineExceeded;
       resp.error = "deadline exceeded during SSC scan";
       return resp;
     }
-    ServeAnswer answer;
-    answer.location = r.location;
-    answer.cost = r.cost;
-    answer.group = r.group;
+    resp.answers = std::move(r.ranked);
     // Map sub-query set indices back to dataset layer indices.
-    for (PoiRef& poi : answer.group) {
+    for (PoiRef& poi : resp.answers.front().group) {
       poi.set = layers[static_cast<size_t>(poi.set)];
     }
-    resp.answers.push_back(std::move(answer));
     return resp;
   }
 
@@ -776,24 +807,17 @@ ServeResponse QueryEngine::SolveInternal(const EngineRequest& request,
     TRACE_SPAN("serve_optimize");
     switch (kind) {
       case ServeQueryKind::kMolq: {
-        const MolqResult top = TopKFromMovd(ds.query, *overlay, topk, molq);
+        MolqResult top = TopKFromMovd(ds.query, *overlay, topk, molq);
         if (top.status == StatusCode::kCancelled) {
           resp.status = ServeStatus::kDeadlineExceeded;
           resp.error = "deadline exceeded during optimization";
           return resp;
         }
-        resp.answers.reserve(top.ranked.size());
-        for (const RankedLocation& r : top.ranked) {
-          ServeAnswer answer;
-          answer.location = r.location;
-          answer.cost = r.cost;
-          answer.group = r.group;
-          resp.answers.push_back(std::move(answer));
-        }
+        resp.answers = std::move(top.ranked);
         break;
       }
       case ServeQueryKind::kSkyline: {
-        const SkylineResult r =
+        SkylineResult r =
             SkylineFromMovd(ds.query, *overlay, candidate_options);
         if (r.status == StatusCode::kCancelled) {
           resp.status = ServeStatus::kDeadlineExceeded;
@@ -804,16 +828,13 @@ ServeResponse QueryEngine::SolveInternal(const EngineRequest& request,
           const AuditReport report = AuditSkyline(ds.query, r);
           if (!report.ok()) return AuditFailure(request.id, "skyline", report);
         }
-        resp.answers.reserve(r.skyline.size());
-        for (const SiteCandidate& c : r.skyline) {
-          resp.answers.push_back(AnswerFromCandidate(c));
-        }
+        resp.answers = std::move(r.skyline);
         break;
       }
       case ServeQueryKind::kDiverse: {
         const double min_distance =
             std::get<DiverseSpec>(request.op).min_distance;
-        const DiverseTopKResult r = DiverseTopKFromMovd(
+        DiverseTopKResult r = DiverseTopKFromMovd(
             ds.query, *overlay, topk, min_distance, candidate_options);
         if (r.status == StatusCode::kCancelled) {
           resp.status = ServeStatus::kDeadlineExceeded;
@@ -827,14 +848,11 @@ ServeResponse QueryEngine::SolveInternal(const EngineRequest& request,
             return AuditFailure(request.id, "diversified top-k", report);
           }
         }
-        resp.answers.reserve(r.selected.size());
-        for (const SiteCandidate& c : r.selected) {
-          resp.answers.push_back(AnswerFromCandidate(c));
-        }
+        resp.answers = std::move(r.selected);
         break;
       }
       case ServeQueryKind::kConstrained: {
-        const ConstrainedMolqResult r =
+        ConstrainedMolqResult r =
             ConstrainedFromClippedMovd(ds.query, *overlay,
                                        candidate_options);
         if (r.status == StatusCode::kCancelled) {
@@ -851,7 +869,7 @@ ServeResponse QueryEngine::SolveInternal(const EngineRequest& request,
         }
         // Infeasible constraints answer OK with zero answers: the request
         // was well-formed; the feasible set just contains no candidate.
-        if (r.feasible) resp.answers.push_back(AnswerFromCandidate(r.best));
+        if (r.feasible) resp.answers.push_back(std::move(r.best));
         break;
       }
       case ServeQueryKind::kWhatIf: {
@@ -859,7 +877,7 @@ ServeResponse QueryEngine::SolveInternal(const EngineRequest& request,
         what_if.epsilon = request.epsilon;
         what_if.topk = topk;
         what_if.exec = molq.exec;
-        const WhatIfSweepResult r =
+        WhatIfSweepResult r =
             WhatIfSweepFromMovd(ds.query, *overlay, vectors, what_if);
         if (r.status == StatusCode::kCancelled) {
           resp.status = ServeStatus::kDeadlineExceeded;
@@ -873,15 +891,7 @@ ServeResponse QueryEngine::SolveInternal(const EngineRequest& request,
             return AuditFailure(request.id, "what-if sweep", report);
           }
         }
-        resp.sweep_answers.reserve(r.per_vector.size());
-        for (const std::vector<SiteCandidate>& ranking : r.per_vector) {
-          std::vector<ServeAnswer> answers;
-          answers.reserve(ranking.size());
-          for (const SiteCandidate& c : ranking) {
-            answers.push_back(AnswerFromCandidate(c));
-          }
-          resp.sweep_answers.push_back(std::move(answers));
-        }
+        resp.sweep_answers = std::move(r.per_vector);
         break;
       }
     }
@@ -1010,6 +1020,17 @@ WarmLoadResult QueryEngine::LoadCache(const std::string& dir) {
     result.status = Status::IoError("cannot read " + dir + "/manifest.txt");
     return result;
   }
+  // The registered datasets' current snapshots, which every artifact
+  // must fit.
+  std::vector<std::string> names;
+  {
+    MutexLock lock(datasets_mu_);
+    for (const auto& entry : datasets_) names.push_back(entry.first);
+  }
+  std::vector<std::shared_ptr<const DatasetSnapshot>> snaps;
+  for (const std::string& name : names) {
+    snaps.push_back(dataset_snapshot(name));
+  }
   std::string line;
   while (std::getline(manifest, line)) {
     if (line.empty()) continue;
@@ -1021,9 +1042,14 @@ WarmLoadResult QueryEngine::LoadCache(const std::string& dir) {
     const std::string file = line.substr(0, tab);
     const std::string key = line.substr(tab + 1);
     // LoadMovd validates the header and every record; a truncated or
-    // corrupted artifact is skipped (colder cache), never inserted.
+    // corrupted artifact, or one that does not fit a registered dataset's
+    // current snapshot, is skipped (colder cache), never inserted.
     StatusOr<Movd> movd = LoadMovd(dir + "/" + file);
-    if (!movd.has_value()) {
+    bool fits = false;
+    for (size_t d = 0; d < names.size() && movd.has_value() && !fits; ++d) {
+      fits = WarmArtifactFits(key, *movd, names[d], *snaps[d]);
+    }
+    if (!fits) {
       ++result.failed;
       continue;
     }

@@ -61,7 +61,7 @@ struct QueryEngineOptions {
 /// Outcome of a warm-start cache load.
 struct WarmLoadResult {
   size_t loaded = 0;  ///< artifacts inserted into the cache
-  size_t failed = 0;  ///< artifacts skipped (corrupt/truncated/missing)
+  size_t failed = 0;  ///< artifacts skipped (corrupt, missing or unfit)
   Status status;      ///< non-OK when the manifest itself was bad
 };
 
@@ -150,12 +150,16 @@ class QueryEngine {
   /// kIoError (with the failing path in the message) on I/O failure.
   Status SaveCache(const std::string& dir) const;
 
-  /// Loads a SaveCache snapshot back into the cache. Corrupt or truncated
-  /// artifact files are skipped and counted in `failed` — a damaged
-  /// snapshot degrades to a colder cache, never a crash or a bad artifact
-  /// (every file is validated by the movd_file header/record checks).
-  /// Keys carry dataset versions, so a snapshot saved after mutations only
-  /// warms a server whose datasets reach the same versions again.
+  /// Loads a SaveCache snapshot back into the cache. An artifact is
+  /// skipped and counted in `failed` — a damaged snapshot degrades to a
+  /// colder cache, never a crash or a bad artifact — when its file fails
+  /// the movd_file header/record checks, or when it does not fit a
+  /// registered dataset: its key must name the dataset at its *current*
+  /// version (a version number does not identify the same objects across
+  /// processes), and every OVR must hold exactly the key's layers in
+  /// ascending order, index objects inside that snapshot, carry a region
+  /// unless the key is MBRB, and hold its group once (the overlay
+  /// invariant of model/movd_model.h). Register datasets before loading.
   WarmLoadResult LoadCache(const std::string& dir);
 
  private:

@@ -417,6 +417,23 @@ TEST(AuditOverlayTest, DetectsRegionLeakingOutsideSource) {
       << report.Summary();
 }
 
+TEST(AuditOverlayTest, DetectsRepeatedGroup) {
+  // A copy of an OVR is consistent with every source on its own; only the
+  // one-OVR-per-group invariant can catch it.
+  for (const auto mode : {BoundaryMode::kRealRegion, BoundaryMode::kMbr}) {
+    OverlayFixture f = BuildOverlay(mode);
+    ASSERT_TRUE(AuditUniqueGroups(f.result).ok());
+    f.result.ovrs.push_back(f.result.ovrs[1]);
+    const AuditReport report =
+        AuditMovdOverlay(f.result, f.inputs, mode, kBounds);
+    ASSERT_EQ(report.violations().size(), 1u) << report.Summary();
+    const AuditViolation& v = report.violations()[0];
+    EXPECT_EQ(v.kind, AuditKind::kOverlayRepeatedGroup);
+    EXPECT_EQ(v.indices, (std::vector<int64_t>{1, 4}));
+    EXPECT_STREQ(AuditKindName(v.kind), "overlay-repeated-group");
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Clean end-to-end pipelines under MolqOptions::audit
 

@@ -379,10 +379,14 @@ TEST(RelaxationTest, AcceleratedSolveUsesFewerIterationsOnAverage) {
 }
 
 TEST(CostBoundTest, PrunesWhenBoundUnbeatable) {
+  // The constant offset alone uses up the bound, so any positive lower
+  // bound proves the problem cannot beat it.
   Rng rng(65);
   const auto pts = RandomProblem(6, &rng);
+  std::atomic<double> bound{1.0};
   FermatWeberOptions opts;
-  opts.cost_bound = 0.0;  // nothing can beat a zero bound
+  opts.shared_cost_bound = &bound;
+  opts.shared_bound_offset = 1.0;
   const auto r = SolveFermatWeber(pts, opts);
   EXPECT_TRUE(r.pruned);
   EXPECT_LE(r.iterations, 2);
@@ -395,12 +399,33 @@ TEST(CostBoundTest, DoesNotPruneTheActualWinner) {
     FermatWeberOptions no_bound;
     no_bound.epsilon = 1e-6;
     const auto base = SolveFermatWeber(pts, no_bound);
+    std::atomic<double> bound{base.cost * 1.001};  // barely above it
     FermatWeberOptions with_bound = no_bound;
-    with_bound.cost_bound = base.cost * 1.001;  // barely above the optimum
+    with_bound.shared_cost_bound = &bound;
     const auto r = SolveFermatWeber(pts, with_bound);
     EXPECT_FALSE(r.pruned);
     EXPECT_NEAR(r.cost, base.cost, 1e-3 * base.cost);
   }
+}
+
+TEST(CancelTest, PreFiredTokenStopsTheWeiszfeldLoop) {
+  // The heavy point's weight sits just below the 1.2191 pull of the other
+  // five, so the optimum lies just off it, where Weiszfeld crawls; with
+  // epsilon = 1e-300 never met, an uncancelled solve runs thousands of
+  // iterations to its numerical fixed point.
+  const std::vector<WeightedPoint> pts = {
+      {{0, 0}, 1.2178}, {{1, 0}, 1},     {{0, 1}, 1},
+      {{-1, 0.1}, 1},   {{0.2, -1}, 1}, {{3, 4}, 1}};
+  FermatWeberOptions opts;
+  opts.epsilon = 1e-300;
+  ASSERT_GT(SolveFermatWeber(pts, opts).iterations, 256);
+  CancelToken token;
+  token.Cancel();
+  opts.cancel = &token;
+  const auto r = SolveFermatWeber(pts, opts);
+  EXPECT_TRUE(r.cancelled);
+  EXPECT_FALSE(r.converged);
+  EXPECT_LE(r.iterations, 256);
 }
 
 TEST(SharedBoundTest, BoundBelowOptimumPrunes) {

@@ -446,7 +446,7 @@ MolqQuery SymmetricGridQuery(size_t types) {
   return query;
 }
 
-void ExpectSameAnswer(const RankedLocation& want, const Point& location,
+void ExpectSameAnswer(const SiteCandidate& want, const Point& location,
                       double cost, const std::vector<PoiRef>& group,
                       const std::string& path) {
   EXPECT_EQ(std::bit_cast<uint64_t>(location.x),
@@ -481,14 +481,14 @@ TEST(MolqTiedTest, EveryPathPicksTheLeastTiedGroup) {
       const MolqResult all =
           SolveMolqTopK(query, kBounds, size_t{1} << types, options);
       ASSERT_EQ(all.status, StatusCode::kOk) << tag;
-      std::vector<RankedLocation> tied;
-      for (const RankedLocation& r : all.ranked) {
+      std::vector<SiteCandidate> tied;
+      for (const SiteCandidate& r : all.ranked) {
         if (r.cost == all.ranked.front().cost) tied.push_back(r);
       }
       ASSERT_GE(tied.size(), 2u) << tag << ": no exact tie to break";
-      const RankedLocation want = *std::min_element(
+      const SiteCandidate want = *std::min_element(
           tied.begin(), tied.end(),
-          [](const RankedLocation& a, const RankedLocation& b) {
+          [](const SiteCandidate& a, const SiteCandidate& b) {
             return GroupBefore(a.group, b.group);
           });
 
@@ -522,7 +522,7 @@ TEST(MolqTiedTest, EveryPathPicksTheLeastTiedGroup) {
         ASSERT_EQ(resp.status, ServeStatus::kOk) << tag << ": " << resp.error;
         EXPECT_EQ(resp.cache_hit, patched) << tag << ", " << path;
         ASSERT_EQ(resp.answers.size(), 1u) << tag;
-        const ServeAnswer& a = resp.answers.front();
+        const SiteCandidate& a = resp.answers.front();
         ExpectSameAnswer(want, a.location, a.cost, a.group, tag + ", " + path);
       };
       served("served SOLVE", /*patched=*/false);

@@ -1,6 +1,8 @@
 #include <algorithm>
 #include <cmath>
+#include <fstream>
 #include <numeric>
+#include <string>
 #include <tuple>
 
 #include <gtest/gtest.h>
@@ -10,6 +12,10 @@
 #include "core/overlap.h"
 #include "core/pruned_overlap.h"
 #include "movd_test_util.h"
+#include "audit/audit_overlay.h"
+#include "query/constrained.h"
+#include "serve/query_engine.h"
+#include "storage/movd_file.h"
 #include "trace/trace.h"
 #include "util/cancel.h"
 #include "util/rng.h"
@@ -650,6 +656,124 @@ TEST(OverlapParallelTest, PreFiredTokenIntersectsNoPair) {
     EXPECT_EQ(SolveMolq(query, kBounds, options).status,
               StatusCode::kCancelled);
   }
+}
+
+// ---------------------------------------------------------------------------
+// The overlay invariant (model/movd_model.h): every overlay the pipeline
+// builds holds each poi group in one OVR.
+
+constexpr Rect kGridWorld(0, 0, 500, 500);
+
+// `sets` sets of `objects` sites on a 50-unit grid, so locations repeat
+// within a set (object 1 always sits on object 0) and tie across sets.
+// With `weighted`, object weights from {1, 2} route every set through the
+// weighted diagram.
+MolqQuery GridQuery(size_t sets, size_t objects, uint64_t seed,
+                    bool weighted) {
+  Rng rng(seed);
+  MolqQuery query;
+  for (size_t s = 0; s < sets; ++s) {
+    ObjectSet set;
+    set.name = std::string("g") += std::to_string(s);
+    for (size_t i = 0; i < objects; ++i) {
+      SpatialObject obj;
+      obj.location = {50.0 * static_cast<double>(1 + rng.NextBelow(9)),
+                      50.0 * static_cast<double>(1 + rng.NextBelow(9))};
+      if (i == 1) obj.location = set.objects[0].location;
+      if (weighted) obj.object_weight = 1.0 + static_cast<double>(i % 2);
+      set.objects.push_back(obj);
+    }
+    query.sets.push_back(std::move(set));
+  }
+  return query;
+}
+
+QueryConstraint TriangleConstraint() {
+  QueryConstraint constraint;
+  constraint.boundary = Polygon({{100, 100}, {400, 120}, {250, 400}});
+  return constraint;
+}
+
+TEST(OverlayInvariantTest, PipelineOverlaysHoldEachGroupOnce) {
+  const Region feasible =
+      BuildFeasibleRegion(TriangleConstraint(), kGridWorld);
+  for (uint64_t seed = 1; seed <= 40; ++seed) {
+    for (size_t types = 2; types <= 4; ++types) {
+      for (const bool weighted : {false, true}) {
+        const MolqQuery query = GridQuery(types, 12, seed, weighted);
+        for (const auto algorithm :
+             {MolqAlgorithm::kRrb, MolqAlgorithm::kMbrb}) {
+          for (const bool prune : {false, true}) {
+            MolqOptions options;
+            options.algorithm = algorithm;
+            MolqResult front;
+            const Movd overlay =
+                BuildMolqOverlay(query, kGridWorld, options, prune, &front);
+            ASSERT_EQ(front.status, StatusCode::kOk);
+            const std::string tag =
+                "seed " + std::to_string(seed) + " types " +
+                std::to_string(types) + (weighted ? " weighted" : "") +
+                (algorithm == MolqAlgorithm::kMbrb ? " mbrb" : " rrb") +
+                (prune ? " pruned" : "");
+            EXPECT_TRUE(AuditUniqueGroups(overlay).ok()) << tag;
+            if (algorithm == MolqAlgorithm::kRrb) {
+              EXPECT_TRUE(AuditUniqueGroups(
+                              ClipMovdToFeasible(overlay, feasible))
+                              .ok())
+                  << tag << " clipped";
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(OverlayInvariantTest, ServedOverlaysHoldEachGroupOnceAfterMutations) {
+  const MolqQuery query = GridQuery(3, 12, 41, false);
+  QueryEngine engine;
+  engine.RegisterDataset("d", query, kGridWorld);
+  std::vector<EngineRequest> requests(3);
+  for (EngineRequest& request : requests) request.dataset = "d";
+  requests[1].op = SolveSpec{MolqAlgorithm::kMbrb, 3};
+  requests[2].op = ConstrainSpec{TriangleConstraint()};
+
+  // Serves every shape, then checks every cached artifact: basics, the
+  // RRB/MBRB overlays (patched in place by a mutation) and the clip.
+  const auto serve_and_check = [&](const std::string& stage) {
+    for (const EngineRequest& request : requests) {
+      ASSERT_EQ(engine.Handle(request).status, ServeStatus::kOk) << stage;
+    }
+    const std::string dir =
+        ::testing::TempDir() + "/overlay_invariant_" + stage;
+    ASSERT_TRUE(engine.SaveCache(dir).ok());
+    std::ifstream manifest(dir + "/manifest.txt");
+    std::string line;
+    size_t artifacts = 0;
+    while (std::getline(manifest, line)) {
+      const size_t tab = line.find('\t');
+      const StatusOr<Movd> movd = LoadMovd(dir + "/" + line.substr(0, tab));
+      ASSERT_TRUE(movd.has_value()) << stage << " " << line;
+      EXPECT_TRUE(AuditUniqueGroups(*movd).ok()) << stage << " " << line;
+      ++artifacts;
+    }
+    EXPECT_GE(artifacts, 5u) << stage;  // 3 basics, 2 overlays, 1 clip
+  };
+  const auto mutate = [&](MutationKind kind, int32_t layer, Point at) {
+    EngineRequest request;
+    request.dataset = "d";
+    request.op = SiteMutation{kind, layer, at};
+    const ServeResponse applied = engine.Handle(request);
+    ASSERT_EQ(applied.status, ServeStatus::kOk) << applied.error;
+    EXPECT_GT(applied.mutation.patched_artifacts, 0u);
+  };
+
+  serve_and_check("built");
+  // An INSERT onto a grid point another layer already uses, then a DELETE.
+  mutate(MutationKind::kInsert, 0, query.sets[1].objects[2].location);
+  serve_and_check("insert");
+  mutate(MutationKind::kDelete, 2, query.sets[2].objects[3].location);
+  serve_and_check("delete");
 }
 
 }  // namespace

@@ -51,7 +51,7 @@ Movd BuildOverlay(const MolqQuery& query, BoundaryMode mode) {
   return OverlapAll(basic, mode);
 }
 
-void ExpectAnswerMatchesCandidate(const ServeAnswer& a,
+void ExpectAnswerMatchesCandidate(const SiteCandidate& a,
                                   const SiteCandidate& c) {
   EXPECT_EQ(a.location.x, c.location.x);
   EXPECT_EQ(a.location.y, c.location.y);

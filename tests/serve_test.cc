@@ -9,10 +9,12 @@
 
 #include <atomic>
 #include <cstdio>
+#include <fstream>
 #include <future>
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <variant>
 #include <vector>
 
@@ -75,8 +77,8 @@ MolqQuery TestQuery(const std::vector<size_t>& sizes, uint64_t seed) {
 
 // Exact (bitwise) answer comparison — the determinism contract is
 // bit-identity, not approximate agreement.
-void ExpectAnswersEqual(const std::vector<ServeAnswer>& a,
-                        const std::vector<ServeAnswer>& b) {
+void ExpectAnswersEqual(const std::vector<SiteCandidate>& a,
+                        const std::vector<SiteCandidate>& b) {
   ASSERT_EQ(a.size(), b.size());
   for (size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i].location.x, b[i].location.x);
@@ -353,7 +355,7 @@ TEST(ServeProtocolTest, FormatsOkAndErrLines) {
   MolqQuery query = TestQuery({2, 2}, 5);
   ServeResponse resp;
   resp.id = "q1";
-  ServeAnswer answer;
+  SiteCandidate answer;
   answer.location = {1.5, 2.5};
   answer.cost = 10.0;
   answer.group.push_back({0, 1});
@@ -534,7 +536,7 @@ TEST(ServeEngineTest, AnswersIdenticalAcrossThreadCountsAndCacheState) {
   engine.RegisterDataset("d", query, kBounds);
   EngineRequest request;
   request.dataset = "d";
-  std::vector<ServeAnswer> reference;
+  std::vector<SiteCandidate> reference;
   for (const int threads : {1, 2, 4}) {
     for (const bool use_cache : {true, false}) {
       request.exec.threads = threads;
@@ -795,6 +797,73 @@ TEST(ServeEngineTest, WarmStartSkipsCorruptArtifacts) {
   const ServeResponse resp = engine.Handle(request);
   ASSERT_EQ(resp.status, ServeStatus::kOk);
   ExpectAnswersEqual(cold.answers, resp.answers);
+}
+
+TEST(ServeEngineTest, WarmStartSkipsArtifactsThatDoNotFitTheDataset) {
+  // A well-formed MOVD file can still be wrong for the server it warms: an
+  // OVR indexing an object the dataset does not have, a repeated group, or
+  // a key naming a dataset or version this process did not register.
+  const MolqQuery query = TestQuery({6, 6}, 71);
+  const std::string dir = TmpDir("unfit");
+  EngineRequest request;
+  request.dataset = "d";
+  ServeResponse cold;
+  {
+    QueryEngine engine;
+    engine.RegisterDataset("d", query, kBounds);
+    cold = engine.Handle(request);
+    ASSERT_EQ(cold.status, ServeStatus::kOk);
+    const Status saved = engine.SaveCache(dir);
+    ASSERT_TRUE(saved.ok()) << saved.ToString();
+  }
+  std::string overlay_file;
+  {
+    std::ifstream manifest(dir + "/manifest.txt");
+    std::string line;
+    while (std::getline(manifest, line)) {
+      const size_t tab = line.find('\t');
+      if (line.compare(tab + 1, 4, "ovl/") == 0) {
+        overlay_file = dir + "/" + line.substr(0, tab);
+      }
+    }
+  }
+  ASSERT_FALSE(overlay_file.empty());
+  StatusOr<Movd> saved = LoadMovd(overlay_file);
+  ASSERT_TRUE(saved.has_value());
+  const Movd original = *saved;
+  ASSERT_FALSE(original.ovrs.empty());
+
+  const auto load_into = [&](int registrations) {
+    QueryEngine engine;
+    for (int i = 0; i < registrations; ++i) {
+      engine.RegisterDataset("d", query, kBounds);
+    }
+    const WarmLoadResult load = engine.LoadCache(dir);
+    EXPECT_TRUE(load.status.ok()) << load.status.ToString();
+    if (registrations == 1) {
+      // The next SOLVE rebuilds the skipped overlay: the cold answer.
+      const ServeResponse resp = engine.Handle(request);
+      EXPECT_EQ(resp.status, ServeStatus::kOk);
+      EXPECT_EQ(resp.cache_hit, load.failed == 0);
+      ExpectAnswersEqual(cold.answers, resp.answers);
+    }
+    return std::make_pair(load.loaded, load.failed);
+  };
+  using Counts = std::pair<size_t, size_t>;
+  EXPECT_EQ(load_into(1), Counts(3, 0));
+  // Unregistered dataset; a second registration publishes version 2.
+  EXPECT_EQ(load_into(0), Counts(0, 3));
+  EXPECT_EQ(load_into(2), Counts(0, 3));
+
+  Movd tampered = original;
+  tampered.ovrs[0].pois[0].object = 1000000;
+  ASSERT_TRUE(SaveMovd(overlay_file, tampered).ok());
+  EXPECT_EQ(load_into(1), Counts(2, 1));
+
+  tampered = original;
+  tampered.ovrs.push_back(tampered.ovrs[0]);
+  ASSERT_TRUE(SaveMovd(overlay_file, tampered).ok());
+  EXPECT_EQ(load_into(1), Counts(2, 1));
 }
 
 TEST(ServeEngineTest, UnknownDatasetStatusCodes) {

@@ -102,7 +102,7 @@ TEST(TopKTest, MatchesExhaustiveRankingOnCoveredCombinations) {
   const auto all = AllCombinationCosts(q, 1e-8);
   ASSERT_GE(top.size(), 1u);
   EXPECT_NEAR(top[0].cost, all[0], 1e-4 * all[0] + 1e-9);
-  for (const RankedLocation& r : top) {
+  for (const SiteCandidate& r : top) {
     bool found = false;
     for (const double c : all) {
       if (std::abs(c - r.cost) <= 1e-4 * c + 1e-9) {
@@ -247,10 +247,10 @@ TEST(TopKTest, AllCandidatesTiedRankInLexicographicGroupOrder) {
   }
 }
 
-TEST(TopKTest, DuplicateOvrsOfOneCombinationCollapse) {
-  // MBRB-style false positives present the same poi combination through
-  // several OVRs; the ranking must keep exactly one entry per combination
-  // and be unaffected by the duplicates.
+TEST(TopKTest, MbrbRankingHoldsEachCombinationOnce) {
+  // MBRB false positives add combinations RRB would drop, but the overlay
+  // still holds each combination in one OVR, so the ranking names each
+  // group at most once.
   const MolqQuery q = RandomQuery({3, 3}, 421);
   MolqOptions opts;
   opts.algorithm = MolqAlgorithm::kMbrb;

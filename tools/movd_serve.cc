@@ -316,7 +316,7 @@ int Main(int argc, char** argv) {
     } else {
       std::fprintf(stderr,
                    "movd_serve: warm start loaded %zu artifacts"
-                   " (%zu skipped as corrupt/missing)\n",
+                   " (%zu skipped as corrupt, missing or unfit)\n",
                    r.loaded, r.failed);
     }
   }
