@@ -757,7 +757,7 @@ TEST(OverlayInvariantTest, ServedOverlaysHoldEachGroupOnceAfterMutations) {
       EXPECT_TRUE(AuditUniqueGroups(*movd).ok()) << stage << " " << line;
       ++artifacts;
     }
-    EXPECT_GE(artifacts, 5u) << stage;  // 3 basics, 2 overlays, 1 clip
+    EXPECT_GE(artifacts, 6u) << stage;  // 3 basics, 2 overlays, 1 clip
   };
   const auto mutate = [&](MutationKind kind, int32_t layer, Point at) {
     EngineRequest request;
