@@ -54,6 +54,9 @@ BENCH(micro_voronoi) {
       }
     });
     c.Metric("real_points", static_cast<double>(real_points));
+    // Each undirected edge sits in both endpoints' rows.
+    const size_t edges = Delaunay(pts).Adjacency().ids.size() / 2;
+    c.Metric("delaunay_edges", static_cast<double>(edges));
     c.Derived("ns_per_op", wall.median / ops * 1e9);
   }
 
@@ -71,6 +74,12 @@ BENCH(micro_voronoi) {
       }
     });
     c.Metric("cells", static_cast<double>(cells));
+    const VoronoiDiagram vd = VoronoiDiagram::Build(pts, kWorld);
+    size_t cell_vertices = 0;
+    for (const VoronoiCell& cell : vd.cells()) {
+      cell_vertices += cell.region.VertexCount();
+    }
+    c.Metric("cell_vertices", static_cast<double>(cell_vertices));
     c.Derived("ns_per_op", wall.median / ops * 1e9);
   }
 }

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <optional>
-#include <unordered_map>
+#include <utility>
 
 #include "audit/audit.h"
 #include "audit/audit_delaunay.h"
@@ -77,7 +77,7 @@ Movd BuildBasicMovd(const MolqQuery& query, int32_t set,
     // (src/core/update) recompute only the cells whose neighbour sets a
     // mutation touched and still produce bytes identical to this full
     // build.
-    const VoronoiDiagram vd = VoronoiDiagram::Build(sites, search_space);
+    VoronoiDiagram vd = VoronoiDiagram::Build(sites, search_space);
     if (audit != nullptr) {
       // Post-Delaunay seam: the triangulation the cells were clipped from
       // (rebuilt here on demand; the diagram does not keep it).
@@ -87,20 +87,11 @@ Movd BuildBasicMovd(const MolqQuery& query, int32_t set,
       // Post-cell-extraction seam: the diagram the MOVD is built from.
       MergeStageAudit(AuditVoronoi(vd), tag + " cells", audit);
     }
-    // The diagram deduplicates site locations; map each surviving site back
-    // to the first object at that location.
-    std::unordered_map<Point, int32_t, PointHash> first_at;
-    for (size_t i = 0; i < objects.objects.size(); ++i) {
-      first_at.emplace(objects.objects[i].location, static_cast<int32_t>(i));
-    }
-    std::vector<int32_t> object_of_site;
-    object_of_site.reserve(vd.sites().size());
-    for (const Point& site : vd.sites()) {
-      const auto it = first_at.find(site);
-      MOVD_CHECK(it != first_at.end());
-      object_of_site.push_back(it->second);
-    }
-    return MovdFromVoronoi(vd, set, object_of_site);
+    // The diagram deduplicates site locations and keeps each site's lowest
+    // input index; `sites` lists the objects in order, so that is the
+    // first object at the site's location.
+    const std::vector<int32_t> object_of_site = vd.first_input();
+    return MovdFromVoronoi(std::move(vd), set, object_of_site);
   }
 
   // Weighted diagram: conservative approximation (paper §5.3; see

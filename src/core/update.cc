@@ -33,35 +33,38 @@ OrdinaryLayerState::OrdinaryLayerState(const MolqQuery& query, int32_t layer,
       world_(world),
       objects_(Locations(query.sets.at(layer))),
       dt_(objects_, world) {
-  // The constructor's points are the distinct sites at indices 0..n-1.
-  const std::vector<std::vector<int32_t>> neighbors = dt_.NeighborLists();
-  for (size_t v = 0; v < neighbors.size(); ++v) {
+  // The constructor's points are the distinct sites at indices 0..n-1, in
+  // LessXY order, so each ascending table row is the canonical clip order.
+  const NeighborTable table = dt_.Adjacency();
+  for (size_t v = 0; v < table.size(); ++v) {
+    const auto vertex = static_cast<int32_t>(v);
     Site& site = sites_[dt_.points()[v]];
-    site.vertex = static_cast<int32_t>(v);
-    site.cell = Cell(site.vertex, neighbors[v]);
+    site.vertex = vertex;
+    site.cell = Cell(vertex, table.of(vertex));
   }
   for (const Point& p : objects_) ++sites_.at(p).objects;
 }
 
 Ovr OrdinaryLayerState::Cell(int32_t vertex,
-                             const std::vector<int32_t>& neighbors) const {
-  const std::vector<Point>& points = dt_.points();
-  std::vector<Point> nb_points;
-  nb_points.reserve(neighbors.size());
-  for (const int32_t nb : neighbors) nb_points.push_back(points[nb]);
-  std::sort(nb_points.begin(), nb_points.end(), LessXY);
-  const ConvexPolygon region =
-      CanonicalVoronoiCell(points[vertex], nb_points, world_);
+                             std::span<const int32_t> neighbors) const {
+  ConvexPolygon region =
+      CanonicalVoronoiCell(dt_.points(), vertex, neighbors, world_);
   Ovr cell;
   if (region.Empty()) return cell;  // MovdFromVoronoi drops empty cells
   cell.mbr = region.Bbox();
-  cell.region = Region::FromConvex(region);
+  cell.region = Region::FromConvex(std::move(region));
   return cell;
 }
 
 void OrdinaryLayerState::Recompute(const std::vector<int32_t>& vertices) {
+  const std::vector<Point>& points = dt_.points();
   for (const int32_t v : vertices) {
-    sites_.at(dt_.points()[v]).cell = Cell(v, dt_.Neighbors(v));
+    // Inserted vertices break the index order, so sort by location.
+    std::vector<int32_t> neighbors = dt_.Neighbors(v);
+    std::sort(neighbors.begin(), neighbors.end(), [&](int32_t a, int32_t b) {
+      return LessXY(points[a], points[b]);
+    });
+    sites_.at(points[v]).cell = Cell(v, neighbors);
   }
 }
 

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <span>
 #include <vector>
 
 #include "geom/point.h"
@@ -67,7 +68,7 @@ class OrdinaryLayerState {
 
   // The canonical cell of dt_ vertex `vertex` with the given real
   // neighbours; a default Ovr when the cell misses the world.
-  Ovr Cell(int32_t vertex, const std::vector<int32_t>& neighbors) const;
+  Ovr Cell(int32_t vertex, std::span<const int32_t> neighbors) const;
   // Re-clips the cells of the given dt_ vertices.
   void Recompute(const std::vector<int32_t>& vertices);
 

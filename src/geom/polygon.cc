@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <span>
 
 #include "geom/predicates.h"
 #include "util/check.h"
@@ -41,18 +42,14 @@ Point LineSegmentCross(const Point& a, const Point& b, const Point& p,
   return p + (q - p) * t;
 }
 
-// One Sutherland–Hodgman step: replaces `out` with the part of the
-// non-empty ring `in` left of the directed line a->b (points on the line
-// are kept), deduplicated, or with nothing when fewer than 3 vertices
-// remain. `out` must not alias `in`.
-void ClipRing(const std::vector<Point>& in, const Point& a, const Point& b,
+}  // namespace
+
+void ClipRing(std::span<const Point> in, const Point& a, const Point& b,
               std::vector<Point>* out) {
   out->clear();
-  const size_t n = in.size();
   double side_p = Orient2D(a, b, in[0]);
-  for (size_t i = 0; i < n; ++i) {
-    const Point& p = in[i];
-    const Point& q = in[(i + 1) % n];
+  // Emits the part of edge p->q left of the line, less q.
+  const auto step = [&](const Point& p, const Point& q) {
     const double side_q = Orient2D(a, b, q);
     if (side_p >= 0.0) {
       out->push_back(p);
@@ -61,10 +58,14 @@ void ClipRing(const std::vector<Point>& in, const Point& a, const Point& b,
       out->push_back(LineSegmentCross(a, b, p, q));
     }
     side_p = side_q;
-  }
+  };
+  for (size_t i = 1; i < in.size(); ++i) step(in[i - 1], in[i]);
+  step(in.back(), in[0]);
   Dedup(out);
   if (out->size() < 3) out->clear();
 }
+
+namespace {
 
 // Clips the ring `a` by every edge of the ring `b` (both non-empty, convex
 // and CCW) and returns the result, empty when it collapsed. These are

@@ -1,6 +1,7 @@
 #ifndef MOVD_GEOM_POLYGON_H_
 #define MOVD_GEOM_POLYGON_H_
 
+#include <span>
 #include <vector>
 
 #include "geom/point.h"
@@ -67,6 +68,16 @@ class ConvexPolygon {
  private:
   std::vector<Point> vertices_;
 };
+
+/// One Sutherland–Hodgman step, the kernel of ClipByHalfPlane, Intersect
+/// and CanonicalVoronoiCell: replaces `*out` with the part of the non-empty
+/// CCW ring `in` left of the directed line a->b (points on the line are
+/// kept), consecutive duplicates removed, or with nothing when fewer than 3
+/// vertices remain. `out` must not alias `in`. Allocates only when `*out`
+/// lacks the capacity, so callers that alternate two scratch rings clip
+/// without allocating.
+void ClipRing(std::span<const Point> in, const Point& a, const Point& b,
+              std::vector<Point>* out);
 
 /// A simple polygon (possibly concave) with vertices in CCW order.
 /// Used for polygonised weighted Voronoi cells and as a general input type;

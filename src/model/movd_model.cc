@@ -1,5 +1,7 @@
 #include "model/movd_model.h"
 
+#include <utility>
+
 #include "geom/gridcontour.h"
 #include "util/check.h"
 
@@ -33,18 +35,18 @@ Movd IdentityMovd(const Rect& search_space) {
   return movd;
 }
 
-Movd MovdFromVoronoi(const VoronoiDiagram& diagram, int32_t set,
+Movd MovdFromVoronoi(VoronoiDiagram diagram, int32_t set,
                      const std::vector<int32_t>& object_of_site) {
   MOVD_CHECK(object_of_site.size() == diagram.sites().size());
+  std::vector<VoronoiCell> cells = std::move(diagram).TakeCells();
   Movd movd;
-  movd.ovrs.reserve(diagram.cells().size());
-  for (const VoronoiCell& cell : diagram.cells()) {
+  movd.ovrs.reserve(cells.size());
+  for (VoronoiCell& cell : cells) {
     if (cell.region.Empty()) continue;  // MOVDs hold no empty regions
-    Ovr ovr;
+    Ovr& ovr = movd.ovrs.emplace_back();
     ovr.mbr = cell.region.Bbox();
-    ovr.region = Region::FromConvex(cell.region);
+    ovr.region = Region::FromConvex(std::move(cell.region));
     ovr.pois = {{set, object_of_site[cell.site]}};
-    movd.ovrs.push_back(std::move(ovr));
   }
   return movd;
 }

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <queue>
-#include <set>
+#include <utility>
 
 #include "util/check.h"
 #include "util/rng.h"
@@ -77,18 +77,19 @@ RoadNetwork RandomRoadNetwork(size_t num_vertices, const Rect& bounds,
   std::vector<Point> vertices(dt.points().begin(),
                               dt.points().begin() + dt.num_real_points());
 
-  // Collect unique Delaunay edges between real points.
-  std::set<std::pair<int32_t, int32_t>> edges;
-  const auto lists = dt.NeighborLists();
-  for (int32_t v = 0; v < static_cast<int32_t>(lists.size()); ++v) {
-    for (const int32_t u : lists[v]) {
-      edges.insert({std::min(v, u), std::max(v, u)});
+  // The Delaunay edges between real points, each once as (v, u) with
+  // v < u, in ascending order: the table's rows are ascending.
+  std::vector<std::pair<int32_t, int32_t>> all;
+  const NeighborTable table = dt.Adjacency();
+  all.reserve(table.ids.size() / 2);
+  for (int32_t v = 0; v < static_cast<int32_t>(table.size()); ++v) {
+    for (const int32_t u : table.of(v)) {
+      if (v < u) all.push_back({v, u});
     }
   }
 
   // Keep a connected skeleton (randomized spanning tree via union-find over
   // shuffled edges), then add the requested fraction of the remainder.
-  std::vector<std::pair<int32_t, int32_t>> all(edges.begin(), edges.end());
   for (size_t i = all.size(); i > 1; --i) {
     std::swap(all[i - 1], all[rng.NextBelow(i)]);
   }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <limits>
 #include <span>
 
 #include "geom/predicates.h"
@@ -33,7 +34,10 @@ Delaunay::Delaunay(const std::vector<Point>& points, const Rect& world) {
 
 void Delaunay::Build(const std::vector<Point>& points, const Rect* world) {
   points_ = points;
-  std::sort(points_.begin(), points_.end(), LessXY);
+  // VoronoiDiagram::Build hands over sites it has already sorted.
+  if (!std::is_sorted(points_.begin(), points_.end(), LessXY)) {
+    std::sort(points_.begin(), points_.end(), LessXY);
+  }
   points_.erase(std::unique(points_.begin(), points_.end()), points_.end());
   num_real_ = points_.size();
   // Far from unit scale the predicates' degree-4 terms overflow or
@@ -83,33 +87,45 @@ void Delaunay::Build(const std::vector<Point>& points, const Rect* world) {
     input_points_.insert(input_points_.end(), quad.begin(), quad.end());
   }
 
+  // Each insert turns a cavity of k triangles into a fan of k + 2, so the
+  // two starting triangles grow to exactly 2n + 2 slots.
+  tris_.reserve(2 * num_real_ + 2);
   // The two triangles share the diagonal (q0, q2): opposite vertex 1 in the
   // first triangle and vertex 2 in the second.
   tris_.push_back({{q0, q0 + 1, q0 + 2}, {-1, 1, -1}, true});
   tris_.push_back({{q0, q0 + 2, q0 + 3}, {-1, -1, 0}, true});
   last_created_ = 0;
 
-  // Hilbert-sorted insertion order over the real points.
-  std::vector<int32_t> order(num_real_);
-  for (size_t i = 0; i < num_real_; ++i) order[i] = static_cast<int32_t>(i);
+  // Hilbert-sorted insertion order over the real points: a stable LSD
+  // radix sort of the keys, one byte per pass, so points in one Hilbert
+  // cell keep ascending index. That is the (key, index) order, and it does
+  // not depend on any sort implementation.
   constexpr uint32_t kOrder = 16;
+  static_assert(2 * kOrder <= 32, "Hilbert keys must fit 32 bits");
   const double scale = (1u << kOrder) - 1;
-  std::vector<uint64_t> key(num_real_);
+  std::vector<uint32_t> key(num_real_);
   for (size_t i = 0; i < num_real_; ++i) {
     const uint32_t hx = static_cast<uint32_t>(
         (points_[i].x - bb.min_x) / std::max(bb.Width(), 1e-300) * scale);
     const uint32_t hy = static_cast<uint32_t>(
         (points_[i].y - bb.min_y) / std::max(bb.Height(), 1e-300) * scale);
-    key[i] = HilbertIndex(kOrder, hx, hy);
+    key[i] = static_cast<uint32_t>(HilbertIndex(kOrder, hx, hy));
   }
-  // Points in one Hilbert cell share a key; break the tie by index so the
-  // insertion order (and thus tie-breaking in degenerate configurations)
-  // does not depend on the std::sort implementation.
-  std::sort(order.begin(), order.end(), [&](int32_t a, int32_t b) {
-    return key[a] != key[b] ? key[a] < key[b] : a < b;
-  });
+  std::vector<int32_t> order(num_real_);
+  for (size_t i = 0; i < num_real_; ++i) order[i] = static_cast<int32_t>(i);
+  std::vector<int32_t> spare(num_real_);
+  for (uint32_t shift = 0; shift < 32 && num_real_ > 1; shift += 8) {
+    // start[d + 1] counts the keys with digit d, then becomes where they go.
+    std::array<size_t, 257> start{};
+    for (const uint32_t k : key) ++start[((k >> shift) & 0xff) + 1];
+    if (start[((key[0] >> shift) & 0xff) + 1] == num_real_) continue;
+    for (size_t d = 1; d < start.size(); ++d) start[d] += start[d - 1];
+    for (const int32_t i : order) spare[start[(key[i] >> shift) & 0xff]++] = i;
+    order.swap(spare);
+  }
 
   InsertScratch scratch;
+  scratch.cavity_stamp.reserve(tris_.capacity());
   for (const int32_t pi : order) {
     Insert(pi, Locate(points_[pi], last_created_), &scratch);
   }
@@ -469,44 +485,51 @@ std::vector<Delaunay::Triangle> Delaunay::Triangles() const {
   return out;
 }
 
+void Delaunay::AppendStar(int32_t v, int32_t t0, int32_t limit,
+                          std::vector<int32_t>* out) const {
+  // Rotate around v: the next star triangle is the one across the edge
+  // from the current one's third corner back to v.
+  int32_t t = t0;
+  size_t steps = 0;
+  do {
+    const int i = IndexOf(tris_[t].v, v);
+    const int32_t u = tris_[t].v[(i + 1) % 3];
+    if (u < limit && !IsSynthetic(u)) out->push_back(u);
+    t = tris_[t].nb[(i + 1) % 3];
+  } while (t >= 0 && t != t0 && ++steps <= tris_.size());
+}
+
 std::vector<int32_t> Delaunay::Neighbors(int32_t site) const {
   std::vector<int32_t> out;
   const int32_t t0 = TriangleAt(site);
-  if (t0 < 0) return out;
-  // Rotate around the site: the next star triangle is the one across the
-  // edge from the current one's third corner back to the site.
-  int32_t t = t0;
-  do {
-    const int i = IndexOf(tris_[t].v, site);
-    const int32_t v = tris_[t].v[(i + 1) % 3];
-    if (!IsSynthetic(v)) out.push_back(v);
-    t = tris_[t].nb[(i + 1) % 3];
-  } while (t >= 0 && t != t0 && out.size() <= tris_.size());
+  if (t0 >= 0) {
+    AppendStar(site, t0, std::numeric_limits<int32_t>::max(), &out);
+  }
   return out;
 }
 
-std::vector<std::vector<int32_t>> Delaunay::NeighborLists() const {
-  std::vector<std::vector<int32_t>> lists(static_cast<size_t>(quad_));
-  const auto add = [&](int32_t a, int32_t b) {
-    if (a >= quad_ || b >= quad_) return;
-    lists[a].push_back(b);
-  };
-  for (const Tri& t : tris_) {
-    if (!t.alive) continue;
-    // Record each directed edge once per incident triangle; duplicates
-    // (each interior edge appears in two triangles) are removed below.
-    add(t.v[0], t.v[1]);
-    add(t.v[1], t.v[2]);
-    add(t.v[2], t.v[0]);
-    add(t.v[1], t.v[0]);
-    add(t.v[2], t.v[1]);
-    add(t.v[0], t.v[2]);
+NeighborTable Delaunay::Adjacency() const {
+  // One live triangle per constructor vertex; -1 for a removed one.
+  std::vector<int32_t> corner(static_cast<size_t>(quad_), -1);
+  for (size_t t = 0; t < tris_.size(); ++t) {
+    if (!tris_[t].alive) continue;
+    for (const int32_t v : tris_[t].v) {
+      if (v < quad_) corner[v] = static_cast<int32_t>(t);
+    }
   }
-  for (auto& list : lists) {
-    std::sort(list.begin(), list.end());
-    list.erase(std::unique(list.begin(), list.end()), list.end());
+  NeighborTable table;
+  table.offsets.reserve(corner.size() + 1);
+  table.offsets.push_back(0);
+  // A planar graph on n >= 3 vertices has at most 3n - 6 edges.
+  table.ids.reserve(6 * corner.size());
+  for (int32_t v = 0; v < quad_; ++v) {
+    if (corner[v] >= 0) AppendStar(v, corner[v], quad_, &table.ids);
+    const auto begin =
+        table.ids.begin() + static_cast<std::ptrdiff_t>(table.offsets.back());
+    std::sort(begin, table.ids.end());
+    table.offsets.push_back(static_cast<int32_t>(table.ids.size()));
   }
-  return lists;
+  return table;
 }
 
 bool Delaunay::VerifyDelaunay() const {

@@ -2,6 +2,7 @@
 #define MOVD_VORONOI_DELAUNAY_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "geom/point.h"
@@ -9,14 +10,31 @@
 
 namespace movd {
 
+/// Delaunay adjacency of a triangulation's constructor points as one flat
+/// table (compressed sparse row): the neighbours of point v are
+/// ids[offsets[v] .. offsets[v + 1]), ascending.
+struct NeighborTable {
+  std::vector<int32_t> offsets;  ///< size() + 1 entries, from 0
+  std::vector<int32_t> ids;      ///< every list, back to back
+
+  size_t size() const { return offsets.empty() ? 0 : offsets.size() - 1; }
+
+  /// The ascending neighbour list of point `v`.
+  std::span<const int32_t> of(int32_t v) const {
+    const auto begin = static_cast<size_t>(offsets[v]);
+    return std::span(ids).subspan(begin,
+                                  static_cast<size_t>(offsets[v + 1]) - begin);
+  }
+};
+
 /// Delaunay triangulation (Bowyer–Watson with a far-away bounding
 /// super-quad, exact predicates, visibility-walk point location,
 /// Hilbert-order insertion), built in one batch and then optionally kept
 /// current under single-point Insert and Remove calls.
 ///
 /// VoronoiDiagram::Build clips each Voronoi cell by the bisectors against
-/// the site's Delaunay neighbours (NeighborLists()), so a Delaunay edge
-/// this class drops or invents shows up as overlapping or missing cells.
+/// the site's Delaunay neighbours (Adjacency()), so a Delaunay edge this
+/// class drops or invents shows up as overlapping or missing cells.
 /// Inputs far from unit scale are triangulated on a power-of-two scaled
 /// copy (PredicateScaleExponent), which the exact predicates answer with
 /// the same signs; points() keeps the caller's coordinates.
@@ -74,10 +92,12 @@ class Delaunay {
   /// vertex degree.
   std::vector<int32_t> Neighbors(int32_t site) const;
 
-  /// Adjacency lists of the constructor's points in one O(T) pass;
-  /// result[i] is Neighbors(i), ascending. Edges to vertices added by
-  /// Insert are left out, so call it before any mutation.
-  std::vector<std::vector<int32_t>> NeighborLists() const;
+  /// The adjacency of the constructor's points: table.of(i) is
+  /// Neighbors(i), ascending. One pass records a live triangle per vertex,
+  /// then one star walk per vertex fills its row, so the cost is O(T) with
+  /// no allocation per vertex. Edges to vertices added by Insert are left
+  /// out, so call it before any mutation.
+  NeighborTable Adjacency() const;
 
   /// Inserts `p` and returns its vertex index. Returns -1 and changes
   /// nothing when `p` is already a vertex, is not finite, or lies outside
@@ -132,6 +152,10 @@ class Delaunay {
   // A live triangle with real vertex `v` as a corner, or -1 when `v` is
   // not a live vertex.
   int32_t TriangleAt(int32_t v) const;
+  // Appends the real neighbours u < limit of vertex `v`, whose star holds
+  // the live triangle `t0`, in counterclockwise order from t0.
+  void AppendStar(int32_t v, int32_t t0, int32_t limit,
+                  std::vector<int32_t>* out) const;
   // `p` in predicate coordinates; false when the scale does not round-trip.
   bool ToPredicate(const Point& p, Point* q) const;
 

@@ -2,6 +2,8 @@
 #define MOVD_VORONOI_VORONOI_H_
 
 #include <cstdint>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "geom/point.h"
@@ -27,17 +29,32 @@ struct VoronoiCell {
 /// current under Insert/Remove and re-clip only the cells whose neighbour
 /// sets changed. Tests check the cells against NearestSiteBrute and
 /// AuditVoronoi.
+///
+/// Build reads every neighbour list from one flat table
+/// (Delaunay::Adjacency) and clips every cell on two thread-local scratch
+/// rings, so a cell costs one allocation: its own ring, which
+/// MovdFromVoronoi later moves into its OVR.
 class VoronoiDiagram {
  public:
   /// Builds the diagram of `sites` (exact duplicates collapsed) clipped to
-  /// `bounds`. Average cost O(n log n).
-  static VoronoiDiagram Build(std::vector<Point> sites, const Rect& bounds);
+  /// `bounds`. Average cost O(n log n). Records "delaunay" and
+  /// "voronoi_cells" trace spans.
+  static VoronoiDiagram Build(const std::vector<Point>& sites,
+                              const Rect& bounds);
 
-  /// Deduplicated generator points; cells()[i].site indexes this vector.
+  /// Deduplicated generator points in LessXY order; cells()[i].site
+  /// indexes this vector.
   const std::vector<Point>& sites() const { return sites_; }
+
+  /// first_input()[i] is the lowest index in Build's input of a point
+  /// equal to sites()[i].
+  const std::vector<int32_t>& first_input() const { return first_input_; }
 
   /// One cell per site, in site order.
   const std::vector<VoronoiCell>& cells() const { return cells_; }
+
+  /// Moves the cells out, leaving the diagram without cells.
+  std::vector<VoronoiCell> TakeCells() && { return std::move(cells_); }
 
   const Rect& bounds() const { return bounds_; }
 
@@ -47,20 +64,29 @@ class VoronoiDiagram {
 
  private:
   std::vector<Point> sites_;
+  std::vector<int32_t> first_input_;
   std::vector<VoronoiCell> cells_;
   Rect bounds_;
 };
 
-/// The canonical clipped Voronoi cell of `site`: the bounds rectangle cut
-/// by the perpendicular bisector against each neighbour, in the order
-/// given. With `neighbors` = the site's Delaunay neighbours sorted by
-/// LessXY this is exactly the cell VoronoiDiagram::Build produces; the
-/// live-update mirror (core/update.h) relies on that byte identity,
-/// so every caller that wants reproducible cells must pass the neighbours
-/// in LessXY order.
-ConvexPolygon CanonicalVoronoiCell(const Point& site,
-                                   const std::vector<Point>& neighbors,
-                                   const Rect& bounds);
+/// The canonical clipped Voronoi cell of points[site]: the bounds
+/// rectangle cut by the perpendicular bisector against each
+/// points[neighbors[k]], in the order given. With `neighbors` = the site's
+/// Delaunay neighbours in LessXY order of their points this is exactly the
+/// cell VoronoiDiagram::Build produces; the live-update mirror
+/// (core/update.h) relies on that byte identity, so every caller that
+/// wants reproducible cells must pass the neighbours in LessXY order.
+///
+/// Each bisector is one ClipRing step on a thread-local scratch ring, and
+/// the steps stop once the ring is empty; the result is bit-equal to
+/// ConvexPolygon::FromRect(bounds) cut by ClipByHalfPlane per neighbour.
+/// The only allocation is the returned ring. Adds the steps run to
+/// `*clip_steps` when it is not null.
+ConvexPolygon CanonicalVoronoiCell(std::span<const Point> points,
+                                   int32_t site,
+                                   std::span<const int32_t> neighbors,
+                                   const Rect& bounds,
+                                   size_t* clip_steps = nullptr);
 
 }  // namespace movd
 

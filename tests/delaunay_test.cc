@@ -1,5 +1,6 @@
 #include <algorithm>
 #include <cmath>
+#include <span>
 
 #include <gtest/gtest.h>
 
@@ -125,13 +126,63 @@ TEST(DelaunayTest, TriangleNeighborPointersAreMutual) {
 TEST(DelaunayTest, NeighborListsMatchPerSiteQueries) {
   const auto pts = RandomPoints(80, 45);
   const Delaunay dt(pts);
-  const auto lists = dt.NeighborLists();
-  ASSERT_EQ(lists.size(), dt.num_real_points());
-  for (int32_t i = 0; i < static_cast<int32_t>(lists.size()); ++i) {
+  const NeighborTable table = dt.Adjacency();
+  ASSERT_EQ(table.size(), dt.num_real_points());
+  ASSERT_EQ(table.offsets.front(), 0);
+  ASSERT_EQ(static_cast<size_t>(table.offsets.back()), table.ids.size());
+  for (int32_t i = 0; i < static_cast<int32_t>(table.size()); ++i) {
     auto single = dt.Neighbors(i);
     std::sort(single.begin(), single.end());
-    EXPECT_EQ(lists[i], single) << "site " << i;
+    const std::span<const int32_t> row = table.of(i);
+    EXPECT_EQ(std::vector<int32_t>(row.begin(), row.end()), single)
+        << "site " << i;
   }
+}
+
+// Points in one Hilbert cell share an insertion key, and the key tie is
+// broken by ascending point index. The key grid has 2^16 cells per side
+// over the bounding box, so clusters narrower than a cell pile hundreds of
+// ties, and a cocircular 5x5 lattice sits inside one cell. Any other tie
+// order inserts them differently; the digest pins the triangle array
+// (vertices and neighbour links) that the (key, index) comparator sort
+// gave.
+std::vector<Point> TieHeavyPoints() {
+  Rng rng(71);
+  std::vector<Point> pts = {{0, 0}, {65536, 0}, {0, 65536}, {65536, 65536}};
+  for (int c = 0; c < 12; ++c) {
+    const double cx = std::floor(rng.Uniform(1, 65000)) + 0.25;
+    const double cy = std::floor(rng.Uniform(1, 65000)) + 0.25;
+    for (int i = 0; i < 30; ++i) {
+      pts.push_back({cx + rng.Uniform(0, 0.5), cy + rng.Uniform(0, 0.5)});
+    }
+  }
+  for (int i = 0; i < 5; ++i) {
+    for (int j = 0; j < 5; ++j) {
+      pts.push_back({30000.125 + 0.125 * i, 30000.125 + 0.125 * j});
+    }
+  }
+  return pts;
+}
+
+uint64_t TriangleDigest(const Delaunay& dt) {
+  uint64_t h = 1469598103934665603ull;  // FNV-1a
+  const auto mix = [&](int32_t x) {
+    h ^= static_cast<uint32_t>(x);
+    h *= 1099511628211ull;
+  };
+  for (const Delaunay::Triangle& t : dt.Triangles()) {
+    for (const int32_t v : t.v) mix(v);
+    for (const int32_t n : t.neighbor) mix(n);
+  }
+  return h;
+}
+
+TEST(DelaunayTest, HilbertTiesInsertInIndexOrder) {
+  const Delaunay dt(TieHeavyPoints());
+  ASSERT_EQ(dt.num_real_points(), 389u);
+  EXPECT_EQ(dt.Triangles().size(), 780u);
+  EXPECT_EQ(TriangleDigest(dt), 0xa893447c33a02b94ull);
+  EXPECT_TRUE(dt.VerifyDelaunay());
 }
 
 TEST(DelaunayTest, ClusteredPointsRemainValid) {
@@ -166,11 +217,13 @@ TEST(DelaunayTest, NeighborListsIgnorePowerOfTwoScale) {
   for (int i = 0; i < 60; ++i) {
     pts.push_back({rng.Uniform(-1.9, 1.9), rng.Uniform(-1.9, 1.9)});
   }
-  const auto expected = Delaunay(pts).NeighborLists();
+  const NeighborTable expected = Delaunay(pts).Adjacency();
   for (const int k : {-600, -250, 0, 250, 600}) {
     const std::vector<Point> input = scaled(pts, k);
     const Delaunay dt(input);
-    EXPECT_EQ(dt.NeighborLists(), expected) << "scale 2^" << k;
+    const NeighborTable table = dt.Adjacency();
+    EXPECT_EQ(table.offsets, expected.offsets) << "scale 2^" << k;
+    EXPECT_EQ(table.ids, expected.ids) << "scale 2^" << k;
     // points() keeps the caller's coordinates.
     for (size_t i = 0; i < dt.num_real_points(); ++i) {
       EXPECT_TRUE(std::find(input.begin(), input.end(), dt.points()[i]) !=

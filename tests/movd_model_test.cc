@@ -1,3 +1,5 @@
+#include <algorithm>
+
 #include <gtest/gtest.h>
 
 #include "core/molq.h"
@@ -48,6 +50,39 @@ TEST(MovdModelTest, FromVoronoiTagsPoisWithSetAndObject) {
     EXPECT_TRUE(ovr.pois[0].object == 7 || ovr.pois[0].object == 9);
     EXPECT_EQ(ovr.mbr, ovr.region.Bbox());
   }
+}
+
+// The diagram collapses duplicate locations; each surviving cell must name
+// the lowest object index at its location, whatever the input order.
+TEST(MovdModelTest, BasicMovdMapsDuplicateLocationsToLowestObject) {
+  const std::vector<Point> locations = {{70, 30}, {20, 20}, {70, 30},
+                                        {20, 20}, {50, 90}, {70, 30},
+                                        {50, 90}, {-0.0, 5}, {0.0, 5}};
+  MolqQuery query;
+  ObjectSet set;
+  set.name = "t0";
+  for (const Point& p : locations) {
+    SpatialObject obj;
+    obj.location = p;
+    set.objects.push_back(obj);
+  }
+  query.sets.push_back(std::move(set));
+  const Movd movd = BuildBasicMovd(query, 0, kBounds, 64);
+  ASSERT_EQ(movd.ovrs.size(), 4u);
+  std::vector<int32_t> objects;
+  for (const Ovr& ovr : movd.ovrs) {
+    ASSERT_EQ(ovr.pois.size(), 1u);
+    const int32_t object = ovr.pois[0].object;
+    objects.push_back(object);
+    // No lower index shares the location.
+    for (int32_t j = 0; j < object; ++j) {
+      EXPECT_FALSE(locations[j] == locations[object])
+          << "object " << object << " repeats object " << j;
+    }
+    EXPECT_TRUE(ovr.region.Contains(locations[object]));
+  }
+  std::sort(objects.begin(), objects.end());
+  EXPECT_EQ(objects, (std::vector<int32_t>{0, 1, 4, 7}));
 }
 
 TEST(MovdModelTest, FromWeightedApproxDropsEmptyCells) {

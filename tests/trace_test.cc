@@ -11,6 +11,7 @@
 #include "core/pruned_overlap.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
+#include "voronoi/delaunay.h"
 
 namespace movd {
 namespace {
@@ -316,6 +317,45 @@ TEST(TraceTest, WeightedCoverCountersMatchTheBuiltRegions) {
   EXPECT_EQ(CounterSum(records, "overlap_step", "output_pieces"),
             static_cast<int64_t>(PieceCount(overlay)));
   EXPECT_GT(PieceCount(overlay), overlay.ovrs.size());
+}
+
+TEST(TraceTest, OrdinaryVoronoiSplitsIntoDelaunayAndCells) {
+  // Each ordinary set's "ordinary_voronoi" span holds a "delaunay" span
+  // that counts the distinct sites and a "voronoi_cells" span that counts
+  // the bisector clip steps, so a trace splits the VD stage by layer.
+  // Every site lies inside the world, so no cell empties early and each
+  // cell runs one step per Delaunay neighbour.
+  const MolqQuery query = TracedQuery();
+  const Rect world(0, 0, 100, 100);
+  Trace trace;
+  MolqOptions options;
+  options.exec.threads = 2;
+  options.exec.trace = &trace;
+  ASSERT_EQ(SolveMolq(query, world, options).status, StatusCode::kOk);
+  const std::vector<TraceSpanRecord> records = trace.Collect();
+  size_t delaunay = 0;
+  size_t cells = 0;
+  for (const TraceSpanRecord& r : records) {
+    if (r.name != "delaunay" && r.name != "voronoi_cells") continue;
+    ASSERT_GE(r.parent, 0);
+    EXPECT_EQ(records[r.parent].name, "ordinary_voronoi") << r.name;
+    ++(r.name == "delaunay" ? delaunay : cells);
+  }
+  EXPECT_EQ(delaunay, query.sets.size());
+  EXPECT_EQ(cells, query.sets.size());
+  int64_t sites = 0;
+  int64_t steps = 0;
+  for (const ObjectSet& set : query.sets) {
+    std::vector<Point> locations;
+    for (const SpatialObject& obj : set.objects) {
+      locations.push_back(obj.location);
+    }
+    const Delaunay dt(locations);
+    sites += static_cast<int64_t>(dt.num_real_points());
+    steps += static_cast<int64_t>(dt.Adjacency().ids.size());
+  }
+  EXPECT_EQ(CounterSum(records, "delaunay", "sites"), sites);
+  EXPECT_EQ(CounterSum(records, "voronoi_cells", "clip_steps"), steps);
 }
 
 TEST(TraceTest, OverlapStageNamesItsBoundAndItsStepSetUp) {

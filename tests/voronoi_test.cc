@@ -1,4 +1,6 @@
 #include <algorithm>
+#include <cmath>
+#include <cstring>
 
 #include <gtest/gtest.h>
 
@@ -169,6 +171,113 @@ TEST(VoronoiOracleTest, CollinearSitesCutStrips) {
     EXPECT_NEAR(vd.cells()[i].region.Area(), expected[i], 1e-9);
   }
   EXPECT_TRUE(AuditVoronoi(vd).ok());
+}
+
+// The cell builder against a reference made of public per-site parts:
+// Delaunay::Neighbors(i) sorted ascending (LessXY order, since the sites
+// are LessXY-sorted), each bisector applied by
+// ConvexPolygon::ClipByHalfPlane to ConvexPolygon::FromRect(bounds). Build
+// reads a flat neighbour table and clips on scratch rings, so this pins
+// that those containers change no bit of any cell.
+ConvexPolygon ReferenceCell(const Delaunay& dt, int32_t site,
+                            const Rect& bounds) {
+  std::vector<int32_t> neighbors = dt.Neighbors(site);
+  std::sort(neighbors.begin(), neighbors.end());
+  ConvexPolygon cell = ConvexPolygon::FromRect(bounds);
+  const Point& p = dt.points()[site];
+  for (const int32_t j : neighbors) {
+    if (cell.Empty()) break;
+    const Point& q = dt.points()[j];
+    const Point mid = (p + q) * 0.5;
+    const Point dir{-(q.y - p.y), q.x - p.x};
+    cell.ClipByHalfPlane(mid, mid + dir);
+  }
+  return cell;
+}
+
+void ExpectCellsMatchReference(const std::vector<Point>& input,
+                               const Rect& bounds) {
+  const auto vd = VoronoiDiagram::Build(input, bounds);
+  ASSERT_EQ(vd.cells().size(), vd.sites().size());
+  ASSERT_FALSE(vd.sites().empty());
+  const Delaunay dt(vd.sites());
+  for (size_t i = 0; i < vd.sites().size(); ++i) {
+    const auto site = static_cast<int32_t>(i);
+    const ConvexPolygon expected = ReferenceCell(dt, site, bounds);
+    const std::vector<Point>& got = vd.cells()[i].region.vertices();
+    ASSERT_EQ(vd.cells()[i].site, site);
+    ASSERT_EQ(got.size(), expected.vertices().size()) << "cell " << i;
+    for (size_t k = 0; k < got.size(); ++k) {
+      EXPECT_EQ(std::memcmp(&got[k], &expected.vertices()[k], sizeof(Point)),
+                0)
+          << "cell " << i << " vertex " << k;
+    }
+  }
+  // first_input() names the lowest input index at each site.
+  ASSERT_EQ(vd.first_input().size(), vd.sites().size());
+  for (size_t i = 0; i < vd.sites().size(); ++i) {
+    const auto first = static_cast<size_t>(vd.first_input()[i]);
+    ASSERT_LT(first, input.size());
+    EXPECT_TRUE(input[first] == vd.sites()[i]) << "site " << i;
+    for (size_t j = 0; j < first; ++j) {
+      EXPECT_FALSE(input[j] == vd.sites()[i]) << "site " << i;
+    }
+  }
+}
+
+std::vector<Point> Scaled(std::vector<Point> pts, int k) {
+  for (Point& p : pts) p = {std::ldexp(p.x, k), std::ldexp(p.y, k)};
+  return pts;
+}
+
+Rect Scaled(const Rect& r, int k) {
+  return Rect(std::ldexp(r.min_x, k), std::ldexp(r.min_y, k),
+              std::ldexp(r.max_x, k), std::ldexp(r.max_y, k));
+}
+
+TEST(VoronoiBitIdentityTest, UniformSites) {
+  ExpectCellsMatchReference(RandomPoints(1000, 61), kBounds);
+}
+
+TEST(VoronoiBitIdentityTest, CocircularIntegerGrid) {
+  std::vector<Point> sites;
+  for (int x = 0; x < 40; ++x) {
+    for (int y = 0; y < 40; ++y) sites.push_back({x * 2.0 + 10, y * 2.0 + 10});
+  }
+  ExpectCellsMatchReference(sites, kBounds);
+}
+
+TEST(VoronoiBitIdentityTest, DuplicateSites) {
+  std::vector<Point> sites = RandomPoints(200, 62);
+  const std::vector<Point> copy = sites;
+  sites.insert(sites.end(), copy.rbegin(), copy.rbegin() + 80);
+  sites.insert(sites.begin(), copy.begin() + 20, copy.begin() + 60);
+  ExpectCellsMatchReference(sites, kBounds);
+}
+
+TEST(VoronoiBitIdentityTest, CollinearRow) {
+  std::vector<Point> sites;
+  for (int i = 0; i < 50; ++i) sites.push_back({99.0 - 1.9 * i, 50});
+  ExpectCellsMatchReference(sites, kBounds);
+}
+
+TEST(VoronoiBitIdentityTest, PowerOfTwoScales) {
+  const std::vector<Point> sites = RandomPoints(300, 63);
+  for (const int k : {-250, 250}) {
+    ExpectCellsMatchReference(Scaled(sites, k), Scaled(kBounds, k));
+  }
+}
+
+TEST(VoronoiBitIdentityTest, BoundsMissingSomeSites) {
+  // Sites spread over [0, 100]^2, bounds over a corner: many cells empty.
+  ExpectCellsMatchReference(RandomPoints(400, 64), Rect(10, 60, 35, 95));
+}
+
+TEST(VoronoiBitIdentityTest, SingleSite) {
+  ExpectCellsMatchReference({{30, 40}}, kBounds);
+  // Bounds with zero width or height hold no cell.
+  ExpectCellsMatchReference({{30, 40}, {60, 70}}, Rect(20, 0, 20, 100));
+  ExpectCellsMatchReference({{30, 40}, {60, 70}}, Rect(0, 50, 100, 50));
 }
 
 // The dense reference construction through the WeightedOptions dispatch

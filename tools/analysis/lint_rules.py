@@ -27,7 +27,11 @@ FLOAT_EQ_EXEMPT_CALLS = ("Orient2D(", "InCircle(")
 
 UNORDERED_DECL_RE = re.compile(
     r"unordered_(?:map|set|multimap|multiset)\s*<[^;=]*>\s+(\w+)\s*[;({=]")
-SORT_RE = re.compile(r"std::(?:stable_)?sort\s*\(")
+# float-sort: every standard ordering algorithm, partial ones included —
+# partial_sort and nth_element order ties just as implementation-defined.
+SORT_RE = re.compile(
+    r"std::(?:ranges::)?(?:sort|stable_sort|partial_sort|partial_sort_copy"
+    r"|nth_element)\s*\(")
 ABORT_RE = re.compile(r"(?<![\w.])(?:std::)?(?:abort|exit)\s*\(")
 TODO_RE = re.compile(r"//.*\b(TODO|FIXME|XXX|HACK)\b")
 RAW_CHRONO_RE = re.compile(

@@ -74,6 +74,11 @@ class LintRuleTest(unittest.TestCase):
             with self.subTest(rule=rule):
                 self.assertEqual(lint_fixture(negative, dest), [])
 
+    def test_partial_orderings_need_vetting(self):
+        self.assertEqual(
+            lint_fixture("float_sort_partial_bad.cc", "src/core/fixture.cc"),
+            ["float-sort"] * 3)
+
     def test_predicate_kernels_exempt_from_float_eq(self):
         self.assertEqual(
             lint_fixture("float_eq_predicates_ok.cc",
