@@ -22,13 +22,7 @@ MolqResult SolveUnpruned(const MolqQuery& query, const MolqOptions& options) {
   MolqResult result;
   const Movd movd =
       BuildMolqOverlay(query, kWorld, options, /*prune=*/false, &result);
-  OptimizerOptions opt;
-  opt.epsilon = options.epsilon;
-  opt.use_cost_bound = options.use_cost_bound;
-  opt.use_two_point_prefilter = options.use_two_point_prefilter;
-  opt.dedup_combinations = options.dedup_combinations;
-  opt.exec = options.exec;
-  const OptimizerResult best = OptimizeMovd(query, movd, opt);
+  const OptimizerResult best = OptimizeMovd(query, movd, options);
   result.location = best.location;
   result.cost = best.cost;
   result.group = best.group;

@@ -1,7 +1,9 @@
 // Reproduces Fig. 10: the cost-bound (CB) batch Fermat–Weber solver vs the
 // basic (Original) approach, varying the number of problems and the error
 // bound epsilon. Each problem has 5 points with coordinates and weights
-// drawn from [0, 10), exactly the paper's setup (§6.2).
+// drawn from [0, 10), exactly the paper's setup (§6.2). The batch is
+// SolveFermatWeberBatch, i.e. the best-k scan (fermat/batch.h) the
+// Optimizer, top-k and SSC also run, with k = 1.
 //
 // Harnessed (DESIGN.md §10). Extra flags:
 //   --problems=1000,5000,10000,50000  --epsilons=1e-2,1e-3,1e-4
@@ -66,8 +68,8 @@ BENCH(fig10_cost_bound) {
         r = RunBatch(ctx, problems, eps, /*cost_bound=*/false,
                      /*prefilter=*/false, /*threads=*/1);
       });
-      orig.Metric("cost", r.cost);
-      orig.Metric("iterations", static_cast<double>(r.total_iterations));
+      orig.Metric("cost", r.best.front().cost);
+      orig.Metric("iterations", static_cast<double>(r.stats.total_iterations));
 
       BenchCase& cb = ctx.Case("cb" + suffix)
                           .Param("variant", "cb")
@@ -77,8 +79,8 @@ BENCH(fig10_cost_bound) {
         r = RunBatch(ctx, problems, eps, /*cost_bound=*/true,
                      /*prefilter=*/true, /*threads=*/1);
       });
-      cb.Metric("cost", r.cost);
-      cb.Metric("iterations", static_cast<double>(r.total_iterations));
+      cb.Metric("cost", r.best.front().cost);
+      cb.Metric("iterations", static_cast<double>(r.stats.total_iterations));
       cb.Derived("speedup_vs_original", orig_wall.median / cb_wall.median);
     }
   }
@@ -112,8 +114,8 @@ BENCH(fig10_ablation) {
         r = RunBatch(ctx, problems, eps, v.bound, v.prefilter,
                      /*threads=*/1);
       });
-      c.Metric("cost", r.cost);
-      c.Metric("iterations", static_cast<double>(r.total_iterations));
+      c.Metric("cost", r.best.front().cost);
+      c.Metric("iterations", static_cast<double>(r.stats.total_iterations));
     }
   }
 }
@@ -137,7 +139,7 @@ BENCH(fig10_parallel) {
     const Summary& w1 = ctx.Measure(serial, [&] {
       r = RunBatch(ctx, problems, eps, true, true, 1);
     });
-    serial.Metric("cost", r.cost);
+    serial.Metric("cost", r.best.front().cost);
 
     BenchCase& par = ctx.Case("cb/" + std::to_string(threads) + "thr/p=" +
                               std::to_string(count))
@@ -146,7 +148,7 @@ BENCH(fig10_parallel) {
     const Summary& wn = ctx.Measure(par, [&] {
       r = RunBatch(ctx, problems, eps, true, true, threads);
     });
-    par.Metric("cost", r.cost);
+    par.Metric("cost", r.best.front().cost);
     par.Derived("speedup_vs_serial", w1.median / wn.median);
   }
 }

@@ -31,9 +31,9 @@ void Report(const char* name, const MolqResult& r, double total_seconds) {
                     r.stats.optimizer.total_iterations));
   } else {
     std::printf("  [%llu combinations, %llu filtered]",
-                static_cast<unsigned long long>(r.stats.ssc.combinations),
+                static_cast<unsigned long long>(r.stats.optimizer.problems),
                 static_cast<unsigned long long>(
-                    r.stats.ssc.skipped_prefilter));
+                    r.stats.optimizer.skipped_prefilter));
   }
   std::printf("\n");
 }

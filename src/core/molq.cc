@@ -234,43 +234,20 @@ MolqResult SolveMolq(const MolqQuery& query, const Rect& search_space,
   TRACE_SPAN("solve_molq");
   result.stats.threads = ResolveThreads(options.exec.threads);
 
-  if (options.algorithm == MolqAlgorithm::kSsc) {
-    Stopwatch sw;
-    SscOptions ssc;
-    ssc.epsilon = options.epsilon;
-    ssc.use_upper_bound_prune = options.use_two_point_prefilter;
-    ssc.use_cost_bound = options.use_cost_bound;
-    ssc.exec = options.exec;
-    const SscResult r = SolveSsc(query, ssc);
-    if (r.cancelled) {
-      result.status = StatusCode::kCancelled;
-      result.stats.ssc = r.stats;
-      result.stats.optimize_seconds = sw.ElapsedSeconds();
-      return result;
-    }
-    result.location = r.location;
-    result.cost = r.cost;
-    result.group = r.group;
-    result.stats.ssc = r.stats;
-    result.stats.optimize_seconds = sw.ElapsedSeconds();
-    result.ranked.push_back({result.location, result.cost, {}, result.group});
-    return result;
-  }
-
-  // Stages 1-2, with combination pruning.
-  const Movd movd = BuildMolqOverlay(query, search_space, options,
-                                     /*prune=*/true, &result);
-  if (result.status != StatusCode::kOk) return result;
-
-  // Stage 3: Optimizer — best local optimum across OVRs (§5.4).
+  OptimizerResult r;
   Stopwatch sw;
-  OptimizerOptions opt;
-  opt.epsilon = options.epsilon;
-  opt.use_cost_bound = options.use_cost_bound;
-  opt.use_two_point_prefilter = options.use_two_point_prefilter;
-  opt.dedup_combinations = options.dedup_combinations;
-  opt.exec = options.exec;
-  const OptimizerResult r = OptimizeMovd(query, movd, opt);
+  if (options.algorithm == MolqAlgorithm::kSsc) {
+    r = SolveSsc(query, options);
+  } else {
+    // Stages 1-2, with combination pruning.
+    const Movd movd = BuildMolqOverlay(query, search_space, options,
+                                       /*prune=*/true, &result);
+    if (result.status != StatusCode::kOk) return result;
+    // Stage 3: Optimizer — best local optimum across OVRs (§5.4).
+    sw.Reset();
+    TRACE_SPAN("optimize_movd");
+    r = OptimizeMovd(query, movd, options);
+  }
   result.stats.optimize_seconds = sw.ElapsedSeconds();
   result.stats.optimizer = r.stats;
   if (r.cancelled) {

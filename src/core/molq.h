@@ -25,26 +25,14 @@ enum class MolqAlgorithm {
   kMbrb,  ///< MOVD pipeline, MBR as Boundary (§5.3)
 };
 
-/// End-to-end options for SolveMolq.
-struct MolqOptions {
+/// End-to-end options for SolveMolq: the Optimizer's (core/optimizer.h:
+/// the Fermat–Weber stopping rule, the §5.4 cost bound, the two-point
+/// prefilter and the execution knobs shared with every other pipeline
+/// entry point — threads, audit, trace sink, cancel token,
+/// weighted-grid resolution; none of them changes the answer) plus the
+/// evaluation strategy.
+struct MolqOptions : OptimizerOptions {
   MolqAlgorithm algorithm = MolqAlgorithm::kRrb;
-
-  /// Fermat–Weber stopping-rule error bound.
-  double epsilon = 1e-3;
-
-  /// Cost-bound pruning (§5.4) across local optimizations.
-  bool use_cost_bound = true;
-
-  /// Two-point-prefix filters (Algorithm 1 lines 4-5, Algorithm 5 8-12).
-  bool use_two_point_prefilter = true;
-
-  /// A no-op, as OptimizerOptions::dedup_combinations.
-  bool dedup_combinations = false;
-
-  /// Execution knobs shared with every other pipeline entry point:
-  /// threads, audit, trace sink, cancel token, weighted-grid resolution
-  /// (see util/exec_options.h). None of them changes the answer.
-  ExecOptions exec;
 };
 
 /// Terminal state of one MOLQ evaluation: StatusCode::kOk when the run
@@ -62,8 +50,7 @@ struct MolqStats {
   size_t final_ovrs = 0;          ///< |MOVD(Ē)| fed into the Optimizer
   size_t memory_bytes = 0;        ///< Movd::MemoryBytes of the final MOVD
   OverlapStats overlap;  ///< pruned_pairs: pairs cut by combination pruning
-  OptimizerStats optimizer;
-  SscStats ssc;  ///< populated only for MolqAlgorithm::kSsc
+  OptimizerStats optimizer;  ///< the Optimizer's or SSC's scan
 };
 
 /// Result of one MOLQ evaluation. Every entry point — SolveMolq,

@@ -4,110 +4,101 @@
 #include <limits>
 
 #include "core/weighted_distance.h"
-#include "fermat/fermat_weber.h"
+#include "model/query_model.h"
 #include "trace/trace.h"
 #include "util/check.h"
 
 namespace movd {
 
-SscResult SolveSsc(const MolqQuery& query, const SscOptions& options) {
+OptimizerResult SolveSsc(const MolqQuery& query,
+                         const OptimizerOptions& options) {
   const size_t n = query.sets.size();
   MOVD_CHECK_MSG(n > 0, "a MOLQ needs at least one object set");
+  size_t combinations = 1;
   for (const ObjectSet& set : query.sets) {
     MOVD_CHECK_MSG(!set.objects.empty(),
                    "every query set needs at least one object");
+    MOVD_CHECK_MSG(combinations <= std::numeric_limits<size_t>::max() /
+                                       set.objects.size(),
+                   "SSC's combination count must fit in size_t");
+    combinations *= set.objects.size();
   }
+  TRACE_SPAN("ssc_scan");  // its chunk spans carry the counters
 
-  SscResult result;
-  TraceSpan span("ssc_scan");
-  // Atomic so the solver's strict shared-bound prune (the same tie-keeping
-  // semantics the RRB/MBRB Optimizer uses) can read it; SSC itself is
-  // serial, so plain loads/stores below never race.
-  std::atomic<double> bound{std::numeric_limits<double>::infinity()};
-  bool have_answer = false;
-
-  std::vector<PoiRef> combo;
-  for (size_t i = 0; i < n; ++i) combo.push_back({static_cast<int32_t>(i), 0});
-  std::vector<WeightedPoint> points;
-
-  // Odometer enumeration of P_1 x ... x P_n.
-  bool done = false;
-  while (!done) {
-    // Cancellation checkpoint (serving deadlines): one poll per
-    // combination, i.e. per Fermat–Weber problem — coarse enough that the
-    // clock read never dominates, fine enough that a fired deadline stops
-    // the scan within one solve.
-    if (TokenExpired(options.exec.cancel)) {
-      result.cancelled = true;
-      return result;
+  // Every object's demand point and offset, built once: a combination's
+  // problem is one entry per set, and its offset their sum in set order,
+  // exactly what BuildFermatWeberProblem returns for the whole group.
+  std::vector<std::vector<WeightedPoint>> points_of(n);
+  std::vector<std::vector<double>> offset_of(n);
+  std::vector<WeightedPoint> single;
+  for (size_t s = 0; s < n; ++s) {
+    for (size_t o = 0; o < query.sets[s].objects.size(); ++o) {
+      offset_of[s].push_back(BuildFermatWeberProblem(
+          query, {{static_cast<int32_t>(s), static_cast<int32_t>(o)}},
+          &single));
+      points_of[s].push_back(single.front());
     }
-    ++result.stats.combinations;
-    const double offset = BuildFermatWeberProblem(query, combo, &points);
-
-    bool skip = false;
-    if (options.use_upper_bound_prune && n > 2) {
-      // Exact two-point optimum of <p_1^u, p_2^s> (Algorithm 1 line 4) plus
-      // the combination's constant offsets: a lower bound on the full
-      // combination's optimal cost. Strictly greater, matching the
-      // Optimizer's prefilter: a prefix that exactly ties the bound cannot
-      // improve on it, but skipping on ties would make SSC and RRB/MBRB
-      // disagree about tie-cost optima.
-      if (offset + TwoPointPrefixCost(points) >
-          bound.load(std::memory_order_relaxed)) {
-        ++result.stats.skipped_prefilter;
-        skip = true;
-      }
+  }
+  // Combination i of the odometer enumeration, set 0 fastest.
+  const auto decode = [&](size_t i, std::vector<PoiRef>* combo) {
+    combo->resize(n);
+    for (size_t s = 0; s < n; ++s) {
+      const size_t size = query.sets[s].objects.size();
+      (*combo)[s] = {static_cast<int32_t>(s), static_cast<int32_t>(i % size)};
+      i /= size;
     }
-
-    if (!skip) {
-      FermatWeberOptions fw;
-      fw.epsilon = options.epsilon;
-      fw.cancel = options.exec.cancel;
-      if (options.use_cost_bound) {
-        fw.shared_cost_bound = &bound;
-        fw.shared_bound_offset = offset;
-      }
-      const FermatWeberResult r = SolveFermatWeber(points, fw);
-      result.stats.total_iterations += static_cast<uint64_t>(r.iterations);
-      if (r.pruned) {
-        ++result.stats.pruned_by_bound;
-      } else {
-        // Exact ties go to the lexicographically least combination, the
-        // GroupBefore rule of the MOVD optimizer.
-        const double total = r.cost + offset;
-        if (!have_answer || total < result.cost ||
-            (total == result.cost && combo < result.group)) {
-          have_answer = true;
-          bound.store(total, std::memory_order_relaxed);
-          result.cost = total;
-          result.location = r.location;
-          result.group = combo;
+  };
+  // A worker's chunk is a run of consecutive combinations, so each worker
+  // keeps an odometer and decodes an index only where its run starts. The
+  // scan id keeps one call's odometer out of the next call's runs.
+  struct Odometer {
+    uint64_t scan = 0;
+    size_t next = 0;
+    std::vector<PoiRef> combo;
+  };
+  static std::atomic<uint64_t> scans{0};
+  const uint64_t scan_id = scans.fetch_add(1) + 1;
+  const BatchResult scan = ScanBestK(
+      combinations,
+      [&](size_t i, std::vector<WeightedPoint>* points) {
+        thread_local Odometer odo;
+        if (odo.scan != scan_id || i != odo.next) {
+          decode(i, &odo.combo);
+          odo.scan = scan_id;
+        } else {
+          for (PoiRef& ref : odo.combo) {
+            if (++ref.object < static_cast<int32_t>(
+                                   points_of[ref.set].size())) {
+              break;
+            }
+            ref.object = 0;
+          }
         }
-      }
-    }
+        odo.next = i + 1;
+        points->clear();
+        double offset = 0.0;
+        for (const PoiRef& ref : odo.combo) {
+          points->push_back(points_of[ref.set][ref.object]);
+          offset += offset_of[ref.set][ref.object];
+        }
+        return offset;
+      },
+      [&](size_t a, size_t b) {
+        std::vector<PoiRef> ga, gb;
+        decode(a, &ga);
+        decode(b, &gb);
+        return GroupBefore(ga, gb);
+      },
+      1, options);
 
-    // Advance the odometer.
-    size_t i = 0;
-    while (i < n) {
-      if (++combo[i].object <
-          static_cast<int32_t>(query.sets[i].objects.size())) {
-        break;
-      }
-      combo[i].object = 0;
-      ++i;
-    }
-    done = i == n;
-  }
-  // The last solve may have stopped on the token without an answer.
-  if (TokenExpired(options.exec.cancel)) {
-    result.cancelled = true;
-    return result;
-  }
-  MOVD_CHECK(have_answer);
-  span.Counter("combinations",
-               static_cast<int64_t>(result.stats.combinations));
-  span.Counter("weiszfeld_iters",
-               static_cast<int64_t>(result.stats.total_iterations));
+  OptimizerResult result;
+  result.cancelled = scan.cancelled;
+  result.stats = scan.stats;
+  if (scan.cancelled) return result;
+  const BatchAnswer& best = scan.best.front();
+  result.location = best.location;
+  result.cost = best.cost;
+  decode(best.problem, &result.group);
   return result;
 }
 

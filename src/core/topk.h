@@ -15,9 +15,7 @@ namespace movd {
 /// `options.algorithm`; kSsc is rejected), unpruned because ranks beyond
 /// the first need the combinations SolveMolq's pruning drops, so stats and
 /// audit seams are SolveMolq's. Keeps the k best Fermat–Weber optima in
-/// MolqResult::ranked (location/cost/group mirror ranked[0]). The cost
-/// bound used for pruning is the k-th best cost so far, so correctness of
-/// all k results is preserved.
+/// MolqResult::ranked (location/cost/group mirror ranked[0]).
 ///
 /// Edge cases (deterministic by contract):
 ///  - k exceeding the number of distinct object combinations returns every
@@ -33,7 +31,9 @@ MolqResult SolveMolqTopK(const MolqQuery& query, const Rect& search_space,
 
 /// The Optimizer half of SolveMolqTopK, over an already-built MOVD: the k
 /// best locally-optimal locations, one per OVR, ascending by (cost,
-/// GroupBefore). This is the entry point the serving engine (src/serve)
+/// GroupBefore) — ScanBestK (fermat/batch.h) with the OVRs as problems,
+/// whose bound is the k-th best cost so far. `exec.threads` fans the scan
+/// out; MolqResult::stats.optimizer holds its counters. This is the entry point the serving engine (src/serve)
 /// and the what-if sweep use to rank answers from a cached overlay
 /// without rebuilding the pipeline. Requires the overlay invariant of
 /// model/movd_model.h (no two OVRs share a poi group; a repeated group

@@ -26,7 +26,7 @@ enum class WeightedMethod {
 };
 
 /// Execution knobs shared by every pipeline entry point — solver options
-/// (MolqOptions, OptimizerOptions, SscOptions, BatchOptions) and the
+/// (BatchOptions, which OptimizerOptions and MolqOptions extend) and the
 /// serving layer (EngineRequest, QueryEngineOptions) embed one of these
 /// instead of re-declaring the fields and copy-forwarding them across the
 /// core/serve boundary. None of the knobs changes the answer: (location,
@@ -35,8 +35,7 @@ enum class WeightedMethod {
 struct ExecOptions {
   /// Degree of parallelism: per-set basic-MOVD builds, weighted-grid
   /// dominance sampling, the overlap step's finder chunks, and the
-  /// Fermat–Weber fan-outs (which share the §5.4 cost bound via an atomic
-  /// CAS-min). 1 (default) keeps every stage serial, so paper-reproduction
+  /// Fermat–Weber scan's chunks (which share the §5.4 cost bound). 1 (default) keeps every stage serial, so paper-reproduction
   /// numbers are unchanged unless opted in; 0 means one thread per
   /// hardware thread.
   int threads = 1;
@@ -61,8 +60,8 @@ struct ExecOptions {
 
   /// Cooperative cancellation (serving deadlines, DESIGN.md §8). When the
   /// token fires, the pipeline unwinds at its next checkpoint — between
-  /// stages, per SSC combination, per overlap finder chunk and every 256
-  /// pairs inside one, per Optimizer OVR — and the entry point reports
+  /// stages, per overlap finder chunk and every 256 pairs inside one, per
+  /// Fermat–Weber scan chunk and every 256 Weiszfeld iterations — and the entry point reports
   /// StatusCode::kCancelled with no answer fields populated (never a
   /// partial answer). Null means run to completion.
   const CancelToken* cancel = nullptr;

@@ -1,4 +1,6 @@
+#include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <string>
 
@@ -485,6 +487,122 @@ TEST(SharedBoundTest, OffsetShiftsTheComparison) {
   EXPECT_TRUE(cut.pruned);
 }
 
+TEST(CancelTest, PreFiredTokenStopsTheBatch) {
+  Rng rng(75);
+  std::vector<std::vector<WeightedPoint>> problems;
+  for (int i = 0; i < 200; ++i) problems.push_back(RandomProblem(5, &rng));
+  CancelToken token;
+  token.Cancel();
+  for (const int threads : {1, 4}) {
+    BatchOptions opts;
+    opts.exec.threads = threads;
+    opts.exec.cancel = &token;
+    const BatchResult r = SolveFermatWeberBatch(problems, opts);
+    EXPECT_TRUE(r.cancelled) << "threads=" << threads;
+    EXPECT_TRUE(r.best.empty()) << "threads=" << threads;
+    EXPECT_EQ(r.stats.problems, 0u) << "threads=" << threads;
+  }
+}
+
+// One scan input: problems of `points` points each, many of them exact
+// copies (same points and offset) so that costs tie exactly, including
+// across the k-th place.
+struct ScanInput {
+  std::vector<std::vector<WeightedPoint>> points;
+  std::vector<double> offsets;
+};
+
+ScanInput TiedScanInput(size_t points, size_t n, uint64_t seed) {
+  Rng rng(seed);
+  ScanInput in;
+  std::vector<std::vector<WeightedPoint>> distinct;
+  for (int i = 0; i < 24; ++i) distinct.push_back(RandomProblem(points, &rng));
+  for (size_t i = 0; i < n; ++i) {
+    const size_t pick = rng.NextBelow(distinct.size());
+    in.points.push_back(distinct[pick]);
+    in.offsets.push_back(2.5 * static_cast<double>(pick % 3));
+  }
+  return in;
+}
+
+// Reference for ScanBestK: every problem solved without a bound, sorted by
+// (total cost, tie order, index), the first k kept.
+std::vector<BatchAnswer> BruteForceBestK(
+    const ScanInput& in, size_t k, double epsilon,
+    const std::function<bool(size_t, size_t)>& tie_order) {
+  std::vector<BatchAnswer> all;
+  FermatWeberOptions fw;
+  fw.epsilon = epsilon;
+  for (size_t i = 0; i < in.points.size(); ++i) {
+    const FermatWeberResult r = SolveFermatWeber(in.points[i], fw);
+    all.push_back({i, r.location, r.cost + in.offsets[i]});
+  }
+  std::sort(all.begin(), all.end(),
+            [&](const BatchAnswer& a, const BatchAnswer& b) {
+              if (a.cost != b.cost) return a.cost < b.cost;
+              if (tie_order(a.problem, b.problem)) return true;
+              if (tie_order(b.problem, a.problem)) return false;
+              return a.problem < b.problem;
+            });
+  all.resize(std::min(k, all.size()));
+  return all;
+}
+
+TEST(ScanBestKParallelTest, MatchesTheUnboundedBruteForceRanking) {
+  // The bound and the prefilter only skip work: for every k, toggle and
+  // thread count the scan keeps exactly the unbounded reference's k best,
+  // bit for bit. The tie order prefers the higher index, so the tie
+  // decisions are the scan's, not the index fallback's.
+  constexpr size_t kProblems = 300;  // several chunks per scan
+  const auto later_first = [](size_t a, size_t b) { return a > b; };
+  for (const size_t points : {3u, 4u, 5u}) {
+    const ScanInput in = TiedScanInput(points, kProblems, 900 + points);
+    const ProblemBuilder build = [&](size_t i,
+                                     std::vector<WeightedPoint>* out) {
+      *out = in.points[i];
+      return in.offsets[i];
+    };
+    for (const size_t k : {size_t{1}, size_t{2}, size_t{7}, kProblems,
+                           kProblems + 3}) {
+      const std::vector<BatchAnswer> want =
+          BruteForceBestK(in, k, 1e-3, later_first);
+      for (const bool bound : {true, false}) {
+        for (const bool prefilter : {true, false}) {
+          for (const int threads : {1, 2, 4, 7}) {
+            BatchOptions opts;
+            opts.use_cost_bound = bound;
+            opts.use_two_point_prefilter = prefilter;
+            opts.exec.threads = threads;
+            const BatchResult got =
+                ScanBestK(kProblems, build, later_first, k, opts);
+            const std::string where =
+                "points=" + std::to_string(points) +
+                " k=" + std::to_string(k) + " bound=" +
+                std::to_string(bound) + " prefilter=" +
+                std::to_string(prefilter) +
+                " threads=" + std::to_string(threads);
+            ASSERT_FALSE(got.cancelled) << where;
+            EXPECT_EQ(got.stats.problems, kProblems) << where;
+            ASSERT_EQ(got.best.size(), want.size()) << where;
+            for (size_t r = 0; r < want.size(); ++r) {
+              EXPECT_EQ(got.best[r].problem, want[r].problem) << where;
+              EXPECT_EQ(std::bit_cast<uint64_t>(got.best[r].cost),
+                        std::bit_cast<uint64_t>(want[r].cost))
+                  << where;
+              EXPECT_EQ(std::bit_cast<uint64_t>(got.best[r].location.x),
+                        std::bit_cast<uint64_t>(want[r].location.x))
+                  << where;
+              EXPECT_EQ(std::bit_cast<uint64_t>(got.best[r].location.y),
+                        std::bit_cast<uint64_t>(want[r].location.y))
+                  << where;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST(BatchTest, ParallelMatchesSerialBitwise) {
   // The winner triple (location, cost, index) must be invariant under the
   // thread count: tied minima always complete (strict shared bound) and
@@ -499,10 +617,13 @@ TEST(BatchTest, ParallelMatchesSerialBitwise) {
     BatchOptions par = serial;
     par.exec.threads = threads;
     const auto r = SolveFermatWeberBatch(problems, par);
-    EXPECT_EQ(r.winner, base.winner) << "threads=" << threads;
-    EXPECT_EQ(r.cost, base.cost) << "threads=" << threads;
-    EXPECT_EQ(r.location.x, base.location.x) << "threads=" << threads;
-    EXPECT_EQ(r.location.y, base.location.y) << "threads=" << threads;
+    EXPECT_EQ(r.best[0].problem, base.best[0].problem)
+        << "threads=" << threads;
+    EXPECT_EQ(r.best[0].cost, base.best[0].cost) << "threads=" << threads;
+    EXPECT_EQ(r.best[0].location.x, base.best[0].location.x)
+        << "threads=" << threads;
+    EXPECT_EQ(r.best[0].location.y, base.best[0].location.y)
+        << "threads=" << threads;
   }
 }
 
@@ -520,9 +641,10 @@ TEST(BatchTest, CostBoundMatchesOriginalWinner) {
     cb.epsilon = 1e-4;
     const auto fast = SolveFermatWeberBatch(problems, cb);
     // Same winner cost within stopping-rule slack.
-    EXPECT_NEAR(fast.cost, base.cost, 2e-4 * base.cost + 1e-9);
+    EXPECT_NEAR(fast.best[0].cost, base.best[0].cost,
+                2e-4 * base.best[0].cost + 1e-9);
     // And strictly less work.
-    EXPECT_LE(fast.total_iterations, base.total_iterations);
+    EXPECT_LE(fast.stats.total_iterations, base.stats.total_iterations);
   }
 }
 
@@ -535,16 +657,16 @@ TEST(BatchTest, PrefilterOnlySkipsLosers) {
   BatchOptions no_filter = opts;
   no_filter.use_two_point_prefilter = false;
   const auto r2 = SolveFermatWeberBatch(problems, no_filter);
-  EXPECT_EQ(r.winner, r2.winner);
-  EXPECT_NEAR(r.cost, r2.cost, 1e-12);
+  EXPECT_EQ(r.best[0].problem, r2.best[0].problem);
+  EXPECT_NEAR(r.best[0].cost, r2.best[0].cost, 1e-12);
 }
 
 TEST(BatchTest, SingleProblemBatch) {
   const std::vector<std::vector<WeightedPoint>> problems = {
       {{{0, 0}, 1.0}, {{2, 0}, 1.0}, {{1, 2}, 1.0}}};
   const auto r = SolveFermatWeberBatch(problems);
-  EXPECT_EQ(r.winner, 0u);
-  EXPECT_GT(r.cost, 0.0);
+  EXPECT_EQ(r.best[0].problem, 0u);
+  EXPECT_GT(r.best[0].cost, 0.0);
 }
 
 }  // namespace

@@ -420,7 +420,7 @@ TEST(MolqTest, StatsArePopulated) {
   EXPECT_GT(rrb.stats.optimizer.problems, 0u);
   EXPECT_EQ(rrb.stats.optimizer.problems, rrb.stats.final_ovrs);
   const auto ssc = Solve(q, MolqAlgorithm::kSsc);
-  EXPECT_EQ(ssc.stats.ssc.combinations, 6u * 6u * 5u);
+  EXPECT_EQ(ssc.stats.optimizer.problems, 6u * 6u * 5u);
 }
 
 

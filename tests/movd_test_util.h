@@ -97,13 +97,7 @@ inline OptimizerResult SolveStagedUnpruned(const MolqQuery& query,
                                 : BoundaryMode::kRealRegion;
   const Movd movd = OverlapAll(BuildAllBasic(query, space, options), mode,
                                nullptr, nullptr, options.exec.threads);
-  OptimizerOptions opt;
-  opt.epsilon = options.epsilon;
-  opt.use_cost_bound = options.use_cost_bound;
-  opt.use_two_point_prefilter = options.use_two_point_prefilter;
-  opt.dedup_combinations = options.dedup_combinations;
-  opt.exec = options.exec;
-  return OptimizeMovd(query, movd, opt);
+  return OptimizeMovd(query, movd, options);
 }
 
 // SolveMolq's answer equals the unpruned reference bit for bit.

@@ -1,3 +1,5 @@
+#include <algorithm>
+#include <bit>
 #include <cstdint>
 
 #include <gtest/gtest.h>
@@ -52,7 +54,7 @@ std::vector<double> AllCombinationCosts(const MolqQuery& q, double epsilon) {
       set.objects = {q.sets[s].objects[combo[s]]};
       sub.sets.push_back(std::move(set));
     }
-    SscOptions opts;
+    OptimizerOptions opts;
     opts.epsilon = epsilon;
     costs.push_back(SolveSsc(sub, opts).cost);
     size_t i = 0;
@@ -277,6 +279,48 @@ TEST(TopKTest, MbrbAgreesWithRrbOnTopCosts) {
   // positives materialise more combinations.
   EXPECT_NEAR(a[0].cost, b[0].cost, 1e-6 * a[0].cost + 1e-9);
   EXPECT_GE(b.size(), a.size() > 3 ? 3u : a.size());
+}
+
+TEST(TopKParallelTest, RankingIsBitIdenticalAcrossThreads) {
+  // The top-k scan fans its chunks out over exec.threads: every rank's
+  // location, cost and group must not depend on the thread count, on RRB
+  // and on MBRB overlays, for k below, at and beyond the OVR count.
+  const MolqQuery q = RandomQuery({30, 25, 20}, 431);
+  for (const MolqAlgorithm algorithm :
+       {MolqAlgorithm::kRrb, MolqAlgorithm::kMbrb}) {
+    MolqOptions opts;
+    opts.algorithm = algorithm;
+    MolqResult front;
+    const Movd movd = BuildMolqOverlay(q, kBounds, opts, /*prune=*/false,
+                                       &front);
+    ASSERT_EQ(front.status, StatusCode::kOk);
+    ASSERT_GT(movd.ovrs.size(), 128u);  // several scan chunks
+    for (const size_t k : {size_t{1}, size_t{3}, size_t{10},
+                           movd.ovrs.size() + 2}) {
+      opts.exec.threads = 1;
+      const MolqResult serial = TopKFromMovd(q, movd, k, opts);
+      ASSERT_EQ(serial.ranked.size(), std::min(k, movd.ovrs.size()));
+      EXPECT_EQ(serial.stats.optimizer.problems, movd.ovrs.size());
+      for (const int threads : {2, 4, 7}) {
+        opts.exec.threads = threads;
+        const MolqResult r = TopKFromMovd(q, movd, k, opts);
+        ASSERT_EQ(r.status, StatusCode::kOk);
+        ASSERT_EQ(r.ranked.size(), serial.ranked.size());
+        for (size_t i = 0; i < r.ranked.size(); ++i) {
+          const SiteCandidate& a = r.ranked[i];
+          const SiteCandidate& b = serial.ranked[i];
+          EXPECT_EQ(std::bit_cast<uint64_t>(a.cost),
+                    std::bit_cast<uint64_t>(b.cost))
+              << "rank " << i << " threads=" << threads;
+          EXPECT_EQ(std::bit_cast<uint64_t>(a.location.x),
+                    std::bit_cast<uint64_t>(b.location.x));
+          EXPECT_EQ(std::bit_cast<uint64_t>(a.location.y),
+                    std::bit_cast<uint64_t>(b.location.y));
+          EXPECT_EQ(a.group, b.group);
+        }
+      }
+    }
+  }
 }
 
 TEST(TopKTest, WeightedMethodReachesTheDiagramBuild) {

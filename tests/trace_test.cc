@@ -9,6 +9,7 @@
 #include "core/molq.h"
 #include "core/overlap.h"
 #include "core/pruned_overlap.h"
+#include "core/topk.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 #include "voronoi/delaunay.h"
@@ -264,6 +265,54 @@ int64_t CounterSum(const std::vector<TraceSpanRecord>& records,
     }
   }
   return sum;
+}
+
+TEST(TraceTest, ScanChunkCountersSumToTheOptimizerStats) {
+  // The Fermat–Weber scan records one span per chunk carrying the chunk's
+  // counters; over a run they add up to MolqStats::optimizer, for the
+  // MOVD pipeline (under its optimize_movd stage span), SSC and top-k.
+  const MolqQuery query = TracedQuery();
+  const Rect world(0, 0, 100, 100);
+  const auto expect_sums = [&](const MolqResult& r,
+                               const std::vector<TraceSpanRecord>& records,
+                               const char* what) {
+    ASSERT_EQ(r.status, StatusCode::kOk) << what;
+    const OptimizerStats& st = r.stats.optimizer;
+    EXPECT_GT(st.problems, 0u) << what;
+    EXPECT_EQ(CounterSum(records, "fermat_scan_chunk", "problems"),
+              static_cast<int64_t>(st.problems)) << what;
+    EXPECT_EQ(CounterSum(records, "fermat_scan_chunk", "skipped_prefilter"),
+              static_cast<int64_t>(st.skipped_prefilter)) << what;
+    EXPECT_EQ(CounterSum(records, "fermat_scan_chunk", "pruned_by_bound"),
+              static_cast<int64_t>(st.pruned_by_bound)) << what;
+    EXPECT_EQ(CounterSum(records, "fermat_scan_chunk", "total_iterations"),
+              static_cast<int64_t>(st.total_iterations)) << what;
+  };
+  for (const MolqAlgorithm algorithm :
+       {MolqAlgorithm::kRrb, MolqAlgorithm::kSsc}) {
+    Trace trace;
+    MolqOptions options;
+    options.algorithm = algorithm;
+    options.exec.threads = 2;
+    options.exec.trace = &trace;
+    const MolqResult r = SolveMolq(query, world, options);
+    const std::vector<TraceSpanRecord> records = trace.Collect();
+    expect_sums(r, records,
+                algorithm == MolqAlgorithm::kSsc ? "ssc" : "rrb");
+    const char* stage =
+        algorithm == MolqAlgorithm::kSsc ? "ssc_scan" : "optimize_movd";
+    for (const TraceSpanRecord& span : records) {
+      if (span.name != "fermat_scan_chunk") continue;
+      ASSERT_GE(span.parent, 0);
+      EXPECT_EQ(records[span.parent].name, stage);
+    }
+  }
+  Trace trace;
+  MolqOptions options;
+  options.exec.threads = 2;
+  options.exec.trace = &trace;
+  const MolqResult top = SolveMolqTopK(query, world, 3, options);
+  expect_sums(top, trace.Collect(), "top-k");
 }
 
 size_t PieceCount(const Movd& movd) {

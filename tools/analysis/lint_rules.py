@@ -28,10 +28,11 @@ FLOAT_EQ_EXEMPT_CALLS = ("Orient2D(", "InCircle(")
 UNORDERED_DECL_RE = re.compile(
     r"unordered_(?:map|set|multimap|multiset)\s*<[^;=]*>\s+(\w+)\s*[;({=]")
 # float-sort: every standard ordering algorithm, partial ones included —
-# partial_sort and nth_element order ties just as implementation-defined.
+# partial_sort, nth_element and sort_heap order ties just as
+# implementation-defined.
 SORT_RE = re.compile(
     r"std::(?:ranges::)?(?:sort|stable_sort|partial_sort|partial_sort_copy"
-    r"|nth_element)\s*\(")
+    r"|nth_element|sort_heap)\s*\(")
 ABORT_RE = re.compile(r"(?<![\w.])(?:std::)?(?:abort|exit)\s*\(")
 TODO_RE = re.compile(r"//.*\b(TODO|FIXME|XXX|HACK)\b")
 RAW_CHRONO_RE = re.compile(
@@ -59,10 +60,12 @@ WEIGHTED_DIRECT_EXEMPT_FILES = (
 ENTRY_POINTS = [
     ("src/core/molq.cc", "Movd BuildBasicMovd"),
     ("src/core/molq.cc", "MolqResult SolveMolq"),
-    ("src/core/ssc.cc", "SscResult SolveSsc"),
+    ("src/core/ssc.cc", "OptimizerResult SolveSsc"),
     ("src/core/optimizer.cc", "OptimizerResult OptimizeMovd"),
     ("src/core/overlap.cc", "Movd OverlapAll"),
     ("src/fermat/fermat_weber.cc", "FermatWeberResult SolveFermatWeber"),
+    ("src/core/topk.cc", "MolqResult TopKFromMovd"),
+    ("src/fermat/batch.cc", "BatchResult ScanBestK"),
     ("src/fermat/batch.cc", "BatchResult SolveFermatWeberBatch"),
     ("src/voronoi/weighted.cc",
      "std::vector<WeightedCellApprox> ApproximateWeightedVoronoi"),
