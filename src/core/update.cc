@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstring>
 #include <iterator>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -42,7 +41,10 @@ OrdinaryLayerState::OrdinaryLayerState(const MolqQuery& query, int32_t layer,
     site.vertex = vertex;
     site.cell = Cell(vertex, table.of(vertex));
   }
-  for (const Point& p : objects_) ++sites_.at(p).objects;
+  for (size_t i = 0; i < objects_.size(); ++i) {
+    Site& site = sites_.at(objects_[i]);
+    if (site.objects++ == 0) site.first = static_cast<int32_t>(i);
+  }
 }
 
 Ovr OrdinaryLayerState::Cell(int32_t vertex,
@@ -80,8 +82,10 @@ bool OrdinaryLayerState::Apply(const SiteMutation& mut,
     } else {
       const int32_t v = dt_.Insert(mut.location, &affected);
       if (v < 0) return false;
-      sites_[mut.location].vertex = v;
-      sites_[mut.location].objects = 1;
+      Site& site = sites_[mut.location];
+      site.vertex = v;
+      site.objects = 1;
+      site.first = static_cast<int32_t>(objects_.size());
       Recompute(affected);
     }
     objects_.push_back(mut.location);
@@ -90,17 +94,29 @@ bool OrdinaryLayerState::Apply(const SiteMutation& mut,
         objects_.begin(), objects_.end(),
         [&](const Point& p) { return SameBits(p, mut.location); });
     if (object == objects_.end()) return false;
+    const auto deleted = static_cast<int32_t>(object - objects_.begin());
     const auto it = sites_.find(*object);
     MOVD_CHECK(it != sites_.end());
     if (it->second.objects > 1) {
-      // The site survives; Materialize maps it to its next object.
       --it->second.objects;
+      if (it->second.first == deleted) {
+        // The site survives and maps to its next object (renumbered below).
+        const auto next = std::find_if(
+            object + 1, objects_.end(), [&](const Point& p) {
+              return !LessXY(p, *object) && !LessXY(*object, p);
+            });
+        MOVD_CHECK(next != objects_.end());
+        it->second.first = static_cast<int32_t>(next - objects_.begin());
+      }
     } else {
       if (!dt_.Remove(it->second.vertex, &affected)) return false;
       sites_.erase(it);
       Recompute(affected);
     }
     objects_.erase(object);
+    for (auto& [location, site] : sites_) {
+      if (site.first > deleted) --site.first;
+    }
   }
   stats->recomputed_cells = affected.size();
   stats->total_cells = sites_.size();
@@ -110,16 +126,12 @@ bool OrdinaryLayerState::Apply(const SiteMutation& mut,
 Movd OrdinaryLayerState::Materialize() const {
   // Each site maps to the first object at its location, as in
   // BuildBasicMovd.
-  std::unordered_map<Point, int32_t, PointHash> first_at;
-  for (size_t i = 0; i < objects_.size(); ++i) {
-    first_at.emplace(objects_[i], static_cast<int32_t>(i));
-  }
   Movd movd;
   movd.ovrs.reserve(sites_.size());
   for (const auto& [location, site] : sites_) {
     if (site.cell.region.Empty()) continue;
     Ovr& ovr = movd.ovrs.emplace_back(site.cell);
-    ovr.pois = {{layer_, first_at.at(location)}};
+    ovr.pois = {{layer_, site.first}};
   }
   return movd;
 }

@@ -58,6 +58,7 @@ class OrdinaryLayerState {
   struct Site {
     int32_t vertex = -1;  // in dt_
     int32_t objects = 0;  // objects at this location
+    int32_t first = -1;   // lowest index of those objects in objects_
     Ovr cell;             // pois filled by Materialize
   };
   struct ByLessXY {
