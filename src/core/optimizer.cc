@@ -23,6 +23,7 @@ OptimizerResult OptimizeMovd(const MolqQuery& query, const Movd& movd,
   result.cancelled = scan.cancelled;
   result.stats = scan.stats;
   if (scan.cancelled) return result;
+  MOVD_CHECK(!scan.best.empty());
   const BatchAnswer& best = scan.best.front();
   result.location = best.location;
   result.cost = best.cost;

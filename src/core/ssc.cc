@@ -95,6 +95,7 @@ OptimizerResult SolveSsc(const MolqQuery& query,
   result.cancelled = scan.cancelled;
   result.stats = scan.stats;
   if (scan.cancelled) return result;
+  MOVD_CHECK(!scan.best.empty());
   const BatchAnswer& best = scan.best.front();
   result.location = best.location;
   result.cost = best.cost;

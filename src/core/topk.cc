@@ -40,12 +40,15 @@ MolqResult TopKFromMovd(const MolqQuery& query, const Movd& movd, size_t k,
   }
   result.ranked.reserve(scan.best.size());
   for (const BatchAnswer& a : scan.best) {
-    result.ranked.push_back({a.location, a.cost, {}, movd.ovrs[a.problem].pois});
+    result.ranked.push_back(
+        {a.location, a.cost, {}, movd.ovrs[a.problem].pois});
   }
   span.Counter("ranked", static_cast<int64_t>(result.ranked.size()));
-  result.location = result.ranked.front().location;
-  result.cost = result.ranked.front().cost;
-  result.group = result.ranked.front().group;
+  if (!result.ranked.empty()) {
+    result.location = result.ranked.front().location;
+    result.cost = result.ranked.front().cost;
+    result.group = result.ranked.front().group;
+  }
   return result;
 }
 

@@ -33,13 +33,14 @@ MolqResult SolveMolqTopK(const MolqQuery& query, const Rect& search_space,
 /// best locally-optimal locations, one per OVR, ascending by (cost,
 /// GroupBefore) — ScanBestK (fermat/batch.h) with the OVRs as problems,
 /// whose bound is the k-th best cost so far. `exec.threads` fans the scan
-/// out; MolqResult::stats.optimizer holds its counters. This is the entry point the serving engine (src/serve)
-/// and the what-if sweep use to rank answers from a cached overlay
-/// without rebuilding the pipeline. Requires the overlay invariant of
-/// model/movd_model.h (no two OVRs share a poi group; a repeated group
-/// would be ranked twice) and OVR poi refs that index into `query`. The
-/// answers' `criteria` stay empty. Cancellation semantics as above; the
-/// token is also polled every 256 Weiszfeld iterations.
+/// out; MolqResult::stats.optimizer holds its counters. This is the entry
+/// point the serving engine (src/serve) and the what-if sweep use to rank
+/// answers from a cached overlay without rebuilding the pipeline. Requires
+/// the overlay invariant of model/movd_model.h (no two OVRs share a poi
+/// group; a repeated group would be ranked twice) and OVR poi refs that
+/// index into `query`. The answers' `criteria` stay empty. Cancellation
+/// semantics as above; the token is also polled every 256 Weiszfeld
+/// iterations.
 MolqResult TopKFromMovd(const MolqQuery& query, const Movd& movd, size_t k,
                         const MolqOptions& options = {});
 

@@ -55,8 +55,8 @@ struct FermatWeberOptions {
   ///   lower_bound + shared_bound_offset > *shared_cost_bound.
   /// Strictly greater, so a problem whose optimum exactly ties the bound
   /// still completes — ties are then resolved deterministically by the
-  /// caller's (cost, group) or (cost, index) reduction, independent of
-  /// thread arrival order. `shared_bound_offset` is the constant term of
+  /// best-k scan's (cost, tie order) ranking (fermat/batch.h), independent
+  /// of thread arrival order. `shared_bound_offset` is the constant term of
   /// the caller's weighted-distance decomposition, which the bound tracks
   /// but this solver does not see.
   const std::atomic<double>* shared_cost_bound = nullptr;

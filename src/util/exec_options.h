@@ -35,9 +35,10 @@ enum class WeightedMethod {
 struct ExecOptions {
   /// Degree of parallelism: per-set basic-MOVD builds, weighted-grid
   /// dominance sampling, the overlap step's finder chunks, and the
-  /// Fermat–Weber scan's chunks (which share the §5.4 cost bound). 1 (default) keeps every stage serial, so paper-reproduction
-  /// numbers are unchanged unless opted in; 0 means one thread per
-  /// hardware thread.
+  /// Fermat–Weber scan's chunks (which share the §5.4 cost bound). 1
+  /// (default) keeps every stage serial, so paper-reproduction numbers
+  /// are unchanged unless opted in; 0 means one thread per hardware
+  /// thread.
   int threads = 1;
 
   /// Runs the structural invariant auditors (src/audit, DESIGN.md §7) as
@@ -61,9 +62,9 @@ struct ExecOptions {
   /// Cooperative cancellation (serving deadlines, DESIGN.md §8). When the
   /// token fires, the pipeline unwinds at its next checkpoint — between
   /// stages, per overlap finder chunk and every 256 pairs inside one, per
-  /// Fermat–Weber scan chunk and every 256 Weiszfeld iterations — and the entry point reports
-  /// StatusCode::kCancelled with no answer fields populated (never a
-  /// partial answer). Null means run to completion.
+  /// Fermat–Weber scan chunk and every 256 Weiszfeld iterations — and the
+  /// entry point reports StatusCode::kCancelled with no answer fields
+  /// populated (never a partial answer). Null means run to completion.
   const CancelToken* cancel = nullptr;
 
   /// Grid resolution used to approximate weighted Voronoi diagrams when a
