@@ -1,6 +1,7 @@
 // Extension experiment 2 (paper §8 future work: filtering impossible POI
-// combinations during MOVD overlapping): SolveMolq, whose overlap always
-// skips the candidate pairs that cannot hold the optimum, vs the unpruned
+// combinations during MOVD overlapping): SolveMolq, which clips no cell of
+// an object the bound rules out and whose overlap skips the candidate
+// pairs that cannot hold the optimum, vs the unpruned
 // pipeline run through its public stages (BuildMolqOverlay without the
 // bound -> OptimizeMovd), for RRB and MBRB at 3 and 4 object types. Both
 // arms must return the same answer bit for bit (checked on every run).
@@ -83,6 +84,8 @@ BENCH(ext02_overlap_pruning) {
         const Summary& pruned_wall = ctx.Measure(
             pruned, [&] { pruned_r = SolveMolq(query, kWorld, opts); });
         OverlapMetrics(pruned_r, &pruned);
+        pruned.Metric("pruned_objects",
+                      static_cast<double>(pruned_r.stats.pruned_objects));
         MOVD_CHECK_MSG(SameAnswer(plain_r, pruned_r),
                        "pruned answer differs from the unpruned pipeline");
         pruned.Derived("speedup_vs_plain",

@@ -23,6 +23,7 @@ const char* AuditKindName(AuditKind kind) {
     case AuditKind::kVoronoiEmptyCell: return "voronoi-empty-cell";
     case AuditKind::kVoronoiCellOverlap: return "voronoi-cell-overlap";
     case AuditKind::kVoronoiCoverage: return "voronoi-coverage";
+    case AuditKind::kVoronoiKeptCell: return "voronoi-kept-cell";
     case AuditKind::kWeightedCellCount: return "weighted-cell-count";
     case AuditKind::kWeightedEmptyFlag: return "weighted-empty-flag";
     case AuditKind::kWeightedContainment: return "weighted-containment";

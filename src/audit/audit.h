@@ -37,6 +37,7 @@ enum class AuditKind {
   kVoronoiEmptyCell,        ///< an in-bounds site with an empty cell
   kVoronoiCellOverlap,      ///< two cell interiors intersect
   kVoronoiCoverage,         ///< cell areas do not sum to the bounds area
+  kVoronoiKeptCell,         ///< a kept cell differs from the full diagram's
   // AuditWeightedCells
   kWeightedCellCount,   ///< cell vector does not line up with the sites
   kWeightedEmptyFlag,   ///< `empty` inconsistent with `sample_count`

@@ -1,6 +1,7 @@
 #include "audit/audit_voronoi.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "audit/audit_polygon.h"
@@ -128,6 +129,45 @@ AuditReport AuditVoronoiCells(const std::vector<Point>& sites,
 AuditReport AuditVoronoi(const VoronoiDiagram& vd,
                          const VoronoiAuditOptions& options) {
   return AuditVoronoiCells(vd.sites(), vd.cells(), vd.bounds(), options);
+}
+
+AuditReport AuditKeptCells(const VoronoiDiagram& full,
+                           const VoronoiDiagram& kept,
+                           std::span<const uint8_t> keep) {
+  AuditReport report;
+  report.NoteChecks(1);
+  if (kept.cells().size() != full.cells().size() ||
+      keep.size() != full.cells().size()) {
+    report.Add(AuditKind::kVoronoiKeptCell,
+               AuditStrFormat("%zu kept cells and %zu flags for %zu cells",
+                              kept.cells().size(), keep.size(),
+                              full.cells().size()),
+               {});
+    return report;
+  }
+  const auto same_bits = [](const Point& a, const Point& b) {
+    return std::bit_cast<uint64_t>(a.x) == std::bit_cast<uint64_t>(b.x) &&
+           std::bit_cast<uint64_t>(a.y) == std::bit_cast<uint64_t>(b.y);
+  };
+  for (size_t i = 0; i < keep.size(); ++i) {
+    report.NoteChecks(1);
+    const std::vector<Point>& got = kept.cells()[i].region.vertices();
+    const std::vector<Point>& want = full.cells()[i].region.vertices();
+    const bool ok =
+        keep[i] != 0
+            ? got.size() == want.size() &&
+                  std::equal(got.begin(), got.end(), want.begin(), same_bits)
+            : got.empty();
+    if (!ok) {
+      report.Add(AuditKind::kVoronoiKeptCell,
+                 AuditStrFormat("%s cell %zu has %zu vertices, the full "
+                                "diagram's %zu",
+                                keep[i] != 0 ? "kept" : "dropped", i,
+                                got.size(), want.size()),
+                 {static_cast<int64_t>(i)});
+    }
+  }
+  return report;
 }
 
 }  // namespace movd

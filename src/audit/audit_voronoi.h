@@ -1,6 +1,8 @@
 #ifndef MOVD_AUDIT_AUDIT_VORONOI_H_
 #define MOVD_AUDIT_AUDIT_VORONOI_H_
 
+#include <cstdint>
+#include <span>
 #include <vector>
 
 #include "audit/audit.h"
@@ -42,6 +44,14 @@ AuditReport AuditVoronoiCells(const std::vector<Point>& sites,
 /// Audits a live diagram.
 AuditReport AuditVoronoi(const VoronoiDiagram& vd,
                          const VoronoiAuditOptions& options = {});
+
+/// The object filter's seam: `kept` is `full` with only the cells that
+/// `keep` marks clipped (VoronoiDiagram::ClipCells). Reports
+/// kVoronoiKeptCell for a kept cell whose ring is not bit-equal to its
+/// cell in `full`, and for a dropped cell that is not empty.
+AuditReport AuditKeptCells(const VoronoiDiagram& full,
+                           const VoronoiDiagram& kept,
+                           std::span<const uint8_t> keep);
 
 }  // namespace movd
 

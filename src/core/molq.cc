@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <optional>
+#include <span>
 #include <utility>
 
 #include "audit/audit.h"
@@ -28,6 +29,8 @@ namespace movd {
 // constant weights; per-object weights route to the weighted diagram.
 bool OrdinaryDiagramSuffices(const MolqQuery& query, int32_t set) {
   const ObjectSet& objects = query.sets.at(set);
+  MOVD_CHECK_MSG(!objects.objects.empty(),
+                 "every query set needs at least one object");
   const FermatWeberTerm first = DecomposeWeightedDistance(
       objects.objects.front(), query.type_function,
       query.ObjectFunction(set));
@@ -55,6 +58,59 @@ void MergeStageAudit(AuditReport sub, const std::string& stage,
   total->Merge(std::move(labelled));
 }
 
+// The ordinary route's first step: the set's object locations in input
+// order, sorted, deduplicated and triangulated.
+VoronoiDiagram TriangulateSet(const MolqQuery& query, int32_t set,
+                              const Rect& search_space) {
+  const ObjectSet& objects = query.sets.at(set);
+  std::vector<Point> sites;
+  sites.reserve(objects.objects.size());
+  for (const SpatialObject& obj : objects.objects) {
+    sites.push_back(obj.location);
+  }
+  return VoronoiDiagram::Triangulate(sites, search_space);
+}
+
+// The ordinary route's last step: clips the cells `keep` marks (every cell
+// when it is empty), runs the per-set audit seams, and moves the cells
+// into the set's basic MOVD. Only `vd`'s cells change, so other threads
+// may read its sites and neighbour table meanwhile.
+//
+// A cell is a pure function of (site, LessXY-sorted Delaunay neighbour
+// set, bounds), which is what lets the live-update path (src/core/update)
+// recompute only the cells whose neighbour sets a mutation touched and
+// still produce bytes identical to this full build, and what makes a kept
+// cell bit-equal to its cell in the full diagram.
+Movd OrdinaryMovd(VoronoiDiagram* vd, int32_t set,
+                  std::span<const uint8_t> keep, AuditReport* audit) {
+  std::optional<VoronoiDiagram> full;
+  if (audit != nullptr && !keep.empty()) {
+    // The dropped cells too, for the audit only, so outside the trace.
+    TraceContextScope untraced(nullptr);
+    full = *vd;
+    full->ClipCells();
+  }
+  vd->ClipCells(keep);
+  if (audit != nullptr) {
+    // Post-Delaunay seam: the triangulation the cells were clipped from
+    // (rebuilt here on demand; the diagram does not keep it).
+    const std::string tag = "set " + std::to_string(set);
+    MergeStageAudit(AuditDelaunay(Delaunay(vd->sites())), tag + " delaunay",
+                    audit);
+    // Post-cell-extraction seam: the full diagram, and with a filter every
+    // kept cell against it.
+    MergeStageAudit(AuditVoronoi(full ? *full : *vd), tag + " cells", audit);
+    if (full) {
+      MergeStageAudit(AuditKeptCells(*full, *vd, keep), tag + " kept cells",
+                      audit);
+    }
+  }
+  // The diagram deduplicates site locations and keeps each site's lowest
+  // input index; TriangulateSet lists the objects in order, so that is
+  // the first object at the site's location.
+  return MovdFromCells(std::move(*vd).TakeCells(), set, vd->first_input());
+}
+
 }  // namespace
 
 Movd BuildBasicMovd(const MolqQuery& query, int32_t set,
@@ -67,31 +123,8 @@ Movd BuildBasicMovd(const MolqQuery& query, int32_t set,
 
   if (OrdinaryDiagramSuffices(query, set)) {
     TRACE_SPAN("ordinary_voronoi");
-    std::vector<Point> sites;
-    sites.reserve(objects.objects.size());
-    for (const SpatialObject& obj : objects.objects) {
-      sites.push_back(obj.location);
-    }
-    // A cell is a pure function of (site, LessXY-sorted Delaunay neighbour
-    // set, bounds), which is what lets the live-update path
-    // (src/core/update) recompute only the cells whose neighbour sets a
-    // mutation touched and still produce bytes identical to this full
-    // build.
-    VoronoiDiagram vd = VoronoiDiagram::Build(sites, search_space);
-    if (audit != nullptr) {
-      // Post-Delaunay seam: the triangulation the cells were clipped from
-      // (rebuilt here on demand; the diagram does not keep it).
-      const std::string tag = "set " + std::to_string(set);
-      MergeStageAudit(AuditDelaunay(Delaunay(vd.sites())),
-                      tag + " delaunay", audit);
-      // Post-cell-extraction seam: the diagram the MOVD is built from.
-      MergeStageAudit(AuditVoronoi(vd), tag + " cells", audit);
-    }
-    // The diagram deduplicates site locations and keeps each site's lowest
-    // input index; `sites` lists the objects in order, so that is the
-    // first object at the site's location.
-    const std::vector<int32_t> object_of_site = vd.first_input();
-    return MovdFromVoronoi(std::move(vd), set, object_of_site);
+    VoronoiDiagram vd = TriangulateSet(query, set, search_space);
+    return OrdinaryMovd(&vd, set, {}, audit);
   }
 
   // Weighted diagram: conservative approximation (paper §5.3; see
@@ -151,7 +184,10 @@ Movd BuildMolqOverlay(const MolqQuery& query, const Rect& search_space,
 
   // Stage 1: VD Generator — one basic MOVD per object set (Property 7).
   // Each set's diagram builds independently; the grid sampler of weighted
-  // sets gets the threads the set-level fan-out leaves unused.
+  // sets gets the threads the set-level fan-out leaves unused. With
+  // pruning, an ordinary set only triangulates in the first fan-out; once
+  // the bound is built, a second fan-out drops the sites it rules out and
+  // clips the cells of the rest (core/pruned_overlap.h).
   Stopwatch sw;
   const size_t num_sets = query.sets.size();
   const int inner_threads =
@@ -160,20 +196,60 @@ Movd BuildMolqOverlay(const MolqQuery& query, const Rect& search_space,
   // One pre-sized report slot per set: hook writes stay thread-private
   // under the ParallelFor and are folded serially below.
   std::vector<AuditReport> set_audits(options.exec.audit ? num_sets : 0);
+  const auto audit_of = [&](size_t i) {
+    return options.exec.audit ? &set_audits[i] : nullptr;
+  };
+  std::optional<CombinationBound> bound;
   {
     TraceSpan vd_span("vd_generator");
     const Trace::Context ctx = Trace::CaptureContext();
+    std::vector<std::optional<VoronoiDiagram>> triangulated(num_sets);
     ParallelFor(threads, num_sets, [&](size_t i) {
       // Pool threads have no ambient trace; re-install the caller's so
       // the per-set builder spans parent under "vd_generator".
       TraceContextScope scope(ctx);
       TRACE_SPAN("build_basic_movd");
-      basic[i] = BuildBasicMovd(
-          query, static_cast<int32_t>(i), search_space,
-          options.exec.weighted_grid_resolution, inner_threads,
-          options.exec.audit ? &set_audits[i] : nullptr,
-          options.exec.weighted_method);
+      const auto set = static_cast<int32_t>(i);
+      if (prune && OrdinaryDiagramSuffices(query, set)) {
+        TRACE_SPAN("ordinary_voronoi");
+        triangulated[i] = TriangulateSet(query, set, search_space);
+        return;
+      }
+      basic[i] = BuildBasicMovd(query, set, search_space,
+                                options.exec.weighted_grid_resolution,
+                                inner_threads, audit_of(i),
+                                options.exec.weighted_method);
     });
+    if (prune) {
+      bound.emplace(query, search_space, options.epsilon);
+      std::vector<const VoronoiDiagram*> diagrams(num_sets, nullptr);
+      std::vector<size_t> ordinary;
+      for (size_t i = 0; i < num_sets; ++i) {
+        if (!triangulated[i]) continue;
+        diagrams[i] = &*triangulated[i];
+        ordinary.push_back(i);
+      }
+      // Each task reads every diagram's sites and neighbour table and
+      // changes only its own set's cells.
+      std::vector<size_t> dropped(num_sets, 0);
+      ParallelFor(threads, ordinary.size(), [&](size_t k) {
+        TraceContextScope scope(ctx);
+        const size_t i = ordinary[k];
+        const auto set = static_cast<int32_t>(i);
+        std::vector<uint8_t> keep;
+        {
+          TraceSpan span("object_filter");
+          CombinationBound::FilterStats filter;
+          bound->KeepSites(set, diagrams, &keep, &filter);
+          span.Counter("objects", static_cast<int64_t>(filter.objects));
+          span.Counter("kept", static_cast<int64_t>(filter.kept));
+          span.Counter("walk_steps", static_cast<int64_t>(filter.walk_steps));
+          dropped[i] = filter.objects - filter.kept;
+        }
+        basic[i] = OrdinaryMovd(&*triangulated[i], set, keep, audit_of(i));
+      });
+      for (const size_t d : dropped) result->stats.pruned_objects += d;
+    }
   }
   result->stats.vd_seconds = sw.ElapsedSeconds();
 
@@ -193,8 +269,6 @@ Movd BuildMolqOverlay(const MolqQuery& query, const Rect& search_space,
   Movd movd;
   {
     TRACE_SPAN("movd_overlap");
-    std::optional<CombinationBound> bound;
-    if (prune) bound.emplace(query, search_space, options.epsilon);
     movd = OverlapAll(basic, mode, &result->stats.overlap,
                       options.exec.cancel, threads,
                       bound ? &*bound : nullptr);

@@ -49,6 +49,9 @@ struct MolqStats {
   double optimize_seconds = 0.0;  ///< Optimizer stage (or all of SSC)
   size_t final_ovrs = 0;          ///< |MOVD(Ē)| fed into the Optimizer
   size_t memory_bytes = 0;        ///< Movd::MemoryBytes of the final MOVD
+  /// Ordinary-set sites whose cells the object filter left unclipped
+  /// (CombinationBound::KeepSites; 0 without pruning).
+  size_t pruned_objects = 0;
   OverlapStats overlap;  ///< pruned_pairs: pairs cut by combination pruning
   OptimizerStats optimizer;  ///< the Optimizer's or SSC's scan
 };
@@ -109,11 +112,19 @@ bool OrdinaryDiagramSuffices(const MolqQuery& query, int32_t set);
 /// options.exec.threads) and the MOVD Overlapper (OverlapAll over the
 /// basics in set order, Eq. 27), with a cancel check after each stage.
 /// `prune` adds SolveMolq's CombinationBound (core/pruned_overlap.h); leave
-/// it off where ranks beyond the first are needed. Fills result->stats
-/// (threads, stage seconds, overlap counters, final_ovrs, memory_bytes),
-/// result->audit (per-set and overlay seams when options.exec.audit) and
-/// result->status; on kCancelled the returned MOVD is empty. Spans attach
-/// to the caller's ambient trace. options.algorithm must not be kSsc.
+/// it off where ranks beyond the first are needed. With `prune` the VD
+/// Generator runs in four steps: the per-set fan-out only triangulates the
+/// ordinary sets (weighted ones build in full), the bound is built, and a
+/// second fan-out over the ordinary sets drops the sites the bound rules
+/// out (CombinationBound::KeepSites) and clips the cells of the rest. The
+/// overlay is bit-identical to the one the same bound gives over every
+/// cell. Fills result->stats (threads, stage seconds, overlap counters,
+/// final_ovrs, memory_bytes, pruned_objects), result->audit (per-set and
+/// overlay seams when options.exec.audit; with `prune` the dropped cells
+/// are built as well, to audit the full diagram and check every kept cell
+/// against it) and result->status; on kCancelled the returned MOVD is
+/// empty. Spans attach to the caller's ambient trace. options.algorithm
+/// must not be kSsc.
 Movd BuildMolqOverlay(const MolqQuery& query, const Rect& search_space,
                       const MolqOptions& options, bool prune,
                       MolqResult* result);

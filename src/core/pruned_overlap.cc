@@ -73,14 +73,21 @@ CombinationBound::CombinationBound(const MolqQuery& query,
   TRACE_SPAN("combination_bound");
   bool non_negative = true;
   set_begin_.reserve(query.sets.size());
+  set_min_a_.reserve(query.sets.size());
   for (size_t s = 0; s < query.sets.size(); ++s) {
     set_begin_.push_back(terms_.size());
+    double min_a = std::numeric_limits<double>::infinity();
+    double min_b = std::numeric_limits<double>::infinity();
     for (const SpatialObject& obj : query.sets[s].objects) {
       const FermatWeberTerm t = DecomposeWeightedDistance(
           obj, query.type_function, query.ObjectFunction(s));
       terms_.push_back({obj.location, t.fw_weight, t.offset});
       non_negative = non_negative && t.fw_weight >= 0.0 && t.offset >= 0.0;
+      min_a = std::min(min_a, t.fw_weight);
+      min_b = std::min(min_b, t.offset);
     }
+    set_min_a_.push_back(min_a);
+    min_offset_sum_ += min_b;
   }
   // Prune nothing unless U is finite and every weighted distance is a
   // non-negative multiple of a distance plus a non-negative offset (the
@@ -106,7 +113,64 @@ CombinationBound::CombinationBound(const MolqQuery& query,
   //    combination and location.
   // The same slack keeps the winner's own combination, lb <= c_W < τ, and
   // with it at least one OVR through every step.
+  //
+  // KeepSites drops a site only when its objlb (the header) exceeds
+  // τ · (1 + 2^-40). objlb sums at most one offset per set and forms one
+  // product of a distance, so its rounding and that of lb(G) stay far
+  // below 2^-40 relative; every G holding the site then has a computed lb
+  // above τ and Prunes cuts it at the step that completes it, if not
+  // before. Dropping the site's cell removes only OVRs whose every
+  // descendant is cut that way. The remaining pairs meet the same operands
+  // in the same relative start order, so the final overlay, not only the
+  // answer, is the one built from every cell.
   threshold_ = (1.0 + std::max(epsilon, 0.0)) * upper_bound * (1.0 + 0x1p-40);
+}
+
+void CombinationBound::KeepSites(
+    int32_t set, std::span<const VoronoiDiagram* const> diagrams,
+    std::vector<uint8_t>* keep, FilterStats* stats) const {
+  const std::vector<Point>& sites = diagrams[set]->sites();
+  keep->assign(sites.size(), 1);
+  stats->objects += sites.size();
+  // The sets a pair term can come from: the other ordinary ones whose
+  // smaller a is positive.
+  const double a = set_min_a_[set];
+  std::vector<size_t> partners;
+  for (size_t j = 0; j < diagrams.size(); ++j) {
+    if (j != static_cast<size_t>(set) && diagrams[j] != nullptr &&
+        std::min(a, set_min_a_[j]) > 0.0) {
+      partners.push_back(j);
+    }
+  }
+  if (threshold_ == std::numeric_limits<double>::infinity() ||
+      partners.empty()) {
+    stats->kept += sites.size();
+    return;
+  }
+  const double cut = threshold_ * (1.0 + 0x1p-40);
+  std::vector<int32_t> at(diagrams.size(), 0);  // where each walk ended
+  size_t kept = sites.size();
+  // Hilbert order keeps consecutive queries close, so each walk starts
+  // next to its answer.
+  for (const int32_t k : diagrams[set]->hilbert_order()) {
+    double pair_bound = 0.0;
+    for (const size_t j : partners) {
+      const VoronoiDiagram& other = *diagrams[j];
+      const int32_t nn =
+          other.NearestSite(sites[k], at[j], &stats->walk_steps);
+      if (nn < 0) continue;
+      at[j] = nn;
+      pair_bound = std::max(pair_bound, std::min(a, set_min_a_[j]) *
+                                            Distance(sites[k],
+                                                     other.sites()[nn]));
+      if (min_offset_sum_ + pair_bound > cut) {
+        (*keep)[k] = 0;
+        --kept;
+        break;
+      }
+    }
+  }
+  stats->kept += kept;
 }
 
 bool CombinationBound::Prunes(const std::vector<PoiRef>& x,

@@ -2,11 +2,14 @@
 #define MOVD_CORE_PRUNED_OVERLAP_H_
 
 #include <cstddef>
+#include <cstdint>
+#include <span>
 #include <vector>
 
 #include "geom/point.h"
 #include "geom/rect.h"
 #include "model/object.h"
+#include "voronoi/voronoi.h"
 
 namespace movd {
 
@@ -26,6 +29,19 @@ namespace movd {
 /// pair when lb > τ (see Overlap in core/overlap.h). No pruned
 /// combination can win or tie the winner, and the optimizer breaks ties by
 /// (cost, group), so the pruned overlay's answer is the unpruned one.
+///
+/// The same bound rules out single objects before their cells are built
+/// (KeepSites): an object o of an ordinary set i gets
+///
+///   objlb(o) = b_o + sum_{j != i} min b_j
+///              + max_{j != i, j ordinary} min(a_o, min a_j) * d(o, NN_j(o))
+///
+/// with NN_j(o) the site of set j nearest to o. Every combination G that
+/// holds o has one member g_j per set, and b_{g_j} >= min b_j, a_{g_j} >=
+/// min a_j and d(o, g_j) >= d(o, NN_j(o)), so lb(G) >= objlb(o). A site
+/// whose objlb exceeds τ therefore appears in no combination the final
+/// overlay keeps (the last overlap step prunes every such G, if no earlier
+/// one did), and its cell need not be clipped at all.
 ///
 /// SolveMolq builds one bound per solve (BuildMolqOverlay with prune on);
 /// SolveMolqTopK, serve's cached
@@ -49,6 +65,27 @@ class CombinationBound {
   bool Prunes(const std::vector<PoiRef>& x,
               const std::vector<PoiRef>& y) const;
 
+  /// What KeepSites saw: the sites it judged, those it kept, and the moves
+  /// of its nearest-site walks.
+  struct FilterStats {
+    size_t objects = 0;
+    size_t kept = 0;
+    size_t walk_steps = 0;
+  };
+
+  /// The object filter: keep[k] == 0 when site k of the ordinary set `set`
+  /// has objlb > τ · (1 + 2^-40), so no combination holding it survives
+  /// the overlap. `diagrams[s]` is set s's triangulated diagram
+  /// (VoronoiDiagram::Triangulate) for an ordinary set and null for a
+  /// weighted one; weighted sets add only their smallest offset. NN_j is
+  /// found by VoronoiDiagram::NearestSite, each walk starting where the
+  /// previous one on set j ended, with set `set`'s sites in Hilbert order;
+  /// where the walk is not exact the set adds no pair term. Keeps every
+  /// site when nothing is pruned (τ = +inf) or the query has one set.
+  /// Sizes `keep` to the set's sites.
+  void KeepSites(int32_t set, std::span<const VoronoiDiagram* const> diagrams,
+                 std::vector<uint8_t>* keep, FilterStats* stats) const;
+
  private:
   struct Term {
     Point location;
@@ -61,6 +98,8 @@ class CombinationBound {
 
   std::vector<Term> terms_;        // every object, set-major
   std::vector<size_t> set_begin_;  // first term of each set
+  std::vector<double> set_min_a_;  // smallest a of each set
+  double min_offset_sum_ = 0.0;    // sum of each set's smallest b
   double threshold_;
 };
 

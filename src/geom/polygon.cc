@@ -103,9 +103,13 @@ ConvexPolygon::ConvexPolygon(std::vector<Point> vertices)
     return;
   }
 #ifndef NDEBUG
-  for (size_t i = 0, n = vertices_.size(); i < n; ++i) {
-    MOVD_DCHECK(Orient2D(vertices_[i], vertices_[(i + 1) % n],
-                         vertices_[(i + 2) % n]) >= 0.0);
+  // Far from unit scale Orient2D's products overflow or underflow; the
+  // power-of-two scaled copy has the same turn signs.
+  const std::vector<Point> ring =
+      ScalePoints(vertices_, PredicateScaleExponent(vertices_));
+  for (size_t i = 0, n = ring.size(); i < n; ++i) {
+    MOVD_DCHECK(Orient2D(ring[i], ring[(i + 1) % n], ring[(i + 2) % n]) >=
+                0.0);
   }
 #endif
 }

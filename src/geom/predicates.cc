@@ -19,6 +19,10 @@ constexpr double kEpsilon = 0x1.0p-53;
 // Forward error bounds for the fast (filtered) evaluations.
 constexpr double kCcwErrBoundA = (3.0 + 16.0 * kEpsilon) * kEpsilon;
 constexpr double kIccErrBoundA = (10.0 + 96.0 * kEpsilon) * kEpsilon;
+// Each squared distance carries at most 4 roundings (one difference per
+// coordinate, squared, summed) and their difference one more: 5 epsilon
+// of the sum of the two, plus slack for the second-order terms.
+constexpr double kCmpErrBoundA = (6.0 + 64.0 * kEpsilon) * kEpsilon;
 
 // Exact sign of orient2d, via full expansion arithmetic on the untranslated
 // coordinates: det = (ax*by - ax*cy) + (bx*cy - bx*ay) + (cx*ay - cx*by).
@@ -108,7 +112,40 @@ double InCircleExact(const Point& a, const Point& b, const Point& c,
   return deter[deterlen - 1];
 }
 
+// Exact sign of |q-a|^2 - |q-b|^2 on the untranslated coordinates:
+// (ax^2 - bx^2) + (ay^2 - by^2) + 2qx(bx - ax) + 2qy(by - ay), each
+// product an exact two-component expansion. Doubling q is exact.
+double CompareDistanceExact(const Point& q, const Point& a, const Point& b) {
+  double t[4][4];
+  const auto diff_of_products = [](double p, double x, double r, double y,
+                                   double h[4]) {
+    double pa1, pa0, rb1, rb0;
+    TwoProduct(p, x, &pa1, &pa0);
+    TwoProduct(r, y, &rb1, &rb0);
+    TwoTwoDiff(pa1, pa0, rb1, rb0, h);
+  };
+  diff_of_products(a.x, a.x, b.x, b.x, t[0]);
+  diff_of_products(a.y, a.y, b.y, b.y, t[1]);
+  diff_of_products(2.0 * q.x, b.x, 2.0 * q.x, a.x, t[2]);
+  diff_of_products(2.0 * q.y, b.y, 2.0 * q.y, a.y, t[3]);
+  double xy[8], qq[8], sum[16];
+  const int xylen = FastExpansionSumZeroelim(4, t[0], 4, t[1], xy);
+  const int qqlen = FastExpansionSumZeroelim(4, t[2], 4, t[3], qq);
+  const int len = FastExpansionSumZeroelim(xylen, xy, qqlen, qq, sum);
+  return sum[len - 1];
+}
+
 }  // namespace
+
+bool ExactDistanceRange(std::span<const Point> points) {
+  const auto in_range = [](double v) {
+    const double m = std::fabs(v);
+    return m == 0.0 || (m >= 0x1.0p-400 && m <= 0x1.0p64);
+  };
+  return std::all_of(points.begin(), points.end(), [&](const Point& p) {
+    return in_range(p.x) && in_range(p.y);
+  });
+}
 
 int PredicateScaleExponent(const std::vector<Point>& points) {
   double max_abs = 0.0;
@@ -156,6 +193,19 @@ double Orient2D(const Point& a, const Point& b, const Point& c) {
   const double errbound = kCcwErrBoundA * detsum;
   if (det >= errbound || -det >= errbound) return det;
   return Orient2DExact(a, b, c);
+}
+
+double CompareDistance(const Point& q, const Point& a, const Point& b) {
+  const double adx = a.x - q.x;
+  const double ady = a.y - q.y;
+  const double bdx = b.x - q.x;
+  const double bdy = b.y - q.y;
+  const double alift = adx * adx + ady * ady;
+  const double blift = bdx * bdx + bdy * bdy;
+  const double det = alift - blift;
+  const double errbound = kCmpErrBoundA * (alift + blift);
+  if (det > errbound || -det > errbound) return det;
+  return CompareDistanceExact(q, a, b);
 }
 
 double InCircle(const Point& a, const Point& b, const Point& c,

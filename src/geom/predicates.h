@@ -11,10 +11,10 @@ namespace movd {
 /// Exact geometric predicates in the style of Shewchuk's adaptive
 /// floating-point arithmetic.
 ///
-/// Both predicates run a fast double-precision evaluation first and fall back
-/// to exact multi-component ("expansion") arithmetic only when the computed
-/// value is smaller than a forward error bound. The returned *sign* is always
-/// exact; the magnitude from the fast path is approximate.
+/// Each predicate runs a fast double-precision evaluation first and falls
+/// back to exact multi-component ("expansion") arithmetic only when the
+/// computed value is smaller than a forward error bound. The returned
+/// *sign* is always exact; the magnitude from the fast path is approximate.
 ///
 /// Requires strict IEEE-754 double semantics (the build disables
 /// -ffast-math).
@@ -33,7 +33,23 @@ double Orient2D(const Point& a, const Point& b, const Point& c);
 double InCircle(const Point& a, const Point& b, const Point& c,
                 const Point& d);
 
-/// Both predicates are exact only while their expansions neither overflow
+/// Sign of |q - a|^2 - |q - b|^2:
+///   < 0  when a is strictly closer to q than b
+///   > 0  when a is strictly farther
+///   = 0  when a and b are exactly as far from q.
+/// Filtered like the two predicates above: a double-precision difference
+/// of squared distances first, exact expansion arithmetic on the
+/// untranslated coordinates when it is within its error bound. Its terms
+/// are of degree 2, so it stays exact while every nonzero coordinate
+/// magnitude lies in [2^-400, 2^64] (see ExactDistanceRange).
+double CompareDistance(const Point& q, const Point& a, const Point& b);
+
+/// True when every coordinate of `points` is 0 or has a magnitude in
+/// [2^-400, 2^64], where no product CompareDistance forms overflows or
+/// underflows, so its sign is exact for any three of these points.
+bool ExactDistanceRange(std::span<const Point> points);
+
+/// All three predicates are exact only while their expansions neither overflow
 /// nor underflow, and InCircle's terms are of degree 4 in the coordinates,
 /// so inputs far from unit scale can get wrong signs. Multiplying every
 /// coordinate by the same power of two leaves every sign unchanged, so a

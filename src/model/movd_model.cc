@@ -37,8 +37,12 @@ Movd IdentityMovd(const Rect& search_space) {
 
 Movd MovdFromVoronoi(VoronoiDiagram diagram, int32_t set,
                      const std::vector<int32_t>& object_of_site) {
-  MOVD_CHECK(object_of_site.size() == diagram.sites().size());
-  std::vector<VoronoiCell> cells = std::move(diagram).TakeCells();
+  return MovdFromCells(std::move(diagram).TakeCells(), set, object_of_site);
+}
+
+Movd MovdFromCells(std::vector<VoronoiCell> cells, int32_t set,
+                   const std::vector<int32_t>& object_of_site) {
+  MOVD_CHECK(object_of_site.size() == cells.size());
   Movd movd;
   movd.ovrs.reserve(cells.size());
   for (VoronoiCell& cell : cells) {

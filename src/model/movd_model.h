@@ -67,6 +67,12 @@ Movd IdentityMovd(const Rect& search_space);
 Movd MovdFromVoronoi(VoronoiDiagram diagram, int32_t set,
                      const std::vector<int32_t>& object_of_site);
 
+/// MovdFromVoronoi on cells already taken out of their diagram
+/// (VoronoiDiagram::TakeCells), so the diagram's sites and neighbour table
+/// stay readable meanwhile. Empty cells make no OVR.
+Movd MovdFromCells(std::vector<VoronoiCell> cells, int32_t set,
+                   const std::vector<int32_t>& object_of_site);
+
 /// What MovdFromWeightedApprox did with the cells' covers.
 struct WeightedCoverStats {
   /// Region pieces over all OVRs emitted (rectangles, or 1 per MBR).

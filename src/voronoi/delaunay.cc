@@ -129,6 +129,7 @@ void Delaunay::Build(const std::vector<Point>& points, const Rect* world) {
   for (const int32_t pi : order) {
     Insert(pi, Locate(points_[pi], last_created_), &scratch);
   }
+  insertion_order_ = std::move(order);
 }
 
 int32_t Delaunay::Locate(const Point& p, int32_t hint) const {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 
+#include "geom/predicates.h"
 #include "trace/trace.h"
 #include "util/check.h"
 #include "voronoi/delaunay.h"
@@ -11,9 +12,17 @@ namespace movd {
 
 VoronoiDiagram VoronoiDiagram::Build(const std::vector<Point>& sites,
                                      const Rect& bounds) {
+  VoronoiDiagram vd = Triangulate(sites, bounds);
+  vd.ClipCells();
+  return vd;
+}
+
+VoronoiDiagram VoronoiDiagram::Triangulate(const std::vector<Point>& sites,
+                                           const Rect& bounds) {
   VoronoiDiagram vd;
   vd.bounds_ = bounds;
   {
+    TraceSpan span("sort_sites");
     // Sorting (point, input index) puts each run of equal points in input
     // order, so the run's first entry names its lowest input index.
     struct Keyed {
@@ -36,30 +45,44 @@ VoronoiDiagram VoronoiDiagram::Build(const std::vector<Point>& sites,
     }
   }
   vd.cells_.resize(vd.sites_.size());
+  for (size_t i = 0; i < vd.cells_.size(); ++i) {
+    vd.cells_[i].site = static_cast<int32_t>(i);
+  }
   if (vd.sites_.empty()) return vd;
+
+  if (ExactDistanceRange(vd.sites_)) {
+    Rect box;
+    for (const Point& p : vd.sites_) box.Expand(p);
+    const double grow = 1024.0 * std::max(box.Width(), box.Height());
+    vd.walk_cover_ = Rect(box.min_x - grow, box.min_y - grow,
+                          box.max_x + grow, box.max_y + grow);
+  }
 
   // A site's Voronoi cell is bounded exactly by the bisectors against its
   // Delaunay neighbours. The triangulation keeps the sites' (sorted,
   // distinct) order, so its vertex i is site i, and each ascending table
   // row is the canonical (LessXY) clip order.
-  NeighborTable table;
-  {
-    TraceSpan span("delaunay");
-    span.Counter("sites", static_cast<int64_t>(vd.sites_.size()));
-    const Delaunay dt(vd.sites_);
-    MOVD_CHECK(dt.num_real_points() == vd.sites_.size());
-    table = dt.Adjacency();
-  }
+  TraceSpan span("delaunay");
+  span.Counter("sites", static_cast<int64_t>(vd.sites_.size()));
+  const Delaunay dt(vd.sites_);
+  MOVD_CHECK(dt.num_real_points() == vd.sites_.size());
+  vd.neighbors_ = dt.Adjacency();
+  vd.hilbert_order_ = dt.insertion_order();
+  return vd;
+}
+
+void VoronoiDiagram::ClipCells(std::span<const uint8_t> keep) {
+  MOVD_CHECK(keep.empty() || keep.size() == sites_.size());
+  if (sites_.empty()) return;
   TraceSpan span("voronoi_cells");
   size_t clip_steps = 0;
-  for (size_t i = 0; i < vd.sites_.size(); ++i) {
+  for (size_t i = 0; i < sites_.size(); ++i) {
+    if (!keep.empty() && keep[i] == 0) continue;
     const auto site = static_cast<int32_t>(i);
-    vd.cells_[i].site = site;
-    vd.cells_[i].region = CanonicalVoronoiCell(vd.sites_, site, table.of(site),
-                                               bounds, &clip_steps);
+    cells_[i].region = CanonicalVoronoiCell(sites_, site, neighbors_.of(site),
+                                            bounds_, &clip_steps);
   }
   span.Counter("clip_steps", static_cast<int64_t>(clip_steps));
-  return vd;
 }
 
 ConvexPolygon CanonicalVoronoiCell(std::span<const Point> points,
@@ -109,6 +132,26 @@ int32_t VoronoiDiagram::NearestSiteBrute(const Point& p) const {
     }
   }
   return best;
+}
+
+int32_t VoronoiDiagram::NearestSite(const Point& q, int32_t start,
+                                    size_t* steps) const {
+  if (walk_cover_.Empty() || !ExactDistanceRange(std::span(&q, 1))) {
+    return -1;
+  }
+  if (sites_.size() == 1) return 0;
+  if (!walk_cover_.Contains(q)) return -1;
+  int32_t cur = std::clamp<int32_t>(start, 0,
+                                    static_cast<int32_t>(sites_.size()) - 1);
+  for (;;) {
+    int32_t next = cur;
+    for (const int32_t n : neighbors_.of(cur)) {
+      if (CompareDistance(q, sites_[n], sites_[next]) < 0.0) next = n;
+    }
+    if (next == cur) return cur;
+    cur = next;
+    if (steps != nullptr) ++*steps;
+  }
 }
 
 }  // namespace movd

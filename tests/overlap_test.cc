@@ -1,6 +1,7 @@
 #include <algorithm>
 #include <cmath>
 #include <fstream>
+#include <numbers>
 #include <numeric>
 #include <string>
 #include <tuple>
@@ -628,6 +629,66 @@ TEST(OverlapParallelTest, DegenerateExtentsStayBounded) {
   ExpectMatchesOracle(same, few, nullptr);
   ExpectPartnerIndexBounded(same, few);
   ExpectPartnerIndexBounded(few, same);
+}
+
+TEST(OverlapParallelTest, RealRegionsClipAtExtremeScales) {
+  // Real regions at 1e300 and 1e-300: hexagons with no axis-parallel
+  // edge build through the checked ConvexPolygon constructor, whose
+  // convexity check runs on a power-of-two scaled copy (unscaled, its
+  // Orient2D products overflow to inf - inf), and RRB clips every
+  // candidate pair.
+  const auto hexagons = [](double scale, int32_t set, double shift) {
+    Movd m;
+    for (int i = 0; i < 100; ++i) {
+      const double cx = (i % 10 + shift) * scale;
+      const double cy = (i / 10 + shift) * scale;
+      std::vector<Point> ring;
+      for (int k = 0; k < 6; ++k) {
+        const double angle = (10.0 + 60.0 * k) * std::numbers::pi / 180.0;
+        ring.push_back({cx + 0.7 * scale * std::cos(angle),
+                        cy + 0.7 * scale * std::sin(angle)});
+      }
+      const ConvexPolygon hexagon(std::move(ring));
+      Ovr ovr;
+      ovr.mbr = hexagon.Bbox();
+      ovr.region = Region::FromConvex(hexagon);
+      ovr.pois = {{set, i}};
+      m.ovrs.push_back(std::move(ovr));
+    }
+    return m;
+  };
+  for (const double scale : {1e300, 1e-300}) {
+    const Movd a = hexagons(scale, 0, 0.0);
+    const Movd b = hexagons(scale, 1, 0.5);
+    const OverlapStats stats =
+        ExpectMatchesOracle(a, b, nullptr, {BoundaryMode::kRealRegion});
+    EXPECT_GT(stats.region_intersections, 0u);
+    ExpectMatchesOracle(b, a, nullptr, {BoundaryMode::kRealRegion});
+  }
+  // Ordinary diagrams of random sites scaled by 2^+-250 (their cells
+  // clip through Orient2D unscaled, which holds up to about that scale).
+  const auto diagram = [](int exponent, int32_t set, uint64_t seed) {
+    Rng rng(seed);
+    std::vector<Point> pts;
+    for (int i = 0; i < 80; ++i) {
+      pts.push_back({std::ldexp(rng.Uniform(0, 100), exponent),
+                     std::ldexp(rng.Uniform(0, 100), exponent)});
+    }
+    const Rect bounds(0, 0, std::ldexp(100.0, exponent),
+                      std::ldexp(100.0, exponent));
+    const auto vd = VoronoiDiagram::Build(pts, bounds);
+    std::vector<int32_t> ids(vd.sites().size());
+    for (size_t i = 0; i < ids.size(); ++i) ids[i] = static_cast<int32_t>(i);
+    return MovdFromVoronoi(vd, set, ids);
+  };
+  for (const int exponent : {250, -250}) {
+    const Movd a = diagram(exponent, 0, 109);
+    const Movd b = diagram(exponent, 1, 110);
+    ASSERT_FALSE(a.ovrs.empty());
+    const OverlapStats stats =
+        ExpectMatchesOracle(a, b, nullptr, {BoundaryMode::kRealRegion});
+    EXPECT_GT(stats.region_intersections, 0u);
+  }
 }
 
 TEST(OverlapParallelTest, PreFiredTokenIntersectsNoPair) {

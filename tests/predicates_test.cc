@@ -1,4 +1,7 @@
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -166,6 +169,103 @@ TEST_P(PredicateScaleTest, SignsScaleInvariant) {
 
 INSTANTIATE_TEST_SUITE_P(Scales, PredicateScaleTest,
                          ::testing::Values(-40, -20, -4, 0, 4, 20, 40));
+
+// Exact sign of |q-a|^2 - |q-b|^2 for integer coordinates below 2^30 in
+// magnitude: every square and sum fits an int64 exactly.
+int ReferenceCompare(int64_t qx, int64_t qy, int64_t ax, int64_t ay,
+                     int64_t bx, int64_t by) {
+  const int64_t da = (ax - qx) * (ax - qx) + (ay - qy) * (ay - qy);
+  const int64_t db = (bx - qx) * (bx - qx) + (by - qy) * (by - qy);
+  return da < db ? -1 : da > db ? 1 : 0;
+}
+
+int Sign(double v) { return v < 0 ? -1 : v > 0 ? 1 : 0; }
+
+// CompareDistance on the points scaled by 2^k, for every k of `scales`
+// (binary scaling is exact inside ExactDistanceRange).
+void ExpectCompare(int64_t qx, int64_t qy, int64_t ax, int64_t ay,
+                   int64_t bx, int64_t by) {
+  const int want = ReferenceCompare(qx, qy, ax, ay, bx, by);
+  for (const int k : {-360, -40, 0, 33}) {
+    const auto at = [k](int64_t x, int64_t y) {
+      return Point{std::ldexp(static_cast<double>(x), k),
+                   std::ldexp(static_cast<double>(y), k)};
+    };
+    const Point q = at(qx, qy);
+    const Point a = at(ax, ay);
+    const Point b = at(bx, by);
+    ASSERT_TRUE(ExactDistanceRange(std::vector<Point>{q, a, b}));
+    EXPECT_EQ(Sign(CompareDistance(q, a, b)), want)
+        << "q=(" << qx << "," << qy << ") a=(" << ax << "," << ay
+        << ") b=(" << bx << "," << by << ") k=" << k;
+    EXPECT_EQ(Sign(CompareDistance(q, b, a)), -want);
+  }
+}
+
+TEST(CompareDistanceTest, BasicSigns) {
+  EXPECT_LT(CompareDistance({0, 0}, {1, 0}, {2, 0}), 0.0);
+  EXPECT_GT(CompareDistance({0, 0}, {0, 3}, {2, 2}), 0.0);
+  EXPECT_EQ(CompareDistance({0, 0}, {3, 4}, {5, 0}), 0.0);
+  EXPECT_EQ(CompareDistance({1, 1}, {1, 1}, {1, 1}), 0.0);
+}
+
+TEST(CompareDistanceTest, ExactOnCocircularIntegerGrid) {
+  // Every pair of grid points around a grid centre: many exact ties
+  // (points on one circle) and many that differ by 1 in 2^60.
+  for (int64_t ax = -6; ax <= 6; ++ax) {
+    for (int64_t ay = -6; ay <= 6; ++ay) {
+      for (int64_t bx = -6; bx <= 6; bx += 3) {
+        for (int64_t by = -6; by <= 6; by += 2) {
+          ExpectCompare(0, 0, ax, ay, bx, by);
+        }
+      }
+    }
+  }
+}
+
+TEST(CompareDistanceTest, NearTiesFarFromTheQuery) {
+  // Squared distances near 2^61 that differ in their last bits, where the
+  // double evaluation rounds both sides to the same value.
+  const int64_t big = int64_t{1} << 29;
+  for (int64_t d = -3; d <= 3; ++d) {
+    ExpectCompare(0, 0, big + 1, big, big, big + 1 + d);
+    ExpectCompare(-big, 7, big - 1, big + d, big + d, big - 1);
+  }
+  // Collinear rows: a and b on one line through q, and on opposite sides.
+  for (int64_t t = -4; t <= 4; ++t) {
+    ExpectCompare(big, big, big + 3 * t, big + 5 * t, big - 3 * t,
+                  big - 5 * t + (t % 2));
+  }
+}
+
+TEST(CompareDistanceTest, QueriesOnBisectorsAndDuplicates) {
+  Rng rng(90);
+  for (int i = 0; i < 400; ++i) {
+    const auto coord = [&] {
+      return static_cast<int64_t>(rng.NextBelow(1u << 28)) - (1 << 27);
+    };
+    const int64_t ax = coord(), ay = coord(), bx = coord(), by = coord();
+    // The bisector of a and b through their midpoint (doubled so it is an
+    // integer point), nudged by -1, 0 or +1 along a - b.
+    const int64_t nudge = static_cast<int64_t>(rng.NextBelow(3)) - 1;
+    const int64_t qx = ax + bx + nudge * (ax - bx) - (by - ay);
+    const int64_t qy = ay + by + nudge * (ay - by) + (bx - ax);
+    ExpectCompare(qx, qy, 2 * ax, 2 * ay, 2 * bx, 2 * by);
+    ExpectCompare(qx, qy, 2 * ax, 2 * ay, 2 * ax, 2 * ay);  // duplicate
+  }
+}
+
+TEST(CompareDistanceTest, ExactDistanceRangeBounds) {
+  EXPECT_TRUE(ExactDistanceRange(std::vector<Point>{{0, 0}, {1, -1}}));
+  EXPECT_TRUE(ExactDistanceRange(
+      std::vector<Point>{{0x1p-400, 0x1p64}, {-0x1p64, -0x1p-400}}));
+  EXPECT_FALSE(ExactDistanceRange(std::vector<Point>{{0x1p65, 0}}));
+  EXPECT_FALSE(ExactDistanceRange(std::vector<Point>{{0, 0x1p-401}}));
+  EXPECT_FALSE(ExactDistanceRange(
+      std::vector<Point>{{std::numeric_limits<double>::infinity(), 0}}));
+  EXPECT_FALSE(ExactDistanceRange(
+      std::vector<Point>{{std::numeric_limits<double>::quiet_NaN(), 0}}));
+}
 
 }  // namespace
 }  // namespace movd

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
 
 #include "core/grid_scan.h"
@@ -334,6 +335,113 @@ TEST(PrunedOverlapTest, PrunedSolveHonoursAFiredToken) {
   const auto r = SolveMolq(q, kBounds, opts);
   EXPECT_EQ(r.status, StatusCode::kCancelled);
   EXPECT_EQ(r.stats.overlap.candidate_pairs, 0u);
+}
+
+// Per-object weights on set `set` alone: that set routes through the
+// weighted diagram, the others stay ordinary.
+MolqQuery WithObjectWeightsOn(MolqQuery query, size_t set, uint64_t seed) {
+  Rng rng(seed);
+  for (SpatialObject& obj : query.sets[set].objects) {
+    obj.object_weight = rng.Uniform(0.5, 2.5);
+  }
+  return query;
+}
+
+TEST(ObjectFilterTest, DroppedSitesHoldOnlyPrunedCombinations) {
+  // Every combination through a dropped site has a lower bound above τ,
+  // and the filter drops something on these inputs.
+  const MolqQuery q = RandomQuery({120, 100, 80}, 411);
+  const CombinationBound bound(q, kBounds, 1e-3);
+  std::vector<VoronoiDiagram> vds;
+  for (const ObjectSet& set : q.sets) {
+    std::vector<Point> sites;
+    for (const SpatialObject& obj : set.objects) sites.push_back(obj.location);
+    vds.push_back(VoronoiDiagram::Triangulate(sites, kBounds));
+  }
+  const std::vector<const VoronoiDiagram*> diagrams = {&vds[0], &vds[1],
+                                                       &vds[2]};
+  Rng rng(412);
+  size_t dropped = 0;
+  for (int32_t s = 0; s < 3; ++s) {
+    std::vector<uint8_t> keep;
+    CombinationBound::FilterStats stats;
+    bound.KeepSites(s, diagrams, &keep, &stats);
+    ASSERT_EQ(keep.size(), vds[s].sites().size());
+    EXPECT_EQ(stats.objects, keep.size());
+    EXPECT_EQ(stats.kept, static_cast<size_t>(std::count(keep.begin(),
+                                                         keep.end(), 1)));
+    for (size_t k = 0; k < keep.size(); ++k) {
+      if (keep[k] != 0) continue;
+      ++dropped;
+      for (int trial = 0; trial < 20; ++trial) {
+        std::vector<PoiRef> group;
+        for (int32_t j = 0; j < 3; ++j) {
+          const int32_t object =
+              j == s ? vds[s].first_input()[k]
+                     : static_cast<int32_t>(
+                           rng.NextBelow(q.sets[j].objects.size()));
+          group.push_back({j, object});
+        }
+        EXPECT_GT(CombinationLowerBound(q, group), bound.threshold());
+      }
+    }
+  }
+  EXPECT_GT(dropped, 0u);
+}
+
+TEST(ObjectFilterTest, KeepsEverySiteOfASingleSet) {
+  // One set: no overlap step prunes, so the filter keeps every site.
+  const MolqQuery one = RandomQuery({50}, 413);
+  const MolqOptions opts;
+  MolqResult r;
+  const Movd movd = BuildMolqOverlay(one, kBounds, opts, /*prune=*/true, &r);
+  EXPECT_EQ(r.stats.pruned_objects, 0u);
+  EXPECT_TRUE(BitIdentical(
+      BuildBasicMovd(one, 0, kBounds, opts.exec.weighted_grid_resolution),
+      movd));
+}
+
+// Named *Parallel* so the TSan job's *Parallel* filter runs it. The
+// filtered overlay must equal, bit for bit, the overlay the same bound
+// gives over every cell: 2-5 sets, all ordinary or one weighted set, RRB
+// and MBRB, at every thread count.
+TEST(ObjectFilterParallelTest, FilteredOverlayIsBitIdenticalToUnfiltered) {
+  const std::vector<size_t> sizes = {70, 60, 50, 40, 30};
+  size_t pruned = 0;
+  for (size_t num_sets = 2; num_sets <= 5; ++num_sets) {
+    for (const bool weighted : {false, true}) {
+      MolqQuery q = RandomQuery(
+          std::vector<size_t>(sizes.begin(), sizes.begin() + num_sets),
+          500 + num_sets);
+      if (weighted) q = WithObjectWeightsOn(std::move(q), 1, 600 + num_sets);
+      for (const MolqAlgorithm algo :
+           {MolqAlgorithm::kRrb, MolqAlgorithm::kMbrb}) {
+        MolqOptions opts;
+        opts.algorithm = algo;
+        const BoundaryMode mode = algo == MolqAlgorithm::kRrb
+                                      ? BoundaryMode::kRealRegion
+                                      : BoundaryMode::kMbr;
+        const CombinationBound bound(q, kBounds, opts.epsilon);
+        const Movd want = OverlapAll(BuildAllBasic(q, kBounds, opts), mode,
+                                     nullptr, nullptr, 1, &bound);
+        for (const int threads : {1, 2, 4, 7}) {
+          SCOPED_TRACE(::testing::Message()
+                       << num_sets << " sets, weighted " << weighted << ", "
+                       << (mode == BoundaryMode::kMbr ? "mbrb" : "rrb")
+                       << ", threads " << threads);
+          opts.exec.threads = threads;
+          MolqResult r;
+          const Movd got =
+              BuildMolqOverlay(q, kBounds, opts, /*prune=*/true, &r);
+          ASSERT_EQ(r.status, StatusCode::kOk);
+          EXPECT_TRUE(BitIdentical(want, got));
+          EXPECT_EQ(r.stats.final_ovrs, want.ovrs.size());
+          pruned += r.stats.pruned_objects;
+        }
+      }
+    }
+  }
+  EXPECT_GT(pruned, 0u);
 }
 
 // Named OverlapParallel* so the TSan job's *Parallel* filter runs it.

@@ -369,27 +369,38 @@ TEST(TraceTest, WeightedCoverCountersMatchTheBuiltRegions) {
 }
 
 TEST(TraceTest, OrdinaryVoronoiSplitsIntoDelaunayAndCells) {
-  // Each ordinary set's "ordinary_voronoi" span holds a "delaunay" span
-  // that counts the distinct sites and a "voronoi_cells" span that counts
-  // the bisector clip steps, so a trace splits the VD stage by layer.
-  // Every site lies inside the world, so no cell empties early and each
+  // Each ordinary set's "ordinary_voronoi" span holds a "sort_sites" span,
+  // a "delaunay" span that counts the distinct sites and a
+  // "voronoi_cells" span that counts the bisector clip steps, so a trace
+  // splits the VD stage by layer. The unpruned overlay clips every cell;
+  // every site lies inside the world, so no cell empties early and each
   // cell runs one step per Delaunay neighbour.
   const MolqQuery query = TracedQuery();
   const Rect world(0, 0, 100, 100);
   Trace trace;
   MolqOptions options;
   options.exec.threads = 2;
-  options.exec.trace = &trace;
-  ASSERT_EQ(SolveMolq(query, world, options).status, StatusCode::kOk);
+  {
+    TraceContextScope scope(&trace);
+    MolqResult result;
+    BuildMolqOverlay(query, world, options, /*prune=*/false, &result);
+    ASSERT_EQ(result.status, StatusCode::kOk);
+  }
   const std::vector<TraceSpanRecord> records = trace.Collect();
+  size_t sorts = 0;
   size_t delaunay = 0;
   size_t cells = 0;
   for (const TraceSpanRecord& r : records) {
-    if (r.name != "delaunay" && r.name != "voronoi_cells") continue;
+    if (r.name != "sort_sites" && r.name != "delaunay" &&
+        r.name != "voronoi_cells") {
+      continue;
+    }
     ASSERT_GE(r.parent, 0);
     EXPECT_EQ(records[r.parent].name, "ordinary_voronoi") << r.name;
-    ++(r.name == "delaunay" ? delaunay : cells);
+    ++(r.name == "sort_sites" ? sorts : r.name == "delaunay" ? delaunay
+                                                               : cells);
   }
+  EXPECT_EQ(sorts, query.sets.size());
   EXPECT_EQ(delaunay, query.sets.size());
   EXPECT_EQ(cells, query.sets.size());
   int64_t sites = 0;
@@ -407,10 +418,62 @@ TEST(TraceTest, OrdinaryVoronoiSplitsIntoDelaunayAndCells) {
   EXPECT_EQ(CounterSum(records, "voronoi_cells", "clip_steps"), steps);
 }
 
-TEST(TraceTest, OverlapStageNamesItsBoundAndItsStepSetUp) {
-  // Inside "movd_overlap", the combination bound's probe grid and
-  // refinement run under "combination_bound", and each overlap step's
-  // start order and partner indexes under "partner_index".
+TEST(TraceTest, PrunedVdStageFiltersBeforeClipping) {
+  // SolveMolq triangulates every ordinary set under "ordinary_voronoi",
+  // builds the bound, then per set runs "object_filter" and clips the kept
+  // cells under "voronoi_cells", all inside "vd_generator". The filter's
+  // counters account for every distinct site and for MolqStats.
+  const MolqQuery query = TracedQuery();
+  Trace trace;
+  MolqOptions options;
+  options.exec.threads = 2;
+  options.exec.trace = &trace;
+  const MolqResult result = SolveMolq(query, Rect(0, 0, 100, 100), options);
+  ASSERT_EQ(result.status, StatusCode::kOk);
+  const std::vector<TraceSpanRecord> records = trace.Collect();
+  const TraceSpanRecord* bound = FindByName(records, "combination_bound");
+  ASSERT_NE(bound, nullptr);
+  ASSERT_GE(bound->parent, 0);
+  EXPECT_EQ(records[bound->parent].name, "vd_generator");
+  size_t filters = 0;
+  size_t cells = 0;
+  for (const TraceSpanRecord& r : records) {
+    if (r.name == "delaunay" || r.name == "sort_sites") {
+      EXPECT_EQ(records[r.parent].name, "ordinary_voronoi") << r.name;
+      EXPECT_LE(r.start_ns + r.dur_ns, bound->start_ns) << r.name;
+    }
+    if (r.name != "object_filter" && r.name != "voronoi_cells") continue;
+    ASSERT_GE(r.parent, 0);
+    EXPECT_EQ(records[r.parent].name, "vd_generator") << r.name;
+    EXPECT_GE(r.start_ns, bound->start_ns + bound->dur_ns) << r.name;
+    ++(r.name == "object_filter" ? filters : cells);
+  }
+  EXPECT_EQ(filters, query.sets.size());
+  EXPECT_EQ(cells, query.sets.size());
+  int64_t sites = 0;
+  int64_t all_steps = 0;
+  for (const ObjectSet& set : query.sets) {
+    std::vector<Point> locations;
+    for (const SpatialObject& obj : set.objects) {
+      locations.push_back(obj.location);
+    }
+    const Delaunay dt(locations);
+    sites += static_cast<int64_t>(dt.num_real_points());
+    all_steps += static_cast<int64_t>(dt.Adjacency().ids.size());
+  }
+  EXPECT_EQ(CounterSum(records, "object_filter", "objects"), sites);
+  EXPECT_EQ(CounterSum(records, "object_filter", "objects") -
+                CounterSum(records, "object_filter", "kept"),
+            static_cast<int64_t>(result.stats.pruned_objects));
+  EXPECT_GT(result.stats.pruned_objects, 0u);
+  EXPECT_LT(CounterSum(records, "voronoi_cells", "clip_steps"), all_steps);
+}
+
+TEST(TraceTest, PipelineNamesItsBoundAndItsStepSetUp) {
+  // The combination bound's probe grid and refinement run under
+  // "combination_bound" in the VD stage, before any cell is clipped, and
+  // each overlap step's start order and partner indexes under
+  // "partner_index".
   Trace trace;
   MolqOptions options;
   options.exec.threads = 2;
@@ -421,7 +484,7 @@ TEST(TraceTest, OverlapStageNamesItsBoundAndItsStepSetUp) {
   const TraceSpanRecord* bound = FindByName(records, "combination_bound");
   ASSERT_NE(bound, nullptr);
   ASSERT_GE(bound->parent, 0);
-  EXPECT_EQ(records[bound->parent].name, "movd_overlap");
+  EXPECT_EQ(records[bound->parent].name, "vd_generator");
   int steps = 0;
   for (const TraceSpanRecord& r : records) {
     if (r.name != "partner_index") continue;

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "audit/audit_voronoi.h"
+#include "geom/predicates.h"
 #include "util/rng.h"
 #include "voronoi/delaunay.h"
 #include "voronoi/voronoi.h"
@@ -278,6 +279,149 @@ TEST(VoronoiBitIdentityTest, SingleSite) {
   // Bounds with zero width or height hold no cell.
   ExpectCellsMatchReference({{30, 40}, {60, 70}}, Rect(20, 0, 20, 100));
   ExpectCellsMatchReference({{30, 40}, {60, 70}}, Rect(0, 50, 100, 50));
+}
+
+// The greedy walk returns a site exactly as close to every query as the
+// brute-force nearest one, from every start, and Triangulate + ClipCells
+// with a mask clips exactly the marked cells of Build.
+void ExpectWalkMatchesBrute(const std::vector<Point>& input,
+                            const std::vector<Point>& queries) {
+  const VoronoiDiagram vd = VoronoiDiagram::Triangulate(input, kBounds);
+  const auto n = static_cast<int32_t>(vd.sites().size());
+  size_t steps = 0;
+  for (size_t i = 0; i < queries.size(); ++i) {
+    const Point& q = queries[i];
+    const int32_t brute = vd.NearestSiteBrute(q);
+    for (const int32_t start : {0, n - 1, static_cast<int32_t>(i) % n}) {
+      const int32_t walk = vd.NearestSite(q, start, &steps);
+      ASSERT_GE(walk, 0) << "query " << i;
+      EXPECT_EQ(CompareDistance(q, vd.sites()[walk], vd.sites()[brute]), 0.0)
+          << "query " << i << " (" << q.x << ", " << q.y << ") start "
+          << start;
+    }
+  }
+}
+
+std::vector<Point> GridQueries(double lo, double hi, double step) {
+  std::vector<Point> queries;
+  for (double x = lo; x <= hi; x += step) {
+    for (double y = lo; y <= hi; y += step) queries.push_back({x, y});
+  }
+  return queries;
+}
+
+TEST(VoronoiWalkTest, UniformSites) {
+  ExpectWalkMatchesBrute(RandomPoints(500, 71), RandomPoints(300, 72));
+}
+
+TEST(VoronoiWalkTest, CocircularIntegerGridWithBisectorQueries) {
+  // Sites on even integers; queries on every integer and half-integer, so
+  // many lie on bisectors and on Voronoi vertices.
+  std::vector<Point> sites;
+  for (int x = 0; x < 20; ++x) {
+    for (int y = 0; y < 20; ++y) sites.push_back({x * 2.0 + 30, y * 2.0 + 30});
+  }
+  ExpectWalkMatchesBrute(sites, GridQueries(20, 80, 0.5));
+}
+
+TEST(VoronoiWalkTest, DuplicateSites) {
+  std::vector<Point> sites = RandomPoints(150, 73);
+  const std::vector<Point> copy = sites;
+  sites.insert(sites.end(), copy.rbegin(), copy.rbegin() + 60);
+  ExpectWalkMatchesBrute(sites, RandomPoints(200, 74));
+  ExpectWalkMatchesBrute(sites, copy);  // queries on the sites themselves
+}
+
+TEST(VoronoiWalkTest, CollinearRow) {
+  std::vector<Point> sites;
+  for (int i = 0; i < 40; ++i) sites.push_back({90.0 - 2.0 * i, 50});
+  // Row midpoints lie on the bisectors of neighbouring sites.
+  std::vector<Point> queries = GridQueries(0, 100, 2.5);
+  for (int i = 0; i < 39; ++i) queries.push_back({89.0 - 2.0 * i, 70});
+  ExpectWalkMatchesBrute(sites, queries);
+}
+
+TEST(VoronoiWalkTest, TightClusterQueriedFromAfar) {
+  // Sites packed 2^-30 apart around one point, queries across the grown
+  // cover: the squared distances differ far below a double's precision.
+  std::vector<Point> sites;
+  for (int i = 0; i < 30; ++i) {
+    for (int j = 0; j < 3; ++j) {
+      sites.push_back({50 + std::ldexp(i, -30), 50 + std::ldexp(j * i, -30)});
+    }
+  }
+  std::vector<Point> queries;
+  for (int k = 0; k < 200; ++k) {
+    queries.push_back({50 + std::ldexp(k - 100, -26),
+                       50 + std::ldexp(k % 7 - 3, -27)});
+  }
+  ExpectWalkMatchesBrute(sites, queries);
+}
+
+TEST(VoronoiWalkTest, PowerOfTwoScales) {
+  const std::vector<Point> sites = RandomPoints(200, 75);
+  const std::vector<Point> queries = RandomPoints(100, 76);
+  for (const int k : {-300, -80, 40}) {
+    const VoronoiDiagram vd =
+        VoronoiDiagram::Triangulate(Scaled(sites, k), Scaled(kBounds, k));
+    const VoronoiDiagram unit = VoronoiDiagram::Triangulate(sites, kBounds);
+    for (const Point& q : queries) {
+      const Point scaled{std::ldexp(q.x, k), std::ldexp(q.y, k)};
+      const int32_t walk = vd.NearestSite(scaled, 0);
+      ASSERT_GE(walk, 0);
+      EXPECT_EQ(CompareDistance(q, unit.sites()[walk],
+                                unit.sites()[unit.NearestSiteBrute(q)]),
+                0.0);
+    }
+  }
+}
+
+TEST(VoronoiWalkTest, RefusesWhereItIsNotExact) {
+  const VoronoiDiagram vd =
+      VoronoiDiagram::Triangulate({{40, 40}, {60, 40}, {50, 60}}, kBounds);
+  // The bounding box is 20 wide, so the walk covers
+  // [40 - 20480, 60 + 20480] x [40 - 20480, 60 + 20480].
+  EXPECT_GE(vd.NearestSite({-20440, 20540}, 0), 0);
+  EXPECT_EQ(vd.NearestSite({-20441, 50}, 0), -1);
+  EXPECT_EQ(vd.NearestSite({50, 1e30}, 0), -1);
+  EXPECT_EQ(vd.NearestSite({50, 0x1p-500}, 0), -1);
+  // One site is nearest to every query in range.
+  const VoronoiDiagram one = VoronoiDiagram::Triangulate({{5, 5}}, kBounds);
+  EXPECT_EQ(one.NearestSite({1e6, -1e6}, 0), 0);
+  // Sites outside ExactDistanceRange: no walk at all.
+  const VoronoiDiagram huge = VoronoiDiagram::Triangulate(
+      {{1e30, 0}, {2e30, 0}}, Rect(0, 0, 3e30, 1e30));
+  EXPECT_EQ(huge.NearestSite({1e30, 0}, 0), -1);
+}
+
+TEST(VoronoiWalkTest, MaskedClipKeepsExactlyTheMarkedCells) {
+  const std::vector<Point> sites = RandomPoints(300, 77);
+  const VoronoiDiagram full = VoronoiDiagram::Build(sites, kBounds);
+  VoronoiDiagram masked = VoronoiDiagram::Triangulate(sites, kBounds);
+  std::vector<uint8_t> keep(masked.sites().size());
+  for (size_t i = 0; i < keep.size(); ++i) keep[i] = i % 3 != 0;
+  masked.ClipCells(keep);
+  ASSERT_EQ(masked.cells().size(), full.cells().size());
+  for (size_t i = 0; i < keep.size(); ++i) {
+    const std::vector<Point>& got = masked.cells()[i].region.vertices();
+    if (keep[i] == 0) {
+      EXPECT_TRUE(got.empty()) << "cell " << i;
+      continue;
+    }
+    const std::vector<Point>& want = full.cells()[i].region.vertices();
+    ASSERT_EQ(got.size(), want.size()) << "cell " << i;
+    EXPECT_EQ(std::memcmp(got.data(), want.data(), got.size() * sizeof(Point)),
+              0)
+        << "cell " << i;
+  }
+  EXPECT_TRUE(AuditKeptCells(full, masked, keep).ok());
+  // A dropped cell that is not empty, or a kept one that differs, is
+  // reported.
+  keep[1] = 0;
+  EXPECT_FALSE(AuditKeptCells(full, masked, keep).ok());
+  keep[1] = 1;
+  keep[0] = 1;
+  EXPECT_FALSE(AuditKeptCells(full, masked, keep).ok());
 }
 
 // The dense reference construction through the WeightedOptions dispatch

@@ -20,8 +20,9 @@ common=(--threads=2 --seed=42 --repetitions=7 --warmup=1)
 "$build/bench/fig10_cost_bound" "${common[@]}" --problems=200 \
     --epsilons=1e-2,1e-3 --json="$out/BENCH_fig10_cost_bound.json"
 # Combination pruning (DESIGN.md §5): SolveMolq vs the unpruned stages at
-# 3-4 types. cost, final_ovrs and pruned_pairs gate exactly; the bench
-# itself checks that both arms return the same answer bit for bit.
+# 3-4 types. cost, final_ovrs, pruned_objects and pruned_pairs gate
+# exactly; the bench itself checks that both arms return the same answer
+# bit for bit.
 "$build/bench/ext02_overlap_pruning" "${common[@]}" --sizes=256 \
     --json="$out/BENCH_ext02_overlap_pruning.json"
 "$build/bench/micro_fermat" "${common[@]}" \
