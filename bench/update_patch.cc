@@ -13,7 +13,8 @@
 //   overlay_patch   keep the two-layer overlay current with PatchOverlay
 //                   after each mutation
 //   overlay_rebuild refold the overlay from the per-update basics with the
-//                   engine's fold (basics prematerialised)
+//                   engine's fold, OverlapAll in ascending layer order
+//                   (basics prematerialised)
 //
 // The patched artifacts are byte-identical to the rebuilt ones (that is
 // the §14 contract, enforced by tests/update_test.cc); this harness gates
@@ -26,20 +27,10 @@
 #include "bench/bench_common.h"
 #include "core/overlap.h"
 #include "core/update.h"
-#include "model/update_model.h"
 #include "util/check.h"
 
 namespace movd::bench {
 namespace {
-
-/// The engine's overlay fold: OverlapAll in ascending layer order, then
-/// canonicalise. PatchOverlay's output is byte-comparable against exactly
-/// this shape.
-Movd FoldOverlay(const Movd& b0, const Movd& b1, BoundaryMode mode) {
-  Movd overlay = OverlapAll({b0, b1}, mode);
-  CanonicalizeOvrOrder(&overlay);
-  return overlay;
-}
 
 /// One scripted mutation plus the bookkeeping the patchers need: the
 /// deleted object's pre-mutation index (PatchOverlay's renumbering input)
@@ -147,14 +138,14 @@ BENCH(update_patch) {
     const Summary& op_wall = ctx.Measure(op, [&] {
       OrdinaryLayerState state(base, 0, kWorld);
       Movd b0 = state.Materialize();
-      Movd overlay = FoldOverlay(b0, b1, mode);
+      Movd overlay = OverlapAll({b0, b1}, mode);
       retained = recomputed_ovrs = 0;
       for (size_t u = 0; u < updates; ++u) {
         LayerPatchStats ls;
         if (!state.Apply(script[u].mut, &ls)) {
           state = OrdinaryLayerState(script[u].after, 0, kWorld);
           Movd fresh = state.Materialize();
-          overlay = FoldOverlay(fresh, b1, mode);
+          overlay = OverlapAll({fresh, b1}, mode);
           recomputed_ovrs += overlay.ovrs.size();
           b0 = std::move(fresh);
           continue;
@@ -190,7 +181,7 @@ BENCH(update_patch) {
     const Summary& orb_wall = ctx.Measure(orb, [&] {
       ParallelFor(ctx.threads(), updates, [&](size_t u) {
         const Movd b0u = BuildBasicMovd(script[u].after, 0, kWorld, 128);
-        const Movd overlay = FoldOverlay(b0u, b1, mode);
+        const Movd overlay = OverlapAll({b0u, b1}, mode);
         Keep(overlay.ovrs.size());
       });
     });

@@ -8,9 +8,9 @@ namespace movd {
 
 /// Validates the live-update contract (DESIGN.md §14): an incrementally
 /// patched artifact must be byte-identical to the artifact a from-scratch
-/// rebuild of the mutated dataset produces. `patched` and `rebuilt` must
-/// be in the same canonical order (basic MOVDs are site-ordered by
-/// construction; overlays must have been through CanonicalizeOvrOrder).
+/// rebuild of the mutated dataset produces, OVR by OVR in order. Both are
+/// in canonical order as built (model/update_model.h): basic MOVDs in
+/// object order, overlays as their ascending-layer fold emits them.
 ///
 /// Reports kPatchedOvrCount when the OVR counts differ, and one
 /// kPatchedOvrMismatch per position where the OVRs are not bit-identical,

@@ -89,7 +89,10 @@ struct MolqResult {
 /// weighted construction (adaptive quadtree by default, dense grid as the
 /// reference fallback — see DESIGN.md §11); both share the same owner tie
 /// rule, so the method changes cover tightness and build time, never which
-/// generator dominates a point.
+/// generator dominates a point. Either way the OVRs come in object order,
+/// the canonical order of a basic MOVD: one per object that owns a
+/// non-empty cell (the ordinary route gives a location's cell to its
+/// first object).
 /// `threads` parallelises the weighted construction when the set routes to
 /// the approximated diagram (no effect on the exact ordinary path).
 /// When `audit` is non-null, the structural auditors run on the built

@@ -1,7 +1,6 @@
 #include "core/overlap.h"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <limits>
 
@@ -69,7 +68,7 @@ class GridAxis {
   uint32_t count_ = 1;
 };
 
-// The partner index of one operand: a uniform grid over its OVRs' MBRs in
+// The partner index over operand b: a uniform grid over its OVRs' MBRs in
 // which every cell lists the OVRs whose MBR meets it (offsets + ids). Cells
 // are shaped like the mean MBR, at most one per OVR, and the grid is
 // coarsened until it holds at most 4 ids per OVR plus one per cell, so its
@@ -141,24 +140,21 @@ class PartnerIndex {
   size_t cells() const { return offsets_.size() - 1; }
 
   // Calls visit(p) exactly once for every indexed OVR p whose closed MBR
-  // meets the closed segment y = f.max_y, f.min_x <= x <= f.max_x (f's top
-  // edge). Probes the one grid row holding f.max_y and reports p only from
-  // the column holding max(p.min_x, f.min_x), so nothing repeats.
+  // meets the closed rectangle f. Probes every grid cell f meets and
+  // reports p only from the cell holding (max(p.min_x, f.min_x),
+  // max(p.min_y, f.min_y)), a point of both MBRs, so nothing repeats.
   template <typename Visit>
-  void ForEachCrossingTop(const Rect& f, Visit&& visit) const {
-    const size_t row = size_t{y_.Cell(f.max_y)} * x_.count();
-    const uint32_t col_end = x_.Cell(f.max_x);
-    for (uint32_t col = x_.Cell(f.min_x); col <= col_end; ++col) {
-      const size_t cell = row + col;
+  void ForEachMeeting(const Rect& f, Visit&& visit) const {
+    ForEachCell(f, [&](uint32_t col, uint32_t row) {
+      const size_t cell = size_t{row} * x_.count() + col;
       for (uint32_t k = offsets_[cell]; k < offsets_[cell + 1]; ++k) {
         const Rect& p = movd_->ovrs[ids_[k]].mbr;
-        if (p.min_x <= f.max_x && p.max_x >= f.min_x &&
-            p.min_y <= f.max_y && p.max_y >= f.max_y &&
-            x_.Cell(std::max(p.min_x, f.min_x)) == col) {
+        if (p.Intersects(f) && x_.Cell(std::max(p.min_x, f.min_x)) == col &&
+            y_.Cell(std::max(p.min_y, f.min_y)) == row) {
           visit(ids_[k]);
         }
       }
-    }
+    });
   }
 
  private:
@@ -170,15 +166,22 @@ class PartnerIndex {
     return uint64_t{x1 - x0 + 1} * (y1 - y0 + 1);
   }
 
-  // Calls fn(cell) for every cell OVR i's MBR meets.
+  // Calls fn(col, row) for every grid cell `r` meets.
   template <typename Fn>
-  void ForEachCellOf(uint32_t i, Fn&& fn) const {
-    const Rect& r = movd_->ovrs[i].mbr;
+  void ForEachCell(const Rect& r, Fn&& fn) const {
     const uint32_t x0 = x_.Cell(r.min_x), x1 = x_.Cell(r.max_x);
     const uint32_t y1 = y_.Cell(r.max_y);
     for (uint32_t y = y_.Cell(r.min_y); y <= y1; ++y) {
-      for (uint32_t x = x0; x <= x1; ++x) fn(size_t{y} * x_.count() + x);
+      for (uint32_t x = x0; x <= x1; ++x) fn(x, y);
     }
+  }
+
+  // Calls fn(cell) for every cell OVR i's MBR meets.
+  template <typename Fn>
+  void ForEachCellOf(uint32_t i, Fn&& fn) const {
+    ForEachCell(movd_->ovrs[i].mbr, [&](uint32_t x, uint32_t y) {
+      fn(size_t{y} * x_.count() + x);
+    });
   }
 
   const Movd* movd_ = nullptr;
@@ -188,68 +191,14 @@ class PartnerIndex {
   std::vector<uint32_t> ids_;
 };
 
-// An unsigned key that orders tops descending, with -0.0 and +0.0 equal.
-// Every double (NaN too) gets one, so sorting by (key, g) is a total order.
-uint64_t DescendingKey(double y) {
-  // y + 0.0 turns -0.0 into +0.0 and leaves every other value as it is.
-  const uint64_t bits = std::bit_cast<uint64_t>(y + 0.0);
-  const uint64_t ascending = bits >> 63 ? ~bits : bits | (uint64_t{1} << 63);
-  return ~ascending;
+// Clips the pair (x of a, y of b) under `mode` in the operand order the
+// pair fixes on its own: y first when y's MBR tops out no higher than x's
+// (Region::Intersect clips its first operand by the second, so the order
+// decides the output bits).
+bool ClipPair(const Ovr& x, const Ovr& y, BoundaryMode mode, Ovr* out) {
+  return y.mbr.max_y <= x.mbr.max_y ? IntersectOvrPair(y, x, mode, out)
+                                    : IntersectOvrPair(x, y, mode, out);
 }
-
-// A start event of the top-down sweep: OVR g (a's i is g = i, b's j is
-// g = |a| + j) starts at its top edge.
-struct StartKey {
-  uint64_t key;  // DescendingKey(mbr.max_y)
-  uint32_t g;
-};
-
-// Start order of the top-down sweep (Algorithm 2): descending top edge,
-// ties by g, i.e. a's OVRs before b's, each in index order. End events
-// need no order of their own: at equal y they come after the starts, so
-// an OVR p is still active when f starts iff p.min_y <= f.max_y.
-std::vector<StartKey> StartOrder(const Movd& a, const Movd& b) {
-  const size_t na = a.ovrs.size();
-  std::vector<StartKey> starts(na + b.ovrs.size());
-  for (uint32_t g = 0; g < starts.size(); ++g) {
-    starts[g] = {
-        DescendingKey((g < na ? a.ovrs[g] : b.ovrs[g - na]).mbr.max_y), g};
-  }
-  std::sort(starts.begin(), starts.end(),
-            [](const StartKey& x, const StartKey& y) {
-              if (x.key != y.key) return x.key < y.key;
-              return x.g < y.g;
-            });
-  return starts;
-}
-
-// The set-up of one step: the start events in start order, and a partner
-// index per operand, built side by side on up to three threads.
-struct SweepIndex {
-  SweepIndex() = default;
-  SweepIndex(const Movd& a, const Movd& b, int threads) {
-    ParallelFor(threads, 3, [&](size_t task) {
-      if (task == 0) {
-        starts = StartOrder(a, b);
-      } else if (task == 1) {
-        index_a = PartnerIndex(a);
-      } else {
-        index_b = PartnerIndex(b);
-      }
-    });
-  }
-
-  std::vector<StartKey> starts;
-  PartnerIndex index_a;
-  PartnerIndex index_b;
-};
-
-// One partner of a finder, with its keys in the sweep's status order.
-struct Partner {
-  double min_x;
-  double max_y;
-  uint32_t index;  // OVR index within the other operand
-};
 
 }  // namespace
 
@@ -274,85 +223,59 @@ Movd Overlap(const Movd& a, const Movd& b, BoundaryMode mode,
   if (TokenExpired(cancel)) return Movd();
 
   // The set-up of the step, under its own span.
-  SweepIndex sweep = [&] {
+  PartnerIndex index = [&] {
     TRACE_SPAN("partner_index");
-    return SweepIndex(a, b, threads);
+    return PartnerIndex(b);
   }();
   span.Counter("partner_index_entries",
-               static_cast<int64_t>(sweep.index_a.entries() +
-                                    sweep.index_b.entries()));
-  span.Counter("partner_index_cells",
-               static_cast<int64_t>(sweep.index_a.cells() +
-                                    sweep.index_b.cells()));
+               static_cast<int64_t>(index.entries()));
+  span.Counter("partner_index_cells", static_cast<int64_t>(index.cells()));
 
-  // One pass over fixed chunks of consecutive finders. Finder f (the OVR
-  // whose start event is the k-th) pairs with every OVR p of the other
-  // operand that started before it, is still active, and overlaps f in x:
-  // exactly what the paper's status search returns at f's start event.
-  // Its partners are visited in the status order, (p.min_x, start order),
-  // and each pair is clipped finder-first (Region::Intersect clips its
-  // first operand by the second, so operand order decides the output
-  // bits). A pair the bound prunes is skipped before its clip. Each chunk
-  // writes only its own slot and the slots are concatenated in chunk
-  // order (DESIGN.md §6), so the output and every counter are the same for
-  // every thread count. The token is polled once per chunk and every
+  // One pass over fixed chunks of a's OVRs, the finders, in index order.
+  // Finder i takes its partners, b's OVRs whose closed MBRs meet its own,
+  // in ascending j, and each pair is pruned by the bound or clipped in the
+  // pair's own operand order (ClipPair). Each chunk writes only its own
+  // slot and the slots are concatenated in chunk order (DESIGN.md §6), so
+  // the output is in (i, j) order and it and every counter are the same
+  // for every thread count. The token is polled once per chunk and every
   // kPairsPerPoll pairs; a chunk that sees it fired stops, leaving a
   // truncated result.
   struct Chunk {
     std::vector<Ovr> ovrs;
-    size_t events = 0;      // start + end event per finder searched
     size_t candidates = 0;  // pairs found
     size_t clipped = 0;     // pairs handed to the boundary handler
     size_t pruned = 0;      // pairs the bound skipped
     size_t pieces = 0;      // region pieces over `ovrs`
   };
-  std::vector<Chunk> chunks((n + kFinderChunk - 1) / kFinderChunk);
+  std::vector<Chunk> chunks((na + kFinderChunk - 1) / kFinderChunk);
   const int used_threads = static_cast<int>(std::clamp<size_t>(
       chunks.size(), 1, static_cast<size_t>(ResolveThreads(threads))));
   span.Counter("threads", used_threads);
   ParallelFor(used_threads, chunks.size(), [&](size_t c) {
     if (TokenExpired(cancel)) return;
     Chunk& chunk = chunks[c];
-    std::vector<Partner> partners;
+    std::vector<uint32_t> partners;
     size_t until_poll = kPairsPerPoll;
-    const size_t end = std::min(n, (c + 1) * kFinderChunk);
-    for (size_t k = c * kFinderChunk; k < end; ++k) {
-      const uint32_t g = sweep.starts[k].g;
-      const bool from_a = g < na;
-      const Ovr& f = from_a ? a.ovrs[g] : b.ovrs[g - na];
-      const Movd& other = from_a ? b : a;
-      const PartnerIndex& index = from_a ? sweep.index_b : sweep.index_a;
-      // p crosses f's top edge, so it started before f unless it ties on
-      // the top and comes later in g, i.e. is b's while f is a's.
+    const size_t end = std::min(na, (c + 1) * kFinderChunk);
+    for (size_t i = c * kFinderChunk; i < end; ++i) {
+      const Ovr& f = a.ovrs[i];
       partners.clear();
-      index.ForEachCrossingTop(f.mbr, [&](uint32_t p) {
-        const Rect& mbr = other.ovrs[p].mbr;
-        if (!from_a || mbr.max_y != f.mbr.max_y) {
-          partners.push_back({mbr.min_x, mbr.max_y, p});
-        }
-      });
-      std::sort(partners.begin(), partners.end(),
-                [](const Partner& x, const Partner& y) {
-                  if (x.min_x != y.min_x) return x.min_x < y.min_x;
-                  if (x.max_y != y.max_y) return x.max_y > y.max_y;
-                  return x.index < y.index;
-                });
-      chunk.events += 2;
+      index.ForEachMeeting(f.mbr, [&](uint32_t j) { partners.push_back(j); });
+      std::sort(partners.begin(), partners.end());
       chunk.candidates += partners.size();
-      for (const Partner& partner : partners) {
+      for (const uint32_t j : partners) {
         if (--until_poll == 0) {
           if (TokenExpired(cancel)) return;
           until_poll = kPairsPerPoll;
         }
-        const Ovr& p = other.ovrs[partner.index];
-        if (bound != nullptr && (from_a ? bound->Prunes(f.pois, p.pois)
-                                        : bound->Prunes(p.pois, f.pois))) {
+        const Ovr& p = b.ovrs[j];
+        if (bound != nullptr && bound->Prunes(f.pois, p.pois)) {
           ++chunk.pruned;
           continue;
         }
         ++chunk.clipped;
         Ovr out;
-        if (IntersectOvrPair(f, p, mode, &out)) {
+        if (ClipPair(f, p, mode, &out)) {
           chunk.pieces += out.region.pieces().size();
           chunk.ovrs.push_back(std::move(out));
         }
@@ -363,7 +286,6 @@ Movd Overlap(const Movd& a, const Movd& b, BoundaryMode mode,
   OverlapStats step;
   size_t pieces = 0;
   for (const Chunk& chunk : chunks) {
-    step.events += chunk.events;
     step.candidate_pairs += chunk.candidates;
     if (mode == BoundaryMode::kRealRegion) {
       step.region_intersections += chunk.clipped;
@@ -372,9 +294,9 @@ Movd Overlap(const Movd& a, const Movd& b, BoundaryMode mode,
     step.output_ovrs += chunk.ovrs.size();
     pieces += chunk.pieces;
   }
-  // Free the set-up's arrays, then move each chunk's OVRs out and release
-  // its buffer, so peak memory stays close to the result's own size.
-  sweep = SweepIndex();
+  // Free the index, then move each chunk's OVRs out and release its
+  // buffer, so peak memory stays close to the result's own size.
+  index = PartnerIndex();
   Movd result;
   result.ovrs.reserve(step.output_ovrs);
   for (Chunk& chunk : chunks) {
@@ -383,7 +305,6 @@ Movd Overlap(const Movd& a, const Movd& b, BoundaryMode mode,
     std::vector<Ovr>().swap(chunk.ovrs);
   }
   if (stats != nullptr) {
-    stats->events += step.events;
     stats->candidate_pairs += step.candidate_pairs;
     stats->pruned_pairs += step.pruned_pairs;
     stats->region_intersections += step.region_intersections;
@@ -437,8 +358,11 @@ Movd OverlapBruteForce(const Movd& a, const Movd& b, BoundaryMode mode) {
   for (const Ovr& x : a.ovrs) {
     for (const Ovr& y : b.ovrs) {
       if (!x.mbr.Intersects(y.mbr)) continue;
+      // The operand rule, spelled out rather than shared with Overlap, so
+      // that tests checking Overlap against this also check its operands.
       Ovr out;
-      if (IntersectOvrPair(x, y, mode, &out)) {
+      if (y.mbr.max_y <= x.mbr.max_y ? IntersectOvrPair(y, x, mode, &out)
+                                     : IntersectOvrPair(x, y, mode, &out)) {
         result.ovrs.push_back(std::move(out));
       }
     }

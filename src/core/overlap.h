@@ -13,40 +13,42 @@ class CombinationBound;
 /// Counters exposed by the overlap operation, matching the quantities the
 /// paper's Figs. 11-14 report.
 struct OverlapStats {
-  uint64_t events = 0;               ///< start/end events processed
-  uint64_t candidate_pairs = 0;      ///< x-range hits tested (Alg. 3 line 4)
+  uint64_t candidate_pairs = 0;      ///< MBR hits tested (Alg. 3 line 4)
   uint64_t pruned_pairs = 0;         ///< pairs the CombinationBound skipped
   uint64_t region_intersections = 0; ///< real region ∩ computed (RRB only)
   uint64_t output_ovrs = 0;          ///< OVRs appended to the result
 };
 
-/// The overlap operation ⊕ (paper Eq. 22, Algorithms 2-4): pairs the OVRs
-/// of the two MOVDs that a top-down plane sweep would find simultaneously
-/// active with overlapping x-ranges, then intersects each pair with the
-/// selected boundary handler:
+/// The overlap operation ⊕ (paper Eq. 22, Algorithms 2-4): pairs every OVR
+/// of a with every OVR of b whose closed MBR meets its own (the pair set
+/// the paper's top-down plane sweep finds), then intersects each pair with
+/// the selected boundary handler:
 ///  - BoundaryMode::kRealRegion (RRB, Algorithm 3): real region
 ///    intersection; empty intersections are discarded.
 ///  - BoundaryMode::kMbr (MBRB, Algorithm 4): MBR intersection only; every
-///    x/y-range hit is emitted (false positives possible).
+///    MBR hit is emitted (false positives possible).
 /// Both operands must themselves carry the fields the mode needs. Each
 /// operand pair yields at most one OVR, so when a and b cover disjoint
 /// object sets and each holds a group once, so does the output — the
 /// overlay invariant of model/movd_model.h. Operands sharing a set (A ⊕ A)
 /// can repeat groups.
 ///
-/// Runs as one parallel pass. Number the OVRs g (a's i is g = i, b's j is
-/// g = |a| + j); the *finders* are all OVRs in start order, by descending
-/// mbr.max_y, ties by ascending g. The partners of finder f are the OVRs p
-/// of the other operand that start before f, are still active when f
-/// starts (p.min_y <= f.max_y) and overlap f in x (closed ranges); a
-/// per-operand grid over the MBRs finds them. Output: for each finder in
-/// start order, its partners by (p.min_x, start order), each pair
-/// intersected as (f, p). That is the sweep's visiting order with the
-/// finder's region clipped first. Fixed chunks of 64 consecutive finders
-/// run on `threads` threads (0 = one per hardware thread) and the chunk
-/// outputs are concatenated in chunk order, so the result and every
-/// OverlapStats counter are bit-identical for every thread count; an
-/// uncancelled step counts events == 2 * (|a| + |b|).
+/// Output order is a-major: for each a OVR i in index order, its partners
+/// j in ascending order. So when a and b are each in canonical order
+/// (model/update_model.h) and every set of a precedes every set of b, as
+/// in a fold over layers in ascending order, the output is in canonical
+/// order too: a basic MOVD is in object order, and every OverlapAll of
+/// basics comes out strictly canonical with no sort. Each pair is clipped
+/// in an operand order fixed by the pair alone: as (b's, a's) when
+/// b.mbr.max_y <= a.mbr.max_y, else as (a's, b's) (Region::Intersect clips
+/// its first operand by the second, so this decides the output bits).
+///
+/// Runs as one parallel pass. The finders are a's OVRs; each probes one
+/// partner index, a grid over b's MBRs, across every cell its MBR covers.
+/// Fixed chunks of 64 consecutive finders run on `threads` threads (0 =
+/// one per hardware thread) and the chunk outputs are concatenated in
+/// chunk order, so the result and every OverlapStats counter are
+/// bit-identical for every thread count.
 ///
 /// `cancel` (serving deadlines): polled once per finder chunk and every
 /// 256 pairs within one. A fired token yields a truncated or empty MOVD —
@@ -71,8 +73,9 @@ Movd Overlap(const Movd& a, const Movd& b, BoundaryMode mode,
 /// overlay in the repo is this fold (BuildMolqOverlay, serve, the overlay
 /// patcher). Stats accumulate across all steps. `cancel` as in Overlap: a
 /// fired token yields a truncated or empty result the caller must discard.
-/// Inputs over distinct layers (every pipeline fold) give an overlay with
-/// one OVR per poi group.
+/// Canonical inputs over distinct layers in ascending order (every
+/// pipeline fold of basic MOVDs) give an overlay with one OVR per poi
+/// group, in strictly ascending canonical order.
 Movd OverlapAll(const std::vector<Movd>& inputs, BoundaryMode mode,
                 OverlapStats* stats = nullptr,
                 const CancelToken* cancel = nullptr, int threads = 1,
@@ -83,9 +86,9 @@ Movd OverlapAll(const std::vector<Movd>& inputs, BoundaryMode mode,
 std::vector<PoiRef> MergePois(const std::vector<PoiRef>& a,
                               const std::vector<PoiRef>& b);
 
-/// Reference implementation: the nested-loop O(n*m) overlap with the same
-/// pairs, in a-major order with a's region clipped first. Tests sort its
-/// candidate set into Overlap's order to check Overlap bit for bit.
+/// Reference implementation: the nested-loop O(n*m) overlap over the same
+/// pairs, in the same a-major order and operand order as Overlap without a
+/// bound, so tests check Overlap against it bit for bit.
 Movd OverlapBruteForce(const Movd& a, const Movd& b, BoundaryMode mode);
 
 /// The per-pair boundary handler shared by Overlap and the brute force:

@@ -125,13 +125,19 @@ bool OrdinaryLayerState::Apply(const SiteMutation& mut,
 
 Movd OrdinaryLayerState::Materialize() const {
   // Each site maps to the first object at its location, as in
-  // BuildBasicMovd.
+  // BuildBasicMovd, and the cells come in object order: one counting pass
+  // places each site at its first object.
+  std::vector<const Site*> site_of(objects_.size(), nullptr);
+  for (const auto& [location, site] : sites_) {
+    site_of[static_cast<size_t>(site.first)] = &site;
+  }
   Movd movd;
   movd.ovrs.reserve(sites_.size());
-  for (const auto& [location, site] : sites_) {
-    if (site.cell.region.Empty()) continue;
-    Ovr& ovr = movd.ovrs.emplace_back(site.cell);
-    ovr.pois = {{layer_, site.first}};
+  for (size_t object = 0; object < site_of.size(); ++object) {
+    const Site* site = site_of[object];
+    if (site == nullptr || site->cell.region.Empty()) continue;
+    Ovr& ovr = movd.ovrs.emplace_back(site->cell);
+    ovr.pois = {{layer_, site->first}};
   }
   return movd;
 }
@@ -216,9 +222,10 @@ bool PatchOverlay(const Movd& old_overlay, const std::vector<int32_t>& layers,
         if (ovr.mbr.Intersects(dirty)) inputs[i].ovrs.push_back(ovr);
       }
     }
+    // Each input is canonical and the layers ascend, so the re-fold comes
+    // out in canonical order (core/overlap.h) and merges in place.
     Movd acc = OverlapAll(inputs, mode);
     stats->recomputed_ovrs = acc.ovrs.size();
-    CanonicalizeOvrOrder(&acc);
     const auto middle = static_cast<std::ptrdiff_t>(out->ovrs.size());
     std::move(acc.ovrs.begin(), acc.ovrs.end(),
               std::back_inserter(out->ovrs));

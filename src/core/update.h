@@ -28,9 +28,10 @@ struct LayerPatchStats {
 /// site locations, kept current by Delaunay::Insert/Remove, plus the
 /// canonical clipped cell of every site. A mutation re-clips exactly the
 /// cells whose Delaunay neighbour sets changed. Materialize() is
-/// bit-identical to BuildBasicMovd's ordinary route, because a cell's
-/// bytes depend only on (site, LessXY-sorted neighbour set, world) and a
-/// triangulation of points in general position is unique.
+/// bit-identical to BuildBasicMovd's ordinary route, in object order,
+/// because a cell's bytes depend only on (site, LessXY-sorted neighbour
+/// set, world) and a triangulation of points in general position is
+/// unique.
 ///
 /// The layer must satisfy OrdinaryDiagramSuffices before and after every
 /// mutation; the caller routes other layers to a full rebuild.
@@ -87,9 +88,9 @@ struct OverlayPatchStats {
 };
 
 /// Patches `old_overlay`, the fold OverlapAll(basic(layers[0]), …) in
-/// `mode` in canonical order (CanonicalizeOvrOrder), after one mutation of
-/// layer `mutated_layer` changed its basic MOVD from `old_basic` to
-/// `new_basic`.
+/// `mode` over ascending `layers` (so in strictly canonical order, see
+/// core/overlap.h), after one mutation of layer `mutated_layer` changed
+/// its basic MOVD from `old_basic` to `new_basic`.
 /// `deleted_object` is the deleted object's index before the mutation, or
 /// -1 for an insert; later objects of the layer shift down by one.
 /// `basic_of(l)` returns the (unchanged) basic of every other layer, or
@@ -102,8 +103,9 @@ struct OverlayPatchStats {
 /// cells whose MBR meets the changed cells' bounding box; no combination
 /// with a changed cell can involve any other peer cell. Every
 /// combination's bits are a function of its cells alone (Overlap clips
-/// each pair in an order fixed by the pair's MBRs), so `*out` is
-/// bit-identical to the canonicalised full fold over the new basics.
+/// each pair in an order fixed by the pair's MBRs), and the re-fold comes
+/// out canonical like any fold, so merging it into the kept combinations
+/// makes `*out` bit-identical to the full fold over the new basics.
 ///
 /// Returns false, leaving `*out` unspecified, when `mutated_layer` is not
 /// in `layers`, an old OVR has no cell of it, or a needed peer basic is

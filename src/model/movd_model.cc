@@ -1,5 +1,6 @@
 #include "model/movd_model.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "geom/gridcontour.h"
@@ -43,9 +44,25 @@ Movd MovdFromVoronoi(VoronoiDiagram diagram, int32_t set,
 Movd MovdFromCells(std::vector<VoronoiCell> cells, int32_t set,
                    const std::vector<int32_t>& object_of_site) {
   MOVD_CHECK(object_of_site.size() == cells.size());
+  // Object order, by one counting pass: cell_of[o] is the cell whose site
+  // maps to object o, or -1.
+  int32_t objects = 0;
+  for (const int32_t object : object_of_site) {
+    MOVD_CHECK(object >= 0);
+    objects = std::max(objects, object + 1);
+  }
+  std::vector<int32_t> cell_of(static_cast<size_t>(objects), -1);
+  for (size_t k = 0; k < cells.size(); ++k) {
+    int32_t& slot =
+        cell_of[static_cast<size_t>(object_of_site[cells[k].site])];
+    MOVD_CHECK_MSG(slot < 0, "two sites map to one object");
+    slot = static_cast<int32_t>(k);
+  }
   Movd movd;
   movd.ovrs.reserve(cells.size());
-  for (VoronoiCell& cell : cells) {
+  for (const int32_t k : cell_of) {
+    if (k < 0) continue;
+    VoronoiCell& cell = cells[static_cast<size_t>(k)];
     if (cell.region.Empty()) continue;  // MOVDs hold no empty regions
     Ovr& ovr = movd.ovrs.emplace_back();
     ovr.mbr = cell.region.Bbox();

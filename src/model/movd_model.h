@@ -62,8 +62,10 @@ Movd IdentityMovd(const Rect& search_space);
 /// A basic MOVD from an ordinary Voronoi diagram (paper Property 7:
 /// single-set MOVDs are Voronoi diagrams). `set` tags the generated pois;
 /// `object_of_site[i]` maps diagram site i back to the object index in the
-/// query's set (the diagram deduplicates site locations). Each cell's ring
-/// moves into its OVR; pass the diagram as an rvalue to skip the copy.
+/// query's set (the diagram deduplicates site locations), one object per
+/// site. The OVRs come in object order, the canonical order of a basic
+/// MOVD (model/update_model.h). Each cell's ring moves into its OVR; pass
+/// the diagram as an rvalue to skip the copy.
 Movd MovdFromVoronoi(VoronoiDiagram diagram, int32_t set,
                      const std::vector<int32_t>& object_of_site);
 

@@ -31,10 +31,6 @@ bool RectBitIdentical(const Rect& a, const Rect& b) {
 
 }  // namespace
 
-void CanonicalizeOvrOrder(Movd* movd) {
-  std::sort(movd->ovrs.begin(), movd->ovrs.end(), CanonicalOvrLess);
-}
-
 bool CanonicalOvrLess(const Ovr& a, const Ovr& b) {
   return std::lexicographical_compare(a.pois.begin(), a.pois.end(),
                                       b.pois.begin(), b.pois.end());

@@ -23,21 +23,17 @@ struct SiteMutation {
   Point location;
 };
 
-/// Sorts `movd->ovrs` into the canonical order: lexicographically by the
-/// poi vector (which is unique per OVR — an object combination appears at
-/// most once in an overlay, and a basic MOVD has one OVR per site).
-///
-/// The sweep-based overlap emits OVRs in an order that depends on its
-/// event history, which an incremental patch cannot (and should not)
-/// reproduce. The serve stack therefore canonicalises every overlay it
-/// caches — full builds and patches alike — so "patched" and "rebuilt
-/// from scratch" artifacts are comparable byte for byte. Downstream
-/// consumers are order-independent: the optimizer, top-k and every query
-/// shape break ties by (value, poi group) under GroupBefore
-/// (model/query_model.h), never by input position.
-void CanonicalizeOvrOrder(Movd* movd);
-
-/// The canonical order's comparator: lexicographic over the poi vectors.
+/// The canonical OVR order: lexicographic over the poi vectors. An
+/// overlay holds each object combination once and a basic MOVD one OVR per
+/// object, so an artifact in canonical order is strictly ascending. A
+/// basic MOVD is in object order, and Overlap emits its pairs a-major, so
+/// every fold over layers in ascending order (SolveMolq's, serve's, the
+/// overlay patcher's re-fold) comes out in this order with no sort; that
+/// is what lets the patcher merge re-folded OVRs into kept ones and
+/// compare patched and rebuilt artifacts byte for byte. Answers do not
+/// depend on it: the optimizer, top-k and every query shape break ties by
+/// (value, poi group) under GroupBefore (model/query_model.h), never by
+/// input position.
 bool CanonicalOvrLess(const Ovr& a, const Ovr& b);
 
 /// Exact byte equality of two OVRs: identical poi lists, MBRs, and region
@@ -54,8 +50,7 @@ bool OvrBitIdentical(const Ovr& a, const Ovr& b);
 bool OvrGeometryBitIdentical(const Ovr& a, const Ovr& b);
 
 /// Exact byte equality of two MOVDs: same OVR count and OvrBitIdentical
-/// pairwise in order. Compare canonicalised artifacts (or two basic MOVDs,
-/// whose site order is already canonical).
+/// pairwise in order.
 bool MovdBitIdentical(const Movd& a, const Movd& b);
 
 }  // namespace movd

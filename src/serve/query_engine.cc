@@ -13,7 +13,6 @@
 #include <utility>
 #include <variant>
 
-#include "audit/audit_overlay.h"
 #include "audit/audit_query.h"
 #include "audit/audit_update.h"
 #include "core/overlap.h"
@@ -123,10 +122,11 @@ bool ParseKeyLayers(const std::string& key, size_t pos,
 
 /// Whether a warm-start artifact saved under `key` may serve dataset
 /// `name` at its current snapshot `ds` (see LoadCache): the key names this
-/// dataset at this version, its layers are ascending and in range, and
-/// every OVR holds exactly those layers in order, indexes objects inside
-/// the snapshot, carries a region unless the key is MBRB, and holds its
-/// group once.
+/// dataset at this version, its layers are ascending and in range, every
+/// OVR holds exactly those layers in order, indexes objects inside the
+/// snapshot and carries a region unless the key is MBRB, and the OVRs are
+/// in strictly ascending canonical order, as every build emits them (so
+/// each group is held once, and the overlay patcher may merge into them).
 bool WarmArtifactFits(const std::string& key, const Movd& movd,
                       const std::string& name, const DatasetSnapshot& ds) {
   const size_t kind_end = key.find('/');
@@ -148,8 +148,10 @@ bool WarmArtifactFits(const std::string& key, const Movd& movd,
     }
   }
   const bool mbrb = key.compare(rest_pos, 6, "/mbrb/") == 0;
-  for (const Ovr& ovr : movd.ovrs) {
-    if (ovr.pois.size() != layers.size() || (!mbrb && ovr.region.Empty())) {
+  for (size_t k = 0; k < movd.ovrs.size(); ++k) {
+    const Ovr& ovr = movd.ovrs[k];
+    if (ovr.pois.size() != layers.size() || (!mbrb && ovr.region.Empty()) ||
+        (k > 0 && !CanonicalOvrLess(movd.ovrs[k - 1], ovr))) {
       return false;
     }
     for (size_t i = 0; i < layers.size(); ++i) {
@@ -160,7 +162,7 @@ bool WarmArtifactFits(const std::string& key, const Movd& movd,
       }
     }
   }
-  return AuditUniqueGroups(movd).ok();
+  return true;
 }
 
 /// FNV-1a over the constraint's vertex coordinates (double bit patterns,
@@ -204,15 +206,15 @@ ServeResponse AuditFailure(const std::string& id, const char* shape,
 
 /// The engine's one overlay fold, for fresh builds and the patch audit
 /// alike: OverlapAll over the layers' basics in ascending layer order on
-/// `threads` threads, then canonical OVR order (model/update_model.h), so
-/// a patched overlay and a rebuilt one are byte-comparable. Null when
-/// `cancel` fired (the overlap may then be truncated).
+/// `threads` threads, which comes out in canonical OVR order
+/// (model/update_model.h), so a patched overlay and a rebuilt one are
+/// byte-comparable. Null when `cancel` fired (the overlap may then be
+/// truncated).
 std::shared_ptr<const Movd> FoldOverlay(const std::vector<Movd>& basics,
                                         BoundaryMode mode, int threads,
                                         const CancelToken* cancel) {
   Movd overlay = OverlapAll(basics, mode, nullptr, cancel, threads);
   if (TokenExpired(cancel)) return nullptr;
-  CanonicalizeOvrOrder(&overlay);
   return std::make_shared<const Movd>(std::move(overlay));
 }
 

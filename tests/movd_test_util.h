@@ -67,7 +67,6 @@ inline ::testing::AssertionResult BitIdentical(const Movd& want,
 
 inline void ExpectSameStats(const OverlapStats& want,
                             const OverlapStats& got) {
-  EXPECT_EQ(got.events, want.events);
   EXPECT_EQ(got.candidate_pairs, want.candidate_pairs);
   EXPECT_EQ(got.pruned_pairs, want.pruned_pairs);
   EXPECT_EQ(got.region_intersections, want.region_intersections);

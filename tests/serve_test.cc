@@ -801,8 +801,9 @@ TEST(ServeEngineTest, WarmStartSkipsCorruptArtifacts) {
 
 TEST(ServeEngineTest, WarmStartSkipsArtifactsThatDoNotFitTheDataset) {
   // A well-formed MOVD file can still be wrong for the server it warms: an
-  // OVR indexing an object the dataset does not have, a repeated group, or
-  // a key naming a dataset or version this process did not register.
+  // OVR indexing an object the dataset does not have, a repeated group,
+  // OVRs out of canonical order, or a key naming a dataset or version this
+  // process did not register.
   const MolqQuery query = TestQuery({6, 6}, 71);
   const std::string dir = TmpDir("unfit");
   EngineRequest request;
@@ -862,6 +863,14 @@ TEST(ServeEngineTest, WarmStartSkipsArtifactsThatDoNotFitTheDataset) {
 
   tampered = original;
   tampered.ovrs.push_back(tampered.ovrs[0]);
+  ASSERT_TRUE(SaveMovd(overlay_file, tampered).ok());
+  EXPECT_EQ(load_into(1), Counts(2, 1));
+
+  // Two OVRs swapped: every group is still there once, but the overlay
+  // patcher merges into the kept OVRs in place, which needs the order.
+  ASSERT_GE(original.ovrs.size(), 2u);
+  tampered = original;
+  std::swap(tampered.ovrs[0], tampered.ovrs[1]);
   ASSERT_TRUE(SaveMovd(overlay_file, tampered).ok());
   EXPECT_EQ(load_into(1), Counts(2, 1));
 }

@@ -68,13 +68,21 @@ void ApplyToQuery(MolqQuery* query, const SiteMutation& mut) {
   FAIL() << "ApplyToQuery: deleting an absent object";
 }
 
-/// The serve stack's overlay fold: OverlapAll in ascending layer order,
-/// canonical OVR order (so patched and rebuilt overlays are
-/// byte-comparable).
-Movd FoldOverlay(const std::vector<Movd>& basics, BoundaryMode mode) {
-  Movd overlay = OverlapAll(basics, mode);
-  CanonicalizeOvrOrder(&overlay);
-  return overlay;
+/// True when the basic MOVD's OVRs name strictly ascending objects: the
+/// object order every basic is built in.
+::testing::AssertionResult InObjectOrder(const Movd& basic) {
+  for (size_t k = 0; k < basic.ovrs.size(); ++k) {
+    if (basic.ovrs[k].pois.size() != 1) {
+      return ::testing::AssertionFailure() << "OVR " << k << " is no cell";
+    }
+    if (k > 0 && basic.ovrs[k - 1].pois[0].object >=
+                     basic.ovrs[k].pois[0].object) {
+      return ::testing::AssertionFailure()
+             << "OVR " << k << " (object " << basic.ovrs[k].pois[0].object
+             << ") after object " << basic.ovrs[k - 1].pois[0].object;
+    }
+  }
+  return ::testing::AssertionSuccess();
 }
 
 // ---------------------------------------------------------------------------
@@ -115,6 +123,50 @@ TEST(OrdinaryLayerStateTest, MaterializeMatchesFullBuildAcrossMutations) {
           << AuditPatchedMovd(patched, rebuilt).Summary();
     }
   }
+}
+
+TEST(OrdinaryLayerStateTest, BasicsComeInObjectOrder) {
+  // Random sites, so LessXY site order is not object order, with a few
+  // objects on top of earlier ones.
+  MolqQuery query = OrdinaryQuery({40}, 7);
+  std::vector<SpatialObject>& objects = query.sets[0].objects;
+  for (const size_t i : {5, 17, 30}) {
+    objects[i].location = objects[i - 3].location;
+  }
+  EXPECT_TRUE(InObjectOrder(BuildBasicMovd(query, 0, kWorld, 128)));
+
+  // The mirror after every step of an INSERT/DELETE script, including an
+  // insert at a live site and a delete of a co-located site's first object.
+  OrdinaryLayerState state(query, 0, kWorld);
+  EXPECT_TRUE(InObjectOrder(state.Materialize()));
+  Rng rng(71);
+  for (int step = 0; step < 16; ++step) {
+    SiteMutation mut;
+    mut.layer = 0;
+    const size_t n = query.sets[0].objects.size();
+    if (step % 2 == 1) {
+      // Step 5 deletes object 0, which step 4 gave a co-located twin.
+      mut.kind = MutationKind::kDelete;
+      mut.location =
+          query.sets[0].objects[step == 5 ? 0 : rng.NextBelow(n)].location;
+    } else {
+      mut.kind = MutationKind::kInsert;
+      mut.location = step == 4 ? query.sets[0].objects[0].location
+                               : Point{rng.Uniform(5, 95), rng.Uniform(5, 95)};
+    }
+    LayerPatchStats stats;
+    ASSERT_TRUE(state.Apply(mut, &stats)) << "step " << step;
+    ApplyToQuery(&query, mut);
+    EXPECT_TRUE(InObjectOrder(state.Materialize())) << "step " << step;
+  }
+
+  // The weighted route too.
+  MolqQuery weighted = OrdinaryQuery({30}, 8);
+  for (size_t i = 0; i < weighted.sets[0].objects.size(); ++i) {
+    weighted.sets[0].objects[i].object_weight = 1.0 + 0.1 * (i % 5);
+  }
+  ASSERT_FALSE(OrdinaryDiagramSuffices(weighted, 0));
+  EXPECT_TRUE(InObjectOrder(BuildBasicMovd(weighted, 0, kWorld, 64)));
 }
 
 TEST(OrdinaryLayerStateTest, HandlesDuplicateLocations) {
@@ -215,7 +267,7 @@ TEST_P(PatchOverlayTest, InsertPatchMatchesFullRefold) {
     for (int32_t s = 0; s < 3; ++s) {
       basics.push_back(BuildBasicMovd(query, s, kWorld, 128));
     }
-    const Movd old_overlay = FoldOverlay(basics, mode);
+    const Movd old_overlay = OverlapAll(basics, mode);
 
     Rng rng(seed);
     SiteMutation mut{MutationKind::kInsert,
@@ -229,7 +281,7 @@ TEST_P(PatchOverlayTest, InsertPatchMatchesFullRefold) {
     const auto basic_of = [&](int32_t layer) { return &basics[layer]; };
     ASSERT_TRUE(PatchOverlay(old_overlay, {0, 1, 2}, 1, basics[1], new_basic,
                              basic_of, mode, -1, &patched, &stats));
-    const Movd rebuilt = FoldOverlay({basics[0], new_basic, basics[2]}, mode);
+    const Movd rebuilt = OverlapAll({basics[0], new_basic, basics[2]}, mode);
     EXPECT_TRUE(MovdBitIdentical(patched, rebuilt))
         << "seed " << seed << ": "
         << AuditPatchedMovd(patched, rebuilt).Summary();
@@ -247,7 +299,7 @@ TEST_P(PatchOverlayTest, DeletePatchMatchesFullRefold) {
     for (int32_t s = 0; s < 3; ++s) {
       basics.push_back(BuildBasicMovd(query, s, kWorld, 128));
     }
-    const Movd old_overlay = FoldOverlay(basics, mode);
+    const Movd old_overlay = OverlapAll(basics, mode);
 
     const int32_t victim = static_cast<int32_t>(seed % 8);
     SiteMutation mut{MutationKind::kDelete, 1,
@@ -261,7 +313,7 @@ TEST_P(PatchOverlayTest, DeletePatchMatchesFullRefold) {
     const auto basic_of = [&](int32_t layer) { return &basics[layer]; };
     ASSERT_TRUE(PatchOverlay(old_overlay, {0, 1, 2}, 1, basics[1], new_basic,
                              basic_of, mode, victim, &patched, &stats));
-    const Movd rebuilt = FoldOverlay({basics[0], new_basic, basics[2]}, mode);
+    const Movd rebuilt = OverlapAll({basics[0], new_basic, basics[2]}, mode);
     EXPECT_TRUE(MovdBitIdentical(patched, rebuilt))
         << "seed " << seed << ": "
         << AuditPatchedMovd(patched, rebuilt).Summary();
@@ -274,7 +326,7 @@ TEST(PatchOverlayNoParamTest, MissingPeerBasicRefusesToPatch) {
   for (int32_t s = 0; s < 2; ++s) {
     basics.push_back(BuildBasicMovd(query, s, kWorld, 128));
   }
-  const Movd old_overlay = FoldOverlay(basics, BoundaryMode::kRealRegion);
+  const Movd old_overlay = OverlapAll(basics, BoundaryMode::kRealRegion);
   SiteMutation mut{MutationKind::kInsert, 1, {33.0, 44.0}};
   ApplyToQuery(&query, mut);
   const Movd new_basic = BuildBasicMovd(query, 1, kWorld, 128);
@@ -297,7 +349,7 @@ TEST(AuditUpdateTest, CleanOnIdenticalArtifacts) {
   for (int32_t s = 0; s < 2; ++s) {
     basics.push_back(BuildBasicMovd(query, s, kWorld, 128));
   }
-  const Movd overlay = FoldOverlay(basics, BoundaryMode::kRealRegion);
+  const Movd overlay = OverlapAll(basics, BoundaryMode::kRealRegion);
   const AuditReport report = AuditPatchedMovd(overlay, overlay);
   EXPECT_TRUE(report.ok()) << report.Summary();
   EXPECT_GT(report.checks(), 0u);
@@ -309,7 +361,7 @@ TEST(AuditUpdateTest, FlagsCountAndByteMismatches) {
   for (int32_t s = 0; s < 2; ++s) {
     basics.push_back(BuildBasicMovd(query, s, kWorld, 128));
   }
-  const Movd rebuilt = FoldOverlay(basics, BoundaryMode::kRealRegion);
+  const Movd rebuilt = OverlapAll(basics, BoundaryMode::kRealRegion);
 
   Movd truncated = rebuilt;
   truncated.ovrs.pop_back();
