@@ -6,8 +6,10 @@
 #include <string>
 #include <vector>
 
+#include "audit/audit_weighted.h"
 #include "bench_lib/bench.h"
 #include "core/molq.h"
+#include "core/weighted_distance.h"
 #include "model/object.h"
 #include "data/generate.h"
 #include "geom/rect.h"
@@ -85,27 +87,42 @@ inline MolqQuery MakeWeightedQuery(const std::vector<size_t>& sizes,
   return query;
 }
 
-/// One weighted basic MOVD per class, built with the given construction
-/// method (paper §5.3; DESIGN.md §11). The `ovrs_out` sum is a
-/// deterministic metric: both methods derive ownership from the shared
-/// BestWeightedSite tie rule, and each construction is bit-identical for
-/// every thread count.
+/// One weighted basic MOVD per class (paper §5.3; DESIGN.md §11): the
+/// library's BuildBasicMovd, or with `dense` the dense-grid audit oracle
+/// over the same weighted sites. The `ovrs_out` sum is a deterministic
+/// metric: both derive ownership from the shared BestWeightedSite tie
+/// rule, and each is bit-identical for every thread count.
 inline std::vector<Movd> MakeWeightedBasicMovds(const MolqQuery& query,
-                                                WeightedMethod method,
-                                                int resolution, int threads) {
+                                                bool dense, int resolution,
+                                                int threads) {
   std::vector<Movd> out(query.sets.size());
   for (size_t s = 0; s < query.sets.size(); ++s) {
-    out[s] = BuildBasicMovd(query, static_cast<int32_t>(s), kWorld,
-                            resolution, threads, /*audit=*/nullptr, method);
+    const auto set = static_cast<int32_t>(s);
+    if (!dense) {
+      out[s] = BuildBasicMovd(query, set, kWorld, resolution, threads);
+      continue;
+    }
+    std::vector<WeightedSite> sites;
+    std::vector<int32_t> objects;
+    for (const SpatialObject& obj : query.sets[s].objects) {
+      const FermatWeberTerm term = DecomposeWeightedDistance(
+          obj, query.type_function, query.ObjectFunction(s));
+      objects.push_back(static_cast<int32_t>(sites.size()));
+      sites.push_back({obj.location, term.fw_weight, term.offset});
+    }
+    out[s] = MovdFromWeightedApprox(
+        ApproximateWeightedVoronoi(sites, kWorld, resolution, threads), set,
+        objects);
   }
   return out;
 }
 
 /// The weighted VD-Generator (build-phase) cases shared by the Fig. 11-14
-/// harnesses: one adaptive and one dense-grid case per workload, measuring
-/// BuildBasicMovd over a `types`-set weighted query of `n` objects per
-/// set. The summed OVR count is a deterministic gated Metric; the adaptive
-/// case carries a Derived speedup_vs_dense for observability.
+/// harnesses: one case for the builder ("adaptive") and one for the
+/// dense-grid audit oracle ("dense") per workload, over a `types`-set
+/// weighted query of `n` objects per set. The summed OVR count is a
+/// deterministic gated Metric; the adaptive case carries a Derived
+/// speedup_vs_dense for observability.
 inline void WeightedBuildCases(BenchContext& ctx, size_t types, size_t n,
                                int resolution) {
   const MolqQuery query =
@@ -113,9 +130,8 @@ inline void WeightedBuildCases(BenchContext& ctx, size_t types, size_t n,
   const std::string suffix =
       "/types=" + std::to_string(types) + "/n=" + std::to_string(n);
   const Summary* dense_wall = nullptr;
-  for (const auto& [method, name] :
-       {std::pair{WeightedMethod::kDenseGrid, "dense"},
-        std::pair{WeightedMethod::kAdaptive, "adaptive"}}) {
+  for (const auto& [dense, name] :
+       {std::pair{true, "dense"}, std::pair{false, "adaptive"}}) {
     BenchCase& c = ctx.Case(std::string("wbuild_") + name + suffix)
                        .Param("method", name)
                        .Param("types", types)
@@ -124,13 +140,13 @@ inline void WeightedBuildCases(BenchContext& ctx, size_t types, size_t n,
     size_t ovrs = 0;
     const Summary& wall = ctx.Measure(c, [&] {
       const auto basic =
-          MakeWeightedBasicMovds(query, method, resolution, ctx.threads());
+          MakeWeightedBasicMovds(query, dense, resolution, ctx.threads());
       ovrs = 0;
       for (const Movd& m : basic) ovrs += m.ovrs.size();
       Keep(ovrs);
     });
     c.Metric("movd_ovrs", static_cast<double>(ovrs));
-    if (method == WeightedMethod::kDenseGrid) {
+    if (dense) {
       dense_wall = &wall;
     } else {
       c.Derived("speedup_vs_dense", dense_wall->median / wall.median);

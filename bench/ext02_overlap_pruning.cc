@@ -23,6 +23,8 @@ MolqResult SolveUnpruned(const MolqQuery& query, const MolqOptions& options) {
   MolqResult result;
   const Movd movd =
       BuildMolqOverlay(query, kWorld, options, /*prune=*/false, &result);
+  MOVD_CHECK_MSG(result.status == StatusCode::kOk,
+                 "the unpruned overlay did not build");
   const OptimizerResult best = OptimizeMovd(query, movd, options);
   result.location = best.location;
   result.cost = best.cost;
@@ -86,7 +88,8 @@ BENCH(ext02_overlap_pruning) {
         OverlapMetrics(pruned_r, &pruned);
         pruned.Metric("pruned_objects",
                       static_cast<double>(pruned_r.stats.pruned_objects));
-        MOVD_CHECK_MSG(SameAnswer(plain_r, pruned_r),
+        MOVD_CHECK_MSG(pruned_r.status == StatusCode::kOk &&
+                           SameAnswer(plain_r, pruned_r),
                        "pruned answer differs from the unpruned pipeline");
         pruned.Derived("speedup_vs_plain",
                        plain_wall.median / pruned_wall.median);

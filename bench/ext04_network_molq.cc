@@ -9,6 +9,7 @@
 #include "bench/bench_common.h"
 #include "network/graph.h"
 #include "network/network_molq.h"
+#include "util/check.h"
 
 namespace movd::bench {
 
@@ -47,6 +48,8 @@ BENCH(ext04_network_molq) {
       opts.epsilon = 1e-6;
       opts.exec = ctx.MakeExec();
       const MolqResult euclid = SolveMolq(query, kWorld, opts);
+      MOVD_CHECK_MSG(euclid.status == StatusCode::kOk,
+                     "the Euclidean solve returned no answer");
       const int32_t snapped = net.NearestVertex(euclid.location);
       double snapped_cost = 0.0;
       for (const auto& set : sets) {

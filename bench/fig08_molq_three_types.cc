@@ -29,6 +29,7 @@ double SolveOnce(const BenchContext& ctx, const MolqQuery& query,
   opts.exec = ctx.MakeExec();
   opts.exec.threads = threads;
   const MolqResult r = SolveMolq(query, kWorld, opts);
+  MOVD_CHECK_MSG(r.status == StatusCode::kOk, "the solve returned no answer");
   if (opts.exec.audit && !r.audit.ok()) {
     for (const std::string& v : r.audit.Messages()) {
       std::fprintf(stderr, "audit violation: %s\n", v.c_str());

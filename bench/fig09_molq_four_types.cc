@@ -6,6 +6,7 @@
 // Harnessed (DESIGN.md §10). Extra flags: --sizes=8,16,24,32 --epsilon=1e-3.
 
 #include "bench/bench_common.h"
+#include "util/check.h"
 
 namespace movd::bench {
 
@@ -34,6 +35,8 @@ BENCH(fig09_four_types) {
         opts.exec = ctx.MakeExec();
         result = SolveMolq(query, kWorld, opts);
       });
+      MOVD_CHECK_MSG(result.status == StatusCode::kOk,
+                     "the solve returned no answer");
       c.Metric("cost", result.cost);
       if (algo == MolqAlgorithm::kRrb) {
         rrb_ovrs = result.stats.final_ovrs;

@@ -1,6 +1,6 @@
-// Microbenchmark of the weighted-Voronoi constructions (paper §5.3,
-// DESIGN.md §11): the adaptive quadtree builder vs the dense-grid
-// reference, across site counts and weight regimes (multiplicative-only
+// Microbenchmark of the weighted-Voronoi construction (paper §5.3,
+// DESIGN.md §11): the adaptive quadtree builder vs the dense-grid audit
+// oracle, across site counts and weight regimes (multiplicative-only
 // and affine). The non-empty-cell and cover-ring counts are deterministic
 // Metrics gated exactly by bench_diff — both constructions derive
 // ownership from the shared BestWeightedSite tie rule and are
@@ -9,6 +9,7 @@
 //
 // Extra flags: --sizes=64,256  --resolution=256
 
+#include "audit/audit_weighted.h"
 #include "bench/bench_common.h"
 #include "util/rng.h"
 #include "voronoi/weighted.h"
@@ -48,11 +49,9 @@ BENCH(micro_weighted) {
       opts.resolution = resolution;
       opts.threads = ctx.threads();
 
-      const Summary* walls[2] = {nullptr, nullptr};
-      for (const auto& [method, name] :
-           {std::pair{WeightedMethod::kDenseGrid, "dense"},
-            std::pair{WeightedMethod::kAdaptive, "adaptive"}}) {
-        opts.method = method;
+      const Summary* dense_wall = nullptr;
+      for (const auto& [dense, name] :
+           {std::pair{true, "dense"}, std::pair{false, "adaptive"}}) {
         BenchCase& c = ctx.Case(std::string(name) + suffix)
                            .Param("method", name)
                            .Param("regime", regime)
@@ -61,7 +60,10 @@ BENCH(micro_weighted) {
         size_t nonempty = 0;
         size_t rings = 0;
         const Summary& wall = ctx.Measure(c, [&] {
-          const auto cells = BuildWeightedCells(sites, kWorld, opts);
+          const auto cells =
+              dense ? ApproximateWeightedVoronoi(sites, kWorld, resolution,
+                                                 ctx.threads())
+                    : BuildWeightedCells(sites, kWorld, opts);
           nonempty = 0;
           rings = 0;
           for (const auto& cell : cells) {
@@ -72,11 +74,10 @@ BENCH(micro_weighted) {
         });
         c.Metric("nonempty_cells", static_cast<double>(nonempty));
         c.Metric("cover_rings", static_cast<double>(rings));
-        if (method == WeightedMethod::kDenseGrid) {
-          walls[0] = &wall;
+        if (dense) {
+          dense_wall = &wall;
         } else {
-          walls[1] = &wall;
-          c.Derived("speedup_vs_dense", walls[0]->median / wall.median);
+          c.Derived("speedup_vs_dense", dense_wall->median / wall.median);
         }
       }
     }

@@ -22,6 +22,7 @@
 #include "query/diversify.h"
 #include "query/skyline.h"
 #include "query/whatif.h"
+#include "util/check.h"
 #include "util/rng.h"
 
 namespace movd::bench {
@@ -80,6 +81,8 @@ BENCH(query) {
         MolqResult stages;
         movd = BuildMolqOverlay(query, kWorld, options, /*prune=*/false,
                                 &stages);
+        MOVD_CHECK_MSG(stages.status == StatusCode::kOk,
+                       "the overlay did not build");
       });
       c.Metric("ovrs", static_cast<double>(movd.ovrs.size()));
     }

@@ -59,6 +59,10 @@ int main(int argc, char** argv) {
     options.algorithm = algo;
     Stopwatch sw;
     const MolqResult r = SolveMolq(query, kWorld, options);
+    if (r.status != StatusCode::kOk) {
+      std::fprintf(stderr, "%s: %s\n", name, StatusCodeName(r.status));
+      return 1;
+    }
     Report(name, r, sw.ElapsedSeconds());
   }
   return 0;

@@ -266,6 +266,10 @@ int Solve(const Flags& flags) {
     if (rc != 0) return rc;
   } else if (k > 1 && options.algorithm != MolqAlgorithm::kSsc) {
     const MolqResult top = SolveMolqTopK(query, world, k, options);
+    if (top.status != StatusCode::kOk) {
+      std::fprintf(stderr, "solve: %s\n", StatusCodeName(top.status));
+      return 1;
+    }
     // One JSON line per rank, through the serializer shared with the
     // serving engine's wire responses (serve/protocol.h).
     for (const SiteCandidate& r : top.ranked) {
@@ -274,6 +278,10 @@ int Solve(const Flags& flags) {
     if (!top.ranked.empty()) answer = top.ranked.front().location;
   } else {
     const MolqResult r = SolveMolq(query, world, options);
+    if (r.status != StatusCode::kOk) {
+      std::fprintf(stderr, "solve: %s\n", StatusCodeName(r.status));
+      return 1;
+    }
     std::printf("%s\n", AnswerJson(query, r.ranked.front()).c_str());
     answer = r.location;
     std::fprintf(stderr,

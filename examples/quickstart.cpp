@@ -18,6 +18,8 @@ using movd::ObjectSet;
 using movd::Point;
 using movd::Rect;
 using movd::SpatialObject;
+using movd::StatusCode;
+using movd::StatusCodeName;
 
 namespace {
 
@@ -55,6 +57,10 @@ int main() {
   options.algorithm = MolqAlgorithm::kRrb;
   options.epsilon = 1e-6;
   const auto rrb = SolveMolq(query, city, options);
+  if (rrb.status != StatusCode::kOk) {
+    std::fprintf(stderr, "RRB: %s\n", StatusCodeName(rrb.status));
+    return 1;
+  }
 
   std::printf("Optimal location: (%.1f, %.1f)\n", rrb.location.x,
               rrb.location.y);
@@ -67,6 +73,10 @@ int main() {
   // Cross-check with the brute-force SSC baseline.
   options.algorithm = MolqAlgorithm::kSsc;
   const auto ssc = SolveMolq(query, city, options);
+  if (ssc.status != StatusCode::kOk) {
+    std::fprintf(stderr, "SSC: %s\n", StatusCodeName(ssc.status));
+    return 1;
+  }
   std::printf("SSC agrees: cost %.1f (deviation %.2e)\n", ssc.cost,
               std::abs(ssc.cost - rrb.cost) / ssc.cost);
   return 0;

@@ -104,6 +104,10 @@ int main(int argc, char** argv) {
 
   std::printf("Uniform preferences:\n");
   const MolqResult uniform = SolveMolq(query, kCity, options);
+  if (uniform.status != StatusCode::kOk) {
+    std::fprintf(stderr, "solve: %s\n", StatusCodeName(uniform.status));
+    return 1;
+  }
   std::printf("  residence at (%.0f, %.0f), weighted distance %.0f\n",
               uniform.location.x, uniform.location.y, uniform.cost);
   Render(query, uniform, out_dir + "/residential_uniform.svg");
@@ -123,6 +127,10 @@ int main(int argc, char** argv) {
   for (SpatialObject& obj : query.sets[2].objects) obj.object_weight = 0.0;
   query.sets[2].objects[disliked[2]].object_weight = 2500.0;
   const MolqResult personalised = SolveMolq(query, kCity, options);
+  if (personalised.status != StatusCode::kOk) {
+    std::fprintf(stderr, "solve: %s\n", StatusCodeName(personalised.status));
+    return 1;
+  }
   std::printf("  residence at (%.0f, %.0f), weighted distance %.0f\n",
               personalised.location.x, personalised.location.y,
               personalised.cost);

@@ -48,6 +48,10 @@ int main(int argc, char** argv) {
   MolqOptions options;
   options.epsilon = 1e-6;
   const MolqResult euclidean = SolveMolq(query, kCity, options);
+  if (euclidean.status != StatusCode::kOk) {
+    std::fprintf(stderr, "solve: %s\n", StatusCodeName(euclidean.status));
+    return 1;
+  }
 
   // Network answer (shortest-path distances, exact vertex optimum).
   const auto sets = SnapQueryToNetwork(roads, query);

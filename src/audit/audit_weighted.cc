@@ -4,11 +4,45 @@
 #include <limits>
 
 #include "audit/audit_polygon.h"
+#include "geom/gridcontour.h"
+#include "geom/hull.h"
+#include "util/check.h"
+#include "util/thread_pool.h"
 
 namespace movd {
 namespace {
 
-// Structural invariants shared by both construction methods: cell/site
+// The dense lattice the oracle samples and the adaptive replay re-samples:
+// cell (gx, gy) of a resolution x resolution grid over `bounds`, stood for
+// by its centre.
+struct DenseLattice {
+  DenseLattice(const Rect& b, int r)
+      : bounds(b), resolution(r), step_x(b.Width() / r),
+        step_y(b.Height() / r) {}
+
+  Point Centre(int gx, int gy) const {
+    return {bounds.min_x + (gx + 0.5) * step_x,
+            bounds.min_y + (gy + 0.5) * step_y};
+  }
+
+  // The owners of row gy's centres under the shared tie rule (strict <,
+  // lowest index): the owner of a centre is a pure function of the point,
+  // never of the grid it was sampled on. Rows are independent.
+  void OwnRow(const std::vector<WeightedSite>& sites, int gy,
+              int32_t* owner) const {
+    for (int gx = 0; gx < resolution; ++gx) {
+      owner[gx] =
+          static_cast<int32_t>(BestWeightedSite(Centre(gx, gy), sites));
+    }
+  }
+
+  Rect bounds;
+  int resolution;
+  double step_x;
+  double step_y;
+};
+
+// Structural invariants shared by both builders: cell/site
 // alignment, empty-flag consistency (empty cells keep the sentinel invalid
 // Rect and no hull/cover), the MBR containment chain, and simple-CCW cover
 // rings. Returns false when the cell vector does not even line up with the
@@ -110,6 +144,69 @@ bool StructuralChecks(const std::vector<WeightedSite>& sites,
 
 }  // namespace
 
+std::vector<WeightedCellApprox> ApproximateWeightedVoronoi(
+    const std::vector<WeightedSite>& sites, const Rect& bounds,
+    int resolution, int threads) {
+  MOVD_CHECK_MSG(resolution > 0, "the dominance grid needs >= 1 cell");
+  MOVD_CHECK_MSG(!bounds.Empty(),
+                 "weighted diagrams need a non-empty bounding rectangle");
+  std::vector<WeightedCellApprox> cells(sites.size());
+  for (size_t i = 0; i < sites.size(); ++i) {
+    cells[i].site = static_cast<int32_t>(i);
+  }
+  if (sites.empty()) return cells;
+
+  const DenseLattice lattice(bounds, resolution);
+  std::vector<int32_t> owner(static_cast<size_t>(resolution) * resolution);
+  ParallelFor(threads, static_cast<size_t>(resolution), [&](size_t row) {
+    lattice.OwnRow(sites, static_cast<int>(row),
+                   &owner[row * static_cast<size_t>(resolution)]);
+  });
+
+  // Gather each site's dominated sample centers in row-major order.
+  std::vector<std::vector<Point>> samples(sites.size());
+  for (int gy = 0; gy < resolution; ++gy) {
+    for (int gx = 0; gx < resolution; ++gx) {
+      const int32_t o = owner[static_cast<size_t>(gy) * resolution + gx];
+      samples[o].push_back(lattice.Centre(gx, gy));
+    }
+  }
+
+  // Per-site cover extraction: each task writes only cells[i] and reads
+  // the shared owner grid, so sites are independent.
+  ParallelFor(threads, sites.size(), [&](size_t i) {
+    WeightedCellApprox& cell = cells[i];
+    cell.sample_count = samples[i].size();
+    cell.empty = samples[i].empty();
+    if (cell.empty) return;
+    Rect mbr;
+    for (const Point& p : samples[i]) mbr.Expand(p);
+    // A dominated sample is the center of a grid cell.
+    cell.mbr = Rect(mbr.min_x - 0.5 * lattice.step_x,
+                    mbr.min_y - 0.5 * lattice.step_y,
+                    mbr.max_x + 0.5 * lattice.step_x,
+                    mbr.max_y + 0.5 * lattice.step_y);
+    const ConvexPolygon hull = ConvexHull(samples[i]);
+    if (!hull.Empty()) cell.hull = Polygon(hull.vertices());
+    std::vector<uint8_t> cell_mask(owner.size());
+    for (size_t c = 0; c < owner.size(); ++c) {
+      cell_mask[c] = owner[c] == static_cast<int32_t>(i) ? 1 : 0;
+    }
+    cell.cover = ExtractOuterContours(cell_mask, resolution, resolution,
+                                      bounds, /*dilate=*/true);
+    // The dilation can push the cover past the half-step MBR; keep the
+    // MBR a cover of both.
+    for (const Polygon& piece : cell.cover) {
+      cell.mbr.Expand(piece.Bbox());
+    }
+    // The half-step expansion can land an ulp past the domain edge; the
+    // dominance region lives inside `bounds` by definition, so clipping
+    // the MBR to it loses nothing.
+    cell.mbr = cell.mbr.Intersect(bounds);
+  });
+  return cells;
+}
+
 AuditReport AuditWeightedCells(const std::vector<WeightedSite>& sites,
                                const std::vector<WeightedCellApprox>& cells,
                                const Rect& bounds, int resolution) {
@@ -167,21 +264,20 @@ AuditReport AuditAdaptiveWeightedCells(
   if (!StructuralChecks(sites, cells, bounds, &report)) return report;
   if (sites.empty()) return report;
 
-  // Cross-method dominance containment: replay the dense lattice at the
-  // adaptive method's effective resolution with the shared tie rule and
-  // demand every dominated sample center inside its owner's cover. This
-  // is the "adaptive strictly contains the dense-grid dominated set"
-  // guarantee; it also pins the tie rule to one shared implementation —
-  // if any caller diverged from BestWeightedSite, the replay would flag
-  // the flipped boundary samples here.
-  const int res = EffectiveWeightedResolution(resolution);
-  const double step_x = bounds.Width() / res;
-  const double step_y = bounds.Height() / res;
-  for (int gy = 0; gy < res; ++gy) {
-    for (int gx = 0; gx < res; ++gx) {
-      const Point c{bounds.min_x + (gx + 0.5) * step_x,
-                    bounds.min_y + (gy + 0.5) * step_y};
-      const size_t owner = BestWeightedSite(c, sites);
+  // Cross-builder dominance containment: replay the oracle's lattice at
+  // the adaptive builder's effective resolution and demand every
+  // dominated sample center inside its owner's cover. This is the
+  // "adaptive strictly contains the dense-grid dominated set" guarantee;
+  // it also pins the tie rule to one shared implementation — if any
+  // caller diverged from BestWeightedSite, the replay would flag the
+  // flipped boundary samples here.
+  const DenseLattice lattice(bounds, EffectiveWeightedResolution(resolution));
+  std::vector<int32_t> owners(static_cast<size_t>(lattice.resolution));
+  for (int gy = 0; gy < lattice.resolution; ++gy) {
+    lattice.OwnRow(sites, gy, owners.data());
+    for (int gx = 0; gx < lattice.resolution; ++gx) {
+      const Point c = lattice.Centre(gx, gy);
+      const auto owner = static_cast<size_t>(owners[gx]);
       const WeightedCellApprox& cell = cells[owner];
       report.NoteChecks(1);
       if (cell.empty || !cell.mbr.Contains(c)) {

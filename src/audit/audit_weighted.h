@@ -9,8 +9,22 @@
 
 namespace movd {
 
-/// Validates the grid-approximated weighted Voronoi diagram produced by
-/// ApproximateWeightedVoronoi against its defining invariants:
+/// Dense-grid oracle of the weighted diagram (never on a pipeline path):
+/// assigns each cell of a `resolution` x `resolution` grid over `bounds`
+/// to the generator that owns its centre under BestWeightedSite, the
+/// lattice and owners AuditAdaptiveWeightedCells replays. Each cell's
+/// `sample_count` is the number of grid cells it owns, its `hull` the
+/// convex hull of their centres, its `cover` their one-cell-dilated outer
+/// contours clipped to `bounds`, and its `mbr` a cover of both.
+/// O(resolution^2 * n). `threads` parallelises the dominance sampling (by
+/// grid row) and the per-site cover extraction; the result is identical
+/// for every thread count.
+std::vector<WeightedCellApprox> ApproximateWeightedVoronoi(
+    const std::vector<WeightedSite>& sites, const Rect& bounds,
+    int resolution, int threads = 1);
+
+/// Validates the dense oracle's diagram (ApproximateWeightedVoronoi)
+/// against its defining invariants:
 ///  - one cell per generator, cells[i].site == i;
 ///  - `empty` consistent with `sample_count`, and empty cells carry no
 ///    hull/cover/MBR;
@@ -28,17 +42,17 @@ AuditReport AuditWeightedCells(const std::vector<WeightedSite>& sites,
                                const std::vector<WeightedCellApprox>& cells,
                                const Rect& bounds, int resolution);
 
-/// Validates the adaptive quadtree diagram (WeightedMethod::kAdaptive,
-/// DESIGN.md §11) against its conservative-cover contract:
-///  - the structural invariants shared with the dense method (cell/site
+/// Validates the adaptive quadtree diagram (BuildWeightedCells, DESIGN.md
+/// §11) against its conservative-cover contract:
+///  - the structural invariants shared with the dense oracle (cell/site
 ///    alignment, empty-flag consistency with the sentinel invalid MBR,
 ///    MBR-in-bounds and cover-in-MBR containment, simple CCW cover rings);
-///  - the cross-method dominance guarantee: every sample center of the
+///  - the cross-builder dominance guarantee: every sample center of the
 ///    EffectiveWeightedResolution(resolution) dense lattice that the
 ///    BestWeightedSite tie rule assigns to generator i lies inside cell
-///    i's cover (and MBR). The replay uses the same shared owner function
-///    as both builders, so the tie rule is asserted to be
-///    resolution-independent and method-independent at once. Because the
+///    i's cover (and MBR). The replay samples the oracle's lattice through
+///    the oracle's own owner function, so the tie rule is asserted to be
+///    resolution-independent and builder-independent at once. Because the
 ///    adaptive covers contain the whole classified dominance region, a
 ///    single missed sample is a real construction bug, not tolerance
 ///    noise.

@@ -116,7 +116,7 @@ Movd OrdinaryMovd(VoronoiDiagram* vd, int32_t set,
 Movd BuildBasicMovd(const MolqQuery& query, int32_t set,
                     const Rect& search_space, int weighted_grid_resolution,
                     int threads, AuditReport* audit,
-                    WeightedMethod weighted_method) {
+                    WeightedMethod /*weighted_method*/) {
   const ObjectSet& objects = query.sets.at(set);
   MOVD_CHECK_MSG(!objects.objects.empty(),
                  "every query set needs at least one object");
@@ -141,23 +141,15 @@ Movd BuildBasicMovd(const MolqQuery& query, int32_t set,
     sites.push_back({obj.location, term.fw_weight, term.offset});
   }
   WeightedOptions wopts;
-  wopts.method = weighted_method;
   wopts.resolution = weighted_grid_resolution;
   wopts.threads = threads;
   const auto cells = BuildWeightedCells(sites, search_space, wopts);
   if (audit != nullptr) {
-    // Post-cell-extraction seam, weighted route. The dense auditor's
-    // sample-sum and hull-vertex invariants only hold for the dense
-    // sampler, so the adaptive route gets its own auditor (which also
-    // replays the cross-method dominance-containment guarantee).
-    const AuditReport sub =
-        weighted_method == WeightedMethod::kDenseGrid
-            ? AuditWeightedCells(sites, cells, search_space,
-                                 weighted_grid_resolution)
-            : AuditAdaptiveWeightedCells(sites, cells, search_space,
-                                         weighted_grid_resolution);
-    MergeStageAudit(sub, "set " + std::to_string(set) + " weighted cells",
-                    audit);
+    // Post-cell-extraction seam, weighted route: the structural checks
+    // plus the dense-lattice replay of the cover-containment guarantee.
+    MergeStageAudit(AuditAdaptiveWeightedCells(sites, cells, search_space,
+                                               weighted_grid_resolution),
+                    "set " + std::to_string(set) + " weighted cells", audit);
   }
   std::vector<int32_t> object_of_site(cells.size());
   for (size_t i = 0; i < cells.size(); ++i) {
@@ -217,8 +209,7 @@ Movd BuildMolqOverlay(const MolqQuery& query, const Rect& search_space,
       }
       basic[i] = BuildBasicMovd(query, set, search_space,
                                 options.exec.weighted_grid_resolution,
-                                inner_threads, audit_of(i),
-                                options.exec.weighted_method);
+                                inner_threads, audit_of(i));
     });
     if (prune) {
       bound.emplace(query, search_space, options.epsilon);
@@ -290,6 +281,9 @@ Movd BuildMolqOverlay(const MolqQuery& query, const Rect& search_space,
     MergeStageAudit(AuditMovdOverlay(movd, basic, mode, search_space),
                     "overlay", &result->audit);
   }
+  // No combination owns any region, so there is nothing to optimise
+  // (every cell clipped to nothing, as at coordinates far from unit scale).
+  if (movd.ovrs.empty()) result->status = StatusCode::kInternal;
   return movd;
 }
 

@@ -37,8 +37,11 @@ struct MolqOptions : OptimizerOptions {
 
 /// Terminal state of one MOLQ evaluation: StatusCode::kOk when the run
 /// completed and the answer fields are valid, StatusCode::kCancelled when
-/// options.exec.cancel fired (no answer fields are valid then). An alias
-/// of the repo-wide status vocabulary so core and serve speak one enum.
+/// options.exec.cancel fired, StatusCode::kInternal when the overlay came
+/// out empty (no object combination owns any region; e.g. input so far
+/// from unit scale that every Voronoi cell clips to nothing). No answer
+/// field is valid unless kOk. An alias of the repo-wide status vocabulary
+/// so core and serve speak one enum.
 using MolqStatus = StatusCode;
 
 /// Per-stage instrumentation of one query evaluation.
@@ -53,7 +56,11 @@ struct MolqStats {
   /// (CombinationBound::KeepSites; 0 without pruning).
   size_t pruned_objects = 0;
   OverlapStats overlap;  ///< pruned_pairs: pairs cut by combination pruning
-  OptimizerStats optimizer;  ///< the Optimizer's or SSC's scan
+  /// The Optimizer's or SSC's scan. `problems` is fixed by the input, but
+  /// skipped_prefilter, pruned_by_bound and total_iterations vary with
+  /// exec.threads on identical input: the shared cost bound tightens in a
+  /// thread-dependent order. The answer does not vary.
+  OptimizerStats optimizer;
 };
 
 /// Result of one MOLQ evaluation. Every entry point — SolveMolq,
@@ -61,8 +68,9 @@ struct MolqStats {
 /// audit report, and the trace handle always travel together instead of
 /// by per-entry-point side channels.
 struct MolqResult {
-  /// kOk unless options.exec.cancel fired mid-run; the answer fields are
-  /// only meaningful when kOk.
+  /// kOk unless options.exec.cancel fired mid-run or the overlay came out
+  /// empty (see MolqStatus); the answer fields are only meaningful when
+  /// kOk.
   MolqStatus status = StatusCode::kOk;
   Point location;
   double cost = 0.0;
@@ -84,20 +92,19 @@ struct MolqResult {
 
 /// Builds the basic MOVD of one object set (the framework's VD Generator,
 /// Fig. 3): an exact ordinary Voronoi diagram when all object weights in
-/// the set are equal (ς^o is then rank-preserving in the distance), or an
-/// approximated weighted diagram otherwise. `weighted_method` picks the
-/// weighted construction (adaptive quadtree by default, dense grid as the
-/// reference fallback — see DESIGN.md §11); both share the same owner tie
-/// rule, so the method changes cover tightness and build time, never which
-/// generator dominates a point. Either way the OVRs come in object order,
+/// the set are equal (ς^o is then rank-preserving in the distance), or the
+/// approximated weighted diagram of BuildWeightedCells otherwise (adaptive
+/// quadtree, DESIGN.md §11). Either way the OVRs come in object order,
 /// the canonical order of a basic MOVD: one per object that owns a
 /// non-empty cell (the ordinary route gives a location's cell to its
 /// first object).
 /// `threads` parallelises the weighted construction when the set routes to
 /// the approximated diagram (no effect on the exact ordinary path).
 /// When `audit` is non-null, the structural auditors run on the built
-/// diagram (post-Delaunay and post-cell-extraction seams, with the
-/// weighted auditor matching the method) and merge their findings into it.
+/// diagram (post-Delaunay and post-cell-extraction seams; weighted cells
+/// go through AuditAdaptiveWeightedCells) and merge their findings into
+/// it. `weighted_method` is unread; it remains only because the perfbench
+/// harness passes it (see WeightedMethod).
 Movd BuildBasicMovd(const MolqQuery& query, int32_t set,
                     const Rect& search_space, int weighted_grid_resolution,
                     int threads = 1, AuditReport* audit = nullptr,
@@ -125,8 +132,9 @@ bool OrdinaryDiagramSuffices(const MolqQuery& query, int32_t set);
 /// final_ovrs, memory_bytes, pruned_objects), result->audit (per-set and
 /// overlay seams when options.exec.audit; with `prune` the dropped cells
 /// are built as well, to audit the full diagram and check every kept cell
-/// against it) and result->status; on kCancelled the returned MOVD is
-/// empty. Spans attach to the caller's ambient trace. options.algorithm
+/// against it) and result->status: kCancelled when the token fired,
+/// kInternal when the overlay came out empty; the returned MOVD is empty
+/// unless kOk. Spans attach to the caller's ambient trace. options.algorithm
 /// must not be kSsc.
 Movd BuildMolqOverlay(const MolqQuery& query, const Rect& search_space,
                       const MolqOptions& options, bool prune,

@@ -81,14 +81,10 @@ bool PointSameBits(const Point& a, const Point& b) {
   return ax == bx && ay == by;
 }
 
-/// Cache-key component every artifact key shares: grid resolution, weighted
-/// method, and the dataset's weight-function tag (see GetOverlay's comment
-/// on why the method is part of the key).
-std::string ArtifactKeySuffix(int resolution, WeightedMethod method,
-                              const std::string& weight_tag) {
-  return "/r" + std::to_string(resolution) +
-         (method == WeightedMethod::kDenseGrid ? "/mdense" : "/madapt") +
-         "/w" + weight_tag;
+/// Cache-key component every artifact key shares: the weighted grid
+/// resolution and the dataset's weight-function tag.
+std::string ArtifactKeySuffix(int resolution, const std::string& weight_tag) {
+  return "/r" + std::to_string(resolution) + "/w" + weight_tag;
 }
 
 /// Parses the "<i>,<j>,..." layer segment of an artifact key starting at
@@ -122,13 +118,17 @@ bool ParseKeyLayers(const std::string& key, size_t pos,
 
 /// Whether a warm-start artifact saved under `key` may serve dataset
 /// `name` at its current snapshot `ds` (see LoadCache): the key names this
-/// dataset at this version, its layers are ascending and in range, every
-/// OVR holds exactly those layers in order, indexes objects inside the
-/// snapshot and carries a region unless the key is MBRB, and the OVRs are
-/// in strictly ascending canonical order, as every build emits them (so
-/// each group is held once, and the overlay patcher may merge into them).
+/// dataset at this version and carries `suffix` (this engine's
+/// ArtifactKeySuffix for the dataset; a key saved under another grid
+/// resolution is one no lookup builds), its layers are ascending and in
+/// range, every OVR holds exactly those layers in order, indexes objects
+/// inside the snapshot and carries a region unless the key is MBRB, and
+/// the OVRs are in strictly ascending canonical order, as every build
+/// emits them (so each group is held once, and the overlay patcher may
+/// merge into them).
 bool WarmArtifactFits(const std::string& key, const Movd& movd,
-                      const std::string& name, const DatasetSnapshot& ds) {
+                      const std::string& name, const DatasetSnapshot& ds,
+                      const std::string& suffix) {
   const size_t kind_end = key.find('/');
   const std::string kind = key.substr(0, kind_end);
   const std::string stem =
@@ -147,7 +147,20 @@ bool WarmArtifactFits(const std::string& key, const Movd& movd,
       return false;
     }
   }
-  const bool mbrb = key.compare(rest_pos, 6, "/mbrb/") == 0;
+  // After the layers: the boundary mode (overlays), the suffix, and the
+  // constraint hash (clipped overlays), as GetOverlay and
+  // GetClippedOverlay build them.
+  std::string tail = key.substr(rest_pos);
+  const bool mbrb = kind == "ovl" && tail.starts_with("/mbrb/");
+  const std::string head =
+      (kind == "basic" ? "" : mbrb ? "/mbrb" : "/rrb") + suffix;
+  if (!tail.starts_with(head)) return false;
+  tail.erase(0, head.size());
+  if (kind == "cns" ? !tail.starts_with("/c") ||
+                          tail.find('/', 1) != std::string::npos
+                    : !tail.empty()) {
+    return false;
+  }
   for (size_t k = 0; k < movd.ovrs.size(); ++k) {
     const Ovr& ovr = movd.ovrs[k];
     if (ovr.pois.size() != layers.size() || (!mbrb && ovr.region.Empty()) ||
@@ -446,9 +459,8 @@ void QueryEngine::PatchArtifacts(
     MutationStats* stats) {
   const int32_t layer = mut.layer;
   const int resolution = options_.exec.weighted_grid_resolution;
-  const WeightedMethod method = options_.exec.weighted_method;
   const std::string suffix =
-      ArtifactKeySuffix(resolution, method, old_snap.weight_tag);
+      ArtifactKeySuffix(resolution, old_snap.weight_tag);
 
   // Step 1: the mutated layer's new basic. Ordinary layers patch through
   // the incremental mirror; weighted layers (and an ordinary-ness flip in
@@ -487,8 +499,7 @@ void QueryEngine::PatchArtifacts(
       // Audit gate: certify the patched basic against a from-scratch
       // rebuild; on mismatch serve the rebuild and restart the mirror.
       Movd rebuilt =
-          BuildBasicMovd(next_snap.query, layer, next_snap.world, resolution,
-                         /*threads=*/1, /*audit=*/nullptr, method);
+          BuildBasicMovd(next_snap.query, layer, next_snap.world, resolution);
       if (!AuditPatchedMovd(*new_basic, rebuilt).ok()) {
         new_basic = std::make_shared<const Movd>(std::move(rebuilt));
         *state_slot = std::make_unique<OrdinaryLayerState>(next_snap.query,
@@ -909,12 +920,10 @@ std::shared_ptr<const Movd> QueryEngine::GetOverlay(
     const EngineRequest& request, const CancelToken& token,
     bool* overlay_hit) {
   *overlay_hit = false;
-  // The weighted method changes the cover geometry (adaptive and dense
-  // covers differ while answering identically), so cached diagrams built
-  // under one method must never serve a configuration using the other.
-  const std::string suffix =
-      ArtifactKeySuffix(options_.exec.weighted_grid_resolution,
-                        options_.exec.weighted_method, ds.weight_tag);
+  // The grid resolution changes the weighted cover geometry, so cached
+  // diagrams built at one resolution must never serve another.
+  const std::string suffix = ArtifactKeySuffix(
+      options_.exec.weighted_grid_resolution, ds.weight_tag);
   // The snapshot version is part of every key: a mutation publishes a new
   // version, whose artifacts are patched in under new keys while queries
   // pinned to the old version keep hitting the old ones until they age out.
@@ -929,8 +938,7 @@ std::shared_ptr<const Movd> QueryEngine::GetOverlay(
     const auto build = [&] {
       return std::make_shared<const Movd>(BuildBasicMovd(
           ds.query, layer, ds.world, options_.exec.weighted_grid_resolution,
-          request.exec.threads, /*audit=*/nullptr,
-          options_.exec.weighted_method));
+          request.exec.threads));
     };
     if (!request.use_cache) return build();
     const std::string key = "basic/" + ds_name + version_tag + "/L" +
@@ -986,7 +994,7 @@ std::shared_ptr<const Movd> QueryEngine::GetClippedOverlay(
       "cns/" + ds_name + "/v" + std::to_string(ds.version) + "/L" +
       LayersTag(layers) + "/rrb" +
       ArtifactKeySuffix(options_.exec.weighted_grid_resolution,
-                        options_.exec.weighted_method, ds.weight_tag) +
+                        ds.weight_tag) +
       "/c" + ConstraintHash(constraint);
   return cache_.GetOrBuild(key, build, overlay_hit, token.deadline());
 }
@@ -1049,7 +1057,10 @@ WarmLoadResult QueryEngine::LoadCache(const std::string& dir) {
     StatusOr<Movd> movd = LoadMovd(dir + "/" + file);
     bool fits = false;
     for (size_t d = 0; d < names.size() && movd.has_value() && !fits; ++d) {
-      fits = WarmArtifactFits(key, *movd, names[d], *snaps[d]);
+      fits = WarmArtifactFits(
+          key, *movd, names[d], *snaps[d],
+          ArtifactKeySuffix(options_.exec.weighted_grid_resolution,
+                            snaps[d]->weight_tag));
     }
     if (!fits) {
       ++result.failed;

@@ -156,7 +156,9 @@ class QueryEngine {
   /// the movd_file header/record checks, or when it does not fit a
   /// registered dataset: its key must name the dataset at its *current*
   /// version (a version number does not identify the same objects across
-  /// processes), and every OVR must hold exactly the key's layers in
+  /// processes) and carry this engine's grid resolution and the dataset's
+  /// weight tag (a key built under another configuration is one no lookup
+  /// builds), and every OVR must hold exactly the key's layers in
   /// ascending order, index objects inside that snapshot, carry a region
   /// unless the key is MBRB, and hold its group once (the overlay
   /// invariant of model/movd_model.h). Register datasets before loading.

@@ -64,7 +64,7 @@ struct TracePhaseRow {
 ///   Trace::Context ctx = Trace::CaptureContext();
 ///   ParallelFor(n, threads, [&](size_t i) {
 ///     TraceContextScope scope(ctx);
-///     TRACE_SPAN("weighted_grid_row");
+///     TRACE_SPAN("weighted_adaptive_classify");
 ///     ...
 ///   });
 ///

@@ -7,22 +7,13 @@ namespace movd {
 
 class Trace;
 
-/// Construction algorithm for the approximated weighted Voronoi diagrams
-/// (paper §5.3). Both produce the same WeightedCellApprox shape with the
-/// same conservative-cover guarantee; they differ in how the dominance
-/// regions are found.
+/// The construction of the approximated weighted Voronoi diagrams (paper
+/// §5.3). There is one: adaptive quadtree refinement (DESIGN.md §11,
+/// BuildWeightedCells). The enum, ExecOptions::weighted_method and
+/// BuildBasicMovd's trailing parameter remain only because the perfbench
+/// harness still passes them; nothing in src/ reads them.
 enum class WeightedMethod {
-  /// Adaptive quadtree refinement (DESIGN.md §11): classifies quad nodes
-  /// by interval-arithmetic dominance bounds on the affine weighted
-  /// distance and recurses only where the boundary is ambiguous. The
-  /// default — orders of magnitude less work than the dense grid at the
-  /// same effective resolution, and its covers contain the *entire*
-  /// dominance region (not just sampled centers).
   kAdaptive,
-  /// Brute-force dense-grid dominance sampling: O(resolution^2 * sites).
-  /// Kept as the reference fallback; its per-sample owner grid is what
-  /// the audit cross-checks replay bit-exactly.
-  kDenseGrid,
 };
 
 /// Execution knobs shared by every pipeline entry point — solver options
@@ -33,12 +24,16 @@ enum class WeightedMethod {
 /// cost, group) is bit-identical for every thread count, with auditing on
 /// or off, and with tracing on or off.
 struct ExecOptions {
-  /// Degree of parallelism: per-set basic-MOVD builds, weighted-grid
-  /// dominance sampling, the overlap step's finder chunks, and the
-  /// Fermat–Weber scan's chunks (which share the §5.4 cost bound). 1
-  /// (default) keeps every stage serial, so paper-reproduction numbers
-  /// are unchanged unless opted in; 0 means one thread per hardware
-  /// thread.
+  /// Degree of parallelism: per-set basic-MOVD builds, the weighted
+  /// builder's node classification and cover extraction, the overlap
+  /// step's finder chunks, and the Fermat–Weber scan's chunks (which share
+  /// the §5.4 cost bound). 1 (default) keeps every stage serial, so
+  /// paper-reproduction numbers are unchanged unless opted in; 0 means one
+  /// thread per hardware thread. Answers do not depend on it, but the
+  /// scan's counters do (OptimizerStats::skipped_prefilter,
+  /// pruned_by_bound, total_iterations): the shared bound tightens in a
+  /// thread-dependent order, so more or fewer problems are cut before
+  /// the winner is found. `problems` does not vary.
   int threads = 1;
 
   /// Runs the structural invariant auditors (src/audit, DESIGN.md §7) as
@@ -68,13 +63,13 @@ struct ExecOptions {
   const CancelToken* cancel = nullptr;
 
   /// Grid resolution used to approximate weighted Voronoi diagrams when a
-  /// set has non-uniform object weights (§5.3). The adaptive method rounds
-  /// this up to the next power of two (its effective leaf lattice).
+  /// set has non-uniform object weights (§5.3). The builder rounds this up
+  /// to the next power of two (its effective leaf lattice).
   int weighted_grid_resolution = 128;
 
-  /// How weighted diagrams are constructed (see WeightedMethod). Changes
-  /// only the conservative covers' tightness/cost, never which locations a
-  /// correct answer may come from.
+  /// Single-valued and unread: nothing in src/ reads it (see
+  /// WeightedMethod). Kept only so the perfbench harness, which passes it
+  /// on, still compiles.
   WeightedMethod weighted_method = WeightedMethod::kAdaptive;
 };
 

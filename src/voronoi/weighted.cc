@@ -1,10 +1,6 @@
 #include "voronoi/weighted.h"
 
-#include "geom/gridcontour.h"
-#include "geom/hull.h"
-#include "trace/trace.h"
 #include "util/check.h"
-#include "util/thread_pool.h"
 
 namespace movd {
 
@@ -17,109 +13,6 @@ int EffectiveWeightedResolution(int resolution) {
   int r = 1;
   while (r < resolution && r < (1 << 14)) r <<= 1;
   return r;
-}
-
-std::vector<WeightedCellApprox> BuildWeightedCells(
-    const std::vector<WeightedSite>& sites, const Rect& bounds,
-    const WeightedOptions& options) {
-  MOVD_CHECK_MSG(options.resolution > 0,
-                 "weighted diagrams need a positive target resolution");
-  MOVD_CHECK_MSG(!bounds.Empty(),
-                 "weighted diagrams need a non-empty bounding rectangle");
-  switch (options.method) {
-    case WeightedMethod::kDenseGrid:
-      return ApproximateWeightedVoronoi(sites, bounds, options.resolution,
-                                        options.threads);
-    case WeightedMethod::kAdaptive:
-      break;
-  }
-  return AdaptiveWeightedVoronoi(sites, bounds, options.resolution,
-                                 options.threads);
-}
-
-std::vector<WeightedCellApprox> ApproximateWeightedVoronoi(
-    const std::vector<WeightedSite>& sites, const Rect& bounds,
-    int resolution, int threads) {
-  MOVD_CHECK_MSG(resolution > 0, "the dominance grid needs >= 1 cell");
-  MOVD_CHECK_MSG(!bounds.Empty(),
-                 "weighted diagrams need a non-empty bounding rectangle");
-  std::vector<WeightedCellApprox> cells(sites.size());
-  for (size_t i = 0; i < sites.size(); ++i) {
-    cells[i].site = static_cast<int32_t>(i);
-  }
-  if (sites.empty()) return cells;
-
-  const double step_x = bounds.Width() / resolution;
-  const double step_y = bounds.Height() / resolution;
-  std::vector<int32_t> owner(static_cast<size_t>(resolution) * resolution);
-
-  // Dominance sampling, one grid row per task: each cell's owner depends
-  // only on the sites, so rows are independent and the owner grid is
-  // identical for every thread count.
-  const Trace::Context trace_ctx = Trace::CaptureContext();
-  ParallelFor(threads, static_cast<size_t>(resolution), [&](size_t row) {
-    TraceContextScope trace_scope(trace_ctx);
-    TRACE_SPAN("weighted_grid_row");
-    const int gy = static_cast<int>(row);
-    for (int gx = 0; gx < resolution; ++gx) {
-      const Point c{bounds.min_x + (gx + 0.5) * step_x,
-                    bounds.min_y + (gy + 0.5) * step_y};
-      // The shared tie rule (strict <, lowest index): the owner of a
-      // sample center is a pure function of the point, never of the grid
-      // it was sampled on.
-      owner[static_cast<size_t>(gy) * resolution + gx] =
-          static_cast<int32_t>(BestWeightedSite(c, sites));
-    }
-  });
-
-  // Gather each site's dominated sample centers (row-major, as the serial
-  // scan produced them).
-  std::vector<std::vector<Point>> samples(sites.size());
-  for (int gy = 0; gy < resolution; ++gy) {
-    for (int gx = 0; gx < resolution; ++gx) {
-      const int32_t o = owner[static_cast<size_t>(gy) * resolution + gx];
-      samples[o].push_back({bounds.min_x + (gx + 0.5) * step_x,
-                            bounds.min_y + (gy + 0.5) * step_y});
-    }
-  }
-
-  // Per-site cover extraction: each task writes only cells[i] and reads
-  // the shared owner grid, so sites are independent.
-  ParallelFor(threads, sites.size(), [&](size_t i) {
-    TraceContextScope trace_scope(trace_ctx);
-    TraceSpan span("weighted_cell_cover");
-    WeightedCellApprox& cell = cells[i];
-    cell.sample_count = samples[i].size();
-    cell.empty = samples[i].empty();
-    span.Counter("cells_clipped",
-                 static_cast<int64_t>(cell.sample_count));
-    if (cell.empty) return;
-    Rect mbr;
-    for (const Point& p : samples[i]) mbr.Expand(p);
-    // Conservative cover: a dominated sample is the center of a grid cell.
-    cell.mbr = Rect(mbr.min_x - 0.5 * step_x, mbr.min_y - 0.5 * step_y,
-                    mbr.max_x + 0.5 * step_x, mbr.max_y + 0.5 * step_y);
-    const ConvexPolygon hull = ConvexHull(samples[i]);
-    if (!hull.Empty()) cell.hull = Polygon(hull.vertices());
-    // Tight conservative cover: one-cell-dilated outer contours of the
-    // dominated cells.
-    std::vector<uint8_t> cell_mask(owner.size());
-    for (size_t c = 0; c < owner.size(); ++c) {
-      cell_mask[c] = owner[c] == static_cast<int32_t>(i) ? 1 : 0;
-    }
-    cell.cover = ExtractOuterContours(cell_mask, resolution, resolution,
-                                      bounds, /*dilate=*/true);
-    // The dilation can push the cover past the half-step MBR; keep the
-    // MBR a cover of both.
-    for (const Polygon& piece : cell.cover) {
-      cell.mbr.Expand(piece.Bbox());
-    }
-    // The half-step expansion can land an ulp past the domain edge; the
-    // dominance region lives inside `bounds` by definition, so clipping
-    // the MBR to it loses nothing and keeps every consumer in-domain.
-    cell.mbr = cell.mbr.Intersect(bounds);
-  });
-  return cells;
 }
 
 }  // namespace movd

@@ -8,7 +8,6 @@
 #include "geom/point.h"
 #include "geom/polygon.h"
 #include "geom/rect.h"
-#include "util/exec_options.h"
 
 namespace movd {
 
@@ -39,9 +38,9 @@ double WeightedSiteDistance(const Point& p, const WeightedSite& site);
 /// minimum weighted distance. This is THE dominance tie rule of the
 /// library — a strict, epsilon-free `<` with the index as tie-breaker, so
 /// the owner of a fixed point is a pure function of (p, sites) and cannot
-/// flip with the sampling resolution or construction method. Every
-/// per-point dominance decision (dense-grid sampling, adaptive leaf
-/// classification, audit re-checks) must go through this function.
+/// flip with the sampling resolution or the builder. Every per-point
+/// dominance decision (adaptive leaf classification, the dense-grid audit
+/// oracle and its re-checks) must go through this function.
 inline size_t BestWeightedSite(const Point& p,
                                const std::vector<WeightedSite>& sites) {
   size_t best = 0;
@@ -74,48 +73,49 @@ struct WeightedCellApprox {
   /// arithmetic.
   Rect mbr;
   Polygon hull;
-  /// Tight conservative polygonal cover: outer contours of the dominated
-  /// grid cells (dense) or possibly-owned quadtree leaves (adaptive),
+  /// Tight conservative polygonal cover: outer contours of the
+  /// possibly-owned quadtree leaves (the dense oracle: dominated grid cells),
   /// dilated by one grid step and clipped to the construction bounds
   /// (possibly several components; may be concave). Strictly covers the
   /// constructed dominance region, much tighter than `mbr` — this is what
   /// the RRB pipeline uses for weighted diagrams.
   std::vector<Polygon> cover;
-  /// Dense grid: number of lattice samples this generator dominates.
-  /// Adaptive: number of effective-lattice leaf cells the cover was built
-  /// from (ambiguous boundary leaves count toward every candidate, so the
-  /// per-cell counts can sum past the lattice size).
+  /// Number of effective-lattice leaf cells the cover was built from
+  /// (ambiguous boundary leaves count toward every candidate, so the
+  /// per-cell counts can sum past the lattice size; the dense oracle
+  /// counts the lattice samples the generator dominates).
   size_t sample_count = 0;
   bool empty = true;
 };
 
 /// Construction knobs for BuildWeightedCells. `resolution` is the target
-/// accuracy: the dense grid samples a resolution x resolution lattice; the
-/// adaptive method refines to leaf cells of the next power-of-two lattice
-/// (EffectiveWeightedResolution), so its covers are at least as fine.
+/// accuracy: the builder refines to leaf cells of the next power-of-two
+/// lattice (EffectiveWeightedResolution).
 struct WeightedOptions {
-  WeightedMethod method = WeightedMethod::kAdaptive;
   int resolution = 128;
   /// 1 is serial, 0 means one thread per hardware thread. The result is
-  /// identical for every thread count under both methods.
+  /// identical for every thread count.
   int threads = 1;
 };
 
-/// The adaptive method's effective leaf lattice for a target `resolution`:
-/// the smallest power of two >= resolution (so leaves align to an exact
+/// The builder's effective leaf lattice for a target `resolution`: the
+/// smallest power of two >= resolution (so leaves align to an exact
 /// binary subdivision of `bounds`).
 int EffectiveWeightedResolution(int resolution);
 
 /// Builds the approximate weighted Voronoi diagram of `sites` in `bounds`
-/// with the method selected in `options`. This is the ONLY entry point
-/// callers may use (a lint rule forbids direct calls to the per-method
-/// builders below): it keeps the method knob, tie rule, and conservative
-/// guarantees in one place.
+/// by adaptive quadtree refinement (DESIGN.md §11): classifies quad nodes
+/// by interval dominance bounds on the affine weighted distance, recurses
+/// only on boundary-ambiguous nodes down to leaves of the
+/// EffectiveWeightedResolution lattice, and emits covers of every node a
+/// generator might own. The library's one weighted builder; the dense-grid
+/// oracle that audits it lives in audit/audit_weighted.h.
 ///
-/// Both methods guarantee, per generator i:
-///  - `cover` (and `mbr`) conservatively contain every sampled/classified
-///    point owned by i under the BestWeightedSite tie rule — the adaptive
-///    cover contains the entire true dominance region;
+/// Guarantees, per generator i:
+///  - `cover` (and `mbr`) contain the entire dominance region of i under
+///    the BestWeightedSite tie rule — a strict superset of the lattice
+///    samples the dense oracle assigns to i at the same effective
+///    resolution;
 ///  - covers are clipped to `bounds` (dominance is never reported outside
 ///    the query domain);
 ///  - `empty` generators carry the sentinel invalid Rect() as `mbr` and no
@@ -123,32 +123,6 @@ int EffectiveWeightedResolution(int resolution);
 std::vector<WeightedCellApprox> BuildWeightedCells(
     const std::vector<WeightedSite>& sites, const Rect& bounds,
     const WeightedOptions& options);
-
-/// Dense-grid reference builder (WeightedMethod::kDenseGrid): assigns each
-/// cell of a `resolution` x `resolution` grid to its dominating generator
-/// via BestWeightedSite. Each returned MBR is expanded by half a grid step
-/// so it covers the sampled dominance region conservatively.
-/// O(resolution^2 * n). `threads` parallelises the dominance sampling (by
-/// grid row) and the per-site cover extraction.
-///
-/// Call through BuildWeightedCells — direct calls are lint-rejected
-/// outside the dispatch.
-std::vector<WeightedCellApprox> ApproximateWeightedVoronoi(
-    const std::vector<WeightedSite>& sites, const Rect& bounds,
-    int resolution, int threads = 1);
-
-/// Adaptive quadtree builder (WeightedMethod::kAdaptive, DESIGN.md §11):
-/// classifies quad nodes by interval dominance bounds on the affine
-/// weighted distance, recurses only on boundary-ambiguous nodes down to
-/// leaves of the EffectiveWeightedResolution lattice, and emits covers of
-/// every node a generator might own — a strict superset of the dense
-/// grid's dominated samples at the same effective resolution.
-///
-/// Call through BuildWeightedCells — direct calls are lint-rejected
-/// outside the dispatch.
-std::vector<WeightedCellApprox> AdaptiveWeightedVoronoi(
-    const std::vector<WeightedSite>& sites, const Rect& bounds,
-    int resolution, int threads = 1);
 
 }  // namespace movd
 

@@ -16,7 +16,7 @@
 // where every surviving candidate records the leaf. The recorded node set
 // of generator i therefore contains ALL of i's true dominance region, so
 // the extracted covers are conservative by construction — a strict
-// superset of what dense-grid sampling marks at the same effective
+// superset of what the dense-grid audit oracle marks at the same effective
 // resolution (the audit cross-checks exactly that containment).
 
 #include <algorithm>
@@ -130,10 +130,11 @@ void Classify(const std::vector<WeightedSite>& sites,
 
 }  // namespace
 
-std::vector<WeightedCellApprox> AdaptiveWeightedVoronoi(
+std::vector<WeightedCellApprox> BuildWeightedCells(
     const std::vector<WeightedSite>& sites, const Rect& bounds,
-    int resolution, int threads) {
-  MOVD_CHECK_MSG(resolution > 0, "the dominance lattice needs >= 1 cell");
+    const WeightedOptions& options) {
+  MOVD_CHECK_MSG(options.resolution > 0,
+                 "weighted diagrams need a positive target resolution");
   MOVD_CHECK_MSG(!bounds.Empty(),
                  "weighted diagrams need a non-empty bounding rectangle");
   std::vector<WeightedCellApprox> cells(sites.size());
@@ -144,7 +145,7 @@ std::vector<WeightedCellApprox> AdaptiveWeightedVoronoi(
 
   LatticeFrame frame;
   frame.bounds = bounds;
-  frame.resolution = EffectiveWeightedResolution(resolution);
+  frame.resolution = EffectiveWeightedResolution(options.resolution);
   frame.sx = bounds.Width() / frame.resolution;
   frame.sy = bounds.Height() / frame.resolution;
 
@@ -169,7 +170,7 @@ std::vector<WeightedCellApprox> AdaptiveWeightedVoronoi(
   // Classify each frontier subtree into its own slot; concatenating the
   // slots in frontier order keeps the record list deterministic.
   std::vector<std::vector<OwnedNode>> records(frontier.size());
-  ParallelFor(threads, frontier.size(), [&](size_t f) {
+  ParallelFor(options.threads, frontier.size(), [&](size_t f) {
     TraceContextScope trace_scope(trace_ctx);
     TRACE_SPAN("weighted_adaptive_classify");
     Classify(sites, frame, frontier[f], all, &records[f]);
@@ -186,7 +187,7 @@ std::vector<WeightedCellApprox> AdaptiveWeightedVoronoi(
   // rasterised onto a local leaf-unit mask padded by one cell (clamped to
   // the lattice), so the one-cell dilation has room everywhere and the
   // dilated contours stay clipped to `bounds` by construction.
-  ParallelFor(threads, sites.size(), [&](size_t i) {
+  ParallelFor(options.threads, sites.size(), [&](size_t i) {
     TraceContextScope trace_scope(trace_ctx);
     TraceSpan span("weighted_adaptive_cover");
     WeightedCellApprox& cell = cells[i];
@@ -227,8 +228,8 @@ std::vector<WeightedCellApprox> AdaptiveWeightedVoronoi(
     cell.cover = ExtractOuterContours(mask, w, h, local, /*dilate=*/true);
     cell.mbr = Rect();
     for (const Polygon& piece : cell.cover) cell.mbr.Expand(piece.Bbox());
-    // Hull of the cover vertices: same conservative role as the dense
-    // path's sample hull, for visualisation and MBR cross-checks.
+    // Hull of the cover vertices, for visualisation and MBR
+    // cross-checks.
     std::vector<Point> corners;
     for (const Polygon& piece : cell.cover) {
       corners.insert(corners.end(), piece.vertices().begin(),

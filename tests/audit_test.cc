@@ -254,15 +254,10 @@ std::vector<WeightedSite> RandomWeightedSites(size_t n, uint64_t seed) {
 
 constexpr int kResolution = 32;
 
-// Dense cells through the WeightedOptions dispatch (direct
-// ApproximateWeightedVoronoi calls are lint-rejected); these audits assert
-// the dense sampler's invariants, so the method is pinned.
+// Cells of the dense-grid oracle, whose invariants these audits assert.
 std::vector<WeightedCellApprox> DenseWeightedCells(
     const std::vector<WeightedSite>& sites) {
-  WeightedOptions opts;
-  opts.method = WeightedMethod::kDenseGrid;
-  opts.resolution = kResolution;
-  return BuildWeightedCells(sites, kBounds, opts);
+  return ApproximateWeightedVoronoi(sites, kBounds, kResolution);
 }
 
 TEST(AuditWeightedTest, AcceptsCleanApproximation) {

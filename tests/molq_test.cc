@@ -399,6 +399,44 @@ TEST(MolqTest, TiedOptimaAgreeAcrossEnginesAndThreads) {
   EXPECT_EQ(rrb4.group, rrb.group);
 }
 
+TEST(MolqTest, EmptyOverlayIsAStatusNotAnAbort) {
+  // Sites and box scaled by 2^600: every Voronoi cell clips to nothing, so
+  // the overlay is empty and there is nothing to optimise. Both entry
+  // points report kInternal instead of aborting. At 2^250 the same query
+  // answers.
+  for (const int exponent : {250, 600}) {
+    MolqQuery q = RandomQuery({3, 3}, 2901, /*random_type_weights=*/false);
+    for (ObjectSet& set : q.sets) {
+      for (SpatialObject& obj : set.objects) {
+        obj.location = {std::ldexp(obj.location.x, exponent),
+                        std::ldexp(obj.location.y, exponent)};
+      }
+    }
+    const Rect box(std::ldexp(kBounds.min_x, exponent),
+                   std::ldexp(kBounds.min_y, exponent),
+                   std::ldexp(kBounds.max_x, exponent),
+                   std::ldexp(kBounds.max_y, exponent));
+    const StatusCode want =
+        exponent == 600 ? StatusCode::kInternal : StatusCode::kOk;
+    for (const MolqAlgorithm algorithm :
+         {MolqAlgorithm::kRrb, MolqAlgorithm::kMbrb}) {
+      MolqOptions opts;
+      opts.algorithm = algorithm;
+      const MolqResult solve = SolveMolq(q, box, opts);
+      EXPECT_EQ(solve.status, want) << "2^" << exponent;
+      const MolqResult topk = SolveMolqTopK(q, box, 2, opts);
+      EXPECT_EQ(topk.status, want) << "2^" << exponent;
+      if (want == StatusCode::kOk) {
+        EXPECT_FALSE(topk.ranked.empty());
+      } else {
+        EXPECT_EQ(solve.stats.final_ovrs, 0u);
+        EXPECT_TRUE(solve.ranked.empty());
+        EXPECT_TRUE(topk.ranked.empty());
+      }
+    }
+  }
+}
+
 TEST(MolqTest, GroupIsPopulatedAndConsistent) {
   // MolqResult.group must name the combination that realises the cost, for
   // every engine.

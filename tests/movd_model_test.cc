@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "audit/audit_weighted.h"
 #include "core/molq.h"
 #include "model/movd_model.h"
 #include "core/optimizer.h"
@@ -89,10 +90,7 @@ TEST(MovdModelTest, FromWeightedApproxDropsEmptyCells) {
   const std::vector<WeightedSite> sites = {
       MultiplicativeSite({50, 50}, 1.0),
       MultiplicativeSite({50.5, 50}, 100.0)};  // dominated -> empty
-  WeightedOptions wopts;
-  wopts.method = WeightedMethod::kDenseGrid;
-  wopts.resolution = 64;
-  const auto cells = BuildWeightedCells(sites, kBounds, wopts);
+  const auto cells = ApproximateWeightedVoronoi(sites, kBounds, 64);
   EXPECT_TRUE(cells[1].mbr.Empty());  // the sentinel invalid Rect
   std::vector<int32_t> ids = {0, 1};
   const Movd movd = MovdFromWeightedApprox(cells, 0, ids);

@@ -80,8 +80,7 @@ inline std::vector<Movd> BuildAllBasic(const MolqQuery& query,
   std::vector<Movd> basic;
   for (size_t s = 0; s < query.sets.size(); ++s) {
     basic.push_back(BuildBasicMovd(query, static_cast<int32_t>(s), space,
-                                   options.exec.weighted_grid_resolution, 1,
-                                   nullptr, options.exec.weighted_method));
+                                   options.exec.weighted_grid_resolution));
   }
   return basic;
 }

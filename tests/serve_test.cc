@@ -875,6 +875,53 @@ TEST(ServeEngineTest, WarmStartSkipsArtifactsThatDoNotFitTheDataset) {
   EXPECT_EQ(load_into(1), Counts(2, 1));
 }
 
+TEST(ServeEngineTest, WarmStartSkipsArtifactsOfAnotherGridResolution) {
+  // Every artifact key carries the weighted grid resolution. A snapshot
+  // saved at another resolution holds keys no lookup of this engine
+  // builds, so loading them would only fill the cache with dead entries.
+  const MolqQuery query = TestQuery({12, 12}, 73);
+  const std::string dir = TmpDir("grid");
+  EngineRequest request;
+  request.dataset = "d";
+  ServeResponse cold;
+  QueryEngineOptions saved_options;
+  saved_options.exec.weighted_grid_resolution = 64;
+  {
+    QueryEngine engine(saved_options);
+    engine.RegisterDataset("d", query, kBounds);
+    cold = engine.Handle(request);
+    ASSERT_EQ(cold.status, ServeStatus::kOk);
+    const Status saved = engine.SaveCache(dir);
+    ASSERT_TRUE(saved.ok()) << saved.ToString();
+  }
+  size_t artifacts = 0;
+  {
+    std::ifstream manifest(dir + "/manifest.txt");
+    std::string line;
+    while (std::getline(manifest, line)) artifacts += line.empty() ? 0 : 1;
+  }
+  ASSERT_GE(artifacts, 3u);  // two basics + one overlay
+
+  QueryEngineOptions options;
+  options.exec.weighted_grid_resolution = 128;
+  QueryEngine engine(options);
+  engine.RegisterDataset("d", query, kBounds);
+  const WarmLoadResult load = engine.LoadCache(dir);
+  EXPECT_TRUE(load.status.ok()) << load.status.ToString();
+  EXPECT_EQ(load.loaded, 0u);
+  EXPECT_EQ(load.failed, artifacts);
+  const ServeResponse resp = engine.Handle(request);
+  ASSERT_EQ(resp.status, ServeStatus::kOk);
+  EXPECT_FALSE(resp.cache_hit);
+  ExpectAnswersEqual(cold.answers, resp.answers);
+
+  // The same snapshot still warms an engine at the resolution it was
+  // saved at.
+  QueryEngine same(saved_options);
+  same.RegisterDataset("d", query, kBounds);
+  EXPECT_EQ(same.LoadCache(dir).loaded, artifacts);
+}
+
 TEST(ServeEngineTest, UnknownDatasetStatusCodes) {
   // Queries on an unknown dataset are invalid requests; a mutation of one
   // has nothing to mutate.

@@ -323,46 +323,6 @@ TEST(TopKParallelTest, RankingIsBitIdenticalAcrossThreads) {
   }
 }
 
-TEST(TopKTest, WeightedMethodReachesTheDiagramBuild) {
-  // Per-object weights route every set through the weighted diagrams,
-  // whose covers depend on the construction method. Top-k must build the
-  // unpruned overlay of the requested method.
-  MolqQuery q = RandomQuery({8, 7, 6}, 406);
-  Rng rng(407);
-  for (ObjectSet& set : q.sets) {
-    for (SpatialObject& obj : set.objects) {
-      obj.object_weight = rng.Uniform(0.5, 2.5);
-    }
-  }
-  MolqOptions adaptive;
-  adaptive.epsilon = 1e-6;
-  adaptive.exec.weighted_grid_resolution = 64;
-  MolqOptions dense = adaptive;
-  dense.exec.weighted_method = WeightedMethod::kDenseGrid;
-  // Top-k keeps the unpruned overlay, so its counts are those of the staged
-  // unpruned OverlapAll over the basic MOVDs of the requested method.
-  const auto unpruned_overlay = [&](const MolqOptions& options) {
-    return OverlapAll(BuildAllBasic(q, kBounds, options),
-                      BoundaryMode::kRealRegion);
-  };
-  const Movd overlay_dense = unpruned_overlay(dense);
-  const Movd overlay_adaptive = unpruned_overlay(adaptive);
-  // The instance must tell the two methods apart.
-  ASSERT_NE(overlay_dense.MemoryBytes(BoundaryMode::kRealRegion),
-            overlay_adaptive.MemoryBytes(BoundaryMode::kRealRegion));
-  const MolqResult solve_dense = SolveMolq(q, kBounds, dense);
-  for (const int threads : {1, 4}) {
-    dense.exec.threads = threads;
-    const MolqResult topk_dense = SolveMolqTopK(q, kBounds, 3, dense);
-    EXPECT_EQ(topk_dense.stats.final_ovrs, overlay_dense.ovrs.size());
-    EXPECT_EQ(topk_dense.stats.memory_bytes,
-              overlay_dense.MemoryBytes(BoundaryMode::kRealRegion));
-    ASSERT_FALSE(topk_dense.ranked.empty());
-    EXPECT_EQ(topk_dense.ranked[0].group, solve_dense.group);
-  }
-}
-
-
 TEST(TopKTest, TimesBothStagesAndRunsEveryAuditSeam) {
   // SolveMolqTopK builds its overlay through SolveMolq's front half, so it
   // reports both stage times and runs the per-set and post-overlay seams.

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "audit/audit_voronoi.h"
+#include "audit/audit_weighted.h"
 #include "geom/predicates.h"
 #include "util/rng.h"
 #include "voronoi/delaunay.h"
@@ -424,16 +425,11 @@ TEST(VoronoiWalkTest, MaskedClipKeepsExactlyTheMarkedCells) {
   EXPECT_FALSE(AuditKeptCells(full, masked, keep).ok());
 }
 
-// The dense reference construction through the WeightedOptions dispatch
-// (direct ApproximateWeightedVoronoi calls are lint-rejected). These tests
-// assert dense-sampler semantics — per-cell sample counts over the exact
-// requested lattice — so they pin the method explicitly.
+// The dense-grid audit oracle. These tests assert dense-sampler semantics
+// — per-cell sample counts over the exact requested lattice.
 std::vector<WeightedCellApprox> DenseCells(const std::vector<WeightedSite>& ws,
                                            int resolution) {
-  WeightedOptions opts;
-  opts.method = WeightedMethod::kDenseGrid;
-  opts.resolution = resolution;
-  return BuildWeightedCells(ws, kBounds, opts);
+  return ApproximateWeightedVoronoi(ws, kBounds, resolution);
 }
 
 TEST(WeightedVoronoiTest, EqualWeightsMatchOrdinaryAssignment) {

@@ -14,12 +14,10 @@ namespace {
 
 constexpr Rect kBounds(0, 0, 100, 100);
 
-std::vector<WeightedCellApprox> Build(WeightedMethod method,
-                                      const std::vector<WeightedSite>& sites,
+std::vector<WeightedCellApprox> Build(const std::vector<WeightedSite>& sites,
                                       int resolution, const Rect& bounds,
                                       int threads = 1) {
   WeightedOptions opts;
-  opts.method = method;
   opts.resolution = resolution;
   opts.threads = threads;
   return BuildWeightedCells(sites, bounds, opts);
@@ -55,7 +53,7 @@ TEST(AdaptiveWeightedTest, ExtremeMultiplierRatiosStayConservative) {
   // leak the light site's cover outside the domain.
   const std::vector<WeightedSite> sites = {{{20, 20}, 1.0, 0.0},
                                            {{80, 80}, 150.0, 0.0}};
-  const auto cells = Build(WeightedMethod::kAdaptive, sites, 128, kBounds);
+  const auto cells = Build(sites, 128, kBounds);
   ASSERT_EQ(cells.size(), 2u);
   EXPECT_FALSE(cells[0].empty);
   EXPECT_FALSE(cells[1].empty);  // its own location is always its minimum
@@ -70,7 +68,7 @@ TEST(AdaptiveWeightedTest, ZeroOffsetVsLargeOffsetMixes) {
   // handicapped site.
   const std::vector<WeightedSite> shifted = {{{30, 50}, 1.0, 0.0},
                                              {{70, 50}, 1.0, 30.0}};
-  const auto both = Build(WeightedMethod::kAdaptive, shifted, 128, kBounds);
+  const auto both = Build(shifted, 128, kBounds);
   ASSERT_EQ(both.size(), 2u);
   EXPECT_FALSE(both[0].empty);
   EXPECT_FALSE(both[1].empty);
@@ -82,7 +80,7 @@ TEST(AdaptiveWeightedTest, ZeroOffsetVsLargeOffsetMixes) {
   // entirely: sentinel invalid MBR, no hull, no cover.
   const std::vector<WeightedSite> crushed = {{{30, 50}, 1.0, 0.0},
                                              {{70, 50}, 1.0, 500.0}};
-  const auto one = Build(WeightedMethod::kAdaptive, crushed, 128, kBounds);
+  const auto one = Build(crushed, 128, kBounds);
   ASSERT_EQ(one.size(), 2u);
   EXPECT_FALSE(one[0].empty);
   EXPECT_TRUE(one[1].empty);
@@ -103,7 +101,7 @@ TEST(AdaptiveWeightedTest, DisconnectedMultiplicativeCell) {
   const std::vector<WeightedSite> sites = {{{0, 0.375}, 1.0, 0.0},
                                            {{10, 0.375}, 10.0, 0.0},
                                            {{5, 0.375}, 2.0, 0.0}};
-  const auto cells = Build(WeightedMethod::kAdaptive, sites, 256, strip);
+  const auto cells = Build(sites, 256, strip);
   ASSERT_EQ(cells.size(), 3u);
   EXPECT_FALSE(cells[0].empty);
   // The cover must carry both components as separate rings.
@@ -122,9 +120,9 @@ TEST(AdaptiveWeightedTest, CoversAndMbrsAreClippedToTheDomain) {
   const std::vector<WeightedSite> sites = {{{0.5, 0.5}, 1.0, 0.0},
                                            {{99.5, 99.5}, 3.0, 0.0},
                                            {{0.5, 99.5}, 1.0, 20.0}};
-  for (const WeightedMethod method :
-       {WeightedMethod::kAdaptive, WeightedMethod::kDenseGrid}) {
-    const auto cells = Build(method, sites, 64, kBounds);
+  // The builder, and the dense-grid audit oracle.
+  for (const auto& cells : {Build(sites, 64, kBounds),
+                            ApproximateWeightedVoronoi(sites, kBounds, 64)}) {
     for (const WeightedCellApprox& cell : cells) {
       if (cell.empty) continue;
       EXPECT_TRUE(kBounds.Contains(cell.mbr));
@@ -145,8 +143,8 @@ TEST(AdaptiveWeightedTest, DeterministicAcrossThreadCounts) {
     sites.push_back({{rng.Uniform(0, 100), rng.Uniform(0, 100)},
                      rng.Uniform(0.5, 4.0), rng.Uniform(0.0, 40.0)});
   }
-  const auto a = Build(WeightedMethod::kAdaptive, sites, 128, kBounds, 1);
-  const auto b = Build(WeightedMethod::kAdaptive, sites, 128, kBounds, 4);
+  const auto a = Build(sites, 128, kBounds, 1);
+  const auto b = Build(sites, 128, kBounds, 4);
   ASSERT_EQ(a.size(), b.size());
   for (size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i].empty, b[i].empty);
@@ -177,7 +175,7 @@ TEST(AdaptiveWeightedTest, SampleCountsCoverTheLattice) {
   // Adaptive sample_count is covered leaf cells; ambiguous leaves are
   // recorded for every surviving candidate, so the sum is at least the
   // lattice size (conservative covers overlap, never undershoot).
-  const auto cells = Build(WeightedMethod::kAdaptive, sites, 100, kBounds);
+  const auto cells = Build(sites, 100, kBounds);
   size_t total = 0;
   for (const auto& cell : cells) total += cell.sample_count;
   const size_t lattice = static_cast<size_t>(EffectiveWeightedResolution(100)) *
@@ -203,7 +201,7 @@ TEST_P(AdaptiveContainsDenseTest, CoversContainDenseDominatedSamples) {
     const double off = (i % 2 == 0) ? 0.0 : rng.Uniform(0.0, 60.0);
     sites.push_back({{rng.Uniform(0, 100), rng.Uniform(0, 100)}, mult, off});
   }
-  const auto cells = Build(WeightedMethod::kAdaptive, sites, 64, kBounds);
+  const auto cells = Build(sites, 64, kBounds);
   const AuditReport report =
       AuditAdaptiveWeightedCells(sites, cells, kBounds, 64);
   EXPECT_TRUE(report.ok()) << report.Summary();
@@ -228,7 +226,7 @@ std::vector<WeightedSite> AuditSites() {
 
 TEST(AuditAdaptiveWeightedTest, DetectsShrunkenCover) {
   const auto sites = AuditSites();
-  auto cells = Build(WeightedMethod::kAdaptive, sites, 32, kBounds);
+  auto cells = Build(sites, 32, kBounds);
   // Collapse one non-empty cell's cover to a speck: dominated lattice
   // samples now fall outside every ring, which is exactly the
   // conservative-cover violation the dense replay hunts.
@@ -250,7 +248,7 @@ TEST(AuditAdaptiveWeightedTest, DetectsShrunkenCover) {
 
 TEST(AuditAdaptiveWeightedTest, DetectsSiteTagMismatch) {
   const auto sites = AuditSites();
-  auto cells = Build(WeightedMethod::kAdaptive, sites, 32, kBounds);
+  auto cells = Build(sites, 32, kBounds);
   cells[0].site = 3;
   const AuditReport report =
       AuditAdaptiveWeightedCells(sites, cells, kBounds, 32);
@@ -260,7 +258,7 @@ TEST(AuditAdaptiveWeightedTest, DetectsSiteTagMismatch) {
 
 TEST(AuditAdaptiveWeightedTest, DetectsEmptyFlagMismatch) {
   const auto sites = AuditSites();
-  auto cells = Build(WeightedMethod::kAdaptive, sites, 32, kBounds);
+  auto cells = Build(sites, 32, kBounds);
   for (auto& cell : cells) {
     if (!cell.empty) {
       cell.empty = true;  // still carries samples, cover, a valid MBR

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "audit/audit_weighted.h"
 #include "core/grid_scan.h"
 #include "core/molq.h"
 #include "core/overlap.h"
@@ -110,10 +111,13 @@ std::vector<std::vector<WeightedSite>> SitesPerSet(const MolqQuery& q) {
   return out;
 }
 
+// Where a case's weighted basic MOVDs come from.
+enum class Basics { kBuilder, kDenseOracle };
+
 struct CoverCase {
   uint64_t seed;
   int num_sets;
-  WeightedMethod method;
+  Basics basics;
 };
 
 class CoverContainmentTest : public ::testing::TestWithParam<CoverCase> {};
@@ -124,13 +128,19 @@ TEST_P(CoverContainmentTest, OwnerGroupOfEverySampleHasACoveringOvr) {
   // tie rule) must be the pois of an OVR whose region contains the sample.
   const CoverCase c = GetParam();
   const MolqQuery q = WeightedQuery(c.seed, c.num_sets);
+  const auto sites = SitesPerSet(q);
   std::vector<Movd> basic;
   for (int32_t s = 0; s < c.num_sets; ++s) {
-    basic.push_back(BuildBasicMovd(q, s, kBounds, 64, /*threads=*/1,
-                                   /*audit=*/nullptr, c.method));
+    if (c.basics == Basics::kDenseOracle) {
+      std::vector<int32_t> ids(sites[s].size());
+      for (size_t i = 0; i < ids.size(); ++i) ids[i] = static_cast<int32_t>(i);
+      basic.push_back(MovdFromWeightedApprox(
+          ApproximateWeightedVoronoi(sites[s], kBounds, 64), s, ids));
+    } else {
+      basic.push_back(BuildBasicMovd(q, s, kBounds, 64));
+    }
   }
   const Movd movd = OverlapAll(basic, BoundaryMode::kRealRegion);
-  const auto sites = SitesPerSet(q);
   constexpr int kSamples = 64;
   int uncovered = 0;
   for (int iy = 0; iy < kSamples; ++iy) {
@@ -159,10 +169,10 @@ TEST_P(CoverContainmentTest, OwnerGroupOfEverySampleHasACoveringOvr) {
 
 INSTANTIATE_TEST_SUITE_P(
     SetsAndMethods, CoverContainmentTest,
-    ::testing::Values(CoverCase{1401, 2, WeightedMethod::kAdaptive},
-                      CoverCase{1401, 2, WeightedMethod::kDenseGrid},
-                      CoverCase{1402, 3, WeightedMethod::kAdaptive},
-                      CoverCase{1402, 3, WeightedMethod::kDenseGrid}));
+    ::testing::Values(CoverCase{1401, 2, Basics::kBuilder},
+                      CoverCase{1401, 2, Basics::kDenseOracle},
+                      CoverCase{1402, 3, Basics::kBuilder},
+                      CoverCase{1402, 3, Basics::kDenseOracle}));
 
 class WeightedAgreementTest : public ::testing::TestWithParam<uint64_t> {};
 

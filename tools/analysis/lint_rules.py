@@ -44,17 +44,6 @@ BENCH_PRINTF_RE = re.compile(
     r"(?<![\w.])(?:std::)?(?:printf\s*\(|puts\s*\(|fprintf\s*\(\s*stdout\b)"
     r"|std::cout\b")
 
-# weighted-direct: construction backends reachable only via the
-# BuildWeightedCells dispatch. The dispatch and the backends' own homes are
-# exempt (declaration + definition sites).
-WEIGHTED_DIRECT_RE = re.compile(
-    r"\b(?:ApproximateWeightedVoronoi|AdaptiveWeightedVoronoi)\s*\(")
-WEIGHTED_DIRECT_EXEMPT_FILES = (
-    "src/voronoi/weighted.h",
-    "src/voronoi/weighted.cc",
-    "src/voronoi/weighted_adaptive.cc",
-)
-
 # entry-check-msg: (file-suffix, function) pairs; the definition must call
 # MOVD_CHECK_MSG within its first 15 lines.
 ENTRY_POINTS = [
@@ -67,12 +56,10 @@ ENTRY_POINTS = [
     ("src/core/topk.cc", "MolqResult TopKFromMovd"),
     ("src/fermat/batch.cc", "BatchResult ScanBestK"),
     ("src/fermat/batch.cc", "BatchResult SolveFermatWeberBatch"),
-    ("src/voronoi/weighted.cc",
-     "std::vector<WeightedCellApprox> ApproximateWeightedVoronoi"),
-    ("src/voronoi/weighted.cc",
-     "std::vector<WeightedCellApprox> BuildWeightedCells"),
     ("src/voronoi/weighted_adaptive.cc",
-     "std::vector<WeightedCellApprox> AdaptiveWeightedVoronoi"),
+     "std::vector<WeightedCellApprox> BuildWeightedCells"),
+    ("src/audit/audit_weighted.cc",
+     "std::vector<WeightedCellApprox> ApproximateWeightedVoronoi"),
     ("src/geom/gridcontour.cc", "std::vector<Polygon> ExtractOuterContours"),
     ("src/query/candidates.cc", "StatusCode EnumerateCandidates"),
     ("src/query/skyline.cc", "SkylineResult SkylineFromMovd"),
@@ -213,17 +200,6 @@ def lint_file(root, rel_path, findings):
                     "bench-printf", rel_path, i, raw_lines[i - 1],
                     "stdout printing in bench/; report through the harness "
                     "(bench_lib) so tables and BENCH_*.json stay in sync"))
-
-    # weighted-direct runs everywhere the linter looks, not just src/: a
-    # test or tool bypassing the dispatch is exactly the drift the rule
-    # exists to stop.
-    if not any(rel_path.endswith(p) for p in WEIGHTED_DIRECT_EXEMPT_FILES):
-        for i, code in enumerate(code_lines, 1):
-            if WEIGHTED_DIRECT_RE.search(code):
-                findings.append(Finding(
-                    "weighted-direct", rel_path, i, raw_lines[i - 1],
-                    "direct weighted-Voronoi backend call; route through "
-                    "BuildWeightedCells (WeightedOptions dispatch)"))
 
     # untracked-todo runs on raw lines (markers live in comments).
     for i, line in enumerate(raw_lines, 1):

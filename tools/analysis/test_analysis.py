@@ -58,8 +58,6 @@ class LintRuleTest(unittest.TestCase):
          "src/core/fixture.cc"),
         ("bench-printf", "bench_printf_bad.cc", "bench_printf_ok.cc",
          "bench/fixture.cc"),
-        ("weighted-direct", "weighted_direct_bad.cc", None,
-         "src/core/fixture.cc"),
     ]
 
     def test_positive_fixtures_trigger(self):

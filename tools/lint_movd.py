@@ -39,13 +39,6 @@ know about (see DESIGN.md section 7):
                     BENCH_<suite>.json emitter. Hand-rolled tables drift
                     from the JSON and defeat bench_diff. stderr diagnostics
                     remain legal.
-  weighted-direct   No direct calls to the weighted-Voronoi construction
-                    backends (ApproximateWeightedVoronoi /
-                    AdaptiveWeightedVoronoi) outside the WeightedOptions
-                    dispatch in src/voronoi/weighted.{h,cc} and
-                    weighted_adaptive.cc. Callers go through
-                    BuildWeightedCells so the method knob, its validation,
-                    and future backends stay in one place.
 
 False positives are suppressed through tools/lint_allowlist.txt; each entry
 is `rule|path-suffix|line-substring` plus a mandatory trailing comment

@@ -221,23 +221,24 @@ int Main(int argc, char** argv) {
           mult_sites.push_back({p, mult(rng), 0.0});
           add_sites.push_back({p, 1.0, add(rng)});
         }
-        WeightedOptions wopts;
-        wopts.resolution = resolution;
-        wopts.threads = threads;
-        wopts.method = WeightedMethod::kDenseGrid;
-        Absorb(AuditWeightedCells(
-                   mult_sites, BuildWeightedCells(mult_sites, bounds, wopts),
-                   bounds, resolution),
+        // The dense-grid oracle against its own invariants.
+        Absorb(AuditWeightedCells(mult_sites,
+                                  ApproximateWeightedVoronoi(
+                                      mult_sites, bounds, resolution, threads),
+                                  bounds, resolution),
                where, &t_weighted_mult);
-        Absorb(AuditWeightedCells(
-                   add_sites, BuildWeightedCells(add_sites, bounds, wopts),
-                   bounds, resolution),
+        Absorb(AuditWeightedCells(add_sites,
+                                  ApproximateWeightedVoronoi(
+                                      add_sites, bounds, resolution, threads),
+                                  bounds, resolution),
                where, &t_weighted_add);
-        // The adaptive construction, cross-checked against a dense-lattice
+        // The adaptive builder, cross-checked against a dense-lattice
         // dominance replay at the same effective resolution (the
         // "adaptive cover contains every dense-dominated sample"
         // guarantee, DESIGN.md §11).
-        wopts.method = WeightedMethod::kAdaptive;
+        WeightedOptions wopts;
+        wopts.resolution = resolution;
+        wopts.threads = threads;
         Absorb(AuditAdaptiveWeightedCells(
                    mult_sites, BuildWeightedCells(mult_sites, bounds, wopts),
                    bounds, resolution),

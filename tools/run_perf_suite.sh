@@ -25,6 +25,14 @@ common=(--threads=2 --seed=42 --repetitions=7 --warmup=1)
 # bit for bit.
 "$build/bench/ext02_overlap_pruning" "${common[@]}" --sizes=256 \
     --json="$out/BENCH_ext02_overlap_pruning.json"
+# Road-network MOLQ (src/network): network_cost and snapped_euclidean_cost
+# gate exactly. The timed body is the network solve alone. At 16K-32K
+# vertices its medians run 5-30 ms, where the default 500-8000 sizes take
+# 0.1-5 ms. The memory-bound Dijkstra still swings by up to 1.3x between
+# runs on a shared host, so the cases take 15 repetitions: with 7, their
+# stddev missed the swing and runs of one binary failed the timing gate.
+"$build/bench/ext04_network_molq" "${common[@]}" --repetitions=15 \
+    --vertices=16000,32000 --json="$out/BENCH_ext04_network_molq.json"
 "$build/bench/micro_fermat" "${common[@]}" \
     --json="$out/BENCH_micro_fermat.json"
 "$build/bench/micro_geom" "${common[@]}" \
@@ -40,11 +48,11 @@ common=(--threads=2 --seed=42 --repetitions=7 --warmup=1)
     --json="$out/BENCH_query.json"
 
 # Weighted-diagram construction gates (DESIGN.md §11): the micro suite
-# compares the adaptive builder against the dense-grid reference directly;
-# the fig11-14 runs pin small overlap workloads plus the weighted build
-# phase end-to-end through BuildBasicMovd. Sizes keep the dense reference
-# cases around a second while leaving the adaptive speedup well above the
-# measurement noise.
+# compares the adaptive builder against the dense-grid audit oracle
+# directly; the fig11-14 runs pin small overlap workloads plus the weighted
+# build phase end-to-end through BuildBasicMovd. Sizes keep the dense
+# oracle cases around a second while leaving the adaptive speedup well
+# above the measurement noise.
 "$build/bench/micro_weighted" "${common[@]}" --sizes=64,256 --resolution=256 \
     --json="$out/BENCH_micro_weighted.json"
 "$build/bench/fig11_overlap_time" "${common[@]}" --sizes=128 --wres=512 \
