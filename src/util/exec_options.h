@@ -31,9 +31,8 @@ struct ExecOptions {
   /// paper-reproduction numbers are unchanged unless opted in; 0 means one
   /// thread per hardware thread. Answers do not depend on it, but the
   /// scan's counters do (OptimizerStats::skipped_prefilter,
-  /// pruned_by_bound, total_iterations): the shared bound tightens in a
-  /// thread-dependent order, so more or fewer problems are cut before
-  /// the winner is found. `problems` does not vary.
+  /// pruned_by_bound, total_iterations; not `problems`): the shared bound
+  /// tightens in a thread-dependent order.
   int threads = 1;
 
   /// Runs the structural invariant auditors (src/audit, DESIGN.md §7) as
