@@ -1,5 +1,7 @@
 #include "data/csv.h"
 
+#include <cctype>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -29,84 +31,79 @@ bool SaveObjectsCsv(const std::string& path,
   return std::fclose(f) == 0 && ok;
 }
 
-std::optional<std::vector<SpatialObject>> LoadObjectsCsv(
-    const std::string& path) {
+namespace {
+
+// Parses one `a,b[,...]` row of at most `max` finite numbers into `out`.
+// Returns how many it read, or 0 when the row is malformed: a field that
+// is not a number, a non-finite value, more than `max` fields, or
+// anything but whitespace after the last number.
+size_t ParseRow(const char* line, double* out, size_t max) {
+  const char* cursor = line;
+  for (size_t n = 0; n < max; ++n) {
+    char* end = nullptr;
+    out[n] = std::strtod(cursor, &end);
+    if (end == cursor || !std::isfinite(out[n])) return 0;
+    cursor = end;
+    if (*cursor != ',') {
+      while (std::isspace(static_cast<unsigned char>(*cursor))) ++cursor;
+      return *cursor == '\0' ? n + 1 : 0;
+    }
+    ++cursor;
+  }
+  return 0;
+}
+
+// Hands the numbers of each row of `path` to `add`, skipping blank rows
+// and a leading `x,y` header. False on I/O failure, a row cut by the line
+// buffer, or a row that ParseRow rejects or that has fewer than
+// `min_fields` numbers.
+template <typename Add>
+bool ReadRows(const std::string& path, size_t min_fields, size_t max_fields,
+              Add add) {
   std::FILE* f = std::fopen(path.c_str(), "r");
-  if (f == nullptr) return std::nullopt;
-  std::vector<SpatialObject> out;
+  if (f == nullptr) return false;
   char line[512];
+  double fields[4];
   bool first = true;
-  while (std::fgets(line, sizeof(line), f) != nullptr) {
+  bool ok = true;
+  while (ok && std::fgets(line, sizeof(line), f) != nullptr) {
     if (first && std::strncmp(line, "x,y", 3) == 0) {
       first = false;
       continue;
     }
     first = false;
     if (line[0] == '\n' || line[0] == '\0') continue;
-    SpatialObject obj;
-    char* cursor = line;
-    char* end = nullptr;
-    obj.location.x = std::strtod(cursor, &end);
-    if (end == cursor || *end != ',') {
-      std::fclose(f);
-      return std::nullopt;
-    }
-    cursor = end + 1;
-    obj.location.y = std::strtod(cursor, &end);
-    if (end == cursor) {
-      std::fclose(f);
-      return std::nullopt;
-    }
-    if (*end == ',') {
-      cursor = end + 1;
-      obj.type_weight = std::strtod(cursor, &end);
-      if (end == cursor) {
-        std::fclose(f);
-        return std::nullopt;
-      }
-      if (*end == ',') {
-        cursor = end + 1;
-        obj.object_weight = std::strtod(cursor, &end);
-        if (end == cursor) {
-          std::fclose(f);
-          return std::nullopt;
-        }
-      }
-    }
-    out.push_back(obj);
+    const bool cut = std::strchr(line, '\n') == nullptr && !std::feof(f);
+    const size_t n = cut ? 0 : ParseRow(line, fields, max_fields);
+    ok = n >= min_fields;
+    if (ok) add(fields, n);
   }
   std::fclose(f);
+  return ok;
+}
+
+}  // namespace
+
+std::optional<std::vector<SpatialObject>> LoadObjectsCsv(
+    const std::string& path) {
+  std::vector<SpatialObject> out;
+  const bool ok = ReadRows(path, 2, 4, [&out](const double* v, size_t n) {
+    SpatialObject obj;
+    obj.location = {v[0], v[1]};
+    if (n > 2) obj.type_weight = v[2];
+    if (n > 3) obj.object_weight = v[3];
+    out.push_back(obj);
+  });
+  if (!ok) return std::nullopt;
   return out;
 }
 
 std::optional<std::vector<Point>> LoadPointsCsv(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "r");
-  if (f == nullptr) return std::nullopt;
   std::vector<Point> out;
-  char line[256];
-  bool first = true;
-  while (std::fgets(line, sizeof(line), f) != nullptr) {
-    if (first && std::strncmp(line, "x,y", 3) == 0) {
-      first = false;
-      continue;  // header row
-    }
-    first = false;
-    if (line[0] == '\n' || line[0] == '\0') continue;
-    char* end = nullptr;
-    const double x = std::strtod(line, &end);
-    if (end == line || *end != ',') {
-      std::fclose(f);
-      return std::nullopt;
-    }
-    const char* ystr = end + 1;
-    const double y = std::strtod(ystr, &end);
-    if (end == ystr) {
-      std::fclose(f);
-      return std::nullopt;
-    }
-    out.push_back({x, y});
-  }
-  std::fclose(f);
+  const bool ok = ReadRows(path, 2, 2, [&out](const double* v, size_t) {
+    out.push_back({v[0], v[1]});
+  });
+  if (!ok) return std::nullopt;
   return out;
 }
 

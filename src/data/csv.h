@@ -15,7 +15,9 @@ namespace movd {
 bool SavePointsCsv(const std::string& path, const std::vector<Point>& points);
 
 /// Reads points from an `x,y`-per-line file (a leading `x,y` header row is
-/// tolerated). Returns nullopt on I/O failure or malformed rows.
+/// tolerated). Returns nullopt on I/O failure or a malformed row: a field
+/// that is not a number, a non-finite value, a third field, or anything
+/// but whitespace after the last number.
 std::optional<std::vector<Point>> LoadPointsCsv(const std::string& path);
 
 /// Writes spatial objects as `x,y,type_weight,object_weight` lines.
@@ -24,7 +26,8 @@ bool SaveObjectsCsv(const std::string& path,
 
 /// Reads spatial objects from `x,y[,type_weight[,object_weight]]` lines
 /// (missing weights default to 1; a header row starting with `x,y` is
-/// tolerated). Returns nullopt on I/O failure or malformed rows.
+/// tolerated). Returns nullopt on I/O failure or a malformed row, as
+/// LoadPointsCsv rejects them but with up to four fields.
 std::optional<std::vector<SpatialObject>> LoadObjectsCsv(
     const std::string& path);
 

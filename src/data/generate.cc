@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "util/check.h"
+#include "util/fnv.h"
 #include "util/rng.h"
 
 namespace movd {
@@ -76,15 +77,6 @@ std::vector<Point> GenerateCorridors(const GeneratorConfig& c, Rng* rng) {
   return out;
 }
 
-uint64_t HashName(const std::string& name) {
-  uint64_t h = 1469598103934665603ULL;  // FNV-1a
-  for (const char ch : name) {
-    h ^= static_cast<unsigned char>(ch);
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-
 }  // namespace
 
 std::vector<Point> GeneratePoints(const GeneratorConfig& config) {
@@ -128,7 +120,7 @@ std::vector<Point> SamplePoiClass(const std::string& name, size_t count,
   config.count = count;
   config.bounds = bounds;
   config.clusters = std::max(1, spec->clusters);
-  config.seed = seed ^ HashName(name);
+  config.seed = seed ^ Fnv1a(name);
   return GeneratePoints(config);
 }
 

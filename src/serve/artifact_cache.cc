@@ -6,7 +6,7 @@
 namespace movd {
 
 size_t ArtifactBytes(const Movd& movd) {
-  size_t bytes = 16;  // file header: magic + version + count
+  size_t bytes = 16 + 8;  // file header and checksum trailer
   for (const Ovr& ovr : movd.ovrs) bytes += SerializedOvrSize(ovr);
   return bytes;
 }

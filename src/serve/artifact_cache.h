@@ -18,11 +18,11 @@
 namespace movd {
 
 /// Serialized-format byte count of one MOVD artifact (the sum of its OVR
-/// record sizes plus the file header) — the unit the cache's byte budget is
-/// accounted in. Deterministic and boundary-mode independent, unlike
-/// Movd::MemoryBytes, so a cache budget means the same thing for basic
-/// diagrams, RRB overlays and MBRB overlays, and matches the bytes a
-/// warm-start snapshot occupies on disk.
+/// record sizes plus the file header and trailer) — the unit the cache's
+/// byte budget is accounted in. Deterministic and boundary-mode
+/// independent, unlike Movd::MemoryBytes, so a cache budget means the same
+/// thing for basic diagrams, RRB overlays and MBRB overlays, and matches
+/// the bytes a warm-start snapshot occupies on disk.
 size_t ArtifactBytes(const Movd& movd);
 
 /// A byte-accounted, single-flight LRU cache of built MOVD artifacts

@@ -22,6 +22,7 @@
 #include "query/whatif.h"
 #include "storage/movd_file.h"
 #include "trace/trace.h"
+#include "util/fnv.h"
 #include "util/stopwatch.h"
 
 namespace movd {
@@ -182,11 +183,10 @@ bool WarmArtifactFits(const std::string& key, const Movd& movd,
 /// with ring separators), hex-encoded: two requests share a clipped-overlay
 /// artifact iff their constraint geometry is bit-identical.
 std::string ConstraintHash(const QueryConstraint& constraint) {
-  uint64_t h = 1469598103934665603ull;
+  uint64_t h = kFnv1aBasis;
   const auto mix = [&h](uint64_t v) {
     for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xffu;
-      h *= 1099511628211ull;
+      h = Fnv1aStep(h, static_cast<uint8_t>(v >> (8 * i)));
     }
   };
   const auto mix_ring = [&](const Polygon& poly) {

@@ -1,68 +1,34 @@
 #ifndef MOVD_STORAGE_MOVD_FILE_H_
 #define MOVD_STORAGE_MOVD_FILE_H_
 
-#include <optional>
+#include <cstddef>
 #include <string>
 
 #include "model/movd_model.h"
-#include "storage/io.h"
 #include "util/status.h"
 
 namespace movd {
 
-/// Serialized size in bytes of one OVR record (used for memory accounting
-/// in the disk-based pipeline).
+/// MOVD file format, version 2 (integers little-endian):
+///   u32 magic "MOVD", u32 version, u64 record count,
+///   records: 4 doubles (mbr), varint #pois, per poi varint set and
+///            varint object, varint #pieces, per piece varint #vertices
+///            and that many (x, y) double pairs,
+///   u64 FNV-1a over every byte before it.
+/// Version 1 was the same without the checksum.
+
+/// Serialized size in bytes of one OVR record (serve's cache charges an
+/// artifact its records' bytes).
 size_t SerializedOvrSize(const Ovr& ovr);
-
-/// Appends one OVR record to a writer (format: mbr, pois, region pieces).
-void WriteOvr(BinaryWriter* writer, const Ovr& ovr);
-
-/// Reads one OVR record.
-Ovr ReadOvr(BinaryReader* reader);
-
-/// Sequential writer for a MOVD file:
-///   header (magic, version, reserved count slot) + OVR records.
-/// The record count is patched into the header on Close().
-class MovdFileWriter {
- public:
-  explicit MovdFileWriter(const std::string& path);
-
-  void Append(const Ovr& ovr);
-  uint64_t count() const { return count_; }
-
-  /// Finalises the header; kIoError on I/O failure.
-  Status Close();
-
- private:
-  std::string path_;
-  BinaryWriter writer_;
-  uint64_t count_ = 0;
-};
-
-/// Sequential reader for a MOVD file.
-class MovdFileReader {
- public:
-  explicit MovdFileReader(const std::string& path);
-
-  bool ok() const { return ok_; }
-  uint64_t count() const { return count_; }
-
-  /// Reads the next OVR; nullopt once all records were consumed.
-  std::optional<Ovr> Next();
-
- private:
-  BinaryReader reader_;
-  uint64_t count_ = 0;
-  uint64_t read_ = 0;
-  bool ok_ = false;
-};
 
 /// Writes a whole in-memory MOVD to `path`. kIoError on failure.
 Status SaveMovd(const std::string& path, const Movd& movd);
 
 /// Loads a whole MOVD file into memory. kIoError when the file cannot be
-/// opened, kDataLoss when the header or a record fails validation
-/// (corrupt/truncated/version mismatch).
+/// read; kDataLoss unless its bytes are exactly what SaveMovd writes for
+/// the returned MOVD (bad checksum, magic or version, a count past the
+/// end of the file, a malformed varint, an index above INT32_MAX, a piece
+/// of fewer than 3 vertices, trailing bytes).
 StatusOr<Movd> LoadMovd(const std::string& path);
 
 }  // namespace movd

@@ -125,13 +125,33 @@ TEST(CsvTest, ToleratesHeaderRow) {
   std::remove(path.c_str());
 }
 
-TEST(CsvTest, RejectsMalformedRows) {
-  const std::string path = ::testing::TempDir() + "/bad.csv";
+// Writes `rows` to a fresh file under the test temp dir and returns it.
+std::string WriteCsv(const std::string& name, const char* rows) {
+  const std::string path = ::testing::TempDir() + "/" + name;
   std::FILE* f = std::fopen(path.c_str(), "w");
-  ASSERT_NE(f, nullptr);
-  std::fputs("1.5;2.5\n", f);
-  std::fclose(f);
-  EXPECT_FALSE(LoadPointsCsv(path).has_value());
+  EXPECT_NE(f, nullptr);
+  if (f != nullptr) {
+    std::fputs(rows, f);
+    std::fclose(f);
+  }
+  return path;
+}
+
+// Trailing junk, an extra field and non-finite values used to load
+// (`1,2abc` as (1, 2)) and surfaced later as an empty overlay.
+TEST(CsvTest, RejectsMalformedRows) {
+  for (const char* row :
+       {"1.5;2.5\n", "1,2abc\n", "1,2 x\n", "1,2,3\n", "1,2,\n", "nan,1\n",
+        "1,inf\n", "1,1e999\n", "1,-1e999\n"}) {
+    const std::string path = WriteCsv("bad.csv", row);
+    EXPECT_FALSE(LoadPointsCsv(path).has_value()) << row;
+    std::remove(path.c_str());
+  }
+  // Whitespace after the last number, a CR included, is not junk.
+  const std::string path = WriteCsv("crlf.csv", "1,2\r\n3,4 \t\n");
+  const auto loaded = LoadPointsCsv(path);
+  ASSERT_TRUE(loaded.has_value());
+  EXPECT_EQ(*loaded, (std::vector<Point>{{1, 2}, {3, 4}}));
   std::remove(path.c_str());
 }
 
@@ -174,12 +194,18 @@ TEST(ObjectsCsvTest, WeightsDefaultToOne) {
 }
 
 TEST(ObjectsCsvTest, RejectsMalformedWeightRows) {
-  const std::string path = ::testing::TempDir() + "/badw.csv";
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  ASSERT_NE(f, nullptr);
-  std::fputs("1.0,2.0,notanumber\n", f);
-  std::fclose(f);
-  EXPECT_FALSE(LoadObjectsCsv(path).has_value());
+  for (const char* row :
+       {"1.0,2.0,notanumber\n", "1,2abc\n", "1,2,3x\n", "1,2,3,4,5\n",
+        "1,2,3,4,\n", "nan,1\n", "1,2,inf\n", "1,2,3,nan\n", "1,2,1e999\n"}) {
+    const std::string path = WriteCsv("badw.csv", row);
+    EXPECT_FALSE(LoadObjectsCsv(path).has_value()) << row;
+    std::remove(path.c_str());
+  }
+  const std::string path = WriteCsv("crlfw.csv", "1,2,3,4\r\n");
+  const auto loaded = LoadObjectsCsv(path);
+  ASSERT_TRUE(loaded.has_value());
+  ASSERT_EQ(loaded->size(), 1u);
+  EXPECT_EQ((*loaded)[0].object_weight, 4.0);
   std::remove(path.c_str());
 }
 

@@ -5,12 +5,11 @@
 // state, thread count and batching arrangement, and that a fired deadline
 // never yields a partial answer.
 
-#include <unistd.h>
-
 #include <atomic>
 #include <cstdio>
 #include <fstream>
 #include <future>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <thread>
@@ -97,11 +96,14 @@ void ExpectAnswersEqual(const std::vector<SiteCandidate>& a,
 
 TEST(ServeCacheTest, ArtifactBytesMatchesOnDiskSize) {
   const auto artifact = MakeArtifact(12, 11);
-  size_t records = 0;
-  for (const Ovr& ovr : artifact->ovrs) records += SerializedOvrSize(ovr);
+  const std::string path = TmpDir("artifact.movd");
+  ASSERT_TRUE(SaveMovd(path, *artifact).ok());
+  std::ifstream file(path, std::ios::binary | std::ios::ate);
+  ASSERT_TRUE(file);
   // Cache accounting == file bytes: a cache budget and a warm-start
   // snapshot size mean the same thing.
-  EXPECT_EQ(ArtifactBytes(*artifact), records + 16);
+  EXPECT_EQ(ArtifactBytes(*artifact), static_cast<size_t>(file.tellg()));
+  std::remove(path.c_str());
 }
 
 TEST(ServeCacheTest, HitAvoidsBuilderAndCountsStats) {
@@ -764,39 +766,84 @@ TEST(ServeEngineTest, WarmStartRoundTripServesIdenticalAnswersFromCache) {
   ExpectAnswersEqual(cold.answers, warm.answers);
 }
 
+// The file of the first warm-start artifact whose key starts with
+// `prefix`, per the snapshot's manifest; empty if there is none.
+std::string ArtifactFile(const std::string& dir, const std::string& prefix) {
+  std::ifstream manifest(dir + "/manifest.txt");
+  std::string line;
+  while (std::getline(manifest, line)) {
+    const size_t tab = line.find('\t');
+    if (line.compare(tab + 1, prefix.size(), prefix) == 0) {
+      return dir + "/" + line.substr(0, tab);
+    }
+  }
+  return "";
+}
+
+// Each damage makes the overlay artifact unloadable. At format version 1
+// (no checksum, counts trusted) a count of 2^64-1 aborted the process,
+// and a lowered count or a flipped coordinate bit loaded as a fitting
+// overlay.
 TEST(ServeEngineTest, WarmStartSkipsCorruptArtifacts) {
   const MolqQuery query = TestQuery({15, 15}, 67);
-  const std::string dir = TmpDir("corrupt");
   EngineRequest request;
   request.dataset = "d";
-  ServeResponse cold;
-  {
+  const char* const damages[] = {"truncated to half", "count 2^64-1",
+                                 "count lowered by one",
+                                 "bit flipped in a record"};
+  for (size_t d = 0; d < std::size(damages); ++d) {
+    SCOPED_TRACE(damages[d]);
+    const std::string dir = TmpDir("corrupt" + std::to_string(d));
+    ServeResponse cold;
+    {
+      QueryEngine engine;
+      engine.RegisterDataset("d", query, kBounds);
+      cold = engine.Handle(request);
+      ASSERT_EQ(cold.status, ServeStatus::kOk);
+      const Status saved = engine.SaveCache(dir);
+      ASSERT_TRUE(saved.ok()) << saved.ToString();
+    }
+    const std::string victim = ArtifactFile(dir, "ovl/");
+    ASSERT_FALSE(victim.empty());
+    std::string bytes;
+    {
+      std::ifstream in(victim, std::ios::binary);
+      bytes.assign(std::istreambuf_iterator<char>(in), {});
+    }
+    // Header: u32 magic, u32 version, u64 record count; the first
+    // record's mbr.min_y starts at byte 24.
+    ASSERT_GT(bytes.size(), 32u);
+    switch (d) {
+      case 0:
+        bytes.resize(bytes.size() / 2);
+        break;
+      case 1:
+        bytes.replace(8, 8, 8, '\xff');
+        break;
+      case 2:
+        ASSERT_NE(bytes[8], 0);  // the count's low byte
+        --bytes[8];
+        break;
+      default:
+        bytes[24] ^= 1;
+    }
+    {
+      std::ofstream out(victim, std::ios::binary | std::ios::trunc);
+      out << bytes;
+    }
+
     QueryEngine engine;
     engine.RegisterDataset("d", query, kBounds);
-    cold = engine.Handle(request);
-    ASSERT_EQ(cold.status, ServeStatus::kOk);
-    const Status saved = engine.SaveCache(dir);
-    ASSERT_TRUE(saved.ok()) << saved.ToString();
+    const auto load = engine.LoadCache(dir);
+    EXPECT_TRUE(load.status.ok()) << load.status.ToString();
+    EXPECT_EQ(load.failed, 1u);
+    EXPECT_GE(load.loaded, 2u);
+    // The engine still answers correctly, rebuilding what was damaged.
+    const ServeResponse resp = engine.Handle(request);
+    ASSERT_EQ(resp.status, ServeStatus::kOk);
+    EXPECT_FALSE(resp.cache_hit);
+    ExpectAnswersEqual(cold.answers, resp.answers);
   }
-  // Truncate one artifact mid-record: it must be skipped, not served.
-  const std::string victim = dir + "/art_0.movd";
-  std::FILE* f = std::fopen(victim.c_str(), "rb");
-  ASSERT_NE(f, nullptr);
-  std::fseek(f, 0, SEEK_END);
-  const long size = std::ftell(f);
-  std::fclose(f);
-  ASSERT_EQ(truncate(victim.c_str(), size / 2), 0);
-
-  QueryEngine engine;
-  engine.RegisterDataset("d", query, kBounds);
-  const auto load = engine.LoadCache(dir);
-  EXPECT_TRUE(load.status.ok()) << load.status.ToString();
-  EXPECT_EQ(load.failed, 1u);
-  EXPECT_GE(load.loaded, 2u);
-  // The engine still answers correctly, rebuilding what was damaged.
-  const ServeResponse resp = engine.Handle(request);
-  ASSERT_EQ(resp.status, ServeStatus::kOk);
-  ExpectAnswersEqual(cold.answers, resp.answers);
 }
 
 TEST(ServeEngineTest, WarmStartSkipsArtifactsThatDoNotFitTheDataset) {
@@ -817,17 +864,7 @@ TEST(ServeEngineTest, WarmStartSkipsArtifactsThatDoNotFitTheDataset) {
     const Status saved = engine.SaveCache(dir);
     ASSERT_TRUE(saved.ok()) << saved.ToString();
   }
-  std::string overlay_file;
-  {
-    std::ifstream manifest(dir + "/manifest.txt");
-    std::string line;
-    while (std::getline(manifest, line)) {
-      const size_t tab = line.find('\t');
-      if (line.compare(tab + 1, 4, "ovl/") == 0) {
-        overlay_file = dir + "/" + line.substr(0, tab);
-      }
-    }
-  }
+  const std::string overlay_file = ArtifactFile(dir, "ovl/");
   ASSERT_FALSE(overlay_file.empty());
   StatusOr<Movd> saved = LoadMovd(overlay_file);
   ASSERT_TRUE(saved.has_value());

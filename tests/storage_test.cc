@@ -2,15 +2,17 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <string>
 
 #include <gtest/gtest.h>
 
 #include "model/movd_model.h"
 #include "core/overlap.h"
-#include "storage/io.h"
 #include "storage/movd_file.h"
+#include "util/fnv.h"
 #include "util/rng.h"
 #include "voronoi/voronoi.h"
 
@@ -18,6 +20,15 @@ namespace movd {
 namespace {
 
 constexpr Rect kBounds(0, 0, 100, 100);
+
+// Byte offsets in a saved basic MOVD whose first OVR has one poi with
+// set and object below 128: the 16-byte header, then the first record's
+// mbr (32 bytes), its poi count, set, object, piece count and the first
+// piece's vertex count.
+constexpr size_t kCountAt = 8;
+constexpr size_t kPoiCountAt = 16 + 32;
+constexpr size_t kObjectAt = kPoiCountAt + 2;
+constexpr size_t kVertexCountAt = kPoiCountAt + 4;
 
 // Temp path unique to the running test: parameterized instances of one
 // test share file names, and ctest runs them as separate concurrent
@@ -65,41 +76,79 @@ std::vector<std::string> Canonicalize(const Movd& movd) {
   return keys;
 }
 
-TEST(BinaryIoTest, PrimitivesRoundTrip) {
-  const std::string path = Tmp("prim.bin");
-  {
-    BinaryWriter w(path);
-    ASSERT_TRUE(w.ok());
-    w.WriteU32(0xdeadbeef);
-    w.WriteU64(0x0123456789abcdefULL);
-    w.WriteVarint(0);
-    w.WriteVarint(127);
-    w.WriteVarint(128);
-    w.WriteVarint(UINT64_MAX);
-    w.WriteDouble(-0.1);
-    w.WriteDouble(1e308);
-    EXPECT_TRUE(w.Close());
-  }
-  BinaryReader r(path);
-  ASSERT_TRUE(r.ok());
-  EXPECT_EQ(r.ReadU32(), 0xdeadbeefu);
-  EXPECT_EQ(r.ReadU64(), 0x0123456789abcdefULL);
-  EXPECT_EQ(r.ReadVarint(), 0u);
-  EXPECT_EQ(r.ReadVarint(), 127u);
-  EXPECT_EQ(r.ReadVarint(), 128u);
-  EXPECT_EQ(r.ReadVarint(), UINT64_MAX);
-  EXPECT_EQ(r.ReadDouble(), -0.1);
-  EXPECT_EQ(r.ReadDouble(), 1e308);
-  EXPECT_TRUE(r.ok());
-  EXPECT_TRUE(r.AtEof());
-  std::remove(path.c_str());
+std::string ReadFileBytes(const std::string& path) {
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  EXPECT_NE(f, nullptr) << path;
+  if (f == nullptr) return "";
+  std::string bytes;
+  char buf[4096];
+  size_t n;
+  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) bytes.append(buf, n);
+  std::fclose(f);
+  return bytes;
 }
 
-TEST(BinaryIoTest, MissingFileIsNotOk) {
-  BinaryReader r("/nonexistent/nope.bin");
-  EXPECT_FALSE(r.ok());
-  BinaryWriter w("/nonexistent/nope.bin");
-  EXPECT_FALSE(w.ok());
+void WriteFileBytes(const std::string& path, const std::string& bytes) {
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  ASSERT_NE(f, nullptr) << path;
+  ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
+  std::fclose(f);
+}
+
+std::string SavedBytes(const Movd& movd) {
+  const std::string path = Tmp("saved.movd");
+  EXPECT_TRUE(SaveMovd(path, movd).ok());
+  std::string bytes = ReadFileBytes(path);
+  std::remove(path.c_str());
+  return bytes;
+}
+
+StatusOr<Movd> LoadBytes(const std::string& bytes) {
+  const std::string path = Tmp("loaded.movd");
+  WriteFileBytes(path, bytes);
+  StatusOr<Movd> movd = LoadMovd(path);
+  std::remove(path.c_str());
+  return movd;
+}
+
+std::string LittleEndian(uint64_t v, int bytes) {
+  std::string out;
+  for (int i = 0; i < bytes; ++i) {
+    out.push_back(static_cast<char>(v >> (8 * i)));
+  }
+  return out;
+}
+
+std::string Varint(uint64_t v) {
+  std::string out;
+  for (; v >= 0x80; v >>= 7) {
+    out.push_back(static_cast<char>((v & 0x7f) | 0x80));
+  }
+  out.push_back(static_cast<char>(v));
+  return out;
+}
+
+// Recomputes the FNV-1a trailer over the bytes before it, so a test
+// reaches the decode rule behind the checksum.
+std::string Reseal(std::string bytes) {
+  bytes.resize(bytes.size() - 8);
+  return bytes + LittleEndian(Fnv1a(bytes), 8);
+}
+
+// The basic MOVD the decode-rule cases damage, saved.
+std::string BasicBytes() {
+  const std::string bytes = SavedBytes(RandomBasicMovd(10, 0, 205));
+  EXPECT_EQ(bytes[kPoiCountAt], 1);
+  EXPECT_GE(bytes[kVertexCountAt], 3);
+  return bytes;
+}
+
+void ExpectDataLoss(const std::string& bytes, const std::string& reason) {
+  const StatusOr<Movd> movd = LoadBytes(bytes);
+  ASSERT_FALSE(movd.has_value());
+  EXPECT_EQ(movd.status().code(), StatusCode::kDataLoss);
+  EXPECT_NE(movd.status().message().find(reason), std::string::npos)
+      << movd.status().ToString();
 }
 
 TEST(MovdFileTest, RoundTripsMovd) {
@@ -116,6 +165,56 @@ TEST(MovdFileTest, RoundTripsMovd) {
   std::remove(path.c_str());
 }
 
+// Varint widths at their boundaries, the largest index and doubles at the
+// ends of their range come back bit for bit.
+TEST(MovdFileTest, ExtremeValuesRoundTrip) {
+  Ovr ovr;
+  ovr.mbr = Rect(-0.1, -1e308, 1e308, 5e-324);
+  ovr.pois = {{0, 127}, {128, INT32_MAX}};
+  ovr.region = Region::FromPieces({ConvexPolygon::FromTrustedRing(
+      {{-0.1, 0}, {1e308, 0}, {0, 5e-324}})});
+  Movd movd;
+  movd.ovrs = {ovr, Ovr{}};
+  const StatusOr<Movd> loaded = LoadBytes(SavedBytes(movd));
+  ASSERT_TRUE(loaded.has_value()) << loaded.status().ToString();
+  ASSERT_EQ(loaded->ovrs.size(), 2u);
+  const Ovr& back = loaded->ovrs[0];
+  EXPECT_EQ(back.mbr.min_x, -0.1);
+  EXPECT_EQ(back.mbr.min_y, -1e308);
+  EXPECT_EQ(back.mbr.max_x, 1e308);
+  EXPECT_EQ(back.mbr.max_y, 5e-324);
+  EXPECT_EQ(back.pois, ovr.pois);
+  ASSERT_EQ(back.region.pieces().size(), 1u);
+  EXPECT_EQ(back.region.pieces()[0].vertices(),
+            ovr.region.pieces()[0].vertices());
+  EXPECT_TRUE(loaded->ovrs[1].pois.empty());
+  EXPECT_TRUE(loaded->ovrs[1].region.Empty());
+}
+
+// The documented layout, byte for byte: header, one record, trailer.
+TEST(MovdFileTest, WritesTheDocumentedLayout) {
+  Ovr ovr;
+  ovr.mbr = Rect(0, 0, 1, 2);
+  ovr.pois = {{1, 300}};
+  ovr.region = Region::FromPieces(
+      {ConvexPolygon::FromTrustedRing({{0, 0}, {1, 0}, {0, 2}})});
+  Movd movd;
+  movd.ovrs = {ovr};
+  const auto dbl = [](double v) {
+    uint64_t bits;
+    std::memcpy(&bits, &v, sizeof(bits));
+    return LittleEndian(bits, 8);
+  };
+  std::string expected = std::string("DVOM", 4) + LittleEndian(2, 4) +
+                         LittleEndian(1, 8) + dbl(0) + dbl(0) + dbl(1) +
+                         dbl(2) + Varint(1) + Varint(1) + Varint(300) +
+                         Varint(1) + Varint(3) + dbl(0) + dbl(0) + dbl(1) +
+                         dbl(0) + dbl(0) + dbl(2);
+  expected += LittleEndian(Fnv1a(expected), 8);
+  EXPECT_EQ(SavedBytes(movd), expected);
+  EXPECT_EQ(Varint(300), "\xac\x02");
+}
+
 TEST(MovdFileTest, EmptyMovd) {
   const std::string path = Tmp("empty.bin");
   ASSERT_TRUE(SaveMovd(path, Movd{}));
@@ -125,12 +224,18 @@ TEST(MovdFileTest, EmptyMovd) {
   std::remove(path.c_str());
 }
 
+TEST(MovdFileTest, MissingDirectoryIsAnIoError) {
+  const std::string path = "/nonexistent/nope.movd";
+  EXPECT_EQ(SaveMovd(path, Movd{}).code(), StatusCode::kIoError);
+  EXPECT_EQ(LoadMovd(path).status().code(), StatusCode::kIoError);
+}
+
 TEST(MovdFileTest, RejectsGarbageHeader) {
   const std::string path = Tmp("garbage.bin");
   std::FILE* f = std::fopen(path.c_str(), "wb");
   std::fputs("this is not a movd file at all", f);
   std::fclose(f);
-  EXPECT_FALSE(LoadMovd(path).has_value());
+  EXPECT_EQ(LoadMovd(path).status().code(), StatusCode::kDataLoss);
   std::remove(path.c_str());
 }
 
@@ -144,13 +249,7 @@ TEST(MovdFileTest, TruncatedFileFailsGracefully) {
   const long size = std::ftell(f);
   std::fclose(f);
   ASSERT_EQ(truncate(path.c_str(), size / 2), 0);
-  MovdFileReader reader(path);
-  EXPECT_TRUE(reader.ok());  // header intact
-  size_t read = 0;
-  while (reader.Next().has_value()) ++read;
-  EXPECT_LT(read, movd.ovrs.size());
-  EXPECT_FALSE(reader.ok());  // the failure is reported, not hidden
-  EXPECT_FALSE(LoadMovd(path).has_value());
+  EXPECT_EQ(LoadMovd(path).status().code(), StatusCode::kDataLoss);
   std::remove(path.c_str());
 }
 
@@ -158,26 +257,8 @@ TEST(MovdFileTest, SerializedSizeMatchesBytesWritten) {
   const Movd movd = RandomBasicMovd(10, 0, 202);
   size_t expected = 0;
   for (const Ovr& ovr : movd.ovrs) expected += SerializedOvrSize(ovr);
-  const std::string path = Tmp("sized.bin");
-  ASSERT_TRUE(SaveMovd(path, movd));
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  std::fseek(f, 0, SEEK_END);
-  const long file_size = std::ftell(f);
-  std::fclose(f);
-  EXPECT_EQ(static_cast<size_t>(file_size), expected + 16);  // header = 16
-  std::remove(path.c_str());
-}
-
-std::string ReadFileBytes(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  EXPECT_NE(f, nullptr) << path;
-  if (f == nullptr) return "";
-  std::string bytes;
-  char buf[4096];
-  size_t n;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) bytes.append(buf, n);
-  std::fclose(f);
-  return bytes;
+  // 16-byte header, 8-byte checksum trailer.
+  EXPECT_EQ(SavedBytes(movd).size(), 16 + expected + 8);
 }
 
 // The serving engine persists overlap artifacts (not just basic MOVDs)
@@ -207,26 +288,98 @@ TEST(MovdFileTest, OverlayArtifactRoundTripIsByteIdentical) {
   std::remove(path2.c_str());
 }
 
-// A file with the right magic but a future format version must be
-// rejected with a structured failure (nullopt / !ok()), never a crash or
-// a garbage MOVD.
+// A file with the right magic but another format version must be
+// rejected with a structured failure, never a crash or a garbage MOVD.
 TEST(MovdFileTest, RejectsVersionMismatch) {
-  const Movd movd = RandomBasicMovd(10, 0, 303);
-  const std::string path = Tmp("version.movd");
-  ASSERT_TRUE(SaveMovd(path, movd));
-  // Header layout: u32 magic, u32 version, u64 count (little-endian).
-  std::FILE* f = std::fopen(path.c_str(), "r+b");
-  ASSERT_NE(f, nullptr);
-  ASSERT_EQ(std::fseek(f, 4, SEEK_SET), 0);
-  const uint32_t bad_version = 999;
-  ASSERT_EQ(std::fwrite(&bad_version, sizeof(bad_version), 1, f), 1u);
-  std::fclose(f);
+  std::string bytes = BasicBytes();
+  bytes.replace(4, 4, LittleEndian(999, 4));
+  ExpectDataLoss(Reseal(bytes), "unsupported version");
+}
 
-  MovdFileReader reader(path);
-  EXPECT_FALSE(reader.ok());
-  EXPECT_FALSE(reader.Next().has_value());
-  EXPECT_FALSE(LoadMovd(path).has_value());
-  std::remove(path.c_str());
+// One case per decode rule. Each damages a valid file and re-seals the
+// checksum, so the rule itself must catch it; the comment says what the
+// unchecksummed version-1 reader did with the same damage.
+
+// Version 1: std::length_error from reserve, the process aborted.
+TEST(MovdFileTest, RecordCountPastTheEndIsDataLoss) {
+  std::string bytes = BasicBytes();
+  bytes.replace(kCountAt, 8, LittleEndian(UINT64_MAX, 8));
+  ExpectDataLoss(Reseal(bytes), "count past the end");
+}
+
+// Version 1: loaded the first records as the whole MOVD.
+TEST(MovdFileTest, LoweredRecordCountIsDataLoss) {
+  std::string bytes = BasicBytes();
+  bytes[kCountAt] = static_cast<char>(bytes[kCountAt] - 1);
+  ExpectDataLoss(Reseal(bytes), "bytes after the last record");
+}
+
+// Version 1: std::length_error from reserve, the process aborted.
+TEST(MovdFileTest, PoiCountPastTheEndIsDataLoss) {
+  std::string bytes = BasicBytes();
+  bytes.replace(kPoiCountAt, 1, Varint(uint64_t{1} << 62));
+  ExpectDataLoss(Reseal(bytes), "count past the end");
+}
+
+// Version 1: DataLoss (its reader failed the varint).
+TEST(MovdFileTest, ElevenByteVarintIsDataLoss) {
+  std::string bytes = BasicBytes();
+  bytes.replace(kPoiCountAt, 1, std::string("\x81") + std::string(9, '\x80') +
+                                    std::string(1, '\0'));
+  ExpectDataLoss(Reseal(bytes), "varint longer than 10 bytes");
+}
+
+// Version 1: loaded a poi count of 1 (the high bit shifted out).
+TEST(MovdFileTest, VarintOverflowIsDataLoss) {
+  std::string bytes = BasicBytes();
+  bytes.replace(kPoiCountAt, 1,
+                std::string("\x81") + std::string(8, '\x80') + "\x02");
+  ExpectDataLoss(Reseal(bytes), "varint overflows 64 bits");
+}
+
+// Version 1: loaded (a poi count of 1 spelled in two bytes).
+TEST(MovdFileTest, NonMinimalVarintIsDataLoss) {
+  std::string bytes = BasicBytes();
+  bytes.replace(kPoiCountAt, 1, std::string("\x81\x00", 2));
+  ExpectDataLoss(Reseal(bytes), "varint not in minimal form");
+}
+
+// Version 1: loaded the object index as 1 (static_cast<int32_t>).
+TEST(MovdFileTest, IndexAboveInt32MaxIsDataLoss) {
+  std::string bytes = BasicBytes();
+  bytes.replace(kObjectAt, 1, Varint((uint64_t{1} << 32) + 1));
+  ExpectDataLoss(Reseal(bytes), "index above INT32_MAX");
+}
+
+// Version 1: DataLoss, but only because it misread the piece's vertices as
+// the fields after them and ran past the end.
+TEST(MovdFileTest, PieceOfTwoVerticesIsDataLoss) {
+  std::string bytes = BasicBytes();
+  bytes[kVertexCountAt] = 2;
+  ExpectDataLoss(Reseal(bytes), "piece of fewer than 3 vertices");
+}
+
+// Version 1: loaded, ignoring the byte.
+TEST(MovdFileTest, TrailingByteIsDataLoss) {
+  std::string bytes = BasicBytes();
+  bytes.insert(bytes.size() - 8, 1, '\0');
+  ExpectDataLoss(Reseal(bytes), "bytes after the last record");
+}
+
+// A snapshot saved by the version-1 writer: the same bytes, version 1, no
+// checksum. Warm start counts it failed and rebuilds the artifact.
+TEST(MovdFileTest, VersionOneFileIsDataLoss) {
+  std::string bytes = BasicBytes();
+  bytes.replace(4, 4, LittleEndian(1, 4));
+  bytes.resize(bytes.size() - 8);
+  ExpectDataLoss(bytes, "unsupported version");
+}
+
+// Version 1: no checksum to flip; a flipped record byte loaded.
+TEST(MovdFileTest, FlippedChecksumByteIsDataLoss) {
+  std::string bytes = BasicBytes();
+  bytes.back() = static_cast<char>(bytes.back() ^ 0x01);
+  ExpectDataLoss(bytes, "checksum mismatch");
 }
 
 }  // namespace
