@@ -1,7 +1,10 @@
 #include "bench_lib/diff.h"
 
+#include <algorithm>
 #include <cmath>
+#include <filesystem>
 #include <map>
+#include <system_error>
 
 #include "util/table.h"
 
@@ -172,6 +175,32 @@ void PrintDiff(const DiffResult& result, std::FILE* out) {
                result.same_machine
                    ? ""
                    : " (machines differ: timings advisory)");
+}
+
+StatusOr<std::vector<std::string>> VanishedSuites(
+    const std::string& baseline_dir,
+    const std::vector<std::string>& new_suites) {
+  std::error_code error;
+  std::filesystem::directory_iterator it(baseline_dir, error);
+  if (error) {
+    return Status::NotFound("cannot list '" + baseline_dir +
+                            "': " + error.message());
+  }
+  std::vector<std::string> vanished;
+  for (const std::filesystem::directory_entry& entry : it) {
+    const std::string name = entry.path().filename().string();
+    if (!name.starts_with("BENCH_") || !name.ends_with(".json")) continue;
+    const StatusOr<BenchReport> baseline =
+        BenchReport::Load(entry.path().string());
+    if (!baseline.ok()) return baseline.status();
+    const std::string& suite = baseline.value().suite;
+    if (std::find(new_suites.begin(), new_suites.end(), suite) ==
+        new_suites.end()) {
+      vanished.push_back(suite);
+    }
+  }
+  std::sort(vanished.begin(), vanished.end());
+  return vanished;
 }
 
 }  // namespace movd::bench

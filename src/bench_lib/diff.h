@@ -75,6 +75,14 @@ DiffResult DiffReports(const BenchReport& old_report,
 /// Renders the diff as a fixed-width table.
 void PrintDiff(const DiffResult& result, std::FILE* out);
 
+/// The suites of the BENCH_*.json baselines in `baseline_dir` that none of
+/// `new_suites` names, sorted: cases no run compares against, which a
+/// per-report diff never sees. Matches on each baseline's `suite` field,
+/// not its file name. An unreadable baseline or directory is an error.
+StatusOr<std::vector<std::string>> VanishedSuites(
+    const std::string& baseline_dir,
+    const std::vector<std::string>& new_suites);
+
 }  // namespace movd::bench
 
 #endif  // MOVD_BENCH_LIB_DIFF_H_

@@ -295,6 +295,8 @@ MolqResult SolveMolq(const MolqQuery& query, const Rect& search_space,
                  "the search space must be a non-empty rectangle");
   MolqResult result;
   result.trace = options.exec.trace;
+  result.status = CheckWeightTerms(query);
+  if (result.status != StatusCode::kOk) return result;
   // Install the run's trace as this thread's ambient trace: every span
   // below (and in the builders/optimizer we call) attaches to it without
   // threading a pointer through each signature.

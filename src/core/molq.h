@@ -36,12 +36,15 @@ struct MolqOptions : OptimizerOptions {
 };
 
 /// Terminal state of one MOLQ evaluation: StatusCode::kOk when the run
-/// completed and the answer fields are valid, StatusCode::kCancelled when
-/// options.exec.cancel fired, StatusCode::kInternal when the overlay came
-/// out empty (no object combination owns any region; e.g. input so far
-/// from unit scale that every Voronoi cell clips to nothing). No answer
-/// field is valid unless kOk. An alias of the repo-wide status vocabulary
-/// so core and serve speak one enum.
+/// completed and the answer fields are valid, StatusCode::kInvalidArgument
+/// when an object's weights make its weighted distance negative or
+/// non-finite (CheckWeightTerms; nothing is built),
+/// StatusCode::kCancelled when options.exec.cancel fired,
+/// StatusCode::kInternal when the overlay came out empty (no object
+/// combination owns any region; e.g. input so far from unit scale that
+/// every Voronoi cell clips to nothing). No answer field is valid unless
+/// kOk. An alias of the repo-wide status vocabulary so core and serve
+/// speak one enum.
 using MolqStatus = StatusCode;
 
 /// Per-stage instrumentation of one query evaluation.
@@ -68,9 +71,9 @@ struct MolqStats {
 /// audit report, and the trace handle always travel together instead of
 /// by per-entry-point side channels.
 struct MolqResult {
-  /// kOk unless options.exec.cancel fired mid-run or the overlay came out
-  /// empty (see MolqStatus); the answer fields are only meaningful when
-  /// kOk.
+  /// kOk unless the weights are invalid, options.exec.cancel fired mid-run
+  /// or the overlay came out empty (see MolqStatus); the answer fields are
+  /// only meaningful when kOk.
   MolqStatus status = StatusCode::kOk;
   Point location;
   double cost = 0.0;

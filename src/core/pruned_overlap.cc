@@ -68,8 +68,8 @@ double CombinationLowerBound(const MolqQuery& query,
 CombinationBound::CombinationBound(const MolqQuery& query,
                                    const Rect& search_space, double epsilon)
     : threshold_(std::numeric_limits<double>::infinity()) {
-  // Its own span: inside SolveMolq it runs within "movd_overlap", before
-  // the first overlap step.
+  // Its own span: inside SolveMolq it runs within "vd_generator", after
+  // the per-set triangulations and before any cell is clipped.
   TRACE_SPAN("combination_bound");
   bool non_negative = true;
   set_begin_.reserve(query.sets.size());

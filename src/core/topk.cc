@@ -57,6 +57,8 @@ MolqResult SolveMolqTopK(const MolqQuery& query, const Rect& search_space,
   MOVD_CHECK(k > 0);
   MolqResult front;
   front.trace = options.exec.trace;
+  front.status = CheckWeightTerms(query);
+  if (front.status != StatusCode::kOk) return front;
   TraceContextScope trace_scope(options.exec.trace);
   TRACE_SPAN("solve_molq_topk");
   // Unpruned: ranks beyond the first need the combinations a

@@ -24,8 +24,9 @@ namespace movd {
 ///    group order, the repo-wide (set, object) tie rule; the result is
 ///    identical for every thread count.
 ///
-/// MolqResult::status is kCancelled when options.exec.cancel fired
-/// mid-run, in which case `ranked` is empty (never a partial ranking).
+/// MolqResult::status is kInvalidArgument for invalid weights
+/// (CheckWeightTerms) and kCancelled when options.exec.cancel fired
+/// mid-run; either way `ranked` is empty (never a partial ranking).
 MolqResult SolveMolqTopK(const MolqQuery& query, const Rect& search_space,
                          size_t k, const MolqOptions& options = {});
 

@@ -1,5 +1,6 @@
 #include "core/weighted_distance.h"
 
+#include <cmath>
 #include <limits>
 
 #include "util/check.h"
@@ -96,6 +97,20 @@ FermatWeberTerm DecomposeWeightedDistance(const SpatialObject& p,
     term.offset = b + p.type_weight;
   }
   return term;
+}
+
+StatusCode CheckWeightTerms(const MolqQuery& query) {
+  for (size_t i = 0; i < query.sets.size(); ++i) {
+    for (const SpatialObject& obj : query.sets[i].objects) {
+      const FermatWeberTerm term = DecomposeWeightedDistance(
+          obj, query.type_function, query.ObjectFunction(i));
+      if (!(std::isfinite(term.fw_weight) && term.fw_weight >= 0.0 &&
+            std::isfinite(term.offset) && term.offset >= 0.0)) {
+        return StatusCode::kInvalidArgument;
+      }
+    }
+  }
+  return StatusCode::kOk;
 }
 
 double BuildFermatWeberProblem(const MolqQuery& query,

@@ -6,6 +6,7 @@
 #include "fermat/fermat_weber.h"
 #include "model/object.h"
 #include "geom/point.h"
+#include "util/status.h"
 
 namespace movd {
 
@@ -44,6 +45,13 @@ struct FermatWeberTerm {
 FermatWeberTerm DecomposeWeightedDistance(const SpatialObject& p,
                                           WeightFunctionKind type_fn,
                                           WeightFunctionKind object_fn);
+
+/// The weight check of the query entry points (SolveMolq, SolveMolqTopK):
+/// kInvalidArgument when any object's DecomposeWeightedDistance term has a
+/// negative or non-finite fw_weight or offset, else kOk. Such a term makes
+/// WD negative or undefined, so no answer over it means anything. Zero
+/// weights are legal.
+StatusCode CheckWeightTerms(const MolqQuery& query);
 
 /// The Fermat–Weber problem of one object group, the one place a group
 /// becomes demand points (optimizer, top-k, SSC, the query shapes and the

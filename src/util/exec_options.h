@@ -24,10 +24,11 @@ enum class WeightedMethod {
 /// cost, group) is bit-identical for every thread count, with auditing on
 /// or off, and with tracing on or off.
 struct ExecOptions {
-  /// Degree of parallelism: per-set basic-MOVD builds, the weighted
-  /// builder's node classification and cover extraction, the overlap
-  /// step's finder chunks, and the Fermat–Weber scan's chunks (which share
-  /// the §5.4 cost bound). 1 (default) keeps every stage serial, so
+  /// Degree of parallelism: per-set basic-MOVD builds, the object
+  /// filter's per-set pass over the ordinary sets, the weighted builder's
+  /// node classification and cover extraction, the overlap step's finder
+  /// chunks, and the Fermat–Weber scan's chunks (which share the §5.4
+  /// cost bound). 1 (default) keeps every stage serial, so
   /// paper-reproduction numbers are unchanged unless opted in; 0 means one
   /// thread per hardware thread. Answers do not depend on it, but the
   /// scan's counters do (OptimizerStats::skipped_prefilter,

@@ -4,6 +4,7 @@
 // drift), and an in-process harness smoke run via RunBenchesForTest.
 
 #include <cstdio>
+#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -260,6 +261,41 @@ TEST(DiffTest, MissingCaseFailsNewCaseDoesNot) {
   extra.name = "case/n=4";
   superset.cases.push_back(extra);
   EXPECT_FALSE(DiffReports(old_report, superset, DiffOptions()).failed());
+}
+
+TEST(DiffTest, VanishedSuitesNamesUncoveredBaselines) {
+  // The file name does not decide the suite: BENCH_query.json holds the
+  // suite the query_shapes binary reports.
+  const std::string dir = testing::TempDir() + "/bench_vanished";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  BenchReport report = MakeReport(0.1, 0.001, 5.0);
+  report.suite = "query";
+  ASSERT_TRUE(report.Save(dir + "/BENCH_query.json").ok());
+  report.suite = "gone";
+  ASSERT_TRUE(report.Save(dir + "/BENCH_gone.json").ok());
+  std::FILE* f = std::fopen((dir + "/notes.txt").c_str(), "w");
+  ASSERT_NE(f, nullptr);
+  std::fclose(f);
+
+  auto vanished = VanishedSuites(dir, {"query", "extra"});
+  ASSERT_TRUE(vanished.ok());
+  EXPECT_EQ(vanished.value(), std::vector<std::string>{"gone"});
+  vanished = VanishedSuites(dir, {"gone", "query"});
+  ASSERT_TRUE(vanished.ok());
+  EXPECT_TRUE(vanished.value().empty());
+  vanished = VanishedSuites(dir, {});
+  ASSERT_TRUE(vanished.ok());
+  EXPECT_EQ(vanished.value(), (std::vector<std::string>{"gone", "query"}));
+
+  // A baseline that does not parse fails the check instead of hiding.
+  f = std::fopen((dir + "/BENCH_bad.json").c_str(), "w");
+  ASSERT_NE(f, nullptr);
+  std::fputs("{", f);
+  std::fclose(f);
+  EXPECT_FALSE(VanishedSuites(dir, {"gone", "query"}).ok());
+  EXPECT_FALSE(VanishedSuites(dir + "/missing", {}).ok());
+  std::filesystem::remove_all(dir);
 }
 
 TEST(DiffTest, MetricsOnlySkipsTimingVerdicts) {

@@ -437,6 +437,42 @@ TEST(MolqTest, EmptyOverlayIsAStatusNotAnAbort) {
   }
 }
 
+TEST(MolqTest, NegativeWeightIsInvalidArgument) {
+  // An object weight of -2 makes that object's WD negative, which once
+  // answered cost -141.42 at (60, 60). Every entry point refuses the
+  // query instead, with no answer fields.
+  MolqQuery q;
+  q.sets.resize(2);
+  q.sets[0].objects = {{{10, 10}, 1.0, -2.0}, {{50, 50}, 1.0, 1.0}};
+  q.sets[1].objects = {{{20, 20}, 1.0, 1.0}, {{60, 60}, 1.0, 1.0}};
+  for (const MolqAlgorithm algorithm :
+       {MolqAlgorithm::kRrb, MolqAlgorithm::kMbrb, MolqAlgorithm::kSsc}) {
+    const MolqResult r = Solve(q, algorithm);
+    EXPECT_EQ(r.status, StatusCode::kInvalidArgument);
+    EXPECT_TRUE(r.group.empty());
+    EXPECT_TRUE(r.ranked.empty());
+    EXPECT_EQ(r.cost, 0.0);
+  }
+  const MolqResult topk = SolveMolqTopK(q, kBounds, 2);
+  EXPECT_EQ(topk.status, StatusCode::kInvalidArgument);
+  EXPECT_TRUE(topk.ranked.empty());
+
+  // The check reads the decomposed term: an additive type function turns
+  // a negative type weight into a negative offset, and NaN is rejected.
+  // Zero weights stay legal.
+  MolqQuery additive = q;
+  additive.sets[0].objects[0].object_weight = 1.0;
+  EXPECT_EQ(CheckWeightTerms(additive), StatusCode::kOk);
+  additive.type_function = WeightFunctionKind::kAdditive;
+  additive.sets[1].objects[1].type_weight = -0.5;
+  EXPECT_EQ(CheckWeightTerms(additive), StatusCode::kInvalidArgument);
+  additive.sets[1].objects[1].type_weight = std::nan("");
+  EXPECT_EQ(CheckWeightTerms(additive), StatusCode::kInvalidArgument);
+  q.sets[0].objects[0].object_weight = 0.0;
+  EXPECT_EQ(CheckWeightTerms(q), StatusCode::kOk);
+  EXPECT_EQ(Solve(q, MolqAlgorithm::kRrb).status, StatusCode::kOk);
+}
+
 TEST(MolqTest, GroupIsPopulatedAndConsistent) {
   // MolqResult.group must name the combination that realises the cost, for
   // every engine.

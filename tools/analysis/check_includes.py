@@ -8,13 +8,15 @@ is an upward or sideways include and fails the check, which is what keeps
 "audit validates core's structures" from quietly becoming "audit and core
 include each other" again (the cycle PR 7 broke by extracting src/model).
 
-Two checks run:
+Three checks run:
 
   layering   Every `#include "mod/..."` in src/<m>/ has mod == m or
              mod in ALLOWED_DEPS[m]. tests/, bench/, tools/ and examples/
              sit above every module and may include anything.
   cycles     The file-level include graph over src/ is acyclic (a module
              DAG can still hide a header cycle inside one module).
+  stale      Every module named in ALLOWED_DEPS has a src/<module>/
+             directory, so a deleted module cannot leave its layer behind.
 
 The module DAG, bottom to top (see the diagram in DESIGN.md section 12):
 
@@ -25,7 +27,7 @@ The module DAG, bottom to top (see the diagram in DESIGN.md section 12):
    │       └─ model
    │           └─ audit
    │               └─ core   (also uses fermat)
-   │                   ├─ network, data, storage
+   │                   ├─ data, storage
    │                   ├─ query (also uses fermat)
    │                   └─ serve (also uses query, storage, audit)
    └─ (tests, bench, tools, examples ride on top of everything)
@@ -58,7 +60,6 @@ ALLOWED_DEPS = {
     "audit": {"geom", "model", "util", "voronoi"},
     "core": {"audit", "fermat", "geom", "model", "trace", "util", "voronoi"},
     "query": {"core", "fermat", "geom", "model", "trace", "util"},
-    "network": {"core", "geom", "model", "util", "voronoi"},
     "data": {"core", "geom", "model", "util"},
     "storage": {"core", "geom", "model", "util"},
     "serve": {"audit", "core", "model", "query", "storage", "trace",
@@ -189,9 +190,18 @@ def check_dag_config():
     return problems
 
 
+def check_stale_layers(root):
+    """Returns one problem per ALLOWED_DEPS module with no src/ directory."""
+    return ["ALLOWED_DEPS names module %r, but src/%s/ does not exist; "
+            "drop its layer" % (mod, mod)
+            for mod in sorted(ALLOWED_DEPS)
+            if not os.path.isdir(os.path.join(root, "src", mod))]
+
+
 def run_checks(root):
     """All include checks. Returns a flat list of violation strings."""
-    return check_dag_config() + check_layering(root) + check_cycles(root)
+    return (check_dag_config() + check_layering(root) + check_cycles(root)
+            + check_stale_layers(root))
 
 
 def main():

@@ -195,6 +195,14 @@ class LayeringTest(unittest.TestCase):
         self.assertEqual(len(cycles), 1)
         self.assertIn("core/a.h", cycles[0])
 
+    def test_stale_layer_fails(self):
+        files = {"src/%s/x.h" % mod: "#pragma once\n"
+                 for mod in check_includes.ALLOWED_DEPS if mod != "data"}
+        root = self.make_tree(files)
+        violations = check_includes.run_checks(root)
+        self.assertEqual(len(violations), 1)
+        self.assertIn("names module 'data'", violations[0])
+
     def test_repo_head_is_clean(self):
         repo_root = os.path.dirname(os.path.dirname(HERE))
         self.assertEqual(check_includes.run_checks(repo_root), [])

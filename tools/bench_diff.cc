@@ -8,7 +8,8 @@
 //       deterministic-metric drift, or a case that disappeared).
 //   bench_diff --baseline_dir=bench/baselines NEW.json...
 //       Compare each new report against <baseline_dir>/BENCH_<suite>.json,
-//       the run-vs-baseline form the CI perf job uses.
+//       the run-vs-baseline form the CI perf job uses. Also exits 1 when
+//       a baseline's suite has no new report (a vanished suite).
 //   bench_diff --check FILE...
 //       Schema-validate reports without comparing (exit 1 on any invalid
 //       or unparseable file).
@@ -108,6 +109,7 @@ int Main(int argc, char** argv) {
       return 2;
     }
     int exit_code = 0;
+    std::vector<std::string> new_suites;
     for (const std::string& new_path : paths) {
       const StatusOr<BenchReport> peek = BenchReport::Load(new_path);
       if (!peek.ok()) {
@@ -116,10 +118,22 @@ int Main(int argc, char** argv) {
         exit_code = std::max(exit_code, 2);
         continue;
       }
+      new_suites.push_back(peek.value().suite);
       const std::string old_path =
           baseline_dir + "/BENCH_" + peek.value().suite + ".json";
       exit_code = std::max(exit_code, DiffPair(old_path, new_path, options));
       std::printf("\n");
+    }
+    const StatusOr<std::vector<std::string>> vanished =
+        VanishedSuites(baseline_dir, new_suites);
+    if (!vanished.ok()) {
+      std::fprintf(stderr, "%s\n", vanished.status().ToString().c_str());
+      return std::max(exit_code, 2);
+    }
+    for (const std::string& suite : vanished.value()) {
+      std::printf("%s: VANISHED: baseline in %s, but no report names it\n",
+                  suite.c_str(), baseline_dir.c_str());
+      exit_code = std::max(exit_code, 1);
     }
     return exit_code;
   }

@@ -25,14 +25,6 @@ common=(--threads=2 --seed=42 --repetitions=7 --warmup=1)
 # bit for bit.
 "$build/bench/ext02_overlap_pruning" "${common[@]}" --sizes=256 \
     --json="$out/BENCH_ext02_overlap_pruning.json"
-# Road-network MOLQ (src/network): network_cost and snapped_euclidean_cost
-# gate exactly. The timed body is the network solve alone. At 16K-32K
-# vertices its medians run 5-30 ms, where the default 500-8000 sizes take
-# 0.1-5 ms. The memory-bound Dijkstra still swings by up to 1.3x between
-# runs on a shared host, so the cases take 15 repetitions: with 7, their
-# stddev missed the swing and runs of one binary failed the timing gate.
-"$build/bench/ext04_network_molq" "${common[@]}" --repetitions=15 \
-    --vertices=16000,32000 --json="$out/BENCH_ext04_network_molq.json"
 "$build/bench/micro_fermat" "${common[@]}" \
     --json="$out/BENCH_micro_fermat.json"
 "$build/bench/micro_geom" "${common[@]}" \
