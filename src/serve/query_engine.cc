@@ -736,6 +736,14 @@ ServeResponse QueryEngine::SolveInternal(const EngineRequest& request,
       resp.error = "deadline exceeded during SSC scan";
       return resp;
     }
+    if (r.status == MolqStatus::kInvalidArgument) {
+      return Invalid(request.id, "negative or non-finite object weight");
+    }
+    if (r.status != MolqStatus::kOk) {
+      resp.status = r.status;
+      resp.error = "SSC scan failed";
+      return resp;
+    }
     resp.answers = std::move(r.ranked);
     // Map sub-query set indices back to dataset layer indices.
     for (PoiRef& poi : resp.answers.front().group) {

@@ -1,11 +1,11 @@
 // Deterministic corruption sweep over the serve line protocol (`ctest -L
-// fuzz`). One formatted request line per operation (the seven EngineOp
-// verbs, INSERT and DELETE included) plus the control verbs PING, STATS
-// and HELP are cut to every proper prefix and have every byte replaced by
-// each character of a small alphabet of separators, signs and number
-// pieces. ParseRequest must answer each line with a non-OK status or with
-// a request whose FormatRequestLine parses back to the same line: never
-// an abort, and never a request the wire cannot spell again.
+// fuzz`). The wire line of each request in protocol_examples.h (every
+// EngineOp verb, INSERT and DELETE included) and the control verbs PING,
+// STATS and HELP are cut to every proper prefix and have every byte
+// replaced by each character of a small alphabet of separators, signs and
+// number pieces. ParseRequest must answer each line with a non-OK status
+// or with a request whose FormatRequestLine parses back to the same line:
+// never an abort, and never a request the wire cannot spell again.
 
 #include <cstdio>
 #include <string>
@@ -14,52 +14,19 @@
 
 #include <gtest/gtest.h>
 
-#include "core/molq.h"
-#include "geom/polygon.h"
+#include "protocol_examples.h"
 #include "serve/engine_api.h"
 #include "serve/protocol.h"
 
 namespace movd {
 namespace {
 
-/// The requests of the protocol's round-trip test, one per EngineOp
-/// alternative and mutation kind, as wire lines.
+/// The protocol's example requests, one per EngineOp alternative and
+/// mutation kind, as wire lines, then the control verbs.
 std::vector<std::string> SeedLines() {
-  EngineRequest request;
-  request.id = "rt";
-  request.dataset = "ds";
-  request.layers = {0, 2};
-  request.epsilon = 1.0 / 3.0;
-  request.exec.threads = 3;
-  request.use_cache = false;
-  request.deadline_ms = 250.5;
-
   std::vector<std::string> lines;
-  request.op = SolveSpec{MolqAlgorithm::kSsc, 1};
-  lines.push_back(FormatRequestLine(request));
-  request.op = SkylineSpec{MolqAlgorithm::kMbrb};
-  lines.push_back(FormatRequestLine(request));
-  request.op = DiverseSpec{MolqAlgorithm::kMbrb, 5, 12.5};
-  lines.push_back(FormatRequestLine(request));
-  ConstrainSpec constrain;
-  constrain.constraint.boundary =
-      Polygon({{0.1, 0.2}, {90.0 / 7.0, 0.2}, {90.0 / 7.0, 80.3}, {0.1, 80.3}});
-  constrain.constraint.exclusions.push_back(
-      Polygon({{1.0 / 3.0, 1.0 / 3.0}, {2, 1.0 / 3.0}, {2, 2}}));
-  constrain.constraint.exclusions.push_back(
-      Polygon({{5, 5}, {6, 5}, {6, 6}, {5, 6}}));
-  request.op = constrain;
-  lines.push_back(FormatRequestLine(request));
-  request.op =
-      WhatIfSpec{MolqAlgorithm::kRrb, 3, {{1.0, 0.1}, {2.0 / 3.0, 1e-7}}};
-  lines.push_back(FormatRequestLine(request));
-  for (const MutationKind kind :
-       {MutationKind::kInsert, MutationKind::kDelete}) {
-    EngineRequest mutate;
-    mutate.id = "m";
-    mutate.dataset = "ds";
-    mutate.op = SiteMutation{kind, 2, Point{1.0 / 3.0, 2.0 / 7.0}};
-    lines.push_back(FormatRequestLine(mutate));
+  for (const EngineRequest& request : ExampleRequests()) {
+    lines.push_back(FormatRequestLine(request));
   }
   lines.insert(lines.end(), {"PING", "STATS", "HELP"});
   return lines;
@@ -107,7 +74,7 @@ size_t CheckLines(const std::vector<std::string>& lines) {
 
 TEST(ProtocolFuzzTest, SeedsRoundTrip) {
   const std::vector<std::string> seeds = SeedLines();
-  ASSERT_EQ(seeds.size(), 10u);
+  ASSERT_EQ(seeds.size(), ExampleRequests().size() + 3);
   EXPECT_EQ(CheckLines(seeds), seeds.size());
 }
 

@@ -13,6 +13,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <utility>
 #include <variant>
 #include <vector>
@@ -24,6 +25,7 @@
 #include "core/topk.h"
 #include "geom/polygon.h"
 #include "model/update_model.h"
+#include "protocol_examples.h"
 #include "serve/protocol.h"
 #include "serve/query_engine.h"
 #include "storage/movd_file.h"
@@ -409,74 +411,65 @@ void ExpectSamePolygon(const Polygon& a, const Polygon& b) {
   }
 }
 
+// The payload checks, one overload per EngineOp alternative: a new
+// alternative does not compile in the round-trip test until it has one.
+void ExpectSameOp(const SolveSpec& want, const SolveSpec& got) {
+  EXPECT_EQ(got.algorithm, want.algorithm);
+  EXPECT_EQ(got.topk, want.topk);
+}
+void ExpectSameOp(const SkylineSpec& want, const SkylineSpec& got) {
+  EXPECT_EQ(got.algorithm, want.algorithm);
+}
+void ExpectSameOp(const DiverseSpec& want, const DiverseSpec& got) {
+  EXPECT_EQ(got.algorithm, want.algorithm);
+  EXPECT_EQ(got.topk, want.topk);
+  EXPECT_EQ(got.min_distance, want.min_distance);
+}
+void ExpectSameOp(const ConstrainSpec& want, const ConstrainSpec& got) {
+  ExpectSamePolygon(got.constraint.boundary, want.constraint.boundary);
+  ASSERT_EQ(got.constraint.exclusions.size(),
+            want.constraint.exclusions.size());
+  for (size_t i = 0; i < want.constraint.exclusions.size(); ++i) {
+    ExpectSamePolygon(got.constraint.exclusions[i],
+                      want.constraint.exclusions[i]);
+  }
+}
+void ExpectSameOp(const WhatIfSpec& want, const WhatIfSpec& got) {
+  EXPECT_EQ(got.algorithm, want.algorithm);
+  EXPECT_EQ(got.topk, want.topk);
+  EXPECT_EQ(got.sweep, want.sweep);  // bit-exact
+}
+// Mutations carry no query envelope and round-trip their coordinates
+// with full precision.
+void ExpectSameOp(const SiteMutation& want, const SiteMutation& got) {
+  EXPECT_EQ(got.kind, want.kind);
+  EXPECT_EQ(got.layer, want.layer);
+  EXPECT_EQ(got.location.x, want.location.x);  // bit-exact
+  EXPECT_EQ(got.location.y, want.location.y);
+}
+
 TEST(ServeProtocolTest, FormatRequestLineRoundTripsEveryOp) {
-  EngineRequest request;
-  request.id = "rt";
-  request.dataset = "ds";
-  request.layers = {0, 2};
-  request.epsilon = 1.0 / 3.0;
-  request.exec.threads = 3;
-  request.use_cache = false;
-  request.deadline_ms = 250.5;
-
-  request.op = SolveSpec{MolqAlgorithm::kSsc, 1};
-  const SolveSpec solve = std::get<SolveSpec>(RoundTrip(request).op);
-  EXPECT_EQ(solve.algorithm, MolqAlgorithm::kSsc);
-  EXPECT_EQ(solve.topk, 1u);
-
-  request.op = SkylineSpec{MolqAlgorithm::kMbrb};
-  EXPECT_EQ(std::get<SkylineSpec>(RoundTrip(request).op).algorithm,
-            MolqAlgorithm::kMbrb);
-
-  request.op = DiverseSpec{MolqAlgorithm::kMbrb, 5, 12.5};
-  const DiverseSpec diverse = std::get<DiverseSpec>(RoundTrip(request).op);
-  EXPECT_EQ(diverse.algorithm, MolqAlgorithm::kMbrb);
-  EXPECT_EQ(diverse.topk, 5u);
-  EXPECT_EQ(diverse.min_distance, 12.5);
-
-  ConstrainSpec constrain;
-  constrain.constraint.boundary =
-      Polygon({{0.1, 0.2}, {90.0 / 7.0, 0.2}, {90.0 / 7.0, 80.3}, {0.1, 80.3}});
-  constrain.constraint.exclusions.push_back(
-      Polygon({{1.0 / 3.0, 1.0 / 3.0}, {2, 1.0 / 3.0}, {2, 2}}));
-  constrain.constraint.exclusions.push_back(
-      Polygon({{5, 5}, {6, 5}, {6, 6}, {5, 6}}));
-  request.op = constrain;
-  const ConstrainSpec constrain_back =
-      std::get<ConstrainSpec>(RoundTrip(request).op);
-  ExpectSamePolygon(constrain_back.constraint.boundary,
-                    constrain.constraint.boundary);
-  ASSERT_EQ(constrain_back.constraint.exclusions.size(), 2u);
-  for (size_t i = 0; i < 2; ++i) {
-    ExpectSamePolygon(constrain_back.constraint.exclusions[i],
-                      constrain.constraint.exclusions[i]);
+  const std::vector<EngineRequest> requests = ExampleRequests();
+  std::vector<bool> covered(std::variant_size_v<EngineOp>, false);
+  std::vector<MutationKind> mutation_kinds;
+  for (const EngineRequest& request : requests) {
+    covered[request.op.index()] = true;
+    if (const auto* m = std::get_if<SiteMutation>(&request.op)) {
+      mutation_kinds.push_back(m->kind);
+    }
+    const EngineRequest back = RoundTrip(request);
+    ASSERT_EQ(back.op.index(), request.op.index());
+    std::visit(
+        [&back](const auto& want) {
+          using Spec = std::decay_t<decltype(want)>;
+          ExpectSameOp(want, std::get<Spec>(back.op));
+        },
+        request.op);
   }
-
-  request.op =
-      WhatIfSpec{MolqAlgorithm::kRrb, 3, {{1.0, 0.1}, {2.0 / 3.0, 1e-7}}};
-  const WhatIfSpec what_if = std::get<WhatIfSpec>(RoundTrip(request).op);
-  EXPECT_EQ(what_if.algorithm, MolqAlgorithm::kRrb);
-  EXPECT_EQ(what_if.topk, 3u);
-  EXPECT_EQ(what_if.sweep, std::get<WhatIfSpec>(request.op).sweep);
-
-  // Mutations carry no query envelope and round-trip their coordinates
-  // with full precision.
-  for (const MutationKind kind : {MutationKind::kInsert,
-                                  MutationKind::kDelete}) {
-    SiteMutation mutation;
-    mutation.kind = kind;
-    mutation.layer = 2;
-    mutation.location = Point{1.0 / 3.0, 2.0 / 7.0};
-    EngineRequest mutate;
-    mutate.id = "m";
-    mutate.dataset = "ds";
-    mutate.op = mutation;
-    const SiteMutation back = std::get<SiteMutation>(RoundTrip(mutate).op);
-    EXPECT_EQ(back.kind, kind);
-    EXPECT_EQ(back.layer, 2);
-    EXPECT_EQ(back.location.x, mutation.location.x);  // bit-exact
-    EXPECT_EQ(back.location.y, mutation.location.y);
-  }
+  // The examples reach every EngineOp alternative and both mutations.
+  EXPECT_EQ(covered, std::vector<bool>(covered.size(), true));
+  EXPECT_EQ(mutation_kinds, (std::vector<MutationKind>{
+                                MutationKind::kInsert, MutationKind::kDelete}));
 }
 
 TEST(ServeProtocolTest, RejectsRoutingRect) {
@@ -604,6 +597,26 @@ TEST(ServeEngineTest, SscMatchesMovdAlgorithmsAndRemapsGroups) {
   // SSC serves k=1 only.
   request.op = SolveSpec{MolqAlgorithm::kSsc, 2};
   EXPECT_EQ(engine.Handle(request).status, ServeStatus::kInvalidRequest);
+}
+
+TEST(ServeEngineTest, SscRefusesNegativeObjectWeight) {
+  // SolveMolq refuses an object weight of -2 with no answer; the SSC
+  // branch must pass that on as an error, not read an empty ranking.
+  MolqQuery query;
+  query.sets.resize(2);
+  query.sets[0].objects = {{{10, 10}, 1.0, -2.0}, {{50, 50}, 1.0, 1.0}};
+  query.sets[1].objects = {{{20, 20}, 1.0, 1.0}, {{60, 60}, 1.0, 1.0}};
+  QueryEngine engine;
+  engine.RegisterDataset("d", query, kBounds);
+  EngineRequest request;
+  request.dataset = "d";
+  request.op = SolveSpec{MolqAlgorithm::kSsc, 1};
+  const ServeResponse resp = engine.Handle(request);
+  EXPECT_EQ(resp.status, ServeStatus::kInvalidRequest);
+  EXPECT_NE(resp.error.find("object weight"), std::string::npos)
+      << resp.error;
+  EXPECT_TRUE(resp.answers.empty());
+  EXPECT_EQ(engine.metrics().invalid(), 1u);
 }
 
 TEST(ServeEngineTest, TopKMatchesDirectRanking) {
