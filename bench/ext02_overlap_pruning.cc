@@ -88,6 +88,9 @@ BENCH(ext02_overlap_pruning) {
         OverlapMetrics(pruned_r, &pruned);
         pruned.Metric("pruned_objects",
                       static_cast<double>(pruned_r.stats.pruned_objects));
+        // How far the bound's U sits above the answer (1 = tight).
+        pruned.Metric("upper_bound_ratio",
+                      pruned_r.stats.upper_bound / pruned_r.cost);
         MOVD_CHECK_MSG(pruned_r.status == StatusCode::kOk &&
                            SameAnswer(plain_r, pruned_r),
                        "pruned answer differs from the unpruned pipeline");

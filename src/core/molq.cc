@@ -212,7 +212,6 @@ Movd BuildMolqOverlay(const MolqQuery& query, const Rect& search_space,
                                 inner_threads, audit_of(i));
     });
     if (prune) {
-      bound.emplace(query, search_space, options.epsilon);
       std::vector<const VoronoiDiagram*> diagrams(num_sets, nullptr);
       std::vector<size_t> ordinary;
       for (size_t i = 0; i < num_sets; ++i) {
@@ -220,8 +219,9 @@ Movd BuildMolqOverlay(const MolqQuery& query, const Rect& search_space,
         diagrams[i] = &*triangulated[i];
         ordinary.push_back(i);
       }
-      // Each task reads every diagram's sites and neighbour table and
-      // changes only its own set's cells.
+      bound.emplace(query, search_space, options.epsilon, diagrams, threads);
+      result->stats.upper_bound = bound->upper_bound();
+      // Each task changes only its own set's cells.
       std::vector<size_t> dropped(num_sets, 0);
       ParallelFor(threads, ordinary.size(), [&](size_t k) {
         TraceContextScope scope(ctx);
@@ -231,10 +231,9 @@ Movd BuildMolqOverlay(const MolqQuery& query, const Rect& search_space,
         {
           TraceSpan span("object_filter");
           CombinationBound::FilterStats filter;
-          bound->KeepSites(set, diagrams, &keep, &filter);
+          bound->KeepSites(set, &keep, &filter);
           span.Counter("objects", static_cast<int64_t>(filter.objects));
           span.Counter("kept", static_cast<int64_t>(filter.kept));
-          span.Counter("walk_steps", static_cast<int64_t>(filter.walk_steps));
           dropped[i] = filter.objects - filter.kept;
         }
         basic[i] = OrdinaryMovd(&*triangulated[i], set, keep, audit_of(i));

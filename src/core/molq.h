@@ -2,6 +2,7 @@
 #define MOVD_CORE_MOLQ_H_
 
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -58,6 +59,9 @@ struct MolqStats {
   /// Ordinary-set sites whose cells the object filter left unclipped
   /// (CombinationBound::KeepSites; 0 without pruning).
   size_t pruned_objects = 0;
+  /// The combination bound's U, MWGD at a point of the search space
+  /// (CombinationBound::upper_bound; +inf without pruning).
+  double upper_bound = std::numeric_limits<double>::infinity();
   OverlapStats overlap;  ///< pruned_pairs: pairs cut by combination pruning
   /// The Optimizer's or SSC's scan. `problems` is fixed by the input, but
   /// skipped_prefilter, pruned_by_bound and total_iterations vary with
@@ -126,19 +130,20 @@ bool OrdinaryDiagramSuffices(const MolqQuery& query, int32_t set);
 /// basics in set order, Eq. 27), with a cancel check after each stage.
 /// `prune` adds SolveMolq's CombinationBound (core/pruned_overlap.h); leave
 /// it off where ranks beyond the first are needed. With `prune` the VD
-/// Generator runs in four steps: the per-set fan-out only triangulates the
-/// ordinary sets (weighted ones build in full), the bound is built, and a
-/// second fan-out over the ordinary sets drops the sites the bound rules
-/// out (CombinationBound::KeepSites) and clips the cells of the rest. The
+/// Generator runs in three steps: the per-set fan-out only triangulates the
+/// ordinary sets (weighted ones build in full), the bound is built from
+/// those triangulations (its walk pass fans out over the ordinary sets),
+/// and a second fan-out over them drops the sites the bound rules out
+/// (CombinationBound::KeepSites) and clips the cells of the rest. The
 /// overlay is bit-identical to the one the same bound gives over every
 /// cell. Fills result->stats (threads, stage seconds, overlap counters,
-/// final_ovrs, memory_bytes, pruned_objects), result->audit (per-set and
-/// overlay seams when options.exec.audit; with `prune` the dropped cells
-/// are built as well, to audit the full diagram and check every kept cell
-/// against it) and result->status: kCancelled when the token fired,
-/// kInternal when the overlay came out empty; the returned MOVD is empty
-/// unless kOk. Spans attach to the caller's ambient trace. options.algorithm
-/// must not be kSsc.
+/// final_ovrs, memory_bytes, pruned_objects, upper_bound), result->audit
+/// (per-set and overlay seams when options.exec.audit; with `prune` the
+/// dropped cells are built as well, to audit the full diagram and check
+/// every kept cell against it) and result->status: kCancelled when the
+/// token fired, kInternal when the overlay came out empty; the returned
+/// MOVD is empty unless kOk. Spans attach to the caller's ambient trace.
+/// options.algorithm must not be kSsc.
 Movd BuildMolqOverlay(const MolqQuery& query, const Rect& search_space,
                       const MolqOptions& options, bool prune,
                       MolqResult* result);

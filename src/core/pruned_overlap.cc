@@ -2,50 +2,213 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <limits>
 
 #include "core/weighted_distance.h"
 #include "fermat/fermat_weber.h"
 #include "trace/trace.h"
 #include "util/check.h"
+#include "util/thread_pool.h"
 
 namespace movd {
 
-double SeedUpperBound(const MolqQuery& query, const Rect& search_space,
-                      int resolution) {
-  MOVD_CHECK(resolution > 1);
-  double best = std::numeric_limits<double>::infinity();
-  Point best_probe = search_space.Center();
-  const double sx = search_space.Width() / (resolution - 1);
-  const double sy = search_space.Height() / (resolution - 1);
-  for (int gy = 0; gy < resolution; ++gy) {
-    for (int gx = 0; gx < resolution; ++gx) {
-      const Point q{search_space.min_x + gx * sx,
-                    search_space.min_y + gy * sy};
-      const double cost = MinWeightedGroupDistance(query, q);
-      if (cost < best) {
-        best = cost;
-        best_probe = q;
-      }
+namespace {
+
+// At most this many candidates get their weighted terms evaluated in full.
+constexpr size_t kFullEvaluations = 64;
+// At most this many Fermat–Weber rounds lower U below the best candidate.
+constexpr int kDescentRounds = 8;
+// A query without ordinary sets prices the nodes of this probe grid.
+constexpr int kProbeGrid = 8;
+
+// Where a candidate for U ranks: by key, ties by set, then site.
+struct CandidateRank {
+  double key;
+  int32_t set;
+  int32_t site;  // site index in the set's diagram, or probe index
+
+  friend bool operator<(const CandidateRank& x, const CandidateRank& y) {
+    if (x.key != y.key) return x.key < y.key;
+    if (x.set != y.set) return x.set < y.set;
+    return x.site < y.site;
+  }
+};
+
+// A point priced for U and the group nearest to it: per set the site
+// index in its diagram (ordinary) or the object index (weighted; -1 until
+// the candidate is evaluated in full).
+struct Candidate {
+  CandidateRank rank;
+  Point location;
+  std::vector<int32_t> group;
+
+  friend bool operator<(const Candidate& x, const Candidate& y) {
+    return x.rank < y.rank;
+  }
+};
+
+// One ordinary set's share of the walk pass.
+struct SetWalk {
+  std::vector<Candidate> best;  // its best candidates, a max-heap
+  size_t candidates = 0;
+  size_t walk_steps = 0;
+};
+
+// The search for U over one query: the walk pass over the ordinary sets,
+// the pricing of candidates and the Fermat–Weber descent.
+class UpperBoundSearch {
+ public:
+  UpperBoundSearch(const MolqQuery& query,
+                   std::span<const VoronoiDiagram* const> diagrams,
+                   const Rect& search_space, std::span<const double> min_a,
+                   std::span<const double> min_b)
+      : query_(query),
+        diagrams_(diagrams),
+        search_space_(search_space),
+        min_a_(min_a),
+        min_b_(min_b) {
+    for (size_t s = 0; s < diagrams.size(); ++s) {
+      if (diagrams[s] != nullptr) ordinary_.push_back(s);
     }
   }
-  // Refine once: the best probe's nearest group, solved where it is
-  // cheapest. The solution is clamped into the search space, so U stays
-  // the MWGD of a point the overlay covers.
-  const std::vector<int32_t> nearest = ArgMinGroup(query, best_probe);
-  std::vector<PoiRef> group;
-  for (size_t s = 0; s < nearest.size(); ++s) {
-    group.push_back({static_cast<int32_t>(s), nearest[s]});
+
+  const std::vector<size_t>& ordinary() const { return ordinary_; }
+
+  // The group's terms at q summed in set order, as MinWeightedGroupDistance
+  // sums them. An ordinary set's term is the WD of the first object at its
+  // group site. A weighted set adds its smallest offset, a lower bound on
+  // its term, or with `full` its least WD, whose object (the lowest index
+  // on ties) then becomes its group member.
+  double Price(const Point& q, bool full, std::vector<int32_t>* group) const {
+    double sum = 0.0;
+    for (size_t j = 0; j < query_.sets.size(); ++j) {
+      const std::vector<SpatialObject>& objects = query_.sets[j].objects;
+      const WeightFunctionKind object_fn = query_.ObjectFunction(j);
+      if (diagrams_[j] != nullptr) {
+        const int32_t object = diagrams_[j]->first_input()[(*group)[j]];
+        sum += WeightedDistance(q, objects[object], query_.type_function,
+                                object_fn);
+        continue;
+      }
+      if (!full) {
+        sum += min_b_[j];
+        continue;
+      }
+      double best = std::numeric_limits<double>::infinity();
+      int32_t arg = 0;
+      for (size_t i = 0; i < objects.size(); ++i) {
+        const double wd =
+            WeightedDistance(q, objects[i], query_.type_function, object_fn);
+        if (wd < best) {
+          best = wd;
+          arg = static_cast<int32_t>(i);
+        }
+      }
+      (*group)[j] = arg;
+      sum += best;
+    }
+    return sum;
   }
-  std::vector<WeightedPoint> points;
-  BuildFermatWeberProblem(query, group, &points);
-  const Point solved = SolveFermatWeber(points).location;
-  const Point clamped{
-      std::clamp(solved.x, search_space.min_x, search_space.max_x),
-      std::clamp(solved.y, search_space.min_y, search_space.max_y)};
-  // A NaN cost (degenerate solve) loses to `best` here.
-  return std::min(best, MinWeightedGroupDistance(query, clamped));
-}
+
+  // The walk pass over ordinary set `s`: in Hilbert order, each site walks
+  // to its nearest site of every other ordinary set, each walk starting
+  // where the previous one on that set ended. Stores the site's objlb (the
+  // header; a set whose walk is not exact adds no pair term) and, for a
+  // site inside the search space whose walks are all exact, ranks it as a
+  // candidate; `out->best` keeps the `keep_best` best.
+  void Walk(size_t s, size_t keep_best, double min_offset_sum,
+            std::vector<double>* objlb, SetWalk* out) const {
+    const VoronoiDiagram& vd = *diagrams_[s];
+    const std::vector<Point>& sites = vd.sites();
+    objlb->resize(sites.size());
+    std::vector<int32_t> group(query_.sets.size(), -1);
+    for (const size_t j : ordinary_) group[j] = 0;
+    for (const int32_t k : vd.hilbert_order()) {
+      const Point& site = sites[k];
+      bool exact = true;
+      double pair_bound = 0.0;
+      for (const size_t j : ordinary_) {
+        if (j == s) continue;
+        const VoronoiDiagram& other = *diagrams_[j];
+        const int32_t nn = other.NearestSite(site, group[j], &out->walk_steps);
+        if (nn < 0) {
+          exact = false;
+          continue;
+        }
+        group[j] = nn;
+        const double a = std::min(min_a_[s], min_a_[j]);
+        if (a > 0.0) {
+          pair_bound =
+              std::max(pair_bound, a * Distance(site, other.sites()[nn]));
+        }
+      }
+      (*objlb)[k] = min_offset_sum + pair_bound;
+      if (!exact || !search_space_.Contains(site)) continue;
+      group[s] = k;
+      const CandidateRank rank{Price(site, false, &group),
+                               static_cast<int32_t>(s), k};
+      // A NaN key (0 * an overflowed distance) cannot rank.
+      if (std::isnan(rank.key)) continue;
+      ++out->candidates;
+      std::vector<Candidate>& best = out->best;
+      if (best.size() == keep_best) {
+        if (!(rank < best.front().rank)) continue;
+        std::pop_heap(best.begin(), best.end());
+        best.pop_back();
+      }
+      best.push_back({rank, site, group});
+      std::push_heap(best.begin(), best.end());
+    }
+  }
+
+  // Up to kDescentRounds rounds from `group`: solve its Fermat–Weber
+  // problem, clamp the solution into the search space and price the group
+  // nearest to it (walks from the current members), until that group
+  // repeats or a walk is not exact. Returns the least of `u` and the
+  // prices met.
+  double Descend(std::vector<int32_t> group, double u,
+                 size_t* rounds) const {
+    std::vector<PoiRef> refs;
+    std::vector<WeightedPoint> points;
+    for (int round = 0; round < kDescentRounds; ++round) {
+      refs.clear();
+      for (size_t j = 0; j < group.size(); ++j) {
+        refs.push_back({static_cast<int32_t>(j),
+                        diagrams_[j] != nullptr
+                            ? diagrams_[j]->first_input()[group[j]]
+                            : group[j]});
+      }
+      BuildFermatWeberProblem(query_, refs, &points);
+      const Point solved = SolveFermatWeber(points).location;
+      const Point q{
+          std::clamp(solved.x, search_space_.min_x, search_space_.max_x),
+          std::clamp(solved.y, search_space_.min_y, search_space_.max_y)};
+      // A NaN solution (degenerate solve) is outside every rectangle.
+      if (!search_space_.Contains(q)) break;
+      std::vector<int32_t> next = group;
+      for (const size_t j : ordinary_) {
+        next[j] = diagrams_[j]->NearestSite(q, group[j]);
+        if (next[j] < 0) return u;
+      }
+      ++*rounds;
+      u = std::min(u, Price(q, true, &next));
+      if (next == group) break;
+      group = std::move(next);
+    }
+    return u;
+  }
+
+ private:
+  const MolqQuery& query_;
+  std::span<const VoronoiDiagram* const> diagrams_;
+  const Rect& search_space_;
+  std::span<const double> min_a_;
+  std::span<const double> min_b_;
+  std::vector<size_t> ordinary_;
+};
+
+}  // namespace
 
 double CombinationLowerBound(const MolqQuery& query,
                              const std::vector<PoiRef>& pois) {
@@ -65,13 +228,17 @@ double CombinationLowerBound(const MolqQuery& query,
   return offset + pair_bound;
 }
 
-CombinationBound::CombinationBound(const MolqQuery& query,
-                                   const Rect& search_space, double epsilon)
-    : threshold_(std::numeric_limits<double>::infinity()) {
+CombinationBound::CombinationBound(
+    const MolqQuery& query, const Rect& search_space, double epsilon,
+    std::span<const VoronoiDiagram* const> diagrams, int threads)
+    : upper_bound_(std::numeric_limits<double>::infinity()),
+      threshold_(std::numeric_limits<double>::infinity()) {
   // Its own span: inside SolveMolq it runs within "vd_generator", after
   // the per-set triangulations and before any cell is clipped.
-  TRACE_SPAN("combination_bound");
+  TraceSpan span("combination_bound");
+  MOVD_CHECK(diagrams.size() == query.sets.size());
   bool non_negative = true;
+  std::vector<double> set_min_b;
   set_begin_.reserve(query.sets.size());
   set_min_a_.reserve(query.sets.size());
   for (size_t s = 0; s < query.sets.size(); ++s) {
@@ -87,26 +254,100 @@ CombinationBound::CombinationBound(const MolqQuery& query,
       min_b = std::min(min_b, t.offset);
     }
     set_min_a_.push_back(min_a);
+    set_min_b.push_back(min_b);
     min_offset_sum_ += min_b;
   }
+
+  // The walk pass: per ordinary set, every site's objlb and its best
+  // candidates for U. Sets are independent and each walks serially, so
+  // nothing depends on the thread count.
+  const UpperBoundSearch search(query, diagrams, search_space, set_min_a_,
+                                set_min_b);
+  const std::vector<size_t>& ordinary = search.ordinary();
+  // An all-ordinary candidate's key is its price, so the best one is U.
+  const size_t keep_best =
+      ordinary.size() < query.sets.size() ? kFullEvaluations : 1;
+  objlb_.resize(query.sets.size());
+  std::vector<SetWalk> walks(query.sets.size());
+  const Trace::Context ctx = Trace::CaptureContext();
+  ParallelFor(threads, ordinary.size(), [&](size_t i) {
+    TraceContextScope scope(ctx);
+    TraceSpan walk_span("object_walks");
+    const size_t s = ordinary[i];
+    search.Walk(s, keep_best, min_offset_sum_, &objlb_[s], &walks[s]);
+    walk_span.Counter("walk_steps",
+                      static_cast<int64_t>(walks[s].walk_steps));
+  });
+  std::vector<Candidate> ranked;
+  for (SetWalk& walk : walks) {
+    stats_.candidates += walk.candidates;
+    std::move(walk.best.begin(), walk.best.end(), std::back_inserter(ranked));
+  }
+  if (ordinary.empty()) {
+    // No walks to ride on: the nodes of a probe grid over the search space
+    // are the candidates, their keys all the sum of the smallest offsets.
+    std::vector<int32_t> group(query.sets.size(), -1);
+    const double key = search.Price(search_space.Center(), false, &group);
+    const double sx = search_space.Width() / (kProbeGrid - 1);
+    const double sy = search_space.Height() / (kProbeGrid - 1);
+    for (int32_t gy = 0; gy < kProbeGrid; ++gy) {
+      for (int32_t gx = 0; gx < kProbeGrid; ++gx) {
+        const Point q{search_space.min_x + gx * sx,
+                      search_space.min_y + gy * sy};
+        ranked.push_back({{key, 0, gy * kProbeGrid + gx}, q, group});
+      }
+    }
+    stats_.candidates += ranked.size();
+  }
+  std::sort(ranked.begin(), ranked.end());
+
+  // Full evaluations in rank order while a key can still beat U: the
+  // weighted terms become brute-force minima. A NaN price loses here.
+  double upper_bound = std::numeric_limits<double>::infinity();
+  const Candidate* best = nullptr;
+  for (Candidate& c : ranked) {
+    if (stats_.full_evaluations == kFullEvaluations ||
+        !(c.rank.key < upper_bound)) {
+      break;
+    }
+    ++stats_.full_evaluations;
+    const double price = search.Price(c.location, true, &c.group);
+    if (price < upper_bound) {
+      upper_bound = price;
+      best = &c;
+    }
+  }
+  if (best != nullptr) {
+    upper_bound = search.Descend(best->group, upper_bound,
+                                 &stats_.descent_rounds);
+  } else {
+    upper_bound = MinWeightedGroupDistance(query, search_space.Center());
+  }
+  upper_bound_ = upper_bound;
+  span.Counter("candidates", static_cast<int64_t>(stats_.candidates));
+  span.Counter("full_evaluations",
+               static_cast<int64_t>(stats_.full_evaluations));
+  span.Counter("descent_rounds", static_cast<int64_t>(stats_.descent_rounds));
+
   // Prune nothing unless U is finite and every weighted distance is a
   // non-negative multiple of a distance plus a non-negative offset (the
   // premises of lb's validity and of its monotonicity under extension).
-  const double upper_bound = SeedUpperBound(query, search_space);
   if (!std::isfinite(upper_bound) || !non_negative) return;
   // τ = (1 + ε) · U · (1 + 2^-40). Why the reduced overlay gives the
   // unpruned answer bit for bit:
-  //  - U = MWGD(q) at a point q of the search space, so the overlay holds
-  //    the OVR of q's nearest group G_q (up to rounding on cell borders),
-  //    and min_l cost(G_q, l) <= U.
+  //  - U = WGD(G_q, q) at a point q of the search space, with G_q a group
+  //    of objects nearest to q (exact walks for ordinary sets, brute-force
+  //    minima for weighted ones): MWGD(q) up to the rounding of the sum.
+  //    So the overlay holds the OVR of G_q (up to rounding on cell
+  //    borders), and min_l cost(G_q, l) <= U.
   //  - The optimizer reports a cost c(G) per combination at a real
   //    location, with c(G) <= (1 + ε) · min_l cost(G, l) by its stopping
   //    rule (offsets are non-negative). So the winner has
   //    c_W <= c(G_q) <= (1 + ε) · U.
   //  - A pruned G has c(G) >= min_l cost(G, l) >= lb(G) > τ. The factor
-  //    (1 + 2^-40) absorbs the few ulps of rounding in lb and in the
-  //    reported costs, so c(G) > c_W: no pruned combination could have
-  //    won, or tied the winner.
+  //    (1 + 2^-40) absorbs the few ulps of rounding in lb, in the reported
+  //    costs and in U's sum, so c(G) > c_W: no pruned combination could
+  //    have won, or tied the winner.
   //  - The optimizer resolves the winner by (cost, group) with strict
   //    cost-bound cuts, a function of the set of combinations alone, and
   //    every combination that won or tied survives, so it picks the same
@@ -126,48 +367,17 @@ CombinationBound::CombinationBound(const MolqQuery& query,
   threshold_ = (1.0 + std::max(epsilon, 0.0)) * upper_bound * (1.0 + 0x1p-40);
 }
 
-void CombinationBound::KeepSites(
-    int32_t set, std::span<const VoronoiDiagram* const> diagrams,
-    std::vector<uint8_t>* keep, FilterStats* stats) const {
-  const std::vector<Point>& sites = diagrams[set]->sites();
-  keep->assign(sites.size(), 1);
-  stats->objects += sites.size();
-  // The sets a pair term can come from: the other ordinary ones whose
-  // smaller a is positive.
-  const double a = set_min_a_[set];
-  std::vector<size_t> partners;
-  for (size_t j = 0; j < diagrams.size(); ++j) {
-    if (j != static_cast<size_t>(set) && diagrams[j] != nullptr &&
-        std::min(a, set_min_a_[j]) > 0.0) {
-      partners.push_back(j);
-    }
-  }
-  if (threshold_ == std::numeric_limits<double>::infinity() ||
-      partners.empty()) {
-    stats->kept += sites.size();
-    return;
-  }
+void CombinationBound::KeepSites(int32_t set, std::vector<uint8_t>* keep,
+                                 FilterStats* stats) const {
+  const std::vector<double>& objlb = objlb_[set];
+  keep->assign(objlb.size(), 1);
+  stats->objects += objlb.size();
   const double cut = threshold_ * (1.0 + 0x1p-40);
-  std::vector<int32_t> at(diagrams.size(), 0);  // where each walk ended
-  size_t kept = sites.size();
-  // Hilbert order keeps consecutive queries close, so each walk starts
-  // next to its answer.
-  for (const int32_t k : diagrams[set]->hilbert_order()) {
-    double pair_bound = 0.0;
-    for (const size_t j : partners) {
-      const VoronoiDiagram& other = *diagrams[j];
-      const int32_t nn =
-          other.NearestSite(sites[k], at[j], &stats->walk_steps);
-      if (nn < 0) continue;
-      at[j] = nn;
-      pair_bound = std::max(pair_bound, std::min(a, set_min_a_[j]) *
-                                            Distance(sites[k],
-                                                     other.sites()[nn]));
-      if (min_offset_sum_ + pair_bound > cut) {
-        (*keep)[k] = 0;
-        --kept;
-        break;
-      }
+  size_t kept = objlb.size();
+  for (size_t k = 0; k < objlb.size(); ++k) {
+    if (objlb[k] > cut) {
+      (*keep)[k] = 0;
+      --kept;
     }
   }
   stats->kept += kept;

@@ -43,21 +43,58 @@ namespace movd {
 /// overlay keeps (the last overlap step prunes every such G, if no earlier
 /// one did), and its cell need not be clipped at all.
 ///
+/// The threshold τ = (1 + ε) · U · (1 + 2^-40) rests on an upper bound U
+/// on the optimum, taken from the filter's own nearest-site walks: one walk
+/// pass per ordinary set visits its sites in Hilbert order, walks to the
+/// nearest site of every other ordinary set, stores the site's objlb, and
+/// prices every site inside the search space at its nearest group. That
+/// price is MWGD at the site (the ordinary terms summed in set order; a
+/// weighted set's term is its brute-force minimum, evaluated only for the
+/// best candidates). U is the least price, lowered by a few rounds of a
+/// Fermat–Weber solve of the current group alternating with the group
+/// nearest to that solution. Every value U takes is MWGD at a point of the
+/// search space, so U is never below the optimum; for an all-ordinary
+/// query it is at most twice the optimum, because the member of the
+/// optimal group nearest the optimal location l* is a candidate and its
+/// price is at most cost(l*) + (sum_j a_j) · min_i d(l*, p_i) <= 2 · cost.
+///
 /// SolveMolq builds one bound per solve (BuildMolqOverlay with prune on);
 /// SolveMolqTopK, serve's cached
 /// overlays and what-if keep unpruned overlays, because they need ranks
 /// beyond the first or weights other than the query's.
 class CombinationBound {
  public:
-  /// Decomposes every object of `query` and seeds the threshold from
-  /// SeedUpperBound over `search_space`; `epsilon` is the Fermat–Weber
-  /// stopping-rule error bound the optimizer will use.
+  /// What the bound search did (the "combination_bound" span's counters):
+  /// the points priced as candidates for U, the candidates evaluated in
+  /// full, and the Fermat–Weber rounds that followed.
+  struct BoundStats {
+    size_t candidates = 0;
+    size_t full_evaluations = 0;
+    size_t descent_rounds = 0;
+  };
+
+  /// Decomposes every object of `query`, runs the walk pass over the
+  /// ordinary sets (a ParallelFor over them on `threads`; one
+  /// "object_walks" span per set, counter `walk_steps`) and sets U and τ.
+  /// `diagrams[s]` is set s's triangulated diagram
+  /// (VoronoiDiagram::Triangulate) for an ordinary set and null for a
+  /// weighted one; the diagrams are read only while the constructor runs.
+  /// `epsilon` is the Fermat–Weber stopping-rule error bound the optimizer
+  /// will use. The result does not depend on `threads`.
   CombinationBound(const MolqQuery& query, const Rect& search_space,
-                   double epsilon);
+                   double epsilon,
+                   std::span<const VoronoiDiagram* const> diagrams,
+                   int threads = 1);
+
+  /// U: MWGD at a point of the search space (+inf only when no term is
+  /// finite).
+  double upper_bound() const { return upper_bound_; }
 
   /// τ: pairs whose merged combination has lb > τ are pruned (+inf when
   /// nothing is).
   double threshold() const { return threshold_; }
+
+  const BoundStats& stats() const { return stats_; }
 
   /// True when CombinationLowerBound(query, MergePois(x, y)) > threshold(),
   /// bit for bit. Both lists must be sorted and unique. Allocation-free:
@@ -65,26 +102,22 @@ class CombinationBound {
   bool Prunes(const std::vector<PoiRef>& x,
               const std::vector<PoiRef>& y) const;
 
-  /// What KeepSites saw: the sites it judged, those it kept, and the moves
-  /// of its nearest-site walks.
+  /// What KeepSites saw: the sites it judged and those it kept.
   struct FilterStats {
     size_t objects = 0;
     size_t kept = 0;
-    size_t walk_steps = 0;
   };
 
   /// The object filter: keep[k] == 0 when site k of the ordinary set `set`
   /// has objlb > τ · (1 + 2^-40), so no combination holding it survives
-  /// the overlap. `diagrams[s]` is set s's triangulated diagram
-  /// (VoronoiDiagram::Triangulate) for an ordinary set and null for a
-  /// weighted one; weighted sets add only their smallest offset. NN_j is
-  /// found by VoronoiDiagram::NearestSite, each walk starting where the
-  /// previous one on set j ended, with set `set`'s sites in Hilbert order;
-  /// where the walk is not exact the set adds no pair term. Keeps every
-  /// site when nothing is pruned (τ = +inf) or the query has one set.
-  /// Sizes `keep` to the set's sites.
-  void KeepSites(int32_t set, std::span<const VoronoiDiagram* const> diagrams,
-                 std::vector<uint8_t>* keep, FilterStats* stats) const;
+  /// the overlap. objlb is the walk pass's: NN_j is found by
+  /// VoronoiDiagram::NearestSite, each walk starting where the previous
+  /// one on set j ended; weighted sets add only their smallest offset, and
+  /// where a walk is not exact the set adds no pair term. Keeps every site
+  /// when nothing is pruned (τ = +inf) or the query has one set. Sizes
+  /// `keep` to the set's sites.
+  void KeepSites(int32_t set, std::vector<uint8_t>* keep,
+                 FilterStats* stats) const;
 
  private:
   struct Term {
@@ -100,17 +133,11 @@ class CombinationBound {
   std::vector<size_t> set_begin_;  // first term of each set
   std::vector<double> set_min_a_;  // smallest a of each set
   double min_offset_sum_ = 0.0;    // sum of each set's smallest b
+  std::vector<std::vector<double>> objlb_;  // per site; empty if weighted
+  BoundStats stats_;
+  double upper_bound_;
   double threshold_;
 };
-
-/// The seed upper bound U: one pass over a `resolution` x `resolution`
-/// probe grid keeps the minimum MWGD and its probe point, the Fermat–Weber
-/// problem of that probe's ArgMinGroup is solved once, and U is the
-/// smaller of the grid minimum and the MWGD at that solution (clamped into
-/// the search space). Always a real MWGD value in the search space, so
-/// never below the true optimum.
-double SeedUpperBound(const MolqQuery& query, const Rect& search_space,
-                      int resolution = 8);
 
 /// The pairwise lower bound lb(G) described above, for an OVR's poi list.
 double CombinationLowerBound(const MolqQuery& query,

@@ -99,9 +99,11 @@ FermatWeberTerm DecomposeWeightedDistance(const SpatialObject& p,
   return term;
 }
 
-StatusCode CheckWeightTerms(const MolqQuery& query) {
-  for (size_t i = 0; i < query.sets.size(); ++i) {
-    for (const SpatialObject& obj : query.sets[i].objects) {
+StatusCode CheckWeightTerms(const MolqQuery& query,
+                            std::span<const int32_t> sets) {
+  for (const int32_t i : sets) {
+    for (const SpatialObject& obj :
+         query.sets.at(static_cast<size_t>(i)).objects) {
       const FermatWeberTerm term = DecomposeWeightedDistance(
           obj, query.type_function, query.ObjectFunction(i));
       if (!(std::isfinite(term.fw_weight) && term.fw_weight >= 0.0 &&
@@ -111,6 +113,14 @@ StatusCode CheckWeightTerms(const MolqQuery& query) {
     }
   }
   return StatusCode::kOk;
+}
+
+StatusCode CheckWeightTerms(const MolqQuery& query) {
+  std::vector<int32_t> sets(query.sets.size());
+  for (size_t i = 0; i < sets.size(); ++i) {
+    sets[i] = static_cast<int32_t>(i);
+  }
+  return CheckWeightTerms(query, sets);
 }
 
 double BuildFermatWeberProblem(const MolqQuery& query,

@@ -1,6 +1,8 @@
 #ifndef MOVD_CORE_WEIGHTED_DISTANCE_H_
 #define MOVD_CORE_WEIGHTED_DISTANCE_H_
 
+#include <cstdint>
+#include <span>
 #include <vector>
 
 #include "fermat/fermat_weber.h"
@@ -52,6 +54,11 @@ FermatWeberTerm DecomposeWeightedDistance(const SpatialObject& p,
 /// WD negative or undefined, so no answer over it means anything. Zero
 /// weights are legal.
 StatusCode CheckWeightTerms(const MolqQuery& query);
+
+/// The same check over the listed sets of `query` only (serve's
+/// QueryEngine: the layers a request selects).
+StatusCode CheckWeightTerms(const MolqQuery& query,
+                            std::span<const int32_t> sets);
 
 /// The Fermat–Weber problem of one object group, the one place a group
 /// becomes demand points (optimizer, top-k, SSC, the query shapes and the

@@ -16,6 +16,7 @@
 #include "audit/audit_query.h"
 #include "audit/audit_update.h"
 #include "core/overlap.h"
+#include "core/weighted_distance.h"
 #include "query/constrained.h"
 #include "query/diversify.h"
 #include "query/skyline.h"
@@ -686,6 +687,13 @@ ServeResponse QueryEngine::SolveInternal(const EngineRequest& request,
   }
   if (layer_set.empty()) return Invalid(request.id, "no layers selected");
   const std::vector<int32_t> layers(layer_set.begin(), layer_set.end());
+  // SolveMolq's weight check, on the query this request answers: the
+  // selected layers here, each what-if vector once scaled (below). Every
+  // shape answers from it, and a cached overlay would not notice.
+  constexpr const char* kBadWeight = "negative or non-finite object weight";
+  if (CheckWeightTerms(ds.query, layers) != StatusCode::kOk) {
+    return Invalid(request.id, kBadWeight);
+  }
 
   ServeResponse resp;
   resp.id = request.id;
@@ -736,9 +744,6 @@ ServeResponse QueryEngine::SolveInternal(const EngineRequest& request,
       resp.error = "deadline exceeded during SSC scan";
       return resp;
     }
-    if (r.status == MolqStatus::kInvalidArgument) {
-      return Invalid(request.id, "negative or non-finite object weight");
-    }
     if (r.status != MolqStatus::kOk) {
       resp.status = r.status;
       resp.error = "SSC scan failed";
@@ -784,6 +789,10 @@ ServeResponse QueryEngine::SolveInternal(const EngineRequest& request,
       }
       const Status valid = ValidateWhatIfVector(ds.query, v);
       if (!valid.ok()) return Invalid(request.id, valid.message());
+      if (CheckWeightTerms(ApplyWhatIfVector(ds.query, v), layers) !=
+          StatusCode::kOk) {
+        return Invalid(request.id, kBadWeight);
+      }
       vectors.push_back(std::move(v));
     }
   }

@@ -6,13 +6,17 @@
 
 #include <bit>
 #include <cstdint>
+#include <optional>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/molq.h"
 #include "core/optimizer.h"
 #include "core/overlap.h"
+#include "core/pruned_overlap.h"
 #include "model/movd_model.h"
+#include "voronoi/voronoi.h"
 
 namespace movd {
 
@@ -83,6 +87,26 @@ inline std::vector<Movd> BuildAllBasic(const MolqQuery& query,
                                    options.exec.weighted_grid_resolution));
   }
   return basic;
+}
+
+// The combination bound BuildMolqOverlay(prune = true) builds: over each
+// ordinary set's triangulated diagram (the object locations in input
+// order), null for a weighted set.
+inline CombinationBound PipelineBound(const MolqQuery& query,
+                                      const Rect& space, double epsilon,
+                                      int threads = 1) {
+  std::vector<std::optional<VoronoiDiagram>> triangulated(query.sets.size());
+  std::vector<const VoronoiDiagram*> diagrams(query.sets.size(), nullptr);
+  for (size_t s = 0; s < query.sets.size(); ++s) {
+    if (!OrdinaryDiagramSuffices(query, static_cast<int32_t>(s))) continue;
+    std::vector<Point> sites;
+    for (const SpatialObject& obj : query.sets[s].objects) {
+      sites.push_back(obj.location);
+    }
+    triangulated[s] = VoronoiDiagram::Triangulate(sites, space);
+    diagrams[s] = &*triangulated[s];
+  }
+  return CombinationBound(query, space, epsilon, diagrams, threads);
 }
 
 // The unpruned pipeline through its public stages: BuildBasicMovd ->

@@ -513,7 +513,7 @@ TEST(OverlapCanonicalParallelTest, FoldIsStrictlyCanonical) {
         }
       }
       const std::vector<Movd> basic = BasicMovds(q);
-      const CombinationBound bound(q, kBounds, 1e-3);
+      const CombinationBound bound = PipelineBound(q, kBounds, 1e-3);
       const CombinationBound* const bounds[] = {nullptr, &bound};
       for (const BoundaryMode mode : kModes) {
         for (const CombinationBound* with : bounds) {
@@ -545,7 +545,7 @@ TEST(OverlapParallelTest, MatchesBruteForceOracle) {
   for (const bool weighted : {false, true}) {
     const MolqQuery q = PointQuery(2, weighted ? 30 : 250, 101, weighted);
     const std::vector<Movd> basic = BasicMovds(q);
-    const CombinationBound bound(q, kBounds, 1e-3);
+    const CombinationBound bound = PipelineBound(q, kBounds, 1e-3);
     EXPECT_GT(ExpectMatchesOracle(basic[0], basic[1], &bound).pruned_pairs,
               0u);
     ExpectMatchesOracle(basic[1], basic[0], &bound);
@@ -553,15 +553,15 @@ TEST(OverlapParallelTest, MatchesBruteForceOracle) {
   // Tie-heavy integer-grid rectangles, against each other and themselves.
   const std::vector<Movd> rects = {TieHeavyRects(200, 0, 102),
                                    TieHeavyRects(150, 1, 103)};
-  const CombinationBound rect_bound(QueryAtCentres(rects),
-                                    Rect(-5, -5, 5, 5), 1e-3);
+  const CombinationBound rect_bound =
+      PipelineBound(QueryAtCentres(rects), Rect(-5, -5, 5, 5), 1e-3);
   ExpectMatchesOracle(rects[0], rects[1], &rect_bound);
   ExpectMatchesOracle(rects[1], rects[0], &rect_bound);
   ExpectMatchesOracle(rects[0], rects[0], nullptr);
   // The identity MOVD against 2K cells, in both operand orders.
   const MolqQuery big = PointQuery(1, 2000, 104, false);
   const Movd cells = BasicMovds(big)[0];
-  const CombinationBound big_bound(big, kBounds, 1e-3);
+  const CombinationBound big_bound = PipelineBound(big, kBounds, 1e-3);
   ExpectMatchesOracle(IdentityMovd(kBounds), cells, &big_bound);
   ExpectMatchesOracle(cells, IdentityMovd(kBounds), &big_bound);
 }

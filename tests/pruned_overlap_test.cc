@@ -45,6 +45,16 @@ MolqQuery WithObjectWeights(MolqQuery query, uint64_t seed) {
   return query;
 }
 
+// Per-object weights on set `set` alone: that set routes through the
+// weighted diagram, the others stay ordinary.
+MolqQuery WithObjectWeightsOn(MolqQuery query, size_t set, uint64_t seed) {
+  Rng rng(seed);
+  for (SpatialObject& obj : query.sets[set].objects) {
+    obj.object_weight = rng.Uniform(0.5, 2.5);
+  }
+  return query;
+}
+
 // SolveMolq (always pruned) against the unpruned staged pipeline, RRB and
 // MBRB, at every thread count in `threads`.
 void ExpectPrunedSolveMatchesUnpruned(const MolqQuery& q,
@@ -66,16 +76,48 @@ void ExpectPrunedSolveMatchesUnpruned(const MolqQuery& q,
   }
 }
 
-TEST(SeedUpperBoundTest, UpperBoundsTheOptimum) {
-  const MolqQuery q = RandomQuery({6, 6, 6}, 301);
-  const double seed = SeedUpperBound(q, kBounds);
-  MolqOptions opts;
-  opts.epsilon = 1e-6;
-  const auto exact = SolveMolq(q, kBounds, opts);
-  EXPECT_GE(seed, exact.cost);
-  // And it is a real MWGD value, so the fine grid scan can only be better
-  // or equal.
-  EXPECT_LE(GridScanMolq(q, kBounds, 40).cost, seed + 1e-9);
+TEST(CombinationBoundTest, UpperBoundBracketsTheOptimum) {
+  // U is MWGD at a search-space point, so never below the optimum; for an
+  // all-ordinary query every in-space object location is a candidate, so
+  // U is at most the least MWGD over them, and the optimal group's member
+  // nearest the optimum is among them, so U <= 2 * optimum. Also over a
+  // search space that leaves some objects out, and for a mixed query (one
+  // weighted set), where only the lower bound holds by construction.
+  constexpr double kEps = 1e-6;
+  size_t checked = 0;
+  for (const uint64_t seed : {301u, 302u, 303u}) {
+    for (const Rect& space : {kBounds, Rect(20, 20, 80, 80)}) {
+      for (const bool weighted : {false, true}) {
+        MolqQuery q = RandomQuery({12, 10, 8}, seed);
+        if (weighted) q = WithObjectWeightsOn(std::move(q), 1, seed + 50);
+        SCOPED_TRACE(::testing::Message() << "seed " << seed << " space "
+                                          << space.max_x << " weighted "
+                                          << weighted);
+        const CombinationBound bound = PipelineBound(q, space, kEps);
+        const double u = bound.upper_bound();
+        MolqOptions opts;
+        opts.epsilon = kEps;
+        const MolqResult r = SolveMolq(q, space, opts);
+        ASSERT_EQ(r.status, StatusCode::kOk);
+        EXPECT_EQ(Bits(r.stats.upper_bound), Bits(u));
+        EXPECT_LE(r.cost / (1.0 + kEps), u * (1.0 + 0x1p-40));
+        if (weighted) continue;
+        double least = std::numeric_limits<double>::infinity();
+        for (const ObjectSet& set : q.sets) {
+          for (const SpatialObject& obj : set.objects) {
+            if (space.Contains(obj.location)) {
+              least = std::min(least,
+                               MinWeightedGroupDistance(q, obj.location));
+            }
+          }
+        }
+        EXPECT_LE(u, least);
+        EXPECT_LE(u, 2.0 * r.cost);
+        ++checked;
+      }
+    }
+  }
+  EXPECT_EQ(checked, 6u);
 }
 
 TEST(CombinationLowerBoundTest, NeverExceedsAnyLocationCost) {
@@ -119,7 +161,7 @@ TEST(CombinationBoundTest, PairDecisionMatchesTheLowerBound) {
        {WeightFunctionKind::kMultiplicative, WeightFunctionKind::kAdditive}) {
     MolqQuery q = WithObjectWeights(RandomQuery({6, 6, 6, 6, 6}, 341), 342);
     q.type_function = fn;
-    const CombinationBound bound(q, kBounds, 1e-3);
+    const CombinationBound bound = PipelineBound(q, kBounds, 1e-3);
     ASSERT_LT(bound.threshold(), std::numeric_limits<double>::infinity());
     Rng rng(343);
     const auto random_list = [&] {
@@ -148,17 +190,55 @@ TEST(CombinationBoundTest, PairDecisionMatchesTheLowerBound) {
 }
 
 TEST(CombinationBoundTest, ThresholdCarriesEpsilonAndRoundingSlack) {
-  const MolqQuery q = RandomQuery({5, 5, 5}, 344);
-  const CombinationBound bound(q, kBounds, 1e-3);
-  EXPECT_EQ(Bits(bound.threshold()),
-            Bits((1.0 + 1e-3) * SeedUpperBound(q, kBounds) * (1.0 + 0x1p-40)));
+  for (const MolqQuery& q :
+       {RandomQuery({5, 5, 5}, 344),
+        WithObjectWeightsOn(RandomQuery({5, 5, 5}, 344), 2, 345),
+        WithObjectWeights(RandomQuery({5, 5}, 344), 346)}) {
+    const CombinationBound bound = PipelineBound(q, kBounds, 1e-3);
+    EXPECT_EQ(Bits(bound.threshold()),
+              Bits((1.0 + 1e-3) * bound.upper_bound() * (1.0 + 0x1p-40)));
+  }
+}
+
+// Named *Parallel* so the TSan job's *Parallel* filter runs it. The walk
+// pass fans out over the ordinary sets; U, τ, the counters and every
+// set's filter must not depend on the thread count: all-ordinary, mixed
+// and all-weighted queries.
+TEST(CombinationBoundParallelTest, ThresholdIsThreadCountInvariant) {
+  for (const MolqQuery& q :
+       {RandomQuery({70, 60, 50, 40}, 361),
+        WithObjectWeightsOn(RandomQuery({70, 60, 50}, 362), 1, 363),
+        WithObjectWeights(RandomQuery({30, 25}, 364), 365)}) {
+    const CombinationBound serial = PipelineBound(q, kBounds, 1e-3);
+    ASSERT_LT(serial.threshold(), std::numeric_limits<double>::infinity());
+    for (const int threads : {1, 2, 4, 7}) {
+      SCOPED_TRACE(::testing::Message() << q.sets.size() << " sets, threads "
+                                        << threads);
+      const CombinationBound bound = PipelineBound(q, kBounds, 1e-3, threads);
+      EXPECT_EQ(Bits(bound.upper_bound()), Bits(serial.upper_bound()));
+      EXPECT_EQ(Bits(bound.threshold()), Bits(serial.threshold()));
+      EXPECT_EQ(bound.stats().candidates, serial.stats().candidates);
+      EXPECT_EQ(bound.stats().full_evaluations,
+                serial.stats().full_evaluations);
+      EXPECT_EQ(bound.stats().descent_rounds, serial.stats().descent_rounds);
+      for (size_t s = 0; s < q.sets.size(); ++s) {
+        if (!OrdinaryDiagramSuffices(q, static_cast<int32_t>(s))) continue;
+        std::vector<uint8_t> want;
+        std::vector<uint8_t> got;
+        CombinationBound::FilterStats stats;
+        serial.KeepSites(static_cast<int32_t>(s), &want, &stats);
+        bound.KeepSites(static_cast<int32_t>(s), &got, &stats);
+        EXPECT_EQ(got, want) << "set " << s;
+      }
+    }
+  }
 }
 
 TEST(CombinationBoundTest, NegativeWeightsDisablePruning) {
   // lb and its monotonicity assume non-negative coefficients.
   MolqQuery q = RandomQuery({5, 5, 5}, 349);
   q.sets[1].objects[2].type_weight = -1.0;
-  EXPECT_EQ(CombinationBound(q, kBounds, 1e-3).threshold(),
+  EXPECT_EQ(PipelineBound(q, kBounds, 1e-3).threshold(),
             std::numeric_limits<double>::infinity());
 }
 
@@ -167,7 +247,7 @@ TEST(CombinationBoundTest, PrunedStepIsTheUnprunedStepMinusPrunedPairs) {
                              WithObjectWeights(RandomQuery({20, 15}, 346),
                                                347)}) {
     const std::vector<Movd> basic = BuildAllBasic(q, kBounds, MolqOptions{});
-    const CombinationBound bound(q, kBounds, 1e-3);
+    const CombinationBound bound = PipelineBound(q, kBounds, 1e-3);
     for (const BoundaryMode mode :
          {BoundaryMode::kRealRegion, BoundaryMode::kMbr}) {
       const Movd plain = Overlap(basic[0], basic[1], mode);
@@ -259,13 +339,14 @@ MolqQuery QueryAt(const std::vector<std::vector<Point>>& sets) {
 }
 
 TEST(PrunedDegenerateTest, OptimumExactlyOnAProbeNode) {
-  // One object of every set sits on the probe node (3, 2) of the 8x8 seed
-  // grid, so U = 0 and every combination with a positive bound is pruned.
+  // One object of every set sits on the node (3, 2) of an 8x8 grid over
+  // the search space, so the site there prices at MWGD 0: U = 0 and every
+  // combination with a positive bound is pruned.
   const Point node{kBounds.min_x + 3 * (kBounds.Width() / 7),
                    kBounds.min_y + 2 * (kBounds.Height() / 7)};
   MolqQuery q = RandomQuery({6, 5, 4}, 351);
   for (ObjectSet& set : q.sets) set.objects[1].location = node;
-  EXPECT_EQ(SeedUpperBound(q, kBounds), 0.0);
+  EXPECT_EQ(PipelineBound(q, kBounds, 1e-3).upper_bound(), 0.0);
   ExpectPrunedSolveMatchesUnpruned(q, {1, 2}, 1e-3);
   ExpectPrunedSolveMatchesUnpruned(q, {1}, 0.0);
 }
@@ -319,7 +400,7 @@ TEST(PrunedOverlapTest, FiredTokenStopsTheStepLoop) {
   }
   CancelToken token;
   token.Cancel();
-  const CombinationBound bound(q, kBounds, 1e-3);
+  const CombinationBound bound = PipelineBound(q, kBounds, 1e-3);
   OverlapStats stats;
   OverlapAll(basic, BoundaryMode::kRealRegion, &stats, &token, 2, &bound);
   EXPECT_EQ(stats.candidate_pairs, 0u);
@@ -337,35 +418,23 @@ TEST(PrunedOverlapTest, PrunedSolveHonoursAFiredToken) {
   EXPECT_EQ(r.stats.overlap.candidate_pairs, 0u);
 }
 
-// Per-object weights on set `set` alone: that set routes through the
-// weighted diagram, the others stay ordinary.
-MolqQuery WithObjectWeightsOn(MolqQuery query, size_t set, uint64_t seed) {
-  Rng rng(seed);
-  for (SpatialObject& obj : query.sets[set].objects) {
-    obj.object_weight = rng.Uniform(0.5, 2.5);
-  }
-  return query;
-}
-
 TEST(ObjectFilterTest, DroppedSitesHoldOnlyPrunedCombinations) {
   // Every combination through a dropped site has a lower bound above τ,
   // and the filter drops something on these inputs.
   const MolqQuery q = RandomQuery({120, 100, 80}, 411);
-  const CombinationBound bound(q, kBounds, 1e-3);
+  const CombinationBound bound = PipelineBound(q, kBounds, 1e-3);
   std::vector<VoronoiDiagram> vds;
   for (const ObjectSet& set : q.sets) {
     std::vector<Point> sites;
     for (const SpatialObject& obj : set.objects) sites.push_back(obj.location);
     vds.push_back(VoronoiDiagram::Triangulate(sites, kBounds));
   }
-  const std::vector<const VoronoiDiagram*> diagrams = {&vds[0], &vds[1],
-                                                       &vds[2]};
   Rng rng(412);
   size_t dropped = 0;
   for (int32_t s = 0; s < 3; ++s) {
     std::vector<uint8_t> keep;
     CombinationBound::FilterStats stats;
-    bound.KeepSites(s, diagrams, &keep, &stats);
+    bound.KeepSites(s, &keep, &stats);
     ASSERT_EQ(keep.size(), vds[s].sites().size());
     EXPECT_EQ(stats.objects, keep.size());
     EXPECT_EQ(stats.kept, static_cast<size_t>(std::count(keep.begin(),
@@ -421,7 +490,8 @@ TEST(ObjectFilterParallelTest, FilteredOverlayIsBitIdenticalToUnfiltered) {
         const BoundaryMode mode = algo == MolqAlgorithm::kRrb
                                       ? BoundaryMode::kRealRegion
                                       : BoundaryMode::kMbr;
-        const CombinationBound bound(q, kBounds, opts.epsilon);
+        const CombinationBound bound =
+            PipelineBound(q, kBounds, opts.epsilon);
         const Movd want = OverlapAll(BuildAllBasic(q, kBounds, opts), mode,
                                      nullptr, nullptr, 1, &bound);
         for (const int threads : {1, 2, 4, 7}) {
@@ -453,7 +523,7 @@ TEST(OverlapParallelPrunedTest, BitIdenticalForEveryThreadCount) {
     for (size_t s = 0; s < q.sets.size(); ++s) {
       basic.push_back(BuildBasicMovd(q, static_cast<int32_t>(s), kBounds, 96));
     }
-    const CombinationBound bound(q, kBounds, 1e-3);
+    const CombinationBound bound = PipelineBound(q, kBounds, 1e-3);
     for (const BoundaryMode mode :
          {BoundaryMode::kRealRegion, BoundaryMode::kMbr}) {
       OverlapStats serial_stats;

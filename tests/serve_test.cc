@@ -619,6 +619,62 @@ TEST(ServeEngineTest, SscRefusesNegativeObjectWeight) {
   EXPECT_EQ(engine.metrics().invalid(), 1u);
 }
 
+TEST(ServeEngineTest, EveryVerbRefusesNegativeObjectWeight) {
+  // The shapes over cached overlays answer without SolveMolq, so the
+  // engine runs its weight check itself, on the query each request
+  // answers: the selected layers, and each what-if vector once scaled.
+  MolqQuery query;
+  query.sets.resize(2);
+  query.sets[0].objects = {{{10, 10}, 1.0, -2.0}, {{50, 50}, 1.0, 1.0}};
+  query.sets[1].objects = {{{20, 20}, 1.0, 1.0}, {{60, 60}, 1.0, 1.0}};
+  QueryEngine engine;
+  engine.RegisterDataset("d", query, kBounds);
+  const std::vector<EngineOp> ops = {
+      SolveSpec{MolqAlgorithm::kRrb, 1},
+      SolveSpec{MolqAlgorithm::kMbrb, 1},
+      SolveSpec{MolqAlgorithm::kRrb, 3},
+      SkylineSpec{MolqAlgorithm::kRrb},
+      WhatIfSpec{MolqAlgorithm::kRrb, 1, {{1.0, 1.0}}}};
+  for (size_t i = 0; i < ops.size(); ++i) {
+    EngineRequest request;
+    request.dataset = "d";
+    request.op = ops[i];
+    const ServeResponse resp = engine.Handle(request);
+    EXPECT_EQ(resp.status, ServeStatus::kInvalidRequest) << "op " << i;
+    EXPECT_NE(resp.error.find("object weight"), std::string::npos)
+        << "op " << i << ": " << resp.error;
+    EXPECT_TRUE(resp.answers.empty()) << "op " << i;
+  }
+  EXPECT_EQ(engine.metrics().invalid(), ops.size());
+
+  // Layer 1 alone holds no negative weight, so it is answered.
+  EngineRequest layer1;
+  layer1.dataset = "d";
+  layer1.layers = {1};
+  layer1.op = SolveSpec{MolqAlgorithm::kRrb, 1};
+  const ServeResponse ok = engine.Handle(layer1);
+  ASSERT_EQ(ok.status, ServeStatus::kOk) << ok.error;
+  ASSERT_EQ(ok.answers.size(), 1u);
+  EXPECT_GE(ok.answers[0].cost, 0.0);
+
+  // Under an additive type function a what-if entry shifts the weights:
+  // -2 takes layer 1's type weights of 1 below zero, 0.5 does not.
+  MolqQuery additive = query;
+  additive.type_function = WeightFunctionKind::kAdditive;
+  additive.sets[0].objects[0].object_weight = 1.0;
+  engine.RegisterDataset("a", additive, kBounds);
+  EngineRequest whatif;
+  whatif.dataset = "a";
+  whatif.op = WhatIfSpec{MolqAlgorithm::kRrb, 1, {{0.5, 0.5}, {0.5, -2.0}}};
+  const ServeResponse refused = engine.Handle(whatif);
+  EXPECT_EQ(refused.status, ServeStatus::kInvalidRequest);
+  EXPECT_NE(refused.error.find("object weight"), std::string::npos)
+      << refused.error;
+  whatif.op = WhatIfSpec{MolqAlgorithm::kRrb, 1, {{0.5, 0.5}}};
+  const ServeResponse answered = engine.Handle(whatif);
+  EXPECT_EQ(answered.status, ServeStatus::kOk) << answered.error;
+}
+
 TEST(ServeEngineTest, TopKMatchesDirectRanking) {
   const MolqQuery query = TestQuery({20, 20}, 23);
   QueryEngine engine;

@@ -10,6 +10,7 @@
 #include "core/overlap.h"
 #include "core/pruned_overlap.h"
 #include "core/topk.h"
+#include "movd_test_util.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 #include "voronoi/delaunay.h"
@@ -356,7 +357,7 @@ TEST(TraceTest, WeightedCoverCountersMatchTheBuiltRegions) {
     basic.push_back(BuildBasicMovd(query, s, world, 64));
   }
   // SolveMolq's overlap prunes with the solve's combination bound.
-  const CombinationBound bound(query, world, plain.epsilon);
+  const CombinationBound bound = PipelineBound(query, world, plain.epsilon);
   const Movd overlay = OverlapAll(basic, BoundaryMode::kRealRegion, nullptr,
                                   nullptr, 1, &bound);
   const std::vector<TraceSpanRecord> records = trace.Collect();
