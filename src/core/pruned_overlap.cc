@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <iterator>
 #include <limits>
 
 #include "core/weighted_distance.h"
@@ -15,59 +14,39 @@ namespace movd {
 
 namespace {
 
-// At most this many candidates get their weighted terms evaluated in full.
-constexpr size_t kFullEvaluations = 64;
 // At most this many Fermat–Weber rounds lower U below the best candidate.
 constexpr int kDescentRounds = 8;
-// A query without ordinary sets prices the nodes of this probe grid.
+// A query the walks cannot price probes the nodes of this grid.
 constexpr int kProbeGrid = 8;
 
-// Where a candidate for U ranks: by key, ties by set, then site.
-struct CandidateRank {
-  double key;
-  int32_t set;
-  int32_t site;  // site index in the set's diagram, or probe index
-
-  friend bool operator<(const CandidateRank& x, const CandidateRank& y) {
-    if (x.key != y.key) return x.key < y.key;
-    if (x.set != y.set) return x.set < y.set;
-    return x.site < y.site;
-  }
+// A group nearest to a point: per set the object index, and for an
+// ordinary set also the site where its walk ended (the next walk's start).
+struct NearestGroup {
+  std::vector<int32_t> objects;
+  std::vector<int32_t> sites;
 };
 
-// A point priced for U and the group nearest to it: per set the site
-// index in its diagram (ordinary) or the object index (weighted; -1 until
-// the candidate is evaluated in full).
-struct Candidate {
-  CandidateRank rank;
-  Point location;
-  std::vector<int32_t> group;
-
-  friend bool operator<(const Candidate& x, const Candidate& y) {
-    return x.rank < y.rank;
-  }
-};
-
-// One ordinary set's share of the walk pass.
+// One ordinary set's share of the walk pass: its least-priced candidate
+// (site -1 when none) and the work done.
 struct SetWalk {
-  std::vector<Candidate> best;  // its best candidates, a max-heap
+  double price = std::numeric_limits<double>::infinity();
+  int32_t site = -1;
+  std::vector<int32_t> sites;  // the candidate's group, site indices
   size_t candidates = 0;
   size_t walk_steps = 0;
 };
 
 // The search for U over one query: the walk pass over the ordinary sets,
-// the pricing of candidates and the Fermat–Weber descent.
+// the probe grid and the Fermat–Weber descent.
 class UpperBoundSearch {
  public:
   UpperBoundSearch(const MolqQuery& query,
                    std::span<const VoronoiDiagram* const> diagrams,
-                   const Rect& search_space, std::span<const double> min_a,
-                   std::span<const double> min_b)
+                   const Rect& search_space, std::span<const double> min_a)
       : query_(query),
         diagrams_(diagrams),
         search_space_(search_space),
-        min_a_(min_a),
-        min_b_(min_b) {
+        min_a_(min_a) {
     for (size_t s = 0; s < diagrams.size(); ++s) {
       if (diagrams[s] != nullptr) ordinary_.push_back(s);
     }
@@ -75,38 +54,14 @@ class UpperBoundSearch {
 
   const std::vector<size_t>& ordinary() const { return ordinary_; }
 
-  // The group's terms at q summed in set order, as MinWeightedGroupDistance
-  // sums them. An ordinary set's term is the WD of the first object at its
-  // group site. A weighted set adds its smallest offset, a lower bound on
-  // its term, or with `full` its least WD, whose object (the lowest index
-  // on ties) then becomes its group member.
-  double Price(const Point& q, bool full, std::vector<int32_t>* group) const {
+  // WGD of `objects` at q, the terms summed in set order as
+  // MinWeightedGroupDistance sums them: MWGD(q) when the group is nearest
+  // to q.
+  double Price(const Point& q, const std::vector<int32_t>& objects) const {
     double sum = 0.0;
     for (size_t j = 0; j < query_.sets.size(); ++j) {
-      const std::vector<SpatialObject>& objects = query_.sets[j].objects;
-      const WeightFunctionKind object_fn = query_.ObjectFunction(j);
-      if (diagrams_[j] != nullptr) {
-        const int32_t object = diagrams_[j]->first_input()[(*group)[j]];
-        sum += WeightedDistance(q, objects[object], query_.type_function,
-                                object_fn);
-        continue;
-      }
-      if (!full) {
-        sum += min_b_[j];
-        continue;
-      }
-      double best = std::numeric_limits<double>::infinity();
-      int32_t arg = 0;
-      for (size_t i = 0; i < objects.size(); ++i) {
-        const double wd =
-            WeightedDistance(q, objects[i], query_.type_function, object_fn);
-        if (wd < best) {
-          best = wd;
-          arg = static_cast<int32_t>(i);
-        }
-      }
-      (*group)[j] = arg;
-      sum += best;
+      sum += WeightedDistance(q, query_.sets[j].objects[objects[j]],
+                              query_.type_function, query_.ObjectFunction(j));
     }
     return sum;
   }
@@ -114,16 +69,17 @@ class UpperBoundSearch {
   // The walk pass over ordinary set `s`: in Hilbert order, each site walks
   // to its nearest site of every other ordinary set, each walk starting
   // where the previous one on that set ended. Stores the site's objlb (the
-  // header; a set whose walk is not exact adds no pair term) and, for a
-  // site inside the search space whose walks are all exact, ranks it as a
-  // candidate; `out->best` keeps the `keep_best` best.
-  void Walk(size_t s, size_t keep_best, double min_offset_sum,
+  // header; a set whose walk is not exact adds no pair term). With `price`
+  // (an all-ordinary query) a site inside the search space whose walks are
+  // all exact is a candidate, priced at its walk-nearest group; `out`
+  // keeps the least price, ties to the lower site.
+  void Walk(size_t s, bool price, double min_offset_sum,
             std::vector<double>* objlb, SetWalk* out) const {
     const VoronoiDiagram& vd = *diagrams_[s];
     const std::vector<Point>& sites = vd.sites();
     objlb->resize(sites.size());
-    std::vector<int32_t> group(query_.sets.size(), -1);
-    for (const size_t j : ordinary_) group[j] = 0;
+    std::vector<int32_t> group(query_.sets.size(), 0);
+    std::vector<int32_t> objects(query_.sets.size(), 0);
     for (const int32_t k : vd.hilbert_order()) {
       const Point& site = sites[k];
       bool exact = true;
@@ -144,40 +100,59 @@ class UpperBoundSearch {
         }
       }
       (*objlb)[k] = min_offset_sum + pair_bound;
-      if (!exact || !search_space_.Contains(site)) continue;
+      if (!price || !exact || !search_space_.Contains(site)) continue;
       group[s] = k;
-      const CandidateRank rank{Price(site, false, &group),
-                               static_cast<int32_t>(s), k};
-      // A NaN key (0 * an overflowed distance) cannot rank.
-      if (std::isnan(rank.key)) continue;
-      ++out->candidates;
-      std::vector<Candidate>& best = out->best;
-      if (best.size() == keep_best) {
-        if (!(rank < best.front().rank)) continue;
-        std::pop_heap(best.begin(), best.end());
-        best.pop_back();
+      for (const size_t j : ordinary_) {
+        objects[j] = diagrams_[j]->first_input()[group[j]];
       }
-      best.push_back({rank, site, group});
-      std::push_heap(best.begin(), best.end());
+      ++out->candidates;
+      // A NaN price (0 * an overflowed distance) loses here.
+      const double p = Price(site, objects);
+      if (p < out->price || (p == out->price && k < out->site)) {
+        out->price = p;
+        out->site = k;
+        out->sites = group;
+      }
+    }
+  }
+
+  // The group nearest to q: an ordinary set walks from `group->sites`, a
+  // weighted set (or one whose walk is not exact) takes its least WD by
+  // brute force, the lowest index on ties, as ArgMinGroup does.
+  void Nearest(const Point& q, NearestGroup* group) const {
+    for (size_t j = 0; j < query_.sets.size(); ++j) {
+      if (diagrams_[j] != nullptr) {
+        const int32_t site = diagrams_[j]->NearestSite(q, group->sites[j]);
+        if (site >= 0) {
+          group->sites[j] = site;
+          group->objects[j] = diagrams_[j]->first_input()[site];
+          continue;
+        }
+      }
+      const std::vector<SpatialObject>& objects = query_.sets[j].objects;
+      double best = std::numeric_limits<double>::infinity();
+      for (size_t i = 0; i < objects.size(); ++i) {
+        const double wd = WeightedDistance(q, objects[i], query_.type_function,
+                                           query_.ObjectFunction(j));
+        if (wd < best) {
+          best = wd;
+          group->objects[j] = static_cast<int32_t>(i);
+        }
+      }
     }
   }
 
   // Up to kDescentRounds rounds from `group`: solve its Fermat–Weber
   // problem, clamp the solution into the search space and price the group
-  // nearest to it (walks from the current members), until that group
-  // repeats or a walk is not exact. Returns the least of `u` and the
-  // prices met.
-  double Descend(std::vector<int32_t> group, double u,
-                 size_t* rounds) const {
+  // nearest to it, until that group repeats. Returns the least of `u` and
+  // the prices met.
+  double Descend(NearestGroup group, double u, size_t* rounds) const {
     std::vector<PoiRef> refs;
     std::vector<WeightedPoint> points;
     for (int round = 0; round < kDescentRounds; ++round) {
       refs.clear();
-      for (size_t j = 0; j < group.size(); ++j) {
-        refs.push_back({static_cast<int32_t>(j),
-                        diagrams_[j] != nullptr
-                            ? diagrams_[j]->first_input()[group[j]]
-                            : group[j]});
+      for (size_t j = 0; j < group.objects.size(); ++j) {
+        refs.push_back({static_cast<int32_t>(j), group.objects[j]});
       }
       BuildFermatWeberProblem(query_, refs, &points);
       const Point solved = SolveFermatWeber(points).location;
@@ -186,14 +161,12 @@ class UpperBoundSearch {
           std::clamp(solved.y, search_space_.min_y, search_space_.max_y)};
       // A NaN solution (degenerate solve) is outside every rectangle.
       if (!search_space_.Contains(q)) break;
-      std::vector<int32_t> next = group;
-      for (const size_t j : ordinary_) {
-        next[j] = diagrams_[j]->NearestSite(q, group[j]);
-        if (next[j] < 0) return u;
-      }
+      NearestGroup next = group;
+      Nearest(q, &next);
       ++*rounds;
-      u = std::min(u, Price(q, true, &next));
-      if (next == group) break;
+      // A NaN price loses here.
+      u = std::min(u, Price(q, next.objects));
+      if (next.objects == group.objects) break;
       group = std::move(next);
     }
     return u;
@@ -204,7 +177,6 @@ class UpperBoundSearch {
   std::span<const VoronoiDiagram* const> diagrams_;
   const Rect& search_space_;
   std::span<const double> min_a_;
-  std::span<const double> min_b_;
   std::vector<size_t> ordinary_;
 };
 
@@ -238,7 +210,6 @@ CombinationBound::CombinationBound(
   TraceSpan span("combination_bound");
   MOVD_CHECK(diagrams.size() == query.sets.size());
   bool non_negative = true;
-  std::vector<double> set_min_b;
   set_begin_.reserve(query.sets.size());
   set_min_a_.reserve(query.sets.size());
   for (size_t s = 0; s < query.sets.size(); ++s) {
@@ -254,19 +225,16 @@ CombinationBound::CombinationBound(
       min_b = std::min(min_b, t.offset);
     }
     set_min_a_.push_back(min_a);
-    set_min_b.push_back(min_b);
     min_offset_sum_ += min_b;
   }
 
-  // The walk pass: per ordinary set, every site's objlb and its best
-  // candidates for U. Sets are independent and each walks serially, so
-  // nothing depends on the thread count.
-  const UpperBoundSearch search(query, diagrams, search_space, set_min_a_,
-                                set_min_b);
+  // The walk pass: per ordinary set, every site's objlb and, in an
+  // all-ordinary query, its least-priced candidate for U. Sets are
+  // independent and each walks serially, so nothing depends on the thread
+  // count.
+  const UpperBoundSearch search(query, diagrams, search_space, set_min_a_);
   const std::vector<size_t>& ordinary = search.ordinary();
-  // An all-ordinary candidate's key is its price, so the best one is U.
-  const size_t keep_best =
-      ordinary.size() < query.sets.size() ? kFullEvaluations : 1;
+  const bool price = ordinary.size() == query.sets.size();
   objlb_.resize(query.sets.size());
   std::vector<SetWalk> walks(query.sets.size());
   const Trace::Context ctx = Trace::CaptureContext();
@@ -274,55 +242,51 @@ CombinationBound::CombinationBound(
     TraceContextScope scope(ctx);
     TraceSpan walk_span("object_walks");
     const size_t s = ordinary[i];
-    search.Walk(s, keep_best, min_offset_sum_, &objlb_[s], &walks[s]);
+    search.Walk(s, price, min_offset_sum_, &objlb_[s], &walks[s]);
     walk_span.Counter("walk_steps",
                       static_cast<int64_t>(walks[s].walk_steps));
   });
-  std::vector<Candidate> ranked;
-  for (SetWalk& walk : walks) {
+  // The least price, ties by set, then site.
+  double upper_bound = std::numeric_limits<double>::infinity();
+  NearestGroup start;
+  start.sites.assign(query.sets.size(), 0);
+  for (const SetWalk& walk : walks) {
     stats_.candidates += walk.candidates;
-    std::move(walk.best.begin(), walk.best.end(), std::back_inserter(ranked));
+    if (walk.site >= 0 && walk.price < upper_bound) {
+      upper_bound = walk.price;
+      start.sites = walk.sites;
+    }
   }
-  if (ordinary.empty()) {
-    // No walks to ride on: the nodes of a probe grid over the search space
-    // are the candidates, their keys all the sum of the smallest offsets.
-    std::vector<int32_t> group(query.sets.size(), -1);
-    const double key = search.Price(search_space.Center(), false, &group);
+  if (upper_bound < std::numeric_limits<double>::infinity()) {
+    start.objects.resize(query.sets.size());
+    for (const size_t j : ordinary) {
+      start.objects[j] = diagrams[j]->first_input()[start.sites[j]];
+    }
+  } else {
+    // No walk priced a candidate (a weighted set, or no in-space site with
+    // exact walks): the least MWGD over the nodes of a probe grid, the
+    // first in row order on ties, and its nearest group.
+    Point best_probe = search_space.Center();
     const double sx = search_space.Width() / (kProbeGrid - 1);
     const double sy = search_space.Height() / (kProbeGrid - 1);
-    for (int32_t gy = 0; gy < kProbeGrid; ++gy) {
-      for (int32_t gx = 0; gx < kProbeGrid; ++gx) {
+    for (int gy = 0; gy < kProbeGrid; ++gy) {
+      for (int gx = 0; gx < kProbeGrid; ++gx) {
         const Point q{search_space.min_x + gx * sx,
                       search_space.min_y + gy * sy};
-        ranked.push_back({{key, 0, gy * kProbeGrid + gx}, q, group});
+        // A NaN cost loses here.
+        const double cost = MinWeightedGroupDistance(query, q);
+        if (cost < upper_bound) {
+          upper_bound = cost;
+          best_probe = q;
+        }
       }
     }
-    stats_.candidates += ranked.size();
+    stats_.candidates += kProbeGrid * kProbeGrid;
+    stats_.full_evaluations += kProbeGrid * kProbeGrid;
+    start.objects = ArgMinGroup(query, best_probe);
   }
-  std::sort(ranked.begin(), ranked.end());
-
-  // Full evaluations in rank order while a key can still beat U: the
-  // weighted terms become brute-force minima. A NaN price loses here.
-  double upper_bound = std::numeric_limits<double>::infinity();
-  const Candidate* best = nullptr;
-  for (Candidate& c : ranked) {
-    if (stats_.full_evaluations == kFullEvaluations ||
-        !(c.rank.key < upper_bound)) {
-      break;
-    }
-    ++stats_.full_evaluations;
-    const double price = search.Price(c.location, true, &c.group);
-    if (price < upper_bound) {
-      upper_bound = price;
-      best = &c;
-    }
-  }
-  if (best != nullptr) {
-    upper_bound = search.Descend(best->group, upper_bound,
-                                 &stats_.descent_rounds);
-  } else {
-    upper_bound = MinWeightedGroupDistance(query, search_space.Center());
-  }
+  upper_bound = search.Descend(std::move(start), upper_bound,
+                               &stats_.descent_rounds);
   upper_bound_ = upper_bound;
   span.Counter("candidates", static_cast<int64_t>(stats_.candidates));
   span.Counter("full_evaluations",
@@ -337,7 +301,7 @@ CombinationBound::CombinationBound(
   // unpruned answer bit for bit:
   //  - U = WGD(G_q, q) at a point q of the search space, with G_q a group
   //    of objects nearest to q (exact walks for ordinary sets, brute-force
-  //    minima for weighted ones): MWGD(q) up to the rounding of the sum.
+  //    minima otherwise): MWGD(q) up to the rounding of the sum.
   //    So the overlay holds the OVR of G_q (up to rounding on cell
   //    borders), and min_l cost(G_q, l) <= U.
   //  - The optimizer reports a cost c(G) per combination at a real

@@ -44,19 +44,22 @@ namespace movd {
 /// one did), and its cell need not be clipped at all.
 ///
 /// The threshold τ = (1 + ε) · U · (1 + 2^-40) rests on an upper bound U
-/// on the optimum, taken from the filter's own nearest-site walks: one walk
-/// pass per ordinary set visits its sites in Hilbert order, walks to the
-/// nearest site of every other ordinary set, stores the site's objlb, and
-/// prices every site inside the search space at its nearest group. That
-/// price is MWGD at the site (the ordinary terms summed in set order; a
-/// weighted set's term is its brute-force minimum, evaluated only for the
-/// best candidates). U is the least price, lowered by a few rounds of a
+/// on the optimum. In an all-ordinary query U comes from the filter's own
+/// nearest-site walks: one walk pass per ordinary set visits its sites in
+/// Hilbert order, walks to the nearest site of every other ordinary set,
+/// stores the site's objlb, and prices every site inside the search space
+/// whose walks are exact at its nearest group (MWGD at the site, the terms
+/// summed in set order). A query with a weighted set, or one where no site
+/// got a price, takes the least brute-force MWGD over the nodes of an 8×8
+/// probe grid instead. U is the least price, lowered by a few rounds of a
 /// Fermat–Weber solve of the current group alternating with the group
 /// nearest to that solution. Every value U takes is MWGD at a point of the
-/// search space, so U is never below the optimum; for an all-ordinary
-/// query it is at most twice the optimum, because the member of the
-/// optimal group nearest the optimal location l* is a candidate and its
-/// price is at most cost(l*) + (sum_j a_j) · min_i d(l*, p_i) <= 2 · cost.
+/// search space, so U is never below the optimum. In an all-ordinary
+/// query U is at most twice the optimum when the member p of the optimal
+/// group nearest the optimal location l* lies inside the search space (and
+/// its walks are exact): p is then a candidate, priced at most cost(l*) +
+/// (sum_j a_j) · d(l*, p) <= 2 · cost(l*). Otherwise nothing bounds U
+/// above but the candidates and probe nodes themselves.
 ///
 /// SolveMolq builds one bound per solve (BuildMolqOverlay with prune on);
 /// SolveMolqTopK, serve's cached
@@ -65,8 +68,10 @@ namespace movd {
 class CombinationBound {
  public:
   /// What the bound search did (the "combination_bound" span's counters):
-  /// the points priced as candidates for U, the candidates evaluated in
-  /// full, and the Fermat–Weber rounds that followed.
+  /// the points priced as candidates for U (walked sites and probe nodes),
+  /// those priced by brute force over every object (the probe nodes; 0
+  /// when the walks priced a candidate), and the Fermat–Weber rounds that
+  /// followed.
   struct BoundStats {
     size_t candidates = 0;
     size_t full_evaluations = 0;

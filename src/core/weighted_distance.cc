@@ -99,28 +99,29 @@ FermatWeberTerm DecomposeWeightedDistance(const SpatialObject& p,
   return term;
 }
 
-StatusCode CheckWeightTerms(const MolqQuery& query,
-                            std::span<const int32_t> sets) {
-  for (const int32_t i : sets) {
-    for (const SpatialObject& obj :
-         query.sets.at(static_cast<size_t>(i)).objects) {
-      const FermatWeberTerm term = DecomposeWeightedDistance(
-          obj, query.type_function, query.ObjectFunction(i));
-      if (!(std::isfinite(term.fw_weight) && term.fw_weight >= 0.0 &&
-            std::isfinite(term.offset) && term.offset >= 0.0)) {
-        return StatusCode::kInvalidArgument;
-      }
+StatusCode CheckWeightTerms(const MolqQuery& query, size_t set,
+                            std::optional<double> adjustment) {
+  for (SpatialObject obj : query.sets.at(set).objects) {
+    if (adjustment.has_value()) {
+      obj.type_weight =
+          ApplyWeight(query.type_function, obj.type_weight, *adjustment);
+    }
+    const FermatWeberTerm term = DecomposeWeightedDistance(
+        obj, query.type_function, query.ObjectFunction(set));
+    if (!(std::isfinite(term.fw_weight) && term.fw_weight >= 0.0 &&
+          std::isfinite(term.offset) && term.offset >= 0.0)) {
+      return StatusCode::kInvalidArgument;
     }
   }
   return StatusCode::kOk;
 }
 
 StatusCode CheckWeightTerms(const MolqQuery& query) {
-  std::vector<int32_t> sets(query.sets.size());
-  for (size_t i = 0; i < sets.size(); ++i) {
-    sets[i] = static_cast<int32_t>(i);
+  for (size_t i = 0; i < query.sets.size(); ++i) {
+    const StatusCode code = CheckWeightTerms(query, i);
+    if (code != StatusCode::kOk) return code;
   }
-  return CheckWeightTerms(query, sets);
+  return StatusCode::kOk;
 }
 
 double BuildFermatWeberProblem(const MolqQuery& query,

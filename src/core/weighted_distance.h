@@ -1,8 +1,8 @@
 #ifndef MOVD_CORE_WEIGHTED_DISTANCE_H_
 #define MOVD_CORE_WEIGHTED_DISTANCE_H_
 
-#include <cstdint>
-#include <span>
+#include <cstddef>
+#include <optional>
 #include <vector>
 
 #include "fermat/fermat_weber.h"
@@ -55,10 +55,12 @@ FermatWeberTerm DecomposeWeightedDistance(const SpatialObject& p,
 /// weights are legal.
 StatusCode CheckWeightTerms(const MolqQuery& query);
 
-/// The same check over the listed sets of `query` only (serve's
-/// QueryEngine: the layers a request selects).
-StatusCode CheckWeightTerms(const MolqQuery& query,
-                            std::span<const int32_t> sets);
+/// The same check over set `set` of `query` alone, each type weight first
+/// composed with `adjustment` through the query's type function when one
+/// is given (ApplyWhatIfVector's composition of one what-if entry), so a
+/// what-if vector is checked without copying the query.
+StatusCode CheckWeightTerms(const MolqQuery& query, size_t set,
+                            std::optional<double> adjustment = std::nullopt);
 
 /// The Fermat–Weber problem of one object group, the one place a group
 /// becomes demand points (optimizer, top-k, SSC, the query shapes and the

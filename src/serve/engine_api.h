@@ -48,6 +48,9 @@ struct DatasetSnapshot {
   MolqQuery query;         ///< the object sets at this version
   Rect world;              ///< search space (fixed across versions)
   std::string weight_tag;  ///< weight-mode component of cache keys
+  /// Per layer: 1 when CheckWeightTerms passes on it. Set when the
+  /// snapshot is made, so a request checks only its layers' flags.
+  std::vector<uint8_t> valid_weights;
 };
 
 /// Counters for one applied mutation (the body of an INSERT/DELETE

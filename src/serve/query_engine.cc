@@ -247,6 +247,10 @@ void QueryEngine::RegisterDataset(const std::string& name, MolqQuery query,
   auto snap = std::make_shared<DatasetSnapshot>();
   snap->weight_tag = WeightTag(query);
   snap->query = std::move(query);
+  for (size_t i = 0; i < snap->query.sets.size(); ++i) {
+    snap->valid_weights.push_back(
+        CheckWeightTerms(snap->query, i) == StatusCode::kOk);
+  }
   snap->world = world;
   Dataset* ds = nullptr;
   {
@@ -438,6 +442,9 @@ ServeResponse QueryEngine::MutateInternal(const EngineRequest& request,
     }
     set.objects.erase(set.objects.begin() + deleted_object);
   }
+  next->valid_weights[static_cast<size_t>(mut.layer)] =
+      CheckWeightTerms(next->query, static_cast<size_t>(mut.layer)) ==
+      StatusCode::kOk;
 
   ServeResponse resp;
   resp.id = request.id;
@@ -688,11 +695,14 @@ ServeResponse QueryEngine::SolveInternal(const EngineRequest& request,
   if (layer_set.empty()) return Invalid(request.id, "no layers selected");
   const std::vector<int32_t> layers(layer_set.begin(), layer_set.end());
   // SolveMolq's weight check, on the query this request answers: the
-  // selected layers here, each what-if vector once scaled (below). Every
-  // shape answers from it, and a cached overlay would not notice.
+  // selected layers' flags here, each what-if vector's adjusted layers
+  // (below). Every shape answers from it, and a cached overlay would not
+  // notice.
   constexpr const char* kBadWeight = "negative or non-finite object weight";
-  if (CheckWeightTerms(ds.query, layers) != StatusCode::kOk) {
-    return Invalid(request.id, kBadWeight);
+  for (const int32_t layer : layers) {
+    if (ds.valid_weights[static_cast<size_t>(layer)] == 0) {
+      return Invalid(request.id, kBadWeight);
+    }
   }
 
   ServeResponse resp;
@@ -789,9 +799,13 @@ ServeResponse QueryEngine::SolveInternal(const EngineRequest& request,
       }
       const Status valid = ValidateWhatIfVector(ds.query, v);
       if (!valid.ok()) return Invalid(request.id, valid.message());
-      if (CheckWeightTerms(ApplyWhatIfVector(ds.query, v), layers) !=
-          StatusCode::kOk) {
-        return Invalid(request.id, kBadWeight);
+      // An identity entry leaves its layer's weights, already checked.
+      for (size_t j = 0; j < layers.size(); ++j) {
+        if (scales[j] != identity &&
+            CheckWeightTerms(ds.query, static_cast<size_t>(layers[j]),
+                             scales[j]) != StatusCode::kOk) {
+          return Invalid(request.id, kBadWeight);
+        }
       }
       vectors.push_back(std::move(v));
     }

@@ -76,17 +76,34 @@ void ExpectPrunedSolveMatchesUnpruned(const MolqQuery& q,
   }
 }
 
+// The least brute-force MWGD over the nodes of an 8x8 grid over `space`:
+// the probe grid's bound before its descent.
+double ProbeGridBound(const MolqQuery& q, const Rect& space) {
+  double best = std::numeric_limits<double>::infinity();
+  for (int gy = 0; gy < 8; ++gy) {
+    for (int gx = 0; gx < 8; ++gx) {
+      const Point node{space.min_x + gx * (space.Width() / 7),
+                       space.min_y + gy * (space.Height() / 7)};
+      best = std::min(best, MinWeightedGroupDistance(q, node));
+    }
+  }
+  return best;
+}
+
 TEST(CombinationBoundTest, UpperBoundBracketsTheOptimum) {
-  // U is MWGD at a search-space point, so never below the optimum; for an
-  // all-ordinary query every in-space object location is a candidate, so
-  // U is at most the least MWGD over them, and the optimal group's member
-  // nearest the optimum is among them, so U <= 2 * optimum. Also over a
-  // search space that leaves some objects out, and for a mixed query (one
-  // weighted set), where only the lower bound holds by construction.
+  // U is MWGD at a search-space point, so never below the optimum. For an
+  // all-ordinary query every in-space object location is a candidate, so U
+  // is at most the least MWGD over them; when the answer group's member
+  // nearest the answer lies in the space it is among them, and U <= 2 *
+  // cost. A mixed query (one weighted set) and a space that holds no
+  // object price the probe grid, so U is at most its least node.
   constexpr double kEps = 1e-6;
-  size_t checked = 0;
+  size_t walked = 0;
+  size_t doubled = 0;
+  size_t probed = 0;
   for (const uint64_t seed : {301u, 302u, 303u}) {
-    for (const Rect& space : {kBounds, Rect(20, 20, 80, 80)}) {
+    for (const Rect& space :
+         {kBounds, Rect(20, 20, 80, 80), Rect(96, 0, 100, 4)}) {
       for (const bool weighted : {false, true}) {
         MolqQuery q = RandomQuery({12, 10, 8}, seed);
         if (weighted) q = WithObjectWeightsOn(std::move(q), 1, seed + 50);
@@ -101,7 +118,6 @@ TEST(CombinationBoundTest, UpperBoundBracketsTheOptimum) {
         ASSERT_EQ(r.status, StatusCode::kOk);
         EXPECT_EQ(Bits(r.stats.upper_bound), Bits(u));
         EXPECT_LE(r.cost / (1.0 + kEps), u * (1.0 + 0x1p-40));
-        if (weighted) continue;
         double least = std::numeric_limits<double>::infinity();
         for (const ObjectSet& set : q.sets) {
           for (const SpatialObject& obj : set.objects) {
@@ -111,13 +127,33 @@ TEST(CombinationBoundTest, UpperBoundBracketsTheOptimum) {
             }
           }
         }
+        if (weighted || least == std::numeric_limits<double>::infinity()) {
+          EXPECT_EQ(bound.stats().full_evaluations, 64u);
+          EXPECT_LE(u, ProbeGridBound(q, space));
+          ++probed;
+          continue;
+        }
+        EXPECT_EQ(bound.stats().full_evaluations, 0u);
         EXPECT_LE(u, least);
+        ++walked;
+        Point nearest = r.location;
+        double nearest_d = std::numeric_limits<double>::infinity();
+        for (const PoiRef& ref : r.group) {
+          const Point& p = q.sets[ref.set].objects[ref.object].location;
+          if (Distance(r.location, p) < nearest_d) {
+            nearest_d = Distance(r.location, p);
+            nearest = p;
+          }
+        }
+        if (!space.Contains(nearest)) continue;
         EXPECT_LE(u, 2.0 * r.cost);
-        ++checked;
+        ++doubled;
       }
     }
   }
-  EXPECT_EQ(checked, 6u);
+  EXPECT_EQ(walked, 6u);
+  EXPECT_GE(doubled, 3u);
+  EXPECT_EQ(probed, 12u);
 }
 
 TEST(CombinationLowerBoundTest, NeverExceedsAnyLocationCost) {

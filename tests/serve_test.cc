@@ -622,7 +622,8 @@ TEST(ServeEngineTest, SscRefusesNegativeObjectWeight) {
 TEST(ServeEngineTest, EveryVerbRefusesNegativeObjectWeight) {
   // The shapes over cached overlays answer without SolveMolq, so the
   // engine runs its weight check itself, on the query each request
-  // answers: the selected layers, and each what-if vector once scaled.
+  // answers: the selected layers (flagged once per snapshot), and each
+  // what-if vector's adjusted layers.
   MolqQuery query;
   query.sets.resize(2);
   query.sets[0].objects = {{{10, 10}, 1.0, -2.0}, {{50, 50}, 1.0, 1.0}};
@@ -656,6 +657,17 @@ TEST(ServeEngineTest, EveryVerbRefusesNegativeObjectWeight) {
   ASSERT_EQ(ok.status, ServeStatus::kOk) << ok.error;
   ASSERT_EQ(ok.answers.size(), 1u);
   EXPECT_GE(ok.answers[0].cost, 0.0);
+
+  // Deleting the negative-weight object clears layer 0's flag in the new
+  // snapshot: every layer is answered.
+  EngineRequest del;
+  del.dataset = "d";
+  del.op = SiteMutation{MutationKind::kDelete, 0, {10, 10}};
+  ASSERT_EQ(engine.Handle(del).status, ServeStatus::kOk);
+  EngineRequest all;
+  all.dataset = "d";
+  all.op = SolveSpec{MolqAlgorithm::kRrb, 1};
+  EXPECT_EQ(engine.Handle(all).status, ServeStatus::kOk);
 
   // Under an additive type function a what-if entry shifts the weights:
   // -2 takes layer 1's type weights of 1 below zero, 0.5 does not.
