@@ -350,6 +350,93 @@ TEST(ServeUpdateEngineTest, SnapshotsPinAndReRegistrationAdvancesVersions) {
   EXPECT_EQ(engine.dataset_snapshot("d")->version, 3u);
 }
 
+TEST(ServeUpdateEngineTest, ReKeyPassAliasesPatchesOrDropsByLayer) {
+  // Layers 0 and 1 are ordinary; layer 2 carries varying object weights,
+  // so it is weighted and its mutations take the full-rebuild path.
+  MolqQuery query = OrdinaryQuery({9, 8, 7}, 26);
+  for (size_t i = 0; i < query.sets[2].objects.size(); ++i) {
+    query.sets[2].objects[i].object_weight =
+        1.0 + 0.25 * static_cast<double>(i);
+  }
+  QueryEngine engine;
+  engine.RegisterDataset("d", query, kBounds);
+
+  const auto solve = [](std::vector<int32_t> layers, MolqAlgorithm algo) {
+    EngineRequest req;
+    req.dataset = "d";
+    req.layers = std::move(layers);
+    SolveSpec spec;
+    spec.algorithm = algo;
+    req.op = spec;
+    return req;
+  };
+  const auto constrain = [](std::vector<int32_t> layers) {
+    EngineRequest req;
+    req.dataset = "d";
+    req.layers = std::move(layers);
+    ConstrainSpec spec;
+    spec.constraint.boundary =
+        Polygon({{10, 10}, {90, 10}, {90, 90}, {10, 90}});
+    req.op = spec;
+    return req;
+  };
+  const EngineRequest rrb01 = solve({0, 1}, MolqAlgorithm::kRrb);
+  const EngineRequest mbrb01 = solve({0, 1}, MolqAlgorithm::kMbrb);
+  const EngineRequest rrb12 = solve({1, 2}, MolqAlgorithm::kRrb);
+  const EngineRequest mbrb12 = solve({1, 2}, MolqAlgorithm::kMbrb);
+  const EngineRequest cns01 = constrain({0, 1});
+  const EngineRequest cns12 = constrain({1, 2});
+  const std::vector<EngineRequest> all = {rrb01, mbrb01, rrb12,
+                                          mbrb12, cns01, cns12};
+  // Three basics, four overlays and two clips.
+  for (const EngineRequest& req : all) {
+    const ServeResponse resp = engine.Handle(req);
+    ASSERT_EQ(resp.status, StatusCode::kOk) << resp.error;
+    EXPECT_FALSE(resp.cache_hit);
+  }
+  ASSERT_EQ(engine.cache_stats().entries, 9u);
+
+  // An INSERT into ordinary layer 0 patches its basic and the two {0,1}
+  // overlays, aliases the other two basics, the {1,2} overlays and the
+  // {1,2} clip, and drops the {0,1} clip.
+  ServeResponse applied = engine.Handle(
+      MutationRequest("d", MutationKind::kInsert, 0, {41.5, 57.25}));
+  ASSERT_EQ(applied.status, StatusCode::kOk) << applied.error;
+  EXPECT_EQ(applied.version, 2u);
+  EXPECT_EQ(applied.mutation.patched_artifacts, 8u);
+  EXPECT_EQ(applied.mutation.dropped_artifacts, 1u);
+  for (const EngineRequest* req : {&rrb01, &mbrb01, &rrb12, &mbrb12, &cns12}) {
+    const ServeResponse resp = engine.Handle(*req);
+    ASSERT_EQ(resp.status, StatusCode::kOk) << resp.error;
+    EXPECT_EQ(resp.version, 2u);
+    EXPECT_TRUE(resp.cache_hit);
+  }
+  const ServeResponse rebuilt_clip = engine.Handle(cns01);
+  ASSERT_EQ(rebuilt_clip.status, StatusCode::kOk) << rebuilt_clip.error;
+  EXPECT_FALSE(rebuilt_clip.cache_hit);
+
+  // An INSERT into weighted layer 2 drops its basic, the {1,2} overlays
+  // and the {1,2} clip, and aliases everything over {0,1}.
+  applied = engine.Handle(
+      MutationRequest("d", MutationKind::kInsert, 2, {63.5, 22.75}));
+  ASSERT_EQ(applied.status, StatusCode::kOk) << applied.error;
+  EXPECT_EQ(applied.version, 3u);
+  EXPECT_TRUE(applied.mutation.full_rebuild);
+  EXPECT_EQ(applied.mutation.patched_artifacts, 5u);
+  EXPECT_EQ(applied.mutation.dropped_artifacts, 4u);
+  for (const EngineRequest* req : {&rrb01, &mbrb01, &cns01}) {
+    const ServeResponse resp = engine.Handle(*req);
+    ASSERT_EQ(resp.status, StatusCode::kOk) << resp.error;
+    EXPECT_EQ(resp.version, 3u);
+    EXPECT_TRUE(resp.cache_hit);
+  }
+  for (const EngineRequest* req : {&rrb12, &mbrb12, &cns12}) {
+    const ServeResponse resp = engine.Handle(*req);
+    ASSERT_EQ(resp.status, StatusCode::kOk) << resp.error;
+    EXPECT_FALSE(resp.cache_hit);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Concurrency: mutate-while-query stress (runs under the TSan CI filter)
 
