@@ -157,8 +157,8 @@ int ServeAndPrint(const MolqQuery& query, const Rect& world,
   request.id = "cli";
   request.dataset = "cli";
   const ServeResponse resp = engine.Handle(request);
-  if (resp.status != ServeStatus::kOk) {
-    std::fprintf(stderr, "%s: %s %s\n", cmd, ServeStatusName(resp.status),
+  if (resp.status != StatusCode::kOk) {
+    std::fprintf(stderr, "%s: %s %s\n", cmd, StatusCodeName(resp.status),
                  resp.error.c_str());
     return 1;
   }

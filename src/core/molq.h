@@ -44,9 +44,7 @@ struct MolqOptions : OptimizerOptions {
 /// StatusCode::kInternal when the overlay came out empty (no object
 /// combination owns any region; e.g. input so far from unit scale that
 /// every Voronoi cell clips to nothing). No answer field is valid unless
-/// kOk. An alias of the repo-wide status vocabulary so core and serve
-/// speak one enum.
-using MolqStatus = StatusCode;
+/// kOk.
 
 /// Per-stage instrumentation of one query evaluation.
 struct MolqStats {
@@ -76,9 +74,9 @@ struct MolqStats {
 /// by per-entry-point side channels.
 struct MolqResult {
   /// kOk unless the weights are invalid, options.exec.cancel fired mid-run
-  /// or the overlay came out empty (see MolqStatus); the answer fields are
+  /// or the overlay came out empty (see above); the answer fields are
   /// only meaningful when kOk.
-  MolqStatus status = StatusCode::kOk;
+  StatusCode status = StatusCode::kOk;
   Point location;
   double cost = 0.0;
   /// The winning object combination (one PoiRef per set, sorted by set).

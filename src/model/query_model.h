@@ -96,10 +96,6 @@ struct DiverseTopKResult {
 struct QueryConstraint {
   Polygon boundary;
   std::vector<Polygon> exclusions;
-
-  bool Unconstrained() const {
-    return boundary.Empty() && exclusions.empty();
-  }
 };
 
 /// Well-formedness of a constraint: finite coordinates, >= 3 vertices per

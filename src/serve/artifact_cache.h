@@ -27,8 +27,7 @@ size_t ArtifactBytes(const Movd& movd);
 
 /// A byte-accounted, single-flight LRU cache of built MOVD artifacts
 /// (basic per-layer diagrams and overlay results), keyed by opaque strings
-/// (see QueryEngine for the key schema: dataset id + layer set + weight
-/// mode + algorithm + grid resolution).
+/// (QueryEngine writes them with ArtifactKey, serve/artifact_key.h).
 ///
 /// Concurrency contract:
 ///  - Lookups, inserts and evictions are serialized by one mutex; the

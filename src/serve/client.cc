@@ -194,30 +194,9 @@ Status ServeClient::Call(const EngineRequest& request, ClientResponse* out) {
   return ParseResponseLine(line, out);
 }
 
-Status ServeClient::Ping() {
-  std::string line;
-  const Status called = CallLine("PING", &line);
-  if (!called.ok()) return called;
-  ClientResponse resp;
-  const Status parsed = ParseResponseLine(line, &resp);
-  if (!parsed.ok()) return parsed;
-  return resp.status;
-}
-
 Status ServeClient::Stats(std::string* body) {
   std::string line;
   const Status called = CallLine("STATS", &line);
-  if (!called.ok()) return called;
-  ClientResponse resp;
-  const Status parsed = ParseResponseLine(line, &resp);
-  if (!parsed.ok()) return parsed;
-  if (resp.status.ok()) *body = resp.body;
-  return resp.status;
-}
-
-Status ServeClient::Help(std::string* body) {
-  std::string line;
-  const Status called = CallLine("HELP", &line);
   if (!called.ok()) return called;
   ClientResponse resp;
   const Status parsed = ParseResponseLine(line, &resp);

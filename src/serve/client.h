@@ -71,10 +71,8 @@ class ServeClient {
   Status CallLine(const std::string& request_line,
                   std::string* response_line);
 
-  /// Control verbs. Stats/Help fill `body` with the JSON body.
-  Status Ping();
+  /// The STATS control verb; fills `body` with the JSON body.
   Status Stats(std::string* body);
-  Status Help(std::string* body);
   /// Asks the server to stop, draining its farewell line.
   Status Shutdown();
 

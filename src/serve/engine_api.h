@@ -64,7 +64,7 @@ struct MutationStats {
 
 /// The engine's reply to one request.
 struct ServeResponse {
-  ServeStatus status = ServeStatus::kOk;
+  StatusCode status = StatusCode::kOk;
   std::string id = "-";
   std::string error;  ///< human-readable detail on non-kOk
   /// The answers in their shape's order (ascending by cost for SOLVE);
@@ -87,10 +87,6 @@ struct ServeResponse {
   bool is_mutation = false;  ///< response body is mutation stats, not answers
   MutationStats mutation;    ///< filled for mutation responses
 };
-
-/// Engine replies are the same type whichever Engine produced them; the
-/// alias names the typed-API side of the pair.
-using EngineResponse = ServeResponse;
 
 /// ---- Typed per-verb request payloads -----------------------------------
 ///

@@ -4,7 +4,7 @@
 
 namespace movd {
 
-void ServeMetrics::RecordRequest(ServeStatus status, double seconds,
+void ServeMetrics::RecordRequest(StatusCode status, double seconds,
                                  bool cache_hit) {
   requests_.fetch_add(1, std::memory_order_relaxed);
   switch (status) {

@@ -12,24 +12,6 @@
 
 namespace movd {
 
-/// Terminal state of one serve request. An alias of the repo-wide status
-/// vocabulary (util/status.h), so serve, core, and storage speak one
-/// enum; the historical enumerator spellings (kInvalidRequest,
-/// kInternalError) are value aliases of StatusCode and keep compiling.
-using ServeStatus = StatusCode;
-
-/// Wire name of a status ("OK", "DEADLINE_EXCEEDED", ...). The line
-/// protocol emits these; they are the canonical StatusCode names.
-inline const char* ServeStatusName(ServeStatus status) {
-  return StatusCodeName(status);
-}
-
-/// The latency histogram lives in util/summary.h (DESIGN.md §10) so the
-/// serving layer and the benchmark harness share one stats implementation
-/// and one JSON serialisation. This alias preserves the historical serve
-/// spelling; ServeMetrics' public accessors are unchanged.
-using LatencyHistogram = ::movd::LatencyHistogram;
-
 /// Serving counters for one QueryEngine: request outcomes, overlay-cache
 /// effectiveness as seen per-request, and end-to-end service latency. All
 /// counters are monotonic atomics — reading them never blocks the serving
@@ -47,7 +29,7 @@ class ServeMetrics {
   /// Records one finished request: terminal status, end-to-end seconds
   /// (queue wait + solve), and whether the overlay artifact was served
   /// from cache.
-  void RecordRequest(ServeStatus status, double seconds, bool cache_hit);
+  void RecordRequest(StatusCode status, double seconds, bool cache_hit);
 
   /// Records the per-phase split of one solved pipeline request: seconds
   /// spent obtaining the overlay artifact (VD generation + overlap, or a

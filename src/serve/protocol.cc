@@ -756,7 +756,7 @@ std::string ResponseJson(const MolqQuery& query, const ServeResponse& resp,
 
 std::string FormatResponseLine(const MolqQuery* query,
                                const ServeResponse& resp) {
-  if (resp.status == ServeStatus::kOk) {
+  if (resp.status == StatusCode::kOk) {
     if (resp.is_mutation) {
       char buf[192];
       std::snprintf(buf, sizeof(buf),
@@ -774,7 +774,7 @@ std::string FormatResponseLine(const MolqQuery* query,
     return "OK " + resp.id + " " + ResponseJson(*query, resp);
   }
   std::string out =
-      "ERR " + resp.id + " " + ServeStatusName(resp.status);
+      "ERR " + resp.id + " " + StatusCodeName(resp.status);
   if (!resp.error.empty()) out += " " + resp.error;
   return out;
 }

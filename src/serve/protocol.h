@@ -56,7 +56,7 @@ namespace movd {
 ///            "patched_artifacts":...,"dropped_artifacts":...,
 ///            "seconds":...}
 /// errors:
-///   ERR <id> <STATUS> <detail...>        (status per ServeStatusName;
+///   ERR <id> <STATUS> <detail...>        (status per StatusCodeName;
 ///   unknown verbs answer UNSUPPORTED_VERB, shed requests OVERLOADED)
 ///
 /// "version" is the dataset snapshot version the response was computed
@@ -145,7 +145,7 @@ std::string HelpJson();
 /// Parses one request line into the typed API form. On success fills
 /// `verb` (and, for solve-class verbs including mutations, `request` —
 /// envelope plus the per-verb EngineOp variant built from the registry
-/// row) and returns OK; on failure returns kInvalidRequest (malformed
+/// row) and returns OK; on failure returns kInvalidArgument (malformed
 /// arguments) or kUnsupportedVerb (a verb not in the registry) with the
 /// problem in the status message. Verbs are case-insensitive; arguments
 /// are space-separated key=value pairs and unknown keys are rejected (a

@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <optional>
 #include <set>
 #include <utility>
 #include <variant>
@@ -21,6 +22,7 @@
 #include "query/diversify.h"
 #include "query/skyline.h"
 #include "query/whatif.h"
+#include "serve/artifact_key.h"
 #include "storage/movd_file.h"
 #include "trace/trace.h"
 #include "util/fnv.h"
@@ -42,18 +44,9 @@ std::string WeightTag(const MolqQuery& query) {
   return out;
 }
 
-std::string LayersTag(const std::vector<int32_t>& layers) {
-  std::string out;
-  for (size_t i = 0; i < layers.size(); ++i) {
-    if (i > 0) out += ",";
-    out += std::to_string(layers[i]);
-  }
-  return out;
-}
-
 ServeResponse Invalid(const std::string& id, std::string why) {
   ServeResponse resp;
-  resp.status = ServeStatus::kInvalidRequest;
+  resp.status = StatusCode::kInvalidArgument;
   resp.id = id;
   resp.error = std::move(why);
   return resp;
@@ -61,7 +54,7 @@ ServeResponse Invalid(const std::string& id, std::string why) {
 
 ServeResponse NotFound(const std::string& id, std::string why) {
   ServeResponse resp;
-  resp.status = ServeStatus::kNotFound;
+  resp.status = StatusCode::kNotFound;
   resp.id = id;
   resp.error = std::move(why);
   return resp;
@@ -83,86 +76,39 @@ bool PointSameBits(const Point& a, const Point& b) {
   return ax == bx && ay == by;
 }
 
-/// Cache-key component every artifact key shares: the weighted grid
-/// resolution and the dataset's weight-function tag.
-std::string ArtifactKeySuffix(int resolution, const std::string& weight_tag) {
-  return "/r" + std::to_string(resolution) + "/w" + weight_tag;
+/// The key fields every artifact of dataset `name` at snapshot `ds` shares
+/// under grid `resolution`; the caller sets the kind, layers, mode and
+/// constraint hash.
+ArtifactKey DatasetKey(const std::string& name, const DatasetSnapshot& ds,
+                       int resolution) {
+  ArtifactKey key;
+  key.dataset = name;
+  key.version = ds.version;
+  key.resolution = resolution;
+  key.weight_tag = ds.weight_tag;
+  return key;
 }
 
-/// Parses the "<i>,<j>,..." layer segment of an artifact key starting at
-/// `pos` and ending at the next '/' (whose position lands in `rest_pos`).
-bool ParseKeyLayers(const std::string& key, size_t pos,
-                    std::vector<int32_t>* layers, size_t* rest_pos) {
-  layers->clear();
-  const size_t end = key.find('/', pos);
-  if (end == std::string::npos || end == pos) return false;
-  int32_t cur = 0;
-  bool any = false;
-  for (size_t i = pos; i < end; ++i) {
-    const char c = key[i];
-    if (c == ',') {
-      if (!any) return false;
-      layers->push_back(cur);
-      cur = 0;
-      any = false;
-    } else if (c >= '0' && c <= '9' && cur <= (INT32_MAX - 9) / 10) {
-      cur = cur * 10 + (c - '0');
-      any = true;
-    } else {
-      return false;
-    }
-  }
-  if (!any) return false;
-  layers->push_back(cur);
-  *rest_pos = end;
-  return true;
-}
-
-/// Whether a warm-start artifact saved under `key` may serve dataset
-/// `name` at its current snapshot `ds` (see LoadCache): the key names this
-/// dataset at this version and carries `suffix` (this engine's
-/// ArtifactKeySuffix for the dataset; a key saved under another grid
-/// resolution is one no lookup builds), its layers are ascending and in
-/// range, every OVR holds exactly those layers in order, indexes objects
-/// inside the snapshot and carries a region unless the key is MBRB, and
-/// the OVRs are in strictly ascending canonical order, as every build
-/// emits them (so each group is held once, and the overlay patcher may
-/// merge into them).
-bool WarmArtifactFits(const std::string& key, const Movd& movd,
-                      const std::string& name, const DatasetSnapshot& ds,
-                      const std::string& suffix) {
-  const size_t kind_end = key.find('/');
-  const std::string kind = key.substr(0, kind_end);
-  const std::string stem =
-      "/" + name + "/v" + std::to_string(ds.version) + "/L";
-  std::vector<int32_t> layers;
-  size_t rest_pos = 0;
-  if ((kind != "basic" && kind != "ovl" && kind != "cns") ||
-      key.compare(kind_end, stem.size(), stem) != 0 ||
-      !ParseKeyLayers(key, kind_end + stem.size(), &layers, &rest_pos)) {
-    return false;
-  }
+/// Whether a warm-start artifact saved under `key` may serve its dataset
+/// at the current snapshot `ds` (see LoadCache): the key is the one this
+/// engine builds for the dataset at this version under grid `resolution`
+/// (a key saved under another configuration is one no lookup builds), its
+/// layers are in range, every OVR holds exactly those layers in order,
+/// indexes objects inside the snapshot and carries a region unless the key
+/// is MBRB, and the OVRs are in strictly ascending canonical order, as
+/// every build emits them (so each group is held once, and the overlay
+/// patcher may merge into them).
+bool WarmArtifactFits(const ArtifactKey& key, const Movd& movd,
+                      const DatasetSnapshot& ds, int resolution) {
   const auto& sets = ds.query.sets;
-  for (size_t i = 0; i < layers.size(); ++i) {
-    if (static_cast<size_t>(layers[i]) >= sets.size() ||
-        (i > 0 && layers[i] <= layers[i - 1])) {
-      return false;
-    }
-  }
-  // After the layers: the boundary mode (overlays), the suffix, and the
-  // constraint hash (clipped overlays), as GetOverlay and
-  // GetClippedOverlay build them.
-  std::string tail = key.substr(rest_pos);
-  const bool mbrb = kind == "ovl" && tail.starts_with("/mbrb/");
-  const std::string head =
-      (kind == "basic" ? "" : mbrb ? "/mbrb" : "/rrb") + suffix;
-  if (!tail.starts_with(head)) return false;
-  tail.erase(0, head.size());
-  if (kind == "cns" ? !tail.starts_with("/c") ||
-                          tail.find('/', 1) != std::string::npos
-                    : !tail.empty()) {
+  const auto& layers = key.layers;
+  if (key.version != ds.version || key.resolution != resolution ||
+      key.weight_tag != ds.weight_tag ||
+      static_cast<size_t>(layers.back()) >= sets.size()) {
     return false;
   }
+  const bool mbrb =
+      key.kind == ArtifactKey::Kind::kOverlay && key.mode == BoundaryMode::kMbr;
   for (size_t k = 0; k < movd.ovrs.size(); ++k) {
     const Ovr& ovr = movd.ovrs[k];
     if (ovr.pois.size() != layers.size() || (!mbrb && ovr.region.Empty()) ||
@@ -211,7 +157,7 @@ std::string ConstraintHash(const QueryConstraint& constraint) {
 ServeResponse AuditFailure(const std::string& id, const char* shape,
                            const AuditReport& report) {
   ServeResponse resp;
-  resp.status = ServeStatus::kInternalError;
+  resp.status = StatusCode::kInternal;
   resp.id = id;
   resp.error =
       std::string(shape) + " audit failed: " + report.Summary();
@@ -286,7 +232,7 @@ QueryEngine::Dataset* QueryEngine::FindDataset(const std::string& name) const {
   return it == datasets_.end() ? nullptr : it->second.get();
 }
 
-EngineResponse QueryEngine::Handle(const EngineRequest& request) {
+ServeResponse QueryEngine::Handle(const EngineRequest& request) {
   Stopwatch watch;
   ServeResponse resp;
   if (const auto* mut = std::get_if<SiteMutation>(&request.op)) {
@@ -304,20 +250,20 @@ EngineResponse QueryEngine::Handle(const EngineRequest& request) {
     resp = SolveInternal(request, token);
     // Belt and braces for the "never a partial answer" contract: a non-OK
     // response carries no answers, whatever path produced it.
-    if (resp.status != ServeStatus::kOk) {
+    if (resp.status != StatusCode::kOk) {
       resp.answers.clear();
       resp.sweep_answers.clear();
     }
   }
   resp.seconds = watch.ElapsedSeconds();
   metrics_.RecordRequest(resp.status, resp.seconds, resp.cache_hit);
-  if (resp.status == ServeStatus::kOk && resp.is_mutation) {
+  if (resp.status == StatusCode::kOk && resp.is_mutation) {
     metrics_.RecordMutation();
   }
   return resp;
 }
 
-std::future<EngineResponse> QueryEngine::HandleAsync(EngineRequest request) {
+std::future<ServeResponse> QueryEngine::HandleAsync(EngineRequest request) {
   const int64_t cost = request.cost_units < 1 ? 1 : request.cost_units;
   // Early shedding, on the submitting thread: reject before the request
   // ever occupies queue space when the queue is already past its cost
@@ -344,7 +290,7 @@ std::future<EngineResponse> QueryEngine::HandleAsync(EngineRequest request) {
   }
   if (!shed_why.empty()) {
     ServeResponse resp;
-    resp.status = ServeStatus::kOverloaded;
+    resp.status = StatusCode::kOverloaded;
     resp.id = request.id;
     resp.error = std::move(shed_why);
     metrics_.RecordRequest(resp.status, 0.0, false);
@@ -364,7 +310,7 @@ std::future<EngineResponse> QueryEngine::HandleAsync(EngineRequest request) {
         if (options_.admission_delay_budget_ms > 0.0 &&
             waited_ms > options_.admission_delay_budget_ms) {
           ServeResponse resp;
-          resp.status = ServeStatus::kOverloaded;
+          resp.status = StatusCode::kOverloaded;
           resp.id = request.id;
           char buf[96];
           std::snprintf(buf, sizeof(buf),
@@ -467,8 +413,6 @@ void QueryEngine::PatchArtifacts(
     MutationStats* stats) {
   const int32_t layer = mut.layer;
   const int resolution = options_.exec.weighted_grid_resolution;
-  const std::string suffix =
-      ArtifactKeySuffix(resolution, old_snap.weight_tag);
 
   // Step 1: the mutated layer's new basic. Ordinary layers patch through
   // the incremental mirror; weighted layers (and an ordinary-ness flip in
@@ -527,132 +471,85 @@ void QueryEngine::PatchArtifacts(
   // involved — or counted dropped (it stays under its old key and ages out
   // through the LRU). The snapshot is ordered MRU -> LRU; inserting in
   // reverse (LRU first) preserves the recency order.
-  const std::string old_tag = "/v" + std::to_string(old_snap.version);
-  const std::string new_tag = "/v" + std::to_string(next_snap.version);
-  const std::string basic_stem = "basic/" + ds_name + old_tag + "/L";
-  const std::string ovl_stem = "ovl/" + ds_name + old_tag + "/L";
-  const std::string cns_stem = "cns/" + ds_name + old_tag + "/L";
-  const std::string mutated_basic_key =
-      basic_stem + std::to_string(layer) + suffix;
-  const auto renamed = [&](const std::string& key, size_t kind_len) {
-    const size_t tag_pos = kind_len + ds_name.size();
-    return key.substr(0, tag_pos) + new_tag +
-           key.substr(tag_pos + old_tag.size());
-  };
 
   // Old-version basics of the OTHER layers (identical across the two
   // versions), resolved lazily from the cache for the overlay patcher.
+  ArtifactKey basic_key = DatasetKey(ds_name, old_snap, resolution);
   std::map<int32_t, std::shared_ptr<const Movd>> others;
   const std::function<const Movd*(int32_t)> basic_of =
       [&](int32_t l) -> const Movd* {
     auto it = others.find(l);
     if (it == others.end()) {
-      it = others
-               .emplace(l, cache_.Lookup(basic_stem + std::to_string(l) +
-                                         suffix))
-               .first;
+      basic_key.layers = {l};
+      it = others.emplace(l, cache_.Lookup(basic_key.Format())).first;
     }
     return it->second.get();
   };
 
+  // An overlay `artifact` over `key`'s layers, which hold the mutated one,
+  // patched; null when it cannot be.
+  const auto patch_overlay =
+      [&](const ArtifactKey& key,
+          const Movd& artifact) -> std::shared_ptr<const Movd> {
+    if (old_basic == nullptr || new_basic == nullptr) return nullptr;
+    Movd patched;
+    OverlayPatchStats overlay_stats;
+    if (!PatchOverlay(artifact, key.layers, layer, *old_basic, *new_basic,
+                      basic_of, key.mode, deleted_object, &patched,
+                      &overlay_stats)) {
+      return nullptr;
+    }
+    auto result = std::make_shared<const Movd>(std::move(patched));
+    if (options_.exec.audit) {
+      // Audit gate: re-fold this overlay from the new basics and certify
+      // the patch against it; on mismatch cache the rebuild instead.
+      std::vector<Movd> basics;
+      for (const int32_t l : key.layers) {
+        const Movd* basic = l == layer ? new_basic.get() : basic_of(l);
+        if (basic == nullptr) break;
+        basics.push_back(*basic);
+      }
+      if (basics.size() == key.layers.size()) {
+        auto rebuilt = FoldOverlay(basics, key.mode, options_.exec.threads,
+                                   /*cancel=*/nullptr);
+        if (!AuditPatchedMovd(*result, *rebuilt).ok()) result = rebuilt;
+      }
+    }
+    return result;
+  };
+
   const auto snapshot = cache_.Snapshot();
-  std::vector<int32_t> key_layers;
   for (size_t i = snapshot.size(); i-- > 0;) {
-    const std::string& key = snapshot[i].first;
-    const std::shared_ptr<const Movd>& artifact = snapshot[i].second;
-    if (key.compare(0, basic_stem.size(), basic_stem) == 0) {
-      size_t rest_pos = 0;
-      if (!ParseKeyLayers(key, basic_stem.size(), &key_layers, &rest_pos) ||
-          key_layers.size() != 1 || key.substr(rest_pos) != suffix) {
-        continue;  // a different engine configuration's key; leave it be
-      }
-      if (key == mutated_basic_key) {
-        if (new_basic != nullptr) {
-          cache_.Insert(renamed(key, 6), new_basic);
-          ++stats->patched_artifacts;
-        } else {
-          ++stats->dropped_artifacts;
-        }
-      } else {
-        // Another layer's basic is untouched by this mutation: alias it
-        // under the new version's key.
-        cache_.Insert(renamed(key, 6), artifact);
-        ++stats->patched_artifacts;
-      }
+    std::optional<ArtifactKey> key = ArtifactKey::Parse(snapshot[i].first);
+    // Another dataset, version or engine configuration: leave it be.
+    if (!key || key->dataset != ds_name || key->version != old_snap.version ||
+        key->resolution != resolution ||
+        key->weight_tag != old_snap.weight_tag) {
       continue;
     }
-    if (key.compare(0, ovl_stem.size(), ovl_stem) == 0) {
-      size_t rest_pos = 0;
-      if (!ParseKeyLayers(key, ovl_stem.size(), &key_layers, &rest_pos)) {
-        continue;
+    key->version = next_snap.version;
+    std::shared_ptr<const Movd> carried = snapshot[i].second;
+    if (std::ranges::find(key->layers, layer) != key->layers.end()) {
+      switch (key->kind) {
+        case ArtifactKey::Kind::kBasic:
+          carried = new_basic;
+          break;
+        case ArtifactKey::Kind::kOverlay:
+          carried = patch_overlay(*key, *carried);
+          break;
+        case ArtifactKey::Kind::kClipped:
+          // The clip of a changed overlay: constraint clips are cheap to
+          // re-derive relative to their hit rate, so drop, not patch.
+          carried = nullptr;
+          break;
       }
-      const std::string rest = key.substr(rest_pos);
-      BoundaryMode mode;
-      if (rest == "/rrb" + suffix) {
-        mode = BoundaryMode::kRealRegion;
-      } else if (rest == "/mbrb" + suffix) {
-        mode = BoundaryMode::kMbr;
-      } else {
-        continue;
-      }
-      const bool touched =
-          std::find(key_layers.begin(), key_layers.end(), layer) !=
-          key_layers.end();
-      if (!touched) {
-        cache_.Insert(renamed(key, 4), artifact);
-        ++stats->patched_artifacts;
-        continue;
-      }
-      if (old_basic == nullptr || new_basic == nullptr) {
-        ++stats->dropped_artifacts;
-        continue;
-      }
-      Movd patched;
-      OverlayPatchStats overlay_stats;
-      if (!PatchOverlay(*artifact, key_layers, layer, *old_basic, *new_basic,
-                        basic_of, mode, deleted_object, &patched,
-                        &overlay_stats)) {
-        ++stats->dropped_artifacts;
-        continue;
-      }
-      auto result = std::make_shared<const Movd>(std::move(patched));
-      if (options_.exec.audit) {
-        // Audit gate: re-fold this overlay from the new basics and certify
-        // the patch against it; on mismatch cache the rebuild instead.
-        std::vector<Movd> basics;
-        for (const int32_t l : key_layers) {
-          const Movd* basic = l == layer ? new_basic.get() : basic_of(l);
-          if (basic == nullptr) break;
-          basics.push_back(*basic);
-        }
-        if (basics.size() == key_layers.size()) {
-          auto rebuilt = FoldOverlay(basics, mode, options_.exec.threads,
-                                     /*cancel=*/nullptr);
-          if (!AuditPatchedMovd(*result, *rebuilt).ok()) result = rebuilt;
-        }
-      }
-      cache_.Insert(renamed(key, 4), result);
-      ++stats->patched_artifacts;
+    }
+    if (carried == nullptr) {
+      ++stats->dropped_artifacts;
       continue;
     }
-    if (key.compare(0, cns_stem.size(), cns_stem) == 0) {
-      size_t rest_pos = 0;
-      const std::string cns_rest = "/rrb" + suffix + "/c";
-      if (!ParseKeyLayers(key, cns_stem.size(), &key_layers, &rest_pos) ||
-          key.compare(rest_pos, cns_rest.size(), cns_rest) != 0) {
-        continue;
-      }
-      if (std::find(key_layers.begin(), key_layers.end(), layer) !=
-          key_layers.end()) {
-        // The clip of a changed overlay: constraint clips are cheap to
-        // re-derive relative to their hit rate, so drop rather than patch.
-        ++stats->dropped_artifacts;
-      } else {
-        cache_.Insert(renamed(key, 4), artifact);
-        ++stats->patched_artifacts;
-      }
-      continue;
-    }
+    cache_.Insert(key->Format(), std::move(carried));
+    ++stats->patched_artifacts;
   }
 }
 
@@ -749,12 +646,12 @@ ServeResponse QueryEngine::SolveInternal(const EngineRequest& request,
           ds.query.ObjectFunction(static_cast<size_t>(layer)));
     }
     MolqResult r = SolveMolq(sub, ds.world, molq);
-    if (r.status == MolqStatus::kCancelled) {
-      resp.status = ServeStatus::kDeadlineExceeded;
+    if (r.status == StatusCode::kCancelled) {
+      resp.status = StatusCode::kDeadlineExceeded;
       resp.error = "deadline exceeded during SSC scan";
       return resp;
     }
-    if (r.status != MolqStatus::kOk) {
+    if (r.status != StatusCode::kOk) {
       resp.status = r.status;
       resp.error = "SSC scan failed";
       return resp;
@@ -829,7 +726,7 @@ ServeResponse QueryEngine::SolveInternal(const EngineRequest& request,
   const double overlay_seconds = phase_watch.ElapsedSeconds();
   resp.cache_hit = overlay_hit;
   if (overlay == nullptr) {
-    resp.status = ServeStatus::kDeadlineExceeded;
+    resp.status = StatusCode::kDeadlineExceeded;
     resp.error = "deadline exceeded building the MOVD overlay";
     return resp;
   }
@@ -837,7 +734,7 @@ ServeResponse QueryEngine::SolveInternal(const EngineRequest& request,
   // every candidate region — and answers as "infeasible" below. Every
   // other shape requires a non-empty artifact.
   if (overlay->ovrs.empty() && constrain == nullptr) {
-    resp.status = ServeStatus::kInternalError;
+    resp.status = StatusCode::kInternal;
     resp.error = "overlay produced an empty MOVD";
     return resp;
   }
@@ -853,7 +750,7 @@ ServeResponse QueryEngine::SolveInternal(const EngineRequest& request,
       case ServeQueryKind::kMolq: {
         MolqResult top = TopKFromMovd(ds.query, *overlay, topk, molq);
         if (top.status == StatusCode::kCancelled) {
-          resp.status = ServeStatus::kDeadlineExceeded;
+          resp.status = StatusCode::kDeadlineExceeded;
           resp.error = "deadline exceeded during optimization";
           return resp;
         }
@@ -864,7 +761,7 @@ ServeResponse QueryEngine::SolveInternal(const EngineRequest& request,
         SkylineResult r =
             SkylineFromMovd(ds.query, *overlay, candidate_options);
         if (r.status == StatusCode::kCancelled) {
-          resp.status = ServeStatus::kDeadlineExceeded;
+          resp.status = StatusCode::kDeadlineExceeded;
           resp.error = "deadline exceeded during skyline evaluation";
           return resp;
         }
@@ -881,7 +778,7 @@ ServeResponse QueryEngine::SolveInternal(const EngineRequest& request,
         DiverseTopKResult r = DiverseTopKFromMovd(
             ds.query, *overlay, topk, min_distance, candidate_options);
         if (r.status == StatusCode::kCancelled) {
-          resp.status = ServeStatus::kDeadlineExceeded;
+          resp.status = StatusCode::kDeadlineExceeded;
           resp.error = "deadline exceeded during diversified top-k";
           return resp;
         }
@@ -900,7 +797,7 @@ ServeResponse QueryEngine::SolveInternal(const EngineRequest& request,
             ConstrainedFromClippedMovd(ds.query, *overlay,
                                        candidate_options);
         if (r.status == StatusCode::kCancelled) {
-          resp.status = ServeStatus::kDeadlineExceeded;
+          resp.status = StatusCode::kDeadlineExceeded;
           resp.error = "deadline exceeded during constrained optimization";
           return resp;
         }
@@ -924,7 +821,7 @@ ServeResponse QueryEngine::SolveInternal(const EngineRequest& request,
         WhatIfSweepResult r =
             WhatIfSweepFromMovd(ds.query, *overlay, vectors, what_if);
         if (r.status == StatusCode::kCancelled) {
-          resp.status = ServeStatus::kDeadlineExceeded;
+          resp.status = StatusCode::kDeadlineExceeded;
           resp.error = "deadline exceeded during what-if sweep";
           return resp;
         }
@@ -951,14 +848,12 @@ std::shared_ptr<const Movd> QueryEngine::GetOverlay(
     const EngineRequest& request, const CancelToken& token,
     bool* overlay_hit) {
   *overlay_hit = false;
-  // The grid resolution changes the weighted cover geometry, so cached
-  // diagrams built at one resolution must never serve another.
-  const std::string suffix = ArtifactKeySuffix(
-      options_.exec.weighted_grid_resolution, ds.weight_tag);
-  // The snapshot version is part of every key: a mutation publishes a new
+  // Every key carries the grid resolution, which changes the weighted
+  // cover geometry, and the snapshot version: a mutation publishes a new
   // version, whose artifacts are patched in under new keys while queries
   // pinned to the old version keep hitting the old ones until they age out.
-  const std::string version_tag = "/v" + std::to_string(ds.version);
+  const ArtifactKey base =
+      DatasetKey(ds_name, ds, options_.exec.weighted_grid_resolution);
 
   // One basic (single-layer) diagram; cached under a mode-independent key,
   // since basics carry both real regions and MBRs. The basic is built from
@@ -972,9 +867,9 @@ std::shared_ptr<const Movd> QueryEngine::GetOverlay(
           request.exec.threads));
     };
     if (!request.use_cache) return build();
-    const std::string key = "basic/" + ds_name + version_tag + "/L" +
-                            std::to_string(layer) + suffix;
-    return cache_.GetOrBuild(key, build, nullptr, token.deadline());
+    ArtifactKey key = base;
+    key.layers = {layer};
+    return cache_.GetOrBuild(key.Format(), build, nullptr, token.deadline());
   };
 
   // SolveMolq's fold (OverlapAll over the basics in layer order) without
@@ -994,10 +889,12 @@ std::shared_ptr<const Movd> QueryEngine::GetOverlay(
   };
 
   if (!request.use_cache) return build_overlay();
-  const std::string key =
-      "ovl/" + ds_name + version_tag + "/L" + LayersTag(layers) +
-      (mode == BoundaryMode::kMbr ? "/mbrb" : "/rrb") + suffix;
-  return cache_.GetOrBuild(key, build_overlay, overlay_hit, token.deadline());
+  ArtifactKey key = base;
+  key.kind = ArtifactKey::Kind::kOverlay;
+  key.layers = layers;
+  key.mode = mode;
+  return cache_.GetOrBuild(key.Format(), build_overlay, overlay_hit,
+                           token.deadline());
 }
 
 std::shared_ptr<const Movd> QueryEngine::GetClippedOverlay(
@@ -1021,13 +918,13 @@ std::shared_ptr<const Movd> QueryEngine::GetClippedOverlay(
         ClipMovdToFeasible(*overlay, feasible));
   };
   if (!request.use_cache) return build();
-  const std::string key =
-      "cns/" + ds_name + "/v" + std::to_string(ds.version) + "/L" +
-      LayersTag(layers) + "/rrb" +
-      ArtifactKeySuffix(options_.exec.weighted_grid_resolution,
-                        ds.weight_tag) +
-      "/c" + ConstraintHash(constraint);
-  return cache_.GetOrBuild(key, build, overlay_hit, token.deadline());
+  ArtifactKey key =
+      DatasetKey(ds_name, ds, options_.exec.weighted_grid_resolution);
+  key.kind = ArtifactKey::Kind::kClipped;
+  key.layers = layers;
+  key.constraint_hash = ConstraintHash(constraint);
+  return cache_.GetOrBuild(key.Format(), build, overlay_hit,
+                           token.deadline());
 }
 
 Status QueryEngine::SaveCache(const std::string& dir) const {
@@ -1061,17 +958,6 @@ WarmLoadResult QueryEngine::LoadCache(const std::string& dir) {
     result.status = Status::IoError("cannot read " + dir + "/manifest.txt");
     return result;
   }
-  // The registered datasets' current snapshots, which every artifact
-  // must fit.
-  std::vector<std::string> names;
-  {
-    MutexLock lock(datasets_mu_);
-    for (const auto& entry : datasets_) names.push_back(entry.first);
-  }
-  std::vector<std::shared_ptr<const DatasetSnapshot>> snaps;
-  for (const std::string& name : names) {
-    snaps.push_back(dataset_snapshot(name));
-  }
   std::string line;
   while (std::getline(manifest, line)) {
     if (line.empty()) continue;
@@ -1086,14 +972,12 @@ WarmLoadResult QueryEngine::LoadCache(const std::string& dir) {
     // corrupted artifact, or one that does not fit a registered dataset's
     // current snapshot, is skipped (colder cache), never inserted.
     StatusOr<Movd> movd = LoadMovd(dir + "/" + file);
-    bool fits = false;
-    for (size_t d = 0; d < names.size() && movd.has_value() && !fits; ++d) {
-      fits = WarmArtifactFits(
-          key, *movd, names[d], *snaps[d],
-          ArtifactKeySuffix(options_.exec.weighted_grid_resolution,
-                            snaps[d]->weight_tag));
-    }
-    if (!fits) {
+    const std::optional<ArtifactKey> parsed = ArtifactKey::Parse(key);
+    const std::shared_ptr<const DatasetSnapshot> snap =
+        parsed ? dataset_snapshot(parsed->dataset) : nullptr;
+    if (!movd.has_value() || snap == nullptr ||
+        !WarmArtifactFits(*parsed, *movd, *snap,
+                          options_.exec.weighted_grid_resolution)) {
       ++result.failed;
       continue;
     }

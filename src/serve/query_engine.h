@@ -116,7 +116,7 @@ class QueryEngine {
   /// Serves one request synchronously on the calling thread: a query is
   /// solved against its pinned snapshot, a mutation is applied and
   /// published. The deadline clock starts now.
-  EngineResponse Handle(const EngineRequest& request);
+  ServeResponse Handle(const EngineRequest& request);
 
   /// Enqueues one request onto the engine's worker pool; the returned
   /// future resolves when a worker has served it. The deadline clock
@@ -126,7 +126,7 @@ class QueryEngine {
   /// kOverloaded when the queue's cost depth or predicted delay exceeds
   /// the configured budgets, and again at dequeue when its actual queue
   /// delay blew the budget.
-  std::future<EngineResponse> HandleAsync(EngineRequest request);
+  std::future<ServeResponse> HandleAsync(EngineRequest request);
 
   /// Test seam: replaces the clock the admission queue reads (milliseconds
   /// on any monotonic timeline) to stamp a request at submit and measure
@@ -154,8 +154,8 @@ class QueryEngine {
   /// skipped and counted in `failed` — a damaged snapshot degrades to a
   /// colder cache, never a crash or a bad artifact — when its file fails
   /// the movd_file header/record checks, or when it does not fit a
-  /// registered dataset: its key must name the dataset at its *current*
-  /// version (a version number does not identify the same objects across
+  /// registered dataset: its key must be one ArtifactKey::Parse accepts,
+  /// naming the dataset at its *current* version (a version number does not identify the same objects across
   /// processes) and carry this engine's grid resolution and the dataset's
   /// weight tag (a key built under another configuration is one no lookup
   /// builds), and every OVR must hold exactly the key's layers in
@@ -208,11 +208,11 @@ class QueryEngine {
                                          const EngineRequest& request,
                                          const CancelToken& token,
                                          bool* overlay_hit);
-  /// The RRB overlay clipped to `constraint`, cached under a
-  /// constraint-hashed key ("cns/...") so repeats of the same constraint
-  /// reuse the clip. The unclipped overlay is fetched through GetOverlay
-  /// (hence itself cached); `overlay_hit` reports the clipped-artifact
-  /// lookup. Null when the deadline fired.
+  /// The RRB overlay clipped to `constraint`, cached under a clip key
+  /// carrying the constraint's hash (ArtifactKey::Kind::kClipped), so
+  /// repeats of the same constraint reuse the clip. The unclipped overlay
+  /// is fetched through GetOverlay (hence itself cached); `overlay_hit`
+  /// reports the clipped-artifact lookup. Null when the deadline fired.
   std::shared_ptr<const Movd> GetClippedOverlay(
       const DatasetSnapshot& ds, const std::string& ds_name,
       const std::vector<int32_t>& layers, const QueryConstraint& constraint,

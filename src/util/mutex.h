@@ -27,7 +27,6 @@ class MOVD_CAPABILITY("mutex") Mutex {
 
   void Lock() MOVD_ACQUIRE() { mu_.lock(); }
   void Unlock() MOVD_RELEASE() { mu_.unlock(); }
-  bool TryLock() MOVD_TRY_ACQUIRE(true) { return mu_.try_lock(); }
 
  private:
   friend class CondVar;

@@ -14,10 +14,7 @@ namespace movd {
 /// entry points, storage, serving). Before this enum the repo had three
 /// ad-hoc conventions — bool + error out-param (SaveCache, the protocol
 /// parser), optional<T> sentinels (LoadMovd), and per-layer
-/// enums (MolqStatus, ServeStatus); they are all expressed in this one
-/// code space now. `MolqStatus` and `ServeStatus` are aliases of this
-/// enum, and the historical enumerator spellings are kept as aliases so
-/// existing callers keep compiling.
+/// enums; they are all expressed in this one code space now.
 enum class StatusCode : uint8_t {
   kOk = 0,
   kCancelled,         ///< a CancelToken fired (cooperative deadline)
@@ -29,10 +26,6 @@ enum class StatusCode : uint8_t {
   kInternal,          ///< invariant violation on our side
   kOverloaded,        ///< admission control shed the request (serve)
   kUnsupportedVerb,   ///< serve verb unknown to this protocol version
-
-  // Historical spellings (serve's wire enum) kept as value aliases.
-  kInvalidRequest = kInvalidArgument,
-  kInternalError = kInternal,
 };
 
 /// Canonical wire name of a code ("OK", "DEADLINE_EXCEEDED",
@@ -51,14 +44,8 @@ class [[nodiscard]] Status {
       : code_(code), message_(std::move(message)) {}
 
   static Status Ok() { return Status(); }
-  static Status Cancelled(std::string msg) {
-    return Status(StatusCode::kCancelled, std::move(msg));
-  }
   static Status InvalidArgument(std::string msg) {
     return Status(StatusCode::kInvalidArgument, std::move(msg));
-  }
-  static Status DeadlineExceeded(std::string msg) {
-    return Status(StatusCode::kDeadlineExceeded, std::move(msg));
   }
   static Status NotFound(std::string msg) {
     return Status(StatusCode::kNotFound, std::move(msg));
@@ -71,9 +58,6 @@ class [[nodiscard]] Status {
   }
   static Status Internal(std::string msg) {
     return Status(StatusCode::kInternal, std::move(msg));
-  }
-  static Status Overloaded(std::string msg) {
-    return Status(StatusCode::kOverloaded, std::move(msg));
   }
   static Status UnsupportedVerb(std::string msg) {
     return Status(StatusCode::kUnsupportedVerb, std::move(msg));

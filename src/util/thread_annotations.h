@@ -64,12 +64,6 @@
 #define MOVD_RELEASE(...) \
   MOVD_THREAD_ANNOTATION_ATTRIBUTE_(release_capability(__VA_ARGS__))
 
-/// The function attempts to acquire the capability; `result` is the
-/// return value that means success.
-#define MOVD_TRY_ACQUIRE(result, ...) \
-  MOVD_THREAD_ANNOTATION_ATTRIBUTE_(   \
-      try_acquire_capability(result, __VA_ARGS__))
-
 /// Returns a reference to the named capability (accessor functions).
 #define MOVD_RETURN_CAPABILITY(x) \
   MOVD_THREAD_ANNOTATION_ATTRIBUTE_(lock_returned(x))

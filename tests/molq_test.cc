@@ -593,7 +593,7 @@ TEST(MolqTiedTest, EveryPathPicksTheLeastTiedGroup) {
       request.op = SolveSpec{algo, 1};
       const auto served = [&](const std::string& path, bool patched) {
         const ServeResponse resp = engine.Handle(request);
-        ASSERT_EQ(resp.status, ServeStatus::kOk) << tag << ": " << resp.error;
+        ASSERT_EQ(resp.status, StatusCode::kOk) << tag << ": " << resp.error;
         EXPECT_EQ(resp.cache_hit, patched) << tag << ", " << path;
         ASSERT_EQ(resp.answers.size(), 1u) << tag;
         const SiteCandidate& a = resp.answers.front();
@@ -606,7 +606,7 @@ TEST(MolqTiedTest, EveryPathPicksTheLeastTiedGroup) {
         mutation.dataset = "d";
         mutation.op = SiteMutation{kind, 0, kFar};
         const ServeResponse applied = engine.Handle(mutation);
-        ASSERT_EQ(applied.status, ServeStatus::kOk) << tag << applied.error;
+        ASSERT_EQ(applied.status, StatusCode::kOk) << tag << applied.error;
         ASSERT_GT(applied.mutation.patched_artifacts, 0u) << tag;
         served(kind == MutationKind::kInsert ? "served after INSERT"
                                              : "served after DELETE",

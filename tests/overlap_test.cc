@@ -801,7 +801,7 @@ TEST(OverlayInvariantTest, ServedOverlaysHoldEachGroupOnceAfterMutations) {
   // RRB/MBRB overlays (patched in place by a mutation) and the clip.
   const auto serve_and_check = [&](const std::string& stage) {
     for (const EngineRequest& request : requests) {
-      ASSERT_EQ(engine.Handle(request).status, ServeStatus::kOk) << stage;
+      ASSERT_EQ(engine.Handle(request).status, StatusCode::kOk) << stage;
     }
     const std::string dir =
         ::testing::TempDir() + "/overlay_invariant_" + stage;
@@ -823,7 +823,7 @@ TEST(OverlayInvariantTest, ServedOverlaysHoldEachGroupOnceAfterMutations) {
     request.dataset = "d";
     request.op = SiteMutation{kind, layer, at};
     const ServeResponse applied = engine.Handle(request);
-    ASSERT_EQ(applied.status, ServeStatus::kOk) << applied.error;
+    ASSERT_EQ(applied.status, StatusCode::kOk) << applied.error;
     EXPECT_GT(applied.mutation.patched_artifacts, 0u);
   };
 

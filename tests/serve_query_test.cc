@@ -189,7 +189,7 @@ TEST(ServeQueryEngineTest, SkylineMatchesDirectEvaluator) {
   request.dataset = "d";
   request.op = SkylineSpec{MolqAlgorithm::kRrb};
   const ServeResponse resp = engine.Handle(request);
-  ASSERT_EQ(resp.status, ServeStatus::kOk) << resp.error;
+  ASSERT_EQ(resp.status, StatusCode::kOk) << resp.error;
 
   const Movd overlay = BuildOverlay(query, BoundaryMode::kRealRegion);
   const SkylineResult direct = SkylineFromMovd(query, overlay);
@@ -207,7 +207,7 @@ TEST(ServeQueryEngineTest, DiverseMatchesDirectEvaluator) {
   request.dataset = "d";
   request.op = DiverseSpec{MolqAlgorithm::kRrb, 3, 20.0};
   const ServeResponse resp = engine.Handle(request);
-  ASSERT_EQ(resp.status, ServeStatus::kOk) << resp.error;
+  ASSERT_EQ(resp.status, StatusCode::kOk) << resp.error;
 
   const Movd overlay = BuildOverlay(query, BoundaryMode::kRealRegion);
   const DiverseTopKResult direct =
@@ -230,7 +230,7 @@ TEST(ServeQueryEngineTest, ConstrainMatchesDirectEvaluator) {
   request.dataset = "d";
   request.op = spec;
   const ServeResponse resp = engine.Handle(request);
-  ASSERT_EQ(resp.status, ServeStatus::kOk) << resp.error;
+  ASSERT_EQ(resp.status, StatusCode::kOk) << resp.error;
   ASSERT_EQ(resp.answers.size(), 1u);
 
   const Movd overlay = BuildOverlay(query, BoundaryMode::kRealRegion);
@@ -247,7 +247,7 @@ TEST(ServeQueryEngineTest, ConstrainMatchesDirectEvaluator) {
   EngineRequest infeasible = request;
   infeasible.op = outside;
   const ServeResponse empty = engine.Handle(infeasible);
-  ASSERT_EQ(empty.status, ServeStatus::kOk) << empty.error;
+  ASSERT_EQ(empty.status, StatusCode::kOk) << empty.error;
   EXPECT_TRUE(empty.answers.empty());
 }
 
@@ -260,14 +260,14 @@ TEST(ServeQueryEngineTest, WhatIfMatchesDirectEvaluatorAndReusesOverlay) {
   // served from the same artifact without rebuilding anything.
   EngineRequest solve;
   solve.dataset = "d";
-  ASSERT_EQ(engine.Handle(solve).status, ServeStatus::kOk);
+  ASSERT_EQ(engine.Handle(solve).status, StatusCode::kOk);
 
   EngineRequest request;
   request.dataset = "d";
   request.op =
       WhatIfSpec{MolqAlgorithm::kRrb, 2, {{1.0, 1.0}, {2.0, 0.5}, {0.1, 3.0}}};
   const ServeResponse resp = engine.Handle(request);
-  ASSERT_EQ(resp.status, ServeStatus::kOk) << resp.error;
+  ASSERT_EQ(resp.status, StatusCode::kOk) << resp.error;
   EXPECT_TRUE(resp.cache_hit);  // the warm what-if rebuilt no artifacts
   EXPECT_TRUE(resp.answers.empty());
   ASSERT_EQ(resp.sweep_answers.size(), 3u);
@@ -301,11 +301,11 @@ TEST(ServeQueryEngineTest, ConstraintCacheKeysByConstraintHash) {
   request.dataset = "d";
   request.op = spec;
   const ServeResponse cold = engine.Handle(request);
-  ASSERT_EQ(cold.status, ServeStatus::kOk) << cold.error;
+  ASSERT_EQ(cold.status, StatusCode::kOk) << cold.error;
   EXPECT_FALSE(cold.cache_hit);
   // Same constraint: the clipped overlay is reused outright.
   const ServeResponse warm = engine.Handle(request);
-  ASSERT_EQ(warm.status, ServeStatus::kOk);
+  ASSERT_EQ(warm.status, StatusCode::kOk);
   EXPECT_TRUE(warm.cache_hit);
   ASSERT_EQ(warm.answers.size(), cold.answers.size());
   for (size_t i = 0; i < cold.answers.size(); ++i) {
@@ -320,7 +320,7 @@ TEST(ServeQueryEngineTest, ConstraintCacheKeysByConstraintHash) {
   EngineRequest other = request;
   other.op = other_spec;
   const ServeResponse different = engine.Handle(other);
-  ASSERT_EQ(different.status, ServeStatus::kOk);
+  ASSERT_EQ(different.status, StatusCode::kOk);
   EXPECT_FALSE(different.cache_hit);
 }
 
@@ -332,7 +332,7 @@ TEST(ServeQueryEngineTest, KindRestrictionsAreStructuredErrors) {
   EngineRequest ssc;
   ssc.dataset = "d";
   ssc.op = SkylineSpec{MolqAlgorithm::kSsc};
-  EXPECT_EQ(engine.Handle(ssc).status, ServeStatus::kInvalidRequest);
+  EXPECT_EQ(engine.Handle(ssc).status, StatusCode::kInvalidArgument);
   // Constrained clipping needs real regions, so ConstrainSpec has no
   // algorithm field: a CONSTRAIN over MBRB cannot be expressed at all.
   // A zero-area boundary fails constraint validation up front.
@@ -341,12 +341,12 @@ TEST(ServeQueryEngineTest, KindRestrictionsAreStructuredErrors) {
   EngineRequest degenerate;
   degenerate.dataset = "d";
   degenerate.op = zero_area;
-  EXPECT_EQ(engine.Handle(degenerate).status, ServeStatus::kInvalidRequest);
+  EXPECT_EQ(engine.Handle(degenerate).status, StatusCode::kInvalidArgument);
   // A sweep vector with the wrong arity is rejected against the dataset.
   EngineRequest bad_sweep;
   bad_sweep.dataset = "d";
   bad_sweep.op = WhatIfSpec{MolqAlgorithm::kRrb, 1, {{1.0, 1.0, 1.0}}};
-  EXPECT_EQ(engine.Handle(bad_sweep).status, ServeStatus::kInvalidRequest);
+  EXPECT_EQ(engine.Handle(bad_sweep).status, StatusCode::kInvalidArgument);
 }
 
 TEST(ServeQueryEngineTest, ResponseJsonIsByteIdenticalWithAndWithoutTrace) {
@@ -366,7 +366,7 @@ TEST(ServeQueryEngineTest, ResponseJsonIsByteIdenticalWithAndWithoutTrace) {
       request.op = WhatIfSpec{MolqAlgorithm::kRrb, 2, {{1.0, 1.0}, {0.5, 2.0}}};
     }
     const ServeResponse plain = plain_engine.Handle(request);
-    ASSERT_EQ(plain.status, ServeStatus::kOk) << plain.error;
+    ASSERT_EQ(plain.status, StatusCode::kOk) << plain.error;
 
     QueryEngine traced_engine;
     traced_engine.RegisterDataset("d", query, kBounds);
@@ -374,7 +374,7 @@ TEST(ServeQueryEngineTest, ResponseJsonIsByteIdenticalWithAndWithoutTrace) {
     EngineRequest traced_request = request;
     traced_request.exec.trace = &trace;
     const ServeResponse traced = traced_engine.Handle(traced_request);
-    ASSERT_EQ(traced.status, ServeStatus::kOk) << traced.error;
+    ASSERT_EQ(traced.status, StatusCode::kOk) << traced.error;
     EXPECT_EQ(ResponseJson(query, plain, /*include_timing=*/false),
               ResponseJson(query, traced, /*include_timing=*/false));
   }

@@ -6,11 +6,13 @@
 // never yields a partial answer.
 
 #include <atomic>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <future>
 #include <iterator>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <type_traits>
@@ -26,6 +28,7 @@
 #include "geom/polygon.h"
 #include "model/update_model.h"
 #include "protocol_examples.h"
+#include "serve/artifact_key.h"
 #include "serve/protocol.h"
 #include "serve/query_engine.h"
 #include "storage/movd_file.h"
@@ -230,6 +233,86 @@ TEST(ServeCacheTest, SnapshotIsMostRecentlyUsedFirst) {
 }
 
 // ---------------------------------------------------------------------------
+// ArtifactKey
+
+ArtifactKey Key(ArtifactKey::Kind kind, std::string dataset,
+                std::vector<int32_t> layers) {
+  ArtifactKey key;
+  key.kind = kind;
+  key.dataset = std::move(dataset);
+  key.version = 7;
+  key.layers = std::move(layers);
+  key.resolution = 128;
+  key.weight_tag = "mam";
+  return key;
+}
+
+TEST(ServeArtifactKeyTest, FormatsTheDocumentedGrammar) {
+  using Kind = ArtifactKey::Kind;
+  EXPECT_EQ(Key(Kind::kBasic, "d", {2}).Format(), "basic/d/v7/L2/r128/wmam");
+  ArtifactKey overlay = Key(Kind::kOverlay, "d", {0, 2, 10});
+  EXPECT_EQ(overlay.Format(), "ovl/d/v7/L0,2,10/rrb/r128/wmam");
+  overlay.mode = BoundaryMode::kMbr;
+  EXPECT_EQ(overlay.Format(), "ovl/d/v7/L0,2,10/mbrb/r128/wmam");
+  ArtifactKey clipped = Key(Kind::kClipped, "a/b", {0, 1});
+  clipped.constraint_hash = "0123456789abcdef";
+  EXPECT_EQ(clipped.Format(),
+            "cns/a/b/v7/L0,1/rrb/r128/wmam/c0123456789abcdef");
+}
+
+TEST(ServeArtifactKeyTest, ParseInvertsFormat) {
+  using Kind = ArtifactKey::Kind;
+  std::vector<ArtifactKey> keys = {Key(Kind::kBasic, "d", {0}),
+                                   Key(Kind::kBasic, "", {3}),
+                                   Key(Kind::kOverlay, "x/v1/L0", {0, 1}),
+                                   Key(Kind::kClipped, "d", {1, 4})};
+  keys[1].resolution = -5;
+  keys[2].mode = BoundaryMode::kMbr;
+  keys[2].version = UINT64_MAX;
+  keys[3].constraint_hash = "ffffffffffffffff";
+  for (const ArtifactKey& key : keys) {
+    const std::string text = key.Format();
+    const std::optional<ArtifactKey> parsed = ArtifactKey::Parse(text);
+    ASSERT_TRUE(parsed.has_value()) << text;
+    EXPECT_EQ(*parsed, key) << text;
+    EXPECT_EQ(parsed->Format(), text);
+  }
+}
+
+TEST(ServeArtifactKeyTest, ParseRejectsWhatFormatNeverEmits) {
+  const char* const bad[] = {
+      "",
+      "basic",
+      "tile/d/v1/L0/r128/wm",
+      "basic/v1/L0/r128/wm",           // no dataset segment
+      "basic/d/v1/L0,1/r128/wmm",      // a basic holds one layer
+      "basic/d/v1/L0/rrb/r128/wm",     // a basic has no mode
+      "ovl/d/v1/L0,1/r128/wmm",        // an overlay has one
+      "ovl/d/v1/L0,01,2/rrb/r128/wm",  // leading zero
+      "ovl/d/v1/L1,0/rrb/r128/wm",     // descending
+      "ovl/d/v1/L0,0/rrb/r128/wm",     // repeated
+      "ovl/d/v1/L0,/rrb/r128/wm",
+      "ovl/d/v1/L-1,0/rrb/r128/wm",
+      "ovl/d/v1/L0,1/RRB/r128/wm",
+      "ovl/d/v01/L0,1/rrb/r128/wm",
+      "ovl/d/v/L0,1/rrb/r128/wm",
+      "ovl/d/v1/L0,1/rrb/r+128/wm",
+      "ovl/d/v1/L0,1/rrb/r-0/wm",
+      "ovl/d/v1/L0,1/rrb/r99999999999/wm",
+      "ovl/d/v1/L0,1/rrb/r128/w",
+      "ovl/d/v1/L0,1/rrb/r128/wmx",
+      "ovl/d/v1/L0,1/rrb/r128/wm/",
+      "cns/d/v1/L0,1/mbrb/r128/wm/c0123456789abcdef",
+      "cns/d/v1/L0,1/rrb/r128/wm/c0123456789abcde",
+      "cns/d/v1/L0,1/rrb/r128/wm/c0123456789ABCDEF",
+      "cns/d/v1/L0,1/rrb/r128/wm",
+  };
+  for (const char* key : bad) {
+    EXPECT_FALSE(ArtifactKey::Parse(key).has_value()) << key;
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Metrics
 
 TEST(ServeMetricsTest, HistogramResolvesPercentilesToBucketBounds) {
@@ -245,10 +328,10 @@ TEST(ServeMetricsTest, HistogramResolvesPercentilesToBucketBounds) {
 
 TEST(ServeMetricsTest, CountersAndJson) {
   ServeMetrics metrics;
-  metrics.RecordRequest(ServeStatus::kOk, 0.001, /*cache_hit=*/true);
-  metrics.RecordRequest(ServeStatus::kOk, 0.002, /*cache_hit=*/false);
-  metrics.RecordRequest(ServeStatus::kDeadlineExceeded, 0.005, false);
-  metrics.RecordRequest(ServeStatus::kInvalidRequest, 0.0001, false);
+  metrics.RecordRequest(StatusCode::kOk, 0.001, /*cache_hit=*/true);
+  metrics.RecordRequest(StatusCode::kOk, 0.002, /*cache_hit=*/false);
+  metrics.RecordRequest(StatusCode::kDeadlineExceeded, 0.005, false);
+  metrics.RecordRequest(StatusCode::kInvalidArgument, 0.0001, false);
   EXPECT_EQ(metrics.requests(), 4u);
   EXPECT_EQ(metrics.ok(), 2u);
   EXPECT_EQ(metrics.deadline_exceeded(), 1u);
@@ -267,12 +350,12 @@ TEST(ServeMetricsTest, CountersAndJson) {
 }
 
 TEST(ServeMetricsTest, StatusNames) {
-  EXPECT_STREQ(ServeStatusName(ServeStatus::kOk), "OK");
-  EXPECT_STREQ(ServeStatusName(ServeStatus::kDeadlineExceeded),
+  EXPECT_STREQ(StatusCodeName(StatusCode::kOk), "OK");
+  EXPECT_STREQ(StatusCodeName(StatusCode::kDeadlineExceeded),
                "DEADLINE_EXCEEDED");
-  EXPECT_STREQ(ServeStatusName(ServeStatus::kInvalidRequest),
+  EXPECT_STREQ(StatusCodeName(StatusCode::kInvalidArgument),
                "INVALID_REQUEST");
-  EXPECT_STREQ(ServeStatusName(ServeStatus::kInternalError),
+  EXPECT_STREQ(StatusCodeName(StatusCode::kInternal),
                "INTERNAL_ERROR");
 }
 
@@ -314,7 +397,7 @@ TEST(ServeProtocolTest, SolveDefaultsAndRequiredDataset) {
   EXPECT_TRUE(request.use_cache);
   const Status missing = ParseRequest("SOLVE id=x k=2", &verb, &request);
   EXPECT_FALSE(missing.ok());
-  EXPECT_EQ(missing.code(), StatusCode::kInvalidRequest);
+  EXPECT_EQ(missing.code(), StatusCode::kInvalidArgument);
   EXPECT_NE(missing.message().find("dataset"), std::string::npos);
 }
 
@@ -376,7 +459,7 @@ TEST(ServeProtocolTest, FormatsOkAndErrLines) {
 
   ServeResponse err;
   err.id = "q2";
-  err.status = ServeStatus::kInvalidRequest;
+  err.status = StatusCode::kInvalidArgument;
   err.error = "unknown dataset 'x'";
   EXPECT_EQ(FormatResponseLine(nullptr, err),
             "ERR q2 INVALID_REQUEST unknown dataset 'x'");
@@ -482,7 +565,7 @@ TEST(ServeProtocolTest, RejectsRoutingRect) {
     ServeVerb verb;
     EngineRequest request;
     const Status status = ParseRequest(line, &verb, &request);
-    EXPECT_EQ(status.code(), StatusCode::kInvalidRequest) << line;
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << line;
     EXPECT_NE(status.message().find("unknown"), std::string::npos)
         << status.message();
     EXPECT_NE(status.message().find("'rect'"), std::string::npos)
@@ -503,7 +586,7 @@ TEST(ServeEngineTest, ServedAnswerIsBitIdenticalToColdPipeline) {
   request.dataset = "city";
   request.epsilon = 1e-4;
   const ServeResponse cold = engine.Handle(request);
-  ASSERT_EQ(cold.status, ServeStatus::kOk);
+  ASSERT_EQ(cold.status, StatusCode::kOk);
   EXPECT_FALSE(cold.cache_hit);
   ASSERT_EQ(cold.answers.size(), 1u);
 
@@ -518,7 +601,7 @@ TEST(ServeEngineTest, ServedAnswerIsBitIdenticalToColdPipeline) {
 
   // Second request is served from cache and stays bit-identical.
   const ServeResponse warm = engine.Handle(request);
-  ASSERT_EQ(warm.status, ServeStatus::kOk);
+  ASSERT_EQ(warm.status, StatusCode::kOk);
   EXPECT_TRUE(warm.cache_hit);
   ExpectAnswersEqual(cold.answers, warm.answers);
   EXPECT_EQ(engine.metrics().ok(), 2u);
@@ -537,7 +620,7 @@ TEST(ServeEngineTest, AnswersIdenticalAcrossThreadCountsAndCacheState) {
       request.exec.threads = threads;
       request.use_cache = use_cache;
       const ServeResponse resp = engine.Handle(request);
-      ASSERT_EQ(resp.status, ServeStatus::kOk);
+      ASSERT_EQ(resp.status, StatusCode::kOk);
       if (reference.empty()) {
         reference = resp.answers;
       } else {
@@ -555,7 +638,7 @@ TEST(ServeEngineTest, LayerSubsetMatchesDirectSubQuery) {
   request.dataset = "d";
   request.layers = {2, 0};  // order and duplicates are normalized
   const ServeResponse resp = engine.Handle(request);
-  ASSERT_EQ(resp.status, ServeStatus::kOk);
+  ASSERT_EQ(resp.status, StatusCode::kOk);
   ASSERT_EQ(resp.answers.size(), 1u);
 
   MolqQuery sub;
@@ -581,14 +664,14 @@ TEST(ServeEngineTest, SscMatchesMovdAlgorithmsAndRemapsGroups) {
   request.layers = {1, 2};
   request.op = SolveSpec{MolqAlgorithm::kSsc, 1};
   const ServeResponse ssc = engine.Handle(request);
-  ASSERT_EQ(ssc.status, ServeStatus::kOk);
+  ASSERT_EQ(ssc.status, StatusCode::kOk);
   ASSERT_EQ(ssc.answers.size(), 1u);
   for (const PoiRef& poi : ssc.answers[0].group) {
     EXPECT_TRUE(poi.set == 1 || poi.set == 2) << poi.set;
   }
   request.op = SolveSpec{MolqAlgorithm::kRrb, 1};
   const ServeResponse rrb = engine.Handle(request);
-  ASSERT_EQ(rrb.status, ServeStatus::kOk);
+  ASSERT_EQ(rrb.status, StatusCode::kOk);
   // SSC is exact; RRB is epsilon-approximate. Same combination, near cost.
   ASSERT_EQ(ssc.answers[0].group.size(), rrb.answers[0].group.size());
   EXPECT_NEAR(ssc.answers[0].cost, rrb.answers[0].cost,
@@ -596,7 +679,7 @@ TEST(ServeEngineTest, SscMatchesMovdAlgorithmsAndRemapsGroups) {
 
   // SSC serves k=1 only.
   request.op = SolveSpec{MolqAlgorithm::kSsc, 2};
-  EXPECT_EQ(engine.Handle(request).status, ServeStatus::kInvalidRequest);
+  EXPECT_EQ(engine.Handle(request).status, StatusCode::kInvalidArgument);
 }
 
 TEST(ServeEngineTest, SscRefusesNegativeObjectWeight) {
@@ -612,7 +695,7 @@ TEST(ServeEngineTest, SscRefusesNegativeObjectWeight) {
   request.dataset = "d";
   request.op = SolveSpec{MolqAlgorithm::kSsc, 1};
   const ServeResponse resp = engine.Handle(request);
-  EXPECT_EQ(resp.status, ServeStatus::kInvalidRequest);
+  EXPECT_EQ(resp.status, StatusCode::kInvalidArgument);
   EXPECT_NE(resp.error.find("object weight"), std::string::npos)
       << resp.error;
   EXPECT_TRUE(resp.answers.empty());
@@ -641,7 +724,7 @@ TEST(ServeEngineTest, EveryVerbRefusesNegativeObjectWeight) {
     request.dataset = "d";
     request.op = ops[i];
     const ServeResponse resp = engine.Handle(request);
-    EXPECT_EQ(resp.status, ServeStatus::kInvalidRequest) << "op " << i;
+    EXPECT_EQ(resp.status, StatusCode::kInvalidArgument) << "op " << i;
     EXPECT_NE(resp.error.find("object weight"), std::string::npos)
         << "op " << i << ": " << resp.error;
     EXPECT_TRUE(resp.answers.empty()) << "op " << i;
@@ -654,7 +737,7 @@ TEST(ServeEngineTest, EveryVerbRefusesNegativeObjectWeight) {
   layer1.layers = {1};
   layer1.op = SolveSpec{MolqAlgorithm::kRrb, 1};
   const ServeResponse ok = engine.Handle(layer1);
-  ASSERT_EQ(ok.status, ServeStatus::kOk) << ok.error;
+  ASSERT_EQ(ok.status, StatusCode::kOk) << ok.error;
   ASSERT_EQ(ok.answers.size(), 1u);
   EXPECT_GE(ok.answers[0].cost, 0.0);
 
@@ -663,11 +746,11 @@ TEST(ServeEngineTest, EveryVerbRefusesNegativeObjectWeight) {
   EngineRequest del;
   del.dataset = "d";
   del.op = SiteMutation{MutationKind::kDelete, 0, {10, 10}};
-  ASSERT_EQ(engine.Handle(del).status, ServeStatus::kOk);
+  ASSERT_EQ(engine.Handle(del).status, StatusCode::kOk);
   EngineRequest all;
   all.dataset = "d";
   all.op = SolveSpec{MolqAlgorithm::kRrb, 1};
-  EXPECT_EQ(engine.Handle(all).status, ServeStatus::kOk);
+  EXPECT_EQ(engine.Handle(all).status, StatusCode::kOk);
 
   // Under an additive type function a what-if entry shifts the weights:
   // -2 takes layer 1's type weights of 1 below zero, 0.5 does not.
@@ -679,12 +762,12 @@ TEST(ServeEngineTest, EveryVerbRefusesNegativeObjectWeight) {
   whatif.dataset = "a";
   whatif.op = WhatIfSpec{MolqAlgorithm::kRrb, 1, {{0.5, 0.5}, {0.5, -2.0}}};
   const ServeResponse refused = engine.Handle(whatif);
-  EXPECT_EQ(refused.status, ServeStatus::kInvalidRequest);
+  EXPECT_EQ(refused.status, StatusCode::kInvalidArgument);
   EXPECT_NE(refused.error.find("object weight"), std::string::npos)
       << refused.error;
   whatif.op = WhatIfSpec{MolqAlgorithm::kRrb, 1, {{0.5, 0.5}}};
   const ServeResponse answered = engine.Handle(whatif);
-  EXPECT_EQ(answered.status, ServeStatus::kOk) << answered.error;
+  EXPECT_EQ(answered.status, StatusCode::kOk) << answered.error;
 }
 
 TEST(ServeEngineTest, TopKMatchesDirectRanking) {
@@ -695,7 +778,7 @@ TEST(ServeEngineTest, TopKMatchesDirectRanking) {
   request.dataset = "d";
   request.op = SolveSpec{MolqAlgorithm::kRrb, 3};
   const ServeResponse resp = engine.Handle(request);
-  ASSERT_EQ(resp.status, ServeStatus::kOk);
+  ASSERT_EQ(resp.status, StatusCode::kOk);
   ASSERT_EQ(resp.answers.size(), 3u);
   EXPECT_LE(resp.answers[0].cost, resp.answers[1].cost);
   EXPECT_LE(resp.answers[1].cost, resp.answers[2].cost);
@@ -717,22 +800,22 @@ TEST(ServeEngineTest, InvalidRequestsAreStructuredErrors) {
   EngineRequest request;
   request.dataset = "nope";
   ServeResponse resp = engine.Handle(request);
-  EXPECT_EQ(resp.status, ServeStatus::kInvalidRequest);
+  EXPECT_EQ(resp.status, StatusCode::kInvalidArgument);
   EXPECT_NE(resp.error.find("unknown dataset"), std::string::npos);
   EXPECT_TRUE(resp.answers.empty());
 
   request.dataset = "d";
   request.layers = {0, 5};
   resp = engine.Handle(request);
-  EXPECT_EQ(resp.status, ServeStatus::kInvalidRequest);
+  EXPECT_EQ(resp.status, StatusCode::kInvalidArgument);
   EXPECT_NE(resp.error.find("out of range"), std::string::npos);
 
   request.layers.clear();
   request.op = SolveSpec{MolqAlgorithm::kRrb, 0};
-  EXPECT_EQ(engine.Handle(request).status, ServeStatus::kInvalidRequest);
+  EXPECT_EQ(engine.Handle(request).status, StatusCode::kInvalidArgument);
   request.op = SolveSpec{MolqAlgorithm::kRrb, 1};
   request.epsilon = 0.0;
-  EXPECT_EQ(engine.Handle(request).status, ServeStatus::kInvalidRequest);
+  EXPECT_EQ(engine.Handle(request).status, StatusCode::kInvalidArgument);
   EXPECT_EQ(engine.metrics().invalid(), 4u);
   EXPECT_EQ(engine.metrics().ok(), 0u);
 }
@@ -747,7 +830,7 @@ TEST(ServeEngineTest, DeadlineExceededReturnsNoPartialAnswer) {
   request.epsilon = 1e-4;
   request.deadline_ms = 0.001;
   const ServeResponse timed_out = engine.Handle(request);
-  EXPECT_EQ(timed_out.status, ServeStatus::kDeadlineExceeded);
+  EXPECT_EQ(timed_out.status, StatusCode::kDeadlineExceeded);
   EXPECT_TRUE(timed_out.answers.empty());
   EXPECT_FALSE(timed_out.error.empty());
   EXPECT_EQ(engine.metrics().deadline_exceeded(), 1u);
@@ -756,7 +839,7 @@ TEST(ServeEngineTest, DeadlineExceededReturnsNoPartialAnswer) {
   // deadline matches the cold pipeline exactly.
   request.deadline_ms = 0.0;
   const ServeResponse full = engine.Handle(request);
-  ASSERT_EQ(full.status, ServeStatus::kOk);
+  ASSERT_EQ(full.status, StatusCode::kOk);
   MolqOptions opts;
   opts.algorithm = MolqAlgorithm::kRrb;
   opts.epsilon = 1e-4;
@@ -780,7 +863,7 @@ TEST(ServeEngineTest, ConcurrentBatchedRequestsStayDeterministic) {
   std::vector<ServeResponse> reference;
   for (const auto& s : shapes) {
     reference.push_back(engine.Handle(s));
-    ASSERT_EQ(reference.back().status, ServeStatus::kOk);
+    ASSERT_EQ(reference.back().status, StatusCode::kOk);
   }
 
   // A burst of interleaved duplicates through the worker pool.
@@ -795,7 +878,7 @@ TEST(ServeEngineTest, ConcurrentBatchedRequestsStayDeterministic) {
   }
   for (size_t i = 0; i < futures.size(); ++i) {
     const ServeResponse resp = futures[i].get();
-    ASSERT_EQ(resp.status, ServeStatus::kOk) << resp.error;
+    ASSERT_EQ(resp.status, StatusCode::kOk) << resp.error;
     ExpectAnswersEqual(reference[i % shapes.size()].answers, resp.answers);
   }
   EXPECT_EQ(engine.metrics().ok(),
@@ -812,8 +895,8 @@ TEST(ServeEngineTest, CacheDisabledEngineStaysCorrect) {
   request.dataset = "d";
   const ServeResponse first = engine.Handle(request);
   const ServeResponse second = engine.Handle(request);
-  ASSERT_EQ(first.status, ServeStatus::kOk);
-  ASSERT_EQ(second.status, ServeStatus::kOk);
+  ASSERT_EQ(first.status, StatusCode::kOk);
+  ASSERT_EQ(second.status, StatusCode::kOk);
   EXPECT_FALSE(first.cache_hit);
   EXPECT_FALSE(second.cache_hit);
   ExpectAnswersEqual(first.answers, second.answers);
@@ -830,7 +913,7 @@ TEST(ServeEngineTest, WarmStartRoundTripServesIdenticalAnswersFromCache) {
     QueryEngine engine;
     engine.RegisterDataset("d", query, kBounds);
     cold = engine.Handle(request);
-    ASSERT_EQ(cold.status, ServeStatus::kOk);
+    ASSERT_EQ(cold.status, StatusCode::kOk);
     const Status saved = engine.SaveCache(dir);
     ASSERT_TRUE(saved.ok()) << saved.ToString();
   }
@@ -841,7 +924,7 @@ TEST(ServeEngineTest, WarmStartRoundTripServesIdenticalAnswersFromCache) {
   EXPECT_GE(load.loaded, 3u);  // two basics + one overlay
   EXPECT_EQ(load.failed, 0u);
   const ServeResponse warm = warm_engine.Handle(request);
-  ASSERT_EQ(warm.status, ServeStatus::kOk);
+  ASSERT_EQ(warm.status, StatusCode::kOk);
   // The very first request after a warm start hits the persisted overlay.
   EXPECT_TRUE(warm.cache_hit);
   ExpectAnswersEqual(cold.answers, warm.answers);
@@ -880,7 +963,7 @@ TEST(ServeEngineTest, WarmStartSkipsCorruptArtifacts) {
       QueryEngine engine;
       engine.RegisterDataset("d", query, kBounds);
       cold = engine.Handle(request);
-      ASSERT_EQ(cold.status, ServeStatus::kOk);
+      ASSERT_EQ(cold.status, StatusCode::kOk);
       const Status saved = engine.SaveCache(dir);
       ASSERT_TRUE(saved.ok()) << saved.ToString();
     }
@@ -921,7 +1004,7 @@ TEST(ServeEngineTest, WarmStartSkipsCorruptArtifacts) {
     EXPECT_GE(load.loaded, 2u);
     // The engine still answers correctly, rebuilding what was damaged.
     const ServeResponse resp = engine.Handle(request);
-    ASSERT_EQ(resp.status, ServeStatus::kOk);
+    ASSERT_EQ(resp.status, StatusCode::kOk);
     EXPECT_FALSE(resp.cache_hit);
     ExpectAnswersEqual(cold.answers, resp.answers);
   }
@@ -941,7 +1024,7 @@ TEST(ServeEngineTest, WarmStartSkipsArtifactsThatDoNotFitTheDataset) {
     QueryEngine engine;
     engine.RegisterDataset("d", query, kBounds);
     cold = engine.Handle(request);
-    ASSERT_EQ(cold.status, ServeStatus::kOk);
+    ASSERT_EQ(cold.status, StatusCode::kOk);
     const Status saved = engine.SaveCache(dir);
     ASSERT_TRUE(saved.ok()) << saved.ToString();
   }
@@ -962,7 +1045,7 @@ TEST(ServeEngineTest, WarmStartSkipsArtifactsThatDoNotFitTheDataset) {
     if (registrations == 1) {
       // The next SOLVE rebuilds the skipped overlay: the cold answer.
       const ServeResponse resp = engine.Handle(request);
-      EXPECT_EQ(resp.status, ServeStatus::kOk);
+      EXPECT_EQ(resp.status, StatusCode::kOk);
       EXPECT_EQ(resp.cache_hit, load.failed == 0);
       ExpectAnswersEqual(cold.answers, resp.answers);
     }
@@ -1008,7 +1091,7 @@ TEST(ServeEngineTest, WarmStartSkipsArtifactsOfAnotherGridResolution) {
     QueryEngine engine(saved_options);
     engine.RegisterDataset("d", query, kBounds);
     cold = engine.Handle(request);
-    ASSERT_EQ(cold.status, ServeStatus::kOk);
+    ASSERT_EQ(cold.status, StatusCode::kOk);
     const Status saved = engine.SaveCache(dir);
     ASSERT_TRUE(saved.ok()) << saved.ToString();
   }
@@ -1029,7 +1112,7 @@ TEST(ServeEngineTest, WarmStartSkipsArtifactsOfAnotherGridResolution) {
   EXPECT_EQ(load.loaded, 0u);
   EXPECT_EQ(load.failed, artifacts);
   const ServeResponse resp = engine.Handle(request);
-  ASSERT_EQ(resp.status, ServeStatus::kOk);
+  ASSERT_EQ(resp.status, StatusCode::kOk);
   EXPECT_FALSE(resp.cache_hit);
   ExpectAnswersEqual(cold.answers, resp.answers);
 
@@ -1040,22 +1123,58 @@ TEST(ServeEngineTest, WarmStartSkipsArtifactsOfAnotherGridResolution) {
   EXPECT_EQ(same.LoadCache(dir).loaded, artifacts);
 }
 
+TEST(ServeEngineTest, WarmStartSkipsNonCanonicalKeys) {
+  // "L0,01,2" names the layers {0,1,2}, but no lookup spells them that
+  // way: an artifact saved under it would sit in the cache unreachable.
+  const MolqQuery query = TestQuery({6, 6, 6}, 79);
+  const std::string dir = TmpDir("canonical");
+  EngineRequest request;
+  request.dataset = "d";
+  {
+    QueryEngine engine;
+    engine.RegisterDataset("d", query, kBounds);
+    ASSERT_EQ(engine.Handle(request).status, StatusCode::kOk);
+    const Status saved = engine.SaveCache(dir);
+    ASSERT_TRUE(saved.ok()) << saved.ToString();
+  }
+  std::string manifest;
+  {
+    std::ifstream in(dir + "/manifest.txt");
+    manifest.assign(std::istreambuf_iterator<char>(in), {});
+  }
+  const size_t at = manifest.find("/L0,1,2/rrb/");
+  ASSERT_NE(at, std::string::npos);
+  manifest.replace(at, 7, "/L0,01,2");
+  ASSERT_NE(manifest.find("/L0,01,2/rrb/"), std::string::npos);
+  {
+    std::ofstream out(dir + "/manifest.txt", std::ios::trunc);
+    out << manifest;
+  }
+  QueryEngine engine;
+  engine.RegisterDataset("d", query, kBounds);
+  const WarmLoadResult load = engine.LoadCache(dir);
+  EXPECT_TRUE(load.status.ok()) << load.status.ToString();
+  EXPECT_EQ(load.loaded, 3u);  // the three basics
+  EXPECT_EQ(load.failed, 1u);
+  EXPECT_FALSE(engine.Handle(request).cache_hit);
+}
+
 TEST(ServeEngineTest, UnknownDatasetStatusCodes) {
   // Queries on an unknown dataset are invalid requests; a mutation of one
   // has nothing to mutate.
   QueryEngine engine;
   EngineRequest solve;
   solve.dataset = "missing";
-  EXPECT_EQ(engine.Handle(solve).status, ServeStatus::kInvalidRequest);
+  EXPECT_EQ(engine.Handle(solve).status, StatusCode::kInvalidArgument);
   EngineRequest skyline = solve;
   skyline.op = SkylineSpec{MolqAlgorithm::kRrb};
-  EXPECT_EQ(engine.Handle(skyline).status, ServeStatus::kInvalidRequest);
+  EXPECT_EQ(engine.Handle(skyline).status, StatusCode::kInvalidArgument);
   SiteMutation insert;
   insert.layer = 0;
   insert.location = Point{1, 1};
   EngineRequest ins = solve;
   ins.op = insert;
-  EXPECT_EQ(engine.Handle(ins).status, ServeStatus::kNotFound);
+  EXPECT_EQ(engine.Handle(ins).status, StatusCode::kNotFound);
 }
 
 TEST(ServeEngineTest, LoadCacheReportsMissingDirectory) {
@@ -1076,9 +1195,9 @@ TEST(ServeEngineTest, LoadCacheReportsMissingDirectory) {
 /// counts: those count what the cache held, which use_cache=0 leaves
 /// empty.
 std::string TranscriptEntry(const ServeResponse& resp) {
-  std::string entry = ServeStatusName(resp.status);
+  std::string entry = StatusCodeName(resp.status);
   entry += "/v" + std::to_string(resp.version);
-  if (resp.status != ServeStatus::kOk) return entry;
+  if (resp.status != StatusCode::kOk) return entry;
   if (resp.is_mutation) {
     return entry + "/cells" + std::to_string(resp.mutation.recomputed_cells);
   }

@@ -182,13 +182,13 @@ TEST(ServeUpdateEngineTest, InsertPublishesVersionAndMatchesColdPipeline) {
   EngineRequest solve;
   solve.dataset = "d";
   const ServeResponse before = engine.Handle(solve);
-  ASSERT_EQ(before.status, ServeStatus::kOk) << before.error;
+  ASSERT_EQ(before.status, StatusCode::kOk) << before.error;
   EXPECT_EQ(before.version, 1u);
 
   const SiteMutation mut{MutationKind::kInsert, 1, {37.5, 61.25}};
   const ServeResponse applied = engine.Handle(
       MutationRequest("d", mut.kind, mut.layer, mut.location));
-  ASSERT_EQ(applied.status, ServeStatus::kOk) << applied.error;
+  ASSERT_EQ(applied.status, StatusCode::kOk) << applied.error;
   EXPECT_TRUE(applied.is_mutation);
   EXPECT_EQ(applied.version, 2u);
   EXPECT_FALSE(applied.mutation.full_rebuild);
@@ -196,7 +196,7 @@ TEST(ServeUpdateEngineTest, InsertPublishesVersionAndMatchesColdPipeline) {
   ApplyToQuery(&query, mut);
 
   const ServeResponse after = engine.Handle(solve);
-  ASSERT_EQ(after.status, ServeStatus::kOk) << after.error;
+  ASSERT_EQ(after.status, StatusCode::kOk) << after.error;
   EXPECT_EQ(after.version, 2u);
 
   // The patched-artifact answer must be byte-identical to a cold engine
@@ -204,7 +204,7 @@ TEST(ServeUpdateEngineTest, InsertPublishesVersionAndMatchesColdPipeline) {
   QueryEngine cold;
   cold.RegisterDataset("d", query, kBounds);
   const ServeResponse rebuilt = cold.Handle(solve);
-  ASSERT_EQ(rebuilt.status, ServeStatus::kOk) << rebuilt.error;
+  ASSERT_EQ(rebuilt.status, StatusCode::kOk) << rebuilt.error;
   EXPECT_EQ(AnswerBytes(after), AnswerBytes(rebuilt));
   EXPECT_EQ(engine.metrics().mutations(), 1u);
 }
@@ -217,20 +217,20 @@ TEST(ServeUpdateEngineTest, DeleteMatchesColdPipelineAndPatchesOverlays) {
   // Warm the all-layer overlay so the mutation has artifacts to patch.
   EngineRequest solve;
   solve.dataset = "d";
-  ASSERT_EQ(engine.Handle(solve).status, ServeStatus::kOk);
+  ASSERT_EQ(engine.Handle(solve).status, StatusCode::kOk);
   ASSERT_TRUE(engine.Handle(solve).cache_hit);
 
   const SiteMutation mut{MutationKind::kDelete, 0,
                          query.sets[0].objects[5].location};
   const ServeResponse applied = engine.Handle(
       MutationRequest("d", mut.kind, mut.layer, mut.location));
-  ASSERT_EQ(applied.status, ServeStatus::kOk) << applied.error;
+  ASSERT_EQ(applied.status, StatusCode::kOk) << applied.error;
   EXPECT_GT(applied.mutation.patched_artifacts, 0u);
   ApplyToQuery(&query, mut);
 
   // The patched overlay serves the new version straight from cache...
   const ServeResponse after = engine.Handle(solve);
-  ASSERT_EQ(after.status, ServeStatus::kOk) << after.error;
+  ASSERT_EQ(after.status, StatusCode::kOk) << after.error;
   EXPECT_EQ(after.version, 2u);
   EXPECT_TRUE(after.cache_hit);
 
@@ -238,7 +238,7 @@ TEST(ServeUpdateEngineTest, DeleteMatchesColdPipelineAndPatchesOverlays) {
   QueryEngine cold;
   cold.RegisterDataset("d", query, kBounds);
   const ServeResponse rebuilt = cold.Handle(solve);
-  ASSERT_EQ(rebuilt.status, ServeStatus::kOk) << rebuilt.error;
+  ASSERT_EQ(rebuilt.status, StatusCode::kOk) << rebuilt.error;
   EXPECT_EQ(AnswerBytes(after), AnswerBytes(rebuilt));
 }
 
@@ -253,7 +253,7 @@ TEST(ServeUpdateEngineTest, MutationScriptUnderAuditMatchesColdPipeline) {
   engine.RegisterDataset("d", query, kBounds);
   EngineRequest solve;
   solve.dataset = "d";
-  ASSERT_EQ(engine.Handle(solve).status, ServeStatus::kOk);
+  ASSERT_EQ(engine.Handle(solve).status, StatusCode::kOk);
 
   Rng rng(404);
   for (int step = 0; step < 10; ++step) {
@@ -269,18 +269,18 @@ TEST(ServeUpdateEngineTest, MutationScriptUnderAuditMatchesColdPipeline) {
     }
     const ServeResponse applied = engine.Handle(
         MutationRequest("d", mut.kind, mut.layer, mut.location));
-    ASSERT_EQ(applied.status, ServeStatus::kOk)
+    ASSERT_EQ(applied.status, StatusCode::kOk)
         << "step " << step << ": " << applied.error;
     ApplyToQuery(&query, mut);
     ASSERT_EQ(applied.version, static_cast<uint64_t>(step) + 2);
   }
 
   const ServeResponse after = engine.Handle(solve);
-  ASSERT_EQ(after.status, ServeStatus::kOk) << after.error;
+  ASSERT_EQ(after.status, StatusCode::kOk) << after.error;
   QueryEngine cold;
   cold.RegisterDataset("d", query, kBounds);
   const ServeResponse rebuilt = cold.Handle(solve);
-  ASSERT_EQ(rebuilt.status, ServeStatus::kOk) << rebuilt.error;
+  ASSERT_EQ(rebuilt.status, StatusCode::kOk) << rebuilt.error;
   EXPECT_EQ(AnswerBytes(after), AnswerBytes(rebuilt));
 }
 
@@ -294,31 +294,31 @@ TEST(ServeUpdateEngineTest, MutationErrorsAreStructured) {
                 .Handle(MutationRequest("nope", MutationKind::kInsert, 0,
                                        {10, 10}))
                 .status,
-            ServeStatus::kNotFound);
+            StatusCode::kNotFound);
   // Layer out of range.
   EXPECT_EQ(engine
                 .Handle(MutationRequest("d", MutationKind::kInsert, 7,
                                        {10, 10}))
                 .status,
-            ServeStatus::kInvalidRequest);
+            StatusCode::kInvalidArgument);
   // Insert outside the world rectangle.
   EXPECT_EQ(engine
                 .Handle(MutationRequest("d", MutationKind::kInsert, 0,
                                        {500, 10}))
                 .status,
-            ServeStatus::kInvalidRequest);
+            StatusCode::kInvalidArgument);
   // Deleting an absent object.
   EXPECT_EQ(engine
                 .Handle(MutationRequest("d", MutationKind::kDelete, 0,
                                        {1.5, 1.5}))
                 .status,
-            ServeStatus::kNotFound);
+            StatusCode::kNotFound);
   // Deleting a layer's last object would leave the dataset unservable.
   EXPECT_EQ(engine
                 .Handle(MutationRequest("d", MutationKind::kDelete, 1,
                                        query.sets[1].objects[0].location))
                 .status,
-            ServeStatus::kInvalidRequest);
+            StatusCode::kInvalidArgument);
   // None of the failures published a version.
   EXPECT_EQ(engine.dataset_snapshot("d")->version, 1u);
   EXPECT_EQ(engine.metrics().mutations(), 0u);
@@ -338,7 +338,7 @@ TEST(ServeUpdateEngineTest, SnapshotsPinAndReRegistrationAdvancesVersions) {
                 .Handle(MutationRequest("d", MutationKind::kInsert, 0,
                                        {50.5, 50.5}))
                 .status,
-            ServeStatus::kOk);
+            StatusCode::kOk);
   // The pinned snapshot is immutable: the mutation published a new one.
   EXPECT_EQ(pinned->version, 1u);
   EXPECT_EQ(pinned->query.sets[0].objects.size(), objects_before);
@@ -460,7 +460,7 @@ TEST(ServeUpdateStressTest, QueriesStayBitIdenticalPerVersionUnderMutation) {
       req.layers = patterns[t];
       while (!done.load(std::memory_order_relaxed)) {
         const ServeResponse resp = engine.Handle(req);
-        if (resp.status != ServeStatus::kOk) {
+        if (resp.status != StatusCode::kOk) {
           failures.fetch_add(1);
           continue;
         }
@@ -496,7 +496,7 @@ TEST(ServeUpdateStressTest, QueriesStayBitIdenticalPerVersionUnderMutation) {
     }
     const ServeResponse applied = engine.Handle(
         MutationRequest("d", mut.kind, mut.layer, mut.location));
-    ASSERT_EQ(applied.status, ServeStatus::kOk)
+    ASSERT_EQ(applied.status, StatusCode::kOk)
         << "mutation " << i << ": " << applied.error;
     ApplyToQuery(&query, mut);
   }
@@ -518,8 +518,8 @@ TEST(ServeUpdateStressTest, QueriesStayBitIdenticalPerVersionUnderMutation) {
     req.layers = patterns[t];
     const ServeResponse live = engine.Handle(req);
     const ServeResponse rebuilt = cold.Handle(req);
-    ASSERT_EQ(live.status, ServeStatus::kOk) << live.error;
-    ASSERT_EQ(rebuilt.status, ServeStatus::kOk) << rebuilt.error;
+    ASSERT_EQ(live.status, StatusCode::kOk) << live.error;
+    ASSERT_EQ(rebuilt.status, StatusCode::kOk) << rebuilt.error;
     EXPECT_EQ(live.version, static_cast<uint64_t>(kMutations) + 1);
     EXPECT_EQ(AnswerBytes(live), AnswerBytes(rebuilt));
   }
@@ -547,10 +547,10 @@ TEST(ServeUpdateAdmissionTest, QueueCostLimitShedsWithStructuredOverload) {
   uint64_t ok = 0, shed = 0;
   for (std::future<ServeResponse>& f : futures) {
     const ServeResponse resp = f.get();
-    if (resp.status == ServeStatus::kOk) {
+    if (resp.status == StatusCode::kOk) {
       ++ok;
     } else {
-      ASSERT_EQ(resp.status, ServeStatus::kOverloaded) << resp.error;
+      ASSERT_EQ(resp.status, StatusCode::kOverloaded) << resp.error;
       EXPECT_FALSE(resp.error.empty());
       ++shed;
     }
@@ -585,10 +585,10 @@ TEST(ServeUpdateAdmissionTest, DelayBudgetShedsStaleQueueEntries) {
     req.use_cache = false;
     const ServeResponse resp = engine.HandleAsync(std::move(req)).get();
     if (i % 2 == 0) {
-      ASSERT_EQ(resp.status, ServeStatus::kOk) << resp.error;
+      ASSERT_EQ(resp.status, StatusCode::kOk) << resp.error;
       ++ok;
     } else {
-      ASSERT_EQ(resp.status, ServeStatus::kOverloaded) << resp.error;
+      ASSERT_EQ(resp.status, StatusCode::kOverloaded) << resp.error;
       EXPECT_NE(resp.error.find("queue delay 30.0ms exceeded budget 20.0ms"),
                 std::string::npos)
           << resp.error;

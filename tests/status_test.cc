@@ -40,14 +40,6 @@ TEST(StatusTest, WireNamesMatchTheServeProtocol) {
   EXPECT_STREQ(StatusCodeName(StatusCode::kInternal), "INTERNAL_ERROR");
 }
 
-TEST(StatusTest, HistoricalSpellingsAliasTheCanonicalCodes) {
-  // MolqStatus/ServeStatus are aliases of StatusCode; the old enumerator
-  // spellings must compare equal to their canonical values so pre-refactor
-  // call sites keep their meaning.
-  EXPECT_EQ(StatusCode::kInvalidRequest, StatusCode::kInvalidArgument);
-  EXPECT_EQ(StatusCode::kInternalError, StatusCode::kInternal);
-}
-
 TEST(StatusOrTest, ImplicitFromValue) {
   const StatusOr<int> v = 42;
   ASSERT_TRUE(v.ok());
