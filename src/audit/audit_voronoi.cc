@@ -132,15 +132,15 @@ AuditReport AuditVoronoi(const VoronoiDiagram& vd,
 }
 
 AuditReport AuditKeptCells(const VoronoiDiagram& full,
-                           const VoronoiDiagram& kept,
+                           std::span<const VoronoiCell> kept,
                            std::span<const uint8_t> keep) {
   AuditReport report;
   report.NoteChecks(1);
-  if (kept.cells().size() != full.cells().size() ||
+  if (kept.size() != full.cells().size() ||
       keep.size() != full.cells().size()) {
     report.Add(AuditKind::kVoronoiKeptCell,
                AuditStrFormat("%zu kept cells and %zu flags for %zu cells",
-                              kept.cells().size(), keep.size(),
+                              kept.size(), keep.size(),
                               full.cells().size()),
                {});
     return report;
@@ -151,7 +151,7 @@ AuditReport AuditKeptCells(const VoronoiDiagram& full,
   };
   for (size_t i = 0; i < keep.size(); ++i) {
     report.NoteChecks(1);
-    const std::vector<Point>& got = kept.cells()[i].region.vertices();
+    const std::vector<Point>& got = kept[i].region.vertices();
     const std::vector<Point>& want = full.cells()[i].region.vertices();
     const bool ok =
         keep[i] != 0

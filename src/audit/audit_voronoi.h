@@ -45,12 +45,13 @@ AuditReport AuditVoronoiCells(const std::vector<Point>& sites,
 AuditReport AuditVoronoi(const VoronoiDiagram& vd,
                          const VoronoiAuditOptions& options = {});
 
-/// The object filter's seam: `kept` is `full` with only the cells that
-/// `keep` marks clipped (VoronoiDiagram::ClipCells). Reports
-/// kVoronoiKeptCell for a kept cell whose ring is not bit-equal to its
-/// cell in `full`, and for a dropped cell that is not empty.
+/// The object filter's seam: `kept` holds one cell per site of `full`, in
+/// its site order, with only the cells that `keep` marks clipped
+/// (ClipKeptCells or VoronoiDiagram::ClipCells). Reports kVoronoiKeptCell
+/// for a kept cell whose ring is not bit-equal to its cell in `full`, and
+/// for a dropped cell that is not empty.
 AuditReport AuditKeptCells(const VoronoiDiagram& full,
-                           const VoronoiDiagram& kept,
+                           std::span<const VoronoiCell> kept,
                            std::span<const uint8_t> keep);
 
 }  // namespace movd

@@ -17,6 +17,7 @@
 #include "util/stopwatch.h"
 #include "util/thread_pool.h"
 #include "voronoi/delaunay.h"
+#include "voronoi/site_grid.h"
 #include "voronoi/voronoi.h"
 #include "voronoi/weighted.h"
 
@@ -58,57 +59,74 @@ void MergeStageAudit(AuditReport sub, const std::string& stage,
   total->Merge(std::move(labelled));
 }
 
-// The ordinary route's first step: the set's object locations in input
-// order, sorted, deduplicated and triangulated.
-VoronoiDiagram TriangulateSet(const MolqQuery& query, int32_t set,
-                              const Rect& search_space) {
+// The object locations of `set`, in input order.
+std::vector<Point> SetLocations(const MolqQuery& query, int32_t set) {
   const ObjectSet& objects = query.sets.at(set);
   std::vector<Point> sites;
   sites.reserve(objects.objects.size());
   for (const SpatialObject& obj : objects.objects) {
     sites.push_back(obj.location);
   }
-  return VoronoiDiagram::Triangulate(sites, search_space);
+  return sites;
 }
 
-// The ordinary route's last step: clips the cells `keep` marks (every cell
-// when it is empty), runs the per-set audit seams, and moves the cells
-// into the set's basic MOVD. Only `vd`'s cells change, so other threads
-// may read its sites and neighbour table meanwhile.
+// Moves the cells into the set's basic MOVD. The diagram deduplicates
+// site locations and keeps each site's lowest input index; SetLocations
+// lists the objects in order, so that is the first object at the site's
+// location.
 //
 // A cell is a pure function of (site, LessXY-sorted Delaunay neighbour
 // set, bounds), which is what lets the live-update path (src/core/update)
 // recompute only the cells whose neighbour sets a mutation touched and
 // still produce bytes identical to this full build, and what makes a kept
 // cell bit-equal to its cell in the full diagram.
-Movd OrdinaryMovd(VoronoiDiagram* vd, int32_t set,
-                  std::span<const uint8_t> keep, AuditReport* audit) {
-  std::optional<VoronoiDiagram> full;
-  if (audit != nullptr && !keep.empty()) {
-    // The dropped cells too, for the audit only, so outside the trace.
-    TraceContextScope untraced(nullptr);
-    full = *vd;
-    full->ClipCells();
-  }
-  vd->ClipCells(keep);
+Movd OrdinaryMovd(const MolqQuery& query, int32_t set,
+                  const Rect& search_space, AuditReport* audit) {
+  VoronoiDiagram vd =
+      VoronoiDiagram::Build(SetLocations(query, set), search_space);
   if (audit != nullptr) {
     // Post-Delaunay seam: the triangulation the cells were clipped from
     // (rebuilt here on demand; the diagram does not keep it).
     const std::string tag = "set " + std::to_string(set);
-    MergeStageAudit(AuditDelaunay(Delaunay(vd->sites())), tag + " delaunay",
+    MergeStageAudit(AuditDelaunay(Delaunay(vd.sites())), tag + " delaunay",
                     audit);
-    // Post-cell-extraction seam: the full diagram, and with a filter every
-    // kept cell against it.
-    MergeStageAudit(AuditVoronoi(full ? *full : *vd), tag + " cells", audit);
-    if (full) {
-      MergeStageAudit(AuditKeptCells(*full, *vd, keep), tag + " kept cells",
-                      audit);
-    }
+    // Post-cell-extraction seam.
+    MergeStageAudit(AuditVoronoi(vd), tag + " cells", audit);
   }
-  // The diagram deduplicates site locations and keeps each site's lowest
-  // input index; TriangulateSet lists the objects in order, so that is
-  // the first object at the site's location.
-  return MovdFromCells(std::move(*vd).TakeCells(), set, vd->first_input());
+  return MovdFromCells(std::move(vd).TakeCells(), set, vd.first_input());
+}
+
+// The pruned route's last step: triangulates around the sites `keep`
+// marks and clips their cells (ClipKeptCells), runs the per-set audit
+// seams, and moves the cells into the set's basic MOVD. With an audit the
+// full diagram is built as well (outside the trace), audited, and every
+// kept cell is checked against it bit for bit.
+Movd KeptMovd(const SiteGrid& grid, int32_t set,
+              std::span<const uint8_t> keep, const Rect& search_space,
+              AuditReport* audit, KeptCellsStats* stats) {
+  std::vector<VoronoiCell> cells =
+      ClipKeptCells(grid, keep, search_space, stats);
+  if (audit != nullptr) {
+    TraceContextScope untraced(nullptr);
+    const VoronoiDiagram full = VoronoiDiagram::Build(grid.sites(),
+                                                      search_space);
+    const std::string tag = "set " + std::to_string(set);
+    MergeStageAudit(AuditDelaunay(Delaunay(full.sites())), tag + " delaunay",
+                    audit);
+    MergeStageAudit(AuditVoronoi(full), tag + " cells", audit);
+    // The kept cells and flags in the full diagram's (sorted) site order;
+    // its first_input() indexes grid.sites().
+    std::vector<VoronoiCell> sorted(full.sites().size());
+    std::vector<uint8_t> sorted_keep(full.sites().size());
+    for (size_t i = 0; i < sorted.size(); ++i) {
+      const int32_t k = full.first_input()[i];
+      sorted[i] = {static_cast<int32_t>(i), cells[k].region};
+      sorted_keep[i] = keep[k];
+    }
+    MergeStageAudit(AuditKeptCells(full, sorted, sorted_keep),
+                    tag + " kept cells", audit);
+  }
+  return MovdFromCells(std::move(cells), set, grid.first_input());
 }
 
 }  // namespace
@@ -123,8 +141,7 @@ Movd BuildBasicMovd(const MolqQuery& query, int32_t set,
 
   if (OrdinaryDiagramSuffices(query, set)) {
     TRACE_SPAN("ordinary_voronoi");
-    VoronoiDiagram vd = TriangulateSet(query, set, search_space);
-    return OrdinaryMovd(&vd, set, {}, audit);
+    return OrdinaryMovd(query, set, search_space, audit);
   }
 
   // Weighted diagram: conservative approximation (paper §5.3; see
@@ -177,9 +194,10 @@ Movd BuildMolqOverlay(const MolqQuery& query, const Rect& search_space,
   // Stage 1: VD Generator — one basic MOVD per object set (Property 7).
   // Each set's diagram builds independently; the grid sampler of weighted
   // sets gets the threads the set-level fan-out leaves unused. With
-  // pruning, an ordinary set only triangulates in the first fan-out; once
-  // the bound is built, a second fan-out drops the sites it rules out and
-  // clips the cells of the rest (core/pruned_overlap.h).
+  // pruning, an ordinary set only buckets its sites (SiteGrid) in the first
+  // fan-out; once the bound is built from the grids, a second fan-out drops
+  // the sites it rules out, triangulates around the rest and clips their
+  // cells (core/pruned_overlap.h, voronoi/site_grid.h).
   Stopwatch sw;
   const size_t num_sets = query.sets.size();
   const int inner_threads =
@@ -195,7 +213,7 @@ Movd BuildMolqOverlay(const MolqQuery& query, const Rect& search_space,
   {
     TraceSpan vd_span("vd_generator");
     const Trace::Context ctx = Trace::CaptureContext();
-    std::vector<std::optional<VoronoiDiagram>> triangulated(num_sets);
+    std::vector<std::optional<SiteGrid>> grids(num_sets);
     ParallelFor(threads, num_sets, [&](size_t i) {
       // Pool threads have no ambient trace; re-install the caller's so
       // the per-set builder spans parent under "vd_generator".
@@ -204,7 +222,7 @@ Movd BuildMolqOverlay(const MolqQuery& query, const Rect& search_space,
       const auto set = static_cast<int32_t>(i);
       if (prune && OrdinaryDiagramSuffices(query, set)) {
         TRACE_SPAN("ordinary_voronoi");
-        triangulated[i] = TriangulateSet(query, set, search_space);
+        grids[i].emplace(SetLocations(query, set));
         return;
       }
       basic[i] = BuildBasicMovd(query, set, search_space,
@@ -212,17 +230,18 @@ Movd BuildMolqOverlay(const MolqQuery& query, const Rect& search_space,
                                 inner_threads, audit_of(i));
     });
     if (prune) {
-      std::vector<const VoronoiDiagram*> diagrams(num_sets, nullptr);
+      std::vector<const SiteGrid*> grid_of(num_sets, nullptr);
       std::vector<size_t> ordinary;
       for (size_t i = 0; i < num_sets; ++i) {
-        if (!triangulated[i]) continue;
-        diagrams[i] = &*triangulated[i];
+        if (!grids[i]) continue;
+        grid_of[i] = &*grids[i];
         ordinary.push_back(i);
       }
-      bound.emplace(query, search_space, options.epsilon, diagrams, threads);
+      bound.emplace(query, search_space, options.epsilon, grid_of, threads);
       result->stats.upper_bound = bound->upper_bound();
-      // Each task changes only its own set's cells.
+      // Each task writes only its own set's slots.
       std::vector<size_t> dropped(num_sets, 0);
+      std::vector<size_t> triangulated(num_sets, 0);
       ParallelFor(threads, ordinary.size(), [&](size_t k) {
         TraceContextScope scope(ctx);
         const size_t i = ordinary[k];
@@ -236,9 +255,15 @@ Movd BuildMolqOverlay(const MolqQuery& query, const Rect& search_space,
           span.Counter("kept", static_cast<int64_t>(filter.kept));
           dropped[i] = filter.objects - filter.kept;
         }
-        basic[i] = OrdinaryMovd(&*triangulated[i], set, keep, audit_of(i));
+        KeptCellsStats cells;
+        basic[i] = KeptMovd(*grids[i], set, keep, search_space, audit_of(i),
+                            &cells);
+        triangulated[i] = cells.sites;
       });
-      for (const size_t d : dropped) result->stats.pruned_objects += d;
+      for (size_t i = 0; i < num_sets; ++i) {
+        result->stats.pruned_objects += dropped[i];
+        result->stats.triangulated_sites += triangulated[i];
+      }
     }
   }
   result->stats.vd_seconds = sw.ElapsedSeconds();

@@ -57,6 +57,11 @@ struct MolqStats {
   /// Ordinary-set sites whose cells the object filter left unclipped
   /// (CombinationBound::KeepSites; 0 without pruning).
   size_t pruned_objects = 0;
+  /// Ordinary-set sites triangulated to clip the kept cells: the local
+  /// triangulations around the kept sites, or every site of a set that
+  /// fell back to the full triangulation (ClipKeptCells; 0 without
+  /// pruning).
+  size_t triangulated_sites = 0;
   /// The combination bound's U, MWGD at a point of the search space
   /// (CombinationBound::upper_bound; +inf without pruning).
   double upper_bound = std::numeric_limits<double>::infinity();
@@ -128,14 +133,15 @@ bool OrdinaryDiagramSuffices(const MolqQuery& query, int32_t set);
 /// basics in set order, Eq. 27), with a cancel check after each stage.
 /// `prune` adds SolveMolq's CombinationBound (core/pruned_overlap.h); leave
 /// it off where ranks beyond the first are needed. With `prune` the VD
-/// Generator runs in three steps: the per-set fan-out only triangulates the
-/// ordinary sets (weighted ones build in full), the bound is built from
-/// those triangulations (its walk pass fans out over the ordinary sets),
-/// and a second fan-out over them drops the sites the bound rules out
-/// (CombinationBound::KeepSites) and clips the cells of the rest. The
-/// overlay is bit-identical to the one the same bound gives over every
-/// cell. Fills result->stats (threads, stage seconds, overlap counters,
-/// final_ovrs, memory_bytes, pruned_objects, upper_bound), result->audit
+/// Generator runs in three steps: the per-set fan-out only buckets the
+/// ordinary sets' sites (SiteGrid; weighted sets build in full), the bound
+/// is built from those grids (its grid pass fans out over the ordinary
+/// sets), and a second fan-out over them drops the sites the bound rules
+/// out (CombinationBound::KeepSites), triangulates only around the rest
+/// and clips their cells (ClipKeptCells). The overlay is bit-identical to
+/// the one the same bound gives over every cell. Fills result->stats
+/// (threads, stage seconds, overlap counters, final_ovrs, memory_bytes,
+/// pruned_objects, triangulated_sites, upper_bound), result->audit
 /// (per-set and overlay seams when options.exec.audit; with `prune` the
 /// dropped cells are built as well, to audit the full diagram and check
 /// every kept cell against it) and result->status: kCancelled when the

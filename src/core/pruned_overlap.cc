@@ -16,39 +16,43 @@ namespace {
 
 // At most this many Fermat–Weber rounds lower U below the best candidate.
 constexpr int kDescentRounds = 8;
-// A query the walks cannot price probes the nodes of this grid.
+// A query the grid pass cannot price probes the nodes of this grid.
 constexpr int kProbeGrid = 8;
 
-// A group nearest to a point: per set the object index, and for an
-// ordinary set also the site where its walk ended (the next walk's start).
-struct NearestGroup {
-  std::vector<int32_t> objects;
-  std::vector<int32_t> sites;
-};
-
-// One ordinary set's share of the walk pass: its least-priced candidate
+// One ordinary set's share of the grid pass: its least-priced candidate
 // (site -1 when none) and the work done.
-struct SetWalk {
+struct SetPass {
   double price = std::numeric_limits<double>::infinity();
   int32_t site = -1;
-  std::vector<int32_t> sites;  // the candidate's group, site indices
+  std::vector<int32_t> objects;  // the candidate's group
   size_t candidates = 0;
-  size_t walk_steps = 0;
+  size_t nn_queries = 0;
+  size_t sites_scanned = 0;
 };
 
-// The search for U over one query: the walk pass over the ordinary sets,
+// KeepSites' cut for a threshold built from `u`: (1 + ε) · u · (1 + 2^-40)
+// · (1 + 2^-40), rounded step by step as τ and the cut are. Rounding is
+// monotone, so a larger u never gives a smaller cut.
+double CutFor(double epsilon, double u) {
+  return (1.0 + std::max(epsilon, 0.0)) * u * (1.0 + 0x1p-40) *
+         (1.0 + 0x1p-40);
+}
+
+// The search for U over one query: the grid pass over the ordinary sets,
 // the probe grid and the Fermat–Weber descent.
 class UpperBoundSearch {
  public:
   UpperBoundSearch(const MolqQuery& query,
-                   std::span<const VoronoiDiagram* const> diagrams,
-                   const Rect& search_space, std::span<const double> min_a)
+                   std::span<const SiteGrid* const> grids,
+                   const Rect& search_space, std::span<const double> min_a,
+                   double epsilon)
       : query_(query),
-        diagrams_(diagrams),
+        grids_(grids),
         search_space_(search_space),
-        min_a_(min_a) {
-    for (size_t s = 0; s < diagrams.size(); ++s) {
-      if (diagrams[s] != nullptr) ordinary_.push_back(s);
+        min_a_(min_a),
+        epsilon_(epsilon) {
+    for (size_t s = 0; s < grids.size(); ++s) {
+      if (grids[s] != nullptr) ordinary_.push_back(s);
     }
   }
 
@@ -66,66 +70,73 @@ class UpperBoundSearch {
     return sum;
   }
 
-  // The walk pass over ordinary set `s`: in Hilbert order, each site walks
-  // to its nearest site of every other ordinary set, each walk starting
-  // where the previous one on that set ended. Stores the site's objlb (the
-  // header; a set whose walk is not exact adds no pair term). With `price`
-  // (an all-ordinary query) a site inside the search space whose walks are
-  // all exact is a candidate, priced at its walk-nearest group; `out`
-  // keeps the least price, ties to the lower site.
-  void Walk(size_t s, bool price, double min_offset_sum,
-            std::vector<double>* objlb, SetWalk* out) const {
-    const VoronoiDiagram& vd = *diagrams_[s];
-    const std::vector<Point>& sites = vd.sites();
+  // The grid pass over ordinary set `s`: in bucket order, each site finds
+  // its nearest site of every other ordinary set. Stores the site's objlb
+  // (the header; a set whose query is not exact adds no pair term). With
+  // `price` (an all-ordinary query) a site inside the search space whose
+  // queries are all exact is a candidate, priced at its nearest group;
+  // `out` keeps the least price, ties to the LessXY-least site. Once a
+  // price is known, a site stops at the first partial objlb above its cut
+  // (the header), unpriced.
+  void Pass(size_t s, bool price, double min_offset_sum,
+            std::vector<double>* objlb, SetPass* out) const {
+    const SiteGrid& grid = *grids_[s];
+    const std::vector<Point>& sites = grid.sites();
     objlb->resize(sites.size());
-    std::vector<int32_t> group(query_.sets.size(), 0);
     std::vector<int32_t> objects(query_.sets.size(), 0);
-    for (const int32_t k : vd.hilbert_order()) {
+    double cut = std::numeric_limits<double>::infinity();
+    for (size_t k = 0; k < sites.size(); ++k) {
       const Point& site = sites[k];
       bool exact = true;
+      bool beyond_cut = false;
       double pair_bound = 0.0;
       for (const size_t j : ordinary_) {
         if (j == s) continue;
-        const VoronoiDiagram& other = *diagrams_[j];
-        const int32_t nn = other.NearestSite(site, group[j], &out->walk_steps);
+        const SiteGrid& other = *grids_[j];
+        ++out->nn_queries;
+        const int32_t nn = other.Nearest(site, &out->sites_scanned);
         if (nn < 0) {
           exact = false;
           continue;
         }
-        group[j] = nn;
+        objects[j] = other.first_input()[nn];
         const double a = std::min(min_a_[s], min_a_[j]);
         if (a > 0.0) {
           pair_bound =
               std::max(pair_bound, a * Distance(site, other.sites()[nn]));
         }
+        if (min_offset_sum + pair_bound > cut) {
+          beyond_cut = true;
+          break;
+        }
       }
       (*objlb)[k] = min_offset_sum + pair_bound;
-      if (!price || !exact || !search_space_.Contains(site)) continue;
-      group[s] = k;
-      for (const size_t j : ordinary_) {
-        objects[j] = diagrams_[j]->first_input()[group[j]];
+      if (beyond_cut || !price || !exact || !search_space_.Contains(site)) {
+        continue;
       }
+      objects[s] = grid.first_input()[k];
       ++out->candidates;
       // A NaN price (0 * an overflowed distance) loses here.
       const double p = Price(site, objects);
-      if (p < out->price || (p == out->price && k < out->site)) {
+      if (p < out->price ||
+          (p == out->price && LessXY(site, sites[out->site]))) {
         out->price = p;
-        out->site = k;
-        out->sites = group;
+        out->site = static_cast<int32_t>(k);
+        out->objects = objects;
+        cut = CutFor(epsilon_, p);
       }
     }
   }
 
-  // The group nearest to q: an ordinary set walks from `group->sites`, a
-  // weighted set (or one whose walk is not exact) takes its least WD by
-  // brute force, the lowest index on ties, as ArgMinGroup does.
-  void Nearest(const Point& q, NearestGroup* group) const {
+  // The group nearest to q: an ordinary set asks its grid, a weighted set
+  // (or one whose query is not exact) takes its least WD by brute force,
+  // the lowest index on ties, as ArgMinGroup does.
+  void Nearest(const Point& q, std::vector<int32_t>* group) const {
     for (size_t j = 0; j < query_.sets.size(); ++j) {
-      if (diagrams_[j] != nullptr) {
-        const int32_t site = diagrams_[j]->NearestSite(q, group->sites[j]);
+      if (grids_[j] != nullptr) {
+        const int32_t site = grids_[j]->Nearest(q);
         if (site >= 0) {
-          group->sites[j] = site;
-          group->objects[j] = diagrams_[j]->first_input()[site];
+          (*group)[j] = grids_[j]->first_input()[site];
           continue;
         }
       }
@@ -136,7 +147,7 @@ class UpperBoundSearch {
                                            query_.ObjectFunction(j));
         if (wd < best) {
           best = wd;
-          group->objects[j] = static_cast<int32_t>(i);
+          (*group)[j] = static_cast<int32_t>(i);
         }
       }
     }
@@ -146,13 +157,13 @@ class UpperBoundSearch {
   // problem, clamp the solution into the search space and price the group
   // nearest to it, until that group repeats. Returns the least of `u` and
   // the prices met.
-  double Descend(NearestGroup group, double u, size_t* rounds) const {
+  double Descend(std::vector<int32_t> group, double u, size_t* rounds) const {
     std::vector<PoiRef> refs;
     std::vector<WeightedPoint> points;
     for (int round = 0; round < kDescentRounds; ++round) {
       refs.clear();
-      for (size_t j = 0; j < group.objects.size(); ++j) {
-        refs.push_back({static_cast<int32_t>(j), group.objects[j]});
+      for (size_t j = 0; j < group.size(); ++j) {
+        refs.push_back({static_cast<int32_t>(j), group[j]});
       }
       BuildFermatWeberProblem(query_, refs, &points);
       const Point solved = SolveFermatWeber(points).location;
@@ -161,12 +172,12 @@ class UpperBoundSearch {
           std::clamp(solved.y, search_space_.min_y, search_space_.max_y)};
       // A NaN solution (degenerate solve) is outside every rectangle.
       if (!search_space_.Contains(q)) break;
-      NearestGroup next = group;
+      std::vector<int32_t> next = group;
       Nearest(q, &next);
       ++*rounds;
       // A NaN price loses here.
-      u = std::min(u, Price(q, next.objects));
-      if (next.objects == group.objects) break;
+      u = std::min(u, Price(q, next));
+      if (next == group) break;
       group = std::move(next);
     }
     return u;
@@ -174,9 +185,10 @@ class UpperBoundSearch {
 
  private:
   const MolqQuery& query_;
-  std::span<const VoronoiDiagram* const> diagrams_;
+  std::span<const SiteGrid* const> grids_;
   const Rect& search_space_;
   std::span<const double> min_a_;
+  double epsilon_;
   std::vector<size_t> ordinary_;
 };
 
@@ -202,13 +214,13 @@ double CombinationLowerBound(const MolqQuery& query,
 
 CombinationBound::CombinationBound(
     const MolqQuery& query, const Rect& search_space, double epsilon,
-    std::span<const VoronoiDiagram* const> diagrams, int threads)
+    std::span<const SiteGrid* const> grids, int threads)
     : upper_bound_(std::numeric_limits<double>::infinity()),
       threshold_(std::numeric_limits<double>::infinity()) {
   // Its own span: inside SolveMolq it runs within "vd_generator", after
-  // the per-set triangulations and before any cell is clipped.
+  // the per-set grids and before any cell is triangulated or clipped.
   TraceSpan span("combination_bound");
-  MOVD_CHECK(diagrams.size() == query.sets.size());
+  MOVD_CHECK(grids.size() == query.sets.size());
   bool non_negative = true;
   set_begin_.reserve(query.sets.size());
   set_min_a_.reserve(query.sets.size());
@@ -228,43 +240,41 @@ CombinationBound::CombinationBound(
     min_offset_sum_ += min_b;
   }
 
-  // The walk pass: per ordinary set, every site's objlb and, in an
+  // The grid pass: per ordinary set, every site's objlb and, in an
   // all-ordinary query, its least-priced candidate for U. Sets are
-  // independent and each walks serially, so nothing depends on the thread
+  // independent and each passes serially, so nothing depends on the thread
   // count.
-  const UpperBoundSearch search(query, diagrams, search_space, set_min_a_);
+  const UpperBoundSearch search(query, grids, search_space, set_min_a_,
+                                epsilon);
   const std::vector<size_t>& ordinary = search.ordinary();
   const bool price = ordinary.size() == query.sets.size();
   objlb_.resize(query.sets.size());
-  std::vector<SetWalk> walks(query.sets.size());
+  std::vector<SetPass> passes(query.sets.size());
   const Trace::Context ctx = Trace::CaptureContext();
   ParallelFor(threads, ordinary.size(), [&](size_t i) {
     TraceContextScope scope(ctx);
-    TraceSpan walk_span("object_walks");
+    TraceSpan grid_span("site_grid");
     const size_t s = ordinary[i];
-    search.Walk(s, price, min_offset_sum_, &objlb_[s], &walks[s]);
-    walk_span.Counter("walk_steps",
-                      static_cast<int64_t>(walks[s].walk_steps));
+    search.Pass(s, price, min_offset_sum_, &objlb_[s], &passes[s]);
+    grid_span.Counter("buckets", static_cast<int64_t>(grids[s]->buckets()));
+    grid_span.Counter("nn_queries",
+                      static_cast<int64_t>(passes[s].nn_queries));
+    grid_span.Counter("sites_scanned",
+                      static_cast<int64_t>(passes[s].sites_scanned));
   });
   // The least price, ties by set, then site.
   double upper_bound = std::numeric_limits<double>::infinity();
-  NearestGroup start;
-  start.sites.assign(query.sets.size(), 0);
-  for (const SetWalk& walk : walks) {
-    stats_.candidates += walk.candidates;
-    if (walk.site >= 0 && walk.price < upper_bound) {
-      upper_bound = walk.price;
-      start.sites = walk.sites;
+  std::vector<int32_t> start(query.sets.size(), 0);
+  for (const SetPass& pass : passes) {
+    stats_.candidates += pass.candidates;
+    if (pass.site >= 0 && pass.price < upper_bound) {
+      upper_bound = pass.price;
+      start = pass.objects;
     }
   }
-  if (upper_bound < std::numeric_limits<double>::infinity()) {
-    start.objects.resize(query.sets.size());
-    for (const size_t j : ordinary) {
-      start.objects[j] = diagrams[j]->first_input()[start.sites[j]];
-    }
-  } else {
-    // No walk priced a candidate (a weighted set, or no in-space site with
-    // exact walks): the least MWGD over the nodes of a probe grid, the
+  if (upper_bound == std::numeric_limits<double>::infinity()) {
+    // No site was priced (a weighted set, or no in-space site with exact
+    // queries): the least MWGD over the nodes of a probe grid, the
     // first in row order on ties, and its nearest group.
     Point best_probe = search_space.Center();
     const double sx = search_space.Width() / (kProbeGrid - 1);
@@ -283,7 +293,7 @@ CombinationBound::CombinationBound(
     }
     stats_.candidates += kProbeGrid * kProbeGrid;
     stats_.full_evaluations += kProbeGrid * kProbeGrid;
-    start.objects = ArgMinGroup(query, best_probe);
+    start = ArgMinGroup(query, best_probe);
   }
   upper_bound = search.Descend(std::move(start), upper_bound,
                                &stats_.descent_rounds);
@@ -300,8 +310,8 @@ CombinationBound::CombinationBound(
   // τ = (1 + ε) · U · (1 + 2^-40). Why the reduced overlay gives the
   // unpruned answer bit for bit:
   //  - U = WGD(G_q, q) at a point q of the search space, with G_q a group
-  //    of objects nearest to q (exact walks for ordinary sets, brute-force
-  //    minima otherwise): MWGD(q) up to the rounding of the sum.
+  //    of objects nearest to q (exact grid queries for ordinary sets,
+  //    brute-force minima otherwise): MWGD(q) up to the rounding of the sum.
   //    So the overlay holds the OVR of G_q (up to rounding on cell
   //    borders), and min_l cost(G_q, l) <= U.
   //  - The optimizer reports a cost c(G) per combination at a real

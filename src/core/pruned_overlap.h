@@ -9,7 +9,7 @@
 #include "geom/point.h"
 #include "geom/rect.h"
 #include "model/object.h"
-#include "voronoi/voronoi.h"
+#include "voronoi/site_grid.h"
 
 namespace movd {
 
@@ -36,7 +36,8 @@ namespace movd {
 ///   objlb(o) = b_o + sum_{j != i} min b_j
 ///              + max_{j != i, j ordinary} min(a_o, min a_j) * d(o, NN_j(o))
 ///
-/// with NN_j(o) the site of set j nearest to o. Every combination G that
+/// with NN_j(o) the site of set j nearest to o (SiteGrid::Nearest, exact).
+/// Every combination G that
 /// holds o has one member g_j per set, and b_{g_j} >= min b_j, a_{g_j} >=
 /// min a_j and d(o, g_j) >= d(o, NN_j(o)), so lb(G) >= objlb(o). A site
 /// whose objlb exceeds τ therefore appears in no combination the final
@@ -45,11 +46,15 @@ namespace movd {
 ///
 /// The threshold τ = (1 + ε) · U · (1 + 2^-40) rests on an upper bound U
 /// on the optimum. In an all-ordinary query U comes from the filter's own
-/// nearest-site walks: one walk pass per ordinary set visits its sites in
-/// Hilbert order, walks to the nearest site of every other ordinary set,
-/// stores the site's objlb, and prices every site inside the search space
-/// whose walks are exact at its nearest group (MWGD at the site, the terms
-/// summed in set order). A query with a weighted set, or one where no site
+/// nearest-site queries: one grid pass per ordinary set visits its sites
+/// in bucket order, finds the nearest site of every other ordinary set on
+/// that set's SiteGrid, stores the site's objlb, and prices every site
+/// inside the search space whose queries are exact at its nearest group
+/// (MWGD at the site, the terms summed in set order). A site whose partial
+/// objlb already exceeds (1 + ε) · p · (1 + 2^-40)^2, with p the pass's
+/// least price so far, stops there unpriced: p >= U, so KeepSites drops it
+/// whatever its other terms, and its own price (at least its objlb) could
+/// not have been the least. A query with a weighted set, or one where no site
 /// got a price, takes the least brute-force MWGD over the nodes of an 8×8
 /// probe grid instead. U is the least price, lowered by a few rounds of a
 /// Fermat–Weber solve of the current group alternating with the group
@@ -57,7 +62,7 @@ namespace movd {
 /// search space, so U is never below the optimum. In an all-ordinary
 /// query U is at most twice the optimum when the member p of the optimal
 /// group nearest the optimal location l* lies inside the search space (and
-/// its walks are exact): p is then a candidate, priced at most cost(l*) +
+/// its queries are exact): p is then a candidate, priced at most cost(l*) +
 /// (sum_j a_j) · d(l*, p) <= 2 · cost(l*). Otherwise nothing bounds U
 /// above but the candidates and probe nodes themselves.
 ///
@@ -68,27 +73,27 @@ namespace movd {
 class CombinationBound {
  public:
   /// What the bound search did (the "combination_bound" span's counters):
-  /// the points priced as candidates for U (walked sites and probe nodes),
-  /// those priced by brute force over every object (the probe nodes; 0
-  /// when the walks priced a candidate), and the Fermat–Weber rounds that
-  /// followed.
+  /// the points priced as candidates for U (grid-pass sites and probe
+  /// nodes), those priced by brute force over every object (the probe
+  /// nodes; 0 when the grid pass priced a candidate), and the Fermat–Weber
+  /// rounds that followed.
   struct BoundStats {
     size_t candidates = 0;
     size_t full_evaluations = 0;
     size_t descent_rounds = 0;
   };
 
-  /// Decomposes every object of `query`, runs the walk pass over the
-  /// ordinary sets (a ParallelFor over them on `threads`; one
-  /// "object_walks" span per set, counter `walk_steps`) and sets U and τ.
-  /// `diagrams[s]` is set s's triangulated diagram
-  /// (VoronoiDiagram::Triangulate) for an ordinary set and null for a
-  /// weighted one; the diagrams are read only while the constructor runs.
+  /// Decomposes every object of `query`, runs the grid pass over the
+  /// ordinary sets (a ParallelFor over them on `threads`; one "site_grid"
+  /// span per set, counters `buckets`, `nn_queries`, `sites_scanned`) and
+  /// sets U and τ. `grids[s]` is the SiteGrid of set s's object locations
+  /// for an ordinary set and null for a weighted one; the grids are read
+  /// only while the constructor runs.
   /// `epsilon` is the Fermat–Weber stopping-rule error bound the optimizer
   /// will use. The result does not depend on `threads`.
   CombinationBound(const MolqQuery& query, const Rect& search_space,
                    double epsilon,
-                   std::span<const VoronoiDiagram* const> diagrams,
+                   std::span<const SiteGrid* const> grids,
                    int threads = 1);
 
   /// U: MWGD at a point of the search space (+inf only when no term is
@@ -114,13 +119,12 @@ class CombinationBound {
   };
 
   /// The object filter: keep[k] == 0 when site k of the ordinary set `set`
-  /// has objlb > τ · (1 + 2^-40), so no combination holding it survives
-  /// the overlap. objlb is the walk pass's: NN_j is found by
-  /// VoronoiDiagram::NearestSite, each walk starting where the previous
-  /// one on set j ended; weighted sets add only their smallest offset, and
-  /// where a walk is not exact the set adds no pair term. Keeps every site
-  /// when nothing is pruned (τ = +inf) or the query has one set. Sizes
-  /// `keep` to the set's sites.
+  /// (its SiteGrid's site order) has objlb > τ · (1 + 2^-40), so no
+  /// combination holding it survives the overlap. objlb is the grid
+  /// pass's: weighted sets add only their smallest offset, and where a
+  /// nearest-site query is not exact the set adds no pair term. Keeps
+  /// every site when nothing is pruned (τ = +inf) or the query has one
+  /// set. Sizes `keep` to the set's sites.
   void KeepSites(int32_t set, std::vector<uint8_t>* keep,
                  FilterStats* stats) const;
 

@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <iterator>
 #include <optional>
 #include <set>
 #include <utility>
@@ -124,6 +125,22 @@ bool WarmArtifactFits(const ArtifactKey& key, const Movd& movd,
     }
   }
   return true;
+}
+
+/// The warm-start binding of an artifact file to the key it was saved
+/// under: FNV-1a over the key's Format() string, a tab and the file's
+/// bytes, as 16 lowercase hex digits. Empty when the file cannot be read.
+std::string ArtifactBinding(const std::string& key, const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) return "";
+  std::string bytes = key + '\t';
+  bytes.append(std::istreambuf_iterator<char>(in),
+               std::istreambuf_iterator<char>());
+  if (in.bad()) return "";
+  char buf[17];
+  std::snprintf(buf, sizeof(buf), "%016llx",
+                static_cast<unsigned long long>(Fnv1a(bytes)));
+  return buf;
 }
 
 /// FNV-1a over the constraint's vertex coordinates (double bit patterns,
@@ -940,9 +957,12 @@ Status QueryEngine::SaveCache(const std::string& dir) const {
   }
   for (size_t i = snapshot.size(); i-- > 0;) {
     const std::string file = "art_" + std::to_string(i) + ".movd";
-    const Status saved = SaveMovd(dir + "/" + file, *snapshot[i].second);
+    const std::string path = dir + "/" + file;
+    const Status saved = SaveMovd(path, *snapshot[i].second);
     if (!saved.ok()) return saved;
-    manifest << file << '\t' << snapshot[i].first << '\n';
+    const std::string binding = ArtifactBinding(snapshot[i].first, path);
+    if (binding.empty()) return Status::IoError("cannot read back " + path);
+    manifest << file << '\t' << snapshot[i].first << '\t' << binding << '\n';
   }
   manifest.flush();
   if (!manifest) {
@@ -967,11 +987,20 @@ WarmLoadResult QueryEngine::LoadCache(const std::string& dir) {
       return result;
     }
     const std::string file = line.substr(0, tab);
-    const std::string key = line.substr(tab + 1);
+    // The key, then the binding of the file to it (ArtifactBinding). A
+    // line without a binding, or whose file was saved under another key
+    // (a clip's line pointing at the unclipped overlay's file), is skipped.
+    const size_t last = line.rfind('\t');
+    const std::string key = line.substr(tab + 1, last - tab - 1);
+    const std::string binding = last == tab ? "" : line.substr(last + 1);
+    const std::string path = dir + "/" + file;
     // LoadMovd validates the header and every record; a truncated or
     // corrupted artifact, or one that does not fit a registered dataset's
     // current snapshot, is skipped (colder cache), never inserted.
-    StatusOr<Movd> movd = LoadMovd(dir + "/" + file);
+    const bool bound =
+        !binding.empty() && ArtifactBinding(key, path) == binding;
+    StatusOr<Movd> movd =
+        bound ? LoadMovd(path) : StatusOr<Movd>(Status::DataLoss(file));
     const std::optional<ArtifactKey> parsed = ArtifactKey::Parse(key);
     const std::shared_ptr<const DatasetSnapshot> snap =
         parsed ? dataset_snapshot(parsed->dataset) : nullptr;

@@ -146,14 +146,20 @@ class QueryEngine {
   }
 
   /// Warm start: persists every resident artifact to `dir` (created if
-  /// missing) as MOVD files plus a manifest mapping keys to files.
+  /// missing) as MOVD files plus a manifest mapping keys to files, one
+  /// line per artifact: file, key and the file's binding to that key
+  /// (FNV-1a over the key, a tab and the file's bytes; 16 hex digits),
+  /// tab-separated.
   /// kIoError (with the failing path in the message) on I/O failure.
   Status SaveCache(const std::string& dir) const;
 
   /// Loads a SaveCache snapshot back into the cache. An artifact is
   /// skipped and counted in `failed` — a damaged snapshot degrades to a
-  /// colder cache, never a crash or a bad artifact — when its file fails
-  /// the movd_file header/record checks, or when it does not fit a
+  /// colder cache, never a crash or a bad artifact — when its line carries
+  /// no binding or one its key and file bytes do not reproduce (a file
+  /// saved under another key, such as a clip's line pointing at the
+  /// unclipped overlay's file), when its file fails the movd_file
+  /// header/record checks, or when it does not fit a
   /// registered dataset: its key must be one ArtifactKey::Parse accepts,
   /// naming the dataset at its *current* version (a version number does not identify the same objects across
   /// processes) and carry this engine's grid resolution and the dataset's

@@ -79,12 +79,6 @@ class Delaunay {
   /// Number of live real (input, deduplicated) points.
   size_t num_real_points() const { return num_real_; }
 
-  /// The constructor's points in the order it inserted them: Hilbert order
-  /// over their bounding box, ties by ascending index.
-  const std::vector<int32_t>& insertion_order() const {
-    return insertion_order_;
-  }
-
   /// Whether vertex index `v` is one of the four super-quad vertices.
   bool IsSynthetic(int32_t v) const { return v >= quad_ && v < quad_ + 4; }
 
@@ -172,7 +166,6 @@ class Delaunay {
   std::vector<Point> input_points_;
   int exponent_ = 0;
   size_t num_real_ = 0;
-  std::vector<int32_t> insertion_order_;
   int32_t quad_ = 0;  // index of the first super-quad vertex
   // Where Insert accepts points, in predicate coordinates.
   Rect cover_;

@@ -50,14 +50,6 @@ VoronoiDiagram VoronoiDiagram::Triangulate(const std::vector<Point>& sites,
   }
   if (vd.sites_.empty()) return vd;
 
-  if (ExactDistanceRange(vd.sites_)) {
-    Rect box;
-    for (const Point& p : vd.sites_) box.Expand(p);
-    const double grow = 1024.0 * std::max(box.Width(), box.Height());
-    vd.walk_cover_ = Rect(box.min_x - grow, box.min_y - grow,
-                          box.max_x + grow, box.max_y + grow);
-  }
-
   // A site's Voronoi cell is bounded exactly by the bisectors against its
   // Delaunay neighbours. The triangulation keeps the sites' (sorted,
   // distinct) order, so its vertex i is site i, and each ascending table
@@ -67,7 +59,6 @@ VoronoiDiagram VoronoiDiagram::Triangulate(const std::vector<Point>& sites,
   const Delaunay dt(vd.sites_);
   MOVD_CHECK(dt.num_real_points() == vd.sites_.size());
   vd.neighbors_ = dt.Adjacency();
-  vd.hilbert_order_ = dt.insertion_order();
   return vd;
 }
 
@@ -132,26 +123,6 @@ int32_t VoronoiDiagram::NearestSiteBrute(const Point& p) const {
     }
   }
   return best;
-}
-
-int32_t VoronoiDiagram::NearestSite(const Point& q, int32_t start,
-                                    size_t* steps) const {
-  if (walk_cover_.Empty() || !ExactDistanceRange(std::span(&q, 1))) {
-    return -1;
-  }
-  if (sites_.size() == 1) return 0;
-  if (!walk_cover_.Contains(q)) return -1;
-  int32_t cur = std::clamp<int32_t>(start, 0,
-                                    static_cast<int32_t>(sites_.size()) - 1);
-  for (;;) {
-    int32_t next = cur;
-    for (const int32_t n : neighbors_.of(cur)) {
-      if (CompareDistance(q, sites_[n], sites_[next]) < 0.0) next = n;
-    }
-    if (next == cur) return cur;
-    cur = next;
-    if (steps != nullptr) ++*steps;
-  }
 }
 
 }  // namespace movd

@@ -35,9 +35,10 @@ struct VoronoiCell {
 /// (sort and deduplicate the sites, Delaunay, one flat neighbour table
 /// from Delaunay::Adjacency) and ClipCells, which clips the cells on two
 /// thread-local scratch rings, so a cell costs one allocation: its own
-/// ring, which MovdFromVoronoi later moves into its OVR. Between the two,
-/// SolveMolq's object filter (core/pruned_overlap.h) reads the sites and
-/// the table to decide which cells are worth clipping at all.
+/// ring, which MovdFromVoronoi later moves into its OVR. SolveMolq's
+/// pruned VD stage triangulates only around the sites its object filter
+/// keeps (ClipKeptCells, voronoi/site_grid.h) and runs the two steps only
+/// when that local triangulation cannot be certified.
 class VoronoiDiagram {
  public:
   /// Builds the diagram of `sites` (exact duplicates collapsed) clipped to
@@ -47,9 +48,9 @@ class VoronoiDiagram {
   static VoronoiDiagram Build(const std::vector<Point>& sites,
                               const Rect& bounds);
 
-  /// Build's first step: the deduplicated sites, first_input(),
-  /// hilbert_order() and the Delaunay neighbour table, with one empty cell
-  /// per site ("sort_sites" and "delaunay" spans).
+  /// Build's first step: the deduplicated sites, first_input() and the
+  /// Delaunay neighbour table, with one empty cell per site ("sort_sites"
+  /// and "delaunay" spans).
   static VoronoiDiagram Triangulate(const std::vector<Point>& sites,
                                     const Rect& bounds);
 
@@ -68,10 +69,6 @@ class VoronoiDiagram {
   /// equal to sites()[i].
   const std::vector<int32_t>& first_input() const { return first_input_; }
 
-  /// The site indices in Hilbert order: the triangulation's insertion
-  /// order (Delaunay::insertion_order). Consecutive sites are close.
-  const std::vector<int32_t>& hilbert_order() const { return hilbert_order_; }
-
   /// One cell per site, in site order.
   const std::vector<VoronoiCell>& cells() const { return cells_; }
 
@@ -84,24 +81,6 @@ class VoronoiDiagram {
   /// index). O(n); intended for tests and small inputs.
   int32_t NearestSiteBrute(const Point& p) const;
 
-  /// A nearest site to `q` by a greedy walk over the Delaunay neighbour
-  /// table from site `start`: each move goes to the neighbour closest to
-  /// q, first in row order on exact ties, while one is strictly closer
-  /// than the current site (CompareDistance). Adds the moves to `*steps`
-  /// when it is not null.
-  ///
-  /// The walk stops at a site c with no real Delaunay neighbour strictly
-  /// closer to q. The triangulation also holds Delaunay's super-quad; when
-  /// every quad vertex is farther from q than c, no neighbour of c is
-  /// closer, so q lies in c's Voronoi cell of the sites plus the quad and
-  /// c is a nearest site. That holds for every q within the sites'
-  /// bounding box grown by 1024 times its larger side on each side (the
-  /// quad is at least 10^6 sides away). Returns -1 for a q outside that
-  /// box, and for any q when a coordinate of q or of a site is outside
-  /// ExactDistanceRange; a single site is nearest to every q in range.
-  int32_t NearestSite(const Point& q, int32_t start,
-                      size_t* steps = nullptr) const;
-
  private:
   std::vector<Point> sites_;
   std::vector<int32_t> first_input_;
@@ -109,11 +88,7 @@ class VoronoiDiagram {
   // Each site's Delaunay neighbours, ascending (LessXY order of their
   // points): the canonical clip order.
   NeighborTable neighbors_;
-  std::vector<int32_t> hilbert_order_;
   Rect bounds_;
-  // Where NearestSite is exact: the sites' bounding box grown by 1024 times
-  // its larger side, or empty when a site is outside ExactDistanceRange.
-  Rect walk_cover_;
 };
 
 /// The canonical clipped Voronoi cell of points[site]: the bounds

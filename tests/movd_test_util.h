@@ -16,6 +16,7 @@
 #include "core/overlap.h"
 #include "core/pruned_overlap.h"
 #include "model/movd_model.h"
+#include "voronoi/site_grid.h"
 #include "voronoi/voronoi.h"
 
 namespace movd {
@@ -89,24 +90,29 @@ inline std::vector<Movd> BuildAllBasic(const MolqQuery& query,
   return basic;
 }
 
+// The SiteGrid BuildMolqOverlay(prune = true) builds for an ordinary set:
+// over its object locations in input order.
+inline SiteGrid SetGrid(const MolqQuery& query, size_t set) {
+  std::vector<Point> sites;
+  for (const SpatialObject& obj : query.sets[set].objects) {
+    sites.push_back(obj.location);
+  }
+  return SiteGrid(sites);
+}
+
 // The combination bound BuildMolqOverlay(prune = true) builds: over each
-// ordinary set's triangulated diagram (the object locations in input
-// order), null for a weighted set.
+// ordinary set's SiteGrid, null for a weighted set.
 inline CombinationBound PipelineBound(const MolqQuery& query,
                                       const Rect& space, double epsilon,
                                       int threads = 1) {
-  std::vector<std::optional<VoronoiDiagram>> triangulated(query.sets.size());
-  std::vector<const VoronoiDiagram*> diagrams(query.sets.size(), nullptr);
+  std::vector<std::optional<SiteGrid>> grids(query.sets.size());
+  std::vector<const SiteGrid*> grid_of(query.sets.size(), nullptr);
   for (size_t s = 0; s < query.sets.size(); ++s) {
     if (!OrdinaryDiagramSuffices(query, static_cast<int32_t>(s))) continue;
-    std::vector<Point> sites;
-    for (const SpatialObject& obj : query.sets[s].objects) {
-      sites.push_back(obj.location);
-    }
-    triangulated[s] = VoronoiDiagram::Triangulate(sites, space);
-    diagrams[s] = &*triangulated[s];
+    grids[s].emplace(SetGrid(query, s));
+    grid_of[s] = &*grids[s];
   }
-  return CombinationBound(query, space, epsilon, diagrams, threads);
+  return CombinationBound(query, space, epsilon, grid_of, threads);
 }
 
 // The unpruned pipeline through its public stages: BuildBasicMovd ->

@@ -7,9 +7,11 @@
 #include "core/molq.h"
 #include "core/pruned_overlap.h"
 #include "core/weighted_distance.h"
+#include "trace/trace.h"
 #include "movd_test_util.h"
 #include "util/cancel.h"
 #include "util/rng.h"
+#include "voronoi/site_grid.h"
 
 namespace movd {
 namespace {
@@ -236,7 +238,7 @@ TEST(CombinationBoundTest, ThresholdCarriesEpsilonAndRoundingSlack) {
   }
 }
 
-// Named *Parallel* so the TSan job's *Parallel* filter runs it. The walk
+// Named *Parallel* so the TSan job's *Parallel* filter runs it. The grid
 // pass fans out over the ordinary sets; U, τ, the counters and every
 // set's filter must not depend on the thread count: all-ordinary, mixed
 // and all-weighted queries.
@@ -459,19 +461,15 @@ TEST(ObjectFilterTest, DroppedSitesHoldOnlyPrunedCombinations) {
   // and the filter drops something on these inputs.
   const MolqQuery q = RandomQuery({120, 100, 80}, 411);
   const CombinationBound bound = PipelineBound(q, kBounds, 1e-3);
-  std::vector<VoronoiDiagram> vds;
-  for (const ObjectSet& set : q.sets) {
-    std::vector<Point> sites;
-    for (const SpatialObject& obj : set.objects) sites.push_back(obj.location);
-    vds.push_back(VoronoiDiagram::Triangulate(sites, kBounds));
-  }
+  std::vector<SiteGrid> grids;
+  for (size_t s = 0; s < q.sets.size(); ++s) grids.push_back(SetGrid(q, s));
   Rng rng(412);
   size_t dropped = 0;
   for (int32_t s = 0; s < 3; ++s) {
     std::vector<uint8_t> keep;
     CombinationBound::FilterStats stats;
     bound.KeepSites(s, &keep, &stats);
-    ASSERT_EQ(keep.size(), vds[s].sites().size());
+    ASSERT_EQ(keep.size(), grids[s].sites().size());
     EXPECT_EQ(stats.objects, keep.size());
     EXPECT_EQ(stats.kept, static_cast<size_t>(std::count(keep.begin(),
                                                          keep.end(), 1)));
@@ -482,7 +480,7 @@ TEST(ObjectFilterTest, DroppedSitesHoldOnlyPrunedCombinations) {
         std::vector<PoiRef> group;
         for (int32_t j = 0; j < 3; ++j) {
           const int32_t object =
-              j == s ? vds[s].first_input()[k]
+              j == s ? grids[s].first_input()[k]
                      : static_cast<int32_t>(
                            rng.NextBelow(q.sets[j].objects.size()));
           group.push_back({j, object});
@@ -548,6 +546,102 @@ TEST(ObjectFilterParallelTest, FilteredOverlayIsBitIdenticalToUnfiltered) {
     }
   }
   EXPECT_GT(pruned, 0u);
+}
+
+// Named *Parallel* so the TSan job's *Parallel* filter runs it. The pruned
+// VD stage triangulates only around the kept sites (ClipKeptCells). With
+// the audit on, the full diagram is built beside it and every kept cell is
+// checked against it bit for bit (AuditKeptCells), and the answer equals
+// the unpruned stages'. Inputs in general position (uniform, clustered
+// around town centres, with duplicates) certify every set locally; on a
+// cocircular lattice the kept stars meet circles through four sites, and
+// those sets fall back to the full triangulation.
+TEST(ObjectFilterParallelTest, LocalTriangulationMatchesTheFullDiagram) {
+  const auto clustered = [](MolqQuery q, uint64_t seed) {
+    Rng rng(seed);
+    for (ObjectSet& set : q.sets) {
+      std::vector<Point> centres(12);
+      for (Point& c : centres) c = {rng.Uniform(10, 90), rng.Uniform(10, 90)};
+      for (SpatialObject& obj : set.objects) {
+        const Point& c = centres[rng.NextBelow(centres.size())];
+        obj.location = {std::clamp(c.x + 3.0 * rng.NextGaussian(), 1.0, 99.0),
+                        std::clamp(c.y + 3.0 * rng.NextGaussian(), 1.0, 99.0)};
+      }
+    }
+    return q;
+  };
+  const auto duplicated = [](MolqQuery q) {
+    for (ObjectSet& set : q.sets) {
+      const std::vector<SpatialObject> copy = set.objects;
+      set.objects.insert(set.objects.end(), copy.begin(), copy.begin() + 40);
+    }
+    return q;
+  };
+  const auto lattice = [](MolqQuery q) {
+    for (size_t s = 0; s < q.sets.size(); ++s) {
+      for (size_t i = 0; i < q.sets[s].objects.size(); ++i) {
+        q.sets[s].objects[i].location = {
+            5.0 + 3.0 * static_cast<double>(i % 30) + static_cast<double>(s),
+            5.0 + 3.0 * static_cast<double>(i / 30)};
+      }
+    }
+    return q;
+  };
+  struct Case {
+    const char* name;
+    MolqQuery query;
+    bool degenerate;
+  };
+  const std::vector<Case> cases = {
+      {"uniform", RandomQuery({300, 250, 200}, 701), false},
+      {"clustered", clustered(RandomQuery({400, 300, 300, 200}, 702), 703),
+       false},
+      {"duplicated", duplicated(RandomQuery({200, 150, 150}, 704)), false},
+      {"lattice", lattice(RandomQuery({300, 300, 270}, 705)), true},
+  };
+  for (const Case& c : cases) {
+    size_t sites = 0;
+    for (const ObjectSet& set : c.query.sets) {
+      std::vector<Point> locations;
+      for (const SpatialObject& obj : set.objects) {
+        locations.push_back(obj.location);
+      }
+      sites += SiteGrid(locations).sites().size();
+    }
+    for (const int threads : {1, 2, 4, 7}) {
+      SCOPED_TRACE(::testing::Message() << c.name << ", threads " << threads);
+      MolqOptions opts;
+      opts.exec.threads = threads;
+      const OptimizerResult want = SolveStagedUnpruned(c.query, kBounds, opts);
+      Trace trace;
+      opts.exec.audit = true;
+      opts.exec.trace = &trace;
+      const MolqResult got = SolveMolq(c.query, kBounds, opts);
+      ExpectSameAnswer(want, got);
+      EXPECT_GT(got.audit.checks(), 0u);
+      // The lattice's full diagram itself draws Voronoi findings from the
+      // auditor; its kept cells must still match that diagram.
+      for (const std::string& message : got.audit.Messages()) {
+        EXPECT_TRUE(c.degenerate) << message;
+        EXPECT_EQ(message.find("kept cells"), std::string::npos) << message;
+      }
+      int64_t fallbacks = 0;
+      for (const TraceSpanRecord& r : trace.Collect()) {
+        for (const auto& [key, value] : r.counters) {
+          if (r.name == "local_delaunay" && key == "full_fallbacks") {
+            fallbacks += value;
+          }
+        }
+      }
+      if (c.degenerate) {
+        EXPECT_GT(fallbacks, 0);
+        continue;
+      }
+      EXPECT_EQ(fallbacks, 0);
+      EXPECT_GT(got.stats.pruned_objects, 0u);
+      EXPECT_LT(got.stats.triangulated_sites, sites);
+    }
+  }
 }
 
 // Named OverlapParallel* so the TSan job's *Parallel* filter runs it.

@@ -1159,6 +1159,81 @@ TEST(ServeEngineTest, WarmStartSkipsNonCanonicalKeys) {
   EXPECT_FALSE(engine.Handle(request).cache_hit);
 }
 
+TEST(ServeEngineTest, WarmStartRejectsFileSavedUnderAnotherKey) {
+  // Two objects near (1, 1) put the unclipped optimum outside the
+  // CONSTRAIN boundary, so the clip and the RRB overlay over the same
+  // layers answer differently. A manifest line that keeps the clip's key
+  // but points at the overlay's file must be skipped, not served.
+  MolqQuery query = TestQuery({6, 6}, 97);
+  for (size_t s = 0; s < query.sets.size(); ++s) {
+    SpatialObject near_corner;
+    near_corner.location = {1.0 + 0.5 * static_cast<double>(s), 1.0};
+    query.sets[s].objects.push_back(near_corner);
+  }
+  const std::string dir = TmpDir("bound_files");
+  std::vector<EngineRequest> requests(2);
+  for (EngineRequest& request : requests) {
+    request.dataset = "d";
+    request.layers = {0, 1};
+  }
+  ConstrainSpec constrain;
+  constrain.constraint.boundary =
+      Polygon({{10, 10}, {90, 10}, {90, 90}, {10, 90}});
+  requests[1].op = constrain;
+  const auto answer = [&](QueryEngine* engine, const EngineRequest& request) {
+    const ServeResponse resp = engine->Handle(request);
+    EXPECT_EQ(resp.status, StatusCode::kOk);
+    return resp.answers.empty() ? Point{} : resp.answers[0].location;
+  };
+  Point clipped;
+  Point unclipped;
+  {
+    QueryEngine engine;
+    engine.RegisterDataset("d", query, kBounds);
+    unclipped = answer(&engine, requests[0]);
+    clipped = answer(&engine, requests[1]);
+    const Status saved = engine.SaveCache(dir);
+    ASSERT_TRUE(saved.ok()) << saved.ToString();
+  }
+  ASSERT_LT(unclipped.x, 10.0);
+  ASSERT_GE(clipped.x, 10.0);
+  // Point the clip's line at the RRB overlay's file.
+  std::vector<std::string> lines;
+  {
+    std::ifstream in(dir + "/manifest.txt");
+    for (std::string line; std::getline(in, line);) lines.push_back(line);
+  }
+  std::string overlay_file;
+  for (const std::string& line : lines) {
+    if (line.find("\tovl/") != std::string::npos) {
+      overlay_file = line.substr(0, line.find('\t'));
+    }
+  }
+  ASSERT_FALSE(overlay_file.empty());
+  size_t swapped = 0;
+  {
+    std::ofstream out(dir + "/manifest.txt", std::ios::trunc);
+    for (const std::string& line : lines) {
+      if (line.find("\tcns/") == std::string::npos) {
+        out << line << '\n';
+        continue;
+      }
+      out << overlay_file << line.substr(line.find('\t')) << '\n';
+      ++swapped;
+    }
+  }
+  ASSERT_EQ(swapped, 1u);
+  QueryEngine engine;
+  engine.RegisterDataset("d", query, kBounds);
+  const WarmLoadResult load = engine.LoadCache(dir);
+  EXPECT_TRUE(load.status.ok()) << load.status.ToString();
+  EXPECT_EQ(load.failed, 1u);
+  EXPECT_EQ(load.loaded, lines.size() - 1);
+  const Point warm = answer(&engine, requests[1]);
+  EXPECT_EQ(warm.x, clipped.x);
+  EXPECT_EQ(warm.y, clipped.y);
+}
+
 TEST(ServeEngineTest, UnknownDatasetStatusCodes) {
   // Queries on an unknown dataset are invalid requests; a mutation of one
   // has nothing to mutate.

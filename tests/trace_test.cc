@@ -197,14 +197,14 @@ TEST(TraceTest, ChromeJsonHasMatchedBeginEndEventsPerSpan) {
   EXPECT_EQ(CountOccurrences(json, "\"touched\":1"), kIterations);
 }
 
-MolqQuery TracedQuery() {
+MolqQuery TracedQuery(size_t per_set = 18) {
   Rng rng(614);
   MolqQuery query;
   for (int s = 0; s < 3; ++s) {
     ObjectSet set;
     set.name = std::string("type") += std::to_string(s);
     const double type_weight = rng.Uniform(0.5, 4.0);
-    for (int i = 0; i < 18; ++i) {
+    for (size_t i = 0; i < per_set; ++i) {
       SpatialObject obj;
       obj.location = {rng.Uniform(5, 95), rng.Uniform(5, 95)};
       obj.type_weight = type_weight;
@@ -420,54 +420,92 @@ TEST(TraceTest, OrdinaryVoronoiSplitsIntoDelaunayAndCells) {
 }
 
 TEST(TraceTest, PrunedVdStageFiltersBeforeClipping) {
-  // SolveMolq triangulates every ordinary set under "ordinary_voronoi",
-  // builds the bound, then per set runs "object_filter" and clips the kept
-  // cells under "voronoi_cells", all inside "vd_generator". The filter's
-  // counters account for every distinct site and for MolqStats.
-  const MolqQuery query = TracedQuery();
-  Trace trace;
-  MolqOptions options;
-  options.exec.threads = 2;
-  options.exec.trace = &trace;
-  const MolqResult result = SolveMolq(query, Rect(0, 0, 100, 100), options);
-  ASSERT_EQ(result.status, StatusCode::kOk);
-  const std::vector<TraceSpanRecord> records = trace.Collect();
-  const TraceSpanRecord* bound = FindByName(records, "combination_bound");
-  ASSERT_NE(bound, nullptr);
-  ASSERT_GE(bound->parent, 0);
-  EXPECT_EQ(records[bound->parent].name, "vd_generator");
-  size_t filters = 0;
-  size_t cells = 0;
-  for (const TraceSpanRecord& r : records) {
-    if (r.name == "delaunay" || r.name == "sort_sites") {
-      EXPECT_EQ(records[r.parent].name, "ordinary_voronoi") << r.name;
-      EXPECT_LE(r.start_ns + r.dur_ns, bound->start_ns) << r.name;
+  // SolveMolq buckets every ordinary set under "ordinary_voronoi", builds
+  // the bound (one "site_grid" pass per set inside "combination_bound"),
+  // then per set runs "object_filter", triangulates around the kept sites
+  // under "local_delaunay" and clips their cells under "voronoi_cells",
+  // all inside "vd_generator". Only a set that falls back to the full
+  // triangulation sorts and triangulates every site, inside its
+  // "local_delaunay". The counters account for every distinct site, for
+  // MolqStats and for the grid queries.
+  for (const size_t per_set : {18u, 400u}) {
+    SCOPED_TRACE(::testing::Message() << per_set << " objects per set");
+    const MolqQuery query = TracedQuery(per_set);
+    Trace trace;
+    MolqOptions options;
+    options.exec.threads = 2;
+    options.exec.trace = &trace;
+    const MolqResult result = SolveMolq(query, Rect(0, 0, 100, 100), options);
+    ASSERT_EQ(result.status, StatusCode::kOk);
+    const std::vector<TraceSpanRecord> records = trace.Collect();
+    const TraceSpanRecord* bound = FindByName(records, "combination_bound");
+    ASSERT_NE(bound, nullptr);
+    ASSERT_GE(bound->parent, 0);
+    EXPECT_EQ(records[bound->parent].name, "vd_generator");
+    size_t grids = 0;
+    size_t filters = 0;
+    size_t locals = 0;
+    size_t cells = 0;
+    size_t full = 0;
+    for (const TraceSpanRecord& r : records) {
+      ASSERT_TRUE(r.parent >= 0 || r.name == "solve_molq") << r.name;
+      if (r.name == "site_grid") {
+        EXPECT_EQ(records[r.parent].name, "combination_bound");
+        ++grids;
+      }
+      if (r.name == "delaunay" || r.name == "sort_sites") {
+        EXPECT_EQ(records[r.parent].name, "local_delaunay") << r.name;
+        full += r.name == "delaunay" ? 1 : 0;
+      }
+      if (r.name != "object_filter" && r.name != "local_delaunay" &&
+          r.name != "voronoi_cells") {
+        continue;
+      }
+      EXPECT_EQ(records[r.parent].name, "vd_generator") << r.name;
+      EXPECT_GE(r.start_ns, bound->start_ns + bound->dur_ns) << r.name;
+      ++(r.name == "object_filter"   ? filters
+         : r.name == "local_delaunay" ? locals
+                                      : cells);
     }
-    if (r.name != "object_filter" && r.name != "voronoi_cells") continue;
-    ASSERT_GE(r.parent, 0);
-    EXPECT_EQ(records[r.parent].name, "vd_generator") << r.name;
-    EXPECT_GE(r.start_ns, bound->start_ns + bound->dur_ns) << r.name;
-    ++(r.name == "object_filter" ? filters : cells);
-  }
-  EXPECT_EQ(filters, query.sets.size());
-  EXPECT_EQ(cells, query.sets.size());
-  int64_t sites = 0;
-  int64_t all_steps = 0;
-  for (const ObjectSet& set : query.sets) {
-    std::vector<Point> locations;
-    for (const SpatialObject& obj : set.objects) {
-      locations.push_back(obj.location);
+    EXPECT_EQ(grids, query.sets.size());
+    EXPECT_EQ(filters, query.sets.size());
+    EXPECT_EQ(locals, query.sets.size());
+    EXPECT_EQ(cells, query.sets.size());
+    EXPECT_EQ(CounterSum(records, "local_delaunay", "full_fallbacks"),
+              static_cast<int64_t>(full));
+    int64_t sites = 0;
+    int64_t all_steps = 0;
+    for (const ObjectSet& set : query.sets) {
+      std::vector<Point> locations;
+      for (const SpatialObject& obj : set.objects) {
+        locations.push_back(obj.location);
+      }
+      const Delaunay dt(locations);
+      sites += static_cast<int64_t>(dt.num_real_points());
+      all_steps += static_cast<int64_t>(dt.Adjacency().ids.size());
     }
-    const Delaunay dt(locations);
-    sites += static_cast<int64_t>(dt.num_real_points());
-    all_steps += static_cast<int64_t>(dt.Adjacency().ids.size());
+    EXPECT_EQ(CounterSum(records, "object_filter", "objects"), sites);
+    EXPECT_EQ(CounterSum(records, "object_filter", "objects") -
+                  CounterSum(records, "object_filter", "kept"),
+              static_cast<int64_t>(result.stats.pruned_objects));
+    EXPECT_GT(result.stats.pruned_objects, 0u);
+    EXPECT_EQ(CounterSum(records, "local_delaunay", "sites"),
+              static_cast<int64_t>(result.stats.triangulated_sites));
+    EXPECT_LT(CounterSum(records, "voronoi_cells", "clip_steps"), all_steps);
+    // Every site asks at least one other set's grid (until its partial
+    // bound passes the cut), at most every other set's.
+    const int64_t queries = CounterSum(records, "site_grid", "nn_queries");
+    EXPECT_GE(queries, sites);
+    EXPECT_LE(queries, sites * static_cast<int64_t>(query.sets.size() - 1));
+    EXPECT_GE(CounterSum(records, "site_grid", "sites_scanned"), queries);
+    EXPECT_GE(CounterSum(records, "site_grid", "buckets"),
+              static_cast<int64_t>(query.sets.size()));
+    if (per_set == 400u) {
+      // No fallback, and fewer sites triangulated than the sets hold.
+      EXPECT_EQ(full, 0u);
+      EXPECT_LT(result.stats.triangulated_sites, static_cast<size_t>(sites));
+    }
   }
-  EXPECT_EQ(CounterSum(records, "object_filter", "objects"), sites);
-  EXPECT_EQ(CounterSum(records, "object_filter", "objects") -
-                CounterSum(records, "object_filter", "kept"),
-            static_cast<int64_t>(result.stats.pruned_objects));
-  EXPECT_GT(result.stats.pruned_objects, 0u);
-  EXPECT_LT(CounterSum(records, "voronoi_cells", "clip_steps"), all_steps);
 }
 
 TEST(TraceTest, PipelineNamesItsBoundAndItsStepSetUp) {

@@ -9,6 +9,7 @@
 #include "geom/predicates.h"
 #include "util/rng.h"
 #include "voronoi/delaunay.h"
+#include "voronoi/site_grid.h"
 #include "voronoi/voronoi.h"
 #include "voronoi/weighted.h"
 
@@ -282,25 +283,36 @@ TEST(VoronoiBitIdentityTest, SingleSite) {
   ExpectCellsMatchReference({{30, 40}, {60, 70}}, Rect(0, 50, 100, 50));
 }
 
-// The greedy walk returns a site exactly as close to every query as the
-// brute-force nearest one, from every start, and Triangulate + ClipCells
-// with a mask clips exactly the marked cells of Build.
+// VoronoiWalkTest: the grid's nearest-site query (SiteGrid::Nearest, the
+// ring search that replaced the Delaunay walk) on the walk's input
+// families. Its site is exactly as close to every query as the
+// brute-force nearest one, no site is strictly closer (CompareDistance over
+// every site), and on exact ties it is the LessXY-least of the nearest.
 void ExpectWalkMatchesBrute(const std::vector<Point>& input,
                             const std::vector<Point>& queries) {
+  const SiteGrid grid(input);
   const VoronoiDiagram vd = VoronoiDiagram::Triangulate(input, kBounds);
-  const auto n = static_cast<int32_t>(vd.sites().size());
-  size_t steps = 0;
+  ASSERT_EQ(grid.sites().size(), vd.sites().size());
+  size_t scanned = 0;
   for (size_t i = 0; i < queries.size(); ++i) {
     const Point& q = queries[i];
-    const int32_t brute = vd.NearestSiteBrute(q);
-    for (const int32_t start : {0, n - 1, static_cast<int32_t>(i) % n}) {
-      const int32_t walk = vd.NearestSite(q, start, &steps);
-      ASSERT_GE(walk, 0) << "query " << i;
-      EXPECT_EQ(CompareDistance(q, vd.sites()[walk], vd.sites()[brute]), 0.0)
-          << "query " << i << " (" << q.x << ", " << q.y << ") start "
-          << start;
+    const int32_t got = grid.Nearest(q, &scanned);
+    ASSERT_GE(got, 0) << "query " << i;
+    const Point& site = grid.sites()[got];
+    EXPECT_EQ(CompareDistance(q, site, vd.sites()[vd.NearestSiteBrute(q)]),
+              0.0)
+        << "query " << i << " (" << q.x << ", " << q.y << ")";
+    for (const Point& other : vd.sites()) {
+      const double c = CompareDistance(q, other, site);
+      EXPECT_TRUE(c > 0.0 || (c == 0.0 && !LessXY(other, site)))
+          << "query " << i << " (" << q.x << ", " << q.y << ")";
     }
+    // The site names the first input point at its location.
+    const int32_t first = grid.first_input()[got];
+    EXPECT_EQ(input[first], site);
+    for (int32_t k = 0; k < first; ++k) EXPECT_NE(input[k], site);
   }
+  EXPECT_GE(scanned, queries.size());
 }
 
 std::vector<Point> GridQueries(double lo, double hi, double step) {
@@ -362,37 +374,42 @@ TEST(VoronoiWalkTest, TightClusterQueriedFromAfar) {
 TEST(VoronoiWalkTest, PowerOfTwoScales) {
   const std::vector<Point> sites = RandomPoints(200, 75);
   const std::vector<Point> queries = RandomPoints(100, 76);
+  const SiteGrid unit(sites);
   for (const int k : {-300, -80, 40}) {
-    const VoronoiDiagram vd =
-        VoronoiDiagram::Triangulate(Scaled(sites, k), Scaled(kBounds, k));
-    const VoronoiDiagram unit = VoronoiDiagram::Triangulate(sites, kBounds);
+    const SiteGrid grid(Scaled(sites, k));
+    ExpectWalkMatchesBrute(Scaled(sites, k), Scaled(queries, k));
+    // Scaling by a power of two changes no distance comparison.
     for (const Point& q : queries) {
       const Point scaled{std::ldexp(q.x, k), std::ldexp(q.y, k)};
-      const int32_t walk = vd.NearestSite(scaled, 0);
-      ASSERT_GE(walk, 0);
-      EXPECT_EQ(CompareDistance(q, unit.sites()[walk],
-                                unit.sites()[unit.NearestSiteBrute(q)]),
-                0.0);
+      const int32_t got = grid.Nearest(scaled);
+      ASSERT_GE(got, 0);
+      EXPECT_EQ(grid.first_input()[got],
+                unit.first_input()[unit.Nearest(q)]);
     }
   }
 }
 
 TEST(VoronoiWalkTest, RefusesWhereItIsNotExact) {
-  const VoronoiDiagram vd =
-      VoronoiDiagram::Triangulate({{40, 40}, {60, 40}, {50, 60}}, kBounds);
-  // The bounding box is 20 wide, so the walk covers
-  // [40 - 20480, 60 + 20480] x [40 - 20480, 60 + 20480].
-  EXPECT_GE(vd.NearestSite({-20440, 20540}, 0), 0);
-  EXPECT_EQ(vd.NearestSite({-20441, 50}, 0), -1);
-  EXPECT_EQ(vd.NearestSite({50, 1e30}, 0), -1);
-  EXPECT_EQ(vd.NearestSite({50, 0x1p-500}, 0), -1);
+  const std::vector<Point> three = {{40, 40}, {60, 40}, {50, 60}};
+  const SiteGrid grid(three);
+  const auto nearest = [&](const Point& q) {
+    const int32_t site = grid.Nearest(q);
+    return site < 0 ? -1 : grid.first_input()[site];
+  };
+  // Exact anywhere in ExactDistanceRange, however far from the sites.
+  EXPECT_EQ(nearest({-20441, 50}), 0);
+  EXPECT_EQ(nearest({50, 1e18}), 2);
+  EXPECT_EQ(nearest({1e19, -1e19}), 1);
+  // Queries outside the range are refused.
+  EXPECT_EQ(nearest({50, 1e30}), -1);
+  EXPECT_EQ(nearest({50, 0x1p-500}), -1);
   // One site is nearest to every query in range.
-  const VoronoiDiagram one = VoronoiDiagram::Triangulate({{5, 5}}, kBounds);
-  EXPECT_EQ(one.NearestSite({1e6, -1e6}, 0), 0);
-  // Sites outside ExactDistanceRange: no walk at all.
-  const VoronoiDiagram huge = VoronoiDiagram::Triangulate(
-      {{1e30, 0}, {2e30, 0}}, Rect(0, 0, 3e30, 1e30));
-  EXPECT_EQ(huge.NearestSite({1e30, 0}, 0), -1);
+  const std::vector<Point> one_site = {{5, 5}};
+  EXPECT_EQ(SiteGrid(one_site).Nearest({1e6, -1e6}), 0);
+  // Sites outside ExactDistanceRange: no query at all; nor on no sites.
+  const std::vector<Point> huge = {{1e30, 0}, {2e30, 0}};
+  EXPECT_EQ(SiteGrid(huge).Nearest({1e30, 0}), -1);
+  EXPECT_EQ(SiteGrid(std::vector<Point>()).Nearest({1, 1}), -1);
 }
 
 TEST(VoronoiWalkTest, MaskedClipKeepsExactlyTheMarkedCells) {
@@ -415,14 +432,196 @@ TEST(VoronoiWalkTest, MaskedClipKeepsExactlyTheMarkedCells) {
               0)
         << "cell " << i;
   }
-  EXPECT_TRUE(AuditKeptCells(full, masked, keep).ok());
+  EXPECT_TRUE(AuditKeptCells(full, masked.cells(), keep).ok());
   // A dropped cell that is not empty, or a kept one that differs, is
   // reported.
   keep[1] = 0;
-  EXPECT_FALSE(AuditKeptCells(full, masked, keep).ok());
+  EXPECT_FALSE(AuditKeptCells(full, masked.cells(), keep).ok());
   keep[1] = 1;
   keep[0] = 1;
-  EXPECT_FALSE(AuditKeptCells(full, masked, keep).ok());
+  EXPECT_FALSE(AuditKeptCells(full, masked.cells(), keep).ok());
+}
+
+// ClipKeptCells against VoronoiDiagram::Build over the same sites, with
+// the `count` sites nearest to `centre` kept (plus `extra`, given as input
+// points): every kept cell is bit-equal to its cell in the full diagram
+// and every other cell is empty (AuditKeptCells, in the full diagram's
+// site order). Returns what ClipKeptCells reported.
+KeptCellsStats ExpectKeptCellsMatchBuild(const std::vector<Point>& input,
+                                         const Rect& bounds,
+                                         const Point& centre, size_t count,
+                                         const std::vector<Point>& extra = {}) {
+  const SiteGrid grid(input);
+  const std::vector<Point>& sites = grid.sites();
+  std::vector<int32_t> order(sites.size());
+  for (size_t i = 0; i < order.size(); ++i) {
+    order[i] = static_cast<int32_t>(i);
+  }
+  std::stable_sort(order.begin(), order.end(), [&](int32_t a, int32_t b) {
+    return Distance2(sites[a], centre) < Distance2(sites[b], centre);
+  });
+  std::vector<uint8_t> keep(sites.size(), 0);
+  for (size_t i = 0; i < std::min(count, order.size()); ++i) {
+    keep[order[i]] = 1;
+  }
+  for (size_t i = 0; i < sites.size(); ++i) {
+    if (std::find(extra.begin(), extra.end(), sites[i]) != extra.end()) {
+      keep[i] = 1;
+    }
+  }
+  KeptCellsStats stats;
+  const std::vector<VoronoiCell> cells =
+      ClipKeptCells(grid, keep, bounds, &stats);
+  const VoronoiDiagram full = VoronoiDiagram::Build(sites, bounds);
+  EXPECT_EQ(full.sites().size(), sites.size());
+  std::vector<VoronoiCell> sorted(sites.size());
+  std::vector<uint8_t> sorted_keep(sites.size());
+  size_t clipped = 0;
+  for (size_t i = 0; i < sorted.size(); ++i) {
+    const int32_t k = full.first_input()[i];
+    EXPECT_EQ(cells[k].site, k);
+    sorted[i] = {static_cast<int32_t>(i), cells[k].region};
+    sorted_keep[i] = keep[k];
+    clipped += cells[k].region.Empty() ? 0 : 1;
+  }
+  const AuditReport report = AuditKeptCells(full, sorted, sorted_keep);
+  EXPECT_TRUE(report.ok()) << report.Summary();
+  EXPECT_GT(clipped, 0u);
+  if (stats.full_fallbacks == 0) {
+    EXPECT_LT(stats.sites, sites.size());
+    EXPECT_GE(stats.halo_rings, 1u);
+  } else {
+    EXPECT_EQ(stats.sites, sites.size());
+  }
+  return stats;
+}
+
+// Gaussian clusters around `centres` random town centres, as perfbench's
+// CH/SCH classes gather (sigma 2% of the diagonal).
+std::vector<Point> ClusteredPoints(size_t n, int centres, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<Point> anchors;
+  for (int i = 0; i < centres; ++i) {
+    anchors.push_back({rng.Uniform(0, 100), rng.Uniform(0, 100)});
+  }
+  std::vector<Point> pts;
+  while (pts.size() < n) {
+    const Point& c = anchors[rng.NextBelow(anchors.size())];
+    const Point p{c.x + 2.83 * rng.NextGaussian(),
+                  c.y + 2.83 * rng.NextGaussian()};
+    if (kBounds.Contains(p)) pts.push_back(p);
+  }
+  return pts;
+}
+
+TEST(KeptCellsTest, UniformSitesCertifyLocally) {
+  const std::vector<Point> sites = RandomPoints(2000, 81);
+  for (const Point& centre : {Point{50, 50}, Point{12, 80}, Point{95, 5}}) {
+    const KeptCellsStats stats =
+        ExpectKeptCellsMatchBuild(sites, kBounds, centre, 12);
+    EXPECT_EQ(stats.full_fallbacks, 0u);
+    EXPECT_LT(stats.sites, 200u);
+  }
+  // A bounds rectangle that misses some kept cells entirely.
+  EXPECT_EQ(ExpectKeptCellsMatchBuild(sites, Rect(10, 10, 30, 30),
+                                      Point{32, 20}, 20)
+                .full_fallbacks,
+            0u);
+}
+
+TEST(KeptCellsTest, ClusteredSitesCertifyLocally) {
+  const std::vector<Point> sites = ClusteredPoints(1000, 64, 82);
+  // Kept sites inside a cluster, and between clusters.
+  for (const Point& centre :
+       {sites[0], sites[500], Point{50, 50}, Point{30, 70}}) {
+    EXPECT_EQ(
+        ExpectKeptCellsMatchBuild(sites, kBounds, centre, 4).full_fallbacks,
+        0u);
+  }
+}
+
+TEST(KeptCellsTest, DuplicateSitesCertifyLocally) {
+  std::vector<Point> sites = RandomPoints(1500, 83);
+  const std::vector<Point> copy = sites;
+  sites.insert(sites.end(), copy.rbegin(), copy.rbegin() + 300);
+  sites.insert(sites.begin(), copy.begin() + 20, copy.begin() + 200);
+  EXPECT_EQ(ExpectKeptCellsMatchBuild(sites, kBounds, Point{40, 60}, 15)
+                .full_fallbacks,
+            0u);
+}
+
+TEST(KeptCellsTest, PowerOfTwoScalesCertifyLocally) {
+  const std::vector<Point> sites = RandomPoints(1500, 84);
+  for (const int k : {-250, -40, 40}) {
+    EXPECT_EQ(ExpectKeptCellsMatchBuild(Scaled(sites, k), Scaled(kBounds, k),
+                                        Point{std::ldexp(50.0, k),
+                                              std::ldexp(50.0, k)},
+                                        10)
+                  .full_fallbacks,
+              0u);
+  }
+  // Outside ExactDistanceRange the certificate is not attempted.
+  for (const int k : {250, 300}) {
+    EXPECT_EQ(ExpectKeptCellsMatchBuild(Scaled(sites, k), Scaled(kBounds, k),
+                                        Point{std::ldexp(50.0, k),
+                                              std::ldexp(50.0, k)},
+                                        10)
+                  .full_fallbacks,
+              1u);
+  }
+}
+
+TEST(KeptCellsTest, CocircularIntegerGridFallsBack) {
+  // Every Delaunay square of the lattice has four cocircular corners, so
+  // a kept star meets a site exactly on a circle.
+  std::vector<Point> sites;
+  for (int x = 0; x < 30; ++x) {
+    for (int y = 0; y < 30; ++y) sites.push_back({x * 3.0 + 5, y * 3.0 + 5});
+  }
+  EXPECT_EQ(ExpectKeptCellsMatchBuild(sites, kBounds, Point{50.2, 50.1}, 6)
+                .full_fallbacks,
+            1u);
+}
+
+TEST(KeptCellsTest, CollinearRowFallsBack) {
+  // Every site of a row is on the hull.
+  std::vector<Point> sites;
+  for (int i = 0; i < 200; ++i) sites.push_back({99.0 - 0.49 * i, 50});
+  EXPECT_EQ(ExpectKeptCellsMatchBuild(sites, kBounds, Point{50, 50}, 5)
+                .full_fallbacks,
+            1u);
+}
+
+TEST(KeptCellsTest, KeptHullSiteCertifiesLocally) {
+  // The LessXY-least site is a vertex of the hull: its real triangles fan
+  // between its two hull neighbours, and no site lies outside that wedge.
+  const std::vector<Point> sites = RandomPoints(2000, 85);
+  const Point corner = *std::min_element(sites.begin(), sites.end(), LessXY);
+  const Point top = *std::max_element(
+      sites.begin(), sites.end(),
+      [](const Point& a, const Point& b) { return a.y < b.y; });
+  EXPECT_EQ(ExpectKeptCellsMatchBuild(sites, kBounds, Point{50, 50}, 8,
+                                      {corner, top})
+                .full_fallbacks,
+            0u);
+  EXPECT_EQ(ExpectKeptCellsMatchBuild(sites, kBounds, corner, 5).full_fallbacks,
+            0u);
+  // Every site kept: a hull site among them.
+  EXPECT_EQ(ExpectKeptCellsMatchBuild(sites, kBounds, Point{50, 50},
+                                      sites.size())
+                .full_fallbacks,
+            1u);
+}
+
+TEST(KeptCellsTest, NothingKeptTriangulatesNothing) {
+  const SiteGrid grid(RandomPoints(100, 86));
+  const std::vector<uint8_t> keep(grid.sites().size(), 0);
+  KeptCellsStats stats;
+  for (const VoronoiCell& cell : ClipKeptCells(grid, keep, kBounds, &stats)) {
+    EXPECT_TRUE(cell.region.Empty());
+  }
+  EXPECT_EQ(stats.sites, 0u);
+  EXPECT_EQ(stats.full_fallbacks, 0u);
 }
 
 // The dense-grid audit oracle. These tests assert dense-sampler semantics

@@ -3,7 +3,9 @@
 // in turn is cut to every proper prefix and has every byte replaced by
 // each character of a small alphabet of key separators, tags and digits,
 // while the artifact files stay as saved. LoadCache must answer every
-// manifest with a Status, never an abort. Every artifact it loads must sit
+// manifest with a Status, never an abort. A line whose file is another
+// line's (the clip's art_1 cut to art_0) fails the file's binding to its
+// key. Every artifact it loads must sit
 // under a key that ArtifactKey parses and formats back to itself, naming
 // the registered dataset at its current version under the engine's grid
 // resolution and weight tag. The engine must then answer exactly as a
@@ -52,6 +54,13 @@ MolqQuery ThreeLayers() {
     }
     query.sets.push_back(std::move(set));
   }
+  // Objects of layers 0 and 1 near (1, 1) put the RRB optimum over {0,1}
+  // outside the CONSTRAIN boundary, so a clip line pointed at that
+  // overlay's file (art_1 -> art_0) would change the answers.
+  query.sets[0].objects.push_back({});
+  query.sets[0].objects.back().location = {1.0, 1.0};
+  query.sets[1].objects.push_back({});
+  query.sets[1].objects.back().location = {1.5, 1.0};
   return query;
 }
 
@@ -129,7 +138,10 @@ class WarmManifestFuzzTest : public ::testing::Test {
     EXPECT_TRUE(listed.ok()) << listed.ToString();
     std::string problem;
     for (const std::string& line : ReadLines(listing_ + "/manifest.txt")) {
-      const std::string key = line.substr(line.find('\t') + 1);
+      // file, key, binding
+      const size_t tab = line.find('\t');
+      const std::string key =
+          line.substr(tab + 1, line.rfind('\t') - tab - 1);
       const std::optional<ArtifactKey> parsed = ArtifactKey::Parse(key);
       if (!parsed || parsed->Format() != key || parsed->dataset != "d" ||
           parsed->version != snap->version ||
