@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <numeric>
 
 #include "core/weighted_distance.h"
 #include "fermat/fermat_weber.h"
@@ -18,6 +19,9 @@ namespace {
 constexpr int kDescentRounds = 8;
 // A query the grid pass cannot price probes the nodes of this grid.
 constexpr int kProbeGrid = 8;
+// The grid pass visits a set's sites with this stride (or the next one
+// coprime to the site count).
+constexpr size_t kPassStride = 7919;
 
 // One ordinary set's share of the grid pass: its least-priced candidate
 // (site -1 when none) and the work done.
@@ -36,6 +40,20 @@ struct SetPass {
 double CutFor(double epsilon, double u) {
   return (1.0 + std::max(epsilon, 0.0)) * u * (1.0 + 0x1p-40) *
          (1.0 + 0x1p-40);
+}
+
+// How far a nearest site may lie before its pair term alone puts a site's
+// objlb above `cut`: with a true distance d > Reach(cut, offsets, a),
+// offsets + a · Distance exceeds cut in doubles (the factor 1 + 2^-30
+// leaves room for every rounding while the pair term's share of the cut is
+// above 2^-20). +inf when there is no cut or no pair term.
+double Reach(double cut, double offsets, double a) {
+  const double room = cut - offsets;
+  if (!(a > 0.0) || !(room > cut * 0x1p-20) ||
+      cut == std::numeric_limits<double>::infinity()) {
+    return std::numeric_limits<double>::infinity();
+  }
+  return room / a * (1.0 + 0x1p-30);
 }
 
 // The search for U over one query: the grid pass over the ordinary sets,
@@ -70,7 +88,7 @@ class UpperBoundSearch {
     return sum;
   }
 
-  // The grid pass over ordinary set `s`: in bucket order, each site finds
+  // The grid pass over ordinary set `s`: in stride order, each site finds
   // its nearest site of every other ordinary set. Stores the site's objlb
   // (the header; a set whose query is not exact adds no pair term). With
   // `price` (an all-ordinary query) a site inside the search space whose
@@ -85,7 +103,13 @@ class UpperBoundSearch {
     objlb->resize(sites.size());
     std::vector<int32_t> objects(query_.sets.size(), 0);
     double cut = std::numeric_limits<double>::infinity();
-    for (size_t k = 0; k < sites.size(); ++k) {
+    // A stride coprime to the site count visits every site once, spread
+    // over the set from the start, so the least price (and the cut) comes
+    // down early.
+    const size_t n = sites.size();
+    size_t stride = kPassStride;
+    while (n > 1 && std::gcd(stride, n) != 1) ++stride;
+    for (size_t i = 0, k = 0; i < n; ++i, k = (k + stride) % n) {
       const Point& site = sites[k];
       bool exact = true;
       bool beyond_cut = false;
@@ -93,14 +117,22 @@ class UpperBoundSearch {
       for (const size_t j : ordinary_) {
         if (j == s) continue;
         const SiteGrid& other = *grids_[j];
+        const double a = std::min(min_a_[s], min_a_[j]);
         ++out->nn_queries;
-        const int32_t nn = other.Nearest(site, &out->sites_scanned);
+        const int32_t nn =
+            other.Nearest(site, &out->sites_scanned,
+                          Reach(cut, min_offset_sum, a));
+        if (nn == SiteGrid::kBeyondReach) {
+          // The term alone passes the cut (Reach): the site is dropped.
+          beyond_cut = true;
+          pair_bound = std::numeric_limits<double>::infinity();
+          break;
+        }
         if (nn < 0) {
           exact = false;
           continue;
         }
         objects[j] = other.first_input()[nn];
-        const double a = std::min(min_a_[s], min_a_[j]);
         if (a > 0.0) {
           pair_bound =
               std::max(pair_bound, a * Distance(site, other.sites()[nn]));
@@ -110,7 +142,7 @@ class UpperBoundSearch {
           break;
         }
       }
-      (*objlb)[k] = min_offset_sum + pair_bound;
+      (*objlb)[k] = min_offset_sum + pair_bound;  // +inf beyond reach
       if (beyond_cut || !price || !exact || !search_space_.Contains(site)) {
         continue;
       }

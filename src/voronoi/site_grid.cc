@@ -17,7 +17,7 @@ namespace movd {
 namespace {
 
 // A kept bucket's halo grows to at most this many rings, and ClipKeptCells
-// gives up on the local triangulation after this many passes.
+// gives up on the local triangulation after this many certifying passes.
 constexpr int32_t kMaxHaloRings = 16;
 constexpr int32_t kMaxPasses = 16;
 
@@ -154,7 +154,8 @@ int32_t SiteGrid::RowOf(double y) const {
   return static_cast<int32_t>(t);
 }
 
-int32_t SiteGrid::Nearest(const Point& q, size_t* scanned) const {
+int32_t SiteGrid::Nearest(const Point& q, size_t* scanned,
+                          double reach) const {
   if (sites_.empty() || !exact_ || !ExactDistanceRange(std::span(&q, 1))) {
     return -1;
   }
@@ -183,74 +184,69 @@ int32_t SiteGrid::Nearest(const Point& q, size_t* scanned) const {
     const int32_t end = BucketEnd(column, row);
     for (int32_t k = BucketBegin(column, row); k < end; ++k) {
       ++compared;
+      // A computed squared distance is within 2^-51 (relative) of the
+      // exact one, so a gap of 2^-48 decides; closer calls go to the
+      // exact predicate.
+      const double d2 = Distance2(q, sites_[k]);
       if (best >= 0) {
-        const double c = CompareDistance(q, sites_[k], sites_[best]);
-        if (c > 0.0 || (c == 0.0 && !LessXY(sites_[k], sites_[best]))) {
-          continue;
+        if (d2 > best_d2 * (1.0 + 0x1p-48)) continue;
+        if (!(d2 < best_d2 * (1.0 - 0x1p-48))) {
+          const double c = CompareDistance(q, sites_[k], sites_[best]);
+          if (c > 0.0 || (c == 0.0 && !LessXY(sites_[k], sites_[best]))) {
+            continue;
+          }
         }
       }
       best = k;
-      best_d2 = Distance2(q, sites_[k]);
+      best_d2 = d2;
     }
   };
+  // Lower bounds above reach2 put every site they cover beyond reach.
+  const double reach2 = reach * reach * (1.0 + 0x1p-30);
   const int32_t cx = ColumnOf(q.x);
   const int32_t cy = RowOf(q.y);
-  const int32_t last_ring =
-      std::max({cx, columns_ - 1 - cx, cy, rows_ - 1 - cy});
-  for (int32_t r = 0; r <= last_ring; ++r) {
-    const int32_t left = cx - r;
-    const int32_t right = cx + r;
-    const int32_t bottom = cy - r;
-    const int32_t top = cy + r;
+  for (int32_t r = 0; r <= LastRing(cx, cy); ++r) {
     if (r > 0) {
       // The ring's nearest side: farther rings only move away from q.
       double near2 = std::numeric_limits<double>::infinity();
       const auto side = [&](double gx, double gy) {
         near2 = std::min(near2, gx * gx + gy * gy);
       };
-      if (left >= 0) side(gap(tx, left), gap(ty, cy));
-      if (right < columns_) side(gap(tx, right), gap(ty, cy));
-      if (bottom >= 0) side(gap(tx, cx), gap(ty, bottom));
-      if (top < rows_) side(gap(tx, cx), gap(ty, top));
+      if (cx - r >= 0) side(gap(tx, cx - r), gap(ty, cy));
+      if (cx + r < columns_) side(gap(tx, cx + r), gap(ty, cy));
+      if (cy - r >= 0) side(gap(tx, cx), gap(ty, cy - r));
+      if (cy + r < rows_) side(gap(tx, cx), gap(ty, cy + r));
       if (best >= 0 && near2 > best_d2 * (1.0 + 0x1p-30)) break;
+      if (near2 > reach2 && (best < 0 || best_d2 > reach2)) {
+        best = kBeyondReach;
+        break;
+      }
     }
-    const int32_t c0 = std::max(left, 0);
-    const int32_t c1 = std::min(right, columns_ - 1);
-    if (bottom >= 0) {
-      for (int32_t c = c0; c <= c1; ++c) visit(c, bottom);
-    }
-    if (r > 0 && top < rows_) {
-      for (int32_t c = c0; c <= c1; ++c) visit(c, top);
-    }
-    if (r == 0) continue;
-    const int32_t r0 = std::max(bottom + 1, 0);
-    const int32_t r1 = std::min(top - 1, rows_ - 1);
-    for (int32_t row = r0; row <= r1; ++row) {
-      if (left >= 0) visit(left, row);
-      if (right < columns_) visit(right, row);
-    }
+    ForEachBucketInRing(cx, cy, r, visit);
   }
   if (scanned != nullptr) *scanned += compared;
   return best;
 }
 
-
 namespace {
 
 // The local triangulation whose kept stars passed the certificate: its
-// sites (LessXY order), their neighbour table, and the halo it needed.
+// vertex coordinates, each kept site's vertex and LessXY-sorted real
+// neighbours, how many sites it holds and the widest halo it needed.
 struct LocalStars {
   std::vector<Point> points;
-  NeighborTable table;
-  std::vector<int32_t> local_of;  // grid site -> index in points, or -1
+  std::vector<int32_t> vertex;             // per kept site
+  std::vector<std::vector<int32_t>> rows;  // per kept site
+  size_t sites = 0;
   int32_t rings = 0;
 };
 
-// Triangulates the kept sites' buckets, each with a halo of rings around
-// it, until every kept star is certified (ClipKeptCells' header). After a
-// failing pass the bucket of each site that failed a star joins, and the
-// halo of the kept bucket next to it grows by one ring. False when the set
-// must fall back instead; `out->rings` holds the widest halo tried.
+// Triangulates the kept sites' buckets with a halo of one ring each, then
+// certifies every kept star (ClipKeptCells' header). After a pass with
+// failing stars, the bucket of each site that failed one is inserted, and
+// the halo of the kept bucket next to it grows by one ring; a certified
+// star stays certified, since its triangles are faces of the full
+// triangulation. False when the set must fall back instead.
 bool CertifyKeptStars(const SiteGrid& grid, std::span<const uint8_t> keep,
                       std::span<const int32_t> kept, LocalStars* out) {
   const std::vector<Point>& sites = grid.sites();
@@ -258,90 +254,89 @@ bool CertifyKeptStars(const SiteGrid& grid, std::span<const uint8_t> keep,
   const auto bucket_of = [&](int32_t k) {
     return grid.RowOfSite(k) * columns + grid.ColumnOfSite(k);
   };
+  // The kept buckets, each with its halo.
   std::vector<int32_t> kept_buckets;
   kept_buckets.reserve(kept.size());
   for (const int32_t k : kept) kept_buckets.push_back(bucket_of(k));
   std::sort(kept_buckets.begin(), kept_buckets.end());
   kept_buckets.erase(std::unique(kept_buckets.begin(), kept_buckets.end()),
                      kept_buckets.end());
-  const auto kept_bucket_index = [&](int32_t k) {
-    return static_cast<size_t>(std::lower_bound(kept_buckets.begin(),
-                                                kept_buckets.end(),
-                                                bucket_of(k)) -
-                               kept_buckets.begin());
-  };
-  // Each kept bucket's halo, and the halo the current pass asks for; the
-  // buckets of the sites that failed a star.
   std::vector<int32_t> rings(kept_buckets.size(), 1);
-  std::vector<int32_t> wanted;
-  std::vector<int32_t> extra;
-  std::vector<int32_t> failed;
   // Where a certified circumdisk must lie: the sites' bounding box grown
   // by 2^17 times its larger side. The full triangulation's super-quad
   // vertices are 10^6 sides away from its centre.
-  Rect far;
-  for (const Point& p : sites) far.Expand(p);
-  const double grow_by = 0x1p17 * std::max(far.Width(), far.Height());
-  far = Rect(far.min_x - grow_by, far.min_y - grow_by, far.max_x + grow_by,
-             far.max_y + grow_by);
-  // gathered[b] == pass marks bucket b as gathered in this pass.
-  std::vector<int32_t> gathered(grid.buckets(), 0);
-  std::vector<int32_t>& local_of = out->local_of;
-  local_of.assign(sites.size(), -1);
-  std::vector<int32_t> local;  // grid sites, LessXY order
-  std::vector<Point>& points = out->points;
-  for (int32_t pass = 1; pass <= kMaxPasses; ++pass) {
-    out->rings = *std::max_element(rings.begin(), rings.end());
-    for (const int32_t k : local) local_of[k] = -1;
-    local.clear();
-    for (size_t i = 0; i < kept_buckets.size() + extra.size(); ++i) {
-      const bool halo = i < kept_buckets.size();
-      const int32_t b = halo ? kept_buckets[i] : extra[i - kept_buckets.size()];
-      const int32_t column = b % columns;
-      const int32_t row = b / columns;
-      const int32_t r = halo ? rings[i] : 0;
-      for (int32_t y = std::max(row - r, 0);
-           y <= std::min(row + r, grid.rows() - 1); ++y) {
-        for (int32_t x = std::max(column - r, 0);
-             x <= std::min(column + r, columns - 1); ++x) {
-          int32_t& mark = gathered[static_cast<size_t>(y) * columns + x];
-          if (mark == pass) continue;
-          mark = pass;
-          for (int32_t k = grid.BucketBegin(x, y); k < grid.BucketEnd(x, y);
-               ++k) {
-            local.push_back(k);
-          }
+  Rect box;
+  for (const Point& p : sites) box.Expand(p);
+  const double grow_by = 0x1p17 * std::max(box.Width(), box.Height());
+  const Rect far(box.min_x - grow_by, box.min_y - grow_by,
+                 box.max_x + grow_by, box.max_y + grow_by);
+
+  // The sites of every bucket not yet triangulated within `ring` of
+  // bucket b, appended to `fresh`.
+  std::vector<uint8_t> included(grid.buckets(), 0);
+  std::vector<int32_t> fresh;
+  const auto include = [&](int32_t b, int32_t ring) {
+    const int32_t column = b % columns;
+    const int32_t row = b / columns;
+    for (int32_t y = std::max(row - ring, 0);
+         y <= std::min(row + ring, grid.rows() - 1); ++y) {
+      for (int32_t x = std::max(column - ring, 0);
+           x <= std::min(column + ring, columns - 1); ++x) {
+        uint8_t& mark = included[static_cast<size_t>(y) * columns + x];
+        if (mark != 0) continue;
+        mark = 1;
+        for (int32_t k = grid.BucketBegin(x, y); k < grid.BucketEnd(x, y);
+             ++k) {
+          fresh.push_back(k);
         }
       }
     }
-    std::sort(local.begin(), local.end(), [&](int32_t i, int32_t j) {
-      return LessXY(sites[i], sites[j]);
-    });
-    points.clear();
-    for (size_t v = 0; v < local.size(); ++v) {
-      local_of[local[v]] = static_cast<int32_t>(v);
-      points.push_back(sites[local[v]]);
-    }
-    const Delaunay dt(points);
-    MOVD_CHECK(dt.num_real_points() == points.size());
-    const auto is_kept = [&](int32_t v) {
-      return !dt.IsSynthetic(v) && keep[local[v]] != 0;
-    };
-    // Site k failed a star of `t`: its bucket joins, and the nearest kept
-    // corner's bucket asks for one ring more.
+  };
+  for (const int32_t b : kept_buckets) include(b, 1);
+  std::sort(fresh.begin(), fresh.end(), [&](int32_t i, int32_t j) {
+    return LessXY(sites[i], sites[j]);
+  });
+  // The world rectangle lets later passes insert any site of the grid.
+  std::vector<Point> first;
+  first.reserve(fresh.size());
+  for (const int32_t k : fresh) first.push_back(sites[k]);
+  Delaunay dt(first, box);
+  MOVD_CHECK(dt.num_real_points() == first.size());
+  // vertex_of[k]: the vertex of grid site k, or -1; site_of inverts it.
+  std::vector<int32_t> vertex_of(sites.size(), -1);
+  std::vector<int32_t> site_of(dt.points().size(), -1);
+  for (size_t v = 0; v < fresh.size(); ++v) {
+    vertex_of[fresh[v]] = static_cast<int32_t>(v);
+    site_of[v] = fresh[v];
+  }
+  size_t triangulated = fresh.size();
+  const auto is_kept = [&](int32_t v) {
+    return !dt.IsSynthetic(v) && keep[site_of[v]] != 0;
+  };
+  std::vector<uint8_t> certified(dt.points().size(), 0);
+  std::vector<int32_t> failed;
+  std::vector<int32_t> wanted;
+  for (int32_t pass = 1; pass <= kMaxPasses; ++pass) {
+    const std::vector<Point>& points = dt.points();
+    out->rings = *std::max_element(rings.begin(), rings.end());
     wanted = rings;
     failed.clear();
+    // Site k failed a star of `t`: its bucket joins, and the nearest kept
+    // corner's bucket asks for one ring more.
     const auto take_in = [&](const Delaunay::Triangle& t, int32_t k) {
       int32_t best = std::numeric_limits<int32_t>::max();
       size_t index = 0;
       for (const int32_t u : t.v) {
         if (!is_kept(u)) continue;
         const int32_t d = std::max(
-            std::abs(grid.ColumnOfSite(k) - grid.ColumnOfSite(local[u])),
-            std::abs(grid.RowOfSite(k) - grid.RowOfSite(local[u])));
+            std::abs(grid.ColumnOfSite(k) - grid.ColumnOfSite(site_of[u])),
+            std::abs(grid.RowOfSite(k) - grid.RowOfSite(site_of[u])));
         if (d < best) {
           best = d;
-          index = kept_bucket_index(local[u]);
+          index = static_cast<size_t>(
+              std::lower_bound(kept_buckets.begin(), kept_buckets.end(),
+                               bucket_of(site_of[u])) -
+              kept_buckets.begin());
         }
       }
       wanted[index] = std::min(rings[index] + 1, kMaxHaloRings);
@@ -355,23 +350,30 @@ bool CertifyKeptStars(const SiteGrid& grid, std::span<const uint8_t> keep,
       const double orient = Orient2D(a, b, c);
       Rect disk;
       // A disk this large could hold a super-quad vertex of the full
-      // triangulation (at least 10^6 sides away).
+      // triangulation.
       if (orient == 0.0 || !CircumdiskBox(a, b, c, &disk) ||
           !far.Contains(disk)) {
         return Verdict::kDegenerate;
       }
       // Every site inside the closed disk lies in these buckets; each must
-      // be a corner or strictly outside the circle.
+      // be a corner or strictly outside the circle. A site beyond the
+      // box's inscribed disk (which holds the exact one) is outside.
       const int32_t x0 = grid.ColumnOf(disk.min_x);
       const int32_t x1 = grid.ColumnOf(disk.max_x);
       const int32_t y0 = grid.RowOf(disk.min_y);
       const int32_t y1 = grid.RowOf(disk.max_y);
+      const Point centre = disk.Center();
+      const double half = 0.5 * std::min(disk.Width(), disk.Height());
+      const double outside2 = half * half * (1.0 + 0x1p-40);
       for (int32_t y = y0; y <= y1; ++y) {
         for (int32_t x = x0; x <= x1; ++x) {
           for (int32_t k = grid.BucketBegin(x, y); k < grid.BucketEnd(x, y);
                ++k) {
-            const int32_t v = local_of[k];
-            if (v == t.v[0] || v == t.v[1] || v == t.v[2]) continue;
+            const int32_t v = vertex_of[k];
+            if (v == t.v[0] || v == t.v[1] || v == t.v[2] ||
+                Distance2(sites[k], centre) > outside2) {
+              continue;
+            }
             const double in = orient > 0.0 ? InCircle(a, b, c, sites[k])
                                             : InCircle(a, c, b, sites[k]);
             if (in < 0.0) continue;
@@ -386,91 +388,133 @@ bool CertifyKeptStars(const SiteGrid& grid, std::span<const uint8_t> keep,
       }
       return Verdict::kCertified;
     };
+    // The stars not yet certified, each as its triangles; each triangle's
+    // verdict is reached once (-1 until then).
     const std::vector<Delaunay::Triangle> triangles = dt.Triangles();
-    std::vector<int32_t> hull_stars;  // kept local vertices on the local hull
-    for (const Delaunay::Triangle& t : triangles) {
-      if (std::none_of(std::begin(t.v), std::end(t.v), is_kept)) continue;
-      if (std::any_of(std::begin(t.v), std::end(t.v),
-                      [&](int32_t v) { return dt.IsSynthetic(v); })) {
-        for (const int32_t v : t.v) {
-          if (is_kept(v)) hull_stars.push_back(v);
+    std::vector<int8_t> verdicts(triangles.size(), -1);
+    std::vector<std::pair<int32_t, int32_t>> open;  // (vertex, triangle)
+    for (size_t t = 0; t < triangles.size(); ++t) {
+      for (const int32_t v : triangles[t].v) {
+        if (is_kept(v) && certified[v] == 0) {
+          open.push_back({v, static_cast<int32_t>(t)});
         }
-        continue;
       }
-      if (certify(t) == Verdict::kDegenerate) return false;
     }
-    std::sort(hull_stars.begin(), hull_stars.end());
-    hull_stars.erase(std::unique(hull_stars.begin(), hull_stars.end()),
-                     hull_stars.end());
-    // A kept site on the local hull: its real triangles (certified above)
-    // fan counterclockwise from `first` to `last`. When no site of the full
-    // set lies strictly outside that wedge, the site is on the full set's
-    // hull, the rest of its star in the full triangulation has no real
-    // vertex, and the fan's corners are its whole neighbour row.
-    for (const int32_t v : hull_stars) {
-      std::vector<std::pair<int32_t, int32_t>> fan;  // (a, b): (v, a, b) ccw
+    std::sort(open.begin(), open.end());
+    for (size_t begin = 0; begin < open.size();) {
+      const int32_t v = open[begin].first;
+      size_t end = begin;
+      while (end < open.size() && open[end].first == v) ++end;
+      // Its real triangles, each as (a, b) with (v, a, b) counterclockwise.
+      std::vector<std::pair<int32_t, int32_t>> fan;
+      bool hull = false;
+      bool ok = true;
       const Delaunay::Triangle* any = nullptr;
-      for (const Delaunay::Triangle& t : triangles) {
-        const int i = t.v[0] == v ? 0 : t.v[1] == v ? 1 : t.v[2] == v ? 2 : -1;
-        if (i < 0 || dt.IsSynthetic(t.v[0]) || dt.IsSynthetic(t.v[1]) ||
+      for (size_t e = begin; e < end; ++e) {
+        const Delaunay::Triangle& t = triangles[open[e].second];
+        if (dt.IsSynthetic(t.v[0]) || dt.IsSynthetic(t.v[1]) ||
             dt.IsSynthetic(t.v[2])) {
+          hull = true;
           continue;
         }
+        int8_t& memo = verdicts[open[e].second];
+        if (memo < 0) memo = static_cast<int8_t>(certify(t));
+        const auto verdict = static_cast<Verdict>(memo);
+        if (verdict == Verdict::kDegenerate) return false;
+        ok = ok && verdict == Verdict::kCertified;
+        const int i = t.v[0] == v ? 0 : t.v[1] == v ? 1 : 2;
         int32_t a = t.v[(i + 1) % 3];
         int32_t b = t.v[(i + 2) % 3];
         if (Orient2D(points[v], points[a], points[b]) < 0.0) std::swap(a, b);
         fan.push_back({a, b});
         any = &t;
       }
-      int32_t first = -1;
-      int32_t last = -1;
-      int ends = 0;
-      for (const auto& [a, b] : fan) {
-        const auto ends_at_a = [&](const auto& e) { return e.second == a; };
-        const auto starts_at_b = [&](const auto& e) { return e.first == b; };
-        if (std::none_of(fan.begin(), fan.end(), ends_at_a)) {
-          first = a;
-          ++ends;
+      begin = end;
+      if (ok && hull) {
+        // A kept site on the local hull: its real triangles fan
+        // counterclockwise from `first` to `last`. When no site of the full
+        // set lies strictly outside that wedge, the site is on the full
+        // set's hull, the rest of its star in the full triangulation has no
+        // real vertex, and the fan's corners are its whole neighbour row.
+        int32_t first_end = -1;
+        int32_t last_end = -1;
+        int ends = 0;
+        for (const auto& [a, b] : fan) {
+          const auto ends_at_a = [&](const auto& e) { return e.second == a; };
+          const auto starts_at_b = [&](const auto& e) { return e.first == b; };
+          if (std::none_of(fan.begin(), fan.end(), ends_at_a)) {
+            first_end = a;
+            ++ends;
+          }
+          if (std::none_of(fan.begin(), fan.end(), starts_at_b)) {
+            last_end = b;
+            ++ends;
+          }
         }
-        if (std::none_of(fan.begin(), fan.end(), starts_at_b)) {
-          last = b;
-          ++ends;
+        // No real triangle (a row of sites), or a fan with a gap.
+        if (any == nullptr || ends != 2) return false;
+        // A site outside the wedge, searched ring by ring from the site's
+        // bucket: a true hull site scans every bucket once, any other
+        // usually meets one nearby.
+        const Point& p = points[v];
+        const int32_t column = grid.ColumnOfSite(site_of[v]);
+        const int32_t row = grid.RowOfSite(site_of[v]);
+        int32_t outside = -1;
+        for (int32_t r = 0; r <= grid.LastRing(column, row) && outside < 0;
+             ++r) {
+          grid.ForEachBucketInRing(column, row, r, [&](int32_t x, int32_t y) {
+            for (int32_t k = grid.BucketBegin(x, y);
+                 k < grid.BucketEnd(x, y) && outside < 0; ++k) {
+              if (Orient2D(p, points[first_end], sites[k]) < 0.0 ||
+                  Orient2D(p, points[last_end], sites[k]) > 0.0) {
+                outside = k;
+              }
+            }
+          });
+        }
+        if (outside >= 0) {
+          take_in(*any, outside);
+          ok = false;
         }
       }
-      // No real triangle (a row of sites), or a fan with a gap.
-      if (any == nullptr || ends != 2) return false;
-      // The sites farthest outside each side of the wedge: a hull
-      // neighbour of the site when it is on the full hull.
-      const Point& p = points[v];
-      int32_t before = -1;
-      int32_t after = -1;
-      for (int32_t k = 0; k < static_cast<int32_t>(sites.size()); ++k) {
-        if (Orient2D(p, before < 0 ? points[first] : sites[before],
-                     sites[k]) < 0.0) {
-          before = k;
-        }
-        if (Orient2D(p, after < 0 ? points[last] : sites[after], sites[k]) >
-            0.0) {
-          after = k;
-        }
-      }
-      if (before >= 0) take_in(*any, before);
-      if (after >= 0) take_in(*any, after);
+      if (ok) certified[v] = 1;
     }
     if (failed.empty()) {
-      out->table = dt.Adjacency();
+      out->points = points;
+      out->sites = triangulated;
+      out->vertex.clear();
+      out->rows.clear();
+      for (const int32_t k : kept) {
+        const int32_t v = vertex_of[k];
+        std::vector<int32_t> row = dt.Neighbors(v);
+        std::sort(row.begin(), row.end(), [&](int32_t a, int32_t b) {
+          return LessXY(points[a], points[b]);
+        });
+        out->vertex.push_back(v);
+        out->rows.push_back(std::move(row));
+      }
       return true;
     }
-    // Stop when the next pass would triangulate nothing new.
-    if (local.size() == sites.size()) return false;
-    const size_t before = extra.size();
-    for (const int32_t b : failed) {
-      if (gathered[b] != pass) extra.push_back(b);
+    // The next pass inserts the failing sites' buckets and the grown
+    // halos; stop when that would add nothing.
+    fresh.clear();
+    for (const int32_t b : failed) include(b, 0);
+    for (size_t i = 0; i < rings.size(); ++i) {
+      if (wanted[i] > rings[i]) include(kept_buckets[i], wanted[i]);
     }
-    std::sort(extra.begin(), extra.end());
-    extra.erase(std::unique(extra.begin(), extra.end()), extra.end());
-    if (extra.size() == before && wanted == rings) return false;
     rings.swap(wanted);
+    if (fresh.empty()) return false;
+    for (const int32_t k : fresh) {
+      const int32_t v = dt.Insert(sites[k], nullptr);
+      MOVD_CHECK(v >= 0);
+      vertex_of[k] = v;
+      if (static_cast<size_t>(v) >= site_of.size()) {
+        site_of.resize(static_cast<size_t>(v) + 1, -1);
+        certified.resize(static_cast<size_t>(v) + 1, 0);
+      }
+      site_of[v] = k;
+    }
+    triangulated += fresh.size();
   }
   return false;
 }
@@ -500,7 +544,7 @@ std::vector<VoronoiCell> ClipKeptCells(const SiteGrid& grid,
     // ExactDistanceRange the certificate's predicates may not be exact.
     if (kept.size() < sites.size() && ExactDistanceRange(sites) &&
         CertifyKeptStars(grid, keep, kept, &local)) {
-      stats->sites = local.points.size();
+      stats->sites = local.sites;
     } else {
       stats->sites = sites.size();
       stats->full_fallbacks = 1;
@@ -528,10 +572,9 @@ std::vector<VoronoiCell> ClipKeptCells(const SiteGrid& grid,
   }
   TraceSpan span("voronoi_cells");
   size_t clip_steps = 0;
-  for (const int32_t k : kept) {
-    const int32_t v = local.local_of[k];
-    cells[k].region = CanonicalVoronoiCell(local.points, v, local.table.of(v),
-                                           bounds, &clip_steps);
+  for (size_t i = 0; i < kept.size(); ++i) {
+    cells[kept[i]].region = CanonicalVoronoiCell(
+        local.points, local.vertex[i], local.rows[i], bounds, &clip_steps);
   }
   span.Counter("clip_steps", static_cast<int64_t>(clip_steps));
   return cells;

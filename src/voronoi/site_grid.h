@@ -1,8 +1,10 @@
 #ifndef MOVD_VORONOI_SITE_GRID_H_
 #define MOVD_VORONOI_SITE_GRID_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <span>
 #include <vector>
 
@@ -54,6 +56,31 @@ class SiteGrid {
   int32_t ColumnOf(double x) const;
   int32_t RowOf(double y) const;
 
+  /// Calls visit(column, row) for every bucket of the grid at Chebyshev
+  /// distance exactly `ring` from bucket (column, row); rings past
+  /// LastRing(column, row) hold none.
+  template <typename Visit>
+  void ForEachBucketInRing(int32_t column, int32_t row, int32_t ring,
+                           Visit&& visit) const {
+    const int32_t c0 = std::max(column - ring, 0);
+    const int32_t c1 = std::min(column + ring, columns_ - 1);
+    if (row - ring >= 0) {
+      for (int32_t c = c0; c <= c1; ++c) visit(c, row - ring);
+    }
+    if (ring == 0) return;
+    if (row + ring < rows_) {
+      for (int32_t c = c0; c <= c1; ++c) visit(c, row + ring);
+    }
+    const int32_t r1 = std::min(row + ring - 1, rows_ - 1);
+    for (int32_t r = std::max(row - ring + 1, 0); r <= r1; ++r) {
+      if (column - ring >= 0) visit(column - ring, r);
+      if (column + ring < columns_) visit(column + ring, r);
+    }
+  }
+  int32_t LastRing(int32_t column, int32_t row) const {
+    return std::max({column, columns_ - 1 - column, row, rows_ - 1 - row});
+  }
+
   /// Bucket (column, row) of every site, in site order.
   int32_t ColumnOfSite(int32_t site) const { return site_column_[site]; }
   int32_t RowOfSite(int32_t site) const { return site_row_[site]; }
@@ -64,9 +91,15 @@ class SiteGrid {
   /// bucket skipped when a conservative lower bound on its distance
   /// exceeds the best distance found, until a whole ring is out of reach.
   /// Returns -1 when a coordinate of `q` or of a site is outside
-  /// ExactDistanceRange, or when the grid is empty. Adds the sites it
-  /// compared to `*scanned` when that is not null.
-  int32_t Nearest(const Point& q, size_t* scanned = nullptr) const;
+  /// ExactDistanceRange, or when the grid is empty. With a finite `reach`
+  /// it gives up and returns kBeyondReach once every site is provably
+  /// farther from q than reach (the bounds clear reach^2 by a factor
+  /// 1 + 2^-30). Adds the sites it compared to `*scanned` when that is not
+  /// null.
+  static constexpr int32_t kBeyondReach = -2;
+  int32_t Nearest(const Point& q, size_t* scanned = nullptr,
+                  double reach = std::numeric_limits<double>::infinity())
+      const;
 
  private:
   // A coordinate in bucket units, unclamped.
@@ -101,8 +134,8 @@ struct KeptCellsStats {
 /// empty. Each kept cell is bit-equal to the same site's cell in
 /// VoronoiDiagram::Build(grid.sites(), bounds).
 ///
-/// Only the kept sites' buckets and a halo of h rings around them are
-/// triangulated (one Delaunay, h from 1). Each kept site's star is then
+/// Only the kept sites' buckets and a halo of one ring of buckets around
+/// each are triangulated (one Delaunay). Each kept site's star is then
 /// certified:
 ///  - every incident triangle with three real vertices must have a
 ///    circumdisk (grown by a margin that covers the circumcentre's
@@ -122,10 +155,11 @@ struct KeptCellsStats {
 /// triangulation's, its LessXY-sorted row is the full neighbour table's
 /// row, and CanonicalVoronoiCell returns the full diagram's cell.
 ///
-/// After a pass with failing stars, the bucket of each site that failed
-/// one joins the next triangulation, and the halo of the kept bucket next
-/// to it grows by a ring (to at most 16). After 16 passes, when a pass
-/// would add nothing, on a site exactly on a circle, on an ill-conditioned or too
+/// After a pass with failing stars, the sites of the bucket of each site
+/// that failed one are inserted into the same triangulation, and so are
+/// those of one more ring of halo around the kept bucket next to it (at
+/// most 16 rings); certified stars stay certified. After 16 passes, when a
+/// pass would add nothing, on a site exactly on a circle, on an ill-conditioned or too
 /// large circle, on a star with no real triangle (a row of sites), when a
 /// site is outside ExactDistanceRange or when every site is kept, the set
 /// falls back to VoronoiDiagram::Triangulate + ClipCells(keep) over every
