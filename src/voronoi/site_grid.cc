@@ -356,24 +356,17 @@ bool CertifyKeptStars(const SiteGrid& grid, std::span<const uint8_t> keep,
         return Verdict::kDegenerate;
       }
       // Every site inside the closed disk lies in these buckets; each must
-      // be a corner or strictly outside the circle. A site beyond the
-      // box's inscribed disk (which holds the exact one) is outside.
+      // be a corner or strictly outside the circle.
       const int32_t x0 = grid.ColumnOf(disk.min_x);
       const int32_t x1 = grid.ColumnOf(disk.max_x);
       const int32_t y0 = grid.RowOf(disk.min_y);
       const int32_t y1 = grid.RowOf(disk.max_y);
-      const Point centre = disk.Center();
-      const double half = 0.5 * std::min(disk.Width(), disk.Height());
-      const double outside2 = half * half * (1.0 + 0x1p-40);
       for (int32_t y = y0; y <= y1; ++y) {
         for (int32_t x = x0; x <= x1; ++x) {
           for (int32_t k = grid.BucketBegin(x, y); k < grid.BucketEnd(x, y);
                ++k) {
             const int32_t v = vertex_of[k];
-            if (v == t.v[0] || v == t.v[1] || v == t.v[2] ||
-                Distance2(sites[k], centre) > outside2) {
-              continue;
-            }
+            if (v == t.v[0] || v == t.v[1] || v == t.v[2]) continue;
             const double in = orient > 0.0 ? InCircle(a, b, c, sites[k])
                                             : InCircle(a, c, b, sites[k]);
             if (in < 0.0) continue;
@@ -388,10 +381,8 @@ bool CertifyKeptStars(const SiteGrid& grid, std::span<const uint8_t> keep,
       }
       return Verdict::kCertified;
     };
-    // The stars not yet certified, each as its triangles; each triangle's
-    // verdict is reached once (-1 until then).
+    // The stars not yet certified, each as its triangles.
     const std::vector<Delaunay::Triangle> triangles = dt.Triangles();
-    std::vector<int8_t> verdicts(triangles.size(), -1);
     std::vector<std::pair<int32_t, int32_t>> open;  // (vertex, triangle)
     for (size_t t = 0; t < triangles.size(); ++t) {
       for (const int32_t v : triangles[t].v) {
@@ -417,9 +408,7 @@ bool CertifyKeptStars(const SiteGrid& grid, std::span<const uint8_t> keep,
           hull = true;
           continue;
         }
-        int8_t& memo = verdicts[open[e].second];
-        if (memo < 0) memo = static_cast<int8_t>(certify(t));
-        const auto verdict = static_cast<Verdict>(memo);
+        const Verdict verdict = certify(t);
         if (verdict == Verdict::kDegenerate) return false;
         ok = ok && verdict == Verdict::kCertified;
         const int i = t.v[0] == v ? 0 : t.v[1] == v ? 1 : 2;
@@ -432,10 +421,10 @@ bool CertifyKeptStars(const SiteGrid& grid, std::span<const uint8_t> keep,
       begin = end;
       if (ok && hull) {
         // A kept site on the local hull: its real triangles fan
-        // counterclockwise from `first` to `last`. When no site of the full
-        // set lies strictly outside that wedge, the site is on the full
-        // set's hull, the rest of its star in the full triangulation has no
-        // real vertex, and the fan's corners are its whole neighbour row.
+        // counterclockwise from `first_end` to `last_end`. When no site of
+        // the full set lies strictly outside that wedge, the site is on the
+        // full set's hull, the rest of its star in the full triangulation
+        // has no real vertex, and the fan's corners are its whole row.
         int32_t first_end = -1;
         int32_t last_end = -1;
         int ends = 0;
