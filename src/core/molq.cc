@@ -70,9 +70,10 @@ std::vector<Point> SetLocations(const MolqQuery& query, int32_t set) {
   return sites;
 }
 
-// Moves the cells into the set's basic MOVD. The diagram deduplicates
-// site locations and keeps each site's lowest input index; SetLocations
-// lists the objects in order, so that is the first object at the site's
+// The ordinary route: the set's full diagram, its audit seams, and its
+// cells moved into the set's basic MOVD. The diagram deduplicates site
+// locations and keeps each site's lowest input index; SetLocations lists
+// the objects in order, so that is the first object at the site's
 // location.
 //
 // A cell is a pure function of (site, LessXY-sorted Delaunay neighbour
